@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rst
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare ci
+.PHONY: build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,16 @@ BENCH_OLD ?= BENCH_PR5.json
 BENCH_NEW ?= BENCH_PR7.json
 bench-compare:
 	$(GO) run ./cmd/benchcompare $(BENCH_OLD) $(BENCH_NEW)
+
+# benchmark runs the repo benchmark (benchmark/README.md, BENCHMARK.json):
+# four workloads end to end, tracing off. benchmark-trace adds the
+# per-layer metrics and the latency budget. Neither gates CI: a change is
+# judged on interleaved runs against its parent commit, not on one run.
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-trace:
+	$(GO) run ./benchmark -trace 1
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.

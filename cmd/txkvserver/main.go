@@ -51,7 +51,7 @@ func main() {
 		maxConns = flag.Int("max-conns", 0, "connection cap: excess connections get one Overloaded frame and close (0 = unlimited)")
 		maxQueue = flag.Int("max-queue", 0, "admission queue cap: requests arriving at a full queue are shed Overloaded (0 = unlimited)")
 		maxWait  = flag.Duration("max-queue-wait", 0, "bound on one request's wait for an engine thread before it is shed Overloaded (0 = unlimited)")
-		pipeline = flag.Int("pipeline", 16, "per-connection in-flight request window (1 = strict request/reply)")
+		pipeline = flag.Int("pipeline", 16, "coalesced items one connection may have in flight (unused with -coalesce-batch 0)")
 		coBatch  = flag.Int("coalesce-batch", 0, "per-shard commit coalescing: max single-key ops per batched transaction (0 = off)")
 		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "commit coalescing: max time the first queued op waits for a batch to fill")
 	)

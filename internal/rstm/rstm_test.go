@@ -102,3 +102,9 @@ func TestObjectTableGrowth(t *testing.T) {
 		}
 	})
 }
+
+// TestTransferExtend: contended transfers that meet a foreign commit
+// mid-body must not lose an update (invisible reads validate by epoch).
+func TestTransferExtend(t *testing.T) {
+	stmtest.TransferExtend(t, New(Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewPolka()}))
+}

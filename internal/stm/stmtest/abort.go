@@ -2,6 +2,7 @@ package stmtest
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,4 +282,86 @@ func runCounterHammer(e stm.STM, h stm.Handle, workers, perWorker int) []stm.Sta
 		<-done
 	}
 	return stats
+}
+
+// TransferExtend hammers four-account transfers whose snapshot is forced
+// forward mid-body, from four goroutines, and checks the total. Each
+// transfer reads all four balances before it writes any; between the
+// second and third read its first attempt runs a complete foreign commit
+// (a second engine thread on the same goroutine, ForcedAbort style) that
+// rewrites the fourth account in place, so that read meets a version
+// newer than the snapshot. The time-based engines must then revalidate their read log
+// while the other workers are committing to those very accounts — the
+// window in which TinySTM's validation once accepted a stale entry and
+// lost an update — and the others abort and retry unforced.
+//
+// Not for an engine configured to quiesce at commit: the nested commit
+// would wait for its own suspended caller. It uses engine thread ids
+// 0..4 and stm.MaxThreads-4..stm.MaxThreads-1.
+func TransferExtend(t *testing.T, e stm.STM) {
+	const threads = 4
+	const accounts = 16
+	const initial = 1 << 20
+	// A million transfers: the parent of the fix lost about one update
+	// per 1.6 million of these, so a regression fails more runs than not.
+	perThread := 250000
+	if testing.Short() || raceEnabled {
+		perThread = 10000
+	}
+	th0 := e.NewThread(0)
+	// One 64-field object per account: distinct stripes at any
+	// granularity ≤ 64 words, distinct objects on RSTM.
+	hs := make([]stm.Handle, accounts)
+	for i := range hs {
+		hs[i] = alloc(th0, 64)
+		h := hs[i]
+		stm.AtomicVoid(th0, func(tx stm.Tx) { tx.WriteField(h, 0, initial) })
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			th := e.NewThread(id + 1)
+			bumper := e.NewThread(stm.MaxThreads - 1 - id)
+			seed := uint64(id)*2654435761 + 977
+			for n := 0; n < perThread; n++ {
+				seed = seed*6364136223846793005 + 1
+				base, stride := uint32(seed>>33), uint32(seed>>13)|1 // odd stride: four distinct accounts
+				var k [4]stm.Handle
+				for j := range k {
+					k[j] = hs[(base+uint32(j)*stride)%accounts]
+				}
+				attempt := 0
+				stm.AtomicVoid(th, func(tx stm.Tx) {
+					attempt++
+					var bal [4]stm.Word
+					bal[0] = tx.ReadField(k[0], 0)
+					bal[1] = tx.ReadField(k[1], 0)
+					if attempt == 1 {
+						stm.AtomicVoid(bumper, func(btx stm.Tx) {
+							btx.WriteField(k[3], 0, btx.ReadField(k[3], 0))
+						})
+					}
+					bal[2] = tx.ReadField(k[2], 0)
+					bal[3] = tx.ReadField(k[3], 0)
+					tx.WriteField(k[0], 0, bal[0]-3)
+					for j := 1; j < 4; j++ {
+						tx.WriteField(k[j], 0, bal[j]+1)
+					}
+				})
+			}
+		}(i)
+	}
+	wg.Wait()
+	sum := stm.AtomicRO(th0, func(tx stm.TxRO) stm.Word {
+		var sum stm.Word
+		for _, h := range hs {
+			sum += tx.ReadField(h, 0)
+		}
+		return sum
+	})
+	if sum != accounts*initial {
+		t.Fatalf("sum = %d after %d transfers, want %d: an update was lost", sum, threads*perThread, accounts*initial)
+	}
 }

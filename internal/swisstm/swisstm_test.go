@@ -209,3 +209,7 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 		t.Fatalf("arena value = %d, want 2", got)
 	}
 }
+
+// TestTransferExtend: contended transfers whose snapshot is forced
+// forward mid-body must not lose an update.
+func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }

@@ -517,15 +517,23 @@ func (t *txn) commit() bool {
 	return true
 }
 
+// validate checks that every logged stripe is still at its logged
+// version and not locked by another transaction. The owner is read
+// BEFORE the version: commit publishes a stripe's new version and then
+// clears its owner, so the other order lets a committer overtake the two
+// loads — old version, then nil owner — and a stale entry validates;
+// through extend that loses an update. Owner-then-version cannot miss
+// it: a nil owner means no write-back was in progress at that instant,
+// and any commit since has moved the version.
 func (t *txn) validate() bool {
 	t.stats.Validations++
 	t.stats.ValidationReads += uint64(len(t.readLog))
 	for i := range t.readLog {
 		re := &t.readLog[i]
-		if t.e.vers[re.idx].Load() != re.ver {
+		if we := t.e.owners[re.idx].Load(); we != nil && we.owner.Load() != t {
 			return false
 		}
-		if we := t.e.owners[re.idx].Load(); we != nil && we.owner.Load() != t {
+		if t.e.vers[re.idx].Load() != re.ver {
 			return false
 		}
 	}

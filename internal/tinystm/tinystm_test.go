@@ -73,3 +73,7 @@ func TestTimestampExtension(t *testing.T) {
 		t.Fatalf("validation aborts = %d, want 0", s.AbortsValid)
 	}
 }
+
+// TestTransferExtend: contended transfers whose snapshot is forced
+// forward mid-body must not lose an update.
+func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }

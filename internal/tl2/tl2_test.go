@@ -147,3 +147,7 @@ func TestReadOnlyNoReadLogReplay(t *testing.T) {
 		t.Errorf("read-only mode logged %d reads, want 0", s.ReadsLogged)
 	}
 }
+
+// TestTransferExtend: contended transfers whose snapshot is forced
+// forward mid-body must not lose an update.
+func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }

@@ -176,7 +176,7 @@ func (c *Client) Do(req txkvwire.Req) (txkvwire.Reply, error) {
 	var reply txkvwire.Reply
 	var err error
 	for attempt := 0; ; attempt++ {
-		c.wbuf, err = txkvwire.AppendReq(c.wbuf[:0], req)
+		c.wbuf, err = txkvwire.AppendReqFrame(c.wbuf[:0], req)
 		if err != nil {
 			return txkvwire.Reply{}, err // malformed request: retrying can't help
 		}
@@ -263,9 +263,9 @@ func mutatingReq(req txkvwire.Req) bool {
 	return false
 }
 
-// roundTrip writes the encoded request in c.wbuf and reads its reply,
-// under the tighter of the per-attempt Timeout and the request's
-// overall deadline.
+// roundTrip sends the request frame in c.wbuf with one Write and reads
+// its reply, under the tighter of the per-attempt Timeout and the
+// request's overall deadline.
 func (c *Client) roundTrip(deadline time.Time) (txkvwire.Reply, error) {
 	var connDL time.Time
 	if c.opts.Timeout > 0 {
@@ -277,7 +277,7 @@ func (c *Client) roundTrip(deadline time.Time) (txkvwire.Reply, error) {
 	if !connDL.IsZero() {
 		c.conn.SetDeadline(connDL)
 	}
-	if err := txkvwire.WriteFrame(c.conn, c.wbuf); err != nil {
+	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return txkvwire.Reply{}, err
 	}
 	var err error

@@ -15,7 +15,7 @@ var ErrPipeClosed = errors.New("txkvclient: pipe closed")
 
 // Pipe is a pipelined connection: up to window logical operations in
 // flight at once, replies matched to their requests by order (the
-// server replies in request order — DESIGN.md §14.5).
+// server replies in request order — DESIGN.md §14.2).
 //
 // Concurrency contract: one goroutine calls Submit with first=true
 // (the submitter), one goroutine calls Recv (the collector). The
@@ -30,7 +30,6 @@ type Pipe struct {
 	// mu serializes frame write + tag enqueue, so the tag FIFO order is
 	// exactly the wire order (submitter and chaining collector race).
 	mu   sync.Mutex
-	bw   *bufio.Writer
 	wbuf []byte
 
 	tags chan pipeSlot
@@ -57,23 +56,26 @@ func DialPipe(addr string, window int) (*Pipe, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newPipe(conn, window), nil
+}
+
+func newPipe(conn net.Conn, window int) *Pipe {
 	return &Pipe{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 16<<10),
-		bw:   bufio.NewWriterSize(conn, 4<<10),
 		// Each in-flight op has at most one outstanding frame, so the
 		// FIFO never holds more than window slots; the slack means an
 		// enqueue under mu can never block.
 		tags: make(chan pipeSlot, 2*window+8),
 		sem:  make(chan struct{}, window),
 		dead: make(chan struct{}),
-	}, nil
+	}
 }
 
-// Submit sends one request frame carrying tag. first acquires a window
-// slot (blocking while the window is full); last marks the operation's
-// final frame — its reply releases the slot. A single-frame operation
-// passes first=true, last=true.
+// Submit sends one request frame carrying tag, in one Write. first
+// acquires a window slot (blocking while the window is full); last marks
+// the operation's final frame — its reply releases the slot. A
+// single-frame operation passes first=true, last=true.
 func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 	if first {
 		select {
@@ -85,12 +87,9 @@ func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var err error
-	p.wbuf, err = txkvwire.AppendReq(p.wbuf[:0], req)
+	p.wbuf, err = txkvwire.AppendReqFrame(p.wbuf[:0], req)
 	if err == nil {
-		err = txkvwire.WriteFrame(p.bw, p.wbuf)
-	}
-	if err == nil {
-		err = p.bw.Flush()
+		_, err = p.conn.Write(p.wbuf)
 	}
 	if err != nil {
 		if first {
@@ -160,10 +159,10 @@ func DialSubscribe(addr string, shard int, from uint64) (*Sub, error) {
 	if err != nil {
 		return nil, err
 	}
-	wbuf, err := txkvwire.AppendReq(nil, txkvwire.Req{
+	wbuf, err := txkvwire.AppendReqFrame(nil, txkvwire.Req{
 		Op: txkvwire.OpSubscribe, Shard: int32(shard), From: from})
 	if err == nil {
-		err = txkvwire.WriteFrame(conn, wbuf)
+		_, err = conn.Write(wbuf)
 	}
 	if err != nil {
 		conn.Close()

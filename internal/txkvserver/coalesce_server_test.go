@@ -28,55 +28,26 @@ func startCoalesced(t *testing.T, kind string, keys int, cfg Config) *Server {
 }
 
 // TestPipelinedRepliesInOrder pins the pipelining contract (DESIGN.md
-// §14.5): many requests in flight on one connection, replies in exactly
+// §14.2): many requests in flight on one connection, replies in exactly
 // request order.
 func TestPipelinedRepliesInOrder(t *testing.T) {
 	srv := startCoalesced(t, "swisstm", 256, Config{Pipeline: 8, CoalesceWait: 100 * time.Microsecond})
-	p, err := txkvclient.DialPipe(srv.Addr().String(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	const n = 64
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
+	pipeline(t, srv.Addr().String(), 8, 64,
+		func(i int) txkvwire.Req {
 			// Interleave writes and reads so replies cross batcher flushes.
-			req := txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(1 + i%32), Val: uint64(i)}
 			if i%3 == 2 {
 				// Read back the key the Put two requests earlier wrote.
-				req = txkvwire.Req{Op: txkvwire.OpGet, Key: uint64(1 + (i-2)%32)}
+				return txkvwire.Req{Op: txkvwire.OpGet, Key: uint64(1 + (i-2)%32)}
 			}
-			if err := p.Submit(req, i, true, true); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := 0; i < n; i++ {
-		tag, last, reply, err := p.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if tag.(int) != i || !last {
-			t.Fatalf("reply %d carries tag %v (last=%v): replies out of request order", i, tag, last)
-		}
-		if reply.Err != "" {
-			t.Fatalf("reply %d: %s", i, reply.Err)
-		}
-		if reply.Op == txkvwire.OpGet && i >= 2 {
+			return txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(1 + i%32), Val: uint64(i)}
+		},
+		func(i int, reply txkvwire.Reply) {
 			// The Get at i reads the Put from i-2 on the same key; in-order
 			// execution of a pipelined connection makes the value exact.
-			if !reply.Found || reply.Val != uint64(i-2) {
+			if reply.Op == txkvwire.OpGet && (!reply.Found || reply.Val != uint64(i-2)) {
 				t.Fatalf("pipelined get %d saw (%d, %v), want value %d", i, reply.Val, reply.Found, i-2)
 			}
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+		})
 }
 
 // TestCoalescedOpsOverWire drives every single-key op through the

@@ -1,8 +1,6 @@
 package txkvserver
 
 import (
-	"bufio"
-	"net"
 	"sync"
 	"time"
 
@@ -97,60 +95,51 @@ func (p *pendingFeed) publish(s *Server) {
 	p.reset()
 }
 
-// enqueueCoalesced builds the batcher item for a single-key op and
-// hands it to its shard's queue. Call on the connection's reader
-// goroutine: the enqueue order into each shard queue is then exactly
-// the connection's request order, which is what makes pipelined
-// read-your-writes hold (DESIGN.md §14.5) — a dispatch goroutine per
-// request would race same-connection ops into the queue. Enqueue never
-// blocks (a full queue sheds), so the reader stays responsive.
-// ok=false means the request was refused and reply is the shed reply.
-func (s *Server) enqueueCoalesced(req txkvwire.Req, deadline time.Time) (it *coalesce.Item, reply txkvwire.Reply, ok bool) {
-	var op coalesce.Op
-	switch req.Op {
+// coalesceOp maps the wire ops that ride the per-shard batchers when
+// coalescing is on — the single-key ops — to their batcher op; 0 for
+// the rest.
+func coalesceOp(op txkvwire.Op) coalesce.Op {
+	switch op {
 	case txkvwire.OpGet:
-		op = coalesce.OpGet
+		return coalesce.OpGet
 	case txkvwire.OpPut:
-		op = coalesce.OpPut
+		return coalesce.OpPut
 	case txkvwire.OpDelete:
-		op = coalesce.OpDelete
+		return coalesce.OpDelete
 	case txkvwire.OpCAS:
-		op = coalesce.OpCAS
+		return coalesce.OpCAS
 	}
-	it = coalesce.NewItem(op, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline)
-	if code, msg := s.co.Enqueue(it); code != 0 {
-		s.m.recordShed(code, code == txkvwire.CodeOverloaded)
-		return nil, txkvwire.Reply{Op: req.Op, Err: msg, Code: code}, false
-	}
-	return it, txkvwire.Reply{}, true
+	return 0
 }
 
-// awaitCoalesced waits for an enqueued item's individual result. The
-// batcher's flush reports the item's phase share (queue = exact
-// time-to-flush, txn/commit/wal = the batch's divided among its
-// items), so the server-side phase accounting stays comparable with
-// the pooled path.
-func (s *Server) awaitCoalesced(op txkvwire.Op, it *coalesce.Item) (reply txkvwire.Reply, queueNs, txnNs, commitNs, walNs uint64) {
-	res := <-it.Done()
+// enqueueCoalesced builds the batcher item for a single-key op and
+// hands it to its shard's queue. Call on the connection goroutine: the
+// enqueue order into each shard queue is then exactly the connection's
+// request order, which is what makes pipelined read-your-writes hold
+// (DESIGN.md §14.2). Enqueue never blocks (a full queue sheds), so the
+// connection stays responsive. A nil item means the request was refused
+// and reply is the shed reply.
+func (s *Server) enqueueCoalesced(req txkvwire.Req, deadline time.Time) (*coalesce.Item, txkvwire.Reply) {
+	it := coalesce.NewItem(coalesceOp(req.Op), stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline)
+	if code, msg := s.co.Enqueue(it); code != 0 {
+		s.m.recordShed(code, code == txkvwire.CodeOverloaded)
+		return nil, txkvwire.Reply{Op: req.Op, Err: msg, Code: code}
+	}
+	return it, txkvwire.Reply{}
+}
+
+// coalescedReply turns a flushed item's individual result into its wire
+// reply. (The result also carries the item's phase share — queue = exact
+// time-to-flush, txn/commit/wal = the batch's divided among its items —
+// which keeps the phase accounting comparable with the pooled path.)
+func (s *Server) coalescedReply(op txkvwire.Op, res coalesce.Result) txkvwire.Reply {
 	if res.Err != "" {
 		if res.Shed {
 			s.m.recordShed(res.Code, false)
 		}
-		return txkvwire.Reply{Op: op, Err: res.Err, Code: res.Code},
-			res.QueueNs, res.TxnNs, res.CommitNs, res.WalNs
+		return txkvwire.Reply{Op: op, Err: res.Err, Code: res.Code}
 	}
-	return txkvwire.Reply{Op: op, Found: res.Found, Val: uint64(res.Val), OK: res.OK},
-		res.QueueNs, res.TxnNs, res.CommitNs, res.WalNs
-}
-
-// dispatchCoalesced is enqueue + await in one call, for paths that do
-// not need the reader-ordered split.
-func (s *Server) dispatchCoalesced(req txkvwire.Req, deadline time.Time) (reply txkvwire.Reply, queueNs, txnNs, commitNs, walNs uint64) {
-	it, refusal, ok := s.enqueueCoalesced(req, deadline)
-	if !ok {
-		return refusal, 0, 0, 0, 0
-	}
-	return s.awaitCoalesced(req.Op, it)
+	return txkvwire.Reply{Op: op, Found: res.Found, Val: uint64(res.Val), OK: res.OK}
 }
 
 // feedHeartbeat is how often an idle feed stream sends an empty Events
@@ -158,24 +147,38 @@ func (s *Server) dispatchCoalesced(req txkvwire.Req, deadline time.Time) (reply 
 // tells a live client the stream is merely quiet.
 const feedHeartbeat = 500 * time.Millisecond
 
+// subscribe turns the connection into a feed subscriber. Every earlier
+// reply is out (serve waited for the in-flight coalesced ones), so the
+// connection leaves the request plane: it releases its wg slot for a
+// subWg one (Add before Done keeps shutdown's subWg.Wait race-free),
+// acks, and streams until the feed closes or the client goes away.
+func (c *conn) subscribe(req txkvwire.Req, parseNs uint64) {
+	c.s.subWg.Add(1)
+	c.s.wg.Done()
+	r0 := time.Now()
+	if c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
+		c.s.m.record(txkvwire.OpSubscribe, parseNs, 0, 0, 0, 0, uint64(time.Since(r0).Nanoseconds()))
+		c.streamFeed(int(req.Shard), req.From)
+	}
+}
+
 // streamFeed tails one shard's change feed onto the connection until
 // the feed closes (drain: remaining events, then a Draining error
 // frame), the subscriber falls out of the retention window (a Rejected
 // error frame), or the client goes away. from is the first sequence
 // wanted; 0 means "from now".
-func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, shard int, from uint64) {
-	f := s.feeds[shard]
+func (c *conn) streamFeed(shard int, from uint64) {
+	f := c.s.feeds[shard]
 	cursor := from
 	evbuf := make([]coalesce.Event, 0, txkvwire.MaxFeedEvents)
 	wire := make([]txkvwire.FeedEvent, 0, txkvwire.MaxFeedEvents)
-	var obuf []byte
 	hb := time.NewTimer(feedHeartbeat)
 	defer hb.Stop()
 	for {
 		batch, next, wait, done, err := f.Next(cursor, evbuf, txkvwire.MaxFeedEvents)
 		cursor = next
 		if err != nil {
-			s.writeReply(conn, bw, &obuf, txkvwire.Reply{
+			c.writeReply(txkvwire.Reply{
 				Op: txkvwire.OpSubscribe, Err: err.Error(), Code: txkvwire.CodeRejected}, true)
 			return
 		}
@@ -184,13 +187,13 @@ func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, shard int, from uin
 			for _, e := range batch {
 				wire = append(wire, txkvwire.FeedEvent{Seq: e.Seq, Del: e.Del, Key: e.Key, Val: e.Val})
 			}
-			if !s.writeReply(conn, bw, &obuf, txkvwire.Reply{Op: txkvwire.OpSubscribe, Events: wire}, true) {
+			if !c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe, Events: wire}, true) {
 				return
 			}
 			continue
 		}
 		if done {
-			s.writeReply(conn, bw, &obuf, txkvwire.Reply{
+			c.writeReply(txkvwire.Reply{
 				Op: txkvwire.OpSubscribe, Err: "draining: feed closed", Code: txkvwire.CodeDraining}, true)
 			return
 		}
@@ -206,7 +209,7 @@ func (s *Server) streamFeed(conn net.Conn, bw *bufio.Writer, shard int, from uin
 		case <-hb.C:
 			// Idle heartbeat: an empty Events frame. Its write failing
 			// is how a dead subscriber is detected and released.
-			if !s.writeReply(conn, bw, &obuf, txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
+			if !c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
 				return
 			}
 		}

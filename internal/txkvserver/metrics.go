@@ -1,9 +1,6 @@
 package txkvserver
 
 import (
-	"bufio"
-	"net"
-
 	"swisstm/internal/obs"
 	"swisstm/internal/txkvwire"
 )
@@ -190,11 +187,4 @@ func (m *metrics) snapshot() txkvwire.Stats {
 	st.DeadlineExceeded = m.deadlineExceeded.Load()
 	st.ConnsRejected = m.connsRejected.Load()
 	return st
-}
-
-// newConnReader wraps the connection for frame reads: a frame header
-// and body coalesce into one syscall under pipelining. (Replies are
-// buffered symmetrically by serveConn's per-connection writer.)
-func newConnReader(c net.Conn) *bufio.Reader {
-	return bufio.NewReaderSize(c, 16<<10)
 }

@@ -17,6 +17,7 @@ package txkvserver
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -88,11 +89,11 @@ type Config struct {
 	// thread before it is shed with Overloaded.
 	MaxQueueWait time.Duration
 
-	// Pipeline is the per-connection in-flight request window (DESIGN.md
-	// §14.5): a reader goroutine admits up to this many decoded requests
-	// concurrently while a writer goroutine sends replies in request
-	// order. Default 16; 1 restores strictly serial per-connection
-	// service.
+	// Pipeline bounds the coalesced items one connection may have in
+	// flight (DESIGN.md §14.2): enqueued on their shard batchers, replies
+	// not yet written. Default 16. The bound is the window plus the reply
+	// being written and the item being admitted. Ignored with coalescing
+	// off, where a connection executes one request at a time.
 	Pipeline int
 
 	// CoalesceBatch, when positive, turns on per-shard commit coalescing
@@ -485,112 +486,99 @@ func rejectConn(conn net.Conn) {
 	}
 }
 
-// inflight is one pipelined request's slot in a connection's reply
-// order: the reader fills it (directly for decode errors and subscribe
-// takeovers, via a dispatch goroutine otherwise) and closes done; the
-// writer waits on done and sends the reply. Replies always go out in
-// request order because slots travel a FIFO channel.
-type inflight struct {
+// slot is one in-flight coalesced item in a connection's reply order:
+// enqueued by the connection goroutine, awaited and answered by
+// connWriter. Slots travel a FIFO channel, so replies keep request order.
+type slot struct {
 	op      txkvwire.Op
 	parseNs uint64
-	done    chan struct{}
-
-	// Filled before done closes.
-	reply                           txkvwire.Reply
-	queueNs, txnNs, commitNs, walNs uint64
-
-	// Non-nil: this slot converts the connection into a feed
-	// subscriber once the writer reaches it (all earlier replies out).
-	sub *txkvwire.Req
+	it      *coalesce.Item
 }
 
-// serveConn runs one pipelined connection (DESIGN.md §14.5): a reader
-// goroutine decodes frames and launches up to Config.Pipeline requests
-// concurrently; this goroutine writes the replies back in request
-// order. The in-flight window is bounded by a semaphore acquired at
-// decode and released at reply, so a connection can keep the engine
-// busy without a round-trip per request but cannot queue unboundedly.
-//
-// Replies go through a per-connection bufio.Writer flushed whenever the
-// reply queue goes empty (and before blocking on a slow request), so a
-// reply's 4-byte length prefix and payload always reach the socket in
-// one Write — a concurrent reader never observes a torn frame — and
-// back-to-back pipelined replies coalesce into one syscall.
-func (s *Server) serveConn(conn net.Conn) {
-	isSub := false
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		if isSub {
-			s.subWg.Done() // wg slot was handed off at subscribe takeover
-		} else {
-			s.wg.Done()
-		}
-	}()
-	window := s.cfg.Pipeline
-	order := make(chan *inflight, window)
-	sem := make(chan struct{}, window)
-	subc := make(chan bool, 1)
-	go func() { subc <- s.connWriter(conn, order, sem) }()
-	s.connReader(conn, order, sem)
-	close(order)
-	isSub = <-subc
+// conn is one client connection's serving state (DESIGN.md §14.2).
+type conn struct {
+	s    *Server
+	nc   net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	obuf []byte // reply encode buffer
+
+	// Coalescing only (order is nil with it off, and there is no writer
+	// goroutine): order carries the in-flight coalesced slots to
+	// connWriter, inflight counts them. The reply side (bw, obuf, failed)
+	// has one owner at a time — connWriter while inflight > 0, the
+	// connection goroutine once inflight.Wait has returned.
+	order    chan slot
+	inflight sync.WaitGroup
+	failed   bool // a reply write failed; the connection is closed
 }
 
-// connReader reads and decodes frames, admitting each into the
-// in-flight window. It returns when the client goes away, the server
-// drains, or the connection becomes a feed subscriber (per the wire
-// contract no further requests are read after a subscribe).
-func (s *Server) connReader(conn net.Conn, order chan<- *inflight, sem chan struct{}) {
-	br := newConnReader(conn)
+// serveConn runs one connection on one goroutine: read a frame, execute
+// it, buffer the reply, flush once no complete request is left in the
+// read buffer. A unary request costs one read and one write, a pipelined
+// burst still goes out as one write, and requests take effect in the
+// order the connection sent them. Only coalesced ops leave this
+// goroutine — enqueued here, answered by connWriter when their batch
+// flushes — and every other request waits for their replies first, so
+// the order holds across both execution paths.
+func (s *Server) serveConn(nc net.Conn) {
+	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), bw: bufio.NewWriterSize(nc, 4<<10)}
+	if s.co != nil {
+		c.order = make(chan slot, s.cfg.Pipeline)
+		go c.connWriter()
+	}
+	sub := c.serve()
+	// Stop the writer and wait for the replies it still owes: a drained
+	// connection acks every request it accepted before it closes.
+	if c.order != nil {
+		close(c.order)
+		c.inflight.Wait()
+	}
+	if !c.failed {
+		c.bw.Flush()
+	}
+	nc.Close()
+	s.mu.Lock()
+	delete(s.conns, nc)
+	s.mu.Unlock()
+	if sub {
+		s.subWg.Done() // the wg slot was released at the subscribe takeover
+	} else {
+		s.wg.Done()
+	}
+}
+
+// serve is the connection's request loop. It returns when the client
+// goes away, the server drains, a reply cannot be written, or the
+// connection became a feed subscriber and its stream ended (sub: per
+// the wire contract no request is read after a subscribe).
+func (c *conn) serve() (sub bool) {
+	s := c.s
 	var fbuf []byte
 	for {
 		if s.draining.Load() {
-			return // drained: the previous request was the last one read
+			return false // drained: the previous request was the last one read
 		}
 		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		if s.draining.Load() {
-			return // re-check: the re-armed deadline must not outlive a drain
+			return false // re-check: the re-armed deadline must not outlive a drain
 		}
-		payload, err := txkvwire.ReadFrame(br, fbuf)
+		payload, err := txkvwire.ReadFrame(c.br, fbuf)
 		if err != nil {
-			return // client went away, read timed out or framing broke
+			return false // client went away, read timed out or framing broke
 		}
 		fbuf = payload
 
 		t0 := time.Now()
 		req, derr := txkvwire.DecodeReq(payload)
-		// Blocks while the window is full: each slot holds one token
-		// from decode to reply, so order (capacity = window) never
-		// blocks below and the reader exerts back-pressure on the wire.
-		sem <- struct{}{}
-		fl := &inflight{op: txkvwire.OpInvalid, parseNs: uint64(time.Since(t0).Nanoseconds()),
-			done: make(chan struct{})}
-		if derr != nil {
-			fl.reply = txkvwire.Reply{Op: txkvwire.OpInvalid, Err: derr.Error(), Code: txkvwire.CodeRejected}
-			close(fl.done)
-			order <- fl
-			continue
+		op := txkvwire.OpInvalid
+		if derr == nil {
+			op = req.Op
+			derr = s.validate(req, true)
 		}
-		fl.op = req.Op
-		if req.Op == txkvwire.OpSubscribe {
-			if req.Shard < 0 || int(req.Shard) >= s.store.Shards() {
-				fl.reply = txkvwire.Reply{Op: req.Op, Code: txkvwire.CodeRejected,
-					Err: fmt.Sprintf("subscribe: shard %d out of range (store has %d)", req.Shard, s.store.Shards())}
-				close(fl.done)
-				order <- fl
-				continue
-			}
-			r := req
-			fl.sub = &r
-			close(fl.done)
-			order <- fl
-			return // the writer takes the connection over
-		}
+		parseNs := uint64(time.Since(t0).Nanoseconds())
 		// The deadline clock starts at arrival (frame decoded), not
 		// at client send: the TTL is a budget for server-side work,
 		// and the wire carries a duration precisely so that clock
@@ -599,146 +587,145 @@ func (s *Server) connReader(conn net.Conn, order chan<- *inflight, sem chan stru
 		if req.TTL > 0 {
 			deadline = t0.Add(req.TTL)
 		}
-		if s.co != nil {
-			switch req.Op {
-			case txkvwire.OpGet, txkvwire.OpPut, txkvwire.OpDelete, txkvwire.OpCAS:
-				// Enqueue here, on the reader goroutine, so this
-				// connection's ops land in the shard queues in request
-				// order — pipelined read-your-writes (DESIGN.md §14.5).
-				// Only the wait for the flush moves off-thread.
-				if err := s.validate(req, true); err != nil {
-					fl.reply = txkvwire.Reply{Op: req.Op, Err: err.Error(), Code: txkvwire.CodeRejected}
-					close(fl.done)
-				} else if it, refusal, ok := s.enqueueCoalesced(req, deadline); !ok {
-					fl.reply = refusal
-					close(fl.done)
-				} else {
-					go func() {
-						fl.reply, fl.queueNs, fl.txnNs, fl.commitNs, fl.walNs = s.awaitCoalesced(req.Op, it)
-						close(fl.done)
-					}()
-				}
-				order <- fl
+
+		var (
+			reply                           txkvwire.Reply
+			queueNs, txnNs, commitNs, walNs uint64
+		)
+		if derr != nil {
+			reply = txkvwire.Reply{Op: op, Err: derr.Error(), Code: txkvwire.CodeRejected}
+		} else if s.co != nil && coalesceOp(op) != 0 {
+			// Enqueued here, so this connection's ops land in the shard
+			// queues in request order: pipelined read-your-writes. The
+			// send blocks while the window is full — back-pressure on the
+			// wire instead of an unbounded queue.
+			var it *coalesce.Item
+			if it, reply = s.enqueueCoalesced(req, deadline); it != nil {
+				c.inflight.Add(1)
+				c.order <- slot{op: op, parseNs: parseNs, it: it}
 				continue
 			}
 		}
-		go func() {
-			fl.reply, fl.queueNs, fl.txnNs, fl.commitNs, fl.walNs = s.dispatch(req, deadline)
-			close(fl.done)
-		}()
-		order <- fl
-	}
-}
 
-// connWriter sends replies in request order, then (for a subscriber
-// takeover) streams the change feed. It reports whether the wg→subWg
-// handoff happened, and never returns before every in-flight dispatch
-// has finished — a write error switches to draining the slots (wait,
-// release, discard) so no dispatch goroutine outlives the connection's
-// wait-group slot.
-func (s *Server) connWriter(conn net.Conn, order <-chan *inflight, sem <-chan struct{}) (handed bool) {
-	bw := bufio.NewWriterSize(conn, 4<<10)
-	var obuf []byte
-	failed := false
-	for fl := range order {
-		select {
-		case <-fl.done:
+		// Everything else is answered from this goroutine, after the
+		// in-flight coalesced replies are out: the wait (booked as queue
+		// time) keeps replies in request order, makes a coalesced write
+		// visible to the pooled request pipelined behind it, and hands
+		// the reply side back.
+		if c.order != nil {
+			w0 := time.Now()
+			c.inflight.Wait()
+			queueNs = uint64(time.Since(w0).Nanoseconds())
+			if c.failed {
+				return false
+			}
+		}
+		switch {
+		case reply.Code != 0: // rejected or shed above: nothing to execute
+		case op == txkvwire.OpSubscribe:
+			c.subscribe(req, parseNs)
+			return true
 		default:
-			// The next reply in order is not ready: push buffered
-			// replies to the client before blocking on it.
-			if !failed && bw.Flush() != nil {
-				failed = true
-				conn.Close()
-			}
-			<-fl.done
-		}
-		<-sem
-		if failed {
-			continue
-		}
-		if fl.sub != nil {
-			// Every earlier reply is out: release the request-plane wg
-			// slot (Add before Done keeps shutdown's subWg.Wait
-			// race-free) and stream until the feed closes or the client
-			// goes away. Remaining slots, if any, are discarded.
-			s.subWg.Add(1)
-			s.wg.Done()
-			handed = true
-			r0 := time.Now()
-			if s.writeReply(conn, bw, &obuf, txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
-				s.m.record(fl.op, fl.parseNs, 0, 0, 0, 0, uint64(time.Since(r0).Nanoseconds()))
-				s.streamFeed(conn, bw, int(fl.sub.Shard), fl.sub.From)
-			}
-			failed = true
-			conn.Close()
-			continue
+			var q uint64
+			reply, q, txnNs, commitNs, walNs = s.dispatch(req, deadline)
+			queueNs += q
 		}
 		r0 := time.Now()
-		if !s.writeReply(conn, bw, &obuf, fl.reply, len(order) == 0) {
-			failed = true
-			conn.Close()
-			continue
+		if !c.writeReply(reply, !nextFrameBuffered(c.br)) {
+			return false
 		}
-		replyNs := uint64(time.Since(r0).Nanoseconds())
-		s.m.record(fl.op, fl.parseNs, fl.queueNs, fl.txnNs, fl.commitNs, fl.walNs, replyNs)
+		s.m.record(op, parseNs, queueNs, txnNs, commitNs, walNs, uint64(time.Since(r0).Nanoseconds()))
 	}
-	if !failed {
-		bw.Flush()
-	}
-	return handed
 }
 
-// writeReply encodes and writes one reply frame, flushing when asked.
-// False means the connection is broken.
-func (s *Server) writeReply(conn net.Conn, bw *bufio.Writer, obuf *[]byte, reply txkvwire.Reply, flush bool) bool {
-	buf, err := txkvwire.AppendReply((*obuf)[:0], reply)
+// nextFrameBuffered reports whether the read buffer already holds a
+// complete request frame, whose reply can share a write with the current
+// one. A partial frame does not count: a client stalled mid-frame must
+// not stall the replies it is owed.
+func nextFrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint32(n-4) >= binary.LittleEndian.Uint32(hdr)
+}
+
+// connWriter sends the replies of a connection's coalesced items in
+// request order, flushing before it blocks on an unflushed batch and
+// whenever no further slot is queued. After a write error it keeps
+// receiving — wait, release, discard — so the connection goroutine is
+// never left blocked on the window. It exits when serveConn closes
+// order, and touches nothing after its last Done.
+func (c *conn) connWriter() {
+	for sl := range c.order {
+		var res coalesce.Result
+		select {
+		case res = <-sl.it.Done():
+		default:
+			if !c.failed && c.bw.Flush() != nil {
+				c.fail()
+			}
+			res = <-sl.it.Done()
+		}
+		if !c.failed {
+			r0 := time.Now()
+			if c.writeReply(c.s.coalescedReply(sl.op, res), len(c.order) == 0) {
+				c.s.m.record(sl.op, sl.parseNs, res.QueueNs, res.TxnNs, res.CommitNs, res.WalNs,
+					uint64(time.Since(r0).Nanoseconds()))
+			}
+		}
+		c.inflight.Done()
+	}
+}
+
+// fail marks the reply side broken and closes the connection, which
+// also wakes a connection goroutine blocked reading the next frame.
+func (c *conn) fail() {
+	c.failed = true
+	c.nc.Close()
+}
+
+// writeReply encodes and buffers one reply frame, flushing when asked:
+// a reply's length prefix and payload always reach the socket in one
+// Write, so a concurrent reader never observes a torn frame. False
+// means the connection is broken (and now closed).
+func (c *conn) writeReply(reply txkvwire.Reply, flush bool) bool {
+	buf, err := txkvwire.AppendReply(c.obuf[:0], reply)
 	if err != nil {
 		// An unencodable reply is a server bug; degrade to an error
 		// frame rather than silently dropping the connection.
-		buf, _ = txkvwire.AppendReply((*obuf)[:0], txkvwire.Reply{
+		buf, _ = txkvwire.AppendReply(c.obuf[:0], txkvwire.Reply{
 			Op: reply.Op, Err: "internal: unencodable reply", Code: txkvwire.CodeInternal})
 	}
-	*obuf = buf
-	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	c.obuf = buf
+	if c.s.cfg.WriteTimeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
 	}
-	if txkvwire.WriteFrame(bw, buf) != nil {
-		return false
-	}
-	if flush && bw.Flush() != nil {
+	if txkvwire.WriteFrame(c.bw, buf) != nil || (flush && c.bw.Flush() != nil) {
+		c.fail()
 		return false
 	}
 	return true
 }
 
-// dispatch validates the request, borrows a pool thread (bounded by
-// the admission limits and the request's deadline) and executes the
-// transaction, returning the reply and the queue/txn/commit/wal phase
-// times. The commit-log publish happens after the worker is back in
-// the pool: a group fsync blocks only this connection's goroutine,
-// never an engine thread.
+// dispatch executes one validated request on the calling (connection)
+// goroutine: it borrows a pool thread (bounded by the admission limits
+// and the request's deadline) and runs the transaction, returning the
+// reply and the queue/txn/commit/wal phase times. The commit-log
+// publish happens after the worker is back in the pool: a group fsync
+// blocks only this connection, never an engine thread.
 //
 // Every exit path — shed, expired, executed — reports its queue time,
 // so txkv_phase_ns{phase="queue"} covers rejected admissions too and
 // total stays the phase sum by construction (DESIGN.md §13).
 func (s *Server) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.Reply, queueNs, txnNs, commitNs, walNs uint64) {
-	if err := s.validate(req, true); err != nil {
-		return txkvwire.Reply{Op: req.Op, Err: err.Error(), Code: txkvwire.CodeRejected}, 0, 0, 0, 0
-	}
 	if req.Op == txkvwire.OpStats {
 		// Stats needs no engine thread: it drains the pool itself to
 		// read the per-thread counters race-free. It also skips
 		// admission — the observability plane must answer precisely
 		// when the serving plane is saturated.
 		return s.statsReply(), 0, 0, 0, 0
-	}
-	if s.co != nil {
-		switch req.Op {
-		case txkvwire.OpGet, txkvwire.OpPut, txkvwire.OpDelete, txkvwire.OpCAS:
-			// Single-key ops ride the per-shard batchers instead of the
-			// thread pool; their admission bound is the shard queue.
-			return s.dispatchCoalesced(req, deadline)
-		}
 	}
 	q0 := time.Now()
 	w, code, msg, queueFull := s.admit(q0, deadline)
@@ -857,6 +844,10 @@ func (s *Server) validate(req txkvwire.Req, batchOK bool) error {
 	case txkvwire.OpSum:
 		if req.Shard < -1 || int(req.Shard) >= s.store.Shards() {
 			return fmt.Errorf("sum: shard %d out of range (store has %d)", req.Shard, s.store.Shards())
+		}
+	case txkvwire.OpSubscribe:
+		if req.Shard < 0 || int(req.Shard) >= s.store.Shards() {
+			return fmt.Errorf("subscribe: shard %d out of range (store has %d)", req.Shard, s.store.Shards())
 		}
 	case txkvwire.OpBatch:
 		if !batchOK {

@@ -311,6 +311,25 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// AppendReqFrame appends r as one complete frame — length prefix and
+// payload contiguous — so a client can put a request on the wire with a
+// single Write (one syscall, one segment under TCP_NODELAY) instead of
+// WriteFrame's two.
+func AppendReqFrame(dst []byte, r Req) ([]byte, error) {
+	hdr := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst, err := AppendReq(dst, r)
+	if err != nil {
+		return nil, err
+	}
+	n := len(dst) - hdr - 4
+	if n > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(dst[hdr:], uint32(n))
+	return dst, nil
+}
+
 // ReadFrame reads one length-prefixed frame, reusing buf when it is
 // large enough. A length prefix above MaxFrame returns ErrFrameTooLarge
 // without reading the payload (the caller must drop the connection: the

@@ -327,3 +327,34 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("oversized write: got %v, want ErrFrameTooLarge", err)
 	}
 }
+
+// TestAppendReqFrame: the one-buffer framing is byte-identical to
+// AppendReq + WriteFrame, appends after existing frames, and keeps
+// AppendReq's validation.
+func TestAppendReqFrame(t *testing.T) {
+	reqs := []Req{
+		{Op: OpGet, Key: 1},
+		{Op: OpPut, Key: 2, Val: 3, TTL: time.Millisecond},
+		{Op: OpBatch, Sub: []Req{{Op: OpCAS, Key: 4, Old: 5, Val: 6}, {Op: OpLen}}},
+	}
+	var want bytes.Buffer
+	var got []byte
+	for _, r := range reqs {
+		payload, err := AppendReq(nil, r)
+		if err != nil {
+			t.Fatalf("encode %v: %v", r.Op, err)
+		}
+		if err := WriteFrame(&want, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = AppendReqFrame(got, r); err != nil {
+			t.Fatalf("frame %v: %v", r.Op, err)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("frames differ:\n got % x\nwant % x", got, want.Bytes())
+	}
+	if _, err := AppendReqFrame(nil, Req{Op: OpGet, TTL: -1}); err == nil {
+		t.Fatal("a request AppendReq refuses was framed")
+	}
+}
