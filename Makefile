@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rst
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace ci
+.PHONY: build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace benchmark-ab ci
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,16 @@ benchmark:
 
 benchmark-trace:
 	$(GO) run ./benchmark -trace 1
+
+# benchmark-ab is that judgement: ./benchmark built from REV and from the
+# working tree, run on WORKLOAD in PAIRS interleaved pairs with fresh
+# seeds (scripts/benchmark-ab.sh prints every run, quartiles and wins).
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
+REV ?= HEAD
+WORKLOAD ?= svc-update-coalesced
+PAIRS ?= 10
+benchmark-ab:
+	GO=$(GO) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.

@@ -2,7 +2,10 @@ package txkvclient
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,47 +64,79 @@ func TestRetryReconnects(t *testing.T) {
 	}
 }
 
-// countingConn counts the Write calls that reach the socket.
+// countingConn counts the Write calls that reach the socket and keeps
+// their bytes; with fail set, every Write fails without sending.
 type countingConn struct {
 	net.Conn
 	writes atomic.Int64
+	fail   atomic.Bool
+	wrote  chan struct{} // one token per Write, dropped when full
+
+	mu   sync.Mutex
+	wire []byte
 }
+
+var errScriptedWrite = errors.New("countingConn: scripted write failure")
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
+	select {
+	case c.wrote <- struct{}{}:
+	default:
+	}
+	if c.fail.Load() {
+		return 0, errScriptedWrite
+	}
+	c.mu.Lock()
+	c.wire = append(c.wire, p...)
+	c.mu.Unlock()
 	return c.Conn.Write(p)
 }
 
-// TestOneWritePerRequest pins the client's wire shape: a request's
-// length prefix and payload leave in ONE Write — one syscall and one TCP
-// segment — from Client.Do and from Pipe.Submit alike, whatever the
-// request size.
-func TestOneWritePerRequest(t *testing.T) {
-	f := newFakeSrv(t, func(_ int, req txkvwire.Req) (txkvwire.Reply, bool) {
+func dialCounting(t *testing.T, f *fakeSrv) *countingConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", f.ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &countingConn{Conn: conn, wrote: make(chan struct{}, 64)}
+}
+
+// wireShapeReqs spans the frame sizes: a 1-op frame, one with a TTL, and
+// a max-batch frame (which the fake server answers with an error reply).
+func wireShapeReqs() []txkvwire.Req {
+	batch := txkvwire.Req{Op: txkvwire.OpBatch}
+	for i := 0; i < txkvwire.MaxBatch; i++ {
+		batch.Sub = append(batch.Sub, txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(i + 1), Val: 1})
+	}
+	return []txkvwire.Req{
+		{Op: txkvwire.OpGet, Key: 1},
+		{Op: txkvwire.OpPut, Key: 2, Val: 3, TTL: time.Second},
+		batch,
+	}
+}
+
+func newShapeSrv(t *testing.T) *fakeSrv {
+	return newFakeSrv(t, func(_ int, req txkvwire.Req) (txkvwire.Reply, bool) {
 		if req.Op == txkvwire.OpBatch {
 			return txkvwire.Reply{Err: "scripted", Code: txkvwire.CodeRejected}, false
 		}
 		return okReply()
 	})
-	dial := func() *countingConn {
-		conn, err := net.Dial("tcp", f.ln.Addr().String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		return &countingConn{Conn: conn}
-	}
-	batch := txkvwire.Req{Op: txkvwire.OpBatch}
-	for i := 0; i < txkvwire.MaxBatch; i++ {
-		batch.Sub = append(batch.Sub, txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(i + 1), Val: 1})
-	}
-	reqs := []txkvwire.Req{
-		{Op: txkvwire.OpGet, Key: 1},
-		{Op: txkvwire.OpPut, Key: 2, Val: 3, TTL: time.Second},
-		batch,
-	}
+}
 
-	cc := dial()
+// TestOneWritePerRequest pins the client's wire shape. A unary caller
+// blocks after every frame, so Client.Do puts each request — length
+// prefix and payload — on the socket in exactly ONE Write, whatever its
+// size. A pipelined caller blocks once per burst, so Pipe puts a whole
+// window of frames on the socket in one Write, and what it writes is
+// byte for byte the frames in submit order.
+func TestOneWritePerRequest(t *testing.T) {
+	f := newShapeSrv(t)
+	reqs := wireShapeReqs()
+
+	cc := dialCounting(t, f)
 	cl := &Client{conn: cc, br: bufio.NewReader(cc)}
 	for i, req := range reqs {
 		if _, err := cl.Do(req); err != nil {
@@ -112,17 +147,31 @@ func TestOneWritePerRequest(t *testing.T) {
 		}
 	}
 
-	pc := dial()
-	p := newPipe(pc, 4)
-	for i, req := range reqs {
-		if err := p.Submit(req, i, true, true); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	const window, rounds = 16, 5
+	pc := dialCounting(t, f)
+	p := newPipe(pc, window)
+	var want []byte
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < window; i++ {
+			req := reqs[(r+i)%len(reqs)]
+			var err error
+			if want, err = txkvwire.AppendReqFrame(want, req); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Submit(req, r*window+i, true, true); err != nil {
+				t.Fatalf("round %d submit %d: %v", r, i, err)
+			}
 		}
-		if got := pc.writes.Load(); got != int64(i+1) {
-			t.Fatalf("after %d Pipe.Submit calls the socket saw %d writes", i+1, got)
+		for i := 0; i < window; i++ {
+			if tag, last, _, err := p.Recv(); err != nil || tag != r*window+i || !last {
+				t.Fatalf("round %d recv %d: tag %v, last %v, err %v", r, i, tag, last, err)
+			}
 		}
-		if tag, _, _, err := p.Recv(); err != nil || tag != i {
-			t.Fatalf("recv %d: tag %v, err %v", i, tag, err)
+		if got := pc.writes.Load(); got != int64(r+1) {
+			t.Fatalf("after %d bursts of %d the socket saw %d writes", r+1, window, got)
 		}
+	}
+	if !bytes.Equal(pc.wire, want) {
+		t.Fatalf("the wire carries %d bytes, want the %d bytes of the frames in submit order", len(pc.wire), len(want))
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"swisstm/internal/txkvwire"
 )
 
-// ErrPipeClosed is returned by Pipe.Submit/Recv after Close.
+// ErrPipeClosed is returned by Pipe.Submit/Recv/Flush after Close or a
+// failed write.
 var ErrPipeClosed = errors.New("txkvclient: pipe closed")
 
 // Pipe is a pipelined connection: up to window logical operations in
@@ -23,12 +24,31 @@ var ErrPipeClosed = errors.New("txkvclient: pipe closed")
 // request onto a logical operation it is holding the window slot for
 // (e.g. the CAS after its read), and Release to finish a chained
 // operation early without another request.
+//
+// Writes are buffered: Submit appends its frame to a write buffer, and
+// the buffer goes out in one Write where somebody is about to wait — a
+// first Submit that finds the window full, a Recv whose reply is not
+// already in the read buffer, an explicit Flush — so a burst of requests
+// costs one write, as the server's burst of replies does.
+//
+// Liveness: frames are buffered in tag order and Recv flushes everything
+// pending before it parks on the socket, so the reply it parks on was
+// always requested. A frame submitted while the collector is parked
+// waits at most until that reply arrives, unless its submitter blocks on
+// the window or calls Flush: a submitter about to wait on something
+// other than the pipe (a timer, a rate limiter) should Flush first, for
+// latency, never for progress.
+//
+// The first failed write closes the pipe: the call that hit it returns
+// the error, every Submit, Recv and Flush after it ErrPipeClosed. Frames
+// still buffered then, or at Close, are dropped.
 type Pipe struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	// mu serializes frame write + tag enqueue, so the tag FIFO order is
-	// exactly the wire order (submitter and chaining collector race).
+	// mu serializes frame append + tag enqueue, so the tag FIFO order is
+	// exactly the wire order (submitter and chaining collector race);
+	// wbuf holds the frames submitted since the last flush.
 	mu   sync.Mutex
 	wbuf []byte
 
@@ -72,12 +92,19 @@ func newPipe(conn net.Conn, window int) *Pipe {
 	}
 }
 
-// Submit sends one request frame carrying tag, in one Write. first
-// acquires a window slot (blocking while the window is full); last marks
-// the operation's final frame — its reply releases the slot. A
-// single-frame operation passes first=true, last=true.
+// Submit buffers one request frame carrying tag; it does not touch the
+// socket unless it has to wait. first acquires a window slot, flushing
+// and then blocking while the window is full; last marks the operation's
+// final frame — its reply releases the slot. A single-frame operation
+// passes first=true, last=true.
 func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 	if first {
+		// Only this goroutine fills the window, so a free slot stays free.
+		if len(p.sem) == cap(p.sem) {
+			if err := p.Flush(); err != nil {
+				return err
+			}
+		}
 		select {
 		case p.sem <- struct{}{}:
 		case <-p.dead:
@@ -86,10 +113,9 @@ func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var err error
-	p.wbuf, err = txkvwire.AppendReqFrame(p.wbuf[:0], req)
+	err := p.closed()
 	if err == nil {
-		_, err = p.conn.Write(p.wbuf)
+		p.wbuf, err = txkvwire.AppendReqFrame(p.wbuf, req)
 	}
 	if err != nil {
 		if first {
@@ -101,10 +127,27 @@ func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 	return nil
 }
 
+// Flush writes the buffered frames to the socket in one Write; with
+// nothing buffered it does nothing.
+func (p *Pipe) Flush() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.closed(); err != nil || len(p.wbuf) == 0 {
+		return err
+	}
+	_, err := p.conn.Write(p.wbuf)
+	p.wbuf = p.wbuf[:0]
+	if err != nil {
+		p.Close() // also wakes a collector parked on the socket
+	}
+	return err
+}
+
 // Recv reads the next reply in order and returns it with its request's
-// tag. A reply marked last releases the operation's window slot. Call
-// only while frames are outstanding or a submit is coming (it blocks
-// until the next reply).
+// tag, flushing first unless the reply is already in the read buffer. A
+// reply marked last releases the operation's window slot. Call only
+// while frames are outstanding or a submit is coming (it blocks until
+// the next reply).
 func (p *Pipe) Recv() (tag any, last bool, reply txkvwire.Reply, err error) {
 	var slot pipeSlot
 	select {
@@ -112,7 +155,12 @@ func (p *Pipe) Recv() (tag any, last bool, reply txkvwire.Reply, err error) {
 	case <-p.dead:
 		return nil, false, txkvwire.Reply{}, ErrPipeClosed
 	}
-	p.rbuf, err = txkvwire.ReadFrame(p.br, p.rbuf)
+	if !txkvwire.FrameBuffered(p.br) {
+		err = p.Flush()
+	}
+	if err == nil {
+		p.rbuf, err = txkvwire.ReadFrame(p.br, p.rbuf)
+	}
 	if err == nil {
 		reply, err = txkvwire.DecodeReply(p.rbuf)
 	}
@@ -130,10 +178,21 @@ func (p *Pipe) Recv() (tag any, last bool, reply txkvwire.Reply, err error) {
 func (p *Pipe) Release() { <-p.sem }
 
 // Close tears the pipe down, waking a submitter blocked on the window
-// and a collector blocked without outstanding frames.
+// and a collector blocked without outstanding frames. Frames submitted
+// but not yet flushed are dropped.
 func (p *Pipe) Close() error {
 	p.once.Do(func() { close(p.dead) })
 	return p.conn.Close()
+}
+
+// closed returns ErrPipeClosed once the pipe is dead.
+func (p *Pipe) closed() error {
+	select {
+	case <-p.dead:
+		return ErrPipeClosed
+	default:
+		return nil
+	}
 }
 
 // ErrFeedClosed is the clean end of a feed subscription: the server

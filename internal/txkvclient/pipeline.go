@@ -135,6 +135,41 @@ func (w *plWorker) submitOp(sched time.Time) error {
 	return w.p.Submit(req, po, true, last)
 }
 
+// submitAll is the submitter: quota operations back to back in closed
+// loop (tokens nil), one per arrival token in open loop, then the final
+// tag. Before it waits outside the pipe — for the next arrival, or for
+// good — it flushes: nothing else is due to push its frames out.
+func (w *plWorker) submitAll(tokens <-chan time.Time, quota uint64) error {
+	n := uint64(0)
+	for ; tokens != nil || n < quota; n++ {
+		var sched time.Time
+		if tokens != nil {
+			var ok bool
+			select {
+			case sched, ok = <-tokens:
+			default:
+				if err := w.p.Flush(); err != nil {
+					return err
+				}
+				sched, ok = <-tokens
+			}
+			if !ok {
+				break
+			}
+			if time.Since(sched) > w.cfg.LateThreshold {
+				w.late++
+			}
+		}
+		if err := w.submitOp(sched); err != nil {
+			return err
+		}
+	}
+	if err := w.p.Submit(txkvwire.Req{Op: txkvwire.OpLen}, &plFin{n: n}, true, true); err != nil {
+		return err
+	}
+	return w.p.Flush()
+}
+
 // collect consumes replies until the submitter's final tag has arrived
 // and every logical operation before it completed.
 func (w *plWorker) collect() error {
@@ -234,29 +269,7 @@ func runPipelined(cfg LoadConfig, start time.Time) (lat []int64, lateOps, errOps
 		wg.Add(2)
 		go func(w *plWorker, quota uint64) { // submitter
 			defer wg.Done()
-			n := uint64(0)
-			if tokens != nil {
-				for sched := range tokens {
-					if time.Since(sched) > cfg.LateThreshold {
-						w.late++
-					}
-					if err := w.submitOp(sched); err != nil {
-						fail(err)
-						w.p.Close()
-						return
-					}
-					n++
-				}
-			} else {
-				for ; n < quota; n++ {
-					if err := w.submitOp(time.Time{}); err != nil {
-						fail(err)
-						w.p.Close()
-						return
-					}
-				}
-			}
-			if err := w.p.Submit(txkvwire.Req{Op: txkvwire.OpLen}, &plFin{n: n}, true, true); err != nil {
+			if err := w.submitAll(tokens, quota); err != nil {
 				fail(err)
 				w.p.Close()
 			}

@@ -17,7 +17,6 @@ package txkvserver
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -631,24 +630,11 @@ func (c *conn) serve() (sub bool) {
 			queueNs += q
 		}
 		r0 := time.Now()
-		if !c.writeReply(reply, !nextFrameBuffered(c.br)) {
+		if !c.writeReply(reply, !txkvwire.FrameBuffered(c.br)) {
 			return false
 		}
 		s.m.record(op, parseNs, queueNs, txnNs, commitNs, walNs, uint64(time.Since(r0).Nanoseconds()))
 	}
-}
-
-// nextFrameBuffered reports whether the read buffer already holds a
-// complete request frame, whose reply can share a write with the current
-// one. A partial frame does not count: a client stalled mid-frame must
-// not stall the replies it is owed.
-func nextFrameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4)
-	return uint32(n-4) >= binary.LittleEndian.Uint32(hdr)
 }
 
 // connWriter sends the replies of a connection's coalesced items in

@@ -25,6 +25,7 @@
 package txkvwire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -314,20 +315,19 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // AppendReqFrame appends r as one complete frame — length prefix and
 // payload contiguous — so a client can put a request on the wire with a
 // single Write (one syscall, one segment under TCP_NODELAY) instead of
-// WriteFrame's two.
+// WriteFrame's two. On error it returns dst unchanged.
 func AppendReqFrame(dst []byte, r Req) ([]byte, error) {
 	hdr := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst, err := AppendReq(dst, r)
+	out, err := AppendReq(append(dst, 0, 0, 0, 0), r)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	n := len(dst) - hdr - 4
+	n := len(out) - hdr - 4
 	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
+		return dst, ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(dst[hdr:], uint32(n))
-	return dst, nil
+	binary.LittleEndian.PutUint32(out[hdr:], uint32(n))
+	return out, nil
 }
 
 // ReadFrame reads one length-prefixed frame, reusing buf when it is
@@ -351,6 +351,21 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// FrameBuffered reports whether br already holds a complete frame, so the
+// next ReadFrame will not touch the socket. Both ends batch on it: the
+// server puts the reply to a buffered request in the same write as the
+// current one, the pipelined client flushes its own requests only when no
+// reply is buffered. A partial frame does not count: a peer stalled
+// mid-frame must not stall what it is owed.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint32(n-4) >= binary.LittleEndian.Uint32(hdr)
 }
 
 // ---------------------------------------------------------------------------

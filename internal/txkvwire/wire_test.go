@@ -1,6 +1,7 @@
 package txkvwire
 
 import (
+	"bufio"
 	"bytes"
 	"reflect"
 	"strings"
@@ -328,6 +329,42 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBuffered: only a complete frame in the read buffer counts — a
+// short prefix or a partial payload would make the next ReadFrame block.
+// Little-endian prefix: {0, 1, 0, 0} announces 256 bytes, not 65536.
+func TestFrameBuffered(t *testing.T) {
+	frame := func(n int) []byte { return append([]byte{byte(n), byte(n >> 8), 0, 0}, make([]byte, n)...) }
+	cases := []struct {
+		name string
+		in   []byte
+		want bool
+	}{
+		{"empty", nil, false},
+		{"prefix cut short", []byte{1, 0, 0}, false},
+		{"prefix only", []byte{1, 0, 0, 0}, false},
+		{"empty frame", frame(0), true},
+		{"one byte missing", frame(9)[:12], false},
+		{"exactly one frame", frame(9), true},
+		{"a frame and a partial one", append(frame(2), 5, 0, 0, 0, 1), true},
+		{"256-byte frame", frame(256), true},
+		{"256-byte frame cut short", frame(256)[:259], false},
+	}
+	for _, c := range cases {
+		br := bufio.NewReaderSize(bytes.NewReader(c.in), 1024)
+		br.Peek(1) // fill the buffer, as the ReadFrame before it would have
+		if got := FrameBuffered(br); got != c.want {
+			t.Errorf("%s: FrameBuffered = %v, want %v", c.name, got, c.want)
+		}
+		if br.Buffered() != len(c.in) {
+			t.Errorf("%s: FrameBuffered consumed input", c.name)
+		}
+	}
+	// Bytes still in the socket do not count, whatever they hold.
+	if FrameBuffered(bufio.NewReader(bytes.NewReader(frame(1)))) {
+		t.Error("FrameBuffered read from the underlying reader")
+	}
+}
+
 // TestAppendReqFrame: the one-buffer framing is byte-identical to
 // AppendReq + WriteFrame, appends after existing frames, and keeps
 // AppendReq's validation.
@@ -354,7 +391,7 @@ func TestAppendReqFrame(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("frames differ:\n got % x\nwant % x", got, want.Bytes())
 	}
-	if _, err := AppendReqFrame(nil, Req{Op: OpGet, TTL: -1}); err == nil {
-		t.Fatal("a request AppendReq refuses was framed")
+	if out, err := AppendReqFrame(got, Req{Op: OpGet, TTL: -1}); err == nil || !bytes.Equal(out, want.Bytes()) {
+		t.Fatalf("a request AppendReq refuses: err %v, and dst must come back unchanged", err)
 	}
 }
