@@ -63,7 +63,10 @@ benchmark-trace:
 # benchmark-ab is that judgement: ./benchmark built from REV and from the
 # working tree, run on WORKLOAD in PAIRS interleaved pairs with fresh
 # seeds (scripts/benchmark-ab.sh prints every run, quartiles and wins).
+# WORKLOAD=all runs the four BENCHMARK.json workloads back to back, one
+# summary block each.
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10
 REV ?= HEAD
 WORKLOAD ?= svc-update-coalesced
 PAIRS ?= 10

@@ -173,8 +173,15 @@ type Thread interface {
 type STM interface {
 	Name() string
 	Arena() *mem.Arena
-	// NewThread registers a worker. id must be unique per live thread and
-	// < MaxThreads.
+	// NewThread registers a worker under id, which must be in
+	// [0, MaxThreads) — engines panic otherwise. The id is the thread's
+	// identity, not a label: SwissTM and TinySTM stamp it into the lock
+	// words a transaction installs and recognise their own locks by it, so
+	// two threads that run transactions under one id at the same time
+	// would each take the other's locks for its own. An id may be
+	// registered again (setup thread 0, then a checker on 0; one worker
+	// set after another) once the thread that held it runs no more
+	// transactions; the new thread takes the id over.
 	NewThread(id int) Thread
 }
 

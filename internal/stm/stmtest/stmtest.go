@@ -40,6 +40,7 @@ func Run(t *testing.T, factory func() stm.STM, opts Options) {
 	t.Run("DisjointScaling", func(t *testing.T) { testDisjoint(t, factory(), opts.Threads) })
 	t.Run("WriteSkewPrevented", func(t *testing.T) { testNoWriteSkew(t, factory(), opts.Threads) })
 	t.Run("QuickModelCheck", func(t *testing.T) { testQuickModel(t, factory) })
+	t.Run("ThreadReRegistration", func(t *testing.T) { testThreadReRegistration(t, factory()) })
 	if opts.WordAPI {
 		if !stm.SupportsWordAPI(factory()) {
 			t.Fatal("options claim word-API support but the engine denies it")
@@ -87,6 +88,47 @@ func testReadYourWrites(t *testing.T, e stm.STM) {
 	})
 	if got := readField(th, h, 0); got != 42 {
 		t.Fatalf("after commit: got %d, want 42", got)
+	}
+}
+
+// testThreadReRegistration pins the NewThread contract: an id may be
+// registered again once its previous thread is idle, the new thread then
+// reads its own writes and commits (on the engines whose lock words carry
+// the id, out of its own write log, not its predecessor's), and ids
+// outside [0, MaxThreads) are refused.
+func testThreadReRegistration(t *testing.T, e stm.STM) {
+	a := e.NewThread(3)
+	var hs [4]stm.Handle
+	for i := range hs {
+		hs[i] = alloc(a, 64)
+	}
+	stm.AtomicVoid(a, func(tx stm.Tx) { // four write-log entries in a's log
+		for i, h := range hs {
+			tx.WriteField(h, 0, stm.Word(i)+1)
+		}
+	})
+	b := e.NewThread(3)
+	stm.AtomicVoid(b, func(tx stm.Tx) {
+		tx.WriteField(hs[3], 0, 40) // b's first entry; a's first covered hs[0]
+		if got := tx.ReadField(hs[3], 0); got != 40 {
+			t.Fatalf("read-after-write on the re-registered id = %d, want 40", got)
+		}
+		if got := tx.ReadField(hs[0], 0); got != 1 {
+			t.Fatalf("committed field read %d, want 1", got)
+		}
+	})
+	if got := readField(b, hs[3], 0); got != 40 {
+		t.Fatalf("commit on the re-registered id published %d, want 40", got)
+	}
+	for _, id := range []int{-1, stm.MaxThreads} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewThread(%d) did not panic", id)
+				}
+			}()
+			e.NewThread(id)
+		}()
 	}
 }
 

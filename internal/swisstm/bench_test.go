@@ -1,0 +1,14 @@
+package swisstm
+
+import (
+	"testing"
+
+	"swisstm/internal/stm/stmtest"
+)
+
+// BenchmarkShortUpdate4 prices the engine's fixed cost per short update
+// transaction (stmtest.ShortUpdate4): one thread, four stripes read then
+// written, no contention.
+func BenchmarkShortUpdate4(b *testing.B) {
+	stmtest.ShortUpdate4(b, New(Config{ArenaWords: 1 << 16, TableBits: 12}))
+}

@@ -80,7 +80,9 @@ type Config struct {
 	// read-log traffic on object traversals. Must be a power of two ≤ 64
 	// (stripe write masks are 64-bit); pass 1 for word granularity.
 	StripeWords int
-	// TableBits is log2 of the lock-table entry count (paper: 22).
+	// TableBits is log2 of the lock-table entry count. 0 selects 20; the
+	// paper's C implementation uses 22, the experiment harness defaults to
+	// 18 (harness.EngineSpec).
 	TableBits uint
 	// Policy is the contention-management scheme (default TwoPhase).
 	Policy CMPolicy
@@ -133,19 +135,31 @@ func (c *Config) fill() {
 	if c.StripeWords > 64 || c.StripeWords&(c.StripeWords-1) != 0 {
 		panic("swisstm: StripeWords must be a power of two ≤ 64")
 	}
+	if c.TableBits > wTagShift {
+		panic("swisstm: TableBits must be ≤ 24")
+	}
 }
 
 const (
 	rLocked  = uint64(1) // r-lock value while its owner is committing
 	infinity = ^uint64(0)
+	// A w-lock word is 0 when free, otherwise ownerTag<<24 | write-log
+	// index, where ownerTag is the owner's thread id + 1 (DESIGN.md §7).
+	// A write log holds one entry per lock-table entry, so TableBits ≤ 24
+	// bounds the index; the constant below fails to compile should
+	// MaxThreads outgrow the tag's eight bits.
+	wTagShift = 24
+	wIdxMask  = uint32(1)<<wTagShift - 1
+	_         = uint8(stm.MaxThreads + 1)
 )
 
 // wEntry is a write-log entry covering one lock-table stripe: the redo
 // values for the words of that stripe this transaction has written. The
-// stripe's w-lock points at its owner's wEntry, which makes the lock table
-// itself the write-set lookup structure (as in the C implementation).
+// stripe's w-lock names its owner and the entry's position in the owner's
+// write log, which makes the lock table itself the write-set lookup
+// structure (as in the C implementation). Entries are owner-private: other
+// threads read only the lock word.
 type wEntry struct {
-	owner      atomic.Pointer[txn] // read by other threads; everything else is owner-private
 	lockIdx    uint32
 	base       stm.Addr // first word of the primary stripe
 	mask       uint64   // bit i set ⇒ vals[i] holds the new value of base+i
@@ -180,9 +194,9 @@ type rEntry struct {
 type Engine struct {
 	cfg     Config
 	arena   *mem.Arena
-	heap    []atomic.Uint64          // arena backing array, cached for direct indexing
-	rlocks  []atomic.Uint64          // version<<1 when unlocked; 1 when locked
-	wlocks  []atomic.Pointer[wEntry] // nil when unlocked
+	heap    []atomic.Uint64 // arena backing array, cached for direct indexing
+	rlocks  []atomic.Uint64 // version<<1 when unlocked; 1 when locked
+	wlocks  []atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
 	shift   uint
 	mask    uint32
 	stripeW uint32 // words per stripe
@@ -196,6 +210,10 @@ type Engine struct {
 	// but polled by every committer, so unpadded slots false-share
 	// heavily under PrivatizationSafe (see BenchmarkActivitySlotLayout).
 	activity [stm.MaxThreads]mem.PaddedUint64
+	// threads maps an owner tag (id + 1) back to its descriptor. Written
+	// by NewThread, read only when the contention manager must arbitrate
+	// against a second-phase attacker (cmShouldAbort).
+	threads [stm.MaxThreads]atomic.Pointer[txn]
 }
 
 // New creates a SwissTM engine.
@@ -211,7 +229,7 @@ func New(cfg Config) *Engine {
 		arena:   a,
 		heap:    a.Words(),
 		rlocks:  make([]atomic.Uint64, n),
-		wlocks:  make([]atomic.Pointer[wEntry], n),
+		wlocks:  make([]atomic.Uint32, n),
 		shift:   uint(bits.TrailingZeros(uint(cfg.StripeWords))),
 		mask:    uint32(n - 1),
 		stripeW: uint32(cfg.StripeWords),
@@ -240,14 +258,14 @@ func (e *Engine) stripeBase(a stm.Addr) stm.Addr { return a &^ (e.stripeW - 1) }
 type txn struct {
 	e         *Engine
 	id        int
-	ro        bool // current transaction declared read-only (stm.ReadOnly)
+	tag       uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
+	ro        bool   // current transaction declared read-only (stm.ReadOnly)
 	validTS   uint64
 	cmTS      atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
 	status    atomic.Uint32 // 0 active, 1 killed by another transaction's CM
 	readLog   []rEntry
-	writeLog  []*wEntry
-	pool      []*wEntry
-	poolIdx   int
+	pool      []wEntry // write-entry pool; pool[:nw] is the current write log
+	nw        int
 	rc        util.StripeCache // read-set dedup cache (DESIGN.md §7)
 	rng       *util.Rand
 	succ      int           // successive aborts of the current logical transaction
@@ -257,17 +275,19 @@ type txn struct {
 	stats     stm.Stats
 }
 
-// NewThread implements stm.STM.
+// NewThread implements stm.STM. The id is the thread's identity in the
+// lock table (w-lock words carry it), so it takes over the id from any
+// descriptor registered under it before; see stm.STM.NewThread.
 func (e *Engine) NewThread(id int) stm.Thread {
 	if id < 0 || id >= stm.MaxThreads {
 		panic("swisstm: thread id out of range")
 	}
 	t := &txn{
-		e:        e,
-		id:       id,
-		readLog:  make([]rEntry, 0, 1024),
-		writeLog: make([]*wEntry, 0, 256),
-		rng:      util.NewRand(uint64(id)*0x9e3779b9 + 1),
+		e:       e,
+		id:      id,
+		tag:     uint32(id+1) << wTagShift,
+		readLog: make([]rEntry, 0, 1024),
+		rng:     util.NewRand(uint64(id)*0x9e3779b9 + 1),
 	}
 	t.roV.t = t
 	t.rc.Init(1024)
@@ -275,6 +295,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 	if e.cfg.Obs != nil {
 		t.obsh = e.cfg.Obs.Shard(id)
 	}
+	e.threads[id].Store(t)
 	return t
 }
 
@@ -387,22 +408,27 @@ func (e *Engine) quiesce(self int, ts uint64) {
 // begin is Algorithm 1's start: snapshot the commit counter, then
 // cm-start (Algorithm 2 lines 1-2: a fresh transaction resets its
 // timestamp to ∞; a restarted one keeps it, preserving Greedy's
-// starvation-freedom for long transactions).
+// starvation-freedom for long transactions). status and cmTS are reset
+// only when dirty: an atomic store is a locked instruction, and a short
+// transaction that was never killed and never left phase one finds both
+// clean. A kill landing after the status load reaches this transaction
+// instead of the one it was aimed at — the spurious retry cmShouldAbort
+// already accounts for.
 func (t *txn) begin(restart bool) {
 	t.validTS = t.e.commitTS.Load()
 	if t.e.cfg.PrivatizationSafe {
 		t.e.activity[t.id].Store(t.validTS + 1)
 	}
-	t.status.Store(0)
+	if t.status.Load() != 0 {
+		t.status.Store(0)
+	}
 	t.readLog = t.readLog[:0]
-	t.writeLog = t.writeLog[:0]
-	t.poolIdx = 0
+	t.nw = 0
 	t.rc.Reset()
 	if !restart {
-		switch t.e.cfg.Policy {
-		case Greedy:
+		if t.e.cfg.Policy == Greedy {
 			t.cmTS.Store(t.e.greedyTS.Add(1))
-		default:
+		} else if t.cmTS.Load() != infinity {
 			t.cmTS.Store(infinity)
 		}
 	}
@@ -411,9 +437,8 @@ func (t *txn) begin(restart bool) {
 // beginRO starts a declared read-only attempt (DESIGN.md §9.3): snapshot
 // the commit counter, reset the read log and dedup cache — and nothing
 // else. The write log is invariantly empty between transactions (commit
-// and abort both truncate it), a read-only transaction never installs a
-// w-lock so no CM can kill it (status and cmTS stay untouched), and the
-// write-entry pool cursor only matters to writers.
+// and abort both truncate it) and a read-only transaction never installs a
+// w-lock, so no CM can kill it (status and cmTS stay untouched).
 func (t *txn) beginRO() {
 	t.validTS = t.e.commitTS.Load()
 	if t.e.cfg.PrivatizationSafe {
@@ -453,12 +478,12 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// The w-lock lookup exists only for read-after-write; a transaction
 	// that has written nothing cannot own any w-lock, so read-only
 	// transactions skip the shared-table probe entirely.
-	if len(t.writeLog) != 0 {
-		if we := t.e.wlocks[idx].Load(); we != nil && we.owner.Load() == t {
+	if t.nw != 0 {
+		if w := t.e.wlocks[idx].Load(); w&^wIdxMask == t.tag {
 			// Read-after-write: return the value from our own write log
 			// (line 6). Unwritten words of an owned stripe are stable in
 			// memory because we hold the w-lock.
-			if v, ok := we.get(a); ok {
+			if v, ok := t.pool[w&wIdxMask].get(a); ok {
 				return v, true
 			}
 			return t.e.heap[a].Load(), true
@@ -605,20 +630,16 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	}
 	idx := t.e.stripe(a)
 	wl := &t.e.wlocks[idx]
-	if we := wl.Load(); we != nil && we.owner.Load() == t {
-		we.set(a, v)
-		return true
-	}
 	for spin := 0; ; spin++ {
-		we := wl.Load()
-		if we != nil {
-			if we.owner.Load() == t {
-				we.set(a, v)
-				return true
-			}
+		w := wl.Load()
+		if w&^wIdxMask == t.tag {
+			t.pool[w&wIdxMask].set(a, v)
+			return true
+		}
+		if w != 0 {
 			// Write/write conflict: ask the contention manager
 			// (Algorithm 1 line 26).
-			if t.cmShouldAbort(we.owner.Load()) {
+			if t.cmShouldAbort(w) {
 				t.stats.AbortsWW++
 				t.abort()
 				return false
@@ -634,13 +655,11 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 			}
 			continue
 		}
-		entry := t.newEntry(idx, t.e.stripeBase(a))
-		entry.set(a, v)
-		if wl.CompareAndSwap(nil, entry) {
-			t.writeLog = append(t.writeLog, entry)
+		t.newEntry(idx, t.e.stripeBase(a)).set(a, v)
+		if wl.CompareAndSwap(0, t.tag|uint32(t.nw)) {
+			t.nw++ // the entry joins the write log only once the lock is ours
 			break
 		}
-		t.poolIdx-- // CAS lost; return the entry to the pool
 	}
 	// Opacity guard (lines 31-32): if the stripe moved past our snapshot
 	// we must revalidate before continuing.
@@ -662,7 +681,7 @@ func (t *txn) commit() bool {
 		t.stats.AbortsKilled++
 		return t.commitAbort()
 	}
-	if len(t.writeLog) == 0 { // read-only fast path (line 35)
+	if t.nw == 0 { // read-only fast path (line 35)
 		t.stats.Commits++
 		t.stats.ReadsLogged += uint64(len(t.readLog))
 		if t.obsh != nil {
@@ -672,22 +691,25 @@ func (t *txn) commit() bool {
 	}
 	// Lock the r-locks of all written stripes so readers cannot observe a
 	// partially written state.
-	for _, we := range t.writeLog {
+	wlog := t.pool[:t.nw]
+	for i := range wlog {
+		we := &wlog[i]
 		rl := &t.e.rlocks[we.lockIdx]
 		we.savedRLock = rl.Load() // unlocked: only the w-lock owner locks it
 		rl.Store(rLocked)
 	}
 	ts := t.e.commitTS.Add(1)
 	if ts > t.validTS+1 && !t.validate() {
-		for _, we := range t.writeLog {
-			t.e.rlocks[we.lockIdx].Store(we.savedRLock)
+		for i := range wlog {
+			t.e.rlocks[wlog[i].lockIdx].Store(wlog[i].savedRLock)
 		}
 		t.stats.AbortsValid++
 		t.stats.AbortsValidCommit++
 		return t.commitAbort()
 	}
 	newRLock := ts << 1
-	for _, we := range t.writeLog {
+	for i := range wlog {
+		we := &wlog[i]
 		m := we.mask
 		for m != 0 {
 			i := uint(bits.TrailingZeros64(m))
@@ -698,21 +720,20 @@ func (t *txn) commit() bool {
 			t.e.heap[p.addr].Store(p.val)
 		}
 		t.e.rlocks[we.lockIdx].Store(newRLock)
-		t.e.wlocks[we.lockIdx].Store(nil)
+		t.e.wlocks[we.lockIdx].Store(0)
 	}
-	ws := len(t.writeLog)
 	// Truncate the write log here rather than at the next begin: the log
 	// is then invariantly empty between transactions, which is what lets
 	// beginRO skip write-set init entirely (a stale log would make a later
 	// read-only abort release stripes it does not own).
-	t.writeLog = t.writeLog[:0]
+	t.nw = 0
 	if t.e.cfg.PrivatizationSafe {
 		t.quiesceTS = ts // quiesce after the descriptor is deactivated
 	}
 	t.stats.Commits++
 	t.stats.ReadsLogged += uint64(len(t.readLog))
 	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(ws))
+		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(len(wlog)))
 	}
 	return true
 }
@@ -742,10 +763,8 @@ func (t *txn) validate() bool {
 		}
 		// Changed or locked: still fine if we are the one holding it
 		// (we locked our own written stripes at commit).
-		if cur == rLocked {
-			if we := t.e.wlocks[re.lockIdx].Load(); we != nil && we.owner.Load() == t {
-				continue
-			}
+		if cur == rLocked && t.e.wlocks[re.lockIdx].Load()&^wIdxMask == t.tag {
+			continue
 		}
 		return false
 	}
@@ -790,10 +809,10 @@ func (t *txn) commitAbort() bool {
 }
 
 func (t *txn) releaseWLocks() {
-	for _, we := range t.writeLog {
-		t.e.wlocks[we.lockIdx].Store(nil)
+	for i := range t.pool[:t.nw] {
+		t.e.wlocks[t.pool[i].lockIdx].Store(0)
 	}
-	t.writeLog = t.writeLog[:0]
+	t.nw = 0
 }
 
 // Restart implements stm.Tx: a user-requested retry always unwinds (it
@@ -804,10 +823,12 @@ func (t *txn) Restart() {
 	panic(stm.SignalRestart)
 }
 
-// cmShouldAbort is Algorithm 2's cm-should-abort: true means the attacker
-// (t) must abort itself; false means it should wait for owner to finish
-// (after the owner has been killed, when the attacker has priority).
-func (t *txn) cmShouldAbort(owner *txn) bool {
+// cmShouldAbort is Algorithm 2's cm-should-abort, given the w-lock word
+// the attacker (t) found: true means t must abort itself; false means it
+// should wait for the owner to finish (after the owner has been killed,
+// when the attacker has priority). Only a second-phase attacker needs the
+// owner's descriptor, so only that path pays the thread-table lookup.
+func (t *txn) cmShouldAbort(w uint32) bool {
 	switch t.e.cfg.Policy {
 	case Timid:
 		return true
@@ -816,9 +837,7 @@ func (t *txn) cmShouldAbort(owner *txn) bool {
 		if myTS == infinity {
 			return true // phase one: abort self (line 6)
 		}
-		if owner == nil {
-			return false
-		}
+		owner := t.e.threads[w>>wTagShift-1].Load()
 		if owner.cmTS.Load() < myTS {
 			return true // older owner wins (line 8)
 		}
@@ -838,19 +857,18 @@ func (t *txn) cmOnWrite() {
 	if t.e.cfg.Policy != TwoPhase {
 		return
 	}
-	if t.cmTS.Load() == infinity && len(t.writeLog) == t.e.cfg.Wn {
+	if t.cmTS.Load() == infinity && t.nw == t.e.cfg.Wn {
 		t.cmTS.Store(t.e.greedyTS.Add(1))
 	}
 }
 
-// newEntry takes a write-log entry from the per-thread pool.
+// newEntry readies pool[nw], the entry the next acquired stripe will use.
+// The pointer is good until the next call: growing the pool moves it.
 func (t *txn) newEntry(idx uint32, base stm.Addr) *wEntry {
-	if t.poolIdx == len(t.pool) {
-		t.pool = append(t.pool, &wEntry{vals: make([]stm.Word, t.e.stripeW)})
+	if t.nw == len(t.pool) {
+		t.pool = append(t.pool, wEntry{vals: make([]stm.Word, t.e.stripeW)})
 	}
-	we := t.pool[t.poolIdx]
-	t.poolIdx++
-	we.owner.Store(t)
+	we := &t.pool[t.nw]
 	we.lockIdx = idx
 	we.base = base
 	we.mask = 0

@@ -185,7 +185,7 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
 	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(1) })
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(256) })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -193,11 +193,19 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 			}
 		}()
 		stm.AtomicVoid(th, func(tx stm.Tx) {
-			tx.Store(base, 1)
+			for i := stm.Addr(0); i < 12; i++ {
+				tx.Store(base+i*16, 1)
+			}
 			panic("user bug")
 		})
 	}()
-	// The write lock must have been released: another thread can write.
+	// Every write lock must have been released: no lock word is left set,
+	// and another thread can write.
+	for i := range e.wlocks {
+		if w := e.wlocks[i].Load(); w != 0 {
+			t.Fatalf("w-lock %d = %#x after a foreign panic, want 0", i, w)
+		}
+	}
 	th2 := e.NewThread(1)
 	done := make(chan struct{})
 	go func() {

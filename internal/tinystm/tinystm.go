@@ -63,15 +63,27 @@ func (c *Config) fill() {
 	if c.StripeWords > 64 || c.StripeWords&(c.StripeWords-1) != 0 {
 		panic("tinystm: StripeWords must be a power of two ≤ 64")
 	}
+	if c.TableBits > wTagShift {
+		panic("tinystm: TableBits must be ≤ 24")
+	}
 }
 
-// wEntry is a redo-log entry for one stripe (write-back design).
+// A stripe's owner word is 0 when free, otherwise ownerTag<<24 | write-log
+// index, where ownerTag is the owner's thread id + 1 — the encoding of
+// SwissTM's w-lock word, with the same two bounds (DESIGN.md §7).
+const (
+	wTagShift = 24
+	wIdxMask  = uint32(1)<<wTagShift - 1
+	_         = uint8(stm.MaxThreads + 1)
+)
+
+// wEntry is a redo-log entry for one stripe (write-back design). Entries
+// are owner-private: other threads read only the owner word.
 type wEntry struct {
-	owner atomic.Pointer[txn] // read by other threads for identity checks
-	idx   uint32
-	base  stm.Addr
-	mask  uint64
-	vals  []stm.Word
+	idx  uint32
+	base stm.Addr
+	mask uint64
+	vals []stm.Word
 	// overflow buffers writes to aliased stripes (distinct memory regions
 	// hashing to the same lock-table entry); see the same field in
 	// package swisstm.
@@ -90,7 +102,7 @@ type rEntry struct {
 }
 
 // Engine is a TinySTM instance. Each stripe has a version counter and an
-// owner pointer; a non-nil owner is the encounter-time write lock. The
+// owner word; a non-zero owner is the encounter-time write lock. The
 // global clock — the hottest write-shared word — is padded onto its own
 // cache line so committers bumping it do not invalidate the line holding
 // the read-mostly mapping state in every other core's cache.
@@ -99,7 +111,7 @@ type Engine struct {
 	arena  *mem.Arena
 	heap   []atomic.Uint64 // arena backing array, cached for direct indexing
 	vers   []atomic.Uint64
-	owners []atomic.Pointer[wEntry]
+	owners []atomic.Uint32
 	shift  uint
 	mask   uint32
 	stripe uint32
@@ -121,7 +133,7 @@ func New(cfg Config) *Engine {
 		arena:  a,
 		heap:   a.Words(),
 		vers:   make([]atomic.Uint64, n),
-		owners: make([]atomic.Pointer[wEntry], n),
+		owners: make([]atomic.Uint32, n),
 		shift:  uint(bits.TrailingZeros(uint(cfg.StripeWords))),
 		mask:   uint32(n - 1),
 		stripe: uint32(cfg.StripeWords),
@@ -139,33 +151,34 @@ func (e *Engine) stripeBase(a stm.Addr) stm.Addr { return a &^ (e.stripe - 1) }
 
 // txn is a TinySTM transaction descriptor, one per thread.
 type txn struct {
-	e        *Engine
-	id       int
-	ro       bool // current transaction declared read-only (stm.ReadOnly)
-	validTS  uint64
-	readLog  []rEntry
-	writeLog []*wEntry
-	pool     []*wEntry
-	poolIdx  int
-	rc       util.StripeCache // read-set dedup cache (DESIGN.md §7)
-	rng      *util.Rand
-	succ     int
-	roV      roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
-	obsh     *obs.TxnShard // per-thread telemetry shard (nil = obs off)
-	stats    stm.Stats
+	e       *Engine
+	id      int
+	tag     uint32 // (id+1)<<24: the owner bits of every owner word this thread installs
+	ro      bool   // current transaction declared read-only (stm.ReadOnly)
+	validTS uint64
+	readLog []rEntry
+	pool    []wEntry // write-entry pool; pool[:nw] is the current write log
+	nw      int
+	rc      util.StripeCache // read-set dedup cache (DESIGN.md §7)
+	rng     *util.Rand
+	succ    int
+	roV     roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
+	obsh    *obs.TxnShard // per-thread telemetry shard (nil = obs off)
+	stats   stm.Stats
 }
 
-// NewThread implements stm.STM.
+// NewThread implements stm.STM. The id is the thread's identity in the
+// lock table (owner words carry it); see stm.STM.NewThread.
 func (e *Engine) NewThread(id int) stm.Thread {
 	if id < 0 || id >= stm.MaxThreads {
 		panic("tinystm: thread id out of range")
 	}
 	t := &txn{
-		e:        e,
-		id:       id,
-		readLog:  make([]rEntry, 0, 1024),
-		writeLog: make([]*wEntry, 0, 256),
-		rng:      util.NewRand(uint64(id)*0xabcd1234 + 3),
+		e:       e,
+		id:      id,
+		tag:     uint32(id+1) << wTagShift,
+		readLog: make([]rEntry, 0, 1024),
+		rng:     util.NewRand(uint64(id)*0xabcd1234 + 3),
 	}
 	t.roV.t = t
 	t.rc.Init(1024)
@@ -185,8 +198,7 @@ func (t *txn) Run(body func(stm.Tx) error, mode stm.Mode) error {
 
 // Begin implements stm.Thread. A declared read-only transaction skips the
 // write-set init entirely: the write log is invariantly empty between
-// transactions (commit and abort both truncate it) and the write-entry
-// pool cursor only matters to writers (DESIGN.md §9.3).
+// transactions (commit and abort both truncate it; DESIGN.md §9.3).
 func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
 	if mode == stm.ReadOnly {
 		t.ro = true
@@ -243,8 +255,7 @@ func (t *txn) Backoff() {
 func (t *txn) begin() {
 	t.validTS = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
-	t.writeLog = t.writeLog[:0]
-	t.poolIdx = 0
+	t.nw = 0
 	t.rc.Reset()
 }
 
@@ -275,10 +286,10 @@ func (t *txn) Restart() {
 }
 
 func (t *txn) releaseOwned() {
-	for _, we := range t.writeLog {
-		t.e.owners[we.idx].Store(nil)
+	for i := range t.pool[:t.nw] {
+		t.e.owners[t.pool[i].idx].Store(0)
 	}
-	t.writeLog = t.writeLog[:0]
+	t.nw = 0
 }
 
 // Load implements stm.Tx: the thin wrapper that converts load's checked
@@ -305,9 +316,9 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	own := &t.e.owners[i]
 	ver := &vers[i]
 	for {
-		if we := own.Load(); we != nil {
-			if we.owner.Load() == t {
-				if v, ok := we.get(a); ok {
+		if w := own.Load(); w != 0 {
+			if w&^wIdxMask == t.tag {
+				if v, ok := t.pool[w&wIdxMask].get(a); ok {
 					return v, true
 				}
 				return t.e.heap[a].Load(), true
@@ -321,7 +332,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 		v1 := ver.Load()
 		val := t.e.heap[a].Load()
 		v2 := ver.Load()
-		if v1 != v2 || own.Load() != nil {
+		if v1 != v2 || own.Load() != 0 {
 			// A committer moved under us; resample.
 			runtime.Gosched()
 			continue
@@ -367,7 +378,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 // loadRO is the declared-read-only read protocol: the consistent
 // version/value sample plus dedup/extension of load, minus the own-lock
 // branch — a read-only transaction owns no encounter-time lock, so any
-// non-nil owner is foreign and aborts us at once. ok=false means the
+// non-zero owner is foreign and aborts us at once. ok=false means the
 // transaction aborted.
 func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 	vers := t.e.vers
@@ -376,7 +387,7 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 	own := &t.e.owners[i]
 	ver := &vers[i]
 	for {
-		if own.Load() != nil {
+		if own.Load() != 0 {
 			t.stats.AbortsLocked++
 			t.abort()
 			return 0, false
@@ -384,7 +395,7 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 		v1 := ver.Load()
 		val := t.e.heap[a].Load()
 		v2 := ver.Load()
-		if v1 != v2 || own.Load() != nil {
+		if v1 != v2 || own.Load() != 0 {
 			runtime.Gosched()
 			continue
 		}
@@ -434,24 +445,22 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	idx := t.e.stripeIdx(a)
 	own := &t.e.owners[idx]
 	for {
-		we := own.Load()
-		if we != nil {
-			if we.owner.Load() == t {
-				we.set(a, v)
-				return true
-			}
+		w := own.Load()
+		if w&^wIdxMask == t.tag {
+			t.pool[w&wIdxMask].set(a, v)
+			return true
+		}
+		if w != 0 {
 			// Write/write conflict: timid — abort self.
 			t.stats.AbortsWW++
 			t.abort()
 			return false
 		}
-		entry := t.newEntry(idx, t.e.stripeBase(a))
-		entry.set(a, v)
-		if own.CompareAndSwap(nil, entry) {
-			t.writeLog = append(t.writeLog, entry)
+		t.newEntry(idx, t.e.stripeBase(a)).set(a, v)
+		if own.CompareAndSwap(0, t.tag|uint32(t.nw)) {
+			t.nw++ // the entry joins the write log only once the lock is ours
 			break
 		}
-		t.poolIdx--
 	}
 	if ver := t.e.vers[idx].Load(); ver > t.validTS && !t.extend() {
 		t.stats.AbortsValid++
@@ -480,7 +489,7 @@ func (t *txn) commitRO() bool {
 // reports false when the transaction aborted; commit-time validation
 // failures take the checked return path and never unwind.
 func (t *txn) commit() bool {
-	if len(t.writeLog) == 0 {
+	if t.nw == 0 {
 		t.stats.Commits++
 		t.stats.ReadsLogged += uint64(len(t.readLog))
 		if t.obsh != nil {
@@ -494,7 +503,9 @@ func (t *txn) commit() bool {
 		t.stats.AbortsValidCommit++
 		return t.commitAbort()
 	}
-	for _, we := range t.writeLog {
+	wlog := t.pool[:t.nw]
+	for i := range wlog {
+		we := &wlog[i]
 		m := we.mask
 		for m != 0 {
 			i := uint(bits.TrailingZeros64(m))
@@ -505,14 +516,13 @@ func (t *txn) commit() bool {
 			t.e.heap[p.addr].Store(p.val)
 		}
 		t.e.vers[we.idx].Store(ts)
-		t.e.owners[we.idx].Store(nil)
+		t.e.owners[we.idx].Store(0)
 	}
-	ws := len(t.writeLog)
-	t.writeLog = t.writeLog[:0] // ownership transferred; nothing to release
+	t.nw = 0 // ownership transferred; nothing to release
 	t.stats.Commits++
 	t.stats.ReadsLogged += uint64(len(t.readLog))
 	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(ws))
+		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(len(wlog)))
 	}
 	return true
 }
@@ -521,16 +531,16 @@ func (t *txn) commit() bool {
 // version and not locked by another transaction. The owner is read
 // BEFORE the version: commit publishes a stripe's new version and then
 // clears its owner, so the other order lets a committer overtake the two
-// loads — old version, then nil owner — and a stale entry validates;
+// loads — old version, then free owner — and a stale entry validates;
 // through extend that loses an update. Owner-then-version cannot miss
-// it: a nil owner means no write-back was in progress at that instant,
+// it: a free owner means no write-back was in progress at that instant,
 // and any commit since has moved the version.
 func (t *txn) validate() bool {
 	t.stats.Validations++
 	t.stats.ValidationReads += uint64(len(t.readLog))
 	for i := range t.readLog {
 		re := &t.readLog[i]
-		if we := t.e.owners[re.idx].Load(); we != nil && we.owner.Load() != t {
+		if w := t.e.owners[re.idx].Load(); w != 0 && w&^wIdxMask != t.tag {
 			return false
 		}
 		if t.e.vers[re.idx].Load() != re.ver {
@@ -549,13 +559,13 @@ func (t *txn) extend() bool {
 	return false
 }
 
+// newEntry readies pool[nw], the entry the next acquired stripe will use.
+// The pointer is good until the next call: growing the pool moves it.
 func (t *txn) newEntry(idx uint32, base stm.Addr) *wEntry {
-	if t.poolIdx == len(t.pool) {
-		t.pool = append(t.pool, &wEntry{vals: make([]stm.Word, t.e.stripe)})
+	if t.nw == len(t.pool) {
+		t.pool = append(t.pool, wEntry{vals: make([]stm.Word, t.e.stripe)})
 	}
-	we := t.pool[t.poolIdx]
-	t.poolIdx++
-	we.owner.Store(t)
+	we := &t.pool[t.nw]
 	we.idx = idx
 	we.base = base
 	we.mask = 0

@@ -245,6 +245,10 @@ func (s *Store) CAS(tx stm.Tx, key, oldv, newv stm.Word) bool {
 	return true
 }
 
+// transferStackKeys is the widest transfer whose scratch fits Transfer's
+// stack frame; the workload mixes move 2–4 keys.
+const transferStackKeys = 8
+
 // Transfer atomically moves amount from keys[0] to each of keys[1:]
 // (debiting amount × (len(keys)−1) from the source) — the multi-key
 // transaction class of the workload mixes. It returns false, writing
@@ -265,17 +269,21 @@ func (s *Store) Transfer(tx stm.Tx, keys []stm.Word, amount stm.Word) bool {
 	}
 	debit := amount * stm.Word(len(keys)-1)
 	// Locate every slot once; the write pass reuses the handles, so a
-	// transfer over k keys probes each shard a single time.
-	slots := make([]stm.Handle, len(keys))
-	vals := make([]stm.Word, len(keys))
-	for i, k := range keys {
+	// transfer over k keys probes each shard a single time. The scratch
+	// starts in two arrays on the stack, so a transfer of up to
+	// transferStackKeys keys allocates nothing; append moves a wider one
+	// to the heap.
+	var slotBuf [transferStackKeys]stm.Handle
+	var valBuf [transferStackKeys]stm.Word
+	slots, vals := slotBuf[:0], valBuf[:0]
+	for _, k := range keys {
 		row, start := s.row(k)
 		slot := s.find(tx, row, start, k)
 		if slot == 0 {
 			return false
 		}
-		slots[i] = slot
-		vals[i] = tx.ReadField(slot, sVal)
+		slots = append(slots, slot)
+		vals = append(vals, tx.ReadField(slot, sVal))
 	}
 	if vals[0] < debit {
 		return false

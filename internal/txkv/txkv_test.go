@@ -6,6 +6,7 @@ import (
 
 	"swisstm/internal/harness"
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/stmtest"
 	"swisstm/internal/txkv"
 	"swisstm/internal/util"
 )
@@ -326,4 +327,73 @@ func TestMixesValid(t *testing.T) {
 	if _, ok := txkv.MixByName("nope"); ok {
 		t.Error("MixByName resolved an unknown mix")
 	}
+}
+
+// TestTransferZeroAlloc is the allocation gate for the benchmark's hot
+// operation: a warm 4-key transfer through stm.Atomic allocates nothing —
+// Transfer's scratch is on its stack, the engines' logs are pooled.
+// Object-based RSTM clones every object it acquires, so it is held to
+// what overwriting the same four keys allocates: the engine's own cost,
+// nothing from Transfer.
+func TestTransferZeroAlloc(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e stm.STM) {
+		th := e.NewThread(0)
+		s := txkv.NewInitialized(th, 64, 1<<40)
+		keys := []stm.Word{3, 17, 42, 60}
+		body := func(tx stm.Tx) bool { return s.Transfer(tx, keys, 1) }
+		transfer := func() {
+			if !stm.Atomic(th, body) {
+				t.Fatal("funded transfer failed")
+			}
+		}
+		if stm.SupportsWordAPI(e) {
+			stmtest.ZeroAllocLoop(t, e.Name()+" 4-key transfer", 100, transfer)
+			return
+		}
+		puts := func(tx stm.Tx) bool {
+			for _, k := range keys {
+				s.Put(tx, k, 1<<40)
+			}
+			return true
+		}
+		engine := testing.AllocsPerRun(200, func() { stm.Atomic(th, puts) })
+		if n := testing.AllocsPerRun(200, transfer); n > engine {
+			t.Errorf("%s 4-key transfer: %.2f allocs/op, four overwrites of the same keys %.2f", e.Name(), n, engine)
+		}
+	})
+}
+
+// TestTransferWide drives a transfer wider than the stack scratch (the
+// heap-fallback path): same result, balance conserved, and a duplicate or
+// absent key is still rejected before any write.
+func TestTransferWide(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e stm.STM) {
+		th := e.NewThread(0)
+		s := txkv.NewInitialized(th, 16, 100)
+		keys := []stm.Word{1, 2, 3, 4, 5, 6, 7, 8, 9}
+		stm.AtomicVoid(th, func(tx stm.Tx) {
+			if !s.Transfer(tx, keys, 5) {
+				t.Fatal("funded 9-key transfer failed")
+			}
+			if v, _ := s.Get(tx, 1); v != 100-8*5 {
+				t.Fatalf("source = %d, want %d", v, 100-8*5)
+			}
+			for _, k := range keys[1:] {
+				if v, _ := s.Get(tx, k); v != 105 {
+					t.Fatalf("key %d = %d, want 105", k, v)
+				}
+			}
+			dup := append(append([]stm.Word{}, keys[:8]...), 3)
+			absent := append(append([]stm.Word{}, keys[:8]...), 99)
+			if s.Transfer(tx, dup, 1) || s.Transfer(tx, absent, 1) {
+				t.Fatal("9-key transfer with a duplicate or absent key succeeded")
+			}
+			if v, _ := s.Get(tx, 1); v != 100-8*5 {
+				t.Fatalf("rejected transfer wrote the source: %d", v)
+			}
+			if got := s.SumAll(tx); got != 16*100 {
+				t.Fatalf("sum = %d, want %d", got, 16*100)
+			}
+		})
+	})
 }
