@@ -64,14 +64,18 @@ benchmark-trace:
 # working tree, run on WORKLOAD in PAIRS interleaved pairs with fresh
 # seeds (scripts/benchmark-ab.sh prints every run, quartiles and wins).
 # WORKLOAD=all runs the four BENCHMARK.json workloads back to back, one
-# summary block each.
+# summary block each. TRACE=1 follows each workload's timed pairs with one
+# `-trace 1` pair and prints the per-layer metrics of both sides in two
+# columns with the difference.
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=bench7-rw PAIRS=10 TRACE=1
 REV ?= HEAD
 WORKLOAD ?= svc-update-coalesced
 PAIRS ?= 10
+TRACE ?=
 benchmark-ab:
-	GO=$(GO) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
+	GO=$(GO) TRACE=$(TRACE) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.

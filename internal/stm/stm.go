@@ -439,7 +439,7 @@ type Stats struct {
 	// transactions on TL2 log no reads at all (DESIGN.md §9.3), so their
 	// reads do not appear in ReadsLogged.
 	ReadsLogged     uint64 // read-log entries appended (distinct stripes when dedup is on)
-	ReadsDeduped    uint64 // transactional reads absorbed by the read-set dedup cache
+	ReadsDeduped    uint64 // transactional reads absorbed by read-set dedup (DESIGN.md §7.1)
 	Validations     uint64 // read-set validation passes (commit-time + extensions)
 	ValidationReads uint64 // read-log entries scanned across all validation passes
 }

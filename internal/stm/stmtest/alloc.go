@@ -36,7 +36,7 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 			for i := stm.Addr(0); i < 8; i++ {
 				sum += tx.Load(base + i)
 			}
-			return sum + tx.Load(base) // re-read: dedup cache hit
+			return sum + tx.Load(base) // re-read: dedup hit
 		}
 		roBodyRO = func(tx stm.TxRO) stm.Word {
 			var sum stm.Word
@@ -78,7 +78,7 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 		}
 	}
 
-	// Warm the per-thread logs, write-entry pools and dedup cache.
+	// Warm the per-thread logs and write-entry pools.
 	var sink stm.Word
 	for i := 0; i < 100; i++ {
 		sink += stm.Atomic(th, roBody)
@@ -99,6 +99,46 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 		if n := testing.AllocsPerRun(200, func() { stm.AtomicVoid(th, upBody) }); n != 0 {
 			t.Errorf("%s: small update transaction allocates %.1f objects/commit, want 0", e.Name(), n)
 		}
+	}
+}
+
+// ZeroAllocLongReadStripes is the read-set size of ZeroAllocLongRead; the
+// engine under test needs at least that many lock-table entries and four
+// words of arena for each.
+const ZeroAllocLongReadStripes = 50000
+
+// ZeroAllocLongRead extends the steady-state gate to a long read set on
+// the engines that deduplicate theirs (DESIGN.md §7.1): a transaction that
+// reads 50 000 distinct stripes and then reads them all again. The read
+// log reaches its size on the first run; after it, two runs in a row —
+// declared read-only and plain — allocate nothing: the dedup bitmap is
+// sized to the lock table when the thread is created and never grows.
+func ZeroAllocLongRead(t *testing.T, e stm.STM) {
+	t.Helper()
+	th := e.NewThread(0)
+	hs := make([]stm.Handle, ZeroAllocLongReadStripes)
+	for i := range hs {
+		hs[i] = alloc(th, 4)
+	}
+	walk := func(tx stm.TxRO) stm.Word {
+		var sum stm.Word
+		for pass := 0; pass < 2; pass++ {
+			for _, h := range hs {
+				sum += tx.ReadField(h, 0)
+			}
+		}
+		return sum
+	}
+	walkRW := func(tx stm.Tx) stm.Word { return walk(tx) }
+	sink := stm.AtomicRO(th, walk) // the read log grows here, once
+	if n := testing.AllocsPerRun(2, func() { sink += stm.AtomicRO(th, walk) }); n != 0 {
+		t.Errorf("%s: %d-stripe AtomicRO allocates %.1f objects/commit on a warm thread, want 0", e.Name(), len(hs), n)
+	}
+	if n := testing.AllocsPerRun(2, func() { sink += stm.Atomic(th, walkRW) }); n != 0 {
+		t.Errorf("%s: %d-stripe Atomic allocates %.1f objects/commit on a warm thread, want 0", e.Name(), len(hs), n)
+	}
+	if s := th.Stats(); s.ReadsDeduped < 6*uint64(len(hs)) {
+		t.Errorf("%s: %d dedup hits over six walks of %d stripes read twice", e.Name(), s.ReadsDeduped, len(hs))
 	}
 }
 

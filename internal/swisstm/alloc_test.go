@@ -18,3 +18,9 @@ func TestZeroAllocSteadyStatePrivatizationSafe(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 16, TableBits: 10, PrivatizationSafe: true})
 	stmtest.ZeroAllocSteadyState(t, e, true, true)
 }
+
+// TestZeroAllocLongRead: a 50 000-stripe read set costs no allocation
+// once the read log has grown to it (stmtest.ZeroAllocLongRead).
+func TestZeroAllocLongRead(t *testing.T) {
+	stmtest.ZeroAllocLongRead(t, New(Config{ArenaWords: 1 << 18, TableBits: 16}))
+}

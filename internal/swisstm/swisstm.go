@@ -266,7 +266,7 @@ type txn struct {
 	readLog   []rEntry
 	pool      []wEntry // write-entry pool; pool[:nw] is the current write log
 	nw        int
-	rc        util.StripeCache // read-set dedup cache (DESIGN.md §7)
+	seen      util.StripeSet // bit idx set ⇔ readLog holds an entry for stripe idx (DESIGN.md §7.1)
 	rng       *util.Rand
 	succ      int           // successive aborts of the current logical transaction
 	quiesceTS uint64        // commit timestamp to quiesce on (privatization safety)
@@ -290,7 +290,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		rng:     util.NewRand(uint64(id)*0x9e3779b9 + 1),
 	}
 	t.roV.t = t
-	t.rc.Init(1024)
+	t.seen = util.NewStripeSet(len(e.rlocks))
 	t.cmTS.Store(infinity)
 	if e.cfg.Obs != nil {
 		t.obsh = e.cfg.Obs.Shard(id)
@@ -422,9 +422,10 @@ func (t *txn) begin(restart bool) {
 	if t.status.Load() != 0 {
 		t.status.Store(0)
 	}
-	t.readLog = t.readLog[:0]
+	if len(t.readLog) != 0 {
+		t.clearReadSet()
+	}
 	t.nw = 0
-	t.rc.Reset()
 	if !restart {
 		if t.e.cfg.Policy == Greedy {
 			t.cmTS.Store(t.e.greedyTS.Add(1))
@@ -435,17 +436,35 @@ func (t *txn) begin(restart bool) {
 }
 
 // beginRO starts a declared read-only attempt (DESIGN.md §9.3): snapshot
-// the commit counter, reset the read log and dedup cache — and nothing
-// else. The write log is invariantly empty between transactions (commit
-// and abort both truncate it) and a read-only transaction never installs a
-// w-lock, so no CM can kill it (status and cmTS stay untouched).
+// the commit counter, empty the read set — and nothing else. The write
+// log is invariantly empty between transactions (commit and abort both
+// truncate it) and a read-only transaction never installs a w-lock, so no
+// CM can kill it (status and cmTS stay untouched).
 func (t *txn) beginRO() {
 	t.validTS = t.e.commitTS.Load()
 	if t.e.cfg.PrivatizationSafe {
 		t.e.activity[t.id].Store(t.validTS + 1)
 	}
+	if len(t.readLog) != 0 {
+		t.clearReadSet()
+	}
+}
+
+// clearReadSet truncates the read log and clears its stripes' bits in
+// seen. It is the only place the log is truncated, and it runs at the
+// start of an attempt rather than the end of one, so however the previous
+// attempt ended — commit, abort, kill, Restart, a body error, a foreign
+// panic — its log is still there to say which bits to clear. A log longer
+// than the bitmap has words is cheaper to undo by wiping the bitmap.
+func (t *txn) clearReadSet() {
+	if len(t.readLog) > len(t.seen) {
+		clear(t.seen)
+	} else {
+		for i := range t.readLog {
+			t.seen.Remove(t.readLog[i].lockIdx)
+		}
+	}
 	t.readLog = t.readLog[:0]
-	t.rc.Reset()
 }
 
 func (t *txn) killed() bool { return t.status.Load() != 0 }
@@ -514,43 +533,30 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 		}
 	}
 	// Read-set dedup: a stripe already in the read log needs no second
-	// entry. If the observed r-lock still matches the logged one the read
-	// is consistent with the first; if it moved, the first read is stale,
-	// every future extension would fail on its entry, and the only
-	// difference from logging a duplicate is that we abort now instead of
-	// at the next validation (see dedup_test.go for the equivalence
-	// argument). validate()/extend() therefore scale with *distinct*
-	// stripes, not total reads. Consecutive reads of one stripe — field
-	// walks over one object — are caught by comparing against the newest
-	// log entry before touching the hash cache.
-	if n := len(t.readLog); n != 0 && t.readLog[n-1].lockIdx == idx {
-		if t.readLog[n-1].rlock == v1 {
+	// entry, so validate()/extend() scale with *distinct* stripes, not
+	// total reads. Whether the re-read agrees with the logged entry needs
+	// no look at that entry: every logged version is ≤ validTS, and a
+	// logged stripe whose unlocked version is ≤ validTS has not changed
+	// since it was logged (DESIGN.md §7.1). So v1 within the snapshot is
+	// the logged value; v1 beyond it means the first read is stale, every
+	// future extension would fail on its entry, and the only difference
+	// from logging a duplicate is that we abort now instead of at the next
+	// validation (dedup_test.go).
+	if t.seen.TestAndSet(idx) {
+		if v1>>1 <= t.validTS {
 			t.stats.ReadsDeduped++
 			return val, true
 		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-		if t.readLog[pos].rlock == v1 {
-			t.stats.ReadsDeduped++
+	} else {
+		t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
+		if v1>>1 <= t.validTS || t.extend() {
 			return val, true
 		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
 	}
-	t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
-	if v1>>1 > t.validTS && !t.extend() {
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	return val, true
+	t.stats.AbortsValid++
+	t.stats.AbortsValidRead++
+	t.abort()
+	return 0, false
 }
 
 // loadRO is the declared-read-only read protocol: the consistent
@@ -578,35 +584,22 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 			break
 		}
 	}
-	// Same read-set dedup discipline as load (DESIGN.md §7).
-	if n := len(t.readLog); n != 0 && t.readLog[n-1].lockIdx == idx {
-		if t.readLog[n-1].rlock == v1 {
+	// Same read-set dedup discipline as load (DESIGN.md §7.1).
+	if t.seen.TestAndSet(idx) {
+		if v1>>1 <= t.validTS {
 			t.stats.ReadsDeduped++
 			return val, true
 		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-		if t.readLog[pos].rlock == v1 {
-			t.stats.ReadsDeduped++
+	} else {
+		t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
+		if v1>>1 <= t.validTS || t.extend() {
 			return val, true
 		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
 	}
-	t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
-	if v1>>1 > t.validTS && !t.extend() {
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
-		t.abort()
-		return 0, false
-	}
-	return val, true
+	t.stats.AbortsValid++
+	t.stats.AbortsValidRead++
+	t.abort()
+	return 0, false
 }
 
 // Store implements stm.Tx; like Load it converts store's checked abort

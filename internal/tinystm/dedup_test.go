@@ -1,10 +1,13 @@
 package tinystm
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/stmtest"
 )
 
 func newDedupEngine() *Engine {
@@ -39,7 +42,9 @@ func TestDedupLogsStripeOnce(t *testing.T) {
 
 // TestDedupDoesNotMaskConflict: a conflicting commit between the first
 // and second read of one stripe must still abort the reader; the dedup
-// hit may only be taken when the observed version matches the logged one.
+// hit may only be taken when the observed version is the logged one, which
+// load decides by "version ≤ validTS" (DESIGN.md §7.1); taking every set
+// bit for a hit fails here.
 func TestDedupDoesNotMaskConflict(t *testing.T) {
 	e := newDedupEngine()
 	thA := e.NewThread(0)
@@ -124,4 +129,63 @@ func TestDedupOpacityUnderContention(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
+}
+
+// readSetProbe opens th's descriptor to the shared read-set tests.
+func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
+	d := th.(*txn)
+	setBits := func() int {
+		n := 0
+		for _, w := range d.seen {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	return stmtest.ReadSetProbe{
+		LogLen:  func() int { return len(d.readLog) },
+		SetBits: setBits,
+		Sweep: func() error {
+			logged := make(map[uint32]bool, len(d.readLog))
+			for _, re := range d.readLog {
+				if logged[re.idx] {
+					return fmt.Errorf("stripe %d logged twice", re.idx)
+				}
+				logged[re.idx] = true
+				if re.ver > d.validTS {
+					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.idx, re.ver, d.validTS)
+				}
+				// Owner before version, as validate reads them.
+				if w := d.e.owners[re.idx].Load(); w != 0 && w&^wIdxMask != d.tag {
+					continue
+				}
+				if cur := d.e.vers[re.idx].Load(); cur <= d.validTS && cur != re.ver {
+					return fmt.Errorf("(II) stripe %d logged at version %d now reads %d, both within validTS %d", re.idx, re.ver, cur, d.validTS)
+				}
+			}
+			if n := setBits(); n != len(d.readLog) {
+				return fmt.Errorf("%d bits set for %d log entries", n, len(d.readLog))
+			}
+			return nil
+		},
+	}
+}
+
+// TestDedupNoStaleBits: no way of ending an attempt leaves a bit set for
+// the next one (stmtest.DedupNoStaleBits).
+func TestDedupNoStaleBits(t *testing.T) {
+	stmtest.DedupNoStaleBits(t, func(tableBits uint) stm.STM {
+		return New(Config{ArenaWords: 1 << 15, TableBits: tableBits, StripeWords: 4})
+	}, readSetProbe)
+}
+
+// TestDedupExtendThenConflict: a re-read after a timestamp extension is a
+// hit, a re-read after a conflicting commit is an abort.
+func TestDedupExtendThenConflict(t *testing.T) {
+	stmtest.DedupExtendThenConflict(t, newDedupEngine())
+}
+
+// TestDedupSnapshotInvariant: the invariant the dedup fast path rests on
+// holds at every point inside a transaction, under concurrent commits.
+func TestDedupSnapshotInvariant(t *testing.T) {
+	stmtest.DedupSnapshotInvariant(t, newDedupEngine(), readSetProbe)
 }

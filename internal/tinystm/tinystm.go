@@ -159,7 +159,7 @@ type txn struct {
 	readLog []rEntry
 	pool    []wEntry // write-entry pool; pool[:nw] is the current write log
 	nw      int
-	rc      util.StripeCache // read-set dedup cache (DESIGN.md §7)
+	seen    util.StripeSet // bit idx set ⇔ readLog holds an entry for stripe idx (DESIGN.md §7.1)
 	rng     *util.Rand
 	succ    int
 	roV     roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
@@ -181,7 +181,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		rng:     util.NewRand(uint64(id)*0xabcd1234 + 3),
 	}
 	t.roV.t = t
-	t.rc.Init(1024)
+	t.seen = util.NewStripeSet(len(e.vers))
 	if e.cfg.Obs != nil {
 		t.obsh = e.cfg.Obs.Shard(id)
 	}
@@ -203,8 +203,9 @@ func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
 	if mode == stm.ReadOnly {
 		t.ro = true
 		t.validTS = t.e.clock.Load()
-		t.readLog = t.readLog[:0]
-		t.rc.Reset()
+		if len(t.readLog) != 0 {
+			t.clearReadSet()
+		}
 		return &t.roV
 	}
 	t.ro = false
@@ -254,9 +255,26 @@ func (t *txn) Backoff() {
 
 func (t *txn) begin() {
 	t.validTS = t.e.clock.Load()
-	t.readLog = t.readLog[:0]
+	if len(t.readLog) != 0 {
+		t.clearReadSet()
+	}
 	t.nw = 0
-	t.rc.Reset()
+}
+
+// clearReadSet truncates the read log and clears its stripes' bits in
+// seen. It is the only place the log is truncated, and it runs at the
+// start of an attempt, so however the previous attempt ended its log is
+// still there to say which bits to clear; a log longer than the bitmap
+// has words is cheaper to undo by wiping the bitmap (see package swisstm).
+func (t *txn) clearReadSet() {
+	if len(t.readLog) > len(t.seen) {
+		clear(t.seen)
+	} else {
+		for i := range t.readLog {
+			t.seen.Remove(t.readLog[i].idx)
+		}
+	}
+	t.readLog = t.readLog[:0]
 }
 
 // abort performs the rollback bookkeeping without deciding the delivery
@@ -337,41 +355,29 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			runtime.Gosched()
 			continue
 		}
-		// Read-set dedup: log each stripe once. A matching version means
-		// the re-read is consistent with the logged entry; a moved
-		// version means the logged entry can never validate again, so
-		// abort now rather than at the next extension (the outcome the
-		// duplicate entry would force anyway; see dedup_test.go).
-		// Consecutive same-stripe reads hit the newest log entry without
-		// touching the hash cache.
-		if n := len(t.readLog); n != 0 && t.readLog[n-1].idx == idx {
-			if t.readLog[n-1].ver == v1 {
+		// Read-set dedup: log each stripe once. A re-read needs no look at
+		// the logged entry: every logged version is ≤ validTS, and a
+		// logged stripe found unowned at a version ≤ validTS has not
+		// changed since it was logged (DESIGN.md §7.1). So v1 within the
+		// snapshot is the logged version; v1 beyond it means the logged
+		// entry can never validate again, so abort now rather than at the
+		// next extension (the outcome the duplicate entry would force
+		// anyway; see dedup_test.go).
+		if t.seen.TestAndSet(idx) {
+			if v1 <= t.validTS {
 				t.stats.ReadsDeduped++
 				return val, true
 			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-			if t.readLog[pos].ver == v1 {
-				t.stats.ReadsDeduped++
+		} else {
+			t.readLog = append(t.readLog, rEntry{idx: idx, ver: v1})
+			if v1 <= t.validTS || t.extend() {
 				return val, true
 			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
 		}
-		t.readLog = append(t.readLog, rEntry{idx: idx, ver: v1})
-		if v1 > t.validTS && !t.extend() {
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		return val, true
+		t.stats.AbortsValid++
+		t.stats.AbortsValidRead++
+		t.abort()
+		return 0, false
 	}
 }
 
@@ -399,35 +405,22 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 			runtime.Gosched()
 			continue
 		}
-		// Same read-set dedup discipline as load (DESIGN.md §7).
-		if n := len(t.readLog); n != 0 && t.readLog[n-1].idx == idx {
-			if t.readLog[n-1].ver == v1 {
+		// Same read-set dedup discipline as load (DESIGN.md §7.1).
+		if t.seen.TestAndSet(idx) {
+			if v1 <= t.validTS {
 				t.stats.ReadsDeduped++
 				return val, true
 			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		if pos, found := t.rc.LookupOrInsert(idx, uint32(len(t.readLog))); found {
-			if t.readLog[pos].ver == v1 {
-				t.stats.ReadsDeduped++
+		} else {
+			t.readLog = append(t.readLog, rEntry{idx: idx, ver: v1})
+			if v1 <= t.validTS || t.extend() {
 				return val, true
 			}
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
 		}
-		t.readLog = append(t.readLog, rEntry{idx: idx, ver: v1})
-		if v1 > t.validTS && !t.extend() {
-			t.stats.AbortsValid++
-			t.stats.AbortsValidRead++
-			t.abort()
-			return 0, false
-		}
-		return val, true
+		t.stats.AbortsValid++
+		t.stats.AbortsValidRead++
+		t.abort()
+		return 0, false
 	}
 }
 

@@ -108,3 +108,33 @@ func TestBarrier(t *testing.T) {
 		t.Fatalf("counter = %d, want %d", counter, parties*rounds)
 	}
 }
+
+// TestStripeSet: membership follows TestAndSet/Remove bit for bit, at the
+// one-word size of a 16-entry lock table and at a multi-word size.
+func TestStripeSet(t *testing.T) {
+	for _, entries := range []int{16, 1 << 10} {
+		s := NewStripeSet(entries)
+		if want := (entries + 63) / 64; len(s) != want {
+			t.Fatalf("%d entries: %d words, want %d", entries, len(s), want)
+		}
+		for idx := uint32(0); idx < uint32(entries); idx += 3 {
+			if s.TestAndSet(idx) {
+				t.Fatalf("%d entries: fresh index %d reported present", entries, idx)
+			}
+			if !s.TestAndSet(idx) {
+				t.Fatalf("%d entries: index %d absent right after it was added", entries, idx)
+			}
+		}
+		for idx := uint32(0); idx < uint32(entries); idx++ {
+			if got, want := s.TestAndSet(idx), idx%3 == 0; got != want {
+				t.Fatalf("%d entries: index %d present = %v, want %v", entries, idx, got, want)
+			}
+			s.Remove(idx)
+		}
+		for i, w := range s {
+			if w != 0 {
+				t.Fatalf("%d entries: word %d = %#x after removing every index", entries, i, w)
+			}
+		}
+	}
+}

@@ -6,13 +6,18 @@
 #   scripts/benchmark-ab.sh REV WORKLOAD|all [PAIRS] [SECONDS]
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=bench7-rw PAIRS=10 TRACE=1
 #
 # Each pair runs both sides on the same fresh seed; which side goes first
 # alternates per pair. Prints every run, then per end-to-end metric each
 # side's quartiles and median and the pairs the change won — with "all",
 # the workloads back to back, one such block each, so "the claimed row
-# moves and the other three do not" is one command. Exits non-zero if any
-# run is not "correct". REV is exported with `git archive` into
+# moves and the other three do not" is one command. With TRACE=1 in the
+# environment each workload's timed pairs are followed by one `-trace 1`
+# pair on a further seed, and the per-layer metrics that are non-zero on
+# either side are printed parent beside change with the difference, so
+# "the claimed row moves and these counts do not" is the same command.
+# Exits non-zero if any run is not "correct". REV is exported with `git archive` into
 # .bench_build/ab/ (the ignored scratch directory the benchmark itself
 # uses), so nothing is registered in .git and a dirty tree is fine.
 set -euo pipefail
@@ -23,6 +28,7 @@ workload=${2:?$usage}
 pairs=${3:-10}
 seconds=${4:-24}
 go=${GO:-go}
+trace=${TRACE:-}
 
 cd "$(git rev-parse --show-toplevel)"
 ab=$PWD/.bench_build/ab
@@ -51,6 +57,30 @@ quartiles() {
 	}'
 }
 sum() { awk '{s += $1} END {print s + 0}' "$1"; }
+
+# layers LINE: "name value unit" per metric of the closing JSON line.
+layers() {
+	grep -oE '"[a-z0-9_.]+": \{"value": [-0-9.e+]+, "unit": "[^"]*"\}' <<<"$1" |
+		sed -E 's/"([^"]+)": \{"value": ([^,]+), "unit": "([^"]*)"\}/\1 \2 \3/'
+}
+
+# traced WORKLOAD: one -trace 1 run per side on the seed after the timed
+# pairs', per-layer metrics side by side.
+traced() {
+	local w=$1 out=$ab/$1 seed=$((seed0 + pairs + 1))
+	echo "traced pair $w: -trace 1, -seconds $seconds, seed $seed"
+	for side in parent change; do
+		json=$("$ab/bench.$side" -workload "$w" -seed "$seed" -seconds "$seconds" -trace 1 | tail -n 1)
+		grep -q '"correct": true' <<<"$json" || bad=1
+		layers "$json" | LC_ALL=C sort >"$out.$side.layers"
+	done
+	printf '%-34s %14s %14s %9s  %s\n' metric parent change delta unit
+	LC_ALL=C join "$out.parent.layers" "$out.change.layers" | awk '$2 != 0 || $4 != 0 {
+		delta = $2 != 0 ? sprintf("%+.1f %%", 100 * ($4 / $2 - 1)) : "new"
+		printf "%-34s %14.6g %14.6g %9s  %s\n", $1, $2, $4, delta, $3
+	}'
+	echo
+}
 
 seed0=$(( $(date +%s) % 100000 * 100 ))
 bad=0
@@ -91,6 +121,9 @@ ab() {
 
 for w in $workloads; do
 	ab "$w"
+	if [ "$trace" = 1 ]; then
+		traced "$w"
+	fi
 done
 if ((bad)); then
 	echo "benchmark-ab: a run was not correct" >&2
