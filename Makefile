@@ -66,16 +66,21 @@ benchmark-trace:
 # WORKLOAD=all runs the four BENCHMARK.json workloads back to back, one
 # summary block each. TRACE=1 follows each workload's timed pairs with one
 # `-trace 1` pair and prints the per-layer metrics of both sides in two
-# columns with the difference.
+# columns with the difference. Each block ends with a verdict per
+# end-to-end metric against its BENCHMARK.json bound (not worse / worse /
+# unresolved); CLAIM=<metric>@<workload> names the pairing judged as a
+# claimed gain instead (claim met / claim not met).
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=bench7-rw PAIRS=10 TRACE=1
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10 CLAIM=ops_per_s@svc-update-coalesced
 REV ?= HEAD
 WORKLOAD ?= svc-update-coalesced
 PAIRS ?= 10
 TRACE ?=
+CLAIM ?=
 benchmark-ab:
-	GO=$(GO) TRACE=$(TRACE) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
+	GO=$(GO) TRACE=$(TRACE) CLAIM=$(CLAIM) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.

@@ -1,18 +1,19 @@
 // Package coalesce batches single-key txkv operations into per-shard
 // group commits (DESIGN.md §14).
 //
-// Each shard owns a channel batcher and a dedicated engine thread: the
-// batcher absorbs items routed by shard affinity and flushes when
-// either batchSize items are pending or maxWait has elapsed since the
-// first item of the batch. A flush executes every item of the batch
+// Each shard owns a queue and a dedicated engine thread: the queue
+// absorbs items routed by shard affinity and its worker flushes when
+// either batchSize items are pending or maxWait has elapsed since it
+// picked up the first item of the batch. The worker is woken per batch,
+// not per item. A flush executes every item of the batch
 // inside ONE v2 engine transaction on the shard's worker thread and —
 // when anything mutated — publishes ONE commit-log frame and ONE
 // change-feed publish for the whole batch, amortizing the engine
 // commit, the WAL ticket/fsync path, and the feed sequencing across
 // the batch.
 //
-// Per-item semantics: every item completes its own response channel
-// with its individual result. A CAS that misses or a delete of an
+// Per-item semantics: every item completes into its own Sink with its
+// individual result. A CAS that misses or a delete of an
 // absent key fails that item only — the store's single-key operations
 // are total (they report their outcome instead of aborting), so the
 // batch transaction always commits and items never observe each
@@ -62,8 +63,17 @@ type Result struct {
 	WalNs    uint64
 }
 
-// Item is one queued operation. Build with NewItem; read the outcome
-// from Done, which delivers exactly one Result per accepted item.
+// Sink receives the outcome of one accepted item. Complete is called
+// exactly once, on the item's shard worker, and must not block: the
+// worker has the rest of the batch to complete and the next to gather.
+type Sink interface {
+	Complete(Result)
+}
+
+// Item is one queued operation. A caller that owns its items' storage
+// (the server embeds them in its per-connection reply ring) arms one with
+// Init and receives the outcome through its Sink; NewItem and Done are
+// the channel-backed form of the same thing.
 type Item struct {
 	Op       Op
 	Key      stm.Word
@@ -72,17 +82,34 @@ type Item struct {
 	Deadline time.Time
 
 	enq  time.Time
-	done chan Result
+	sink Sink
 }
 
-// NewItem builds an item. A zero deadline means no TTL.
+// Init arms it for one trip through the coalescer. A zero deadline means
+// no TTL. The item may be re-armed once its sink has been completed (or
+// Enqueue refused it).
+func (it *Item) Init(op Op, key, val, old stm.Word, deadline time.Time, sink Sink) {
+	*it = Item{Op: op, Key: key, Val: val, Old: old, Deadline: deadline, sink: sink}
+}
+
+// complete is the one way an accepted item ends.
+func (it *Item) complete(r Result) { it.sink.Complete(r) }
+
+// chanSink is NewItem's sink: one buffered slot, so Complete never blocks.
+type chanSink chan Result
+
+func (c chanSink) Complete(r Result) { c <- r }
+
+// NewItem builds an item whose result is read from Done.
 func NewItem(op Op, key, val, old stm.Word, deadline time.Time) *Item {
-	return &Item{Op: op, Key: key, Val: val, Old: old, Deadline: deadline,
-		done: make(chan Result, 1)}
+	it := new(Item)
+	it.Init(op, key, val, old, deadline, make(chanSink, 1))
+	return it
 }
 
-// Done delivers the item's result once Enqueue accepted it.
-func (it *Item) Done() <-chan Result { return it.done }
+// Done delivers the result of an item built by NewItem, once Enqueue
+// accepted it.
+func (it *Item) Done() <-chan Result { return it.sink.(chanSink) }
 
 // Metrics is the coalescer's observability surface; NewMetrics wires
 // it into a Registry under the txkv_coalesce_* names.
@@ -91,6 +118,7 @@ type Metrics struct {
 	Items     *obs.Counter    // items executed (excludes shed)
 	Expired   *obs.Counter    // items shed by TTL expiry inside a batch
 	Drained   *obs.Counter    // items completed with Draining at shutdown
+	Wakeups   *obs.Counter    // times a shard worker resumed from a park
 	BatchSize *obs.AtomicHist // items per executed flush
 	FlushNs   *obs.AtomicHist // flush duration (txn + commit + log publish)
 }
@@ -102,6 +130,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Items:     reg.Counter("txkv_coalesce_items_total"),
 		Expired:   reg.Counter("txkv_coalesce_expired_total"),
 		Drained:   reg.Counter("txkv_coalesce_drained_total"),
+		Wakeups:   reg.Counter("txkv_coalesce_worker_wakeups_total"),
 		BatchSize: reg.Histogram("txkv_coalesce_batch_size"),
 		FlushNs:   reg.Histogram("txkv_coalesce_flush_ns"),
 	}
@@ -112,12 +141,14 @@ type Config struct {
 	// BatchSize flushes a batch once this many items are pending
 	// (default 32).
 	BatchSize int
-	// MaxWait flushes an incomplete batch this long after its first
-	// item arrived (default 200µs) — the latency bound a lone item
-	// pays for company.
+	// MaxWait flushes an incomplete batch this long after the worker
+	// picked up its first item (default 200µs) — the latency bound a
+	// lone item pays for company.
 	MaxWait time.Duration
-	// QueueCap bounds each shard's pending items; an enqueue beyond
-	// it is shed with Overloaded (default max(4×BatchSize, 256)).
+	// QueueCap bounds each shard's pending items — every accepted item
+	// not yet handed to a flush, the batch being gathered included; an
+	// enqueue beyond it is shed with Overloaded (default
+	// max(4×BatchSize, 256)).
 	QueueCap int
 	// Metrics defaults to a private unregistered set.
 	Metrics *Metrics
@@ -157,10 +188,19 @@ type Coalescer struct {
 	wg    sync.WaitGroup
 }
 
+// shardQ is one shard's pending items: a FIFO under a mutex, and the
+// threshold its worker is parked on. The worker parks by publishing the
+// queue length it waits for (want: 1 for anything at all, BatchSize
+// while it gathers) and receiving the wake token. Whoever clears want
+// owns the token: an enqueuer whose append reaches it, Close, or the
+// worker itself when its MaxWait timer fires first. So at most one token
+// is ever outstanding, and the sender never blocks.
 type shardQ struct {
-	in     chan *Item
-	mu     sync.RWMutex
-	closed bool
+	mu      sync.Mutex
+	pending []*Item
+	want    int // > 0: the worker is parked until len(pending) reaches it
+	closed  bool
+	wake    chan struct{} // the wake token; capacity 1
 
 	// statsMu guards a mirror of the worker thread's cumulative engine
 	// stats, refreshed after every flush: the thread itself is only
@@ -185,31 +225,39 @@ func New(store *txkv.Store, threads []stm.Thread, log *wal.Writer, feeds []*Feed
 	c := &Coalescer{store: store, log: log, feeds: feeds, cfg: cfg.withDefaults()}
 	c.qs = make([]*shardQ, store.Shards())
 	for i := range c.qs {
-		c.qs[i] = &shardQ{in: make(chan *Item, c.cfg.QueueCap)}
+		c.qs[i] = &shardQ{wake: make(chan struct{}, 1)}
 		c.wg.Add(1)
 		go c.worker(i, threads[i])
 	}
 	return c
 }
 
-// Enqueue routes it to its shard's batcher. An empty code means the
-// item was accepted and Done will deliver its result; otherwise the
-// item was refused immediately (queue full → Overloaded, shutting
-// down → Draining) and Done never fires.
+// Enqueue routes it to its shard's queue. An empty code means the item
+// was accepted and its sink will be completed; otherwise the item was
+// refused immediately (queue full → Overloaded, shutting down →
+// Draining) and its sink never is. Enqueue never blocks.
 func (c *Coalescer) Enqueue(it *Item) (code txkvwire.Code, errMsg string) {
 	sh := c.qs[c.store.ShardOf(it.Key)]
 	it.enq = time.Now()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.closed {
+	sh.mu.Lock()
+	switch {
+	case sh.closed:
+		sh.mu.Unlock()
 		return txkvwire.CodeDraining, "server draining"
-	}
-	select {
-	case sh.in <- it:
-		return 0, ""
-	default:
+	case len(sh.pending) >= c.cfg.QueueCap:
+		sh.mu.Unlock()
 		return txkvwire.CodeOverloaded, "coalesce queue full"
 	}
+	sh.pending = append(sh.pending, it)
+	wake := sh.want > 0 && len(sh.pending) >= sh.want
+	if wake {
+		sh.want = 0
+	}
+	sh.mu.Unlock()
+	if wake {
+		sh.wake <- struct{}{}
+	}
+	return 0, ""
 }
 
 // Stats sums the engine counters of every shard worker's thread (the
@@ -232,23 +280,21 @@ func (c *Coalescer) Stats() stm.Stats {
 func (c *Coalescer) Close() {
 	for _, sh := range c.qs {
 		sh.mu.Lock()
-		if !sh.closed {
-			sh.closed = true
-			close(sh.in)
-		}
+		sh.closed = true
+		wake := sh.want > 0 // a closed queue's worker never parks again
+		sh.want = 0
 		sh.mu.Unlock()
+		if wake {
+			sh.wake <- struct{}{}
+		}
 	}
 	c.wg.Wait()
 }
 
-func (sh *shardQ) isClosed() bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.closed
-}
-
-// worker owns one shard: gather a batch (first item blocks, then up
-// to BatchSize items or MaxWait, whichever first), flush, repeat.
+// worker owns one shard: park until the queue is non-empty, park once
+// more until it holds BatchSize items or MaxWait has passed, take up to
+// BatchSize items under one lock, flush, repeat — at most two wake-ups
+// per batch, however many items it holds.
 func (c *Coalescer) worker(shard int, th stm.Thread) {
 	defer c.wg.Done()
 	sh := c.qs[shard]
@@ -258,47 +304,66 @@ func (c *Coalescer) worker(shard int, th stm.Thread) {
 		<-timer.C
 	}
 	batch := make([]*Item, 0, c.cfg.BatchSize)
+	sh.mu.Lock()
 	for {
-		it, ok := <-sh.in
-		if !ok {
-			return
+		for len(sh.pending) == 0 && !sh.closed {
+			sh.want = 1
+			sh.mu.Unlock()
+			<-sh.wake
+			c.cfg.Metrics.Wakeups.Inc()
+			sh.mu.Lock()
 		}
-		batch = append(batch[:0], it)
-		timer.Reset(c.cfg.MaxWait)
-		open, armed := true, true
-	gather:
-		for open && len(batch) < c.cfg.BatchSize {
+		// The batch's first item is picked up here, and MaxWait runs
+		// from here.
+		if len(sh.pending) < c.cfg.BatchSize && !sh.closed {
+			sh.want = c.cfg.BatchSize
+			sh.mu.Unlock()
+			timer.Reset(c.cfg.MaxWait)
 			select {
-			case it, ok := <-sh.in:
-				if !ok {
-					break gather
+			case <-sh.wake:
+				if !timer.Stop() {
+					<-timer.C
 				}
-				batch = append(batch, it)
 			case <-timer.C:
-				open, armed = false, false
+				sh.mu.Lock()
+				mine := sh.want > 0
+				sh.want = 0
+				sh.mu.Unlock()
+				if !mine {
+					// The threshold was cleared as the timer fired: that
+					// token is in flight, and left there it would cut the
+					// next park short.
+					<-sh.wake
+				}
 			}
-		}
-		if armed && !timer.Stop() {
-			<-timer.C
+			c.cfg.Metrics.Wakeups.Inc()
+			sh.mu.Lock()
 		}
 		// Anything still pending when shutdown began is refused, not
 		// executed: the drain contract (DESIGN.md §14.3).
-		if sh.isClosed() {
-			c.refuse(batch)
-			for it := range sh.in {
-				c.refuse([]*Item{it})
-			}
+		if sh.closed {
+			rest := sh.pending
+			sh.pending = nil
+			sh.mu.Unlock()
+			c.refuse(rest)
 			return
 		}
+		n := min(len(sh.pending), c.cfg.BatchSize)
+		batch = append(batch[:0], sh.pending[:n]...)
+		rest := copy(sh.pending, sh.pending[n:])
+		clear(sh.pending[rest:]) // completed items are their owners' to reuse
+		sh.pending = sh.pending[:rest]
+		sh.mu.Unlock()
 		fl.flush(batch)
+		sh.mu.Lock()
 	}
 }
 
 func (c *Coalescer) refuse(batch []*Item) {
 	for _, it := range batch {
 		c.cfg.Metrics.Drained.Inc()
-		it.done <- Result{Err: "server draining", Code: txkvwire.CodeDraining, Shed: true,
-			QueueNs: uint64(time.Since(it.enq))}
+		it.complete(Result{Err: "server draining", Code: txkvwire.CodeDraining, Shed: true,
+			QueueNs: uint64(time.Since(it.enq))})
 	}
 }
 
@@ -329,9 +394,9 @@ func (fl *flusher) flush(batch []*Item) {
 	for _, it := range batch {
 		if !it.Deadline.IsZero() && start.After(it.Deadline) {
 			m.Expired.Inc()
-			it.done <- Result{Err: "deadline exceeded while queued for flush",
+			it.complete(Result{Err: "deadline exceeded while queued for flush",
 				Code: txkvwire.CodeDeadlineExceeded, Shed: true,
-				QueueNs: uint64(start.Sub(it.enq))}
+				QueueNs: uint64(start.Sub(it.enq))})
 			continue
 		}
 		if it.Op != OpGet {
@@ -474,7 +539,7 @@ func (fl *flusher) flush(batch []*Item) {
 		r.TxnNs = txnNs / n
 		r.CommitNs = commitNs / n
 		r.WalNs = walNs / n
-		it.done <- r
+		it.complete(r)
 	}
 }
 

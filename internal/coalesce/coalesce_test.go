@@ -2,6 +2,7 @@ package coalesce_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,12 +259,137 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 			t.Fatalf("unexpected refusal code %v", code)
 		}
 	}
-	// The worker may have pulled up to one item out of the channel, so
-	// 4 (cap) or 5 accepts are both legal; 6 never is.
-	if !sawOverload || accepted > 5 {
+	// The cap counts every pending item, the batch being gathered
+	// included: exactly 4 fit.
+	if !sawOverload || accepted != 4 {
 		t.Fatalf("accepted %d of 6 with QueueCap 4 (overload seen: %v)", accepted, sawOverload)
 	}
 	r.co.Close()
+}
+
+// TestWorkerWakesPerBatchNotPerItem pins the hand-off grain: a full batch
+// enqueued back to back costs its shard worker at most two wake-ups (queue
+// non-empty, then threshold reached), not one per item.
+func TestWorkerWakesPerBatchNotPerItem(t *testing.T) {
+	const n = 32
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: n, MaxWait: time.Hour}, false)
+	defer r.co.Close()
+	items := make([]*coalesce.Item, n)
+	for i, k := range r.sameShardKeys(n) {
+		items[i] = coalesce.NewItem(coalesce.OpPut, k, stm.Word(i), 0, time.Time{})
+		r.enqueue(t, items[i])
+	}
+	for i, it := range items {
+		if res := await(t, it); res.Err != "" {
+			t.Fatalf("item %d: %+v", i, res)
+		}
+	}
+	if got := r.m.Batches.Load(); got != 1 {
+		t.Fatalf("flushed %d batches, want 1", got)
+	}
+	if got := r.m.Wakeups.Load(); got > 2 {
+		t.Fatalf("worker woke %d times for one batch of %d, want at most 2", got, n)
+	}
+}
+
+// TestCloseWakesIdleWorker: Close returns with every worker parked on an
+// empty queue (the gathering park is TestDrainRefusesPending's), and the
+// closed queues refuse.
+func TestCloseWakesIdleWorker(t *testing.T) {
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 4, MaxWait: time.Hour}, false)
+	it := coalesce.NewItem(coalesce.OpGet, 1, 0, 0, time.Time{})
+	r.enqueue(t, it)
+	closed := make(chan struct{})
+	go func() {
+		r.co.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung on parked workers")
+	}
+	if res := await(t, it); res.Code != txkvwire.CodeDraining {
+		t.Fatalf("item pending at Close: %+v, want Draining", res)
+	}
+	if code, _ := r.co.Enqueue(coalesce.NewItem(coalesce.OpGet, 1, 0, 0, time.Time{})); code != txkvwire.CodeDraining {
+		t.Fatalf("enqueue after Close: code %v, want Draining", code)
+	}
+}
+
+// countSink is a caller-owned item in the server's style: embedded Item,
+// re-armed after every completion, completions counted.
+type countSink struct {
+	coalesce.Item
+	completions atomic.Int64
+	done        chan coalesce.Result // capacity 1
+}
+
+func (s *countSink) Complete(r coalesce.Result) {
+	s.completions.Add(1)
+	s.done <- r
+}
+
+// TestNoLostWakeups hammers the race the wake token exists for: with
+// BatchSize 2 and a MaxWait of 50µs the gather timer keeps firing just as
+// the second item arrives. A lost token hangs the queue (the producers
+// wait on their items); a stale one shows up as a third wake-up in a
+// batch. Every item completes exactly once, through either kind of sink,
+// and Close returns.
+func TestNoLostWakeups(t *testing.T) {
+	const (
+		producers = 4
+		perProd   = 50_000 // 200 000 items in all
+	)
+	for _, kind := range []string{"chan", "sink"} {
+		t.Run(kind, func(t *testing.T) {
+			r := newRig(t, "swisstm", coalesce.Config{BatchSize: 2, MaxWait: 50 * time.Microsecond}, false)
+			keys := r.sameShardKeys(producers)
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					own := &countSink{done: make(chan coalesce.Result, 1)}
+					for i := 0; i < perProd; i++ {
+						var res coalesce.Result
+						if kind == "chan" {
+							it := coalesce.NewItem(coalesce.OpPut, keys[p], stm.Word(i), 0, time.Time{})
+							if code, msg := r.co.Enqueue(it); code != 0 {
+								t.Errorf("enqueue: %v %q", code, msg)
+								return
+							}
+							res = <-it.Done()
+						} else {
+							own.Init(coalesce.OpPut, keys[p], stm.Word(i), 0, time.Time{}, own)
+							if code, msg := r.co.Enqueue(&own.Item); code != 0 {
+								t.Errorf("enqueue: %v %q", code, msg)
+								return
+							}
+							res = <-own.done
+							if got := own.completions.Load(); got != int64(i+1) {
+								t.Errorf("producer %d: %d completions after %d items", p, got, i+1)
+								return
+							}
+						}
+						if res.Err != "" {
+							t.Errorf("item: %+v", res)
+							return
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			r.co.Close()
+			if got := r.m.Items.Load(); got != producers*perProd {
+				t.Fatalf("executed %d items, want %d", got, producers*perProd)
+			}
+			t.Logf("%d items, %d batches, %d wake-ups", r.m.Items.Load(), r.m.Batches.Load(), r.m.Wakeups.Load())
+			if w, b := r.m.Wakeups.Load(), r.m.Batches.Load(); w > 2*b+2 {
+				t.Fatalf("%d wake-ups for %d batches: more than two per batch, a stale token woke the worker", w, b)
+			}
+		})
+	}
 }
 
 // TestCrossEngineFeedReplayMatchesStore drives a mixed concurrent load

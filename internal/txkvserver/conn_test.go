@@ -2,6 +2,8 @@ package txkvserver
 
 import (
 	"bufio"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"swisstm/internal/stm"
 	"swisstm/internal/txkvclient"
 	"swisstm/internal/txkvwire"
+	"swisstm/internal/wal"
 )
 
 // The connection model (DESIGN.md §14.2): one goroutine per connection
@@ -18,14 +21,13 @@ import (
 // leave it, and everything else waits for them. These tests pin the
 // ordering that buys and the goroutine shape behind it.
 
-// pipeline runs submit on its own goroutine against a Pipe of the given
-// window while the calling goroutine checks each of the n in-order
+// runPipe submits n requests from its own goroutine on a Pipe of the
+// given window while the calling goroutine checks each of the n in-order
 // replies; the tag of request i must be i.
-func pipeline(t *testing.T, addr string, window, n int, req func(i int) txkvwire.Req, check func(i int, reply txkvwire.Reply)) {
-	t.Helper()
+func runPipe(addr string, window, n int, req func(i int) txkvwire.Req, check func(i int, reply txkvwire.Reply) error) error {
 	p, err := txkvclient.DialPipe(addr, window)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer p.Close()
 	errc := make(chan error, 1)
@@ -41,18 +43,94 @@ func pipeline(t *testing.T, addr string, window, n int, req func(i int) txkvwire
 	for i := 0; i < n; i++ {
 		tag, _, reply, err := p.Recv()
 		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
+			return fmt.Errorf("recv %d: %w", i, err)
 		}
 		if tag.(int) != i {
-			t.Fatalf("reply %d carries tag %v: replies out of request order", i, tag)
+			return fmt.Errorf("reply %d carries tag %v: replies out of request order", i, tag)
 		}
-		if reply.Err != "" {
-			t.Fatalf("reply %d: %s", i, reply.Err)
+		if err := check(i, reply); err != nil {
+			return err
 		}
-		check(i, reply)
 	}
 	if err := <-errc; err != nil {
-		t.Fatalf("submit: %v", err)
+		return fmt.Errorf("submit: %w", err)
+	}
+	return nil
+}
+
+// pipeline is runPipe for a test's own goroutine and requests that must
+// all succeed.
+func pipeline(t *testing.T, addr string, window, n int, req func(i int) txkvwire.Req, check func(i int, reply txkvwire.Reply)) {
+	t.Helper()
+	err := runPipe(addr, window, n, req, func(i int, reply txkvwire.Reply) error {
+		if reply.Err != "" {
+			return fmt.Errorf("reply %d: %s", i, reply.Err)
+		}
+		check(i, reply)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitGoroutines waits for the process to fall back to at most limit
+// goroutines: the connection goroutines and reply writers of closed
+// connections exit on their own, shortly after the close.
+func waitGoroutines(t *testing.T, limit int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > limit {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, want at most %d: a connection goroutine or reply writer did not exit",
+				runtime.NumGoroutine(), limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// putFrames returns n Put frames on one key, values base, base+1, ….
+func putFrames(t *testing.T, key uint64, base, n int) []byte {
+	t.Helper()
+	var out []byte
+	var err error
+	for i := 0; i < n; i++ {
+		if out, err = txkvwire.AppendReqFrame(out, txkvwire.Req{Op: txkvwire.OpPut, Key: key, Val: uint64(base + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// replyReader reads a raw connection's reply frames one by one.
+type replyReader struct {
+	br   *bufio.Reader
+	fbuf []byte
+}
+
+func newReplyReader(nc net.Conn) *replyReader {
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	return &replyReader{br: bufio.NewReader(nc)}
+}
+
+func (r *replyReader) next() (reply txkvwire.Reply, err error) {
+	if r.fbuf, err = txkvwire.ReadFrame(r.br, r.fbuf); err != nil {
+		return reply, err
+	}
+	return txkvwire.DecodeReply(r.fbuf)
+}
+
+// waitInFlight waits until a shard worker has picked up a first item:
+// the requests written just before are on their shard queue, unflushed
+// for as long as the server's CoalesceWait.
+func waitInFlight(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.coM.Wakeups.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no shard worker ever woke: the requests were not enqueued")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -191,7 +269,11 @@ func TestNoPerRequestGoroutines(t *testing.T) {
 			if coalesce {
 				srv = startCoalesced(t, "swisstm", 256, Config{})
 			} else {
-				srv, _ = startServer(t, "swisstm", 256)
+				var cl *txkvclient.Client
+				srv, cl = startServer(t, "swisstm", 256)
+				if _, err := cl.Len(); err != nil { // cl's serving goroutine is up: it belongs to idle
+					t.Fatal(err)
+				}
 			}
 			idle := runtime.NumGoroutine()
 
@@ -247,6 +329,315 @@ func TestNoPerRequestGoroutines(t *testing.T) {
 				t.Fatalf("%d goroutines under %d×%d in-flight requests (idle %d, limit %d): something spawns per request",
 					got, conns, window, idle, limit)
 			}
+			// And none of them outlives its connection.
+			waitGoroutines(t, idle)
 		})
+	}
+}
+
+// TestRingKeepsRequestOrder is the reply ring's first contract: 8
+// connections × window 16 × 2000 requests over keys on every shard, so a
+// connection's items complete in whatever order 16 shard workers flush
+// them. Every reply sits at its request's position, a Get (or a CAS)
+// behind a Put of the same key sees it, and the pooled request
+// interleaved every 50th — a Len or a Batch{Get k} — is answered in
+// place and sees the coalesced write before it.
+func TestRingKeepsRequestOrder(t *testing.T) {
+	const conns, window, perConn, keysPerConn = 8, 16, 2000, 64
+	srv := startCoalesced(t, "swisstm", conns*keysPerConn, Config{Pipeline: window})
+	shards := make(map[int]bool)
+	for k := 1; k <= conns*keysPerConn; k++ {
+		shards[srv.store.ShardOf(stm.Word(k))] = true
+	}
+	if len(shards) != srv.store.Shards() {
+		t.Fatalf("keys cover %d of %d shards", len(shards), srv.store.Shards())
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		// The connection's script and the reply each request must get,
+		// from a model of its private keys.
+		reqs := make([]txkvwire.Req, perConn)
+		want := make([]txkvwire.Reply, perConn)
+		model := make(map[uint64]uint64)
+		var lastPut uint64
+		for i := range reqs {
+			k := uint64(1 + c*keysPerConn + (i/3*7)%keysPerConn)
+			if _, ok := model[k]; !ok {
+				model[k] = uint64(srv.cfg.Balance)
+			}
+			switch {
+			case i%100 == 49:
+				reqs[i] = txkvwire.Req{Op: txkvwire.OpLen}
+				want[i] = txkvwire.Reply{Op: txkvwire.OpLen, Val: conns * keysPerConn}
+			case i%100 == 99 && lastPut != 0:
+				reqs[i] = txkvwire.Req{Op: txkvwire.OpBatch, Sub: []txkvwire.Req{{Op: txkvwire.OpGet, Key: lastPut}}}
+				want[i] = txkvwire.Reply{Op: txkvwire.OpBatch, Val: model[lastPut]}
+			case i%3 == 0:
+				reqs[i] = txkvwire.Req{Op: txkvwire.OpPut, Key: k, Val: uint64(i)}
+				want[i] = txkvwire.Reply{Op: txkvwire.OpPut}
+				model[k], lastPut = uint64(i), k
+			case i%3 == 1:
+				reqs[i] = txkvwire.Req{Op: txkvwire.OpGet, Key: k}
+				want[i] = txkvwire.Reply{Op: txkvwire.OpGet, Found: true, Val: model[k]}
+			default:
+				reqs[i] = txkvwire.Req{Op: txkvwire.OpCAS, Key: k, Old: model[k], Val: uint64(1_000_000 + i)}
+				want[i] = txkvwire.Reply{Op: txkvwire.OpCAS, OK: true}
+				model[k] = uint64(1_000_000 + i)
+			}
+		}
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			err := runPipe(srv.Addr().String(), window, perConn,
+				func(i int) txkvwire.Req { return reqs[i] },
+				func(i int, got txkvwire.Reply) error {
+					w := want[i]
+					if got.Op == txkvwire.OpBatch && len(got.Sub) == 1 {
+						got.Val = got.Sub[0].Val // the batch's one Get
+					}
+					if got.Err != "" || got.Op != w.Op || got.Val != w.Val || got.Found != w.Found || got.OK != w.OK {
+						return fmt.Errorf("conn %d reply %d to %+v: got %+v, want %+v", c, i, reqs[i], got, w)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Error(err)
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestPipelineWindowIsExact is the second: Pipeline is the number of
+// coalesced items a connection has in flight, not that plus the reply
+// being written and the item being admitted. 64 puts pipelined at one
+// shard whose batches could hold them all: no batch holds more than the
+// window's 4.
+func TestPipelineWindowIsExact(t *testing.T) {
+	const window, puts = 4, 64
+	srv := startCoalesced(t, "swisstm", 64,
+		Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 20 * time.Millisecond})
+	pipeline(t, srv.Addr().String(), puts, puts,
+		func(i int) txkvwire.Req { return txkvwire.Req{Op: txkvwire.OpPut, Key: 1, Val: uint64(i)} },
+		func(int, txkvwire.Reply) {})
+	h := srv.coM.BatchSize.Snapshot()
+	if h.Sum != puts {
+		t.Fatalf("%d items executed in batches, want %d", h.Sum, puts)
+	}
+	for size := window + 1; size < len(h.Buckets); size++ { // sizes below 16 have a bucket each
+		if h.Buckets[size] != 0 {
+			t.Fatalf("%d batch(es) in the size-%d bucket with a window of %d", h.Buckets[size], size, window)
+		}
+	}
+}
+
+// TestClientGoneWithItemsInFlight is the third, teardown: the client goes
+// away (orderly, or with a reset that makes the reply write fail) while
+// its whole window is queued on a shard. The accepted items still
+// execute, the writer answers or discards them, and both of the
+// connection's goroutines exit.
+func TestClientGoneWithItemsInFlight(t *testing.T) {
+	for _, reset := range []bool{false, true} {
+		name := "close"
+		if reset {
+			name = "reset"
+		}
+		t.Run(name, func(t *testing.T) {
+			const window = 16
+			srv := startCoalesced(t, "swisstm", 64,
+				Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 50 * time.Millisecond})
+			idle := runtime.NumGoroutine()
+			nc, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Write(putFrames(t, 1, 100, window)); err != nil {
+				t.Fatal(err)
+			}
+			waitInFlight(t, srv)
+			if reset {
+				nc.(*net.TCPConn).SetLinger(0)
+			}
+			nc.Close()
+			waitGoroutines(t, idle)
+			if got := srv.coM.Items.Load(); got != window {
+				t.Fatalf("%d of the %d accepted items executed", got, window)
+			}
+			srv.mu.Lock()
+			left := len(srv.conns)
+			srv.mu.Unlock()
+			if left != 0 {
+				t.Fatalf("%d connections still registered", left)
+			}
+		})
+	}
+}
+
+// TestDrainAcksItemsInFlight: a Drain that begins with a window of items
+// queued on a shard acks every request the connection accepted, in
+// order, before closing it; the store holds exactly the acked writes.
+func TestDrainAcksItemsInFlight(t *testing.T) {
+	const window = 16
+	srv := startCoalesced(t, "swisstm", 64,
+		Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 30 * time.Millisecond})
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(putFrames(t, 1, 100, window)); err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(t, srv)
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain() }()
+
+	replies := newReplyReader(nc)
+	acked := 0
+	for {
+		reply, err := replies.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d replies: %v", acked, err)
+		}
+		if reply.Op != txkvwire.OpPut || (reply.Err != "" && reply.Code != txkvwire.CodeDraining) {
+			t.Fatalf("reply %d: %+v, want a put's ack or a Draining refusal", acked, reply)
+		}
+		if reply.Err == "" {
+			acked++
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if acked == 0 {
+		t.Fatal("no request acked: the drain dropped the items in flight")
+	}
+	w := <-srv.pool
+	val := stm.AtomicRO(w.th, func(tx stm.TxRO) stm.Word {
+		v, _ := srv.store.Get(tx, 1)
+		return v
+	})
+	srv.pool <- w
+	if want := stm.Word(100 + acked - 1); val != want {
+		t.Fatalf("key 1 = %d after %d acks, want %d: an accepted put was not acked, or an acked one not applied", val, acked, want)
+	}
+}
+
+// stallFS is the real filesystem with an fsync that can be held: a commit
+// log on it stalls the flush publishing to it, and with it the shard
+// worker.
+type stallFS struct {
+	wal.OSFS
+	mu   sync.Mutex
+	held chan struct{} // non-nil while fsyncs are held; closed to release them
+}
+
+func (fs *stallFS) hold() {
+	fs.mu.Lock()
+	fs.held = make(chan struct{})
+	fs.mu.Unlock()
+}
+
+func (fs *stallFS) release() {
+	fs.mu.Lock()
+	close(fs.held)
+	fs.held = nil
+	fs.mu.Unlock()
+}
+
+func (fs *stallFS) Create(path string) (wal.File, error) {
+	f, err := fs.OSFS.Create(path)
+	return &stallFile{f, fs}, err
+}
+
+func (fs *stallFS) OpenAppend(path string) (wal.File, error) {
+	f, err := fs.OSFS.OpenAppend(path)
+	return &stallFile{f, fs}, err
+}
+
+type stallFile struct {
+	wal.File
+	fs *stallFS
+}
+
+func (f *stallFile) Sync() error {
+	f.fs.mu.Lock()
+	held := f.fs.held
+	f.fs.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	return f.File.Sync()
+}
+
+// TestShardQueueFullRepliesInOrder: with its worker stalled in a flush, a
+// shard queue fills to its cap (256 at CoalesceBatch 8) and refuses the
+// next item. The connection goroutine answers that request Overloaded at
+// its own position — behind the replies of everything in flight, ahead of
+// the requests after it, which are accepted again — and books the shed as
+// queue-full.
+func TestShardQueueFullRepliesInOrder(t *testing.T) {
+	const reqs, batch, queueCap = 300, 8, 256
+	fs := &stallFS{}
+	srv := startCoalesced(t, "swisstm", 64,
+		Config{Pipeline: 512, CoalesceBatch: batch, WALDir: t.TempDir(), WALFS: fs})
+	opAt := func(i int) txkvwire.Op {
+		if i%2 == 0 {
+			return txkvwire.OpPut
+		}
+		return txkvwire.OpGet
+	}
+	var out []byte
+	var err error
+	for i := 0; i < reqs; i++ {
+		if out, err = txkvwire.AppendReqFrame(out, txkvwire.Req{Op: opAt(i), Key: 1, Val: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	fs.hold()
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.m.shedQueueFull.Load() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled shard's queue never refused an item")
+		}
+	}
+	fs.release()
+
+	replies := newReplyReader(nc)
+	first, overloaded := -1, 0
+	for i := 0; i < reqs; i++ {
+		reply, err := replies.next()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		switch {
+		case reply.Op != opAt(i):
+			t.Fatalf("reply %d is a %s reply, want the %s's: replies out of request order", i, reply.Op, opAt(i))
+		case reply.Code == txkvwire.CodeOverloaded:
+			if overloaded++; first < 0 {
+				first = i
+			}
+		case reply.Err != "":
+			t.Fatalf("reply %d: %s", i, reply.Err)
+		}
+	}
+	// The stalled flush took at most a batch out of the queue; the cap's
+	// worth behind it was accepted; the next request is the first refused.
+	if first < queueCap || first > queueCap+batch {
+		t.Fatalf("first Overloaded reply at position %d, want within [%d, %d]", first, queueCap, queueCap+batch)
+	}
+	if got := srv.m.shedQueueFull.Load(); got != uint64(overloaded) {
+		t.Fatalf("%d Overloaded replies, %d queue-full sheds counted", overloaded, got)
 	}
 }

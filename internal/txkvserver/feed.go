@@ -112,22 +112,6 @@ func coalesceOp(op txkvwire.Op) coalesce.Op {
 	return 0
 }
 
-// enqueueCoalesced builds the batcher item for a single-key op and
-// hands it to its shard's queue. Call on the connection goroutine: the
-// enqueue order into each shard queue is then exactly the connection's
-// request order, which is what makes pipelined read-your-writes hold
-// (DESIGN.md §14.2). Enqueue never blocks (a full queue sheds), so the
-// connection stays responsive. A nil item means the request was refused
-// and reply is the shed reply.
-func (s *Server) enqueueCoalesced(req txkvwire.Req, deadline time.Time) (*coalesce.Item, txkvwire.Reply) {
-	it := coalesce.NewItem(coalesceOp(req.Op), stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline)
-	if code, msg := s.co.Enqueue(it); code != 0 {
-		s.m.recordShed(code, code == txkvwire.CodeOverloaded)
-		return nil, txkvwire.Reply{Op: req.Op, Err: msg, Code: code}
-	}
-	return it, txkvwire.Reply{}
-}
-
 // coalescedReply turns a flushed item's individual result into its wire
 // reply. (The result also carries the item's phase share — queue = exact
 // time-to-flush, txn/commit/wal = the batch's divided among its items —

@@ -90,9 +90,9 @@ type Config struct {
 
 	// Pipeline bounds the coalesced items one connection may have in
 	// flight (DESIGN.md §14.2): enqueued on their shard batchers, replies
-	// not yet written. Default 16. The bound is the window plus the reply
-	// being written and the item being admitted. Ignored with coalescing
-	// off, where a connection executes one request at a time.
+	// not yet written. Default 16. The bound is exact: it is the size of
+	// the connection's reply ring. Ignored with coalescing off, where a
+	// connection executes one request at a time.
 	Pipeline int
 
 	// CoalesceBatch, when positive, turns on per-shard commit coalescing
@@ -485,15 +485,6 @@ func rejectConn(conn net.Conn) {
 	}
 }
 
-// slot is one in-flight coalesced item in a connection's reply order:
-// enqueued by the connection goroutine, awaited and answered by
-// connWriter. Slots travel a FIFO channel, so replies keep request order.
-type slot struct {
-	op      txkvwire.Op
-	parseNs uint64
-	it      *coalesce.Item
-}
-
 // conn is one client connection's serving state (DESIGN.md §14.2).
 type conn struct {
 	s    *Server
@@ -502,14 +493,12 @@ type conn struct {
 	bw   *bufio.Writer
 	obuf []byte // reply encode buffer
 
-	// Coalescing only (order is nil with it off, and there is no writer
-	// goroutine): order carries the in-flight coalesced slots to
-	// connWriter, inflight counts them. The reply side (bw, obuf, failed)
-	// has one owner at a time — connWriter while inflight > 0, the
-	// connection goroutine once inflight.Wait has returned.
-	order    chan slot
-	inflight sync.WaitGroup
-	failed   bool // a reply write failed; the connection is closed
+	// ring is nil with coalescing off, and there is then no writer
+	// goroutine. The reply side (bw, obuf, failed) has one owner at a
+	// time: connWriter while the ring holds slots, the connection
+	// goroutine once it has seen the ring idle.
+	ring   *replyRing
+	failed bool // a reply write failed; the connection is closed
 }
 
 // serveConn runs one connection on one goroutine: read a frame, execute
@@ -523,15 +512,14 @@ type conn struct {
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), bw: bufio.NewWriterSize(nc, 4<<10)}
 	if s.co != nil {
-		c.order = make(chan slot, s.cfg.Pipeline)
+		c.ring = newReplyRing(s.cfg.Pipeline)
 		go c.connWriter()
 	}
 	sub := c.serve()
-	// Stop the writer and wait for the replies it still owes: a drained
-	// connection acks every request it accepted before it closes.
-	if c.order != nil {
-		close(c.order)
-		c.inflight.Wait()
+	// Stop the writer once it has sent the replies it still owes: a
+	// drained connection acks every request it accepted before it closes.
+	if c.ring != nil {
+		c.ring.close()
 	}
 	if !c.failed {
 		c.bw.Flush()
@@ -593,17 +581,21 @@ func (c *conn) serve() (sub bool) {
 		)
 		if derr != nil {
 			reply = txkvwire.Reply{Op: op, Err: derr.Error(), Code: txkvwire.CodeRejected}
-		} else if s.co != nil && coalesceOp(op) != 0 {
+		} else if cop := coalesceOp(op); cop != 0 && s.co != nil {
 			// Enqueued here, so this connection's ops land in the shard
 			// queues in request order: pipelined read-your-writes. The
-			// send blocks while the window is full — back-pressure on the
-			// wire instead of an unbounded queue.
-			var it *coalesce.Item
-			if it, reply = s.enqueueCoalesced(req, deadline); it != nil {
-				c.inflight.Add(1)
-				c.order <- slot{op: op, parseNs: parseNs, it: it}
+			// reserve blocks while the window is full — back-pressure on
+			// the wire instead of an unbounded queue; the enqueue never
+			// blocks (a full shard queue sheds).
+			sl := c.ring.reserve(op, parseNs)
+			sl.Init(cop, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline, sl)
+			code, msg := s.co.Enqueue(&sl.Item)
+			if code == 0 {
 				continue
 			}
+			c.ring.unreserve()
+			s.m.recordShed(code, code == txkvwire.CodeOverloaded)
+			reply = txkvwire.Reply{Op: op, Err: msg, Code: code}
 		}
 
 		// Everything else is answered from this goroutine, after the
@@ -611,9 +603,9 @@ func (c *conn) serve() (sub bool) {
 		// time) keeps replies in request order, makes a coalesced write
 		// visible to the pooled request pipelined behind it, and hands
 		// the reply side back.
-		if c.order != nil {
+		if c.ring != nil {
 			w0 := time.Now()
-			c.inflight.Wait()
+			c.ring.waitIdle()
 			queueNs = uint64(time.Since(w0).Nanoseconds())
 			if c.failed {
 				return false
@@ -637,34 +629,6 @@ func (c *conn) serve() (sub bool) {
 	}
 }
 
-// connWriter sends the replies of a connection's coalesced items in
-// request order, flushing before it blocks on an unflushed batch and
-// whenever no further slot is queued. After a write error it keeps
-// receiving — wait, release, discard — so the connection goroutine is
-// never left blocked on the window. It exits when serveConn closes
-// order, and touches nothing after its last Done.
-func (c *conn) connWriter() {
-	for sl := range c.order {
-		var res coalesce.Result
-		select {
-		case res = <-sl.it.Done():
-		default:
-			if !c.failed && c.bw.Flush() != nil {
-				c.fail()
-			}
-			res = <-sl.it.Done()
-		}
-		if !c.failed {
-			r0 := time.Now()
-			if c.writeReply(c.s.coalescedReply(sl.op, res), len(c.order) == 0) {
-				c.s.m.record(sl.op, sl.parseNs, res.QueueNs, res.TxnNs, res.CommitNs, res.WalNs,
-					uint64(time.Since(r0).Nanoseconds()))
-			}
-		}
-		c.inflight.Done()
-	}
-}
-
 // fail marks the reply side broken and closes the connection, which
 // also wakes a connection goroutine blocked reading the next frame.
 func (c *conn) fail() {
@@ -672,23 +636,23 @@ func (c *conn) fail() {
 	c.nc.Close()
 }
 
-// writeReply encodes and buffers one reply frame, flushing when asked:
-// a reply's length prefix and payload always reach the socket in one
-// Write, so a concurrent reader never observes a torn frame. False
-// means the connection is broken (and now closed).
+// writeReply encodes and buffers one reply frame — length prefix and
+// payload in one Write, so the frame is never torn across two — and
+// flushes when asked. False means the connection is broken (and now
+// closed).
 func (c *conn) writeReply(reply txkvwire.Reply, flush bool) bool {
-	buf, err := txkvwire.AppendReply(c.obuf[:0], reply)
+	buf, err := txkvwire.AppendReplyFrame(c.obuf[:0], reply)
 	if err != nil {
 		// An unencodable reply is a server bug; degrade to an error
 		// frame rather than silently dropping the connection.
-		buf, _ = txkvwire.AppendReply(c.obuf[:0], txkvwire.Reply{
+		buf, _ = txkvwire.AppendReplyFrame(c.obuf[:0], txkvwire.Reply{
 			Op: reply.Op, Err: "internal: unencodable reply", Code: txkvwire.CodeInternal})
 	}
 	c.obuf = buf
 	if c.s.cfg.WriteTimeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
 	}
-	if txkvwire.WriteFrame(c.bw, buf) != nil || (flush && c.bw.Flush() != nil) {
+	if _, err := c.bw.Write(buf); err != nil || (flush && c.bw.Flush() != nil) {
 		c.fail()
 		return false
 	}

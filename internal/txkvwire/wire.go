@@ -298,7 +298,9 @@ var ErrFrameTooLarge = errors.New("txkvwire: frame exceeds MaxFrame")
 // ---------------------------------------------------------------------------
 // Framing
 
-// WriteFrame writes payload as one length-prefixed frame.
+// WriteFrame writes payload as one length-prefixed frame, in two writes
+// and with one allocation (the prefix escapes through w). The per-request
+// paths build whole frames with AppendReqFrame and AppendReplyFrame.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
@@ -317,29 +319,45 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // single Write (one syscall, one segment under TCP_NODELAY) instead of
 // WriteFrame's two. On error it returns dst unchanged.
 func AppendReqFrame(dst []byte, r Req) ([]byte, error) {
-	hdr := len(dst)
 	out, err := AppendReq(append(dst, 0, 0, 0, 0), r)
+	return closeFrame(dst, out, err)
+}
+
+// AppendReplyFrame is AppendReqFrame's twin for replies: the server
+// buffers a reply with one Write and no prefix of its own to allocate.
+func AppendReplyFrame(dst []byte, r Reply) ([]byte, error) {
+	out, err := AppendReply(append(dst, 0, 0, 0, 0), r)
+	return closeFrame(dst, out, err)
+}
+
+// closeFrame fills in the length prefix reserved at len(dst) of out, or
+// gives dst back unchanged when the payload failed to encode or is too
+// long to frame.
+func closeFrame(dst, out []byte, err error) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	n := len(out) - hdr - 4
+	n := len(out) - len(dst) - 4
 	if n > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(out[hdr:], uint32(n))
+	binary.LittleEndian.PutUint32(out[len(dst):], uint32(n))
 	return out, nil
 }
 
 // ReadFrame reads one length-prefixed frame, reusing buf when it is
-// large enough. A length prefix above MaxFrame returns ErrFrameTooLarge
-// without reading the payload (the caller must drop the connection: the
-// stream is no longer frame-aligned).
+// large enough — for the prefix too, so a caller that passes the returned
+// slice back in reads without allocating. A length prefix above MaxFrame
+// returns ErrFrameTooLarge without reading the payload (the caller must
+// drop the connection: the stream is no longer frame-aligned).
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 64)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}

@@ -3,6 +3,7 @@ package txkvwire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -393,5 +394,71 @@ func TestAppendReqFrame(t *testing.T) {
 	}
 	if out, err := AppendReqFrame(got, Req{Op: OpGet, TTL: -1}); err == nil || !bytes.Equal(out, want.Bytes()) {
 		t.Fatalf("a request AppendReq refuses: err %v, and dst must come back unchanged", err)
+	}
+}
+
+// TestAppendReplyFrame: the reply twin — byte-identical to AppendReply +
+// WriteFrame, appending after existing frames, dst back unchanged when
+// AppendReply refuses.
+func TestAppendReplyFrame(t *testing.T) {
+	replies := []Reply{
+		{Op: OpPut, OK: true},
+		{Op: OpGet, Found: true, Val: 7},
+		{Op: OpCAS, Err: "overloaded: queue full", Code: CodeOverloaded},
+		{Op: OpBatch, Sub: []Reply{{Op: OpGet, Found: true, Val: 8}, {Op: OpLen, Val: 9}}},
+	}
+	var want bytes.Buffer
+	var got []byte
+	for _, r := range replies {
+		payload, err := AppendReply(nil, r)
+		if err != nil {
+			t.Fatalf("encode %v: %v", r.Op, err)
+		}
+		if err := WriteFrame(&want, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = AppendReplyFrame(got, r); err != nil {
+			t.Fatalf("frame %v: %v", r.Op, err)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("frames differ:\n got % x\nwant % x", got, want.Bytes())
+	}
+	if out, err := AppendReplyFrame(got, Reply{Op: OpGet, Err: "untyped"}); err == nil || !bytes.Equal(out, want.Bytes()) {
+		t.Fatalf("a reply AppendReply refuses: err %v, and dst must come back unchanged", err)
+	}
+}
+
+// TestFramePathsDoNotAllocate pins the per-request framing at zero heap
+// objects: a length prefix declared as a local array escapes through the
+// io.Reader or io.Writer it is handed to, one allocation per frame.
+func TestFramePathsDoNotAllocate(t *testing.T) {
+	frame, err := AppendReqFrame(nil, Req{Op: OpPut, Key: 1, Val: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	var buf []byte
+	if n := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		if buf, err = ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrame into a reused buffer: %v allocations per frame, want 0", n)
+	}
+
+	bw := bufio.NewWriter(io.Discard)
+	var obuf []byte
+	if n := testing.AllocsPerRun(100, func() {
+		if obuf, err = AppendReplyFrame(obuf[:0], Reply{Op: OpPut, OK: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bw.Write(obuf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("encoding and buffering a Put reply: %v allocations, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=svc-update-coalesced PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10
 #   make benchmark-ab REV=HEAD~1 WORKLOAD=bench7-rw PAIRS=10 TRACE=1
+#   make benchmark-ab REV=HEAD~1 WORKLOAD=all PAIRS=10 CLAIM=ops_per_s@svc-update-coalesced
 #
 # Each pair runs both sides on the same fresh seed; which side goes first
 # alternates per pair. Prints every run, then per end-to-end metric each
@@ -17,9 +18,18 @@
 # pair on a further seed, and the per-layer metrics that are non-zero on
 # either side are printed parent beside change with the difference, so
 # "the claimed row moves and these counts do not" is the same command.
-# Exits non-zero if any run is not "correct". REV is exported with `git archive` into
-# .bench_build/ab/ (the ignored scratch directory the benchmark itself
-# uses), so nothing is registered in .git and a dirty tree is fine.
+# Each block ends with one verdict line per end-to-end metric, judged
+# against the metric's bound in BENCHMARK.json: for the pairing named in
+# CLAIM=<metric>@<workload>, "claim met" when the change wins at least nine
+# pairs in ten and the medians differ by more than the parent's q3-q1,
+# else "claim not met"; for every other pairing "not worse" (the change's
+# median is within the bound of the parent's), "worse", or "unresolved"
+# when either side's middle half is wider than the bound, unless every run
+# of the change beats every run of the parent. Verdicts do not change the
+# exit status. Exits non-zero if any run is not "correct". REV is exported
+# with `git archive` into .bench_build/ab/ (the ignored scratch directory
+# the benchmark itself uses), so nothing is registered in .git and a dirty
+# tree is fine.
 set -euo pipefail
 
 usage="usage: benchmark-ab.sh REV WORKLOAD|all [PAIRS] [SECONDS]"
@@ -29,6 +39,7 @@ pairs=${3:-10}
 seconds=${4:-24}
 go=${GO:-go}
 trace=${TRACE:-}
+claim=${CLAIM:-}
 
 cd "$(git rev-parse --show-toplevel)"
 ab=$PWD/.bench_build/ab
@@ -58,6 +69,9 @@ quartiles() {
 }
 sum() { awk '{s += $1} END {print s + 0}' "$1"; }
 
+# declared METRIC KEY: the metric's "bound" or "better" in BENCHMARK.json.
+declared() { sed -nE "s/.*\{\"name\": \"$1\",.*\"$2\": \"?([a-z0-9.]+)\"?.*/\1/p" BENCHMARK.json; }
+
 # layers LINE: "name value unit" per metric of the closing JSON line.
 layers() {
 	grep -oE '"[a-z0-9_.]+": \{"value": [-0-9.e+]+, "unit": "[^"]*"\}' <<<"$1" |
@@ -85,6 +99,32 @@ traced() {
 seed0=$(( $(date +%s) % 100000 * 100 ))
 bad=0
 
+# verdict WORKLOAD METRIC BETTER WINS "PQ1 PMED PQ3" "CQ1 CMED CQ3": the
+# judgement of one pairing (BETTER is > or <).
+verdict() {
+	local out=$ab/$1.
+	# The change's worst run against the parent's best, in the metric's direction.
+	local worst=tail best=head
+	[ "$3" = '<' ] || { worst=head best=tail; }
+	awk -v w="$1" -v m="$2" -v dir="$([ "$3" = '>' ] && echo 1 || echo -1)" -v wins="$4" -v pq="$5" -v cq="$6" \
+		-v pairs="$pairs" -v bound="$(declared "$2" bound)" -v claimed="$([ "$claim" = "$2@$1" ] && echo 1)" \
+		-v worst="$(sort -g "$out"change."$2" | $worst -n 1)" -v best="$(sort -g "$out"parent."$2" | $best -n 1)" 'BEGIN {
+		split(pq, p, " "); split(cq, c, " ")
+		gain = dir * (c[2] - p[2]); piqr = p[3] - p[1]; ciqr = c[3] - c[1]
+		if (claimed) {
+			v = (wins * 10 >= pairs * 9 && gain > piqr) ? "claim met" : "claim not met"
+			why = sprintf("wins %d/%d, median gap %.4g against parent q3-q1 %.4g", wins, pairs, gain, piqr)
+		} else if ((piqr > bound * p[2] || ciqr > bound * p[2]) && dir * (worst - best) <= 0) {
+			v = "unresolved"
+			why = sprintf("middle halves %.4g and %.4g, bound %.4g", piqr, ciqr, bound * p[2])
+		} else {
+			v = -gain <= bound * p[2] ? "not worse" : "worse"
+			why = sprintf("median %+.1f %%, bound %g %%", 100 * (c[2] / p[2] - 1), 100 * bound)
+		}
+		printf "verdict    %s@%s: %s (%s)\n", m, w, v, why
+	}'
+}
+
 # ab WORKLOAD: the pairs and the summary block of one workload.
 ab() {
 	local w=$1 out=$ab/$1
@@ -103,9 +143,10 @@ ab() {
 	done
 
 	echo
+	local verdicts=()
 	for m in ops_per_s setup_s mem_mb; do
 		better=">"
-		[ "$m" = ops_per_s ] || better="<"
+		[ "$(declared "$m" better)" = higher ] || better="<"
 		wins=$(paste "$out.parent.$m" "$out.change.$m" | awk "\$2 $better \$1" | wc -l)
 		read -r pq1 pmed pq3 <<<"$(quartiles "$out.parent.$m")"
 		read -r cq1 cmed cq3 <<<"$(quartiles "$out.change.$m")"
@@ -114,8 +155,10 @@ ab() {
 			printf "%-10s parent q1/med/q3 %s / %s / %s   change %s / %s / %s   median %+.1f %% (parent IQR %.1f %%)   change wins %d/%d\n",
 				m, pq1, pmed, pq3, cq1, cmed, cq3, 100 * (cmed / pmed - 1), 100 * (pq3 - pq1) / pmed, wins, pairs
 		}'
+		verdicts+=("$(verdict "$w" "$m" "$better" "$wins" "$pq1 $pmed $pq3" "$cq1 $cmed $cq3")")
 	done
 	echo "failed     parent $(sum "$out.parent.failed")   change $(sum "$out.change.failed")"
+	printf '%s\n' "${verdicts[@]}"
 	echo
 }
 
