@@ -66,7 +66,8 @@ benchmark-trace:
 # WORKLOAD=all runs the four BENCHMARK.json workloads back to back, one
 # summary block each. TRACE=1 follows each workload's timed pairs with one
 # `-trace 1` pair and prints the per-layer metrics of both sides in two
-# columns with the difference. Each block ends with a verdict per
+# columns with the difference, then one line per count metric (*_per_op,
+# *_share, items_per_batch): same within 1 %, or moved. Each block ends with a verdict per
 # end-to-end metric against its BENCHMARK.json bound (not worse / worse /
 # unresolved); CLAIM=<metric>@<workload> names the pairing judged as a
 # claimed gain instead (claim met / claim not met).

@@ -232,13 +232,19 @@ func New(store *txkv.Store, threads []stm.Thread, log *wal.Writer, feeds []*Feed
 	return c
 }
 
-// Enqueue routes it to its shard's queue. An empty code means the item
+// Enqueue is EnqueueAt for a caller with no clock reading of its own.
+func (c *Coalescer) Enqueue(it *Item) (code txkvwire.Code, errMsg string) {
+	return c.EnqueueAt(it, time.Now())
+}
+
+// EnqueueAt routes it to its shard's queue; its queue phase starts at
+// now, the caller's latest clock reading. An empty code means the item
 // was accepted and its sink will be completed; otherwise the item was
 // refused immediately (queue full → Overloaded, shutting down →
-// Draining) and its sink never is. Enqueue never blocks.
-func (c *Coalescer) Enqueue(it *Item) (code txkvwire.Code, errMsg string) {
+// Draining) and its sink never is. EnqueueAt never blocks.
+func (c *Coalescer) EnqueueAt(it *Item, now time.Time) (code txkvwire.Code, errMsg string) {
 	sh := c.qs[c.store.ShardOf(it.Key)]
-	it.enq = time.Now()
+	it.enq = now
 	sh.mu.Lock()
 	switch {
 	case sh.closed:
@@ -428,7 +434,6 @@ func (fl *flusher) flush(batch []*Item) {
 		feed = c.feeds[fl.shard]
 	}
 	aborts0 := fl.th.Stats().Aborts
-	t0 := time.Now()
 	if !mutating {
 		stm.AtomicRO(fl.th, func(tx stm.TxRO) int {
 			bt := time.Now()
@@ -488,8 +493,9 @@ func (fl *flusher) flush(batch []*Item) {
 			return 0
 		})
 	}
+	end := time.Now() // commit is the flush from start, where the queue phases end, less the final body
 	txnNs := bodyNs
-	commitNs := uint64(time.Since(t0)) - bodyNs
+	commitNs := uint64(end.Sub(start)) - bodyNs
 	cur := fl.th.Stats()
 	sh := c.qs[fl.shard]
 	sh.statsMu.Lock()
@@ -519,13 +525,14 @@ func (fl *flusher) flush(batch []*Item) {
 		} else {
 			c.log.Abandon(logTk)
 		}
-		walNs = uint64(time.Since(wt))
+		end = time.Now()
+		walNs = uint64(end.Sub(wt))
 	}
 
 	m.Batches.Inc()
 	m.Items.Add(uint64(len(live)))
 	m.BatchSize.Record(uint64(len(live)))
-	m.FlushNs.Record(uint64(time.Since(start)))
+	m.FlushNs.Record(uint64(end.Sub(start)))
 
 	n := uint64(len(live))
 	for i, it := range live {

@@ -10,8 +10,8 @@ import (
 	"swisstm/internal/txkvwire"
 )
 
-// ErrPipeClosed is returned by Pipe.Submit/Recv/Flush after Close or a
-// failed write.
+// ErrPipeClosed is returned by Pipe.Submit/Recv/Flush after Close, a
+// failed write or a failed read.
 var ErrPipeClosed = errors.New("txkvclient: pipe closed")
 
 // Pipe is a pipelined connection: up to window logical operations in
@@ -39,26 +39,29 @@ var ErrPipeClosed = errors.New("txkvclient: pipe closed")
 // other than the pipe (a timer, a rate limiter) should Flush first, for
 // latency, never for progress.
 //
-// The first failed write closes the pipe: the call that hit it returns
-// the error, every Submit, Recv and Flush after it ErrPipeClosed. Frames
-// still buffered then, or at Close, are dropped.
+// The first failed write or read closes the pipe: the call that hit it
+// returns the error, every Submit, Recv and Flush after it ErrPipeClosed
+// — a reply that was lost or could not be decoded has consumed its tag,
+// so the reply order is gone for good. Frames still buffered then, or at
+// Close, are dropped.
 type Pipe struct {
 	conn net.Conn
-	br   *bufio.Reader
-
-	// mu serializes frame append + tag enqueue, so the tag FIFO order is
-	// exactly the wire order (submitter and chaining collector race);
-	// wbuf holds the frames submitted since the last flush.
-	mu   sync.Mutex
-	wbuf []byte
-
-	tags chan pipeSlot
-	sem  chan struct{} // window slots: acquired first-frame, released last-reply
-
+	br   *bufio.Reader // the collector's alone: reads happen outside mu
 	rbuf []byte
 
-	dead chan struct{}
-	once sync.Once
+	// mu guards the rest, as in the server's reply ring. One critical
+	// section appends a frame and queues its tag, so the tag order is the
+	// wire order (submitter and chaining collector race).
+	mu     sync.Mutex
+	space  sync.Cond // inflight dropped below the window, or dead: wakes the submitter
+	queued sync.Cond // a tag was queued, or dead: wakes the collector
+	wbuf   []byte    // the frames submitted since the last flush
+	// tags[head, tail) mod len are the frames awaiting a reply. An operation
+	// in flight has at most one, so window entries are enough.
+	tags       []pipeSlot
+	head, tail int
+	inflight   int // operations holding a window slot: first frame in, last reply not yet out
+	dead       bool
 }
 
 type pipeSlot struct {
@@ -80,16 +83,9 @@ func DialPipe(addr string, window int) (*Pipe, error) {
 }
 
 func newPipe(conn net.Conn, window int) *Pipe {
-	return &Pipe{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 16<<10),
-		// Each in-flight op has at most one outstanding frame, so the
-		// FIFO never holds more than window slots; the slack means an
-		// enqueue under mu can never block.
-		tags: make(chan pipeSlot, 2*window+8),
-		sem:  make(chan struct{}, window),
-		dead: make(chan struct{}),
-	}
+	p := &Pipe{conn: conn, br: bufio.NewReaderSize(conn, 16<<10), tags: make([]pipeSlot, window)}
+	p.space.L, p.queued.L = &p.mu, &p.mu
+	return p
 }
 
 // Submit buffers one request frame carrying tag; it does not touch the
@@ -98,32 +94,32 @@ func newPipe(conn net.Conn, window int) *Pipe {
 // final frame — its reply releases the slot. A single-frame operation
 // passes first=true, last=true.
 func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
-	if first {
-		// Only this goroutine fills the window, so a free slot stays free.
-		if len(p.sem) == cap(p.sem) {
-			if err := p.Flush(); err != nil {
-				return err
-			}
-		}
-		select {
-		case p.sem <- struct{}{}:
-		case <-p.dead:
-			return ErrPipeClosed
-		}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	err := p.closed()
-	if err == nil {
-		p.wbuf, err = txkvwire.AppendReqFrame(p.wbuf, req)
-	}
-	if err != nil {
-		if first {
-			<-p.sem
+	if first && p.inflight == len(p.tags) {
+		if err := p.flush(); err != nil {
+			return err
 		}
-		return err
+		for p.inflight == len(p.tags) && !p.dead {
+			p.space.Wait()
+		}
 	}
-	p.tags <- pipeSlot{tag: tag, last: last}
+	if p.dead {
+		return ErrPipeClosed
+	}
+	if p.tail-p.head == len(p.tags) {
+		panic("txkvclient: Submit(first=false) without a held window slot")
+	}
+	var err error
+	if p.wbuf, err = txkvwire.AppendReqFrame(p.wbuf, req); err != nil {
+		return err // wbuf is as it was
+	}
+	if first {
+		p.inflight++
+	}
+	p.tags[p.tail%len(p.tags)] = pipeSlot{tag: tag, last: last}
+	p.tail++
+	p.queued.Signal()
 	return nil
 }
 
@@ -132,13 +128,20 @@ func (p *Pipe) Submit(req txkvwire.Req, tag any, first, last bool) error {
 func (p *Pipe) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.closed(); err != nil || len(p.wbuf) == 0 {
-		return err
+	return p.flush()
+}
+
+func (p *Pipe) flush() error {
+	if p.dead {
+		return ErrPipeClosed
+	}
+	if len(p.wbuf) == 0 {
+		return nil
 	}
 	_, err := p.conn.Write(p.wbuf)
 	p.wbuf = p.wbuf[:0]
 	if err != nil {
-		p.Close() // also wakes a collector parked on the socket
+		p.kill() // also wakes a collector parked on the socket
 	}
 	return err
 }
@@ -149,15 +152,20 @@ func (p *Pipe) Flush() error {
 // while frames are outstanding or a submit is coming (it blocks until
 // the next reply).
 func (p *Pipe) Recv() (tag any, last bool, reply txkvwire.Reply, err error) {
-	var slot pipeSlot
-	select {
-	case slot = <-p.tags:
-	case <-p.dead:
+	p.mu.Lock()
+	for p.head == p.tail && !p.dead {
+		p.queued.Wait()
+	}
+	if p.dead {
+		p.mu.Unlock()
 		return nil, false, txkvwire.Reply{}, ErrPipeClosed
 	}
+	slot := p.tags[p.head%len(p.tags)]
+	p.head++
 	if !txkvwire.FrameBuffered(p.br) {
-		err = p.Flush()
+		err = p.flush()
 	}
+	p.mu.Unlock()
 	if err == nil {
 		p.rbuf, err = txkvwire.ReadFrame(p.br, p.rbuf)
 	}
@@ -165,34 +173,40 @@ func (p *Pipe) Recv() (tag any, last bool, reply txkvwire.Reply, err error) {
 		reply, err = txkvwire.DecodeReply(p.rbuf)
 	}
 	if err != nil {
+		p.Close() // wakes a submitter parked on the window
 		return slot.tag, slot.last, txkvwire.Reply{}, err
 	}
 	if slot.last {
-		<-p.sem
+		p.Release()
 	}
 	return slot.tag, slot.last, reply, nil
 }
 
 // Release finishes a chained operation without a further request,
 // freeing its window slot (the collector's "CAS read missed" path).
-func (p *Pipe) Release() { <-p.sem }
+func (p *Pipe) Release() {
+	p.mu.Lock()
+	p.inflight--
+	p.mu.Unlock()
+	p.space.Signal()
+}
 
 // Close tears the pipe down, waking a submitter blocked on the window
 // and a collector blocked without outstanding frames. Frames submitted
 // but not yet flushed are dropped.
 func (p *Pipe) Close() error {
-	p.once.Do(func() { close(p.dead) })
-	return p.conn.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.kill()
 }
 
-// closed returns ErrPipeClosed once the pipe is dead.
-func (p *Pipe) closed() error {
-	select {
-	case <-p.dead:
-		return ErrPipeClosed
-	default:
-		return nil
-	}
+// kill marks the pipe dead under mu, wakes both parked parties and closes
+// the connection under a collector parked on the socket.
+func (p *Pipe) kill() error {
+	p.dead = true
+	p.space.Signal()
+	p.queued.Signal()
+	return p.conn.Close()
 }
 
 // ErrFeedClosed is the clean end of a feed subscription: the server

@@ -325,22 +325,33 @@ func TestMaxConnsRejected(t *testing.T) {
 // TestTotalIsPhaseSum pins the per-request accounting identity at the
 // metrics layer: the total histogram records exactly the sum of the
 // six phase sums, so per-phase time can never leak out of (or
-// double-count into) the end-to-end figure.
+// double-count into) the end-to-end figure — whether a request is
+// recorded in one call or, as connWriter does around a pass, counted
+// first and observed later.
 func TestTotalIsPhaseSum(t *testing.T) {
-	m := newMetrics(4)
-	m.record(txkvwire.OpGet, 1, 20, 300, 4000, 50_000, 600_000)
-	om := &m.ops[int(txkvwire.OpGet)]
-	var phases uint64
-	for p := 0; p < phaseCount; p++ {
-		h := om.phase[p].Snapshot()
-		phases += h.Sum
-	}
-	tot := om.total.Snapshot()
-	if want := uint64(1 + 20 + 300 + 4000 + 50_000 + 600_000); tot.Sum != want || phases != want {
-		t.Fatalf("total=%d phases=%d, want both %d", tot.Sum, phases, want)
-	}
-	st := m.snapshot()
-	if got := st.ParseNs + st.QueueNs + st.TxnNs + st.CommitNs + st.WalNs + st.ReplyNs; got != 654_321 {
-		t.Fatalf("snapshot phase sum %d, want 654321", got)
+	phases := [phaseCount]uint64{1, 20, 300, 4000, 50_000, 600_000}
+	for name, book := range map[string]func(*metrics){
+		"record": func(m *metrics) { m.record(txkvwire.OpGet, phases) },
+		"count+observe": func(m *metrics) {
+			m.ops[txkvwire.OpGet].requests.Inc()
+			m.observe(txkvwire.OpGet, phases)
+		},
+	} {
+		m := newMetrics(4)
+		book(m)
+		om := &m.ops[int(txkvwire.OpGet)]
+		var sum uint64
+		for p := 0; p < phaseCount; p++ {
+			h := om.phase[p].Snapshot()
+			sum += h.Sum
+		}
+		tot := om.total.Snapshot()
+		if want := uint64(654_321); tot.Sum != want || sum != want || tot.Count != 1 {
+			t.Fatalf("%s: total=%d over %d requests, phases=%d, want %d over 1", name, tot.Sum, tot.Count, sum, want)
+		}
+		st := m.snapshot()
+		if got := st.ParseNs + st.QueueNs + st.TxnNs + st.CommitNs + st.WalNs + st.ReplyNs; got != 654_321 || st.Requests != 1 {
+			t.Fatalf("%s: snapshot phase sum %d over %d requests, want 654321 over 1", name, got, st.Requests)
+		}
 	}
 }

@@ -141,7 +141,7 @@ func (c *conn) subscribe(req txkvwire.Req, parseNs uint64) {
 	c.s.wg.Done()
 	r0 := time.Now()
 	if c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
-		c.s.m.record(txkvwire.OpSubscribe, parseNs, 0, 0, 0, 0, uint64(time.Since(r0).Nanoseconds()))
+		c.s.m.record(txkvwire.OpSubscribe, [phaseCount]uint64{phaseParse: parseNs, phaseReply: uint64(time.Since(r0))})
 		c.streamFeed(int(req.Shard), req.From)
 	}
 }

@@ -123,18 +123,24 @@ func shardName(i int) string {
 }
 
 // record logs one fully served request of type op with its six phase
-// durations (ns). The total histogram records the phase sum, so
-// per-op totals and phase splits agree by construction.
-func (m *metrics) record(op txkvwire.Op, parse, queue, txn, commit, wal, reply uint64) {
+// durations (ns): counted, then observed.
+func (m *metrics) record(op txkvwire.Op, phases [phaseCount]uint64) {
+	m.ops[int(op)].requests.Inc()
+	m.observe(op, phases)
+}
+
+// observe is record less the count, for connWriter, which counts a
+// request before its reply is written and knows its reply phase only
+// after. The total histogram records the phase sum, so per-op totals and
+// phase splits agree by construction.
+func (m *metrics) observe(op txkvwire.Op, phases [phaseCount]uint64) {
 	om := &m.ops[int(op)]
-	om.requests.Inc()
-	om.phase[phaseParse].Record(parse)
-	om.phase[phaseQueue].Record(queue)
-	om.phase[phaseTxn].Record(txn)
-	om.phase[phaseCommit].Record(commit)
-	om.phase[phaseWal].Record(wal)
-	om.phase[phaseReply].Record(reply)
-	om.total.Record(parse + queue + txn + commit + wal + reply)
+	var total uint64
+	for p, v := range phases {
+		om.phase[p].Record(v)
+		total += v
+	}
+	om.total.Record(total)
 }
 
 // recordConflicts attributes n engine aborts to shard (−1 = the

@@ -51,17 +51,18 @@ func newReplyRing(window int) *replyRing {
 func (r *replyRing) at(seq uint64) *slot { return &r.slots[seq%uint64(len(r.slots))] }
 
 // reserve takes the next slot in request order for an item about to be
-// enqueued, blocking while the window is full.
-func (r *replyRing) reserve(op txkvwire.Op, parseNs uint64) *slot {
+// enqueued, blocking while the window is full; waited says it did.
+func (r *replyRing) reserve(op txkvwire.Op, parseNs uint64) (sl *slot, waited bool) {
 	r.mu.Lock()
 	for r.tail-r.head == uint64(len(r.slots)) {
+		waited = true
 		r.space.Wait()
 	}
-	sl := r.at(r.tail)
+	sl = r.at(r.tail)
 	sl.seq, sl.op, sl.parseNs, sl.done = r.tail, op, parseNs, false
 	r.tail++
 	r.mu.Unlock()
-	return sl
+	return sl, waited
 }
 
 // unreserve gives the last reserved slot back: its item was refused, so
@@ -144,17 +145,34 @@ func (c *conn) connWriter() {
 		}
 		r.mu.Unlock()
 		// Slots [start, end) are the writer's alone until head passes them.
-		for seq := start; seq != end && !c.failed; seq++ {
-			sl := r.at(seq)
-			flush := seq+1 == end && !r.completed(end)
-			r0 := time.Now()
-			if c.writeReply(c.s.coalescedReply(sl.op, sl.res), flush) {
-				c.s.m.record(sl.op, sl.parseNs, sl.res.QueueNs, sl.res.TxnNs, sl.res.CommitNs, sl.res.WalNs,
-					uint64(time.Since(r0).Nanoseconds()))
-			}
+		if !c.failed {
+			c.writePass(start, end)
 		}
 		r.mu.Lock()
 		r.head = end
 		r.space.Signal()
+	}
+}
+
+// writePass answers slots [start, end) and books them. The pass is timed
+// as a whole — two clock reads — and each reply's reply phase is an equal
+// share of it, the way a flush shares its transaction over its batch. A
+// request is counted before its reply is written: a client that has read
+// its replies must find them in Stats.Requests (the benchmark's oracle).
+// A pass cut short by a write error observes nothing.
+func (c *conn) writePass(start, end uint64) {
+	r, m := c.ring, c.s.m
+	p0 := time.Now()
+	for seq := start; seq != end; seq++ {
+		sl := r.at(seq)
+		m.ops[sl.op].requests.Inc()
+		if !c.writeReply(c.s.coalescedReply(sl.op, sl.res), seq+1 == end && !r.completed(end)) {
+			return
+		}
+	}
+	share := uint64(time.Since(p0)) / (end - start)
+	for seq := start; seq != end; seq++ {
+		sl := r.at(seq)
+		m.observe(sl.op, [phaseCount]uint64{sl.parseNs, sl.res.QueueNs, sl.res.TxnNs, sl.res.CommitNs, sl.res.WalNs, share})
 	}
 }

@@ -542,15 +542,20 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) serve() (sub bool) {
 	s := c.s
 	var fbuf []byte
+	// The phase stamps chain (DESIGN.md §13.2): t0 starts a request's parse
+	// phase, and inside a burst — this frame was already buffered, nothing
+	// blocked — it is the last clock reading of the request before.
+	var t0 time.Time
 	for {
 		if s.draining.Load() {
 			return false // drained: the previous request was the last one read
 		}
-		if s.cfg.ReadTimeout > 0 {
+		buffered := txkvwire.FrameBuffered(c.br)
+		if !buffered && s.cfg.ReadTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		if s.draining.Load() {
-			return false // re-check: the re-armed deadline must not outlive a drain
+			if s.draining.Load() {
+				return false // re-check: the re-armed deadline must not outlive a drain
+			}
 		}
 		payload, err := txkvwire.ReadFrame(c.br, fbuf)
 		if err != nil {
@@ -558,14 +563,19 @@ func (c *conn) serve() (sub bool) {
 		}
 		fbuf = payload
 
-		t0 := time.Now()
+		if !buffered {
+			t0 = time.Now()
+		}
 		req, derr := txkvwire.DecodeReq(payload)
 		op := txkvwire.OpInvalid
 		if derr == nil {
 			op = req.Op
 			derr = s.validate(req, true)
 		}
-		parseNs := uint64(time.Since(t0).Nanoseconds())
+		// parsed ends the parse phase and starts the queue phase: it is a
+		// coalesced item's enqueue stamp.
+		parsed := time.Now()
+		parseNs := uint64(parsed.Sub(t0))
 		// The deadline clock starts at arrival (frame decoded), not
 		// at client send: the TTL is a budget for server-side work,
 		// and the wire carries a duration precisely so that clock
@@ -574,6 +584,7 @@ func (c *conn) serve() (sub bool) {
 		if req.TTL > 0 {
 			deadline = t0.Add(req.TTL)
 		}
+		t0 = parsed
 
 		var (
 			reply                           txkvwire.Reply
@@ -587,9 +598,12 @@ func (c *conn) serve() (sub bool) {
 			// reserve blocks while the window is full — back-pressure on
 			// the wire instead of an unbounded queue; the enqueue never
 			// blocks (a full shard queue sheds).
-			sl := c.ring.reserve(op, parseNs)
+			sl, waited := c.ring.reserve(op, parseNs)
+			if waited {
+				t0 = time.Now() // the wait is this item's queue time, not the next one's parse
+			}
 			sl.Init(cop, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline, sl)
-			code, msg := s.co.Enqueue(&sl.Item)
+			code, msg := s.co.EnqueueAt(&sl.Item, parsed)
 			if code == 0 {
 				continue
 			}
@@ -604,9 +618,8 @@ func (c *conn) serve() (sub bool) {
 		// visible to the pooled request pipelined behind it, and hands
 		// the reply side back.
 		if c.ring != nil {
-			w0 := time.Now()
 			c.ring.waitIdle()
-			queueNs = uint64(time.Since(w0).Nanoseconds())
+			queueNs = uint64(time.Since(parsed))
 			if c.failed {
 				return false
 			}
@@ -625,7 +638,8 @@ func (c *conn) serve() (sub bool) {
 		if !c.writeReply(reply, !txkvwire.FrameBuffered(c.br)) {
 			return false
 		}
-		s.m.record(op, parseNs, queueNs, txnNs, commitNs, walNs, uint64(time.Since(r0).Nanoseconds()))
+		t0 = time.Now()
+		s.m.record(op, [phaseCount]uint64{parseNs, queueNs, txnNs, commitNs, walNs, uint64(t0.Sub(r0))})
 	}
 }
 
@@ -638,8 +652,9 @@ func (c *conn) fail() {
 
 // writeReply encodes and buffers one reply frame — length prefix and
 // payload in one Write, so the frame is never torn across two — and
-// flushes when asked. False means the connection is broken (and now
-// closed).
+// flushes when asked. The write deadline is armed only for a call that
+// reaches the socket: once per flushed burst or pass. False means the
+// connection is broken (and now closed).
 func (c *conn) writeReply(reply txkvwire.Reply, flush bool) bool {
 	buf, err := txkvwire.AppendReplyFrame(c.obuf[:0], reply)
 	if err != nil {
@@ -649,8 +664,8 @@ func (c *conn) writeReply(reply txkvwire.Reply, flush bool) bool {
 			Op: reply.Op, Err: "internal: unencodable reply", Code: txkvwire.CodeInternal})
 	}
 	c.obuf = buf
-	if c.s.cfg.WriteTimeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	if d := c.s.cfg.WriteTimeout; d > 0 && (flush || len(buf) > c.bw.Available()) {
+		c.nc.SetWriteDeadline(time.Now().Add(d))
 	}
 	if _, err := c.bw.Write(buf); err != nil || (flush && c.bw.Flush() != nil) {
 		c.fail()

@@ -17,7 +17,11 @@
 # environment each workload's timed pairs are followed by one `-trace 1`
 # pair on a further seed, and the per-layer metrics that are non-zero on
 # either side are printed parent beside change with the difference, so
-# "the claimed row moves and these counts do not" is the same command.
+# "the claimed row moves and these counts do not" is the same command:
+# the block ends with one line per count metric (unit count or ratio: the
+# *_per_op, *_share and items_per_batch rows), "same" when the two sides
+# are within 1 % of the parent's value, else "moved" with both values. The
+# time-valued rows of a single traced pair stay advisory.
 # Each block ends with one verdict line per end-to-end metric, judged
 # against the metric's bound in BENCHMARK.json: for the pairing named in
 # CLAIM=<metric>@<workload>, "claim met" when the change wins at least nine
@@ -79,7 +83,7 @@ layers() {
 }
 
 # traced WORKLOAD: one -trace 1 run per side on the seed after the timed
-# pairs', per-layer metrics side by side.
+# pairs', per-layer metrics side by side, then a verdict per count.
 traced() {
 	local w=$1 out=$ab/$1 seed=$((seed0 + pairs + 1))
 	echo "traced pair $w: -trace 1, -seconds $seconds, seed $seed"
@@ -89,10 +93,15 @@ traced() {
 		layers "$json" | LC_ALL=C sort >"$out.$side.layers"
 	done
 	printf '%-34s %14s %14s %9s  %s\n' metric parent change delta unit
-	LC_ALL=C join "$out.parent.layers" "$out.change.layers" | awk '$2 != 0 || $4 != 0 {
+	LC_ALL=C join "$out.parent.layers" "$out.change.layers" | awk -v w="$w" '$2 != 0 || $4 != 0 {
 		delta = $2 != 0 ? sprintf("%+.1f %%", 100 * ($4 / $2 - 1)) : "new"
 		printf "%-34s %14.6g %14.6g %9s  %s\n", $1, $2, $4, delta, $3
-	}'
+		if ($3 == "count" || $3 == "ratio") {
+			d = $4 - $2; if (d < 0) d = -d
+			fmt = d <= 0.01 * ($2 < 0 ? -$2 : $2) ? "same (%.6g, %.6g)" : "moved (%.6g -> %.6g)"
+			counts[++n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4)
+		}
+	} END { for (i = 1; i <= n; i++) print counts[i] }'
 	echo
 }
 
