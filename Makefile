@@ -8,11 +8,11 @@ GO ?= go
 # txkv rides along for its concurrent transfer-invariant test; the
 # server stack (wire/server/client) because its tests run many TCP
 # connections against one shared engine.
-RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce
+RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce ./internal/ticket
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace benchmark-ab ci
+.PHONY: build test race loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace benchmark-ab ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines of each package and their total outside
+# benchmark/ — the unit ROADMAP.md states its size budgets in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| sed 's|^\./||' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/txkv

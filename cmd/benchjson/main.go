@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"swisstm/internal/bench7"
+	"swisstm/internal/coalesce"
 	"swisstm/internal/harness"
 	"swisstm/internal/obs"
 	"swisstm/internal/rbtree"
@@ -360,32 +361,20 @@ func workloads() []workload {
 					w.Close()
 					os.RemoveAll(dir)
 				}
-				// The server's ticket discipline (DESIGN.md §12): abandon a
-				// retried attempt's ticket at body re-entry, reserve as the
-				// body's last step so ticket order agrees with commit order,
-				// publish the redo frame after the engine commit.
-				var tk wal.Ticket
-				live := false
-				buf := make([]byte, 0, 64)
-				entry := []txkv.RedoEntry{{Op: txkv.RedoPut}}
+				// The server's commit scope (DESIGN.md §12.2): what a
+				// logged Put costs on top of the engine transaction.
+				cm := coalesce.NewCommit(s, w, nil)
 				putTk := func(tx stm.Tx) bool {
-					if live {
-						w.Abandon(tk)
-						live = false
-					}
-					ok := s.Put(tx, k, v)
-					tk = w.Reserve()
-					live = true
+					cm.Begin()
+					ok := cm.Put(tx, k, v)
+					cm.Reserve()
 					return ok
 				}
 				return func() {
 					k = stm.Word(zipf.Next(rng) + 1)
 					v++
 					stm.Atomic(th, putTk)
-					live = false
-					entry[0].Key, entry[0].Val = k, v
-					buf, _ = txkv.AppendRedo(buf[:0], entry)
-					if err := w.Publish(tk, buf); err != nil {
+					if _, err := cm.Publish(); err != nil {
 						fmt.Fprintln(os.Stderr, "benchjson: wal publish:", err)
 						os.Exit(1)
 					}

@@ -20,9 +20,15 @@
 // other's failures. An item whose TTL expires while queued is shed
 // alone with DeadlineExceeded; the rest of its batch executes. Items
 // pending when the coalescer shuts down complete with Draining.
+//
+// The panic rule: the one way a store operation does abort is a panic
+// out of the body (a Put into a full shard). The batch has then applied
+// nothing; it is re-run one item at a time, so only the offender is
+// refused, with Internal, and the shard worker keeps running.
 package coalesce
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -33,15 +39,18 @@ import (
 	"swisstm/internal/wal"
 )
 
-// Op is the single-key operation class a batcher accepts.
-type Op uint8
+// Op is an item's wire op. The batchers accept the single-key ones.
+type Op = txkvwire.Op
 
 const (
-	OpGet Op = iota + 1
-	OpPut
-	OpDelete
-	OpCAS
+	OpGet    = txkvwire.OpGet
+	OpPut    = txkvwire.OpPut
+	OpDelete = txkvwire.OpDelete
+	OpCAS    = txkvwire.OpCAS
 )
+
+// Accepts reports whether op is one an Item may carry.
+func Accepts(op Op) bool { return op == OpGet || op == OpPut || op == OpDelete || op == OpCAS }
 
 // Result is one item's individual outcome. Err, when non-empty, is a
 // typed failure (Code classifies it); Shed additionally marks items
@@ -304,7 +313,7 @@ func (c *Coalescer) Close() {
 func (c *Coalescer) worker(shard int, th stm.Thread) {
 	defer c.wg.Done()
 	sh := c.qs[shard]
-	fl := &flusher{c: c, shard: shard, th: th}
+	fl := &flusher{c: c, shard: shard, th: th, cm: NewCommit(c.store, c.log, c.feeds)}
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -378,124 +387,49 @@ type flusher struct {
 	c     *Coalescer
 	shard int
 	th    stm.Thread
+	cm    *Commit
 
-	live   []*Item
-	res    []Result
-	redo   []txkv.RedoEntry
-	events []Event
-	buf    []byte
+	live []*Item
+	res  []Result
 }
 
-// flush executes one batch as one engine transaction, then publishes
-// its redo frame and feed events.
+// flush sheds the batch's expired items and runs the rest.
 func (fl *flusher) flush(batch []*Item) {
-	c, m := fl.c, fl.c.cfg.Metrics
 	start := time.Now()
 
 	// TTL expiry inside a batch sheds only the expired item: its
 	// deadline passed while it waited for the flush, so its queue
 	// phase is exactly the time-to-flush.
 	fl.live = fl.live[:0]
-	mutating := false
 	for _, it := range batch {
 		if !it.Deadline.IsZero() && start.After(it.Deadline) {
-			m.Expired.Inc()
+			fl.c.cfg.Metrics.Expired.Inc()
 			it.complete(Result{Err: "deadline exceeded while queued for flush",
 				Code: txkvwire.CodeDeadlineExceeded, Shed: true,
 				QueueNs: uint64(start.Sub(it.enq))})
 			continue
 		}
-		if it.Op != OpGet {
-			mutating = true
-		}
 		fl.live = append(fl.live, it)
 	}
-	live := fl.live
-	if len(live) == 0 {
-		return
+	if len(fl.live) > 0 {
+		fl.run(fl.live, start)
 	}
+}
+
+// run executes live as one engine transaction through the commit scope,
+// publishes its feed events and redo frame, and completes every item.
+// start is where the items' queue phases end.
+func (fl *flusher) run(live []*Item, start time.Time) {
+	c, m := fl.c, fl.c.cfg.Metrics
 	if cap(fl.res) < len(live) {
 		fl.res = make([]Result, len(live))
 	}
 	res := fl.res[:len(live)]
-	for i := range res {
-		res[i] = Result{}
-	}
+	clear(res)
 
-	var (
-		logTk    wal.Ticket
-		logLive  bool
-		feedTk   uint64
-		feedLive bool
-		bodyNs   uint64
-		feed     *Feed
-	)
-	if c.feeds != nil {
-		feed = c.feeds[fl.shard]
-	}
 	aborts0 := fl.th.Stats().Aborts
-	if !mutating {
-		stm.AtomicRO(fl.th, func(tx stm.TxRO) int {
-			bt := time.Now()
-			for i, it := range live {
-				res[i].Val, res[i].Found = c.store.Get(tx, it.Key)
-			}
-			bodyNs = uint64(time.Since(bt))
-			return 0
-		})
-	} else {
-		stm.Atomic(fl.th, func(tx stm.Tx) int {
-			bt := time.Now()
-			// Retried attempt: release the failed attempt's tickets and
-			// rebuild its outcome from scratch.
-			if logLive {
-				c.log.Abandon(logTk)
-				logLive = false
-			}
-			if feedLive {
-				feed.Abandon(feedTk)
-				feedLive = false
-			}
-			fl.redo = fl.redo[:0]
-			fl.events = fl.events[:0]
-			for i, it := range live {
-				switch it.Op {
-				case OpGet:
-					res[i].Val, res[i].Found = c.store.Get(tx, it.Key)
-				case OpPut:
-					res[i].OK = c.store.Put(tx, it.Key, it.Val)
-					fl.redo = append(fl.redo, txkv.RedoEntry{Op: txkv.RedoPut, Key: it.Key, Val: it.Val})
-					fl.events = append(fl.events, Event{Key: uint64(it.Key), Val: uint64(it.Val)})
-				case OpDelete:
-					if res[i].OK = c.store.Delete(tx, it.Key); res[i].OK {
-						fl.redo = append(fl.redo, txkv.RedoEntry{Op: txkv.RedoDelete, Key: it.Key})
-						fl.events = append(fl.events, Event{Del: true, Key: uint64(it.Key)})
-					}
-				case OpCAS:
-					if res[i].OK = c.store.CAS(tx, it.Key, it.Old, it.Val); res[i].OK {
-						fl.redo = append(fl.redo, txkv.RedoEntry{Op: txkv.RedoPut, Key: it.Key, Val: it.Val})
-						fl.events = append(fl.events, Event{Key: uint64(it.Key), Val: uint64(it.Val)})
-					}
-				}
-			}
-			// Tickets last (DESIGN.md §12): every read deciding the
-			// batch's outcome precedes the reservations, so ticket order
-			// agrees with commit order.
-			if len(fl.redo) > 0 && c.log != nil {
-				logTk = c.log.Reserve()
-				logLive = true
-			}
-			if len(fl.events) > 0 && feed != nil {
-				feedTk = feed.Reserve()
-				feedLive = true
-			}
-			bodyNs = uint64(time.Since(bt))
-			return 0
-		})
-	}
+	bodyNs, panicked := fl.transact(live, res)
 	end := time.Now() // commit is the flush from start, where the queue phases end, less the final body
-	txnNs := bodyNs
-	commitNs := uint64(end.Sub(start)) - bodyNs
 	cur := fl.th.Stats()
 	sh := c.qs[fl.shard]
 	sh.statsMu.Lock()
@@ -506,33 +440,27 @@ func (fl *flusher) flush(batch []*Item) {
 			c.cfg.Conflicts(fl.shard, d)
 		}
 	}
-
-	// The feed reflects the in-memory commit, which already happened;
-	// publish before the durability wait so tailers are not gated on
-	// fsync latency.
-	if feedLive {
-		feed.Publish(feedTk, fl.events)
-	}
-	var walNs uint64
-	var walErr error
-	if logLive {
-		var buf []byte
-		buf, walErr = txkv.AppendRedo(fl.buf[:0], fl.redo)
-		fl.buf = buf[:0]
-		wt := time.Now()
-		if walErr == nil {
-			walErr = c.log.Publish(logTk, buf)
-		} else {
-			c.log.Abandon(logTk)
+	if panicked != nil {
+		// Nothing of the batch applied. Items never observe each other's
+		// failures, so find the offender by running them one at a time,
+		// in order; alone, it is refused.
+		if len(live) > 1 {
+			for i := range live {
+				fl.run(live[i:i+1], time.Now())
+			}
+			return
 		}
-		end = time.Now()
-		walNs = uint64(end.Sub(wt))
+		live[0].complete(Result{Err: fmt.Sprint(panicked), Code: txkvwire.CodeInternal,
+			QueueNs: uint64(start.Sub(live[0].enq)), CommitNs: uint64(end.Sub(start))})
+		return
 	}
+	commitNs := uint64(end.Sub(start)) - bodyNs
+	walNs, walErr := fl.cm.Publish()
 
 	m.Batches.Inc()
 	m.Items.Add(uint64(len(live)))
 	m.BatchSize.Record(uint64(len(live)))
-	m.FlushNs.Record(uint64(end.Sub(start)))
+	m.FlushNs.Record(uint64(end.Sub(start)) + walNs)
 
 	n := uint64(len(live))
 	for i, it := range live {
@@ -543,11 +471,60 @@ func (fl *flusher) flush(batch []*Item) {
 			r = Result{Err: "wal: " + walErr.Error(), Code: txkvwire.CodeInternal}
 		}
 		r.QueueNs = uint64(start.Sub(it.enq))
-		r.TxnNs = txnNs / n
+		r.TxnNs = bodyNs / n
 		r.CommitNs = commitNs / n
 		r.WalNs = walNs / n
 		it.complete(r)
 	}
+}
+
+// transact runs live's engine transaction, filling res, and returns the
+// duration of the committing attempt's body. A foreign panic out of the
+// body — the store refusing a Put into a full shard — comes back as
+// panicked: the engine has rolled the attempt back and released its
+// locks (stm.Thread.Unwind), and the scope gives back its tickets.
+func (fl *flusher) transact(live []*Item, res []Result) (bodyNs uint64, panicked any) {
+	defer func() {
+		if panicked = recover(); panicked != nil {
+			fl.cm.Abandon()
+		}
+	}()
+	store, cm := fl.c.store, fl.cm
+	mutating := false
+	for _, it := range live {
+		mutating = mutating || it.Op != OpGet
+	}
+	if !mutating {
+		stm.AtomicRO(fl.th, func(tx stm.TxRO) int {
+			bt := time.Now()
+			for i, it := range live {
+				res[i].Val, res[i].Found = store.Get(tx, it.Key)
+			}
+			bodyNs = uint64(time.Since(bt))
+			return 0
+		})
+		return bodyNs, nil
+	}
+	stm.Atomic(fl.th, func(tx stm.Tx) int {
+		bt := time.Now()
+		cm.Begin()
+		for i, it := range live {
+			switch it.Op {
+			case OpGet:
+				res[i].Val, res[i].Found = store.Get(tx, it.Key)
+			case OpPut:
+				res[i].OK = cm.Put(tx, it.Key, it.Val)
+			case OpDelete:
+				res[i].OK = cm.Delete(tx, it.Key)
+			case OpCAS:
+				res[i].OK = cm.CAS(tx, it.Key, it.Old, it.Val)
+			}
+		}
+		cm.Reserve()
+		bodyNs = uint64(time.Since(bt))
+		return 0
+	})
+	return bodyNs, nil
 }
 
 // mutated reports whether the item contributed an entry to its batch's

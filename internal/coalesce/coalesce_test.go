@@ -203,6 +203,55 @@ func TestPerItemIsolation(t *testing.T) {
 	}
 }
 
+// TestPanickingItemIsRefusedAlone pins the panic rule: a body the store
+// panics out of (a Put into a full shard) applies nothing, its batch is
+// re-run one item at a time, and only the offender is refused — with its
+// tickets given back, so the shard's feed stays contiguous and the next
+// batch publishes behind it.
+func TestPanickingItemIsRefusedAlone(t *testing.T) {
+	r := newRig(t, "swisstm", coalesce.Config{BatchSize: 3, MaxWait: time.Hour}, true)
+	defer r.co.Close()
+	const slots = 64 // per shard, at newRig's ConfigForKeys(256)
+	keys := r.sameShardKeys(slots + 1)
+	for _, k := range keys[:slots] {
+		r.put(k, 1)
+	}
+	feed := r.feeds[r.store.ShardOf(keys[0])]
+
+	before := coalesce.NewItem(coalesce.OpPut, keys[0], 42, 0, time.Time{})
+	offender := coalesce.NewItem(coalesce.OpPut, keys[slots], 7, 0, time.Time{})
+	after := coalesce.NewItem(coalesce.OpGet, keys[0], 0, 0, time.Time{})
+	for _, it := range []*coalesce.Item{before, offender, after} {
+		r.enqueue(t, it)
+	}
+	if res := await(t, before); res.Err != "" || res.OK {
+		t.Fatalf("put of a present key beside the offender: %+v", res)
+	}
+	if res := await(t, offender); res.Code != txkvwire.CodeInternal || res.Shed {
+		t.Fatalf("put into a full shard: %+v, want an Internal error", res)
+	}
+	if res := await(t, after); res.Err != "" || res.Val != 42 {
+		t.Fatalf("get behind the offender: %+v, want the value its neighbour put", res)
+	}
+	if end := feed.End(); end != 2 {
+		t.Fatalf("feed ends at seq %d, want 2: exactly the neighbour's put", end)
+	}
+
+	next := make([]*coalesce.Item, 3)
+	for i := range next {
+		next[i] = coalesce.NewItem(coalesce.OpPut, keys[i], 9, 0, time.Time{})
+		r.enqueue(t, next[i])
+	}
+	for _, it := range next {
+		if res := await(t, it); res.Err != "" {
+			t.Fatalf("put after the panic: %+v", res)
+		}
+	}
+	if end := feed.End(); end != 5 {
+		t.Fatalf("feed ends at seq %d after the next batch, want 5", end)
+	}
+}
+
 // TestTTLExpiryShedsOnlyExpiredItem is the PR 9 shed-accounting
 // regression under coalescing: an item whose deadline passed while
 // queued is shed alone with DeadlineExceeded and an exact queue-phase

@@ -1,22 +1,16 @@
 // Per-shard change feed: an append-only sequence of committed
-// mutations, tailable by subscribers (DESIGN.md §14.4).
-//
-// Ordering uses the same ticket discipline as the commit log
-// (DESIGN.md §12): a publisher reserves a ticket inside its
-// transaction body — after every read that decides the outcome, so
-// ticket order agrees with the engines' commit order for conflicting
-// transactions — and publishes its events after the commit. Publishes
-// arriving out of ticket order park until their predecessors land, so
-// event sequence numbers are assigned in commit order and are
-// contiguous per shard.
+// mutations, tailable by subscribers (DESIGN.md §14.4). Publishers go
+// through a ticket.Sequencer (DESIGN.md §12.2), so event sequence
+// numbers are assigned in commit order and are contiguous per shard.
 package coalesce
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"swisstm/internal/obs"
+	"swisstm/internal/ticket"
 )
 
 // Event is one committed mutation in a shard's change feed: a write
@@ -37,15 +31,13 @@ type Feed struct {
 	capacity int
 	events   *obs.Counter // optional: events published
 
-	last atomic.Uint64 // last ticket handed out
+	seq *ticket.Sequencer[[]Event] // appends to the ring, under mu
 
 	mu     sync.Mutex
-	admit  uint64             // next ticket allowed to append
-	parked map[uint64][]Event // out-of-order publishes; nil = abandoned
-	next   uint64             // next seq to assign (1-based)
-	start  uint64             // oldest seq still retained
-	buf    []Event            // ring storage, len == capacity
-	wake   chan struct{}      // closed and replaced on every append
+	next   uint64        // next seq to assign (1-based)
+	start  uint64        // oldest seq still retained
+	buf    []Event       // ring storage, len == capacity
+	wake   chan struct{} // closed and replaced on every append
 	closed bool
 }
 
@@ -60,22 +52,21 @@ func NewFeed(capacity int, events *obs.Counter) *Feed {
 	if capacity <= 0 {
 		capacity = DefaultFeedCap
 	}
-	return &Feed{
+	f := &Feed{
 		capacity: capacity,
 		events:   events,
-		admit:    1,
-		parked:   make(map[uint64][]Event),
 		next:     1,
 		start:    1,
 		buf:      make([]Event, capacity),
 		wake:     make(chan struct{}),
 	}
+	f.seq = ticket.New(slices.Clone[[]Event], f.appendLocked)
+	return f
 }
 
-// Reserve draws the next ticket. Call inside the transaction body as
-// one of its last steps (after every read that decides the outcome);
-// publish or abandon the ticket exactly once after the body returns.
-func (f *Feed) Reserve() uint64 { return f.last.Add(1) }
+// Reserve draws the next ticket; publish or abandon it exactly once
+// after the transaction body returns.
+func (f *Feed) Reserve() uint64 { return f.seq.Reserve() }
 
 // Publish appends events under tk's position in the commit order,
 // assigning contiguous sequence numbers. A publish ahead of its
@@ -83,18 +74,7 @@ func (f *Feed) Reserve() uint64 { return f.last.Add(1) }
 func (f *Feed) Publish(tk uint64, events []Event) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if tk != f.admit {
-		cp := make([]Event, len(events))
-		copy(cp, events)
-		f.parked[tk] = cp
-		return
-	}
-	n := f.appendLocked(events)
-	f.admit++
-	n += f.drainParkedLocked()
-	if n > 0 {
-		f.wakeLocked()
-	}
+	f.seq.Publish(tk, events)
 }
 
 // Abandon releases tk without events — a retried transaction attempt
@@ -102,30 +82,15 @@ func (f *Feed) Publish(tk uint64, events []Event) {
 func (f *Feed) Abandon(tk uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if tk != f.admit {
-		f.parked[tk] = nil
+	f.seq.Abandon(tk)
+}
+
+// appendLocked is the sequencer's admit: events enter the ring and
+// subscribers are woken.
+func (f *Feed) appendLocked(events []Event) {
+	if len(events) == 0 {
 		return
 	}
-	f.admit++
-	if f.drainParkedLocked() > 0 {
-		f.wakeLocked()
-	}
-}
-
-func (f *Feed) drainParkedLocked() int {
-	n := 0
-	for {
-		ev, ok := f.parked[f.admit]
-		if !ok {
-			return n
-		}
-		delete(f.parked, f.admit)
-		n += f.appendLocked(ev)
-		f.admit++
-	}
-}
-
-func (f *Feed) appendLocked(events []Event) int {
 	for i := range events {
 		e := events[i]
 		e.Seq = f.next
@@ -135,10 +100,10 @@ func (f *Feed) appendLocked(events []Event) int {
 	if f.next-f.start > uint64(f.capacity) {
 		f.start = f.next - uint64(f.capacity)
 	}
-	if f.events != nil && len(events) > 0 {
+	if f.events != nil {
 		f.events.Add(uint64(len(events)))
 	}
-	return len(events)
+	f.wakeLocked()
 }
 
 // Next copies up to max ready events with seq >= cursor into dst[:0].

@@ -492,6 +492,9 @@ type conn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	obuf []byte // reply encode buffer
+	// cm is the commit scope of the pooled requests this connection
+	// executes, one at a time.
+	cm *coalesce.Commit
 
 	// ring is nil with coalescing off, and there is then no writer
 	// goroutine. The reply side (bw, obuf, failed) has one owner at a
@@ -510,7 +513,8 @@ type conn struct {
 // flushes — and every other request waits for their replies first, so
 // the order holds across both execution paths.
 func (s *Server) serveConn(nc net.Conn) {
-	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), bw: bufio.NewWriterSize(nc, 4<<10)}
+	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), bw: bufio.NewWriterSize(nc, 4<<10),
+		cm: coalesce.NewCommit(s.store, s.wal, s.feeds)}
 	if s.co != nil {
 		c.ring = newReplyRing(s.cfg.Pipeline)
 		go c.connWriter()
@@ -592,7 +596,7 @@ func (c *conn) serve() (sub bool) {
 		)
 		if derr != nil {
 			reply = txkvwire.Reply{Op: op, Err: derr.Error(), Code: txkvwire.CodeRejected}
-		} else if cop := coalesceOp(op); cop != 0 && s.co != nil {
+		} else if s.co != nil && coalesce.Accepts(op) {
 			// Enqueued here, so this connection's ops land in the shard
 			// queues in request order: pipelined read-your-writes. The
 			// reserve blocks while the window is full — back-pressure on
@@ -602,7 +606,7 @@ func (c *conn) serve() (sub bool) {
 			if waited {
 				t0 = time.Now() // the wait is this item's queue time, not the next one's parse
 			}
-			sl.Init(cop, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline, sl)
+			sl.Init(op, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline, sl)
 			code, msg := s.co.EnqueueAt(&sl.Item, parsed)
 			if code == 0 {
 				continue
@@ -631,7 +635,7 @@ func (c *conn) serve() (sub bool) {
 			return true
 		default:
 			var q uint64
-			reply, q, txnNs, commitNs, walNs = s.dispatch(req, deadline)
+			reply, q, txnNs, commitNs, walNs = c.dispatch(req, deadline)
 			queueNs += q
 		}
 		r0 := time.Now()
@@ -677,14 +681,15 @@ func (c *conn) writeReply(reply txkvwire.Reply, flush bool) bool {
 // dispatch executes one validated request on the calling (connection)
 // goroutine: it borrows a pool thread (bounded by the admission limits
 // and the request's deadline) and runs the transaction, returning the
-// reply and the queue/txn/commit/wal phase times. The commit-log
-// publish happens after the worker is back in the pool: a group fsync
-// blocks only this connection, never an engine thread.
+// reply and the queue/txn/commit/wal phase times. The commit scope
+// publishes after the worker is back in the pool: a group fsync blocks
+// only this connection, never an engine thread.
 //
 // Every exit path — shed, expired, executed — reports its queue time,
 // so txkv_phase_ns{phase="queue"} covers rejected admissions too and
 // total stays the phase sum by construction (DESIGN.md §13).
-func (s *Server) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.Reply, queueNs, txnNs, commitNs, walNs uint64) {
+func (c *conn) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.Reply, queueNs, txnNs, commitNs, walNs uint64) {
+	s := c.s
 	if req.Op == txkvwire.OpStats {
 		// Stats needs no engine thread: it drains the pool itself to
 		// read the per-thread counters race-free. It also skips
@@ -700,9 +705,7 @@ func (s *Server) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.
 		return txkvwire.Reply{Op: req.Op, Err: msg, Code: code}, queueNs, 0, 0, 0
 	}
 	abortsBefore := w.th.Stats().Aborts
-	var pend pendingLog
-	pf := getPendingFeed()
-	reply, txnNs, commitNs = s.execute(w, req, &pend, pf)
+	reply, txnNs, commitNs = s.execute(w, c.cm, &req)
 	// Attribute this request's engine aborts to the shard its (first)
 	// key hashes to — the per-shard conflict heat map (DESIGN.md §11).
 	// Safe while we hold the worker: the thread is quiescent between
@@ -711,12 +714,12 @@ func (s *Server) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.
 		s.m.recordConflicts(s.reqShard(req), d)
 	}
 	s.pool <- w
-	// Feed first, then log: the feed reflects the in-memory commit,
-	// which already happened, so tailers are not gated on fsync.
-	pf.publish(s)
-	putPendingFeed(pf)
-	if pend.live {
-		walNs = s.publishWAL(&pend, req, &reply)
+	walNs, err := c.cm.Publish()
+	if err != nil {
+		// The client must treat the op as not acknowledged. Internal, not
+		// retryable: the mutation may have applied in memory, so a blind
+		// retry could double-apply it.
+		reply = txkvwire.Reply{Op: req.Op, Err: "wal: " + err.Error(), Code: txkvwire.CodeInternal}
 	}
 	return reply, queueNs, txnNs, commitNs, walNs
 }
@@ -830,25 +833,17 @@ func (s *Server) validate(req txkvwire.Req, batchOK bool) error {
 // execute runs one validated request as one transaction on the borrowed
 // thread. txnNs is the body duration of the final (committing) attempt;
 // commitNs is the rest of the atomic call — begin, commit, and any
-// aborted attempts with their back-off.
-//
-// Commit-log ordering: each mutating body abandons the previous
-// attempt's log slot on entry (pend.drop — an aborted attempt must not
-// hold its place in the log) and reserves a fresh slot as its LAST
-// step iff the mutation will commit (pend.reserve — after the body's
-// transactional reads, so ticket order matches commit order for
-// conflicting transactions; DESIGN.md §12). The caller publishes the
-// surviving slot after returning the worker to the pool.
-func (s *Server) execute(w *worker, req txkvwire.Req, pend *pendingLog, pf *pendingFeed) (reply txkvwire.Reply, txnNs, commitNs uint64) {
+// aborted attempts with their back-off. A mutating body runs inside the
+// commit scope (coalesce.Commit); the caller publishes it after returning
+// the worker to the pool.
+func (s *Server) execute(w *worker, cm *coalesce.Commit, req *txkvwire.Req) (reply txkvwire.Reply, txnNs, commitNs uint64) {
 	defer func() {
 		// A foreign panic out of a transaction body (e.g. a shard
 		// overflowing on Put) has already rolled the attempt back and
 		// released its locks (stm.Thread.Unwind); surface it as an error
-		// reply instead of tearing the whole server down. Any log or
-		// feed slot the dead attempt reserved must be released with it.
+		// reply instead of tearing the whole server down.
 		if r := recover(); r != nil {
-			pend.drop(s)
-			pf.drop(s)
+			cm.Abandon()
 			reply = txkvwire.Reply{Op: req.Op, Err: fmt.Sprintf("%s: %v", req.Op, r), Code: txkvwire.CodeInternal}
 		}
 	}()
@@ -856,108 +851,31 @@ func (s *Server) execute(w *worker, req txkvwire.Req, pend *pendingLog, pf *pend
 	var bodyNs int64
 	a0 := time.Now()
 	switch req.Op {
-	case txkvwire.OpGet:
-		type getRes struct {
-			val   stm.Word
-			found bool
+	case txkvwire.OpGet, txkvwire.OpSum, txkvwire.OpLen:
+		reply = stm.AtomicRO(w.th, func(tx stm.TxRO) txkvwire.Reply {
+			b0 := time.Now()
+			r, _ := s.readOp(tx, req)
+			bodyNs = time.Since(b0).Nanoseconds()
+			return r
+		})
+	case txkvwire.OpPut, txkvwire.OpDelete, txkvwire.OpCAS, txkvwire.OpTransfer, txkvwire.OpBatch:
+		var err error
+		reply, err = stm.AtomicErr(w.th, func(tx stm.Tx) (txkvwire.Reply, error) {
+			cm.Begin()
+			b0 := time.Now()
+			r, err := s.apply(tx, cm, req)
+			if err == nil {
+				cm.Reserve()
+			}
+			bodyNs = time.Since(b0).Nanoseconds()
+			return r, err
+		})
+		if err != nil {
+			// Batch aborts are all client-condition failures (CAS miss,
+			// absent delete, failing transfer): retrying verbatim would hit
+			// the same condition, so they are permanent Rejected.
+			reply = txkvwire.Reply{Op: req.Op, Err: err.Error(), Code: txkvwire.CodeRejected}
 		}
-		res := stm.AtomicRO(w.th, func(tx stm.TxRO) getRes {
-			b0 := time.Now()
-			v, ok := s.store.Get(tx, stm.Word(req.Key))
-			bodyNs = time.Since(b0).Nanoseconds()
-			return getRes{v, ok}
-		})
-		reply = txkvwire.Reply{Op: req.Op, Found: res.found, Val: uint64(res.val)}
-	case txkvwire.OpPut:
-		ins := stm.Atomic(w.th, func(tx stm.Tx) bool {
-			pend.drop(s)
-			pf.drop(s)
-			b0 := time.Now()
-			ok := s.store.Put(tx, stm.Word(req.Key), stm.Word(req.Val))
-			pf.add(s, coalesce.Event{Key: req.Key, Val: req.Val})
-			bodyNs = time.Since(b0).Nanoseconds()
-			pend.reserve(s, true)
-			pf.reserve(s)
-			return ok
-		})
-		reply = txkvwire.Reply{Op: req.Op, OK: ins}
-	case txkvwire.OpDelete:
-		ex := stm.Atomic(w.th, func(tx stm.Tx) bool {
-			pend.drop(s)
-			pf.drop(s)
-			b0 := time.Now()
-			ok := s.store.Delete(tx, stm.Word(req.Key))
-			if ok {
-				pf.add(s, coalesce.Event{Del: true, Key: req.Key})
-			}
-			bodyNs = time.Since(b0).Nanoseconds()
-			pend.reserve(s, ok)
-			pf.reserve(s)
-			return ok
-		})
-		reply = txkvwire.Reply{Op: req.Op, OK: ex}
-	case txkvwire.OpCAS:
-		sw := stm.Atomic(w.th, func(tx stm.Tx) bool {
-			pend.drop(s)
-			pf.drop(s)
-			b0 := time.Now()
-			ok := s.store.CAS(tx, stm.Word(req.Key), stm.Word(req.Old), stm.Word(req.Val))
-			if ok {
-				pf.add(s, coalesce.Event{Key: req.Key, Val: req.Val})
-			}
-			bodyNs = time.Since(b0).Nanoseconds()
-			pend.reserve(s, ok)
-			pf.reserve(s)
-			return ok
-		})
-		reply = txkvwire.Reply{Op: req.Op, OK: sw}
-	case txkvwire.OpTransfer:
-		keys := make([]stm.Word, len(req.Keys))
-		for i, k := range req.Keys {
-			keys[i] = stm.Word(k)
-		}
-		ok := stm.Atomic(w.th, func(tx stm.Tx) bool {
-			pend.drop(s)
-			pf.drop(s)
-			b0 := time.Now()
-			ok := s.store.Transfer(tx, keys, stm.Word(req.Amount))
-			if ok {
-				// The feed carries post-images; read them back inside
-				// the same transaction (read-own-write is exact).
-				for _, k := range keys {
-					v, _ := s.store.Get(tx, k)
-					pf.add(s, coalesce.Event{Key: uint64(k), Val: uint64(v)})
-				}
-			}
-			bodyNs = time.Since(b0).Nanoseconds()
-			pend.reserve(s, ok)
-			pf.reserve(s)
-			return ok
-		})
-		reply = txkvwire.Reply{Op: req.Op, OK: ok}
-	case txkvwire.OpSum:
-		sum := stm.AtomicRO(w.th, func(tx stm.TxRO) stm.Word {
-			b0 := time.Now()
-			var v stm.Word
-			if req.Shard < 0 {
-				v = s.store.SumAll(tx)
-			} else {
-				v = s.store.SumShard(tx, int(req.Shard))
-			}
-			bodyNs = time.Since(b0).Nanoseconds()
-			return v
-		})
-		reply = txkvwire.Reply{Op: req.Op, Val: uint64(sum)}
-	case txkvwire.OpLen:
-		n := stm.AtomicRO(w.th, func(tx stm.TxRO) int {
-			b0 := time.Now()
-			v := s.store.Len(tx)
-			bodyNs = time.Since(b0).Nanoseconds()
-			return v
-		})
-		reply = txkvwire.Reply{Op: req.Op, Val: uint64(n)}
-	case txkvwire.OpBatch:
-		reply = s.executeBatch(w, req, &bodyNs, pend, pf)
 	default:
 		return txkvwire.Reply{Op: req.Op, Err: "unhandled op", Code: txkvwire.CodeInternal}, 0, 0
 	}
@@ -969,86 +887,71 @@ func (s *Server) execute(w *worker, req txkvwire.Req, pend *pendingLog, pf *pend
 	return reply, txnNs, commitNs
 }
 
-// errBatchAbort distinguishes the all-or-nothing batch rollback from
-// engine errors.
-var errBatchAbort = errors.New("batch aborted")
-
-// executeBatch runs every sub-request inside ONE transaction. A failing
-// conditional sub-op (CAS miss, insufficient/invalid transfer, delete of
-// an absent key) returns an error from the body, which rolls the whole
+// apply runs req inside tx: a unary request is a batch of one. What
+// differs is what a conditional op that fails (CAS miss, delete of an
+// absent key, refused transfer) means. Alone it is its reply's OK=false.
+// In a Batch it is an error out of the body, which rolls the whole
 // transaction back — no sub-op's write survives — and surfaces as an
 // error reply naming the failing index.
-func (s *Server) executeBatch(w *worker, req txkvwire.Req, bodyNs *int64, pend *pendingLog, pf *pendingFeed) txkvwire.Reply {
-	subs, err := stm.AtomicErr(w.th, func(tx stm.Tx) ([]txkvwire.Reply, error) {
-		pend.drop(s)
-		pf.drop(s)
-		b0 := time.Now()
-		defer func() { *bodyNs = time.Since(b0).Nanoseconds() }()
-		mutated := false
-		subs := make([]txkvwire.Reply, len(req.Sub))
-		for i, sub := range req.Sub {
-			mutated = mutated || mutates(sub.Op)
-			switch sub.Op {
-			case txkvwire.OpGet:
-				v, ok := s.store.Get(tx, stm.Word(sub.Key))
-				subs[i] = txkvwire.Reply{Op: sub.Op, Found: ok, Val: uint64(v)}
-			case txkvwire.OpPut:
-				ins := s.store.Put(tx, stm.Word(sub.Key), stm.Word(sub.Val))
-				pf.add(s, coalesce.Event{Key: sub.Key, Val: sub.Val})
-				subs[i] = txkvwire.Reply{Op: sub.Op, OK: ins}
-			case txkvwire.OpDelete:
-				if !s.store.Delete(tx, stm.Word(sub.Key)) {
-					return nil, fmt.Errorf("%w at index %d: delete: key %d absent", errBatchAbort, i, sub.Key)
-				}
-				pf.add(s, coalesce.Event{Del: true, Key: sub.Key})
-				subs[i] = txkvwire.Reply{Op: sub.Op, OK: true}
-			case txkvwire.OpCAS:
-				if !s.store.CAS(tx, stm.Word(sub.Key), stm.Word(sub.Old), stm.Word(sub.Val)) {
-					return nil, fmt.Errorf("%w at index %d: cas: key %d not at expected value", errBatchAbort, i, sub.Key)
-				}
-				pf.add(s, coalesce.Event{Key: sub.Key, Val: sub.Val})
-				subs[i] = txkvwire.Reply{Op: sub.Op, OK: true}
-			case txkvwire.OpTransfer:
-				keys := make([]stm.Word, len(sub.Keys))
-				for j, k := range sub.Keys {
-					keys[j] = stm.Word(k)
-				}
-				if !s.store.Transfer(tx, keys, stm.Word(sub.Amount)) {
-					return nil, fmt.Errorf("%w at index %d: transfer failed", errBatchAbort, i)
-				}
-				for _, k := range keys {
-					v, _ := s.store.Get(tx, k)
-					pf.add(s, coalesce.Event{Key: uint64(k), Val: uint64(v)})
-				}
-				subs[i] = txkvwire.Reply{Op: sub.Op, OK: true}
-			case txkvwire.OpSum:
-				var v stm.Word
-				if sub.Shard < 0 {
-					v = s.store.SumAll(tx)
-				} else {
-					v = s.store.SumShard(tx, int(sub.Shard))
-				}
-				subs[i] = txkvwire.Reply{Op: sub.Op, Val: uint64(v)}
-			case txkvwire.OpLen:
-				subs[i] = txkvwire.Reply{Op: sub.Op, Val: uint64(s.store.Len(tx))}
-			default:
-				return nil, fmt.Errorf("%w at index %d: op %s not allowed in batch", errBatchAbort, i, sub.Op)
-			}
-		}
-		// Reaching here means every conditional sub-op succeeded, so
-		// "contains a mutating sub-op" is exactly "this commit must be
-		// logged" — one slot for the whole atomic batch.
-		pend.reserve(s, mutated)
-		pf.reserve(s)
-		return subs, nil
-	})
-	if err != nil {
-		// Batch aborts are all client-condition failures (CAS miss,
-		// absent delete, failing transfer): retrying verbatim would hit
-		// the same condition, so they are permanent Rejected.
-		return txkvwire.Reply{Op: req.Op, Err: err.Error(), Code: txkvwire.CodeRejected}
+func (s *Server) apply(tx stm.Tx, cm *coalesce.Commit, req *txkvwire.Req) (txkvwire.Reply, error) {
+	if req.Op != txkvwire.OpBatch {
+		reply, _ := s.applyOp(tx, cm, req)
+		return reply, nil
 	}
-	return txkvwire.Reply{Op: req.Op, Sub: subs}
+	subs := make([]txkvwire.Reply, len(req.Sub))
+	for i := range req.Sub {
+		var why string
+		if subs[i], why = s.applyOp(tx, cm, &req.Sub[i]); why != "" {
+			return txkvwire.Reply{}, fmt.Errorf("batch aborted at index %d: %s: %s", i, req.Sub[i].Op, why)
+		}
+	}
+	return txkvwire.Reply{Op: req.Op, Sub: subs}, nil
+}
+
+// applyOp runs one non-batch op inside tx, mutations through the commit
+// scope so that exactly what the attempt applied is recorded for the log
+// and the feeds. why is empty unless the op changed nothing and says so:
+// a failed conditional, or an op that cannot run here.
+func (s *Server) applyOp(tx stm.Tx, cm *coalesce.Commit, req *txkvwire.Req) (reply txkvwire.Reply, why string) {
+	key := stm.Word(req.Key)
+	var ok bool
+	switch req.Op {
+	case txkvwire.OpPut:
+		return txkvwire.Reply{Op: req.Op, OK: cm.Put(tx, key, stm.Word(req.Val))}, ""
+	case txkvwire.OpDelete:
+		ok, why = cm.Delete(tx, key), "key absent"
+	case txkvwire.OpCAS:
+		ok, why = cm.CAS(tx, key, stm.Word(req.Old), stm.Word(req.Val)), "key not at expected value"
+	case txkvwire.OpTransfer:
+		keys := make([]stm.Word, len(req.Keys))
+		for i, k := range req.Keys {
+			keys[i] = stm.Word(k)
+		}
+		ok, why = cm.Transfer(tx, keys, stm.Word(req.Amount)), "refused"
+	default:
+		return s.readOp(tx, req)
+	}
+	if ok {
+		why = ""
+	}
+	return txkvwire.Reply{Op: req.Op, OK: ok}, why
+}
+
+// readOp runs one read-only op.
+func (s *Server) readOp(tx stm.TxRO, req *txkvwire.Req) (reply txkvwire.Reply, why string) {
+	switch req.Op {
+	case txkvwire.OpGet:
+		v, found := s.store.Get(tx, stm.Word(req.Key))
+		return txkvwire.Reply{Op: req.Op, Found: found, Val: uint64(v)}, ""
+	case txkvwire.OpSum:
+		if req.Shard < 0 {
+			return txkvwire.Reply{Op: req.Op, Val: uint64(s.store.SumAll(tx))}, ""
+		}
+		return txkvwire.Reply{Op: req.Op, Val: uint64(s.store.SumShard(tx, int(req.Shard)))}, ""
+	case txkvwire.OpLen:
+		return txkvwire.Reply{Op: req.Op, Val: uint64(s.store.Len(tx))}, ""
+	}
+	return txkvwire.Reply{}, "not allowed in a batch"
 }
 
 // drainStats sums the engine counters across the whole thread pool

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"swisstm/internal/ticket"
 )
 
 // RecoverInfo summarizes a recovery scan.
@@ -175,14 +177,13 @@ func Open(opts Options) (*Writer, error) {
 		opts:       opts,
 		fs:         fs,
 		m:          opts.Metrics,
-		nextPub:    1,
-		parkmap:    map[uint64]parked{},
 		nextLSN:    info.LastLSN + 1,
 		writtenLSN: info.LastLSN,
 		notify:     make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		exited:     make(chan struct{}),
 	}
+	w.seq = ticket.New(parkPublish, w.admitLocked)
 	if tailSeg == "" {
 		seg, err := createSegment(fs, opts.Dir, w.nextLSN)
 		if err != nil {

@@ -1,12 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"swisstm/internal/obs"
+	"swisstm/internal/ticket"
 )
 
 // SyncMode selects the durability policy of a Writer.
@@ -129,32 +130,28 @@ func (o Options) withDefaults() Options {
 // The zero Ticket is invalid.
 type Ticket struct{ seq uint64 }
 
-// parked is a publish (or abandon) that arrived before its
-// predecessors in ticket order; it is admitted when the gap closes.
-type parked struct {
-	abandoned bool
-	payload   []byte     // copied; nil when abandoned
-	done      chan error // non-nil when the publisher waits for durability
+// publish is what the sequencer carries from Publish to admitLocked.
+type publish struct {
+	payload []byte
+	done    chan error // non-nil when the publisher waits for durability
 }
 
 // Writer appends frames durably, in ticket order, via a single log
-// goroutine that group-commits pending frames. See DESIGN.md §12 for
-// why ticket order matters: tickets are reserved inside transaction
-// bodies, so ticket order agrees with the engines' commit order for
-// conflicting transactions, and emitting frames strictly in ticket
-// order keeps the durable log a prefix of the acknowledged history.
+// goroutine that group-commits pending frames. Tickets are reserved
+// inside transaction bodies, so ticket order agrees with the engines'
+// commit order for conflicting transactions (DESIGN.md §12.2), and
+// emitting frames strictly in ticket order keeps the durable log a
+// prefix of the acknowledged history.
 type Writer struct {
 	opts Options
 	fs   FS
 	m    *Metrics
 
-	tickets atomic.Uint64 // last reserved ticket seq
+	seq *ticket.Sequencer[publish] // admits into pend, under mu
 
 	mu       sync.Mutex
 	err      error // sticky: first write/sync failure; poisons the writer
 	closed   bool
-	nextPub  uint64 // ticket seq the sequencer admits next
-	parkmap  map[uint64]parked
 	nextLSN  uint64
 	pend     []byte // encoded frames admitted but not yet stolen by the log goroutine
 	pendN    int
@@ -180,29 +177,18 @@ type Writer struct {
 // reserved ticket MUST be finished exactly once — by Publish or by
 // Abandon — or the log stalls behind the gap. Reserve is an atomic
 // add, cheap enough to call inside a transaction body.
-func (w *Writer) Reserve() Ticket { return Ticket{w.tickets.Add(1)} }
+func (w *Writer) Reserve() Ticket { return Ticket{w.seq.Reserve()} }
 
 // Abandon cancels a reserved ticket (aborted attempt, failed
 // operation). The sequencer skips its slot; no frame is written.
 func (w *Writer) Abandon(t Ticket) {
 	w.mu.Lock()
-	if w.closed || w.err != nil {
-		w.mu.Unlock()
-		return
-	}
-	switch {
-	case t.seq == w.nextPub:
-		w.nextPub++
-		w.drainParkedLocked()
-	case t.seq > w.nextPub:
-		w.parkmap[t.seq] = parked{abandoned: true}
-	default:
-		w.mu.Unlock()
-		panic("wal: ticket finished twice")
+	if !w.closed && w.err == nil {
+		w.seq.Abandon(t.seq)
 	}
 	w.mu.Unlock()
-	// The drain may have admitted parked frames whose publishers are
-	// already waiting; wake the log goroutine for them.
+	// Closing the gap may have admitted parked frames whose publishers
+	// are already waiting; wake the log goroutine for them.
 	w.kick()
 }
 
@@ -235,19 +221,7 @@ func (w *Writer) Publish(t Ticket, payload []byte) error {
 	if wait {
 		done = make(chan error, 1)
 	}
-	switch {
-	case t.seq == w.nextPub:
-		w.nextPub++
-		w.admitLocked(payload, done)
-		w.drainParkedLocked()
-	case t.seq > w.nextPub:
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		w.parkmap[t.seq] = parked{payload: cp, done: done}
-	default:
-		w.mu.Unlock()
-		panic("wal: ticket finished twice")
-	}
+	w.seq.Publish(t.seq, publish{payload, done})
 	w.mu.Unlock()
 	w.kick()
 
@@ -266,31 +240,33 @@ func (w *Writer) Append(payload []byte) error {
 	return w.Publish(w.Reserve(), payload)
 }
 
-// admitLocked assigns the next LSN and encodes the frame into the
-// pending buffer. Caller holds w.mu and has already advanced nextPub.
-func (w *Writer) admitLocked(payload []byte, done chan error) {
-	w.pend = AppendFrame(w.pend, w.nextLSN, payload)
+// admitLocked is the sequencer's admit: it assigns the next LSN and
+// encodes the frame into the pending buffer, under w.mu.
+func (w *Writer) admitLocked(p publish) {
+	w.pend = AppendFrame(w.pend, w.nextLSN, p.payload)
 	w.nextLSN++
 	w.pendN++
-	if done != nil {
-		w.waiters = append(w.waiters, done)
+	if p.done != nil {
+		w.waiters = append(w.waiters, p.done)
 	}
 }
 
-// drainParkedLocked admits every consecutively-parked ticket starting
-// at nextPub. Caller holds w.mu.
-func (w *Writer) drainParkedLocked() {
-	for {
-		p, ok := w.parkmap[w.nextPub]
-		if !ok {
-			return
+// parkPublish copies a frame published ahead of its turn: the caller
+// reuses its encode buffer.
+func parkPublish(p publish) publish {
+	p.payload = bytes.Clone(p.payload)
+	return p
+}
+
+// discardParkedLocked answers err to every publisher still waiting
+// behind a gap that will now never close. Their channels hold one
+// result each, so the sends cannot block under w.mu.
+func (w *Writer) discardParkedLocked(err error) {
+	w.seq.Discard(func(p publish) {
+		if p.done != nil {
+			p.done <- err
 		}
-		delete(w.parkmap, w.nextPub)
-		w.nextPub++
-		if !p.abandoned {
-			w.admitLocked(p.payload, p.done)
-		}
-	}
+	})
 }
 
 // kick wakes the log goroutine if it is not already signalled.
@@ -517,8 +493,7 @@ func (w *Writer) fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
-	parkmap := w.parkmap
-	w.parkmap = map[uint64]parked{}
+	w.discardParkedLocked(err)
 	waiters := w.waiters
 	w.waiters = nil
 	syncs := w.syncReqs
@@ -526,11 +501,6 @@ func (w *Writer) fail(err error) {
 	w.pend = w.pend[:0]
 	w.pendN = 0
 	w.mu.Unlock()
-	for _, p := range parkmap {
-		if p.done != nil {
-			p.done <- err
-		}
-	}
 	release(waiters, err)
 	release(syncs, err)
 }
@@ -542,14 +512,8 @@ func (w *Writer) finish() {
 		w.flushPending(true)
 		w.mu.Lock()
 		empty := w.pendN == 0 && len(w.syncReqs) == 0
-		parkmap := w.parkmap
-		w.parkmap = map[uint64]parked{}
+		w.discardParkedLocked(ErrClosed)
 		w.mu.Unlock()
-		for _, p := range parkmap {
-			if p.done != nil {
-				p.done <- ErrClosed
-			}
-		}
 		if empty {
 			break
 		}
