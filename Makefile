@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rst
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test race loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet bench bench-json bench-compare benchmark benchmark-trace benchmark-ab ci
+.PHONY: build test race loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet benchmark benchmark-trace benchmark-ab ci
 
 build:
 	$(GO) build ./...
@@ -39,24 +39,6 @@ loc:
 		| sed 's|^\./||' | xargs wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/txkv
-
-# bench-json measures per-op hot-path cost (ns/op + allocs/op +
-# aborts/op, including the forced-conflict abort tier) of the core
-# engine micro-benchmarks and writes the machine-readable perf artifact
-# CI accumulates (non-gating; see DESIGN.md §7–§8).
-BENCH_JSON ?= BENCH_PR10.json
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-
-# bench-compare diffs two bench-json artifacts per engine/workload:
-#   make bench-compare BENCH_OLD=BENCH_PR4.json BENCH_NEW=BENCH_PR5.json
-BENCH_OLD ?= BENCH_PR5.json
-BENCH_NEW ?= BENCH_PR7.json
-bench-compare:
-	$(GO) run ./cmd/benchcompare $(BENCH_OLD) $(BENCH_NEW)
 
 # benchmark runs the repo benchmark (benchmark/README.md, BENCHMARK.json):
 # four workloads end to end, tracing off. benchmark-trace adds the

@@ -39,11 +39,6 @@ type Config struct {
 	ConnPerPart   int // outgoing connections per atomic part (≤ 3)
 	DocWords      int // document payload words
 	ReadOnlyPct   int // percentage of read-only operations (90/60/10)
-	// PlainReads routes the read-only operation classes through plain
-	// stm.Atomic instead of the declared read-only stm.AtomicRO fast
-	// path. It exists for the ro-fastpath ablation pair
-	// (cmd/benchjson); leave it false.
-	PlainReads bool
 }
 
 func (c *Config) fill() {
@@ -347,12 +342,11 @@ func (b *Bench) walkAssembly(tx stm.TxRO, h stm.Handle, visit func(comp stm.Hand
 // like the Thread it wraps.
 //
 // Every transaction body and graph visitor is a closure built once at
-// NewOps, and each read-only operation class has two pre-bound bodies:
-// the stm.TxRO one AtomicRO runs (the default) and a plain stm.Tx twin
-// for the PlainReads ablation. Results return as values through the v2
-// API; parameters still pass through fields so the steady-state op loop
-// allocates nothing (bench7_test.TestZeroAllocOps holds the read-only
-// mixes to exactly zero).
+// NewOps; the read-only operation classes run theirs through AtomicRO.
+// Results return as values through the v2 API; parameters still pass
+// through fields so the steady-state op loop allocates nothing
+// (bench7_test.TestZeroAllocOps holds the read-only mixes to exactly
+// zero).
 type Ops struct {
 	b   *Bench
 	th  stm.Thread
@@ -370,11 +364,10 @@ type Ops struct {
 	base  stm.Handle // structure-mod target slot
 	slot  uint32
 
-	shortRead, readComponent, queryDates, longTraversal         func(stm.TxRO) stm.Word
-	shortReadRW, readComponentRW, queryDatesRW, longTraversalRW func(stm.Tx) stm.Word
-	shortUpdate, updateComponent, longTravUpdate, structMod     func(stm.Tx)
-	visitSum, visitSwap, visitDate                              func(p stm.Handle)
-	visitCompCount, visitCompBump                               func(comp stm.Handle)
+	shortRead, readComponent, queryDates, longTraversal     func(stm.TxRO) stm.Word
+	shortUpdate, updateComponent, longTravUpdate, structMod func(stm.Tx)
+	visitSum, visitSwap, visitDate                          func(p stm.Handle)
+	visitCompCount, visitCompBump                           func(comp stm.Handle)
 }
 
 // NewOps builds the pre-bound operation table for one worker thread.
@@ -464,31 +457,14 @@ func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
 		tx.WriteField(comp, cpUsed, 1)
 		tx.WriteRef(o.base, o.slot, comp)
 	}
-
-	// Plain-Atomic twins of the read-only bodies (PlainReads ablation):
-	// identical work through the read-write machinery. stm.Tx satisfies
-	// stm.TxRO, so each twin is a one-line pre-bound adapter.
-	o.shortReadRW = func(tx stm.Tx) stm.Word { return o.shortRead(tx) }
-	o.readComponentRW = func(tx stm.Tx) stm.Word { return o.readComponent(tx) }
-	o.queryDatesRW = func(tx stm.Tx) stm.Word { return o.queryDates(tx) }
-	o.longTraversalRW = func(tx stm.Tx) stm.Word { return o.longTraversal(tx) }
 	return o
-}
-
-// readOnly dispatches one pre-bound read-only body through AtomicRO (or
-// plain Atomic under the PlainReads ablation) and returns its value.
-func (o *Ops) readOnly(ro func(stm.TxRO) stm.Word, rw func(stm.Tx) stm.Word) stm.Word {
-	if o.b.Cfg.PlainReads {
-		return stm.Atomic(o.th, rw)
-	}
-	return stm.AtomicRO(o.th, ro)
 }
 
 // ShortRead looks up a random atomic part by id and returns the sum of
 // its coordinates (STMBench7 "short operation" class).
 func (o *Ops) ShortRead() stm.Word {
 	o.key = stm.Word(o.rng.Intn(o.b.initialPart) + 1)
-	return o.readOnly(o.shortRead, o.shortReadRW)
+	return stm.AtomicRO(o.th, o.shortRead)
 }
 
 // ShortUpdate swaps the coordinates of a random atomic part
@@ -501,7 +477,7 @@ func (o *Ops) ShortUpdate() {
 // ReadComponent walks one composite part's whole atomic-part graph
 // read-only and returns the coordinate sum (STMBench7 traversal T1
 // restricted to one component).
-func (o *Ops) ReadComponent() stm.Word { return o.readOnly(o.readComponent, o.readComponentRW) }
+func (o *Ops) ReadComponent() stm.Word { return stm.AtomicRO(o.th, o.readComponent) }
 
 // UpdateComponent walks one composite part's graph swapping coordinates
 // (STMBench7 T2b: long-ish update transaction).
@@ -511,13 +487,13 @@ func (o *Ops) UpdateComponent() { stm.AtomicVoid(o.th, o.updateComponent) }
 // the match count (STMBench7 query class).
 func (o *Ops) QueryDates() stm.Word {
 	o.lo = stm.Word(o.rng.Intn(o.b.initialComp) + 1)
-	return o.readOnly(o.queryDates, o.queryDatesRW)
+	return stm.AtomicRO(o.th, o.queryDates)
 }
 
 // LongTraversal is STMBench7's long read-only traversal: the whole
 // assembly tree, every composite, every atomic part. It returns the
 // number of parts visited.
-func (o *Ops) LongTraversal() stm.Word { return o.readOnly(o.longTraversal, o.longTraversalRW) }
+func (o *Ops) LongTraversal() stm.Word { return stm.AtomicRO(o.th, o.longTraversal) }
 
 // LongTraversalUpdate is the long update traversal: it touches every
 // composite part's build date through the whole tree.

@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -41,10 +40,6 @@ type EngineSpec struct {
 	Policy string
 	// NoBackoff disables SwissTM's post-abort back-off.
 	NoBackoff bool
-	// BackoffUnit overrides the engines' post-abort back-off spin unit
-	// (0 keeps each engine's default). The abort-path microbenchmark
-	// pins it to 1 so the measured cost is abort delivery, not back-off.
-	BackoffUnit int
 	// Acquire is RSTM's mode: "eager" (default) or "lazy".
 	Acquire string
 	// Reads is RSTM's read mode: "invisible" (default) or "visible".
@@ -52,9 +47,6 @@ type EngineSpec struct {
 	// Manager is RSTM's CM: "polka" (default), "greedy", "serializer",
 	// "timid".
 	Manager string
-	// UnwindAborts selects the engines' panic-delivery ablation for
-	// commit-time aborts (measurement only; see swisstm.Config).
-	UnwindAborts bool
 	// TxnObs, when non-nil, turns on the engines' per-transaction
 	// telemetry (retry/read-set/write-set histograms, DESIGN.md §11);
 	// the caller keeps the pointer to scrape it. Specs are copied by
@@ -116,32 +108,26 @@ func (s EngineSpec) New() stm.STM {
 			pol = swisstm.Timid
 		}
 		return swisstm.New(swisstm.Config{
-			ArenaWords:   arena,
-			StripeWords:  s.StripeWords,
-			TableBits:    table,
-			Policy:       pol,
-			NoBackoff:    s.NoBackoff,
-			BackoffUnit:  s.BackoffUnit,
-			UnwindAborts: s.UnwindAborts,
-			Obs:          s.TxnObs,
+			ArenaWords:  arena,
+			StripeWords: s.StripeWords,
+			TableBits:   table,
+			Policy:      pol,
+			NoBackoff:   s.NoBackoff,
+			Obs:         s.TxnObs,
 		})
 	case "tl2":
 		return tl2.New(tl2.Config{
-			ArenaWords:   arena,
-			StripeWords:  s.StripeWords,
-			TableBits:    table,
-			BackoffUnit:  s.BackoffUnit,
-			UnwindAborts: s.UnwindAborts,
-			Obs:          s.TxnObs,
+			ArenaWords:  arena,
+			StripeWords: s.StripeWords,
+			TableBits:   table,
+			Obs:         s.TxnObs,
 		})
 	case "tinystm":
 		return tinystm.New(tinystm.Config{
-			ArenaWords:   arena,
-			StripeWords:  s.StripeWords,
-			TableBits:    table,
-			BackoffUnit:  s.BackoffUnit,
-			UnwindAborts: s.UnwindAborts,
-			Obs:          s.TxnObs,
+			ArenaWords:  arena,
+			StripeWords: s.StripeWords,
+			TableBits:   table,
+			Obs:         s.TxnObs,
 		})
 	case "rstm":
 		acq := rstm.Eager
@@ -158,7 +144,6 @@ func (s EngineSpec) New() stm.STM {
 		}
 		return rstm.New(rstm.Config{
 			Acquire: acq, Reads: rd, Manager: cm.ByName(mgr),
-			BackoffUnit: s.BackoffUnit, UnwindAborts: s.UnwindAborts,
 			Obs: s.TxnObs,
 		})
 	}
@@ -513,25 +498,6 @@ func FormatFigure(title, metric string, threadCounts []int, series []Series) str
 	return b.String()
 }
 
-// SpeedupTable renders "A vs B" relative speedups (speedup − 1, as the
-// paper's Figure 3 and Table 2 report them).
-func SpeedupTable(title string, rows []string, cols []string, cell func(row, col string) float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s (speedup - 1)\n%-18s", title, "")
-	for _, c := range cols {
-		fmt.Fprintf(&b, "%14s", c)
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s", r)
-		for _, c := range cols {
-			fmt.Fprintf(&b, "%14.2f", cell(r, c))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // GeoMeanSpeedup returns the average of pairwise speedups-minus-one used
 // by Figure 13 (average speedup of one configuration against the others).
 func GeoMeanSpeedup(mine float64, others []float64) float64 {
@@ -550,14 +516,4 @@ func GeoMeanSpeedup(mine float64, others []float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// ThreadCounts is the paper's sweep: 1..8 threads.
-var ThreadCounts = []int{1, 2, 3, 4, 5, 6, 7, 8}
-
-// SortSpecs orders specs deterministically for stable output.
-func SortSpecs(specs []EngineSpec) {
-	sort.Slice(specs, func(i, j int) bool {
-		return specs[i].DisplayName() < specs[j].DisplayName()
-	})
 }

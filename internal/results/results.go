@@ -14,6 +14,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -21,10 +23,11 @@ import (
 )
 
 // Record is one measured run: a single repeat of one engine on one
-// workload at one thread count. Fields mirror the CSV/JSONL schema
-// documented in DESIGN.md §5; keep the three in sync.
+// workload at one thread count. The struct is the CSV/JSONL schema
+// (DESIGN.md §5): a column is a field, named by its json tag, in field
+// order.
 type Record struct {
-	Experiment  string  `json:"experiment"`   // e.g. "fig2", "table1", "stamp"
+	Experiment  string  `json:"experiment"`   // e.g. "fig2", "table1", "txkv"
 	Workload    string  `json:"workload"`     // e.g. "stmbench7/read-dominated", "stamp/intruder"
 	Engine      string  `json:"engine"`       // display name, e.g. "SwissTM", "RSTM(lazy/polka)"
 	EngineKind  string  `json:"engine_kind"`  // "swisstm" | "tl2" | "tinystm" | "rstm"
@@ -160,85 +163,74 @@ func (r *Record) SetStats(s stm.Stats) {
 	r.AbortRate = s.AbortRate()
 }
 
-// header is the CSV column order; it must match record()'s field order.
-var header = []string{
-	"experiment", "workload", "engine", "engine_kind", "threads", "repeat",
-	"seed", "duration_sec", "ops", "throughput",
-	"commits", "ro_commits", "aborts", "aborts_ww", "aborts_valid",
-	"aborts_valid_read", "aborts_valid_commit", "aborts_locked",
-	"aborts_killed", "aborts_explicit", "aborts_user", "waits_cm", "lock_acquire_fail",
-	"aborts_unwound", "aborts_returned",
-	"reads_logged", "reads_deduped", "validations", "validation_reads",
-	"lat_p50_ns", "lat_p99_ns", "lat_p999_ns",
-	"srv_p50_ns", "srv_p99_ns", "srv_p999_ns",
-	"phase_parse_ns", "phase_queue_ns", "phase_txn_ns", "phase_commit_ns", "phase_reply_ns",
-	"offered_rate", "achieved_rate", "late_ops",
-	"abort_rate", "checked_ok",
-	"phase_wal_ns", "wal_frames", "wal_bytes", "wal_recovered_frames",
-	"retries", "reconnects",
-	"sheds", "deadline_exceeded",
-	"pipeline", "coalesce_batch", "coalesce_batches", "coalesce_items",
-	"feed_events", "wal_fsyncs",
-}
+// header is the CSV column order: Record's json tags, in field order.
+// Building it checks that every field is of a kind row and ReadCSV
+// convert.
+var header = func() []string {
+	t := reflect.TypeOf(Record{})
+	h := make([]string, t.NumField())
+	for i := range h {
+		f := t.Field(i)
+		switch f.Type.Kind() {
+		case reflect.String, reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool:
+		default:
+			panic("results: Record." + f.Name + " has a kind the CSV codec does not convert")
+		}
+		h[i] = f.Tag.Get("json")
+	}
+	return h
+}()
 
 func (r Record) row() []string {
-	return []string{
-		r.Experiment, r.Workload, r.Engine, r.EngineKind,
-		strconv.Itoa(r.Threads), strconv.Itoa(r.Repeat),
-		strconv.FormatUint(r.Seed, 10),
-		strconv.FormatFloat(r.DurationSec, 'g', -1, 64),
-		strconv.FormatUint(r.Ops, 10),
-		strconv.FormatFloat(r.Throughput, 'g', -1, 64),
-		strconv.FormatUint(r.Commits, 10),
-		strconv.FormatUint(r.ROCommits, 10),
-		strconv.FormatUint(r.Aborts, 10),
-		strconv.FormatUint(r.AbortsWW, 10),
-		strconv.FormatUint(r.AbortsValid, 10),
-		strconv.FormatUint(r.AbortsValidRead, 10),
-		strconv.FormatUint(r.AbortsValidCommit, 10),
-		strconv.FormatUint(r.AbortsLocked, 10),
-		strconv.FormatUint(r.AbortsKilled, 10),
-		strconv.FormatUint(r.AbortsExplicit, 10),
-		strconv.FormatUint(r.AbortsUser, 10),
-		strconv.FormatUint(r.WaitsCM, 10),
-		strconv.FormatUint(r.LockAcquireFail, 10),
-		strconv.FormatUint(r.AbortsUnwound, 10),
-		strconv.FormatUint(r.AbortsReturned, 10),
-		strconv.FormatUint(r.ReadsLogged, 10),
-		strconv.FormatUint(r.ReadsDeduped, 10),
-		strconv.FormatUint(r.Validations, 10),
-		strconv.FormatUint(r.ValidationReads, 10),
-		strconv.FormatFloat(r.LatP50Ns, 'g', -1, 64),
-		strconv.FormatFloat(r.LatP99Ns, 'g', -1, 64),
-		strconv.FormatFloat(r.LatP999Ns, 'g', -1, 64),
-		strconv.FormatUint(r.SrvP50Ns, 10),
-		strconv.FormatUint(r.SrvP99Ns, 10),
-		strconv.FormatUint(r.SrvP999Ns, 10),
-		strconv.FormatFloat(r.PhaseParseNs, 'g', -1, 64),
-		strconv.FormatFloat(r.PhaseQueueNs, 'g', -1, 64),
-		strconv.FormatFloat(r.PhaseTxnNs, 'g', -1, 64),
-		strconv.FormatFloat(r.PhaseCommitNs, 'g', -1, 64),
-		strconv.FormatFloat(r.PhaseReplyNs, 'g', -1, 64),
-		strconv.FormatFloat(r.OfferedRate, 'g', -1, 64),
-		strconv.FormatFloat(r.AchievedRate, 'g', -1, 64),
-		strconv.FormatUint(r.LateOps, 10),
-		strconv.FormatFloat(r.AbortRate, 'g', -1, 64),
-		strconv.FormatBool(r.CheckedOK),
-		strconv.FormatFloat(r.PhaseWalNs, 'g', -1, 64),
-		strconv.FormatUint(r.WalFrames, 10),
-		strconv.FormatUint(r.WalBytes, 10),
-		strconv.FormatUint(r.WalRecoveredFrames, 10),
-		strconv.FormatUint(r.Retries, 10),
-		strconv.FormatUint(r.Reconnects, 10),
-		strconv.FormatUint(r.Sheds, 10),
-		strconv.FormatUint(r.DeadlineExceeded, 10),
-		strconv.Itoa(r.Pipeline),
-		strconv.Itoa(r.CoalesceBatch),
-		strconv.FormatUint(r.CoalesceBatches, 10),
-		strconv.FormatUint(r.CoalesceItems, 10),
-		strconv.FormatUint(r.FeedEvents, 10),
-		strconv.FormatUint(r.WalFsyncs, 10),
+	v := reflect.ValueOf(r)
+	row := make([]string, v.NumField())
+	for i := range row {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			row[i] = f.String()
+		case reflect.Int:
+			row[i] = strconv.FormatInt(f.Int(), 10)
+		case reflect.Uint64:
+			row[i] = strconv.FormatUint(f.Uint(), 10)
+		case reflect.Float64:
+			row[i] = strconv.FormatFloat(f.Float(), 'g', -1, 64)
+		case reflect.Bool:
+			row[i] = strconv.FormatBool(f.Bool())
+		}
 	}
+	return row
+}
+
+// setField parses one CSV cell into the record field of the same column.
+func setField(f reflect.Value, cell string) error {
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(cell)
+	case reflect.Int:
+		n, err := strconv.Atoi(cell)
+		if err != nil {
+			return err
+		}
+		f.SetInt(int64(n))
+	case reflect.Uint64:
+		n, err := strconv.ParseUint(cell, 10, 64)
+		if err != nil {
+			return err
+		}
+		f.SetUint(n)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			return err
+		}
+		f.SetFloat(x)
+	case reflect.Bool:
+		if cell != "true" && cell != "false" {
+			return fmt.Errorf("bad bool value %q", cell)
+		}
+		f.SetBool(cell == "true")
+	}
+	return nil
 }
 
 // WriteCSV writes recs as CSV with a header row.
@@ -279,7 +271,7 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("results: empty CSV")
 	}
-	if len(rows[0]) != len(header) || rows[0][0] != header[0] {
+	if !slices.Equal(rows[0], header) {
 		return nil, fmt.Errorf("results: unexpected CSV header %v", rows[0])
 	}
 	recs := make([]Record, 0, len(rows)-1)
@@ -288,57 +280,11 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("results: row has %d columns, want %d", len(row), len(header))
 		}
 		var rec Record
-		rec.Experiment, rec.Workload, rec.Engine, rec.EngineKind = row[0], row[1], row[2], row[3]
-		var perr error
-		keep := func(err error) {
-			if err != nil && perr == nil {
-				perr = err
+		v := reflect.ValueOf(&rec).Elem()
+		for c, cell := range row {
+			if err := setField(v.Field(c), cell); err != nil {
+				return nil, fmt.Errorf("results: data row %d: %s: %w", i+1, header[c], err)
 			}
-		}
-		ints := func(s string) int { n, err := strconv.Atoi(s); keep(err); return n }
-		u64 := func(s string) uint64 { n, err := strconv.ParseUint(s, 10, 64); keep(err); return n }
-		f64 := func(s string) float64 { f, err := strconv.ParseFloat(s, 64); keep(err); return f }
-		rec.Threads, rec.Repeat = ints(row[4]), ints(row[5])
-		rec.Seed = u64(row[6])
-		rec.DurationSec = f64(row[7])
-		rec.Ops = u64(row[8])
-		rec.Throughput = f64(row[9])
-		rec.Commits, rec.ROCommits = u64(row[10]), u64(row[11])
-		rec.Aborts = u64(row[12])
-		rec.AbortsWW, rec.AbortsValid = u64(row[13]), u64(row[14])
-		rec.AbortsValidRead, rec.AbortsValidCommit = u64(row[15]), u64(row[16])
-		rec.AbortsLocked, rec.AbortsKilled = u64(row[17]), u64(row[18])
-		rec.AbortsExplicit, rec.AbortsUser = u64(row[19]), u64(row[20])
-		rec.WaitsCM = u64(row[21])
-		rec.LockAcquireFail = u64(row[22])
-		rec.AbortsUnwound, rec.AbortsReturned = u64(row[23]), u64(row[24])
-		rec.ReadsLogged, rec.ReadsDeduped = u64(row[25]), u64(row[26])
-		rec.Validations, rec.ValidationReads = u64(row[27]), u64(row[28])
-		rec.LatP50Ns, rec.LatP99Ns, rec.LatP999Ns = f64(row[29]), f64(row[30]), f64(row[31])
-		rec.SrvP50Ns, rec.SrvP99Ns, rec.SrvP999Ns = u64(row[32]), u64(row[33]), u64(row[34])
-		rec.PhaseParseNs, rec.PhaseQueueNs = f64(row[35]), f64(row[36])
-		rec.PhaseTxnNs, rec.PhaseCommitNs, rec.PhaseReplyNs = f64(row[37]), f64(row[38]), f64(row[39])
-		rec.OfferedRate, rec.AchievedRate = f64(row[40]), f64(row[41])
-		rec.LateOps = u64(row[42])
-		rec.AbortRate = f64(row[43])
-		switch row[44] {
-		case "true":
-			rec.CheckedOK = true
-		case "false":
-			rec.CheckedOK = false
-		default:
-			keep(fmt.Errorf("bad checked_ok value %q", row[44]))
-		}
-		rec.PhaseWalNs = f64(row[45])
-		rec.WalFrames, rec.WalBytes = u64(row[46]), u64(row[47])
-		rec.WalRecoveredFrames = u64(row[48])
-		rec.Retries, rec.Reconnects = u64(row[49]), u64(row[50])
-		rec.Sheds, rec.DeadlineExceeded = u64(row[51]), u64(row[52])
-		rec.Pipeline, rec.CoalesceBatch = ints(row[53]), ints(row[54])
-		rec.CoalesceBatches, rec.CoalesceItems = u64(row[55]), u64(row[56])
-		rec.FeedEvents, rec.WalFsyncs = u64(row[57]), u64(row[58])
-		if perr != nil {
-			return nil, fmt.Errorf("results: data row %d: %w", i+1, perr)
 		}
 		recs = append(recs, rec)
 	}
@@ -488,72 +434,6 @@ func WriteAggJSONL(w io.Writer, aggs []Agg) error {
 		}
 	}
 	return nil
-}
-
-// BenchRecord is one micro-benchmark measurement: the per-operation
-// cost profile (ns/op, allocations) of one engine on one workload, as
-// produced by cmd/benchjson for the perf-trajectory artifact
-// (BENCH_PR<n>.json) CI accumulates. It deliberately measures hot-path
-// cost, not parallel throughput — Record covers the latter.
-type BenchRecord struct {
-	Name        string  `json:"name"`     // benchmark id, e.g. "rbtree-lookup/SwissTM"
-	Workload    string  `json:"workload"` // e.g. "rbtree-lookup"
-	Engine      string  `json:"engine"`   // display name
-	EngineKind  string  `json:"engine_kind"`
-	Ops         int     `json:"ops"`           // measured iterations
-	NsPerOp     float64 `json:"ns_per_op"`     // median across repeats
-	AllocsPerOp float64 `json:"allocs_per_op"` // median across repeats
-	BytesPerOp  float64 `json:"bytes_per_op"`  // median across repeats
-	Repeats     int     `json:"repeats"`
-
-	// Abort-path profile (PR 4): how many rollbacks each operation
-	// caused and what one abort costs. NsPerAbort is NsPerOp scaled by
-	// the abort rate; on the forced-conflict workload (exactly one
-	// commit-time abort per op) it is directly the per-abort round trip,
-	// and the (unwind) engine variants price the old panic delivery
-	// against the checked return. Zero when the workload never aborts.
-	AbortsPerOp float64 `json:"aborts_per_op,omitempty"`
-	NsPerAbort  float64 `json:"ns_per_abort,omitempty"`
-
-	// Read-only fast-path evidence (ro-fastpath tier, DESIGN.md §9.3):
-	// the share of commits that went through the declared read-only
-	// protocol and how many read-log entries validation replayed per op
-	// (0 on the RO rows — TL2's read-only commit replays nothing).
-	ROCommitsPerOp       float64 `json:"ro_commits_per_op,omitempty"`
-	ValidationReadsPerOp float64 `json:"validation_reads_per_op,omitempty"`
-
-	// Commit-log price (wal tier, DESIGN.md §12): latency quantiles
-	// from the log writer's own histograms over the whole run. AppendNs
-	// is Publish-call-to-durable and only recorded by the waiting sync
-	// modes, so the fsync-none twin reports zeros here and its cost
-	// shows up in NsPerOp instead.
-	WalAppendP50Ns uint64 `json:"wal_append_p50_ns,omitempty"`
-	WalAppendP99Ns uint64 `json:"wal_append_p99_ns,omitempty"`
-	WalFsyncP99Ns  uint64 `json:"wal_fsync_p99_ns,omitempty"`
-
-	// Coalescing amortization evidence (coalesce tier, DESIGN.md §14):
-	// engine commits and commit-log fsyncs per completed operation at a
-	// fixed offered rate. The on/off twins at the same rate show the
-	// group-commit win directly.
-	CommitsPerOp float64 `json:"commits_per_op,omitempty"`
-	FsyncsPerOp  float64 `json:"fsyncs_per_op,omitempty"`
-}
-
-// WriteBenchJSON writes recs as one JSON document (an array), the
-// BENCH_PR<n>.json format.
-func WriteBenchJSON(w io.Writer, recs []BenchRecord) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
-}
-
-// ReadBenchJSON parses a document written by WriteBenchJSON.
-func ReadBenchJSON(r io.Reader) ([]BenchRecord, error) {
-	var recs []BenchRecord
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("results: bad bench JSON: %w", err)
-	}
-	return recs, nil
 }
 
 // KnownFormat reports whether format is a recognized -format value, so

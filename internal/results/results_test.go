@@ -86,6 +86,15 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(bogusBool)); err == nil {
 		t.Error("bad checked_ok value should fail")
 	}
+	// Two uint64 columns swapped in the header: every cell still parses,
+	// so only comparing each name keeps commits out of ro_commits.
+	swapped := strings.Replace(buf.String(), ",commits,ro_commits,", ",ro_commits,commits,", 1)
+	if swapped == buf.String() {
+		t.Fatal("test setup: commits columns not found")
+	}
+	if _, err := ReadCSV(strings.NewReader(swapped)); err == nil {
+		t.Error("header with two columns swapped should fail")
+	}
 }
 
 func TestKnownFormat(t *testing.T) {
@@ -199,3 +208,49 @@ func TestWriteFiles(t *testing.T) {
 		t.Error("unknown format should fail")
 	}
 }
+
+// full is a Record with every field set to a distinct non-zero value.
+var full = Record{
+	Experiment: "txkv-server", Workload: "txkv/update-heavy, zipf", Engine: "RSTM(lazy/polka)", EngineKind: "rstm",
+	Threads: 8, Repeat: 3, Seed: 18446744073709551615, DurationSec: 0.5, Ops: 123456, Throughput: 246912.125,
+	Commits: 11, ROCommits: 12, Aborts: 13, AbortsWW: 14, AbortsValid: 15,
+	AbortsValidRead: 16, AbortsValidCommit: 17, AbortsLocked: 18, AbortsKilled: 19,
+	AbortsExplicit: 20, AbortsUser: 21, WaitsCM: 22, LockAcquireFail: 23,
+	AbortsUnwound: 24, AbortsReturned: 25,
+	ReadsLogged: 26, ReadsDeduped: 27, Validations: 28, ValidationReads: 29,
+	LatP50Ns: 29000, LatP99Ns: 1.5e+06, LatP999Ns: 2.5e+21,
+	SrvP50Ns: 33, SrvP99Ns: 34, SrvP999Ns: 35,
+	PhaseParseNs: 36.25, PhaseQueueNs: 1e-07, PhaseTxnNs: 38, PhaseCommitNs: 39.5, PhaseReplyNs: 40,
+	OfferedRate: 4000, AchievedRate: 3999.9, LateOps: 43,
+	AbortRate: 0.1, CheckedOK: true,
+	PhaseWalNs: 46.75, WalFrames: 47, WalBytes: 48, WalRecoveredFrames: 49,
+	Retries: 50, Reconnects: 51, Sheds: 52, DeadlineExceeded: 53,
+	Pipeline: 16, CoalesceBatch: 32, CoalesceBatches: 56, CoalesceItems: 57,
+	FeedEvents: 58, WalFsyncs: 59,
+}
+
+// TestGoldenRow pins the CSV bytes of one fully populated record: the
+// column order, the shortest-round-trip float format and the quoting of a
+// cell with a comma are what external tooling reads.
+func TestGoldenRow(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, []Record{full}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != golden {
+		t.Errorf("CSV changed:\n got %q\nwant %q", got, golden)
+	}
+	recs, err := ReadCSV(strings.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0] != full {
+		t.Errorf("golden CSV parsed to %+v\nwant %+v", recs, full)
+	}
+}
+
+// golden was written by the hand-kept header / row() pair the reflected
+// codec replaced; it changes only with a deliberate schema change.
+const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,waits_cm,lock_acquire_fail,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs
+txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59
+`

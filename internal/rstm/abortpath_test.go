@@ -17,12 +17,10 @@ import (
 func TestAbortPath(t *testing.T) {
 	for _, acq := range []AcquireMode{Eager, Lazy} {
 		t.Run(acq.String(), func(t *testing.T) {
-			mk := func(unwind bool) func() stm.STM {
-				return func() stm.STM {
-					return New(Config{Acquire: acq, Manager: cm.NewSerializer(), BackoffUnit: 1, UnwindAborts: unwind})
-				}
+			mk := func() stm.STM {
+				return New(Config{Acquire: acq, Manager: cm.NewSerializer(), BackoffUnit: 1})
 			}
-			stmtest.AbortPathSuite(t, mk(false), mk(true), stmtest.ShapeObjectValidation)
+			stmtest.AbortPathSuite(t, mk, stmtest.ShapeObjectValidation)
 		})
 	}
 }

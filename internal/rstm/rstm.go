@@ -80,9 +80,6 @@ type Config struct {
 	Manager cm.Manager
 	// BackoffUnit scales the post-abort randomized back-off.
 	BackoffUnit int
-	// UnwindAborts restores panic-delivered commit-time aborts; a
-	// measurement ablation only (see the field in package swisstm).
-	UnwindAborts bool
 	// Obs, when non-nil, collects per-transaction telemetry at commit
 	// (see the field in package swisstm; DESIGN.md §11).
 	Obs *obs.TxnObs
@@ -332,7 +329,7 @@ func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
 }
 
 // Commit implements stm.Thread: try to commit; a failure is delivered as
-// a checked return (or by the UnwindAborts measurement ablation's panic).
+// a checked return.
 func (t *txn) Commit() bool {
 	var ok bool
 	if t.ro {
@@ -343,9 +340,6 @@ func (t *txn) Commit() bool {
 	if ok {
 		t.succ = 0
 		return true
-	}
-	if t.e.cfg.UnwindAborts {
-		panic(stm.SignalRollback)
 	}
 	t.stats.AbortsReturned++
 	return false
@@ -748,8 +742,7 @@ func (t *txn) commitRO() bool {
 // commitInner finishes the transaction, reporting false when it aborted.
 // All aborts detected here — commit-time acquisition conflicts of the
 // lazy mode, read-set validation, CM kills landing at commit — take the
-// checked return path through Commit; the UnwindAborts ablation restores
-// the old panic delivery for A/B measurement.
+// checked return path through Commit.
 func (t *txn) commitInner() bool {
 	t.committing = true
 	rs := len(t.readSet) + len(t.visSet)

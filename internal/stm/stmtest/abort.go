@@ -134,17 +134,14 @@ func (fa *ForcedAbort) Stats() stm.Stats { return fa.thA.Stats() }
 //     returns — they never cross a panic/recover (asserted via the
 //     AbortsUnwound/AbortsReturned stats split, which attempt/recover
 //     and the commit path maintain);
-//   - the UnwindAborts ablation really restores the unwinding delivery
-//     (so A/B measurements compare the two mechanisms, not two no-ops);
 //   - a panic raised by user code inside Atomic propagates unchanged,
 //     and the engine releases its locks first (a later transaction on
 //     the panicking stripe must not wedge);
 //   - Restart() still retries, delivered by unwinding;
 //   - the split exactly partitions Aborts.
 //
-// factory must return a fresh engine per call; mkUnwind must return one
-// with the UnwindAborts ablation enabled.
-func AbortPathSuite(t *testing.T, factory, mkUnwind func() stm.STM, shape AbortShape) {
+// factory must return a fresh engine per call.
+func AbortPathSuite(t *testing.T, factory func() stm.STM, shape AbortShape) {
 	const forced = 50
 
 	t.Run("CommitAbortsReturn", func(t *testing.T) {
@@ -162,21 +159,6 @@ func AbortPathSuite(t *testing.T, factory, mkUnwind func() stm.STM, shape AbortS
 		}
 		if s.AbortsReturned != s.Aborts {
 			t.Errorf("AbortsReturned = %d, want all %d aborts on the checked path", s.AbortsReturned, s.Aborts)
-		}
-	})
-
-	t.Run("UnwindAblationUnwinds", func(t *testing.T) {
-		fa := NewForcedAbort(mkUnwind(), shape)
-		for i := 0; i < forced; i++ {
-			fa.Op()
-		}
-		s := fa.Stats()
-		if s.Aborts < forced {
-			t.Fatalf("forced-conflict driver aborted %d times, want ≥ %d", s.Aborts, forced)
-		}
-		if s.AbortsReturned != 0 || s.AbortsUnwound != s.Aborts {
-			t.Errorf("ablation delivery: unwound %d returned %d, want all %d unwound",
-				s.AbortsUnwound, s.AbortsReturned, s.Aborts)
 		}
 	})
 

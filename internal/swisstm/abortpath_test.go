@@ -13,22 +13,18 @@ import (
 // and Restart must keep unwinding; user panics must propagate with the
 // write locks released.
 func TestAbortPath(t *testing.T) {
-	mk := func(unwind bool) func() stm.STM {
-		return func() stm.STM {
-			return New(Config{ArenaWords: 1 << 16, TableBits: 10, NoBackoff: true, UnwindAborts: unwind})
-		}
+	mk := func() stm.STM {
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10, NoBackoff: true})
 	}
-	stmtest.AbortPathSuite(t, mk(false), mk(true), stmtest.ShapeReadValidation)
+	stmtest.AbortPathSuite(t, mk, stmtest.ShapeReadValidation)
 }
 
 // TestAbortPathTimid repeats the forced-conflict check under the timid
 // CM, whose mid-body self-aborts exercise the unwinding tier heavily in
 // the StatsPartition hammer.
 func TestAbortPathTimid(t *testing.T) {
-	mk := func(unwind bool) func() stm.STM {
-		return func() stm.STM {
-			return New(Config{ArenaWords: 1 << 16, TableBits: 10, Policy: Timid, NoBackoff: true, UnwindAborts: unwind})
-		}
+	mk := func() stm.STM {
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10, Policy: Timid, NoBackoff: true})
 	}
-	stmtest.AbortPathSuite(t, mk(false), mk(true), stmtest.ShapeReadValidation)
+	stmtest.AbortPathSuite(t, mk, stmtest.ShapeReadValidation)
 }

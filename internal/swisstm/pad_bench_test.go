@@ -46,12 +46,10 @@ func benchSlots(b *testing.B, slot func(int) *atomic.Uint64) {
 	})
 }
 
-// BenchmarkPrivatizationSafeReadHeavy complements the ablation at engine
-// level: a read-heavy rbtree-free workload (plain counters) with the
-// quiescence scheme armed, the configuration where activity-slot traffic
-// dominates. Compare against a run with PrivatizationSafe=false to price
-// the whole scheme, or against a pre-padding build to price false
-// sharing alone.
+// BenchmarkPrivatizationSafeReadHeavy prices the quiescence scheme of the
+// paper's §6 at engine level: a read-heavy workload on plain counters,
+// the configuration where activity-slot traffic dominates, with the
+// scheme off ("unsafe") and armed ("quiescence").
 func BenchmarkPrivatizationSafeReadHeavy(b *testing.B) {
 	for _, safe := range []bool{false, true} {
 		name := "unsafe"

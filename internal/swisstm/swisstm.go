@@ -95,19 +95,14 @@ type Config struct {
 	// BackoffUnit is the spin budget multiplied by the successive-abort
 	// count when backing off.
 	BackoffUnit int
-	// UnwindAborts restores the pre-refactor abort delivery: commit-time
-	// conflicts unwind via panic/recover instead of returning through the
-	// checked path (DESIGN.md §8). It exists purely as a measurement
-	// ablation — the abort-path microbenchmark runs each engine with and
-	// without it to price the panic — and must stay off otherwise.
-	UnwindAborts bool
 	// PrivatizationSafe enables the quiescence scheme sketched in the
 	// paper's §6: every committing update transaction waits until all
 	// transactions that started before its commit have validated,
 	// committed or aborted. Afterwards, data made private by the commit
 	// (e.g. an unlinked node) can be accessed non-transactionally with no
 	// risk of a belated redo-log write-back or a zombie reader. The paper
-	// predicts (and the ablation benchmark confirms) a significant cost.
+	// predicts (and BenchmarkPrivatizationSafeReadHeavy confirms) a
+	// significant cost.
 	PrivatizationSafe bool
 	// Obs, when non-nil, collects per-transaction distribution telemetry
 	// (retry count, read-/write-set sizes) into per-thread shards at
@@ -789,14 +784,9 @@ func (t *txn) abort() {
 	t.stats.ReadsLogged += uint64(len(t.readLog))
 }
 
-// commitAbort delivers a commit-time abort as a checked return. The
-// UnwindAborts ablation restores the old panic delivery so the abort-path
-// microbenchmark can price the difference.
+// commitAbort delivers a commit-time abort as a checked return.
 func (t *txn) commitAbort() bool {
 	t.abort()
-	if t.e.cfg.UnwindAborts {
-		panic(stm.SignalRollback)
-	}
 	t.stats.AbortsReturned++
 	return false
 }

@@ -12,10 +12,8 @@ import (
 // through the checked path; encounter-time lock conflicts and Restart
 // keep unwinding; user panics propagate with the owner locks released.
 func TestAbortPath(t *testing.T) {
-	mk := func(unwind bool) func() stm.STM {
-		return func() stm.STM {
-			return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1, UnwindAborts: unwind})
-		}
+	mk := func() stm.STM {
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1})
 	}
-	stmtest.AbortPathSuite(t, mk(false), mk(true), stmtest.ShapeReadValidation)
+	stmtest.AbortPathSuite(t, mk, stmtest.ShapeReadValidation)
 }

@@ -14,10 +14,8 @@ import (
 // without unwinding; only read aborts (no extension mechanism) and
 // Restart panic.
 func TestAbortPath(t *testing.T) {
-	mk := func(unwind bool) func() stm.STM {
-		return func() stm.STM {
-			return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1, UnwindAborts: unwind})
-		}
+	mk := func() stm.STM {
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1})
 	}
-	stmtest.AbortPathSuite(t, mk(false), mk(true), stmtest.ShapeLockAcquire)
+	stmtest.AbortPathSuite(t, mk, stmtest.ShapeLockAcquire)
 }

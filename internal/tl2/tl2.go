@@ -46,9 +46,6 @@ type Config struct {
 	// before giving up and aborting (the original aborts immediately; a
 	// tiny bounded spin reduces convoying on oversubscribed hosts).
 	CommitSpin int
-	// UnwindAborts restores panic-delivered commit-time aborts; a
-	// measurement ablation only (see the field in package swisstm).
-	UnwindAborts bool
 	// Obs, when non-nil, collects per-transaction telemetry at commit
 	// (see the field in package swisstm; DESIGN.md §11).
 	Obs *obs.TxnObs
@@ -250,13 +247,9 @@ func (t *txn) abort() {
 	t.stats.ReadsLogged += uint64(len(t.readLog))
 }
 
-// commitAbort delivers a commit-time abort as a checked return (or the
-// old panic under the UnwindAborts ablation).
+// commitAbort delivers a commit-time abort as a checked return.
 func (t *txn) commitAbort() bool {
 	t.abort()
-	if t.e.cfg.UnwindAborts {
-		panic(stm.SignalRollback)
-	}
 	t.stats.AbortsReturned++
 	return false
 }

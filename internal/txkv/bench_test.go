@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"swisstm/internal/obs"
 	"swisstm/internal/stm"
 	"swisstm/internal/swisstm"
 	"swisstm/internal/txkv"
@@ -12,14 +13,20 @@ import (
 
 // Hot-path micro-benchmarks for the KV operations on SwissTM, so
 // regressions in the store layout or the engine's object-API wrapper
-// show up in `go test -bench` history (root bench_test.go conventions:
-// parallel workers, per-worker engine threads and RNGs).
+// show up in `go test -bench` history: parallel workers, each with its
+// own engine thread and RNG. The Obs twins of Get and Put run the same
+// body on an engine with per-transaction telemetry armed, which prices
+// the instrumentation (DESIGN.md §11) until a per-layer metric does:
+//
+//	go test -run '^$' -bench 'TxKV(Get|Put)' ./internal/txkv
 
 const benchKeys = 4096
 
-func benchStore(b *testing.B) (stm.STM, *txkv.Store) {
+// benchStore pre-fills a store on a fresh SwissTM engine; a non-nil o
+// arms the engine's per-transaction telemetry.
+func benchStore(b *testing.B, o *obs.TxnObs) (stm.STM, *txkv.Store) {
 	b.Helper()
-	e := swisstm.New(swisstm.Config{ArenaWords: 1 << 22, TableBits: 18})
+	e := swisstm.New(swisstm.Config{ArenaWords: 1 << 22, TableBits: 18, Obs: o})
 	th := e.NewThread(0)
 	s := txkv.New(th, txkv.ConfigForKeys(benchKeys))
 	for base := 1; base <= benchKeys; base += 256 {
@@ -51,8 +58,9 @@ func benchParallel(b *testing.B, e stm.STM, op func(th stm.Thread, rng *util.Ran
 	})
 }
 
-func BenchmarkTxKVGetSwissTM(b *testing.B) {
-	e, s := benchStore(b)
+func benchGet(b *testing.B, o *obs.TxnObs) {
+	b.ReportAllocs()
+	e, s := benchStore(b, o)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -60,8 +68,9 @@ func BenchmarkTxKVGetSwissTM(b *testing.B) {
 	})
 }
 
-func BenchmarkTxKVPutSwissTM(b *testing.B) {
-	e, s := benchStore(b)
+func benchPut(b *testing.B, o *obs.TxnObs) {
+	b.ReportAllocs()
+	e, s := benchStore(b, o)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -69,8 +78,13 @@ func BenchmarkTxKVPutSwissTM(b *testing.B) {
 	})
 }
 
+func BenchmarkTxKVGetSwissTM(b *testing.B)    { benchGet(b, nil) }
+func BenchmarkTxKVGetSwissTMObs(b *testing.B) { benchGet(b, obs.NewTxnObs()) }
+func BenchmarkTxKVPutSwissTM(b *testing.B)    { benchPut(b, nil) }
+func BenchmarkTxKVPutSwissTMObs(b *testing.B) { benchPut(b, obs.NewTxnObs()) }
+
 func BenchmarkTxKVCASSwissTM(b *testing.B) {
-	e, s := benchStore(b)
+	e, s := benchStore(b, nil)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -84,7 +98,7 @@ func BenchmarkTxKVCASSwissTM(b *testing.B) {
 }
 
 func BenchmarkTxKVTransferSwissTM(b *testing.B) {
-	e, s := benchStore(b)
+	e, s := benchStore(b, nil)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		buf := [4]stm.Word{}
@@ -108,7 +122,7 @@ func BenchmarkTxKVTransferSwissTM(b *testing.B) {
 }
 
 func BenchmarkTxKVScanShardSwissTM(b *testing.B) {
-	e, s := benchStore(b)
+	e, s := benchStore(b, nil)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		sh := rng.Intn(s.Shards())
 		stm.AtomicVoid(th, func(tx stm.Tx) { s.SumShard(tx, sh) })

@@ -78,11 +78,6 @@ type GenConfig struct {
 	// Zipf is the zipfian skew θ in (0, 1); 0 selects uniform key
 	// choice.
 	Zipf float64
-	// PlainReads routes the read-only operation classes (point Get,
-	// scan, the CAS read) through plain stm.Atomic instead of the
-	// declared read-only stm.AtomicRO fast path. It exists for the
-	// ro-fastpath ablation pair (cmd/benchjson); leave it false.
-	PlainReads bool
 	// Balance is the per-key starting value (default DefaultBalance).
 	Balance stm.Word
 	// Store overrides the store dimensions (default ConfigForKeys(Keys)).
@@ -239,30 +234,17 @@ type getResult struct {
 	ok  bool
 }
 
-// get issues one point read, declared read-only unless the PlainReads
-// ablation is on.
+// get issues one point read, declared read-only.
 func (g *Gen) get(th stm.Thread, key stm.Word) (stm.Word, bool) {
-	var r getResult
-	if g.cfg.PlainReads {
-		r = stm.Atomic(th, func(tx stm.Tx) getResult {
-			v, ok := g.store.Get(tx, key)
-			return getResult{v, ok}
-		})
-	} else {
-		r = stm.AtomicRO(th, func(tx stm.TxRO) getResult {
-			v, ok := g.store.Get(tx, key)
-			return getResult{v, ok}
-		})
-	}
+	r := stm.AtomicRO(th, func(tx stm.TxRO) getResult {
+		v, ok := g.store.Get(tx, key)
+		return getResult{v, ok}
+	})
 	return r.val, r.ok
 }
 
-// scan issues one shard-aggregate read, declared read-only unless the
-// PlainReads ablation is on.
+// scan issues one shard-aggregate read, declared read-only.
 func (g *Gen) scan(th stm.Thread, shard int) stm.Word {
-	if g.cfg.PlainReads {
-		return stm.Atomic(th, func(tx stm.Tx) stm.Word { return g.store.SumShard(tx, shard) })
-	}
 	return stm.AtomicRO(th, func(tx stm.TxRO) stm.Word { return g.store.SumShard(tx, shard) })
 }
 
