@@ -20,11 +20,20 @@ build:
 test:
 	$(GO) test ./...
 
+# race also runs the coalescing gate on one engine under the detector:
+# feed tailers, pipelined load, the coalescer, group fsync and drain in
+# one process is the most concurrent configuration in the repository.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
+
+# GO_FILES is the tree's own Go source, one list for fmt and loc:
+# .bench_build/ holds the parent commit `make benchmark-ab` exported, and
+# its formatting is not this tree's to gate on.
+GO_FILES = find . -name '*.go' ! -path './.bench_build/*'
 
 fmt:
-	@files=$$(gofmt -l .); \
+	@files=$$($(GO_FILES) | xargs gofmt -l); \
 	if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; \
 	fi
@@ -35,7 +44,7 @@ vet:
 # loc prints the non-test Go lines of each package and their total outside
 # benchmark/ — the unit ROADMAP.md states its size budgets in.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	@$(GO_FILES) ! -name '*_test.go' ! -path './benchmark/*' \
 		| sed 's|^\./||' | xargs wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
@@ -137,27 +146,27 @@ smoke-server:
 # promised metric family is missing or when /statz shows a violated
 # abort-cause partition (sum of causes != total aborts).
 smoke-obs:
-	$(GO) run ./cmd/obssmoke
+	$(GO) run ./cmd/kvsmoke obs
 
 # smoke-recover is the kill/recover durability gate (DESIGN.md §12):
-# per engine, crashkv SIGKILLs a real txkvserver process mid-load with
+# per engine, kvsmoke SIGKILLs a real txkvserver process mid-load with
 # the commit log in group-fsync mode, then fails on a log checksum
 # error, a lost acknowledged write, or a restarted server whose state
 # disagrees with an independent replay of the log.
 smoke-recover:
 	$(GO) build -o bin/txkvserver ./cmd/txkvserver
-	$(GO) run ./cmd/crashkv -server bin/txkvserver \
+	$(GO) run ./cmd/kvsmoke recover -server bin/txkvserver \
 		-engines swisstm,tl2,tinystm,rstm -fsync group -warm 200ms
 
 # smoke-chaos is the overload/fault-injection gate (DESIGN.md §13):
-# per engine, chaoskv storms a real server through the seeded chaos
+# per engine, kvsmoke storms a real server through the seeded chaos
 # proxy — admission limits armed, open-loop load above capacity,
 # truncation/RST/blackhole faults enabled — and fails on a lost
 # acknowledged write, an error reply without a typed code, a server
 # crash or hung drain, zero sheds (overload never engaged), or an
 # unbounded p99 for accepted requests.
 smoke-chaos:
-	$(GO) run ./cmd/chaoskv -engines swisstm,tl2 -seed 1 -duration 1500ms
+	$(GO) run ./cmd/kvsmoke chaos -engines swisstm,tl2 -seed 1 -duration 1500ms
 
 # smoke-coalesce is the commit-coalescing + change-feed gate (DESIGN.md
 # §14): per engine, pipelined open-loop load with per-shard coalescing
@@ -167,7 +176,7 @@ smoke-chaos:
 # feed subscriber that misses/duplicates/reorders an event or stalls
 # after drain, or a /metrics page without the batch-size histogram.
 smoke-coalesce:
-	$(GO) run ./cmd/coalsmoke
+	$(GO) run ./cmd/kvsmoke coalesce
 
 # grid runs the full experiment grid from scripts/experiments.json into
 # one merged CSV artifact (override cell size with GRID_OPS, e.g.

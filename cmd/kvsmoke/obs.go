@@ -1,28 +1,9 @@
-// Command obssmoke is the observability smoke gate (`make smoke-obs`,
-// DESIGN.md §11): for each engine it starts an in-process txkvserver
-// with the admin surface bound to an ephemeral loopback port, applies a
-// short contended load over real TCP, then
-//
-//   - scrapes /metrics and fails when any promised metric family is
-//     missing (per-op request counters and latency histograms, per-op ×
-//     phase histograms, per-shard conflict counters, engine commit and
-//     abort-cause counters, per-transaction distributions), and
-//   - fetches /statz and fails when the abort-cause partition is
-//     violated (sum of the six causes must equal the abort total), when
-//     the validation split disagrees with its parent counter, or when
-//     the server-side latency percentiles are missing or non-monotone.
-//
-// Exit status 0 means every engine passed.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"os"
 	"strings"
-	"time"
 
 	"swisstm/internal/harness"
 	"swisstm/internal/txkv"
@@ -30,9 +11,9 @@ import (
 	"swisstm/internal/txkvserver"
 )
 
-// families are the /metrics substrings whose absence fails the gate:
-// one representative series per promised metric family.
-var families = []string{
+// metricFamilies are the /metrics substrings whose absence fails the obs
+// gate: one representative series per promised metric family.
+var metricFamilies = []string{
 	`txkv_requests_total{op="get"}`,
 	`txkv_request_ns_bucket{op="get",le=`,
 	`txkv_request_ns_sum{op="get"}`,
@@ -48,24 +29,19 @@ var families = []string{
 	`stm_txn_write_set_entries_count`,
 }
 
-func main() {
-	failures := 0
-	for _, kind := range []string{"swisstm", "tl2", "tinystm", "rstm"} {
-		if err := run(kind); err != nil {
-			fmt.Fprintf(os.Stderr, "obssmoke: %s: %v\n", kind, err)
-			failures++
-			continue
-		}
-		fmt.Printf("obssmoke: %s OK\n", kind)
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "obssmoke: %d engine(s) failed\n", failures)
-		os.Exit(1)
-	}
-	fmt.Println("smoke-obs OK: /metrics complete and abort partition holds on all engines")
-}
-
-func run(kind string) error {
+// obsGate is the observability gate (DESIGN.md §11): it starts an
+// in-process txkvserver with the admin surface bound to an ephemeral
+// loopback port, applies a short contended load over real TCP, then
+//
+//   - scrapes /metrics and fails when any promised metric family is
+//     missing (per-op request counters and latency histograms, per-op ×
+//     phase histograms, per-shard conflict counters, engine commit and
+//     abort-cause counters, per-transaction distributions), and
+//   - fetches /statz and fails when the abort-cause partition is
+//     violated (sum of the six causes must equal the abort total), when
+//     the validation split disagrees with its parent counter, or when
+//     the server-side latency percentiles are missing or non-monotone.
+func obsGate(kind string) error {
 	srv, err := txkvserver.Start("127.0.0.1:0", txkvserver.Config{
 		Engine: harness.EngineSpec{Kind: kind, Manager: "polka"},
 		Keys:   512,
@@ -91,7 +67,7 @@ func run(kind string) error {
 	if err != nil {
 		return err
 	}
-	for _, f := range families {
+	for _, f := range metricFamilies {
 		if !strings.Contains(body, f) {
 			return fmt.Errorf("/metrics missing family %q", f)
 		}
@@ -123,21 +99,4 @@ func run(kind string) error {
 			st.SrvP50Ns, st.SrvP99Ns, st.SrvP999Ns)
 	}
 	return nil
-}
-
-func httpGet(url string) (string, error) {
-	c := &http.Client{Timeout: 10 * time.Second}
-	resp, err := c.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", fmt.Errorf("GET %s: %w", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return string(b), nil
 }

@@ -65,7 +65,7 @@ func main() {
 		retries  = flag.Int("retries", 0, "per-request retry budget for retryable shed replies and transport failures (0 = fail fast)")
 		retryMut = flag.Bool("retry-mutations", false, "opt mutations into transport-failure retry (at-least-once)")
 		budget   = flag.Duration("budget", 0, "per-request deadline budget propagated to the server as the wire TTL (0 = none)")
-		pipeline = flag.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried)")
+		pipeline = flag.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried; excludes -timeout, -retries, -retry-mutations)")
 		coBatch  = flag.Int("coalesce-batch", 0, "launch mode: per-shard commit coalescing batch size for the launched server (0 = off)")
 		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "launch mode: commit coalescing max batch wait for the launched server")
 	)
@@ -91,12 +91,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "txkvload:", err)
 		os.Exit(2)
 	}
-	if *walDir != "" && !*launch {
-		fmt.Fprintln(os.Stderr, "txkvload: -wal only applies to -launch mode (point -addr at a server started with -wal instead)")
+	if *pipeline > 1 && (*timeout > 0 || *retries > 0 || *retryMut) {
+		fmt.Fprintln(os.Stderr, "txkvload:", txkvclient.ErrPipelineOptions)
 		os.Exit(2)
 	}
-	if *coBatch > 0 && !*launch {
-		fmt.Fprintln(os.Stderr, "txkvload: -coalesce-batch only applies to -launch mode (start the server with -coalesce-batch instead)")
+	if (*walDir != "" || *coBatch > 0) && !*launch {
+		fmt.Fprintln(os.Stderr, "txkvload: -wal and -coalesce-batch only apply to -launch mode (start the -addr server with them instead)")
 		os.Exit(2)
 	}
 

@@ -10,7 +10,7 @@
 // same connection arrival order injects the same faults at the same
 // byte offsets. Connection arrival order itself is scheduling-
 // dependent; the guarantee is per-index reproducibility, which is what
-// the chaoskv harness keys its oracle on.
+// the chaos gate (cmd/kvsmoke chaos) keys its oracle on.
 package chaos
 
 import (

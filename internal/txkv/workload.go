@@ -6,6 +6,7 @@ package txkv
 
 import (
 	"fmt"
+	"slices"
 
 	"swisstm/internal/harness"
 	"swisstm/internal/stm"
@@ -61,6 +62,47 @@ func (m Mix) Valid() error {
 		return fmt.Errorf("txkv: mix %q transfers need ≥ 2 keys", m.Name)
 	}
 	return nil
+}
+
+// MixOp is one operation class of a mix.
+type MixOp int
+
+const (
+	MixRead MixOp = iota
+	MixUpdate
+	MixCAS
+	MixTransfer
+	MixScan
+)
+
+// Pick draws the next operation's class: one Intn(100) against the five
+// percent bands. The in-process generator and the wire load generator
+// both draw here, so a seed names one op stream on either side.
+func (m Mix) Pick(r *util.Rand) MixOp {
+	switch x := r.Intn(100); {
+	case x < m.ReadPct:
+		return MixRead
+	case x < m.ReadPct+m.UpdatePct:
+		return MixUpdate
+	case x < m.ReadPct+m.UpdatePct+m.CASPct:
+		return MixCAS
+	case x < m.ReadPct+m.UpdatePct+m.CASPct+m.TransferPct:
+		return MixTransfer
+	default:
+		return MixScan
+	}
+}
+
+// DistinctKeys appends TransferKeys distinct keys of 1..dist.N() to
+// keys[:0] (zipfian draws repeat often; resample duplicates).
+func (m Mix) DistinctKeys(keys []stm.Word, dist util.Dist, r *util.Rand) []stm.Word {
+	keys = keys[:0]
+	for len(keys) < m.TransferKeys {
+		if c := stm.Word(dist.Next(r) + 1); !slices.Contains(keys, c) {
+			keys = append(keys, c)
+		}
+	}
+	return keys
 }
 
 // DefaultBalance is the per-key starting value; with transfers moving
@@ -193,18 +235,16 @@ func (g *Gen) nextVal(worker int) stm.Word {
 // Op issues one operation on the worker's thread — the harness
 // throughput unit.
 func (g *Gen) Op(th stm.Thread, worker int, rng *util.Rand) {
-	m := g.cfg.Mix
-	r := rng.Intn(100)
-	switch {
-	case r < m.ReadPct:
+	switch g.cfg.Mix.Pick(rng) {
+	case MixRead:
 		key := g.key(rng)
 		g.get(th, key)
-	case r < m.ReadPct+m.UpdatePct:
+	case MixUpdate:
 		key := g.key(rng)
 		val := g.nextVal(worker)
 		stm.Atomic(th, func(tx stm.Tx) bool { return g.store.Put(tx, key, val) })
 		g.lastWrite[worker][key] = val
-	case r < m.ReadPct+m.UpdatePct+m.CASPct:
+	case MixCAS:
 		// Optimistic client pattern: read in one transaction, then
 		// conditionally swap in a second. The CAS observes failures
 		// when another worker slipped a write in between.
@@ -218,10 +258,11 @@ func (g *Gen) Op(th stm.Thread, worker int, rng *util.Rand) {
 		if swapped {
 			g.lastWrite[worker][key] = val
 		}
-	case r < m.ReadPct+m.UpdatePct+m.CASPct+m.TransferPct:
-		keys := g.transferKeys(worker, rng)
+	case MixTransfer:
+		keys := g.cfg.Mix.DistinctKeys(g.tkeys[worker], g.dist, rng)
+		g.tkeys[worker] = keys
 		stm.Atomic(th, func(tx stm.Tx) bool { return g.store.Transfer(tx, keys, 1) })
-	default: // scan
+	case MixScan:
 		shard := rng.Intn(g.store.Shards())
 		g.scan(th, shard)
 	}
@@ -246,27 +287,6 @@ func (g *Gen) get(th stm.Thread, key stm.Word) (stm.Word, bool) {
 // scan issues one shard-aggregate read, declared read-only.
 func (g *Gen) scan(th stm.Thread, shard int) stm.Word {
 	return stm.AtomicRO(th, func(tx stm.TxRO) stm.Word { return g.store.SumShard(tx, shard) })
-}
-
-// transferKeys draws TransferKeys distinct keys into the worker's
-// scratch buffer (zipfian draws repeat often; resample duplicates).
-func (g *Gen) transferKeys(worker int, rng *util.Rand) []stm.Word {
-	keys := g.tkeys[worker][:0]
-	for len(keys) < g.cfg.Mix.TransferKeys {
-		c := g.key(rng)
-		dup := false
-		for _, e := range keys {
-			if e == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys = append(keys, c)
-		}
-	}
-	g.tkeys[worker] = keys
-	return keys
 }
 
 // Check validates the post-run state against the mix's oracles:

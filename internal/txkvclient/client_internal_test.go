@@ -79,12 +79,15 @@ type countingConn struct {
 var errScriptedWrite = errors.New("countingConn: scripted write failure")
 
 func (c *countingConn) Write(p []byte) (int, error) {
+	// Decided before the token goes out: a test that arms fail once it has
+	// seen this write must not fail this write.
+	fail := c.fail.Load()
 	c.writes.Add(1)
 	select {
 	case c.wrote <- struct{}{}:
 	default:
 	}
-	if c.fail.Load() {
+	if fail {
 		return 0, errScriptedWrite
 	}
 	c.mu.Lock()

@@ -1,6 +1,7 @@
 package txkvclient
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -59,13 +60,17 @@ type LoadConfig struct {
 	// Budget is the per-request deadline budget propagated to the
 	// server as the wire TTL (0 = none); see Options.Budget.
 	Budget time.Duration
-	// Pipeline, when > 1, switches every connection to pipelined mode
-	// (pipeline.go): that many logical operations in flight per
-	// connection, replies collected in order. Timeout/Retries/
-	// RetryMutations are ignored in pipelined mode — shed replies are
-	// counted (Result.ErrOps), not retried.
+	// Pipeline, when > 1, switches every connection to pipelined mode:
+	// that many logical operations in flight per connection, replies
+	// collected in order. Shed replies are counted (Result.ErrOps), not
+	// retried, and a Pipe arms no deadline: combining Pipeline with
+	// Timeout, Retries or RetryMutations is ErrPipelineOptions.
 	Pipeline int
 }
+
+// ErrPipelineOptions rejects a LoadConfig that asks a pipelined run for
+// what only the synchronous Client does.
+var ErrPipelineOptions = errors.New("txkvclient: timeout, retries and retry-mutations need synchronous connections (pipeline <= 1): a pipelined run counts sheds and retries nothing")
 
 func (c *LoadConfig) fill() error {
 	if c.Conns == 0 {
@@ -94,6 +99,9 @@ func (c *LoadConfig) fill() error {
 	}
 	if c.Pipeline < 0 {
 		return fmt.Errorf("txkvclient: negative pipeline window %d", c.Pipeline)
+	}
+	if c.Pipeline > 1 && (c.Timeout > 0 || c.Retries > 0 || c.RetryMutations) {
+		return ErrPipelineOptions
 	}
 	if c.Mix.TransferPct > 0 && c.Keys <= c.Mix.TransferKeys {
 		return fmt.Errorf("txkvclient: mix %s needs more than %d keys, have %d", c.Mix.Name, c.Mix.TransferKeys, c.Keys)
@@ -145,8 +153,8 @@ type Result struct {
 	OracleErr error
 }
 
-// PhaseMeanNs returns the server's mean per-request time of one phase
-// over the run window.
+// phaseMean is the server's mean per-request time of one phase over the
+// run window: the phase's nanosecond sum over the requests served.
 func phaseMean(sum, requests uint64) float64 {
 	if requests == 0 {
 		return 0
@@ -246,114 +254,9 @@ func Run(cfg LoadConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	var all []int64
-	var start time.Time
-	if cfg.Pipeline > 1 {
-		start = time.Now()
-		lat, lateOps, errOps, err := runPipelined(cfg, start)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Duration = time.Since(start)
-		all, res.LateOps, res.ErrOps = lat, lateOps, errOps
-	} else {
-		workers := make([]*ldWorker, cfg.Conns)
-		for i := range workers {
-			w, err := newLdWorker(cfg, i)
-			if err != nil {
-				for _, p := range workers[:i] {
-					p.cl.Close()
-				}
-				return Result{}, err
-			}
-			workers[i] = w
-		}
-		defer func() {
-			for _, w := range workers {
-				w.cl.Close()
-			}
-		}()
-
-		start = time.Now()
-		var runErr atomic.Value // first worker error
-		fail := func(err error) {
-			if err != nil {
-				runErr.CompareAndSwap(nil, err) // nolint: first error wins
-			}
-		}
-
-		var wg sync.WaitGroup
-		if cfg.Rate == 0 {
-			// Closed loop: each connection issues its quota back to back.
-			quota := cfg.Ops / uint64(cfg.Conns)
-			extra := cfg.Ops % uint64(cfg.Conns)
-			for i, w := range workers {
-				n := quota
-				if uint64(i) < extra {
-					n++
-				}
-				wg.Add(1)
-				go func(w *ldWorker, n uint64) {
-					defer wg.Done()
-					for j := uint64(0); j < n; j++ {
-						t0 := time.Now()
-						if err := w.op(); err != nil {
-							fail(err)
-							return
-						}
-						w.lat = append(w.lat, time.Since(t0).Nanoseconds())
-					}
-				}(w, n)
-			}
-		} else {
-			// Open loop: a generator emits arrival tokens at the fixed rate
-			// (catching up without re-pacing when it oversleeps, so the
-			// arrival schedule is faithful), workers consume them. The
-			// channel holds every token, so a saturated fleet never blocks
-			// the arrival process — it just grows the queue, which is
-			// exactly the latency the scheduled-arrival measurement charges.
-			tokens := make(chan time.Time, cfg.Ops)
-			interval := float64(time.Second) / cfg.Rate
-			go func() {
-				for i := uint64(0); i < cfg.Ops; i++ {
-					sched := start.Add(time.Duration(float64(i) * interval))
-					if d := time.Until(sched); d > 0 {
-						time.Sleep(d)
-					}
-					tokens <- sched
-				}
-				close(tokens)
-			}()
-			for _, w := range workers {
-				wg.Add(1)
-				go func(w *ldWorker) {
-					defer wg.Done()
-					for sched := range tokens {
-						if time.Since(sched) > cfg.LateThreshold {
-							w.late++
-						}
-						if err := w.op(); err != nil {
-							fail(err)
-							return
-						}
-						w.lat = append(w.lat, time.Since(sched).Nanoseconds())
-					}
-				}(w)
-			}
-		}
-		wg.Wait()
-		res.Duration = time.Since(start)
-		if err, _ := runErr.Load().(error); err != nil {
-			return Result{}, err
-		}
-
-		// Merge per-worker measurements.
-		for _, w := range workers {
-			all = append(all, w.lat...)
-			res.LateOps += w.late
-			res.Retries += w.cl.Retries
-			res.Reconnects += w.cl.Reconnects
-		}
+	all, err := runWorkers(cfg, &res)
+	if err != nil {
+		return Result{}, err
 	}
 	res.Ops = uint64(len(all))
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -368,51 +271,109 @@ func Run(cfg LoadConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res.Server = txkvwire.Stats{
-		Requests: stats1.Requests - stats0.Requests,
-		ParseNs:  stats1.ParseNs - stats0.ParseNs,
-		QueueNs:  stats1.QueueNs - stats0.QueueNs,
-		TxnNs:    stats1.TxnNs - stats0.TxnNs,
-		CommitNs: stats1.CommitNs - stats0.CommitNs,
-		ReplyNs:  stats1.ReplyNs - stats0.ReplyNs,
-		Commits:  stats1.Commits - stats0.Commits,
-		Aborts:   stats1.Aborts - stats0.Aborts,
-
-		AbortsWW:          stats1.AbortsWW - stats0.AbortsWW,
-		AbortsValid:       stats1.AbortsValid - stats0.AbortsValid,
-		AbortsLocked:      stats1.AbortsLocked - stats0.AbortsLocked,
-		AbortsKilled:      stats1.AbortsKilled - stats0.AbortsKilled,
-		AbortsExplicit:    stats1.AbortsExplicit - stats0.AbortsExplicit,
-		AbortsUser:        stats1.AbortsUser - stats0.AbortsUser,
-		LockAcquireFail:   stats1.LockAcquireFail - stats0.LockAcquireFail,
-		AbortsValidRead:   stats1.AbortsValidRead - stats0.AbortsValidRead,
-		AbortsValidCommit: stats1.AbortsValidCommit - stats0.AbortsValidCommit,
-
-		WalNs:     stats1.WalNs - stats0.WalNs,
-		WalFrames: stats1.WalFrames - stats0.WalFrames,
-		WalBytes:  stats1.WalBytes - stats0.WalBytes,
-
-		Sheds:            stats1.Sheds - stats0.Sheds,
-		DeadlineExceeded: stats1.DeadlineExceeded - stats0.DeadlineExceeded,
-		ConnsRejected:    stats1.ConnsRejected - stats0.ConnsRejected,
-
-		CoalesceBatches: stats1.CoalesceBatches - stats0.CoalesceBatches,
-		CoalesceItems:   stats1.CoalesceItems - stats0.CoalesceItems,
-		FeedEvents:      stats1.FeedEvents - stats0.FeedEvents,
-		WalFsyncs:       stats1.WalFsyncs - stats0.WalFsyncs,
-
-		// Lifetime percentiles, not diffable — see the Server field doc.
-		SrvP50Ns:  stats1.SrvP50Ns,
-		SrvP99Ns:  stats1.SrvP99Ns,
-		SrvP999Ns: stats1.SrvP999Ns,
-		// Set once at server start (the recovery scan), so also lifetime.
-		WalRecovered: stats1.WalRecovered,
-	}
+	res.Server = stats1.Sub(stats0)
 
 	if !cfg.SkipOracles {
 		res.OracleErr = checkOracles(ctl, cfg, conserving, sum0)
 	}
 	return res, nil
+}
+
+// Arrivals is the open-loop arrival process: n tokens, each the scheduled
+// arrival of one operation at the fixed rate from start on (catching up
+// without re-pacing when it oversleeps, so the schedule is faithful),
+// then the channel closes. The channel holds every token, so saturated
+// consumers never block the arrival process — they just grow the queue,
+// which is exactly the latency the scheduled-arrival measurement charges.
+func Arrivals(start time.Time, rate float64, n uint64) <-chan time.Time {
+	tokens := make(chan time.Time, n)
+	interval := float64(time.Second) / rate
+	go func() {
+		for i := uint64(0); i < n; i++ {
+			sched := start.Add(time.Duration(float64(i) * interval))
+			if d := time.Until(sched); d > 0 {
+				time.Sleep(d)
+			}
+			tokens <- sched
+		}
+		close(tokens)
+	}()
+	return tokens
+}
+
+// runWorkers drives the load itself, in either mode: every connection is
+// dialled and every worker built before the clock and the arrival
+// schedule start, so neither Duration nor the first arrivals pay for
+// set-up. It fills res.Duration and the per-worker counters and returns
+// the merged latencies; the first worker error wins.
+func runWorkers(cfg LoadConfig, res *Result) ([]int64, error) {
+	var dist util.Dist = util.NewUniform(cfg.Keys)
+	if cfg.Zipf > 0 {
+		dist = util.NewZipf(cfg.Keys, cfg.Zipf)
+	}
+	workers := make([]*worker, 0, cfg.Conns)
+	defer func() {
+		for _, w := range workers {
+			w.close()
+		}
+	}()
+	for i := 0; i < cfg.Conns; i++ {
+		w, err := newWorker(cfg, i, dist)
+		if err != nil {
+			return nil, err
+		}
+		workers = append(workers, w)
+	}
+
+	start := time.Now()
+	var tokens <-chan time.Time // nil in closed loop
+	if cfg.Rate > 0 {
+		tokens = Arrivals(start, cfg.Rate, cfg.Ops)
+	}
+	var (
+		wg     sync.WaitGroup
+		failed sync.Once
+		runErr error // the first worker error
+	)
+	run := func(w *worker, loop func() error) {
+		defer wg.Done()
+		if err := loop(); err != nil {
+			failed.Do(func() { runErr = err })
+			w.close() // pipelined: wakes the worker's other goroutine
+		}
+	}
+	for i, w := range workers {
+		// Closed loop: each connection issues its share back to back.
+		quota := cfg.Ops / uint64(cfg.Conns)
+		if uint64(i) < cfg.Ops%uint64(cfg.Conns) {
+			quota++
+		}
+		if w.p == nil {
+			wg.Add(1)
+			go run(w, func() error { return w.issueAll(tokens, quota) })
+		} else {
+			wg.Add(2)
+			go run(w, func() error { return w.submitAll(tokens, quota) })
+			go run(w, w.collect)
+		}
+	}
+	wg.Wait()
+	res.Duration = time.Since(start)
+	if runErr != nil {
+		return nil, runErr
+	}
+
+	var all []int64
+	for _, w := range workers {
+		all = append(all, w.lat...)
+		res.LateOps += w.late
+		res.ErrOps += w.errOps
+		if w.cl != nil {
+			res.Retries += w.cl.Retries
+			res.Reconnects += w.cl.Reconnects
+		}
+	}
+	return all, nil
 }
 
 // checkOracles validates post-run state over the wire: the key
@@ -455,101 +416,226 @@ func percentile(sorted []int64, q float64) float64 {
 	return float64(sorted[idx])
 }
 
-// ldWorker is one load connection: its client, RNG, scratch and
-// measurements.
-type ldWorker struct {
+// worker is one load connection: the operation stream it draws, and its
+// measurements. It issues through exactly one of cl (synchronous: one
+// goroutine, the Client's deadlines and retries apply) and p (pipelined,
+// LoadConfig.Pipeline > 1: a submitter goroutine issues the mix and a
+// collector goroutine consumes the in-order replies, up to Pipeline
+// logical operations in flight).
+type worker struct {
 	cfg    LoadConfig
 	cl     *Client
+	p      *Pipe
 	rng    *util.Rand
 	dist   util.Dist
 	shards int
 	id     int
-	seq    uint64
+	seq    atomic.Uint64 // a pipelined submitter and collector both mint write values
 	tkeys  []uint64
 	lat    []int64
 	late   uint64
+	errOps uint64
 }
 
-func newLdWorker(cfg LoadConfig, id int) (*ldWorker, error) {
-	cl, err := DialRetryOptions(cfg.Addr, 5*time.Second, Options{
-		Timeout:        cfg.Timeout,
-		MaxRetries:     cfg.Retries,
-		RetryMutations: cfg.RetryMutations,
-		Budget:         cfg.Budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w := &ldWorker{
+func newWorker(cfg LoadConfig, id int, dist util.Dist) (*worker, error) {
+	w := &worker{
 		cfg:    cfg,
-		cl:     cl,
 		rng:    util.NewRand(harness.DeriveSeed(cfg.Seed, "txkvload/"+cfg.Mix.Name, cfg.Conns, id)),
+		dist:   dist,
 		shards: txkv.ConfigForKeys(cfg.Keys).Shards,
 		id:     id,
+		tkeys:  make([]uint64, 0, cfg.Mix.TransferKeys),
 		lat:    make([]int64, 0, cfg.Ops/uint64(cfg.Conns)+1),
 	}
-	if cfg.Zipf > 0 {
-		w.dist = util.NewZipf(cfg.Keys, cfg.Zipf)
+	var err error
+	if cfg.Pipeline > 1 {
+		w.p, err = DialPipe(cfg.Addr, cfg.Pipeline)
 	} else {
-		w.dist = util.NewUniform(cfg.Keys)
+		w.cl, err = DialRetryOptions(cfg.Addr, 5*time.Second, Options{
+			Timeout:        cfg.Timeout,
+			MaxRetries:     cfg.Retries,
+			RetryMutations: cfg.RetryMutations,
+			Budget:         cfg.Budget,
+		})
 	}
-	if cfg.Mix.TransferPct > 0 {
-		w.tkeys = make([]uint64, 0, cfg.Mix.TransferKeys)
-	}
-	return w, nil
+	return w, err
 }
 
-func (w *ldWorker) key() uint64 { return uint64(w.dist.Next(w.rng) + 1) }
+func (w *worker) close() {
+	if w.p != nil {
+		w.p.Close()
+	} else {
+		w.cl.Close()
+	}
+}
+
+func (w *worker) key() uint64 { return uint64(w.dist.Next(w.rng) + 1) }
 
 // nextVal mints this worker's next globally unique write value, the
 // same (worker+1)<<40 | seq encoding the in-process generator uses.
-func (w *ldWorker) nextVal() uint64 {
-	w.seq++
-	return uint64(w.id+1)<<40 | w.seq
+func (w *worker) nextVal() uint64 {
+	return uint64(w.id+1)<<40 | w.seq.Add(1)
 }
 
-// op issues one mix operation over the wire — the same op selection as
-// txkv.Gen.Op, with each transaction a real request round trip.
-func (w *ldWorker) op() error {
-	m := w.cfg.Mix
-	r := w.rng.Intn(100)
-	switch {
-	case r < m.ReadPct:
-		_, _, err := w.cl.Get(w.key())
-		return err
-	case r < m.ReadPct+m.UpdatePct:
-		_, err := w.cl.Put(w.key(), w.nextVal())
-		return err
-	case r < m.ReadPct+m.UpdatePct+m.CASPct:
-		// Optimistic client pattern: read, then conditional swap — two
-		// round trips, two server transactions, one logical operation.
-		key := w.key()
-		cur, ok, err := w.cl.Get(key)
-		if err != nil || !ok {
+// next draws one mix operation — the ladder and the draw order of
+// txkv.Gen.Op — and returns its first frame. chain marks the optimistic
+// client pattern: the frame is a read, and a conditional swap of what it
+// returns follows its reply — two round trips, two server transactions,
+// one logical operation.
+func (w *worker) next() (req txkvwire.Req, chain bool) {
+	switch w.cfg.Mix.Pick(w.rng) {
+	case txkv.MixRead:
+		req.Op, req.Key = txkvwire.OpGet, w.key()
+	case txkv.MixUpdate:
+		req.Op, req.Key, req.Val = txkvwire.OpPut, w.key(), w.nextVal()
+	case txkv.MixCAS:
+		req.Op, req.Key, chain = txkvwire.OpGet, w.key(), true
+	case txkv.MixTransfer:
+		// Both connection types encode the frame before they return, so
+		// the scratch buffer is free again at the next draw.
+		w.tkeys = w.cfg.Mix.DistinctKeys(w.tkeys, w.dist, w.rng)
+		req.Op, req.Keys, req.Amount = txkvwire.OpTransfer, w.tkeys, 1
+	case txkv.MixScan:
+		req.Op, req.Shard = txkvwire.OpSum, int32(w.rng.Intn(w.shards))
+	}
+	return req, chain
+}
+
+func (w *worker) cas(key, old uint64) txkvwire.Req {
+	return txkvwire.Req{Op: txkvwire.OpCAS, Key: key, Old: old, Val: w.nextVal()}
+}
+
+// issueAll is the synchronous issue loop: quota operations back to back
+// in closed loop (tokens nil), one per arrival token in open loop, each
+// a blocking round trip (two for a chained CAS). Latency runs from the
+// send in closed loop, from the scheduled arrival in open loop. An error
+// reply fails the run.
+func (w *worker) issueAll(tokens <-chan time.Time, quota uint64) error {
+	for n := uint64(0); tokens != nil || n < quota; n++ {
+		from := time.Now()
+		if tokens != nil {
+			var ok bool
+			if from, ok = <-tokens; !ok {
+				break
+			}
+			if time.Since(from) > w.cfg.LateThreshold {
+				w.late++
+			}
+		}
+		req, chain := w.next()
+		reply, err := w.cl.do(req)
+		if err == nil && chain && reply.Found {
+			_, err = w.cl.do(w.cas(req.Key, reply.Val))
+		}
+		if err != nil {
 			return err
 		}
-		_, err = w.cl.CAS(key, cur, w.nextVal())
-		return err
-	case r < m.ReadPct+m.UpdatePct+m.CASPct+m.TransferPct:
-		keys := w.tkeys[:0]
-		for len(keys) < m.TransferKeys {
-			c := w.key()
-			dup := false
-			for _, e := range keys {
-				if e == c {
-					dup = true
-					break
+		w.lat = append(w.lat, time.Since(from).Nanoseconds())
+	}
+	return nil
+}
+
+// The pipelined issue loop. A chained CAS keeps its window slot across
+// both round trips: the collector submits the swap the moment the read's
+// reply arrives, so the chain costs latency but never an idle slot.
+//
+// Error replies with a load-shedding code (Overloaded, Draining,
+// DeadlineExceeded) count as errored operations and the run continues —
+// open-loop overload is exactly when they appear; retrying inline would
+// distort the arrival schedule. Any other error reply fails the run.
+
+// plOp tags one logical operation through the pipe.
+type plOp struct {
+	from  time.Time // latency origin: scheduled arrival in open loop, first-frame submit in closed
+	chain bool      // this reply is the read phase of a chained CAS
+	key   uint64    // chained CAS key
+}
+
+// plFin is the submitter's final tag: its reply tells the collector how
+// many logical operations to expect in total. It rides a real request
+// (Len) submitted after everything else, so the collector can never
+// block on an empty pipe after seeing it: every still-incomplete
+// operation already has a frame in flight (or the collector itself is
+// about to chain one).
+type plFin struct {
+	n uint64
+}
+
+// submitAll is the submitter: quota operations back to back in closed
+// loop (tokens nil), one per arrival token in open loop, then the final
+// tag. Before it waits outside the pipe — for the next arrival, or for
+// good — it flushes: nothing else is due to push its frames out. The TTL,
+// when configured, rides every first frame (chained CAS frames inherit no
+// TTL: the budget bounded the op's admission, and the swap is the tail of
+// an op the server already invested in).
+func (w *worker) submitAll(tokens <-chan time.Time, quota uint64) error {
+	n := uint64(0)
+	for ; tokens != nil || n < quota; n++ {
+		from := time.Now()
+		if tokens != nil {
+			var ok bool
+			select {
+			case from, ok = <-tokens:
+			default:
+				if err := w.p.Flush(); err != nil {
+					return err
 				}
+				from, ok = <-tokens
 			}
-			if !dup {
-				keys = append(keys, c)
+			if !ok {
+				break
+			}
+			if time.Since(from) > w.cfg.LateThreshold {
+				w.late++
 			}
 		}
-		w.tkeys = keys
-		_, err := w.cl.Transfer(keys, 1)
-		return err
-	default: // scan
-		_, err := w.cl.Sum(w.rng.Intn(w.shards))
+		req, chain := w.next()
+		req.TTL = w.cfg.Budget
+		if err := w.p.Submit(req, &plOp{from: from, chain: chain, key: req.Key}, true, !chain); err != nil {
+			return err
+		}
+	}
+	if err := w.p.Submit(txkvwire.Req{Op: txkvwire.OpLen}, &plFin{n: n}, true, true); err != nil {
 		return err
 	}
+	return w.p.Flush()
+}
+
+// collect consumes replies until the submitter's final tag has arrived
+// and every logical operation before it completed.
+func (w *worker) collect() error {
+	var completed, want uint64
+	haveWant := false
+	for !haveWant || completed < want {
+		tag, _, reply, err := w.p.Recv()
+		if err != nil {
+			return err
+		}
+		if fin, ok := tag.(*plFin); ok {
+			want, haveWant = fin.n, true
+			continue
+		}
+		po := tag.(*plOp)
+		if po.chain {
+			po.chain = false
+			if reply.Err == "" && reply.Found {
+				if err := w.p.Submit(w.cas(po.key, reply.Val), po, false, true); err != nil {
+					return err
+				}
+				continue
+			}
+			w.p.Release() // read missed or was refused: the op ends here
+		}
+		if reply.Err != "" {
+			switch reply.Code {
+			case txkvwire.CodeOverloaded, txkvwire.CodeDraining, txkvwire.CodeDeadlineExceeded:
+				w.errOps++
+			default:
+				return fmt.Errorf("txkvclient: pipelined op failed: %s", reply.Err)
+			}
+		}
+		completed++
+		w.lat = append(w.lat, time.Since(po.from).Nanoseconds())
+	}
+	return nil
 }

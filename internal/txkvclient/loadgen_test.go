@@ -1,6 +1,10 @@
 package txkvclient_test
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -23,9 +27,19 @@ func startServer(t *testing.T, kind string, keys int) *txkvserver.Server {
 	return srv
 }
 
+// bothModes runs a load test over synchronous and pipelined connections:
+// one worker, two issue loops, the same expectations.
+func bothModes(t *testing.T, test func(t *testing.T, pipeline int)) {
+	for _, pipeline := range []int{0, 8} {
+		t.Run(fmt.Sprintf("pipeline=%d", pipeline), func(t *testing.T) { test(t, pipeline) })
+	}
+}
+
 // TestClosedLoop runs a short seeded closed-loop transfer load and
 // checks the measurement is fully populated and the oracles are green.
-func TestClosedLoop(t *testing.T) {
+func TestClosedLoop(t *testing.T) { bothModes(t, testClosedLoop) }
+
+func testClosedLoop(t *testing.T, pipeline int) {
 	srv := startServer(t, "swisstm", 512)
 	res, err := txkvclient.Run(txkvclient.LoadConfig{
 		Addr:  srv.Addr().String(),
@@ -35,6 +49,8 @@ func TestClosedLoop(t *testing.T) {
 		Zipf:  0.9,
 		Seed:  1,
 		Ops:   600,
+
+		Pipeline: pipeline,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +93,9 @@ func TestClosedLoop(t *testing.T) {
 
 // TestOpenLoop runs a fixed-arrival-rate load and checks the offered vs
 // achieved accounting.
-func TestOpenLoop(t *testing.T) {
+func TestOpenLoop(t *testing.T) { bothModes(t, testOpenLoop) }
+
+func testOpenLoop(t *testing.T, pipeline int) {
 	srv := startServer(t, "tl2", 256)
 	const rate = 2000.0
 	res, err := txkvclient.Run(txkvclient.LoadConfig{
@@ -88,6 +106,8 @@ func TestOpenLoop(t *testing.T) {
 		Seed:  7,
 		Ops:   400,
 		Rate:  rate,
+
+		Pipeline: pipeline,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +164,9 @@ func TestOpenLoopSaturation(t *testing.T) {
 
 // TestOracleCatchesTampering arms the oracles against a store whose
 // balance was changed outside the mix: the load run must report it.
-func TestOracleCatchesTampering(t *testing.T) {
+func TestOracleCatchesTampering(t *testing.T) { bothModes(t, testOracleCatchesTampering) }
+
+func testOracleCatchesTampering(t *testing.T, pipeline int) {
 	srv := startServer(t, "swisstm", 128)
 	cl, err := txkvclient.Dial(srv.Addr().String())
 	if err != nil {
@@ -161,11 +183,103 @@ func TestOracleCatchesTampering(t *testing.T) {
 		Keys: 128,
 		Seed: 1,
 		Ops:  50,
+
+		Pipeline: pipeline,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.OracleErr == nil {
 		t.Fatal("oracle missed a deleted key")
+	}
+}
+
+// TestClockStartsAfterWorkersAreBuilt: dialling the connections and
+// building the key distribution (O(keys) for a zipfian one — tens of
+// milliseconds here) is set-up, not load. The arrival schedule and
+// Duration start once every worker is ready, in both modes, so a slow
+// open-loop run dispatches nothing late; when the clock started first,
+// the pipelined mode's first arrivals were late by construction, every
+// time. A stalled host can still make one arrival late (the schedule is
+// kept to four arrivals in 15 ms to give it little to hit), so one clean
+// run in three passes.
+func TestClockStartsAfterWorkersAreBuilt(t *testing.T) {
+	bothModes(t, func(t *testing.T, pipeline int) {
+		srv := startServer(t, "swisstm", 512)
+		var late [3]uint64
+		for try := range late {
+			res, err := txkvclient.Run(txkvclient.LoadConfig{
+				Addr: srv.Addr().String(), Mix: txkv.ReadOnly, Conns: 4,
+				// Reads past the server's 512 keys just miss.
+				Keys: 1 << 20, Zipf: 0.5, SkipOracles: true,
+				Seed: 1, Ops: 4, Rate: 200, LateThreshold: 30 * time.Millisecond,
+				Pipeline: pipeline,
+			})
+			if err != nil || res.Ops != 4 {
+				t.Fatalf("%d ops of 4, err %v", res.Ops, err)
+			}
+			if late[try] = res.LateOps; res.LateOps == 0 {
+				return
+			}
+		}
+		t.Fatalf("arrivals dispatched late in each of three runs: %v of 4", late)
+	})
+}
+
+// TestPipelineRejectsClientOptions: deadlines and retries belong to the
+// synchronous Client; a pipelined run asked for them is refused before it
+// dials, not run without them.
+func TestPipelineRejectsClientOptions(t *testing.T) {
+	for _, cfg := range []txkvclient.LoadConfig{
+		{Timeout: time.Second}, {Retries: 3}, {RetryMutations: true},
+	} {
+		cfg.Addr, cfg.Mix, cfg.Ops, cfg.Pipeline = "127.0.0.1:1", txkv.ReadOnly, 10, 16
+		if _, err := txkvclient.Run(cfg); !errors.Is(err, txkvclient.ErrPipelineOptions) {
+			t.Errorf("%+v: err = %v, want ErrPipelineOptions", cfg, err)
+		}
+	}
+}
+
+// TestFirstWorkerErrorWins: when the server resets a pipelined load
+// connection, the collector fails with the socket's error and the
+// submitter, woken, with ErrPipeClosed — two error types racing for the
+// one slot. Run returns the first and drops the rest; it used to keep
+// them in an atomic.Value, which panics on the second type.
+func TestFirstWorkerErrorWins(t *testing.T) {
+	srv := startServer(t, "swisstm", 64)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for k := 0; ; k++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(k int, c net.Conn) {
+				defer c.Close()
+				if k > 0 { // a load connection: reset it at its first frame
+					c.Read(make([]byte, 1))
+					c.(*net.TCPConn).SetLinger(0)
+					return
+				}
+				b, err := net.Dial("tcp", srv.Addr().String()) // Run's control connection
+				if err != nil {
+					return
+				}
+				defer b.Close()
+				go io.Copy(c, b)
+				io.Copy(b, c)
+			}(k, c)
+		}
+	}()
+	_, err = txkvclient.Run(txkvclient.LoadConfig{
+		Addr: ln.Addr().String(), Mix: txkv.ReadOnly, Conns: 2, Keys: 64,
+		Seed: 1, Ops: 200_000, Pipeline: 8,
+	})
+	if err == nil {
+		t.Fatal("a run whose connections were reset reported no error")
 	}
 }

@@ -923,11 +923,9 @@ func (s *Server) applyOp(tx stm.Tx, cm *coalesce.Commit, req *txkvwire.Req) (rep
 	case txkvwire.OpCAS:
 		ok, why = cm.CAS(tx, key, stm.Word(req.Old), stm.Word(req.Val)), "key not at expected value"
 	case txkvwire.OpTransfer:
-		keys := make([]stm.Word, len(req.Keys))
-		for i, k := range req.Keys {
-			keys[i] = stm.Word(k)
-		}
-		ok, why = cm.Transfer(tx, keys, stm.Word(req.Amount)), "refused"
+		// The redo record keeps req.Keys until Publish; DecodeReq allocated
+		// it for this request alone.
+		ok, why = cm.Transfer(tx, req.Keys, stm.Word(req.Amount)), "refused"
 	default:
 		return s.readOp(tx, req)
 	}

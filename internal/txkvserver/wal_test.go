@@ -138,7 +138,7 @@ func TestWALFramesMatchAckedMutations(t *testing.T) {
 // TestDrainLosesNoAckedOps hammers a draining server from several
 // connections and checks, after a restart on the same log, that every
 // acknowledged put survived — the graceful-shutdown half of the
-// durability contract (the crash half is cmd/crashkv's).
+// durability contract (the crash half is the gate of cmd/kvsmoke recover).
 func TestDrainLosesNoAckedOps(t *testing.T) {
 	dir := t.TempDir()
 	const clients = 4

@@ -240,9 +240,8 @@ type FeedEvent struct {
 // so clients may diff them like every other cumulative field), and the
 // server-lifetime request-latency percentiles. The percentile fields
 // are point-in-time quantile reads of the server's whole-life latency
-// histogram — NOT cumulative, so they must not be diffed; a load run
-// wanting run-scoped percentiles reads them from its final snapshot of
-// a server started for that run.
+// histogram — NOT cumulative, so Sub does not diff them; they are a load
+// run's own only when the server was started for that run.
 type Stats struct {
 	Requests uint64 // requests fully served (reply flushed)
 	ParseNs  uint64 // frame decode
@@ -290,6 +289,34 @@ type Stats struct {
 	CoalesceItems   uint64 // single-key ops executed inside flushes
 	FeedEvents      uint64 // change-feed events published across all shards
 	WalFsyncs       uint64 // commit-log fsync batches (group/always modes)
+}
+
+// fields lists every field in wire order, for the reply codec and Sub
+// (the codec test holds the list to the struct).
+func (s *Stats) fields() []*uint64 {
+	return []*uint64{
+		&s.Requests, &s.ParseNs, &s.QueueNs, &s.TxnNs,
+		&s.CommitNs, &s.ReplyNs, &s.Commits, &s.Aborts,
+		&s.AbortsWW, &s.AbortsValid, &s.AbortsLocked,
+		&s.AbortsKilled, &s.AbortsExplicit, &s.AbortsUser,
+		&s.LockAcquireFail, &s.AbortsValidRead, &s.AbortsValidCommit,
+		&s.SrvP50Ns, &s.SrvP99Ns, &s.SrvP999Ns,
+		&s.WalNs, &s.WalFrames, &s.WalBytes, &s.WalRecovered,
+		&s.Sheds, &s.DeadlineExceeded, &s.ConnsRejected,
+		&s.CoalesceBatches, &s.CoalesceItems, &s.FeedEvents, &s.WalFsyncs,
+	}
+}
+
+// Sub returns the counters accumulated since the snapshot prev. The
+// percentiles and WalRecovered (set once, by the recovery scan at server
+// start) are lifetime values, not sums: they keep s's.
+func (s Stats) Sub(prev Stats) Stats {
+	d, was := s, prev.fields()
+	for i, p := range d.fields() {
+		*p -= *was[i]
+	}
+	d.SrvP50Ns, d.SrvP99Ns, d.SrvP999Ns, d.WalRecovered = s.SrvP50Ns, s.SrvP99Ns, s.SrvP999Ns, s.WalRecovered
+	return d
 }
 
 // ErrFrameTooLarge reports a frame length prefix above MaxFrame.
@@ -606,20 +633,8 @@ func appendReply(dst []byte, r Reply, batchOK bool) ([]byte, error) {
 		if r.Stats == nil {
 			return nil, errors.New("txkvwire: stats reply without stats")
 		}
-		for _, v := range []uint64{
-			r.Stats.Requests, r.Stats.ParseNs, r.Stats.QueueNs,
-			r.Stats.TxnNs, r.Stats.CommitNs, r.Stats.ReplyNs,
-			r.Stats.Commits, r.Stats.Aborts,
-			r.Stats.AbortsWW, r.Stats.AbortsValid, r.Stats.AbortsLocked,
-			r.Stats.AbortsKilled, r.Stats.AbortsExplicit, r.Stats.AbortsUser,
-			r.Stats.LockAcquireFail, r.Stats.AbortsValidRead, r.Stats.AbortsValidCommit,
-			r.Stats.SrvP50Ns, r.Stats.SrvP99Ns, r.Stats.SrvP999Ns,
-			r.Stats.WalNs, r.Stats.WalFrames, r.Stats.WalBytes, r.Stats.WalRecovered,
-			r.Stats.Sheds, r.Stats.DeadlineExceeded, r.Stats.ConnsRejected,
-			r.Stats.CoalesceBatches, r.Stats.CoalesceItems,
-			r.Stats.FeedEvents, r.Stats.WalFsyncs,
-		} {
-			dst = binary.LittleEndian.AppendUint64(dst, v)
+		for _, p := range r.Stats.fields() {
+			dst = binary.LittleEndian.AppendUint64(dst, *p)
 		}
 	case OpSubscribe:
 		if len(r.Events) > MaxFeedEvents {
@@ -704,24 +719,9 @@ func decodeReply(c *cursor, batchOK bool) Reply {
 			r.Sub = append(r.Sub, decodeReply(c, false))
 		}
 	case OpStats:
-		s := &Stats{}
-		for _, p := range []*uint64{
-			&s.Requests, &s.ParseNs, &s.QueueNs,
-			&s.TxnNs, &s.CommitNs, &s.ReplyNs,
-			&s.Commits, &s.Aborts,
-			&s.AbortsWW, &s.AbortsValid, &s.AbortsLocked,
-			&s.AbortsKilled, &s.AbortsExplicit, &s.AbortsUser,
-			&s.LockAcquireFail, &s.AbortsValidRead, &s.AbortsValidCommit,
-			&s.SrvP50Ns, &s.SrvP99Ns, &s.SrvP999Ns,
-			&s.WalNs, &s.WalFrames, &s.WalBytes, &s.WalRecovered,
-			&s.Sheds, &s.DeadlineExceeded, &s.ConnsRejected,
-			&s.CoalesceBatches, &s.CoalesceItems,
-			&s.FeedEvents, &s.WalFsyncs,
-		} {
+		r.Stats = &Stats{}
+		for _, p := range r.Stats.fields() {
 			*p = c.u64()
-		}
-		if c.err == nil {
-			r.Stats = s
 		}
 	case OpSubscribe:
 		n := int(c.u16())

@@ -93,21 +93,65 @@ func randReply(rng *util.Rand, op Op, batchOK bool) Reply {
 			r.Sub = append(r.Sub, randReply(rng, subOps[rng.Intn(len(subOps))], false))
 		}
 	case OpStats:
-		r.Stats = &Stats{
-			Requests: rng.Next(), ParseNs: rng.Next(), QueueNs: rng.Next(),
-			TxnNs: rng.Next(), CommitNs: rng.Next(), ReplyNs: rng.Next(),
-			Commits: rng.Next(), Aborts: rng.Next(),
-			AbortsWW: rng.Next(), AbortsValid: rng.Next(), AbortsLocked: rng.Next(),
-			AbortsKilled: rng.Next(), AbortsExplicit: rng.Next(), AbortsUser: rng.Next(),
-			LockAcquireFail: rng.Next(), AbortsValidRead: rng.Next(), AbortsValidCommit: rng.Next(),
-			SrvP50Ns: rng.Next(), SrvP99Ns: rng.Next(), SrvP999Ns: rng.Next(),
-			WalNs: rng.Next(), WalFrames: rng.Next(), WalBytes: rng.Next(),
-			WalRecovered:    rng.Next(),
-			CoalesceBatches: rng.Next(), CoalesceItems: rng.Next(),
-			FeedEvents: rng.Next(), WalFsyncs: rng.Next(),
-		}
+		r.Stats = fillStats(rng.Next())
 	}
 	return r
+}
+
+// fillStats gives every field of a Stats a distinct value, by reflection:
+// a field added to the struct is in every round trip from that day on.
+func fillStats(base uint64) *Stats {
+	s := &Stats{}
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(base + uint64(i))
+	}
+	return s
+}
+
+// TestStatsFieldList: the one hand-kept list names every field of the
+// struct exactly once, so neither the codec nor Sub can skip a counter.
+func TestStatsFieldList(t *testing.T) {
+	var s Stats
+	listed := map[*uint64]int{}
+	for _, p := range s.fields() {
+		listed[p]++
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		p, ok := v.Field(i).Addr().Interface().(*uint64)
+		if !ok {
+			t.Fatalf("Stats.%s is not a uint64", v.Type().Field(i).Name)
+		}
+		if listed[p] != 1 {
+			t.Errorf("Stats.%s is listed %d times, want once", v.Type().Field(i).Name, listed[p])
+		}
+	}
+	if len(listed) != v.NumField() {
+		t.Errorf("list has %d distinct entries, struct has %d fields", len(listed), v.NumField())
+	}
+}
+
+// TestStatsSub: every counter is diffed, and exactly the four lifetime
+// fields keep the later snapshot's value.
+func TestStatsSub(t *testing.T) {
+	later, earlier := fillStats(1000), fillStats(10)
+	d := later.Sub(*earlier)
+	lifetime := map[string]bool{"SrvP50Ns": true, "SrvP99Ns": true, "SrvP999Ns": true, "WalRecovered": true}
+	v := reflect.ValueOf(d)
+	for i := 0; i < v.NumField(); i++ {
+		name, want := v.Type().Field(i).Name, uint64(990)
+		if lifetime[name] {
+			want = 1000 + uint64(i)
+			delete(lifetime, name)
+		}
+		if got := v.Field(i).Uint(); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
+	}
+	if len(lifetime) != 0 {
+		t.Errorf("lifetime fields missing from the struct: %v", lifetime)
+	}
 }
 
 var allOps = []Op{OpGet, OpPut, OpDelete, OpCAS, OpTransfer, OpSum, OpLen, OpBatch, OpStats, OpSubscribe}
