@@ -96,12 +96,13 @@ smoke:
 	fi
 	@echo "smoke OK: $$(ls $(SMOKE_DIR) | wc -l) result files in $(SMOKE_DIR)"
 
-# smoke-txkv runs a short seeded txkv experiment per engine through the
-# dedicated driver (all three headline mixes, correctness oracles
-# armed) and fails on empty result files or failed invariant checks.
+# smoke-txkv runs a short seeded txkv experiment per engine through
+# paperfigs (the three headline mixes, read-only and the uniform point,
+# correctness oracles armed) and fails on empty result files or failed
+# invariant checks.
 smoke-txkv:
 	rm -rf $(SMOKE_DIR)/txkv
-	$(GO) run ./cmd/txkv -threads 1,2 -repeats 2 -seed 1 -ops 200 -keys 1024 -format csv -out $(SMOKE_DIR)/txkv
+	$(GO) run ./cmd/paperfigs -run txkv -quick -threads 1,2 -repeats 2 -seed 1 -ops 200 -format csv -out $(SMOKE_DIR)/txkv
 	@for f in $(SMOKE_DIR)/txkv/*.csv; do \
 		lines=$$(wc -l < "$$f"); \
 		if [ "$$lines" -le 1 ]; then echo "empty result file: $$f"; exit 1; fi; \
@@ -179,12 +180,13 @@ smoke-coalesce:
 	$(GO) run ./cmd/kvsmoke coalesce
 
 # grid runs the full experiment grid from scripts/experiments.json into
-# one merged CSV artifact (override cell size with GRID_OPS, e.g.
-# `make grid GRID_OPS=300` for a quick pass).
+# one merged CSV pair, grid.csv + grid.summary.csv (override cell size
+# with GRID_OPS, e.g. `make grid GRID_OPS=300` for a quick pass; CI and
+# `make ci` run it at 150), and fails on a failed oracle.
 GRID_DIR ?= grid_runs
 GRID_OPS ?= 0
 grid:
-	$(GO) run ./cmd/grid -config scripts/experiments.json -out $(GRID_DIR) -ops $(GRID_OPS)
+	$(GO) run ./cmd/txkvload -launch -config scripts/experiments.json -name grid -format csv -out $(GRID_DIR) -ops $(GRID_OPS)
 
 # smoke-examples builds and runs every examples/ program to completion.
 # The examples are the public face of the transaction API; running them
@@ -199,4 +201,5 @@ smoke-examples:
 	done
 	@echo "smoke-examples OK: all examples ran and self-checked"
 
-ci: fmt vet build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce
+ci: GRID_OPS = 150
+ci: fmt vet build test race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid

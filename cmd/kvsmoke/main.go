@@ -19,9 +19,11 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"swisstm/internal/harness"
 )
 
-var engines = flag.String("engines", "swisstm,tl2,tinystm,rstm", "comma-separated engine kinds to run the gate on")
+var engines = flag.String("engines", strings.Join(harness.Kinds, ","), "comma-separated engine kinds to run the gate on")
 
 var gates = map[string]func(kind string) error{
 	"recover": recoverGate, "chaos": chaosGate, "coalesce": coalesceGate, "obs": obsGate,
@@ -36,17 +38,19 @@ func main() {
 	name, gate := os.Args[1], gates[os.Args[1]]
 	flag.CommandLine.Parse(os.Args[2:])
 
+	specs, err := harness.ParseKinds(*engines, "polka")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kvsmoke %s: -engines: %v\n", name, err)
+		os.Exit(2)
+	}
 	failures := 0
-	for _, kind := range strings.Split(*engines, ",") {
-		if kind = strings.TrimSpace(kind); kind == "" {
-			continue
-		}
-		if err := gate(kind); err != nil {
-			fmt.Fprintf(os.Stderr, "kvsmoke %s: %s: FAIL: %v\n", name, kind, err)
+	for _, spec := range specs {
+		if err := gate(spec.Kind); err != nil {
+			fmt.Fprintf(os.Stderr, "kvsmoke %s: %s: FAIL: %v\n", name, spec.Kind, err)
 			failures++
 			continue
 		}
-		fmt.Printf("kvsmoke %s: %s OK\n", name, kind)
+		fmt.Printf("kvsmoke %s: %s OK\n", name, spec.Kind)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "kvsmoke %s: %d engine(s) failed\n", name, failures)

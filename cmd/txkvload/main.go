@@ -2,34 +2,39 @@
 // network server over real TCP connections and persists latency-under-
 // load measurements in the results schema (DESIGN.md §5, §10): client-
 // observed p50/p99/p999, the server's per-request phase timing means
-// (parse/queue/txn/commit/reply), and — in open-loop mode — offered vs
-// achieved arrival rate plus the late-request count.
+// and — open loop — offered vs achieved rate plus the late-request count.
+// -launch starts an in-process server per cell on an ephemeral loopback
+// port (still real TCP; what `make smoke-server` and `make grid` use),
+// -addr drives an externally started cmd/txkvserver.
 //
-// Two ways to point it at a server:
-//
-//   - -launch starts an in-process server per (engine, point) on an
-//     ephemeral loopback port — still real TCP end to end — which is
-//     what `make smoke-server` and the experiment grid use, and gives
-//     every repeat a freshly pre-filled store.
-//   - -addr drives an externally started cmd/txkvserver.
+// What it sweeps is a plan: engines × experiments, each experiment its
+// mixes × arrival rates (0 = closed loop) × connection counts × coalesce
+// batch sizes, × repeats. The flags build a one-experiment plan (-name
+// names it; -rate and -coalesce-batch are its one-element axes). -config
+// reads a plan from a JSON file instead — scripts/experiments.json is
+// one — and a flag that has a plan field is then refused, not ignored;
+// -ops alone stays, as the override of every cell's op count. A flag run
+// and the config that spells the same point draw the same seed.
 //
 // Every run arms the over-the-wire correctness oracles (key population
 // intact; balance conserved for mixes without blind updates); a failed
 // oracle exits non-zero after persisting the evidence.
 //
-// Usage:
-//
 //	txkvload -launch -engines swisstm,tl2 -mixes transfer -conns 1,4 -ops 4000 -seed 1
 //	txkvload -launch -engines swisstm -mixes read-heavy -conns 4 -rate 5000 -ops 2000
 //	txkvload -addr 127.0.0.1:7070 -engines swisstm -mixes update-heavy -conns 8 -ops 10000
+//	txkvload -launch -config scripts/experiments.json -name grid -format csv -out grid_runs -ops 300
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,210 +46,304 @@ import (
 	"swisstm/internal/wal"
 )
 
+// plan is what one invocation sweeps, and the schema of a -config file.
+type plan struct {
+	Keys        int          `json:"keys"`
+	Zipf        float64      `json:"zipf"`
+	Seed        uint64       `json:"seed"`
+	Repeats     int          `json:"repeats"`
+	LateMs      float64      `json:"late_ms"`
+	Engines     []string     `json:"engines"`
+	Experiments []experiment `json:"experiments"`
+}
+
+// experiment is one named sweep of a plan. Pipeline > 1 switches the load
+// clients to pipelined mode with that window; CoalesceBatch is an axis like
+// Conns, each entry a per-shard batch size for the launched server (0 or
+// absent = coalescing off), so on/off twins of a cell land in one file.
+type experiment struct {
+	Name           string    `json:"name"`
+	Mixes          []string  `json:"mixes"`
+	Conns          []int     `json:"conns"`
+	Rates          []float64 `json:"rates"`
+	Ops            uint64    `json:"ops"`
+	Pipeline       int       `json:"pipeline"`
+	CoalesceBatch  []int     `json:"coalesce_batch"`
+	CoalesceWaitUs int       `json:"coalesce_wait_us"`
+}
+
+// planFlags are the flags that spell a plan field: refused beside -config.
+var planFlags = []string{"engines", "mixes", "conns", "rate", "keys", "zipf", "seed", "late", "repeats", "pipeline", "coalesce-batch", "coalesce-wait"}
+
+// cell is one measured point of a plan.
+type cell struct {
+	exp  *experiment
+	spec harness.EngineSpec
+	mix  txkv.Mix
+	wl   string
+	rate float64
+	seed uint64
+
+	conns, batch, rep int
+}
+
+// job is a parsed command line: the plan, its cells in run order, and the
+// options that are no plan field.
+type job struct {
+	plan   plan
+	cells  []cell
+	launch bool
+	sync   wal.SyncMode
+	client txkvclient.LoadConfig // Timeout, Retries, RetryMutations, Budget
+
+	addr, walDir, format, outDir, name string
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", "", "address of an already-running txkvserver (mutually exclusive with -launch)")
-		launch   = flag.Bool("launch", false, "launch an in-process server per engine on an ephemeral loopback port")
-		engines  = flag.String("engines", "swisstm,tinystm,rstm,tl2", "comma-separated engine kinds (launch mode); label for -addr mode")
-		manager  = flag.String("cm", "polka", "RSTM contention manager (launch mode)")
-		mixes    = flag.String("mixes", "read-heavy,update-heavy,transfer", "comma-separated workload mixes")
-		conns    = flag.String("conns", "2", "comma-separated connection-count sweep")
-		rate     = flag.Float64("rate", 0, "open-loop arrival rate in ops/sec (0 = closed loop)")
-		ops      = flag.Uint64("ops", 2000, "total operations per measured point")
-		keys     = flag.Int("keys", 1024, "key population (server pre-filled with keys 1..n)")
-		zipf     = flag.Float64("zipf", 0.99, "zipfian key-popularity skew θ in (0,1); 0 = uniform")
-		seed     = flag.Uint64("seed", 1, "base seed for the per-connection RNGs (0 = time-derived)")
-		late     = flag.Duration("late", time.Millisecond, "open-loop late-dispatch threshold")
-		repeats  = flag.Int("repeats", 1, "measured repeats per point")
-		format   = flag.String("format", "text", "output format: text | csv | jsonl")
-		outDir   = flag.String("out", "", "directory for result files (default txkvload_runs for csv/jsonl)")
-		name     = flag.String("name", "txkvload", "result file base name")
-		walDir   = flag.String("wal", "", "launch mode: durable commit log directory for the launched server (a fresh subdirectory per point; off when empty)")
-		fsync    = flag.String("fsync", "group", "launch mode: commit log durability, always | group | none")
-		timeout  = flag.Duration("timeout", 0, "per-request client deadline (0 = none)")
-		retries  = flag.Int("retries", 0, "per-request retry budget for retryable shed replies and transport failures (0 = fail fast)")
-		retryMut = flag.Bool("retry-mutations", false, "opt mutations into transport-failure retry (at-least-once)")
-		budget   = flag.Duration("budget", 0, "per-request deadline budget propagated to the server as the wire TTL (0 = none)")
-		pipeline = flag.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried; excludes -timeout, -retries, -retry-mutations)")
-		coBatch  = flag.Int("coalesce-batch", 0, "launch mode: per-shard commit coalescing batch size for the launched server (0 = off)")
-		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "launch mode: commit coalescing max batch wait for the launched server")
-	)
-	flag.Parse()
-	if !results.KnownFormat(*format) {
-		fmt.Fprintf(os.Stderr, "txkvload: unknown format %q (want text, csv or jsonl)\n", *format)
-		os.Exit(2)
-	}
-	if (*addr == "") == !*launch {
-		fmt.Fprintln(os.Stderr, "txkvload: give exactly one of -addr or -launch")
-		os.Exit(2)
-	}
-	if *format != "text" && *outDir == "" {
-		*outDir = "txkvload_runs"
-		fmt.Fprintf(os.Stderr, "txkvload: no -out given; writing %s files to %s/\n", *format, *outDir)
-	}
-	if *zipf < 0 || *zipf >= 1 {
-		fmt.Fprintf(os.Stderr, "txkvload: -zipf %v out of range (want 0 for uniform, or θ in (0,1))\n", *zipf)
-		os.Exit(2)
-	}
-	syncMode, err := wal.ParseSyncMode(*fsync)
+	j, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txkvload:", err)
 		os.Exit(2)
 	}
-	if *pipeline > 1 && (*timeout > 0 || *retries > 0 || *retryMut) {
-		fmt.Fprintln(os.Stderr, "txkvload:", txkvclient.ErrPipelineOptions)
-		os.Exit(2)
+	recs, err := j.run(os.Stdout)
+	// Persist what was measured also after a failure: it is the evidence.
+	if j.outDir != "" {
+		err = errors.Join(err, results.WriteDriverFiles(j.outDir, j.name, j.format, recs))
 	}
-	if (*walDir != "" || *coBatch > 0) && !*launch {
-		fmt.Fprintln(os.Stderr, "txkvload: -wal and -coalesce-batch only apply to -launch mode (start the -addr server with them instead)")
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "txkvload:", err)
+		os.Exit(1)
+	}
+}
+
+// parseArgs turns the command line into a job; an error is a usage error.
+func parseArgs(args []string) (*job, error) {
+	j := &job{}
+	fs := flag.NewFlagSet("txkvload", flag.ExitOnError)
+	fs.StringVar(&j.addr, "addr", "", "address of an already-running txkvserver (mutually exclusive with -launch)")
+	fs.BoolVar(&j.launch, "launch", false, "launch an in-process server per cell on an ephemeral loopback port")
+	fs.StringVar(&j.walDir, "wal", "", "launch mode: durable commit log directory for the launched server (a fresh subdirectory per cell; off when empty)")
+	fs.DurationVar(&j.client.Timeout, "timeout", 0, "per-request client deadline (0 = none)")
+	fs.IntVar(&j.client.Retries, "retries", 0, "per-request retry budget for retryable shed replies and transport failures (0 = fail fast)")
+	fs.BoolVar(&j.client.RetryMutations, "retry-mutations", false, "opt mutations into transport-failure retry (at-least-once)")
+	fs.DurationVar(&j.client.Budget, "budget", 0, "per-request deadline budget propagated to the server as the wire TTL (0 = none)")
+	fs.StringVar(&j.format, "format", "text", "output format: text | csv | jsonl")
+	fs.StringVar(&j.outDir, "out", "", "directory for result files (default txkvload_runs for csv/jsonl)")
+	fs.StringVar(&j.name, "name", "txkvload", "result file base name, and the name of the experiment the flags build")
+	var (
+		config   = fs.String("config", "", "JSON plan to run instead of the one the flags build (excludes every flag with a plan field but -ops)")
+		manager  = fs.String("cm", "polka", "RSTM contention manager (launch mode)")
+		fsync    = fs.String("fsync", "group", "launch mode: commit log durability, always | group | none")
+		ops      = fs.Uint64("ops", 2000, "total operations per cell; with -config, overrides every experiment's ops (0 = keep them)")
+		engines  = fs.String("engines", strings.Join(harness.Kinds, ","), "comma-separated engine kinds (launch mode); label for -addr mode")
+		mixes    = fs.String("mixes", "read-heavy,update-heavy,transfer", "comma-separated workload mixes")
+		conns    = fs.String("conns", "2", "comma-separated connection-count sweep")
+		rate     = fs.Float64("rate", 0, "open-loop arrival rate in ops/sec (0 = closed loop)")
+		keys     = fs.Int("keys", 1024, "key population (server pre-filled with keys 1..n)")
+		zipf     = fs.Float64("zipf", 0.99, "zipfian key-popularity skew θ in (0,1); 0 = uniform")
+		seed     = fs.Uint64("seed", 1, "base seed for the per-connection RNGs (0 = time-derived)")
+		late     = fs.Duration("late", time.Millisecond, "open-loop late-dispatch threshold")
+		repeats  = fs.Int("repeats", 1, "measured repeats per cell")
+		pipeline = fs.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried; excludes -timeout, -retries, -retry-mutations)")
+		coBatch  = fs.Int("coalesce-batch", 0, "launch mode: per-shard commit coalescing batch size for the launched server (0 = off)")
+		coWait   = fs.Duration("coalesce-wait", 0, "launch mode: commit coalescing max batch wait for the launched server (0 = its default, 200µs)")
+	)
+	fs.Parse(args)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	if *config != "" {
+		for _, name := range planFlags {
+			if set[name] {
+				return nil, fmt.Errorf("-%s is a field of the plan: set it in %s, not beside -config", name, *config)
+			}
+		}
+		data, err := os.ReadFile(*config)
+		if err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(data, &j.plan); err != nil {
+			return nil, fmt.Errorf("%s: %w", *config, err)
+		}
+		if set["ops"] && *ops > 0 {
+			for i := range j.plan.Experiments {
+				j.plan.Experiments[i].Ops = *ops
+			}
+		}
+	} else {
+		exp := experiment{
+			Name: j.name, Mixes: strings.Split(*mixes, ","), Rates: []float64{*rate}, Ops: *ops,
+			Pipeline: *pipeline, CoalesceBatch: []int{*coBatch}, CoalesceWaitUs: int(*coWait / time.Microsecond),
+		}
+		// -conns 1,2,4 is the inside of the plan's "conns": [1,2,4].
+		if err := json.Unmarshal([]byte("["+*conns+"]"), &exp.Conns); err != nil {
+			return nil, fmt.Errorf("bad -conns %q (want comma-separated counts)", *conns)
+		}
+		j.plan = plan{
+			Keys: *keys, Zipf: *zipf, Seed: *seed, Repeats: *repeats, LateMs: float64(*late) / float64(time.Millisecond),
+			Engines: strings.Split(*engines, ","), Experiments: []experiment{exp},
+		}
 	}
 
-	var specs []harness.EngineSpec
-	for _, kind := range splitList(*engines) {
-		switch kind {
-		case "swisstm", "tl2", "tinystm", "rstm":
-			specs = append(specs, harness.EngineSpec{Kind: kind, Manager: *manager})
-		default:
-			fmt.Fprintf(os.Stderr, "txkvload: unknown engine %q\n", kind)
-			os.Exit(2)
-		}
+	var err error
+	if j.cells, err = j.plan.expand(*manager); err != nil {
+		return nil, err
 	}
-	if *addr != "" && len(specs) != 1 {
-		fmt.Fprintln(os.Stderr, "txkvload: -addr mode labels records with exactly one -engines entry")
-		os.Exit(2)
+	if j.sync, err = wal.ParseSyncMode(*fsync); err != nil {
+		return nil, err
 	}
-	var mixList []txkv.Mix
-	for _, mname := range splitList(*mixes) {
-		m, ok := txkv.MixByName(mname)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "txkvload: unknown mix %q\n", mname)
-			os.Exit(2)
-		}
-		mixList = append(mixList, m)
+	if !results.KnownFormat(j.format) {
+		return nil, fmt.Errorf("unknown format %q (want text, csv or jsonl)", j.format)
 	}
-	var sweep []int
-	for _, part := range splitList(*conns) {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "txkvload: bad connection count %q\n", part)
-			os.Exit(2)
-		}
-		sweep = append(sweep, n)
+	if (j.addr == "") == !j.launch {
+		return nil, errors.New("give exactly one of -addr or -launch")
 	}
+	if !j.launch && (j.walDir != "" || len(j.plan.Engines) != 1 || slices.ContainsFunc(j.cells, func(c cell) bool { return c.batch > 0 })) {
+		return nil, errors.New("-addr mode takes one engine kind, the label of its records, and neither -wal nor a coalesce batch: start the server with those")
+	}
+	pipelined := slices.ContainsFunc(j.cells, func(c cell) bool { return c.exp.Pipeline > 1 })
+	if pipelined && (j.client.Timeout > 0 || j.client.Retries > 0 || j.client.RetryMutations) {
+		return nil, txkvclient.ErrPipelineOptions
+	}
+	if j.format != "text" && j.outDir == "" {
+		j.outDir = "txkvload_runs"
+		fmt.Fprintf(os.Stderr, "txkvload: no -out given; writing %s files to %s/\n", j.format, j.outDir)
+	}
+	return j, nil
+}
 
+// expand fills the plan's defaults (keys and late_ms are the server's and
+// the client's to fill), checks it and lists its cells in run order: the
+// one place a wire point is named and seeded. Every axis but the rate is
+// in the seed, so a cell keeps its key stream when another axis grows and
+// rate twins share theirs.
+func (p *plan) expand(manager string) ([]cell, error) {
+	p.Repeats = max(p.Repeats, 1)
+	if len(p.Engines) == 0 {
+		p.Engines = harness.Kinds
+	}
+	if p.Zipf < 0 || p.Zipf >= 1 {
+		return nil, fmt.Errorf("zipf %v out of range (want 0 for uniform, or θ in (0,1))", p.Zipf)
+	}
+	specs, err := harness.ParseKinds(strings.Join(p.Engines, ","), manager)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.Experiments) == 0 {
+		return nil, errors.New("no experiments")
+	}
 	dist := "uniform"
-	if *zipf > 0 {
+	if p.Zipf > 0 {
 		dist = "zipf"
 	}
-	mode := "closed"
-	if *rate > 0 {
-		mode = "open"
-	}
-
-	var all []results.Record
-	oracleFailures := 0
-	runErr := func() error {
+	var cells []cell
+	for i := range p.Experiments {
+		exp := &p.Experiments[i]
+		if exp.Name == "" || len(exp.Mixes) == 0 || len(exp.Conns) == 0 || len(exp.Rates) == 0 || exp.Ops == 0 {
+			return nil, fmt.Errorf("experiment %q needs name, mixes, conns, rates and ops", exp.Name)
+		}
+		if len(exp.CoalesceBatch) == 0 {
+			exp.CoalesceBatch = []int{0}
+		}
 		for _, spec := range specs {
-			for _, mix := range mixList {
-				wl := fmt.Sprintf("txkvsrv/%s-%s-%s", mix.Name, dist, mode)
-				for _, nc := range sweep {
-					for rep := 0; rep < *repeats; rep++ {
-						target := *addr
-						var srv *txkvserver.Server
-						if *launch {
-							scfg := txkvserver.Config{
-								Engine: spec, Keys: *keys,
-								CoalesceBatch: *coBatch, CoalesceWait: *coWait,
+			for _, name := range exp.Mixes {
+				mix, ok := txkv.MixByName(strings.TrimSpace(name))
+				if !ok {
+					return nil, fmt.Errorf("experiment %q: unknown mix %q", exp.Name, name)
+				}
+				for _, rate := range exp.Rates {
+					mode := "closed"
+					if rate > 0 {
+						mode = "open"
+					}
+					wl := fmt.Sprintf("txkvsrv/%s-%s-%s", mix.Name, dist, mode)
+					for _, nc := range exp.Conns {
+						if nc < 1 {
+							return nil, fmt.Errorf("experiment %q: bad connection count %d", exp.Name, nc)
+						}
+						for _, cb := range exp.CoalesceBatch {
+							for rep := 0; rep < p.Repeats; rep++ {
+								seed := harness.DeriveSeed(p.Seed, exp.Name+"/"+spec.Kind+"/"+wl, nc*1000+cb, rep)
+								cells = append(cells, cell{exp, spec, mix, wl, rate, seed, nc, cb, rep})
 							}
-							if *walDir != "" {
-								// A fresh log directory per point: replaying a
-								// previous point's log would skew the oracles.
-								scfg.WALDir = filepath.Join(*walDir,
-									fmt.Sprintf("%s-%s-c%d-r%d", spec.Kind, mix.Name, nc, rep))
-								scfg.WALSync = syncMode
-							}
-							var err error
-							srv, err = txkvserver.Start("127.0.0.1:0", scfg)
-							if err != nil {
-								return fmt.Errorf("%s: launch %s: %w", wl, spec.Kind, err)
-							}
-							target = srv.Addr().String()
-						}
-						runSeed := *seed
-						if runSeed != 0 {
-							runSeed = harness.DeriveSeed(runSeed, spec.Kind+"/"+wl, nc, rep)
-						}
-						res, err := txkvclient.Run(txkvclient.LoadConfig{
-							Addr: target, Mix: mix, Conns: nc,
-							Keys: *keys, Zipf: *zipf, Seed: runSeed,
-							Ops: *ops, Rate: *rate, LateThreshold: *late,
-							Timeout: *timeout, Retries: *retries,
-							RetryMutations: *retryMut, Budget: *budget,
-							Pipeline: *pipeline,
-						})
-						if srv != nil {
-							srv.Close()
-						}
-						if err != nil {
-							return fmt.Errorf("%s: %w", wl, err)
-						}
-						rec := res.Record("txkvload", wl, spec.DisplayName(), spec.Kind, nc, rep, runSeed)
-						rec.Pipeline, rec.CoalesceBatch = *pipeline, *coBatch
-						all = append(all, rec)
-						if res.OracleErr != nil {
-							oracleFailures++
-							fmt.Fprintf(os.Stderr, "txkvload: ORACLE FAILED %s %s conns=%d rep=%d: %v\n",
-								spec.Kind, wl, nc, rep, res.OracleErr)
 						}
 					}
 				}
 			}
 		}
-		return nil
-	}()
-	// Persist whatever was measured even when something failed, so the
-	// run directory holds the evidence.
-	if *outDir != "" {
-		if werr := results.WriteDriverFiles(*outDir, *name, *format, all); werr != nil {
-			fmt.Fprintln(os.Stderr, "txkvload:", werr)
-			os.Exit(1)
+	}
+	return cells, nil
+}
+
+// run measures the cells in order, one line to out per cell. It returns
+// what was measured also when a cell or, in the end, an oracle failed.
+func (j *job) run(out io.Writer) ([]results.Record, error) {
+	var recs []results.Record
+	failed := 0
+	for i, c := range j.cells {
+		at := fmt.Sprintf("%s %s %s conns=%d coalesce=%d rep=%d", c.exp.Name, c.spec.Kind, c.wl, c.conns, c.batch, c.rep)
+		r, oracle, err := j.runCell(i, c)
+		if err != nil {
+			return recs, fmt.Errorf("%s: %w", at, err)
 		}
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "txkvload:", runErr)
-		os.Exit(1)
-	}
-	for _, r := range all {
-		fmt.Printf("workload=%s engine=%s conns=%d rep=%d ops=%d tput=%.0f/s p50=%.0fns p99=%.0fns p999=%.0fns srv_p50=%dns srv_p99=%dns srv_p999=%dns aborts=%d(vr=%d vc=%d lk=%d) offered=%.0f achieved=%.0f late=%d checked=%v\n",
-			r.Workload, r.Engine, r.Threads, r.Repeat, r.Ops, r.Throughput,
-			r.LatP50Ns, r.LatP99Ns, r.LatP999Ns,
+		recs = append(recs, r)
+		fmt.Fprintf(out, "[%d/%d] %s: ops=%d tput=%.0f/s p50=%.0fns p99=%.0fns p999=%.0fns srv_p50=%dns srv_p99=%dns srv_p999=%dns aborts=%d(vr=%d vc=%d lk=%d) offered=%.0f achieved=%.0f late=%d checked=%v\n",
+			i+1, len(j.cells), at, r.Ops, r.Throughput, r.LatP50Ns, r.LatP99Ns, r.LatP999Ns,
 			r.SrvP50Ns, r.SrvP99Ns, r.SrvP999Ns,
 			r.Aborts, r.AbortsValidRead, r.AbortsValidCommit,
 			r.AbortsWW+r.AbortsLocked+r.LockAcquireFail,
 			r.OfferedRate, r.AchievedRate, r.LateOps, r.CheckedOK)
 		if r.WalFrames > 0 || r.Retries > 0 || r.Reconnects > 0 {
-			fmt.Printf("  wal: frames=%d bytes=%d mean_wal=%.0fns recovered=%d retries=%d reconnects=%d\n",
+			fmt.Fprintf(out, "  wal: frames=%d bytes=%d mean_wal=%.0fns recovered=%d retries=%d reconnects=%d\n",
 				r.WalFrames, r.WalBytes, r.PhaseWalNs, r.WalRecoveredFrames, r.Retries, r.Reconnects)
 		}
 		if r.CoalesceBatches > 0 {
-			fmt.Printf("  coalesce: batches=%d items=%d commits/op=%.3f fsyncs/op=%.3f feed_events=%d\n",
+			fmt.Fprintf(out, "  coalesce: batches=%d items=%d commits/op=%.3f fsyncs/op=%.3f feed_events=%d\n",
 				r.CoalesceBatches, r.CoalesceItems,
 				float64(r.Commits)/float64(r.Ops), float64(r.WalFsyncs)/float64(r.Ops), r.FeedEvents)
 		}
-	}
-	if oracleFailures > 0 {
-		fmt.Fprintf(os.Stderr, "txkvload: %d point(s) failed their oracles\n", oracleFailures)
-		os.Exit(1)
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
+		if oracle != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "txkvload: ORACLE FAILED %s: %v\n", at, oracle)
 		}
 	}
-	return out
+	if failed > 0 {
+		return recs, fmt.Errorf("%d cell(s) failed their oracles", failed)
+	}
+	return recs, nil
+}
+
+// runCell drives one cell — against a server launched for it, or the one
+// at -addr — and returns its record plus any oracle failure.
+func (j *job) runCell(i int, c cell) (rec results.Record, oracle, err error) {
+	target := j.addr
+	if j.launch {
+		scfg := txkvserver.Config{
+			Engine: c.spec, Keys: j.plan.Keys, CoalesceBatch: c.batch,
+			CoalesceWait: time.Duration(c.exp.CoalesceWaitUs) * time.Microsecond,
+		}
+		if j.walDir != "" {
+			// A fresh log directory per cell: replaying a previous
+			// cell's log would skew the oracles.
+			scfg.WALDir = filepath.Join(j.walDir, fmt.Sprintf("cell%03d-%s-%s", i, c.spec.Kind, c.mix.Name))
+			scfg.WALSync = j.sync
+		}
+		srv, err := txkvserver.Start("127.0.0.1:0", scfg)
+		if err != nil {
+			return rec, nil, fmt.Errorf("launch: %w", err)
+		}
+		defer srv.Close()
+		target = srv.Addr().String()
+	}
+	lc := j.client
+	lc.Addr, lc.Mix, lc.Conns, lc.Rate, lc.Ops, lc.Seed = target, c.mix, c.conns, c.rate, c.exp.Ops, c.seed
+	lc.Keys, lc.Zipf, lc.Pipeline = j.plan.Keys, j.plan.Zipf, c.exp.Pipeline
+	lc.LateThreshold = time.Duration(j.plan.LateMs * float64(time.Millisecond))
+	res, err := txkvclient.Run(lc)
+	if err != nil {
+		return rec, nil, err
+	}
+	rec = res.Record(c.exp.Name, c.wl, c.spec.DisplayName(), c.spec.Kind, c.conns, c.rep, c.seed)
+	rec.Pipeline, rec.CoalesceBatch = c.exp.Pipeline, c.batch
+	return rec, res.OracleErr, nil
 }

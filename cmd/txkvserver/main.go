@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -37,7 +38,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "TCP listen address (use :0 for an ephemeral port)")
-		engine   = flag.String("engine", "swisstm", "engine kind: swisstm | tl2 | tinystm | rstm")
+		engine   = flag.String("engine", "swisstm", "engine kind: "+strings.Join(harness.Kinds, " | "))
 		manager  = flag.String("cm", "polka", "RSTM contention manager")
 		keys     = flag.Int("keys", 4096, "pre-filled key population (keys 1..n)")
 		balance  = flag.Uint64("balance", uint64(txkv.DefaultBalance), "starting value per pre-filled key")
@@ -56,10 +57,9 @@ func main() {
 		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "commit coalescing: max time the first queued op waits for a batch to fill")
 	)
 	flag.Parse()
-	switch *engine {
-	case "swisstm", "tl2", "tinystm", "rstm":
-	default:
-		fmt.Fprintf(os.Stderr, "txkvserver: unknown engine %q\n", *engine)
+	specs, err := harness.ParseKinds(*engine, *manager)
+	if err != nil || len(specs) != 1 {
+		fmt.Fprintf(os.Stderr, "txkvserver: -engine %q: want one of %s\n", *engine, strings.Join(harness.Kinds, ", "))
 		os.Exit(2)
 	}
 	mode, err := wal.ParseSyncMode(*fsync)
@@ -69,7 +69,7 @@ func main() {
 	}
 
 	srv, err := txkvserver.Start(*addr, txkvserver.Config{
-		Engine:        harness.EngineSpec{Kind: *engine, Manager: *manager},
+		Engine:        specs[0],
 		Keys:          *keys,
 		Balance:       stm.Word(*balance),
 		Threads:       *threads,

@@ -343,7 +343,7 @@ func (o Options) renderFig3(recs []results.Record, threads []int) {
 			for _, tc := range threads {
 				swiss := agg[fmt.Sprintf("stamp/%s|SwissTM|%d", wl, tc)]
 				base := agg[fmt.Sprintf("stamp/%s|%s|%d", wl, baseline.engine, tc)]
-				if swiss.Duration.Median <= 0 {
+				if swiss.Duration.Median <= 0 || tc > swiss.Cores {
 					fmt.Fprintf(o.Out, "%13s", "-")
 					continue
 				}
@@ -513,7 +513,7 @@ func (o Options) Fig12() ([]results.Record, error) {
 			for _, tc := range o.Threads {
 				two := agg[fmt.Sprintf("stmbench7/%s|SwissTM|%d", mix.name, tc)]
 				timid := agg[fmt.Sprintf("stmbench7/%s|SwissTM(timid)|%d", mix.name, tc)]
-				if timid.Throughput.Median > 0 {
+				if timid.Throughput.Median > 0 && tc <= two.Cores {
 					s.Points[tc] = two.Throughput.Median/timid.Throughput.Median - 1
 				}
 			}
@@ -629,7 +629,7 @@ func (o Options) Fig13() ([]results.Record, error) {
 	}
 	if o.Out != nil {
 		nBench := len(score[granularities[0]])
-		fmt.Fprintf(o.Out, "# Figure 13: average speedup-1 per lock granularity vs all others (%d threads)\n", threads)
+		fmt.Fprintf(o.Out, "# Figure 13: average speedup-1 per lock granularity vs all others (%d threads, %d cores)\n", threads, all[0].Cores)
 		fmt.Fprintf(o.Out, "# granularity axis: words/stripe (paper: 2^2..2^8 bytes at 4B words; here 64-bit words)\n")
 		fmt.Fprintf(o.Out, "%-18s%14s\n", "words/stripe", "avg speedup-1")
 		for _, g := range granularities {
@@ -643,7 +643,7 @@ func (o Options) Fig13() ([]results.Record, error) {
 				}
 				sum += harness.GeoMeanSpeedup(score[g][bi], others)
 			}
-			fmt.Fprintf(o.Out, "%-18s%14.3f\n", fmt.Sprintf("%d", 1<<g), sum/float64(nBench))
+			fmt.Fprintf(o.Out, "%-18d%14s\n", 1<<g, speedupCell(sum/float64(nBench), 3, all[0]))
 		}
 		fmt.Fprintln(o.Out)
 	}
@@ -698,27 +698,39 @@ func (o Options) Table2() ([]results.Record, error) {
 	}
 	if o.Out != nil {
 		benches := o.granBenchmarks("table2", threads)
-		fmt.Fprintf(o.Out, "# Table 2: lock granularity comparison (%d threads; speedup-1)\n", threads)
+		fmt.Fprintf(o.Out, "# Table 2: lock granularity comparison (%d threads, %d cores; speedup-1)\n", threads, all[0].Cores)
 		fmt.Fprintf(o.Out, "%-22s%12s%12s%12s\n", "benchmark", "4w vs 1w", "4w vs 16w", "1w vs 16w")
-		sums := [3]float64{}
+		row := func(name string, c [3]float64) {
+			fmt.Fprintf(o.Out, "%-22s", name)
+			for _, v := range c {
+				fmt.Fprintf(o.Out, "%12s", speedupCell(v, 2, all[0]))
+			}
+			fmt.Fprintln(o.Out)
+		}
+		means := [3]float64{}
 		for bi, b := range benches {
 			v1, v4, v16 := score[0][bi], score[2][bi], score[4][bi]
-			ratio := func(a, b float64) float64 {
-				if b <= 0 {
-					return 0
-				}
-				return a/b - 1
-			}
+			ratio := func(a, b float64) float64 { return harness.GeoMeanSpeedup(a, []float64{b}) }
 			c := [3]float64{ratio(v4, v1), ratio(v4, v16), ratio(v1, v16)}
-			for i := range sums {
-				sums[i] += c[i]
+			for i := range means {
+				means[i] += c[i] / float64(len(benches))
 			}
-			fmt.Fprintf(o.Out, "%-22s%12.2f%12.2f%12.2f\n", b.name, c[0], c[1], c[2])
+			row(b.name, c)
 		}
-		n := float64(len(benches))
-		fmt.Fprintf(o.Out, "%-22s%12.2f%12.2f%12.2f\n\n", "Average", sums[0]/n, sums[1]/n, sums[2]/n)
+		row("Average", means)
+		fmt.Fprintln(o.Out)
 	}
 	return all, nil
+}
+
+// speedupCell renders a ratio between two configurations measured like
+// rec, or "-" when rec ran more threads than its host has cores: an
+// oversubscribed point is a measurement, not a speed-up.
+func speedupCell(v float64, prec int, rec results.Record) string {
+	if rec.Threads > rec.Cores {
+		return "-"
+	}
+	return fmt.Sprintf("%.*f", prec, v)
 }
 
 // Names lists the runnable experiments.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,59 @@ func TestSmokeTxKV(t *testing.T) {
 	}
 }
 
+// TestTxKVCoversTheOldSmoke: under the options `make smoke-txkv` passes
+// to paperfigs, the txkv family holds every row the deleted cmd/txkv
+// driver wrote for that target (smokeTxKVRows, recorded from that binary:
+// workload, engine, threads, repeat, seed, ops), so the gate lost no
+// point and no RNG stream when it changed drivers.
+func TestTxKVCoversTheOldSmoke(t *testing.T) {
+	o := Quick(nil)
+	o.Threads, o.Repeats, o.Seed, o.FixedOps = []int{1, 2}, 2, 1, 200
+	recs, err := o.TxKV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, r := range recs {
+		have[fmt.Sprintf("%s,%s,%d,%d,%d,%d", r.Workload, r.Engine, r.Threads, r.Repeat, r.Seed, r.Ops)] = true
+	}
+	want := strings.Split(strings.TrimSpace(smokeTxKVRows), "\n")
+	if len(want) != 48 {
+		t.Fatalf("test setup: %d recorded rows, want 48", len(want))
+	}
+	for _, row := range want {
+		if !have[row] {
+			t.Errorf("row of the old smoke-txkv missing: %s", row)
+		}
+	}
+}
+
+// TestOversubscribedPointsGetNoSpeedup: a ratio between two
+// configurations is withheld where the point ran more threads than the
+// host has cores, and printed where it did not.
+func TestOversubscribedPointsGetNoSpeedup(t *testing.T) {
+	var recs []results.Record
+	for _, engine := range []string{"SwissTM", "TL2", "TinySTM"} {
+		for _, tc := range []int{1, 2} {
+			recs = append(recs, results.Record{Workload: "stamp/intruder", Engine: engine, Threads: tc, Cores: 1, DurationSec: 1})
+		}
+	}
+	var buf bytes.Buffer
+	Options{Out: &buf}.renderFig3(recs, []int{1, 2})
+	var fields []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "intruder") {
+			fields = append(fields, strings.Fields(line)...)
+		}
+	}
+	if want := "intruder 0.00 - intruder 0.00 -"; strings.Join(fields, " ") != want {
+		t.Errorf("intruder rows = %q, want %q:\n%s", strings.Join(fields, " "), want, buf.String())
+	}
+	if got := speedupCell(0.5, 2, recs[0]) + " " + speedupCell(0.5, 2, recs[1]); got != "0.50 -" {
+		t.Errorf("speedupCell at 1 and 2 threads on 1 core = %q, want \"0.50 -\"", got)
+	}
+}
+
 // TestSmokeFixedWork exercises one fixed-work experiment (Figure 11's
 // intruder ablation) at test scale.
 func TestSmokeFixedWork(t *testing.T) {
@@ -179,3 +233,54 @@ func TestSeededRunsReproduceOps(t *testing.T) {
 		}
 	}
 }
+
+const smokeTxKVRows = `
+txkv/read-heavy-zipf,RSTM(polka),1,0,9593933841893782399,200
+txkv/read-heavy-zipf,RSTM(polka),1,1,11494057947004382006,200
+txkv/read-heavy-zipf,RSTM(polka),2,0,12402585158269229698,400
+txkv/read-heavy-zipf,RSTM(polka),2,1,14967252386785225873,400
+txkv/read-heavy-zipf,SwissTM,1,0,7381230547624642187,200
+txkv/read-heavy-zipf,SwissTM,1,1,18101611379458104696,200
+txkv/read-heavy-zipf,SwissTM,2,0,802084937930881392,400
+txkv/read-heavy-zipf,SwissTM,2,1,535028024310718072,400
+txkv/read-heavy-zipf,TL2,1,0,1152854581093683318,200
+txkv/read-heavy-zipf,TL2,1,1,15644548896611857962,200
+txkv/read-heavy-zipf,TL2,2,0,9524982359240282017,400
+txkv/read-heavy-zipf,TL2,2,1,3236543481848171022,400
+txkv/read-heavy-zipf,TinySTM,1,0,3478867499859033686,200
+txkv/read-heavy-zipf,TinySTM,1,1,792157570445093773,200
+txkv/read-heavy-zipf,TinySTM,2,0,11631035165468792016,400
+txkv/read-heavy-zipf,TinySTM,2,1,11033581300280629987,400
+txkv/transfer-zipf,RSTM(polka),1,0,4923247410773169149,200
+txkv/transfer-zipf,RSTM(polka),1,1,16573527944363092028,200
+txkv/transfer-zipf,RSTM(polka),2,0,16501635745516550646,400
+txkv/transfer-zipf,RSTM(polka),2,1,2597737553024331804,400
+txkv/transfer-zipf,SwissTM,1,0,8648747254635657170,200
+txkv/transfer-zipf,SwissTM,1,1,10710685783576323321,200
+txkv/transfer-zipf,SwissTM,2,0,17626781475175122816,400
+txkv/transfer-zipf,SwissTM,2,1,15386045715987143170,400
+txkv/transfer-zipf,TL2,1,0,5972914586325577460,200
+txkv/transfer-zipf,TL2,1,1,16121897241233668236,200
+txkv/transfer-zipf,TL2,2,0,12450559987125269534,400
+txkv/transfer-zipf,TL2,2,1,1059759597573497073,400
+txkv/transfer-zipf,TinySTM,1,0,9287438580230630933,200
+txkv/transfer-zipf,TinySTM,1,1,2522467503458205288,200
+txkv/transfer-zipf,TinySTM,2,0,4490886471294379035,400
+txkv/transfer-zipf,TinySTM,2,1,10163803200901198243,400
+txkv/update-heavy-zipf,RSTM(polka),1,0,2168458989068792796,200
+txkv/update-heavy-zipf,RSTM(polka),1,1,13193662889204946962,200
+txkv/update-heavy-zipf,RSTM(polka),2,0,6027340911331109936,400
+txkv/update-heavy-zipf,RSTM(polka),2,1,8097900180114213157,400
+txkv/update-heavy-zipf,SwissTM,1,0,12163295985173915806,200
+txkv/update-heavy-zipf,SwissTM,1,1,10204186687929365245,200
+txkv/update-heavy-zipf,SwissTM,2,0,9217254969216999581,400
+txkv/update-heavy-zipf,SwissTM,2,1,153974342488594395,400
+txkv/update-heavy-zipf,TL2,1,0,1569700186484088348,200
+txkv/update-heavy-zipf,TL2,1,1,10755285203231810281,200
+txkv/update-heavy-zipf,TL2,2,0,4660453548123118128,400
+txkv/update-heavy-zipf,TL2,2,1,16852223077925195632,400
+txkv/update-heavy-zipf,TinySTM,1,0,11814709247301528400,200
+txkv/update-heavy-zipf,TinySTM,1,1,2520627554801505176,200
+txkv/update-heavy-zipf,TinySTM,2,0,17773083229559083689,400
+txkv/update-heavy-zipf,TinySTM,2,1,17730696185697994141,400
+`

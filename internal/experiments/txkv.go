@@ -50,10 +50,16 @@ func (o Options) txkvWorkloads() []struct {
 // mixes × thread sweep, with the balance and last-write oracles armed
 // on every run.
 func (o Options) TxKV() ([]results.Record, error) {
+	// The line-up as an -engines list parses it, so these rows and
+	// txkvload's wire rows name RSTM alike ("RSTM(polka)").
+	specs, err := harness.ParseKinds("swisstm,tinystm,rstm,tl2", "polka")
+	if err != nil {
+		return nil, err
+	}
 	var all []results.Record
 	for _, wl := range o.txkvWorkloads() {
 		cfg := wl.cfg
-		recs, err := o.throughputRecords("txkv", wl.tag, fourEngines("polka"),
+		recs, err := o.throughputRecords("txkv", wl.tag, specs,
 			func(seed uint64) harness.Workload { return txkv.NewGen(cfg).Workload() })
 		all = append(all, recs...)
 		if err != nil {

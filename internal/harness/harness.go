@@ -7,6 +7,8 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,7 +27,7 @@ import (
 // EngineSpec declaratively describes an engine configuration; it is the
 // unit the experiment drivers sweep over.
 type EngineSpec struct {
-	// Kind is one of "swisstm", "tl2", "tinystm", "rstm".
+	// Kind is one of Kinds.
 	Kind string
 	// Label overrides the display name (defaults to the engine name).
 	Label string
@@ -52,6 +54,22 @@ type EngineSpec struct {
 	// the caller keeps the pointer to scrape it. Specs are copied by
 	// value, so give each engine instance its own TxnObs.
 	TxnObs *obs.TxnObs
+}
+
+// Kinds are the engine kinds EngineSpec.New builds.
+var Kinds = []string{"swisstm", "tl2", "tinystm", "rstm"}
+
+// ParseKinds turns a comma-separated list of kinds from a flag or a config
+// file into specs (manager is RSTM's CM); an unknown kind is a usage error.
+func ParseKinds(list, manager string) ([]EngineSpec, error) {
+	var specs []EngineSpec
+	for _, kind := range strings.Split(list, ",") {
+		if kind = strings.TrimSpace(kind); !slices.Contains(Kinds, kind) {
+			return nil, fmt.Errorf("unknown engine kind %q (want %s)", kind, strings.Join(Kinds, ", "))
+		}
+		specs = append(specs, EngineSpec{Kind: kind, Manager: manager})
+	}
+	return specs, nil
 }
 
 // DisplayName returns the label used in tables.
@@ -182,6 +200,7 @@ func (r Result) ToRecord(experiment, workload string, repeat int, seed uint64) r
 		Ops:         r.Ops,
 		Throughput:  r.Throughput(),
 		CheckedOK:   r.CheckedOK,
+		Cores:       runtime.GOMAXPROCS(0),
 	}
 	rec.SetStats(r.Stats)
 	return rec
@@ -474,9 +493,10 @@ type Series struct {
 }
 
 // FormatFigure renders series as the paper's figures' data: one row per
-// thread count, one column per series.
+// thread count (marked * above this host's cores), one column per series.
 func FormatFigure(title, metric string, threadCounts []int, series []Series) string {
 	var b strings.Builder
+	cores, note := runtime.GOMAXPROCS(0), ""
 	fmt.Fprintf(&b, "# %s\n# metric: %s\n", title, metric)
 	fmt.Fprintf(&b, "%-8s", "threads")
 	for _, s := range series {
@@ -484,7 +504,12 @@ func FormatFigure(title, metric string, threadCounts []int, series []Series) str
 	}
 	b.WriteByte('\n')
 	for _, tc := range threadCounts {
-		fmt.Fprintf(&b, "%-8d", tc)
+		label := fmt.Sprint(tc)
+		if tc > cores {
+			label += "*"
+			note = fmt.Sprintf("# * more threads than this host's %d cores: oversubscribed, not a scaling point\n", cores)
+		}
+		fmt.Fprintf(&b, "%-8s", label)
 		for _, s := range series {
 			v, ok := s.Points[tc]
 			if !ok {
@@ -495,7 +520,7 @@ func FormatFigure(title, metric string, threadCounts []int, series []Series) str
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String() + note
 }
 
 // GeoMeanSpeedup returns the average of pairwise speedups-minus-one used

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +54,29 @@ func TestUnknownEngineKindPanics(t *testing.T) {
 		}
 	}()
 	EngineSpec{Kind: "nope"}.New()
+}
+
+// TestParseKinds: a list from a flag or a config file becomes specs in
+// its order, and an unknown or empty kind is an error that names the
+// kinds there are — the usage error in front of New's panic.
+func TestParseKinds(t *testing.T) {
+	specs, err := ParseKinds(" rstm, swisstm", "greedy")
+	if err != nil || len(specs) != 2 || specs[0] != (EngineSpec{Kind: "rstm", Manager: "greedy"}) || specs[1].Kind != "swisstm" {
+		t.Fatalf("ParseKinds = %+v, %v", specs, err)
+	}
+	if all, err := ParseKinds(strings.Join(Kinds, ","), ""); err != nil || len(all) != len(Kinds) {
+		t.Fatalf("the list of every kind: %+v, %v", all, err)
+	}
+	for _, k := range Kinds {
+		if (EngineSpec{Kind: k}).New() == nil {
+			t.Errorf("New builds no %s", k)
+		}
+	}
+	for _, list := range []string{"swistm", "", "tl2,", "tl2,nope"} {
+		if _, err := ParseKinds(list, ""); err == nil || !strings.Contains(err.Error(), "want swisstm, tl2, tinystm, rstm") {
+			t.Errorf("ParseKinds(%q): %v, want an error listing the kinds", list, err)
+		}
+	}
 }
 
 func TestMeasureThroughputCountsOps(t *testing.T) {
@@ -124,6 +149,25 @@ func TestFormatFigure(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFormatFigureMarksOversubscribedRows: a row with more threads than
+// the host has cores is marked and footnoted with the core count; a
+// figure without such a row carries no footnote.
+func TestFormatFigureMarksOversubscribedRows(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	series := []Series{{Name: "A", Points: map[int]float64{cores: 1, cores + 1: 2}}}
+	out := FormatFigure("T", "m", []int{cores, cores + 1}, series)
+	if !strings.Contains(out, fmt.Sprintf("\n%-8d", cores)) || !strings.Contains(out, fmt.Sprintf("\n%d*", cores+1)) ||
+		!strings.Contains(out, fmt.Sprintf("# * more threads than this host's %d cores", cores)) {
+		t.Errorf("rows %d (plain) and %d* (marked) and a footnote wanted:\n%s", cores, cores+1, out)
+	}
+	if out := FormatFigure("T", "m", []int{cores}, series); strings.Contains(out, "*") {
+		t.Errorf("no row is oversubscribed, yet:\n%s", out)
+	}
+	if rec := (Result{Threads: 1}).ToRecord("e", "w", 0, 0); rec.Cores != cores {
+		t.Errorf("ToRecord stamped cores = %d, want %d", rec.Cores, cores)
 	}
 }
 

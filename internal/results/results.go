@@ -137,6 +137,10 @@ type Record struct {
 	CoalesceItems   uint64 `json:"coalesce_items"`
 	FeedEvents      uint64 `json:"feed_events"`
 	WalFsyncs       uint64 `json:"wal_fsyncs"`
+
+	// Cores is runtime.GOMAXPROCS(0) of the measuring process: a row with
+	// Threads above it ran oversubscribed and is not a scaling point.
+	Cores int `json:"cores"`
 }
 
 // SetStats copies the full per-run statistics breakdown into r.
@@ -329,33 +333,41 @@ func Summarize(vals []float64) Summary {
 	return s
 }
 
-// Agg is one aggregated point: all repeats of (experiment, workload,
-// engine, threads) folded into distribution summaries.
+// Agg is one aggregated point: all repeats of one configuration —
+// (experiment, workload, engine, threads) and the wire harness's own axes
+// (offered rate, pipeline window, coalesce batch; zero for in-process
+// runs) — folded into distribution summaries.
 type Agg struct {
-	Experiment string  `json:"experiment"`
-	Workload   string  `json:"workload"`
-	Engine     string  `json:"engine"`
-	EngineKind string  `json:"engine_kind"`
-	Threads    int     `json:"threads"`
-	Repeats    int     `json:"repeats"`
-	Throughput Summary `json:"throughput"`
-	Duration   Summary `json:"duration_sec"`
-	Ops        Summary `json:"ops"`
-	AbortRate  Summary `json:"abort_rate"`
-	AllChecked bool    `json:"all_checked"` // every repeat passed its post-run check
+	Experiment    string  `json:"experiment"`
+	Workload      string  `json:"workload"`
+	Engine        string  `json:"engine"`
+	EngineKind    string  `json:"engine_kind"`
+	Threads       int     `json:"threads"`
+	OfferedRate   float64 `json:"offered_rate"`
+	Pipeline      int     `json:"pipeline"`
+	CoalesceBatch int     `json:"coalesce_batch"`
+	Cores         int     `json:"cores"`
+	Repeats       int     `json:"repeats"`
+	Throughput    Summary `json:"throughput"`
+	Duration      Summary `json:"duration_sec"`
+	Ops           Summary `json:"ops"`
+	AbortRate     Summary `json:"abort_rate"`
+	AllChecked    bool    `json:"all_checked"` // every repeat passed its post-run check
 }
 
-// Aggregate groups recs by (experiment, workload, engine, threads) and
-// summarizes each group, preserving first-appearance order.
+// Aggregate groups recs by configuration (Agg's columns up to Threads plus
+// the three wire axes, so distinct cells are never reported as repeats of
+// one another) and summarizes each group, preserving first-appearance order.
 func Aggregate(recs []Record) []Agg {
 	type key struct {
-		exp, wl, eng string
-		threads      int
+		exp, wl, eng             string
+		threads, pipeline, batch int
+		rate                     float64
 	}
 	order := []key{}
 	groups := map[key][]Record{}
 	for _, r := range recs {
-		k := key{r.Experiment, r.Workload, r.Engine, r.Threads}
+		k := key{r.Experiment, r.Workload, r.Engine, r.Threads, r.Pipeline, r.CoalesceBatch, r.OfferedRate}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -367,7 +379,8 @@ func Aggregate(recs []Record) []Agg {
 		a := Agg{
 			Experiment: k.exp, Workload: k.wl, Engine: k.eng,
 			EngineKind: g[0].EngineKind, Threads: k.threads,
-			Repeats: len(g), AllChecked: true,
+			OfferedRate: k.rate, Pipeline: k.pipeline, CoalesceBatch: k.batch,
+			Cores: g[0].Cores, Repeats: len(g), AllChecked: true,
 		}
 		var tp, dur, ops, ar []float64
 		for _, r := range g {
@@ -390,7 +403,8 @@ func Aggregate(recs []Record) []Agg {
 
 // aggHeader is the summary-CSV column order; it must match Agg.row().
 var aggHeader = []string{
-	"experiment", "workload", "engine", "engine_kind", "threads", "repeats",
+	"experiment", "workload", "engine", "engine_kind", "threads",
+	"offered_rate", "pipeline", "coalesce_batch", "cores", "repeats",
 	"throughput_median", "throughput_mean", "throughput_stddev",
 	"throughput_min", "throughput_max",
 	"duration_sec_median", "ops_median", "abort_rate_median",
@@ -401,7 +415,9 @@ func (a Agg) row() []string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 	return []string{
 		a.Experiment, a.Workload, a.Engine, a.EngineKind,
-		strconv.Itoa(a.Threads), strconv.Itoa(a.Repeats),
+		strconv.Itoa(a.Threads), strconv.FormatFloat(a.OfferedRate, 'g', -1, 64),
+		strconv.Itoa(a.Pipeline), strconv.Itoa(a.CoalesceBatch),
+		strconv.Itoa(a.Cores), strconv.Itoa(a.Repeats),
 		f(a.Throughput.Median), f(a.Throughput.Mean), f(a.Throughput.Stddev),
 		f(a.Throughput.Min), f(a.Throughput.Max),
 		strconv.FormatFloat(a.Duration.Median, 'f', 6, 64),

@@ -168,6 +168,38 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// TestAggregateKeepsCellsApart: records that differ in one of the wire
+// harness's own axes are distinct configurations, never each other's
+// repeats, and the summary CSV says which is which — with all_checked
+// still its last column (the Makefile gates match `false$` on it).
+func TestAggregateKeepsCellsApart(t *testing.T) {
+	base := Record{Experiment: "coalesce-open", Workload: "txkvsrv/update-heavy-zipf-open", Engine: "SwissTM",
+		EngineKind: "swisstm", Threads: 2, OfferedRate: 6000, Pipeline: 16, Throughput: 100, Cores: 2, CheckedOK: true}
+	batched, faster, deeper, again := base, base, base, base
+	batched.CoalesceBatch, batched.CheckedOK = 32, false
+	faster.OfferedRate = 8000
+	deeper.Pipeline = 32
+	again.Repeat, again.Throughput = 1, 300
+	aggs := Aggregate([]Record{base, batched, faster, deeper, again})
+	if len(aggs) != 4 {
+		t.Fatalf("want 4 configurations (one of them with 2 repeats), got %d: %+v", len(aggs), aggs)
+	}
+	if a := aggs[0]; a.Repeats != 2 || a.Throughput.Median != 200 || a.OfferedRate != 6000 || a.Pipeline != 16 || a.CoalesceBatch != 0 || a.Cores != 2 {
+		t.Errorf("first configuration wrong: %+v", a)
+	}
+	var buf bytes.Buffer
+	if err := WriteAggCSV(&buf, aggs); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if !strings.Contains(lines[0], ",threads,offered_rate,pipeline,coalesce_batch,cores,repeats,") || !strings.HasSuffix(lines[0], ",all_checked") {
+		t.Errorf("summary header: %s", lines[0])
+	}
+	if !strings.Contains(lines[2], ",2,6000,16,32,2,1,") || !strings.HasSuffix(lines[2], ",false") {
+		t.Errorf("the batch-32 twin's summary row: %s", lines[2])
+	}
+}
+
 func TestWriteFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteFiles(dir, "fig2", "csv", sample()); err != nil {
@@ -226,7 +258,7 @@ var full = Record{
 	PhaseWalNs: 46.75, WalFrames: 47, WalBytes: 48, WalRecoveredFrames: 49,
 	Retries: 50, Reconnects: 51, Sheds: 52, DeadlineExceeded: 53,
 	Pipeline: 16, CoalesceBatch: 32, CoalesceBatches: 56, CoalesceItems: 57,
-	FeedEvents: 58, WalFsyncs: 59,
+	FeedEvents: 58, WalFsyncs: 59, Cores: 60,
 }
 
 // TestGoldenRow pins the CSV bytes of one fully populated record: the
@@ -251,6 +283,6 @@ func TestGoldenRow(t *testing.T) {
 
 // golden was written by the hand-kept header / row() pair the reflected
 // codec replaced; it changes only with a deliberate schema change.
-const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,waits_cm,lock_acquire_fail,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs
-txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59
+const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,waits_cm,lock_acquire_fail,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs,cores
+txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59,60
 `

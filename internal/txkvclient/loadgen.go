@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -215,6 +216,7 @@ func (r Result) Record(experiment, workload, engine, engineKind string, conns, r
 		CoalesceItems:   r.Server.CoalesceItems,
 		FeedEvents:      r.Server.FeedEvents,
 		WalFsyncs:       r.Server.WalFsyncs,
+		Cores:           runtime.GOMAXPROCS(0),
 	}
 	if total := r.Server.Commits + r.Server.Aborts; total > 0 {
 		rec.AbortRate = float64(r.Server.Aborts) / float64(total)

@@ -197,8 +197,8 @@ func Start(addr string, cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if cfg.Engine.Kind == "" {
-		return nil, errors.New("txkvserver: no engine kind configured")
+	if _, err := harness.ParseKinds(cfg.Engine.Kind, ""); err != nil {
+		return nil, fmt.Errorf("txkvserver: %w", err)
 	}
 	// Arm per-transaction telemetry on the server's own engine instance
 	// (the spec is a value copy, so this clobbers nothing outside it).

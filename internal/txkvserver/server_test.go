@@ -11,7 +11,7 @@ import (
 	"swisstm/internal/txkvwire"
 )
 
-var engineKinds = []string{"swisstm", "tl2", "tinystm", "rstm"}
+var engineKinds = harness.Kinds
 
 func startServer(t *testing.T, kind string, keys int) (*Server, *txkvclient.Client) {
 	t.Helper()
@@ -29,6 +29,21 @@ func startServer(t *testing.T, kind string, keys int) (*Server, *txkvclient.Clie
 	}
 	t.Cleanup(func() { cl.Close() })
 	return srv, cl
+}
+
+// TestStartRejectsUnknownKind: a kind that is none of harness.Kinds (a
+// typo, or none at all) is Start's error, not a panic out of the engine
+// factory.
+func TestStartRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []string{"swistm", ""} {
+		srv, err := Start("127.0.0.1:0", Config{Engine: harness.EngineSpec{Kind: kind}})
+		if err == nil {
+			srv.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "unknown engine kind \""+kind+"\"") {
+			t.Errorf("Start with kind %q: %v", kind, err)
+		}
+	}
 }
 
 // TestServeAllEngines exercises every request type over real TCP on all
