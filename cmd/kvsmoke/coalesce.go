@@ -19,6 +19,7 @@ const (
 	coalKeys      = 512
 	coalOpsOpen   = 1200
 	coalOpsClosed = 600
+	coalOpsUnary  = 500
 )
 
 // subResult is one shard tailer's complete observation: every event
@@ -42,6 +43,9 @@ type subResult struct {
 //   - a lost or duplicated reply (completed ops != offered ops, or any
 //     shed reply in a run structurally below every admission limit),
 //   - a coalesced path that never engaged (no batches flushed),
+//   - a lone request that waits for company: unary Gets on one idle
+//     connection with a p50 of 1ms or more (a flush timer's signature —
+//     the batcher must run a lone item as soon as its worker wakes),
 //   - a feed subscriber that misses an event, sees one twice or out of
 //     commit order (non-contiguous sequences, or a replay of the feed
 //     that disagrees with the store's final state),
@@ -62,7 +66,6 @@ func coalesceGate(kind string) error {
 		WALSync:       wal.SyncGroup,
 		Pipeline:      16,
 		CoalesceBatch: 16,
-		CoalesceWait:  200 * time.Microsecond,
 	})
 	if err != nil {
 		return fmt.Errorf("start server: %w", err)
@@ -97,10 +100,14 @@ func coalesceGate(kind string) error {
 		}(sh, sub)
 	}
 
-	// Both runs go through 2 pipelined connections of window 16; a run
-	// that loses or duplicates a reply, or fails its oracle, fails the gate.
+	// The runs go through 2 pipelined connections of window 16 unless they
+	// say otherwise; a run that loses or duplicates a reply, or fails its
+	// oracle, fails the gate.
 	load := func(what string, cfg txkvclient.LoadConfig) (txkvclient.Result, error) {
-		cfg.Addr, cfg.Conns, cfg.Keys, cfg.Pipeline = addr, 2, coalKeys, 16
+		cfg.Addr, cfg.Keys = addr, coalKeys
+		if cfg.Conns == 0 {
+			cfg.Conns, cfg.Pipeline = 2, 16
+		}
 		res, err := txkvclient.Run(cfg)
 		switch {
 		case err != nil:
@@ -129,6 +136,20 @@ func coalesceGate(kind string) error {
 	if open.Server.CoalesceBatches == 0 || open.Server.CoalesceItems < open.Server.CoalesceBatches {
 		return fmt.Errorf("coalescing never engaged: batches=%d items=%d",
 			open.Server.CoalesceBatches, open.Server.CoalesceItems)
+	}
+
+	// Unary Gets on one connection, one at a time: each is a lone item on
+	// an idle shard, and reads skip the group fsync, so what is left of
+	// its latency is the wire and one batcher hand-off.
+	unary, err := load("unary", txkvclient.LoadConfig{Mix: txkv.ReadOnly, Ops: coalOpsUnary, Seed: 3, Conns: 1, Pipeline: 1})
+	if err != nil {
+		return err
+	}
+	if unary.Server.CoalesceItems < coalOpsUnary {
+		return fmt.Errorf("unary Gets bypassed the batchers: %d coalesced items for %d Gets", unary.Server.CoalesceItems, coalOpsUnary)
+	}
+	if p50 := time.Duration(unary.P50Ns); p50 >= time.Millisecond {
+		return fmt.Errorf("unary Get p50 %v on one idle connection, want under 1ms: a lone item waited for a batch", p50)
 	}
 
 	// Closed-loop transfers arm the balance-conservation oracle over

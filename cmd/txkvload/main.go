@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -62,18 +63,17 @@ type plan struct {
 // Conns, each entry a per-shard batch size for the launched server (0 or
 // absent = coalescing off), so on/off twins of a cell land in one file.
 type experiment struct {
-	Name           string    `json:"name"`
-	Mixes          []string  `json:"mixes"`
-	Conns          []int     `json:"conns"`
-	Rates          []float64 `json:"rates"`
-	Ops            uint64    `json:"ops"`
-	Pipeline       int       `json:"pipeline"`
-	CoalesceBatch  []int     `json:"coalesce_batch"`
-	CoalesceWaitUs int       `json:"coalesce_wait_us"`
+	Name          string    `json:"name"`
+	Mixes         []string  `json:"mixes"`
+	Conns         []int     `json:"conns"`
+	Rates         []float64 `json:"rates"`
+	Ops           uint64    `json:"ops"`
+	Pipeline      int       `json:"pipeline"`
+	CoalesceBatch []int     `json:"coalesce_batch"`
 }
 
 // planFlags are the flags that spell a plan field: refused beside -config.
-var planFlags = []string{"engines", "mixes", "conns", "rate", "keys", "zipf", "seed", "late", "repeats", "pipeline", "coalesce-batch", "coalesce-wait"}
+var planFlags = []string{"engines", "mixes", "conns", "rate", "keys", "zipf", "seed", "late", "repeats", "pipeline", "coalesce-batch"}
 
 // cell is one measured point of a plan.
 type cell struct {
@@ -146,7 +146,6 @@ func parseArgs(args []string) (*job, error) {
 		repeats  = fs.Int("repeats", 1, "measured repeats per cell")
 		pipeline = fs.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried; excludes -timeout, -retries, -retry-mutations)")
 		coBatch  = fs.Int("coalesce-batch", 0, "launch mode: per-shard commit coalescing batch size for the launched server (0 = off)")
-		coWait   = fs.Duration("coalesce-wait", 0, "launch mode: commit coalescing max batch wait for the launched server (0 = its default, 200µs)")
 	)
 	fs.Parse(args)
 	set := map[string]bool{}
@@ -162,7 +161,9 @@ func parseArgs(args []string) (*job, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(data, &j.plan); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields() // a misspelt or retired key is an error, not a default
+		if err := dec.Decode(&j.plan); err != nil {
 			return nil, fmt.Errorf("%s: %w", *config, err)
 		}
 		if set["ops"] && *ops > 0 {
@@ -173,7 +174,7 @@ func parseArgs(args []string) (*job, error) {
 	} else {
 		exp := experiment{
 			Name: j.name, Mixes: strings.Split(*mixes, ","), Rates: []float64{*rate}, Ops: *ops,
-			Pipeline: *pipeline, CoalesceBatch: []int{*coBatch}, CoalesceWaitUs: int(*coWait / time.Microsecond),
+			Pipeline: *pipeline, CoalesceBatch: []int{*coBatch},
 		}
 		// -conns 1,2,4 is the inside of the plan's "conns": [1,2,4].
 		if err := json.Unmarshal([]byte("["+*conns+"]"), &exp.Conns); err != nil {
@@ -318,10 +319,7 @@ func (j *job) run(out io.Writer) ([]results.Record, error) {
 func (j *job) runCell(i int, c cell) (rec results.Record, oracle, err error) {
 	target := j.addr
 	if j.launch {
-		scfg := txkvserver.Config{
-			Engine: c.spec, Keys: j.plan.Keys, CoalesceBatch: c.batch,
-			CoalesceWait: time.Duration(c.exp.CoalesceWaitUs) * time.Microsecond,
-		}
+		scfg := txkvserver.Config{Engine: c.spec, Keys: j.plan.Keys, CoalesceBatch: c.batch}
 		if j.walDir != "" {
 			// A fresh log directory per cell: replaying a previous
 			// cell's log would skew the oracles.

@@ -43,6 +43,7 @@ func TestRejections(t *testing.T) {
 		{"unknown engine", `{"engines": ["swistm"], "experiments": [{"name": "x", "mixes": ["transfer"], "conns": [1], "rates": [0], "ops": 10}]}`, nil, `unknown engine kind "swistm" (want swisstm, tl2, tinystm, rstm)`},
 		{"no experiments", `{"keys": 64}`, nil, "no experiments"},
 		{"not JSON", `{"keys": `, nil, "plan.json"},
+		{"retired key", exp(`"name": "x", "mixes": ["transfer"], "conns": [1], "rates": [0], "ops": 10, "coalesce_wait_us": 200`), nil, `unknown field "coalesce_wait_us"`},
 		{"plan-field flag beside -config", exp(`"name": "x", "mixes": ["transfer"], "conns": [1], "rates": [0], "ops": 10`), []string{"-conns", "4"}, "-conns is a field of the plan"},
 		{"unknown engine flag", "", []string{"-engines", "swistm"}, `unknown engine kind "swistm"`},
 		{"unknown mix flag", "", []string{"-mixes", "transfer,scan-heavy"}, `unknown mix "scan-heavy"`},

@@ -54,7 +54,6 @@ func main() {
 		maxWait  = flag.Duration("max-queue-wait", 0, "bound on one request's wait for an engine thread before it is shed Overloaded (0 = unlimited)")
 		pipeline = flag.Int("pipeline", 16, "coalesced items one connection may have in flight (unused with -coalesce-batch 0)")
 		coBatch  = flag.Int("coalesce-batch", 0, "per-shard commit coalescing: max single-key ops per batched transaction (0 = off)")
-		coWait   = flag.Duration("coalesce-wait", 200*time.Microsecond, "commit coalescing: max time the first queued op waits for a batch to fill")
 	)
 	flag.Parse()
 	specs, err := harness.ParseKinds(*engine, *manager)
@@ -83,7 +82,6 @@ func main() {
 		MaxQueueWait:  *maxWait,
 		Pipeline:      *pipeline,
 		CoalesceBatch: *coBatch,
-		CoalesceWait:  *coWait,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txkvserver:", err)

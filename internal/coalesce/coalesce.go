@@ -2,15 +2,17 @@
 // group commits (DESIGN.md §14).
 //
 // Each shard owns a queue and a dedicated engine thread: the queue
-// absorbs items routed by shard affinity and its worker flushes when
-// either batchSize items are pending or maxWait has elapsed since it
-// picked up the first item of the batch. The worker is woken per batch,
-// not per item. A flush executes every item of the batch
-// inside ONE v2 engine transaction on the shard's worker thread and —
-// when anything mutated — publishes ONE commit-log frame and ONE
-// change-feed publish for the whole batch, amortizing the engine
-// commit, the WAL ticket/fsync path, and the feed sequencing across
-// the batch.
+// absorbs items routed by shard affinity, and its worker parks only when
+// the queue is empty. Whenever it runs it takes up to BatchSize of what
+// is pending and flushes it, so a batch is whatever queued while the
+// worker was flushing the last one or waking up — a lone item on an idle
+// shard flushes at once, and no timer holds a batch open. The worker is
+// woken at most once per batch, never per item. A flush executes every
+// item of the batch inside ONE v2 engine transaction on the shard's
+// worker thread and — when anything mutated — publishes ONE commit-log
+// frame and ONE change-feed publish for the whole batch, amortizing the
+// engine commit, the WAL ticket/fsync path, and the feed sequencing
+// across the batch.
 //
 // Per-item semantics: every item completes into its own Sink with its
 // individual result. A CAS that misses or a delete of an
@@ -147,17 +149,14 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // Config tunes the batchers.
 type Config struct {
-	// BatchSize flushes a batch once this many items are pending
-	// (default 32).
+	// BatchSize caps the items one flush takes (default 32).
 	BatchSize int
-	// MaxWait flushes an incomplete batch this long after the worker
-	// picked up its first item (default 200µs) — the latency bound a
-	// lone item pays for company.
+	// MaxWait is ignored: no timer holds a batch open. It remains only
+	// for callers that still set it.
 	MaxWait time.Duration
 	// QueueCap bounds each shard's pending items — every accepted item
-	// not yet handed to a flush, the batch being gathered included; an
-	// enqueue beyond it is shed with Overloaded (default
-	// max(4×BatchSize, 256)).
+	// not yet handed to a flush; an enqueue beyond it is shed with
+	// Overloaded (default max(4×BatchSize, 256)).
 	QueueCap int
 	// Metrics defaults to a private unregistered set.
 	Metrics *Metrics
@@ -169,9 +168,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.BatchSize
@@ -197,17 +193,15 @@ type Coalescer struct {
 	wg    sync.WaitGroup
 }
 
-// shardQ is one shard's pending items: a FIFO under a mutex, and the
-// threshold its worker is parked on. The worker parks by publishing the
-// queue length it waits for (want: 1 for anything at all, BatchSize
-// while it gathers) and receiving the wake token. Whoever clears want
-// owns the token: an enqueuer whose append reaches it, Close, or the
-// worker itself when its MaxWait timer fires first. So at most one token
-// is ever outstanding, and the sender never blocks.
+// shardQ is one shard's pending items: a FIFO under a mutex, and whether
+// its worker is parked on it. The worker parks only on an empty queue, by
+// setting parked and receiving the wake token. Whoever clears parked owns
+// the token — the enqueuer that makes the queue non-empty, or Close — so
+// at most one token is ever outstanding, and the sender never blocks.
 type shardQ struct {
 	mu      sync.Mutex
 	pending []*Item
-	want    int // > 0: the worker is parked until len(pending) reaches it
+	parked  bool
 	closed  bool
 	wake    chan struct{} // the wake token; capacity 1
 
@@ -264,10 +258,8 @@ func (c *Coalescer) EnqueueAt(it *Item, now time.Time) (code txkvwire.Code, errM
 		return txkvwire.CodeOverloaded, "coalesce queue full"
 	}
 	sh.pending = append(sh.pending, it)
-	wake := sh.want > 0 && len(sh.pending) >= sh.want
-	if wake {
-		sh.want = 0
-	}
+	wake := sh.parked
+	sh.parked = false
 	sh.mu.Unlock()
 	if wake {
 		sh.wake <- struct{}{}
@@ -296,8 +288,8 @@ func (c *Coalescer) Close() {
 	for _, sh := range c.qs {
 		sh.mu.Lock()
 		sh.closed = true
-		wake := sh.want > 0 // a closed queue's worker never parks again
-		sh.want = 0
+		wake := sh.parked // a closed queue's worker never parks again
+		sh.parked = false
 		sh.mu.Unlock()
 		if wake {
 			sh.wake <- struct{}{}
@@ -306,51 +298,21 @@ func (c *Coalescer) Close() {
 	c.wg.Wait()
 }
 
-// worker owns one shard: park until the queue is non-empty, park once
-// more until it holds BatchSize items or MaxWait has passed, take up to
-// BatchSize items under one lock, flush, repeat — at most two wake-ups
-// per batch, however many items it holds.
+// worker owns one shard: park while the queue is empty, take up to
+// BatchSize of what is pending under one lock, flush, repeat. It never
+// waits for a batch to fill — what queued while it flushed is the next
+// batch — so it wakes at most once per batch, however many items it holds.
 func (c *Coalescer) worker(shard int, th stm.Thread) {
 	defer c.wg.Done()
 	sh := c.qs[shard]
 	fl := &flusher{c: c, shard: shard, th: th, cm: NewCommit(c.store, c.log, c.feeds)}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]*Item, 0, c.cfg.BatchSize)
 	sh.mu.Lock()
 	for {
 		for len(sh.pending) == 0 && !sh.closed {
-			sh.want = 1
+			sh.parked = true
 			sh.mu.Unlock()
 			<-sh.wake
-			c.cfg.Metrics.Wakeups.Inc()
-			sh.mu.Lock()
-		}
-		// The batch's first item is picked up here, and MaxWait runs
-		// from here.
-		if len(sh.pending) < c.cfg.BatchSize && !sh.closed {
-			sh.want = c.cfg.BatchSize
-			sh.mu.Unlock()
-			timer.Reset(c.cfg.MaxWait)
-			select {
-			case <-sh.wake:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-				sh.mu.Lock()
-				mine := sh.want > 0
-				sh.want = 0
-				sh.mu.Unlock()
-				if !mine {
-					// The threshold was cleared as the timer fired: that
-					// token is in flight, and left there it would cut the
-					// next park short.
-					<-sh.wake
-				}
-			}
 			c.cfg.Metrics.Wakeups.Inc()
 			sh.mu.Lock()
 		}

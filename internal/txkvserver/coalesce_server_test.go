@@ -2,9 +2,11 @@ package txkvserver
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"swisstm/internal/coalesce"
 	"swisstm/internal/harness"
 	"swisstm/internal/stm"
 	"swisstm/internal/txkvclient"
@@ -27,11 +29,71 @@ func startCoalesced(t *testing.T, kind string, keys int, cfg Config) *Server {
 	return srv
 }
 
+// holdSink is the sink of a hold's item: Complete blocks its shard worker
+// until the hold is released.
+type holdSink struct {
+	entered, released chan struct{}
+}
+
+func (h holdSink) Complete(coalesce.Result) {
+	close(h.entered)
+	<-h.released
+}
+
+// holdShard parks the shard worker of key inside a flush: the worker
+// completes a one-item Get batch into a sink that blocks until release.
+// Everything enqueued on that shard meanwhile stays queued, and is what
+// the worker takes next. The held Get counts as one executed item (not
+// as a request). release is idempotent and also runs at cleanup, ahead of
+// the server's Close.
+func holdShard(t *testing.T, srv *Server, key stm.Word) (release func()) {
+	t.Helper()
+	h := holdSink{entered: make(chan struct{}), released: make(chan struct{})}
+	release = sync.OnceFunc(func() { close(h.released) })
+	t.Cleanup(release)
+	it := new(coalesce.Item)
+	it.Init(coalesce.OpGet, key, 0, 0, time.Time{}, h)
+	if code, msg := srv.co.Enqueue(it); code != 0 {
+		t.Fatalf("hold refused: %v %q", code, msg)
+	}
+	select {
+	case <-h.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the worker of key %d's shard never flushed the hold", key)
+	}
+	return release
+}
+
+// otherShardKey returns a key whose shard is not key's.
+func otherShardKey(srv *Server, key stm.Word) stm.Word {
+	k := key + 1
+	for srv.store.ShardOf(k) == srv.store.ShardOf(key) {
+		k++
+	}
+	return k
+}
+
+// waitInFlight waits until the server's coalescer has executed n items.
+// A test that ends a burst on a held shard with a marker request on
+// another shard waits for the hold and the marker (n = 2): a connection
+// enqueues in request order, so every request before the marker is then
+// queued on the held shard, unflushed until the test releases it.
+func waitInFlight(t *testing.T, srv *Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.coM.Items.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d items executed: the burst was not enqueued", srv.coM.Items.Load(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestPipelinedRepliesInOrder pins the pipelining contract (DESIGN.md
 // §14.2): many requests in flight on one connection, replies in exactly
 // request order.
 func TestPipelinedRepliesInOrder(t *testing.T) {
-	srv := startCoalesced(t, "swisstm", 256, Config{Pipeline: 8, CoalesceWait: 100 * time.Microsecond})
+	srv := startCoalesced(t, "swisstm", 256, Config{Pipeline: 8})
 	pipeline(t, srv.Addr().String(), 8, 64,
 		func(i int) txkvwire.Req {
 			// Interleave writes and reads so replies cross batcher flushes.
@@ -57,7 +119,7 @@ func TestCoalescedOpsOverWire(t *testing.T) {
 	for _, kind := range engineKinds {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			srv := startCoalesced(t, kind, 128, Config{Pipeline: 16, CoalesceWait: 200 * time.Microsecond})
+			srv := startCoalesced(t, kind, 128, Config{Pipeline: 16})
 			p, err := txkvclient.DialPipe(srv.Addr().String(), 16)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +182,7 @@ func TestCoalescedOpsOverWire(t *testing.T) {
 // must see every mutation of its shard exactly once, in commit order,
 // and then the clean end-of-feed.
 func TestSubscribeStreamsCommitsInOrder(t *testing.T) {
-	srv := startCoalesced(t, "tl2", 64, Config{Pipeline: 8, CoalesceWait: 100 * time.Microsecond})
+	srv := startCoalesced(t, "tl2", 64, Config{Pipeline: 8})
 	// Pick the shard of key 1 and collect every key landing there.
 	shard := srv.store.ShardOf(1)
 	var keys []uint64
@@ -200,9 +262,7 @@ func TestSubscribeStreamsCommitsInOrder(t *testing.T) {
 // whose TTL expires while queued for its flush is shed alone with
 // DeadlineExceeded; its batch-mates commit normally.
 func TestTTLExpiredInBatchShedsOnlyThatItem(t *testing.T) {
-	// A long gather window guarantees the 1µs TTL expires in-queue.
-	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: 8, CoalesceBatch: 1000, CoalesceWait: 50 * time.Millisecond})
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: 8})
 	p, err := txkvclient.DialPipe(srv.Addr().String(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -216,26 +276,32 @@ func TestTTLExpiredInBatchShedsOnlyThatItem(t *testing.T) {
 			other = uint64(k)
 		}
 	}
-	if err := p.Submit(txkvwire.Req{Op: txkvwire.OpPut, Key: 1, Val: 7, TTL: time.Microsecond}, "doomed", true, true); err != nil {
+	// The shard is held until its 1µs TTL has certainly run out in queue.
+	release := holdShard(t, srv, 1)
+	reqs := []txkvwire.Req{
+		{Op: txkvwire.OpPut, Key: 1, Val: 7, TTL: time.Microsecond},
+		{Op: txkvwire.OpPut, Key: other, Val: 8},
+		{Op: txkvwire.OpGet, Key: uint64(otherShardKey(srv, 1))}, // the marker
+	}
+	for i, req := range reqs {
+		if err := p.Submit(req, i, true, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(txkvwire.Req{Op: txkvwire.OpPut, Key: other, Val: 8}, "live", true, true); err != nil {
-		t.Fatal(err)
-	}
+	waitInFlight(t, srv, 2)
+	release()
 
-	tag, _, reply, err := p.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != "doomed" || reply.Code != txkvwire.CodeDeadlineExceeded {
-		t.Fatalf("expired request: tag=%v reply=%+v, want DeadlineExceeded", tag, reply)
-	}
-	tag, _, reply, err = p.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != "live" || reply.Err != "" {
-		t.Fatalf("batch-mate of expired request: tag=%v reply=%+v", tag, reply)
+	for i, want := range []txkvwire.Code{txkvwire.CodeDeadlineExceeded, 0, 0} {
+		tag, _, reply, err := p.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag != i || reply.Code != want {
+			t.Fatalf("reply %d: tag=%v %+v, want code %v", i, tag, reply, want)
+		}
 	}
 
 	cl, err := txkvclient.Dial(srv.Addr().String())

@@ -183,7 +183,7 @@ func TestPathsInterleavedOnTheSameKeys(t *testing.T) {
 			srv, err := Start("127.0.0.1:0", Config{
 				Engine: harness.EngineSpec{Kind: kind, Manager: "polka"}, Keys: keys,
 				WALDir: dir, WALSync: wal.SyncNone, FeedCap: 1 << 14,
-				CoalesceBatch: 8, CoalesceWait: 100 * time.Microsecond,
+				CoalesceBatch: 8,
 			})
 			if err != nil {
 				t.Fatal(err)

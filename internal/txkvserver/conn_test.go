@@ -13,7 +13,6 @@ import (
 	"swisstm/internal/stm"
 	"swisstm/internal/txkvclient"
 	"swisstm/internal/txkvwire"
-	"swisstm/internal/wal"
 )
 
 // The connection model (DESIGN.md §14.2): one goroutine per connection
@@ -120,20 +119,6 @@ func (r *replyReader) next() (reply txkvwire.Reply, err error) {
 	return txkvwire.DecodeReply(r.fbuf)
 }
 
-// waitInFlight waits until a shard worker has picked up a first item:
-// the requests written just before are on their shard queue, unflushed
-// for as long as the server's CoalesceWait.
-func waitInFlight(t *testing.T, srv *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.coM.Wakeups.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no shard worker ever woke: the requests were not enqueued")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // TestPooledPipelineReadsOwnWrites: with coalescing off, a Get pipelined
 // behind a Put of the same key — both in flight at once, window 16 —
 // always observes that Put. Per-request goroutines raced such pairs
@@ -160,9 +145,10 @@ func TestPooledPipelineReadsOwnWrites(t *testing.T) {
 // runs on the connection goroutine through the thread pool) pipelined
 // directly behind a coalesced Put observes it — the connection waits for
 // its in-flight coalesced replies before executing anything else. The
-// long gather window keeps the Put queued when the Batch arrives.
+// first Put is held queued on its shard while the Batch behind it is read.
 func TestPooledRequestSeesCoalescedWrite(t *testing.T) {
-	srv := startCoalesced(t, "swisstm", 64, Config{CoalesceWait: 2 * time.Millisecond})
+	srv := startCoalesced(t, "swisstm", 64, Config{})
+	time.AfterFunc(20*time.Millisecond, holdShard(t, srv, 9))
 	const pairs = 100
 	pipeline(t, srv.Addr().String(), 16, 2*pairs,
 		func(i int) txkvwire.Req {
@@ -186,9 +172,11 @@ func TestPooledRequestSeesCoalescedWrite(t *testing.T) {
 
 // TestSubscribeAckedAfterCoalescedReplies: a Subscribe pipelined behind
 // 16 coalesced puts, all in one segment, is acked only after all 16
-// replies, and then streams.
+// replies, and then streams. The first put is held queued on its shard
+// while the Subscribe is read.
 func TestSubscribeAckedAfterCoalescedReplies(t *testing.T) {
-	srv := startCoalesced(t, "swisstm", 64, Config{CoalesceWait: 2 * time.Millisecond})
+	srv := startCoalesced(t, "swisstm", 64, Config{})
+	time.AfterFunc(20*time.Millisecond, holdShard(t, srv, 1))
 	shard := srv.store.ShardOf(stm.Word(3))
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -412,18 +400,19 @@ func TestRingKeepsRequestOrder(t *testing.T) {
 // TestPipelineWindowIsExact is the second: Pipeline is the number of
 // coalesced items a connection has in flight, not that plus the reply
 // being written and the item being admitted. 64 puts pipelined at one
-// shard whose batches could hold them all: no batch holds more than the
+// shard whose batches could hold them all, the first ones held queued
+// while the connection fills its window: no batch holds more than the
 // window's 4.
 func TestPipelineWindowIsExact(t *testing.T) {
 	const window, puts = 4, 64
-	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 20 * time.Millisecond})
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: window, CoalesceBatch: 64})
+	time.AfterFunc(20*time.Millisecond, holdShard(t, srv, 1))
 	pipeline(t, srv.Addr().String(), puts, puts,
 		func(i int) txkvwire.Req { return txkvwire.Req{Op: txkvwire.OpPut, Key: 1, Val: uint64(i)} },
 		func(int, txkvwire.Reply) {})
 	h := srv.coM.BatchSize.Snapshot()
-	if h.Sum != puts {
-		t.Fatalf("%d items executed in batches, want %d", h.Sum, puts)
+	if h.Sum != 1+puts {
+		t.Fatalf("%d items executed in batches, want the hold's and %d", h.Sum, puts)
 	}
 	for size := window + 1; size < len(h.Buckets); size++ { // sizes below 16 have a bucket each
 		if h.Buckets[size] != 0 {
@@ -432,11 +421,33 @@ func TestPipelineWindowIsExact(t *testing.T) {
 	}
 }
 
+// burstOnHeldShard writes window-1 puts on key 1, values 100, 101, …,
+// and a marker put on another shard, on a new connection, with key 1's
+// shard held; it returns once all of them are in flight — the puts queued
+// on the held shard, the marker executed — with the hold's release.
+func burstOnHeldShard(t *testing.T, srv *Server, window int) (nc net.Conn, release func()) {
+	t.Helper()
+	release = holdShard(t, srv, 1)
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := putFrames(t, 1, 100, window-1)
+	if burst, err = txkvwire.AppendReqFrame(burst, txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(otherShardKey(srv, 1))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(t, srv, 2)
+	return nc, release
+}
+
 // TestClientGoneWithItemsInFlight is the third, teardown: the client goes
 // away (orderly, or with a reset that makes the reply write fail) while
-// its whole window is queued on a shard. The accepted items still
-// execute, the writer answers or discards them, and both of the
-// connection's goroutines exit.
+// its whole window is in flight, held queued on a shard. The accepted
+// items still execute, the writer answers or discards them, and both of
+// the connection's goroutines exit.
 func TestClientGoneWithItemsInFlight(t *testing.T) {
 	for _, reset := range []bool{false, true} {
 		name := "close"
@@ -445,24 +456,17 @@ func TestClientGoneWithItemsInFlight(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			const window = 16
-			srv := startCoalesced(t, "swisstm", 64,
-				Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 50 * time.Millisecond})
+			srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: window, CoalesceBatch: 64})
 			idle := runtime.NumGoroutine()
-			nc, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := nc.Write(putFrames(t, 1, 100, window)); err != nil {
-				t.Fatal(err)
-			}
-			waitInFlight(t, srv)
+			nc, release := burstOnHeldShard(t, srv, window)
 			if reset {
 				nc.(*net.TCPConn).SetLinger(0)
 			}
 			nc.Close()
+			release()
 			waitGoroutines(t, idle)
-			if got := srv.coM.Items.Load(); got != window {
-				t.Fatalf("%d of the %d accepted items executed", got, window)
+			if got := srv.coM.Items.Load(); got != 1+window {
+				t.Fatalf("%d items executed, want the hold's and the %d accepted", got, window)
 			}
 			srv.mu.Lock()
 			left := len(srv.conns)
@@ -475,23 +479,20 @@ func TestClientGoneWithItemsInFlight(t *testing.T) {
 }
 
 // TestDrainAcksItemsInFlight: a Drain that begins with a window of items
-// queued on a shard acks every request the connection accepted, in
-// order, before closing it; the store holds exactly the acked writes.
+// in flight, held queued on a shard, acks every request the connection
+// accepted, in order, before closing it; the store holds exactly the
+// acked writes.
 func TestDrainAcksItemsInFlight(t *testing.T) {
 	const window = 16
-	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: window, CoalesceBatch: 64, CoalesceWait: 30 * time.Millisecond})
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: window, CoalesceBatch: 64})
+	nc, release := burstOnHeldShard(t, srv, window)
 	defer nc.Close()
-	if _, err := nc.Write(putFrames(t, 1, 100, window)); err != nil {
-		t.Fatal(err)
-	}
-	waitInFlight(t, srv)
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain() }()
+	for !srv.draining.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
 
 	replies := newReplyReader(nc)
 	acked := 0
@@ -503,18 +504,16 @@ func TestDrainAcksItemsInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after %d replies: %v", acked, err)
 		}
-		if reply.Op != txkvwire.OpPut || (reply.Err != "" && reply.Code != txkvwire.CodeDraining) {
-			t.Fatalf("reply %d: %+v, want a put's ack or a Draining refusal", acked, reply)
+		if reply.Op != txkvwire.OpPut || reply.Err != "" {
+			t.Fatalf("reply %d: %+v, want a put's ack", acked, reply)
 		}
-		if reply.Err == "" {
-			acked++
-		}
+		acked++
 	}
 	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
-	if acked == 0 {
-		t.Fatal("no request acked: the drain dropped the items in flight")
+	if acked != window {
+		t.Fatalf("%d of the %d accepted requests acked: the drain dropped items in flight", acked, window)
 	}
 	w := <-srv.pool
 	val := stm.AtomicRO(w.th, func(tx stm.TxRO) stm.Word {
@@ -522,69 +521,19 @@ func TestDrainAcksItemsInFlight(t *testing.T) {
 		return v
 	})
 	srv.pool <- w
-	if want := stm.Word(100 + acked - 1); val != want {
-		t.Fatalf("key 1 = %d after %d acks, want %d: an accepted put was not acked, or an acked one not applied", val, acked, want)
+	if want := stm.Word(100 + window - 2); val != want {
+		t.Fatalf("key 1 = %d after every ack, want %d: an acked put was not applied", val, want)
 	}
 }
 
-// stallFS is the real filesystem with an fsync that can be held: a commit
-// log on it stalls the flush publishing to it, and with it the shard
-// worker.
-type stallFS struct {
-	wal.OSFS
-	mu   sync.Mutex
-	held chan struct{} // non-nil while fsyncs are held; closed to release them
-}
-
-func (fs *stallFS) hold() {
-	fs.mu.Lock()
-	fs.held = make(chan struct{})
-	fs.mu.Unlock()
-}
-
-func (fs *stallFS) release() {
-	fs.mu.Lock()
-	close(fs.held)
-	fs.held = nil
-	fs.mu.Unlock()
-}
-
-func (fs *stallFS) Create(path string) (wal.File, error) {
-	f, err := fs.OSFS.Create(path)
-	return &stallFile{f, fs}, err
-}
-
-func (fs *stallFS) OpenAppend(path string) (wal.File, error) {
-	f, err := fs.OSFS.OpenAppend(path)
-	return &stallFile{f, fs}, err
-}
-
-type stallFile struct {
-	wal.File
-	fs *stallFS
-}
-
-func (f *stallFile) Sync() error {
-	f.fs.mu.Lock()
-	held := f.fs.held
-	f.fs.mu.Unlock()
-	if held != nil {
-		<-held
-	}
-	return f.File.Sync()
-}
-
-// TestShardQueueFullRepliesInOrder: with its worker stalled in a flush, a
+// TestShardQueueFullRepliesInOrder: with its worker held in a flush, a
 // shard queue fills to its cap (256 at CoalesceBatch 8) and refuses the
 // next item. The connection goroutine answers that request Overloaded at
 // its own position — behind the replies of everything in flight, ahead of
-// the requests after it, which are accepted again — and books the shed as
-// queue-full.
+// the requests after it — and books the shed as queue-full.
 func TestShardQueueFullRepliesInOrder(t *testing.T) {
-	const reqs, batch, queueCap = 300, 8, 256
-	fs := &stallFS{}
-	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: 512, CoalesceBatch: batch, WALDir: t.TempDir(), WALFS: fs})
+	const reqs, queueCap = 300, 256
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: 512, CoalesceBatch: 8})
 	opAt := func(i int) txkvwire.Op {
 		if i%2 == 0 {
 			return txkvwire.OpPut
@@ -603,16 +552,16 @@ func TestShardQueueFullRepliesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	fs.hold()
+	release := holdShard(t, srv, 1)
 	if _, err := nc.Write(out); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); srv.m.shedQueueFull.Load() == 0; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the stalled shard's queue never refused an item")
+			t.Fatal("the held shard's queue never refused an item")
 		}
 	}
-	fs.release()
+	release()
 
 	replies := newReplyReader(nc)
 	first, overloaded := -1, 0
@@ -632,10 +581,11 @@ func TestShardQueueFullRepliesInOrder(t *testing.T) {
 			t.Fatalf("reply %d: %s", i, reply.Err)
 		}
 	}
-	// The stalled flush took at most a batch out of the queue; the cap's
-	// worth behind it was accepted; the next request is the first refused.
-	if first < queueCap || first > queueCap+batch {
-		t.Fatalf("first Overloaded reply at position %d, want within [%d, %d]", first, queueCap, queueCap+batch)
+	// The held flush took only the hold's item out of the queue: the cap's
+	// worth behind it was accepted, and the next request is the first
+	// refused.
+	if first != queueCap {
+		t.Fatalf("first Overloaded reply at position %d, want %d", first, queueCap)
 	}
 	if got := srv.m.shedQueueFull.Load(); got != uint64(overloaded) {
 		t.Fatalf("%d Overloaded replies, %d queue-full sheds counted", overloaded, got)

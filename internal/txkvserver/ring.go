@@ -12,8 +12,9 @@ import (
 // items, in request order, between the three parties that touch them.
 // The connection goroutine reserves the slot at tail and enqueues the item
 // embedded in it; the item's shard flusher completes it, in whatever
-// order batches happen to flush; connWriter answers from head, every
-// consecutive completed slot in one pass. One mutex, two conds, and no
+// order batches happen to flush; connWriter answers from head in waves —
+// once the head completes, it waits for the rest of what was in flight
+// then, and sends it all in one write. One mutex, two conds, and no
 // allocation per request.
 
 // slot is one in-flight coalesced item and its place in the reply order.
@@ -30,13 +31,17 @@ type slot struct {
 
 type replyRing struct {
 	mu    sync.Mutex
-	ready sync.Cond // the head slot completed, or the ring closed: wakes connWriter
+	ready sync.Cond // the head or the open wave completed, or the ring closed: wakes connWriter
 	space sync.Cond // head advanced: wakes the connection goroutine
 	slots []slot    // Config.Pipeline of them: the window
 	// Slots [head, tail) are in flight. head == tail, seen under mu by
 	// the connection goroutine, is the hand-over of the reply side to it.
 	head, tail uint64
-	closed     bool
+	// Slots [head, wave) are the open wave, undone of them not yet
+	// completed; wave <= head means no wave is open.
+	wave   uint64
+	undone int
+	closed bool
 }
 
 func newReplyRing(window int) *replyRing {
@@ -66,10 +71,17 @@ func (r *replyRing) reserve(op txkvwire.Op, parseNs uint64) (sl *slot, waited bo
 }
 
 // unreserve gives the last reserved slot back: its item was refused, so
-// nobody will complete it.
+// nobody will complete it — and a wave that counted it must not wait for
+// it.
 func (r *replyRing) unreserve() {
 	r.mu.Lock()
 	r.tail--
+	if r.tail < r.wave {
+		r.wave = r.tail
+		if r.undone--; r.undone == 0 {
+			r.ready.Signal()
+		}
+	}
 	r.mu.Unlock()
 }
 
@@ -95,39 +107,39 @@ func (r *replyRing) close() {
 	r.mu.Unlock()
 }
 
-// completed reports whether the slot at seq is reserved and has its
-// result.
-func (r *replyRing) completed(seq uint64) bool {
-	r.mu.Lock()
-	ok := seq != r.tail && r.at(seq).done
-	r.mu.Unlock()
-	return ok
-}
-
 // Complete is the slot's coalesce.Sink: called once by the shard flusher
 // that executed (or shed) the item. It never blocks, and wakes the writer
-// only for the slot the writer is waiting on — the head.
+// only when it is what the writer waits for: the head, or the last undone
+// slot of the open wave.
 func (sl *slot) Complete(res coalesce.Result) {
 	r := sl.ring
 	r.mu.Lock()
 	sl.res, sl.done = res, true
-	head := sl.seq == r.head
+	var wake bool
+	if sl.seq < r.wave {
+		r.undone--
+		wake = r.undone == 0
+	} else {
+		wake = sl.seq == r.head
+	}
 	r.mu.Unlock()
-	if head {
+	if wake {
 		r.ready.Signal()
 	}
 }
 
 // connWriter sends the replies of a connection's coalesced items in
-// request order: it waits for the head slot, takes every consecutive
-// completed slot in one pass, and flushes with the last of them unless
-// the slot after it is complete too — so it never parks on unflushed
-// replies, and a run of completions costs one write. head moves only
-// after that flush: the connection goroutine may take the reply side the
-// moment it sees the ring idle. After a write error it keeps consuming —
-// wait, discard, advance — so the connection goroutine is never left
-// blocked on the window. It exits when serveConn has closed the ring and
-// the ring is idle, and touches nothing after its last advance.
+// request order, in waves. When the head slot completes it opens a wave —
+// the slots reserved at that moment — and waits until all of them have
+// completed; then it takes every consecutive completed slot in one pass
+// and one flush. A reply so waits only for items that were already
+// queued or executing when its wave opened, never for a later request,
+// and the writer never parks on unflushed replies. head moves only after
+// the flush: the connection goroutine may take the reply side the moment
+// it sees the ring idle. After a write error it keeps consuming — wait,
+// discard, advance — so the connection goroutine is never left blocked on
+// the window. It exits when serveConn has closed the ring and the ring is
+// idle, and touches nothing after its last advance.
 func (c *conn) connWriter() {
 	r := c.ring
 	r.mu.Lock()
@@ -139,7 +151,16 @@ func (c *conn) connWriter() {
 			}
 			r.ready.Wait()
 		}
-		start, end := r.head, r.head+1
+		r.wave, r.undone = r.tail, 0
+		for seq := r.head + 1; seq != r.tail; seq++ {
+			if !r.at(seq).done {
+				r.undone++
+			}
+		}
+		for r.undone > 0 {
+			r.ready.Wait()
+		}
+		start, end := r.head, r.wave
 		for end != r.tail && r.at(end).done {
 			end++
 		}
@@ -166,7 +187,7 @@ func (c *conn) writePass(start, end uint64) {
 	for seq := start; seq != end; seq++ {
 		sl := r.at(seq)
 		m.ops[sl.op].requests.Inc()
-		if !c.writeReply(c.s.coalescedReply(sl.op, sl.res), seq+1 == end && !r.completed(end)) {
+		if !c.writeReply(c.s.coalescedReply(sl.op, sl.res), seq+1 == end) {
 			return
 		}
 	}

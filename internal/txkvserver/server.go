@@ -101,8 +101,9 @@ type Config struct {
 	// and ONE commit-log frame. Requires Threads + store shards ≤
 	// stm.MaxThreads (each shard gets a dedicated engine thread).
 	CoalesceBatch int
-	// CoalesceWait is the batcher's max wait before flushing an
-	// incomplete batch (default 200µs); ignored with coalescing off.
+	// CoalesceWait is ignored: a shard batcher flushes whatever queued
+	// while it was busy, and no timer holds a batch open. It remains only
+	// for callers that still set it.
 	CoalesceWait time.Duration
 	// FeedCap is the per-shard change-feed ring capacity (default
 	// coalesce.DefaultFeedCap). The feed is always on: every committed
@@ -131,9 +132,6 @@ func (c *Config) fill() error {
 	}
 	if c.Pipeline < 1 {
 		return fmt.Errorf("txkvserver: pipeline window %d out of range (want ≥ 1)", c.Pipeline)
-	}
-	if c.CoalesceWait == 0 {
-		c.CoalesceWait = 200 * time.Microsecond
 	}
 	return nil
 }
@@ -289,7 +287,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 		s.coM = coalesce.NewMetrics(s.m.reg)
 		s.co = coalesce.New(s.store, threads, s.wal, s.feeds, coalesce.Config{
 			BatchSize: cfg.CoalesceBatch,
-			MaxWait:   cfg.CoalesceWait,
 			Metrics:   s.coM,
 			Conflicts: s.m.recordConflicts,
 		})

@@ -39,29 +39,32 @@ func awaitRequests(t *testing.T, srv *Server, n uint64) {
 	}
 }
 
-// TestWindowWaitIsQueueTime: Pipeline 2, the shard stalled in a flush, four
-// puts in one burst. The third blocks in reserve for as long as the stall:
+// TestWindowWaitIsQueueTime: Pipeline 2, a put held queued on its shard
+// and a marker put on another shard in flight, two more puts behind them
+// in the same burst. The third blocks in reserve for as long as the hold:
 // that wait is its queue time. It is not its parse time (it was parsed
 // before), and not the fourth's either — whose parse phase starts at the
 // stamp taken after the wait, not at the third's. Over the whole server
 // the totals are still the phase sums.
 func TestWindowWaitIsQueueTime(t *testing.T) {
 	const stall = 80 * time.Millisecond
-	fs := &stallFS{}
-	srv := startCoalesced(t, "swisstm", 64,
-		Config{Pipeline: 2, CoalesceBatch: 2, WALDir: t.TempDir(), WALFS: fs})
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: 2})
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	fs.hold()
-	if _, err := nc.Write(putFrames(t, 1, 100, 4)); err != nil {
+	release := holdShard(t, srv, 1)
+	burst := putFrames(t, 1, 100, 1)
+	if burst, err = txkvwire.AppendReqFrame(burst, txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(otherShardKey(srv, 1))}); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv)
+	if _, err := nc.Write(append(burst, putFrames(t, 1, 101, 2)...)); err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(t, srv, 2)
 	time.Sleep(stall)
-	fs.release()
+	release()
 	replies := newReplyReader(nc)
 	for i := 0; i < 4; i++ {
 		if reply, err := replies.next(); err != nil || reply.Err != "" {
@@ -94,7 +97,7 @@ func TestWindowWaitIsQueueTime(t *testing.T) {
 // counted a pass after flushing it would leave up to a window uncounted.
 func TestRequestsCountedBeforeReplies(t *testing.T) {
 	const conns, window, rounds = 4, 16, 200
-	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: window, CoalesceBatch: 32, CoalesceWait: 100 * time.Microsecond})
+	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: window, CoalesceBatch: 32})
 	ctl, err := txkvclient.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -137,19 +140,21 @@ func TestRequestsCountedBeforeReplies(t *testing.T) {
 
 // TestReadDeadlinePerBlockingRead: the read deadline is armed when a read
 // can block, not per frame. A 16-deep burst whose service outlasts
-// ReadTimeout several times over — every later frame is read, from the
-// buffer, after the deadline armed for the first has passed — is served
-// whole; the connection, idle afterwards, is dropped at ReadTimeout.
+// ReadTimeout several times over — its first put is held queued for three
+// ReadTimeouts, so every frame after the window's first 4 is read, from
+// the buffer, after the deadline armed for the first has passed — is
+// served whole; the connection, idle afterwards, is dropped at
+// ReadTimeout.
 func TestReadDeadlinePerBlockingRead(t *testing.T) {
 	const burst = 16
 	srv := startCoalesced(t, "swisstm", 64, Config{
-		Pipeline: 4, CoalesceBatch: 64, CoalesceWait: 30 * time.Millisecond, ReadTimeout: 40 * time.Millisecond,
-		WriteTimeout: time.Second})
+		Pipeline: 4, CoalesceBatch: 64, ReadTimeout: 40 * time.Millisecond, WriteTimeout: time.Second})
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	time.AfterFunc(3*srv.cfg.ReadTimeout, holdShard(t, srv, 1))
 	t0 := time.Now()
 	if _, err := nc.Write(putFrames(t, 1, 100, burst)); err != nil {
 		t.Fatal(err)
