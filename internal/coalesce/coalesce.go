@@ -76,7 +76,7 @@ type Result struct {
 
 // Sink receives the outcome of one accepted item. Complete is called
 // exactly once, on the item's shard worker, and must not block: the
-// worker has the rest of the batch to complete and the next to gather.
+// worker has the rest of the batch to complete and the next to take.
 type Sink interface {
 	Complete(Result)
 }
