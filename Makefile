@@ -116,12 +116,15 @@ smoke-txkv:
 # in-process server per engine on an ephemeral loopback port (real TCP),
 # driven by the load generator in both closed-loop and open-loop mode
 # with the over-the-wire oracles armed (transfer mix → balance
-# conservation). Fails on empty result files, missing percentile
-# columns, zero percentile values, or a failed oracle.
+# conservation). The closed run's servers keep a commit log in the
+# default group-fsync mode. Fails on empty result files, missing
+# percentile columns, zero percentile values, a closed run that logged
+# nothing, or a failed oracle.
 smoke-server:
 	rm -rf $(SMOKE_DIR)/server
 	$(GO) run ./cmd/txkvload -launch -engines swisstm,tl2,tinystm,rstm \
 		-mixes transfer -conns 2 -ops 400 -keys 512 -seed 1 \
+		-wal $(SMOKE_DIR)/server/wal \
 		-format csv -out $(SMOKE_DIR)/server -name closed
 	$(GO) run ./cmd/txkvload -launch -engines swisstm,tl2,tinystm,rstm \
 		-mixes read-heavy -conns 2 -ops 400 -keys 512 -seed 2 -rate 4000 \
@@ -129,7 +132,9 @@ smoke-server:
 	@for f in $(SMOKE_DIR)/server/closed.csv $(SMOKE_DIR)/server/open.csv; do \
 		lines=$$(wc -l < "$$f"); \
 		if [ "$$lines" -le 1 ]; then echo "empty result file: $$f"; exit 1; fi; \
-		for col in lat_p50_ns lat_p99_ns lat_p999_ns phase_txn_ns; do \
+		cols="lat_p50_ns lat_p99_ns lat_p999_ns phase_txn_ns"; \
+		case "$$f" in */closed.csv) cols="$$cols phase_wal_ns wal_frames";; esac; \
+		for col in $$cols; do \
 			idx=$$(head -1 "$$f" | tr ',' '\n' | grep -nx "$$col" | cut -d: -f1); \
 			if [ -z "$$idx" ]; then echo "$$f: missing column $$col"; exit 1; fi; \
 			if tail -n +2 "$$f" | awk -F, -v i="$$idx" '$$i + 0 <= 0 {exit 1}'; then :; else \
@@ -139,7 +144,7 @@ smoke-server:
 	@if grep -l 'false$$' $(SMOKE_DIR)/server/*.summary.csv; then \
 		echo "a server oracle failed (all_checked=false above)"; exit 1; \
 	fi
-	@echo "smoke-server OK: all four engines over TCP, closed+open loop, oracles green"
+	@echo "smoke-server OK: all four engines over TCP, closed (durable) + open loop, oracles green"
 
 # smoke-obs gates the observability surface (DESIGN.md §11): per engine
 # it starts an in-process server with the admin endpoint bound, applies
@@ -157,7 +162,7 @@ smoke-obs:
 smoke-recover:
 	$(GO) build -o bin/txkvserver ./cmd/txkvserver
 	$(GO) run ./cmd/kvsmoke recover -server bin/txkvserver \
-		-engines swisstm,tl2,tinystm,rstm -fsync group -warm 200ms
+		-engines swisstm,tl2,tinystm,rstm -warm 200ms
 
 # smoke-chaos is the overload/fault-injection gate (DESIGN.md §13):
 # per engine, kvsmoke storms a real server through the seeded chaos

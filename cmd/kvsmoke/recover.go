@@ -20,7 +20,6 @@ import (
 
 var (
 	serverBin  = flag.String("server", "bin/txkvserver", "recover: path to a txkvserver binary (a real process, so SIGKILL is a real crash; go build -o bin/txkvserver ./cmd/txkvserver)")
-	fsyncMode  = flag.String("fsync", "group", "recover: commit log durability mode under test")
 	warmPeriod = flag.Duration("warm", 200*time.Millisecond, "recover: load duration before the kill")
 )
 
@@ -51,7 +50,7 @@ func launch(bin, kind, dir string) (*server, error) {
 	os.Remove(pf)
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-engine", kind, "-keys", fmt.Sprint(crashKeys),
-		"-wal", dir, "-fsync", *fsyncMode, "-portfile", pf)
+		"-wal", dir, "-portfile", pf)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -89,10 +88,10 @@ func (s *server) kill() error {
 }
 
 // recoverGate is the kill/recover durability gate (DESIGN.md §12): it
-// launches a real txkvserver process with the commit log on, applies
-// concurrent load over TCP while recording the last acknowledged write
-// per client, SIGKILLs the server mid-load, and then checks three
-// things:
+// launches a real txkvserver process with the commit log on (group
+// fsync, the server's default), applies concurrent load over TCP while
+// recording the last acknowledged write per client, SIGKILLs the server
+// mid-load, and then checks three things:
 //
 //  1. The log's clean prefix replays without checksum errors
 //     (an independent in-process replay, not the server's).

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -133,7 +132,7 @@ func parseArgs(args []string) (*job, error) {
 	var (
 		config   = fs.String("config", "", "JSON plan to run instead of the one the flags build (excludes every flag with a plan field but -ops)")
 		manager  = fs.String("cm", "polka", "RSTM contention manager (launch mode)")
-		fsync    = fs.String("fsync", "group", "launch mode: commit log durability, always | group | none")
+		fsync    = fs.String("fsync", "group", "launch mode: commit log durability, group | none")
 		ops      = fs.Uint64("ops", 2000, "total operations per cell; with -config, overrides every experiment's ops (0 = keep them)")
 		engines  = fs.String("engines", strings.Join(harness.Kinds, ","), "comma-separated engine kinds (launch mode); label for -addr mode")
 		mixes    = fs.String("mixes", "read-heavy,update-heavy,transfer", "comma-separated workload mixes")
@@ -321,9 +320,15 @@ func (j *job) runCell(i int, c cell) (rec results.Record, oracle, err error) {
 	if j.launch {
 		scfg := txkvserver.Config{Engine: c.spec, Keys: j.plan.Keys, CoalesceBatch: c.batch}
 		if j.walDir != "" {
-			// A fresh log directory per cell: replaying a previous
-			// cell's log would skew the oracles.
-			scfg.WALDir = filepath.Join(j.walDir, fmt.Sprintf("cell%03d-%s-%s", i, c.spec.Kind, c.mix.Name))
+			// A fresh log directory per cell, also when -wal holds an
+			// earlier invocation's cells: replaying a previous cell's
+			// log would skew the oracles.
+			if err := os.MkdirAll(j.walDir, 0o755); err != nil {
+				return rec, nil, err
+			}
+			if scfg.WALDir, err = os.MkdirTemp(j.walDir, fmt.Sprintf("cell%03d-%s-%s-", i, c.spec.Kind, c.mix.Name)); err != nil {
+				return rec, nil, err
+			}
 			scfg.WALSync = j.sync
 		}
 		srv, err := txkvserver.Start("127.0.0.1:0", scfg)

@@ -186,6 +186,26 @@ func TestOneCellEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWalFreshLogPerCell: a second invocation on the same -wal directory
+// starts its cell on an empty log, as the first one did, instead of
+// replaying the first one's.
+func TestWalFreshLogPerCell(t *testing.T) {
+	walDir := t.TempDir()
+	for run := 1; run <= 2; run++ {
+		j, err := parseArgs([]string{"-launch", "-engines", "swisstm", "-mixes", "update-heavy", "-conns", "1", "-ops", "50", "-keys", "64", "-wal", walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := j.run(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].WalFrames == 0 || recs[0].WalRecoveredFrames != 0 {
+			t.Fatalf("run %d: want one record that logged frames and recovered none: %+v", run, recs)
+		}
+	}
+}
+
 const gridCells = `closed-sweep,txkvsrv/read-heavy-zipf-closed,swisstm,1,0,0,0,9074931552370761075
 closed-sweep,txkvsrv/read-heavy-zipf-closed,swisstm,2,0,0,0,17552492591893760061
 closed-sweep,txkvsrv/read-heavy-zipf-closed,swisstm,4,0,0,0,15707871343100046956

@@ -45,7 +45,7 @@ func main() {
 		threads  = flag.Int("threads", 8, "engine thread pool size")
 		admin    = flag.String("admin", "", "admin HTTP listen address for /metrics, /statz and /debug/pprof (off when empty; bind to loopback — unauthenticated)")
 		walDir   = flag.String("wal", "", "durable commit log directory (off when empty; an existing log is replayed before serving)")
-		fsync    = flag.String("fsync", "group", "commit log durability: always | group | none")
+		fsync    = flag.String("fsync", "group", "commit log durability: group | none")
 		readTO   = flag.Duration("read-timeout", 0, "per-connection idle read timeout (0 = no limit)")
 		writeTO  = flag.Duration("write-timeout", 30*time.Second, "per-reply write timeout (0 = no limit)")
 		portFile = flag.String("portfile", "", "write the bound data address to this file once listening (for harnesses using :0)")

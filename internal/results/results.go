@@ -105,7 +105,7 @@ type Record struct {
 	// Durable-commit-log profile (DESIGN.md §12), populated by the txkv
 	// load harness when the server runs with -wal; zero otherwise.
 	// PhaseWalNs is the server's mean per-request time spent appending
-	// to (and, under -fsync group/always, waiting on) the commit log.
+	// to (and, under -fsync group, waiting on) the commit log.
 	PhaseWalNs         float64 `json:"phase_wal_ns"`
 	WalFrames          uint64  `json:"wal_frames"`           // redo records appended over the run
 	WalBytes           uint64  `json:"wal_bytes"`            // log bytes written over the run

@@ -75,7 +75,7 @@ func TestReplayWALRebuildsStore(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e stm.STM) {
 		dir := t.TempDir()
 		const keys, balance = 64, 100
-		w, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways})
+		w, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncGroup})
 		if err != nil {
 			t.Fatal(err)
 		}

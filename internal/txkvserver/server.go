@@ -58,8 +58,8 @@ type Config struct {
 	// directory before serving (the recovered population overrides
 	// Keys/Balance).
 	WALDir string
-	// WALSync selects the log's durability mode (default
-	// wal.SyncGroup); ignored without WALDir.
+	// WALSync selects the log's durability mode: wal.SyncGroup (the
+	// default) or wal.SyncNone; ignored without WALDir.
 	WALSync wal.SyncMode
 	// WALFS overrides the log's filesystem (fault injection in tests);
 	// nil means the real one.

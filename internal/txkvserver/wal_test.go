@@ -204,7 +204,7 @@ func TestWALPublishFailureUnacksWrite(t *testing.T) {
 		Engine:  harness.EngineSpec{Kind: "swisstm", Manager: "polka"},
 		Keys:    16,
 		WALDir:  dir,
-		WALSync: wal.SyncAlways,
+		WALSync: wal.SyncGroup,
 		WALFS:   ffs,
 	})
 	if err != nil {

@@ -288,7 +288,7 @@ type Stats struct {
 	CoalesceBatches uint64 // batch flushes executed (one engine txn each)
 	CoalesceItems   uint64 // single-key ops executed inside flushes
 	FeedEvents      uint64 // change-feed events published across all shards
-	WalFsyncs       uint64 // commit-log fsync batches (group/always modes)
+	WalFsyncs       uint64 // commit-log fsync batches (group mode)
 }
 
 // fields lists every field in wire order, for the reply codec and Sub

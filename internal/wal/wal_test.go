@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"swisstm/internal/obs"
 )
 
 func openTest(t *testing.T, opts Options) *Writer {
@@ -44,7 +48,7 @@ func payload(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	const n = 50
 	for i := 1; i <= n; i++ {
 		if err := w.Append(payload(i)); err != nil {
@@ -192,7 +196,7 @@ func TestBitFlipStopsRecovery(t *testing.T) {
 
 func TestOutOfOrderPublishKeepsTicketOrder(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	t1, t2, t3 := w.Reserve(), w.Reserve(), w.Reserve()
 
 	var wg sync.WaitGroup
@@ -226,7 +230,7 @@ func TestOutOfOrderPublishKeepsTicketOrder(t *testing.T) {
 
 func TestAbandonUnblocksSequencer(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: time.Millisecond})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup})
 	t1, t2 := w.Reserve(), w.Reserve()
 
 	done := make(chan error, 1)
@@ -275,7 +279,7 @@ func TestInjectedShortWritePoisonsWriterAndKeepsPrefix(t *testing.T) {
 	// Write call 1 = magic of segment 1. Let two batches through,
 	// tear the third.
 	ffs := &FaultFS{Base: OSFS{}, FailWrite: 4, ShortWrite: true}
-	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncAlways})
+	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncGroup})
 	var acked int
 	var failed bool
 	for i := 1; i <= 10; i++ {
@@ -318,7 +322,7 @@ func TestInjectedFsyncErrorFailsPublish(t *testing.T) {
 	// Sync call 1 = segment creation. Fail the second fsync (first
 	// batch commit).
 	ffs := &FaultFS{Base: OSFS{}, FailSync: 2}
-	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncAlways})
+	w := openTest(t, Options{Dir: dir, FS: ffs, Sync: SyncGroup})
 	if err := w.Append(payload(1)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fsync fault: %v, want ErrInjected", err)
 	}
@@ -368,7 +372,7 @@ func TestSegmentGapStopsRecovery(t *testing.T) {
 
 func TestConcurrentPublishAbandonStress(t *testing.T) {
 	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, MaxWait: 100 * time.Microsecond, SegmentBytes: 4096})
+	w := openTest(t, Options{Dir: dir, Sync: SyncGroup, SegmentBytes: 4096})
 	const workers = 8
 	const perWorker = 100
 	published := make([][]uint64, workers)
@@ -423,7 +427,7 @@ func TestParseSyncMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncMode
-	}{{"always", SyncAlways}, {"group", SyncGroup}, {"none", SyncNone}} {
+	}{{"group", SyncGroup}, {"none", SyncNone}} {
 		got, err := ParseSyncMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", tc.in, got, err)
@@ -432,8 +436,99 @@ func TestParseSyncMode(t *testing.T) {
 			t.Fatalf("SyncMode(%q).String() = %q", tc.in, got.String())
 		}
 	}
-	if _, err := ParseSyncMode("sometimes"); err == nil {
-		t.Fatal("ParseSyncMode accepted garbage")
+	for _, bad := range []string{"always", "sometimes"} {
+		_, err := ParseSyncMode(bad)
+		if err == nil || !strings.Contains(err.Error(), "group") || !strings.Contains(err.Error(), "none") {
+			t.Fatalf("ParseSyncMode(%q) = %v, want an error naming group and none", bad, err)
+		}
+	}
+}
+
+// holdFS is the real filesystem with a gate on fsync. Once armed, the
+// first File.Sync blocks until release is closed, and every Write and
+// Sync call is counted.
+type holdFS struct {
+	OSFS
+	held, release chan struct{}
+
+	mu            sync.Mutex
+	armed         bool
+	writes, syncs int
+}
+
+type holdFile struct {
+	File
+	fs *holdFS
+}
+
+func (h *holdFS) Create(path string) (File, error) {
+	f, err := h.OSFS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &holdFile{f, h}, nil
+}
+
+func (f *holdFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	if f.fs.armed {
+		f.fs.writes++
+	}
+	f.fs.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (f *holdFile) Sync() error {
+	h := f.fs
+	h.mu.Lock()
+	hold := h.armed && h.syncs == 0
+	if h.armed {
+		h.syncs++
+	}
+	h.mu.Unlock()
+	if hold {
+		close(h.held)
+		<-h.release
+	}
+	return f.File.Sync()
+}
+
+// TestGroupFormsWhileFsyncBusy pins group commit: frames published
+// while a group's fsync is in progress leave together as the next
+// group, in one write and one fsync.
+func TestGroupFormsWhileFsyncBusy(t *testing.T) {
+	fs := &holdFS{held: make(chan struct{}), release: make(chan struct{})}
+	w := openTest(t, Options{Dir: t.TempDir(), FS: fs, Sync: SyncGroup})
+	defer w.Close()
+	fs.mu.Lock()
+	fs.armed = true // the segment is open: count from here
+	fs.mu.Unlock()
+
+	errs := make(chan error, 4)
+	go func() { errs <- w.Append(payload(1)) }()
+	<-fs.held // frame 1 is written and its fsync is in progress
+	for i := 2; i <= 4; i++ {
+		go func() { errs <- w.Append(payload(i)) }()
+	}
+	for w.LastLSN() != 4 { // frames 2–4 admitted behind the busy fsync
+		runtime.Gosched()
+	}
+	close(fs.release)
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+
+	fs.mu.Lock()
+	writes, syncs := fs.writes, fs.syncs
+	fs.mu.Unlock()
+	if writes != 2 || syncs != 2 {
+		t.Fatalf("%d writes and %d fsyncs for frame 1 and the three behind it, want 2 and 2", writes, syncs)
+	}
+	h := w.m.BatchFrames.Snapshot()
+	if h.Count != 2 || h.Buckets[obs.BucketIndex(1)] != 1 || h.Buckets[obs.BucketIndex(3)] != 1 {
+		t.Fatalf("wal_batch_size count=%d sum=%d, want the groups {1, 3}", h.Count, h.Sum)
 	}
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,17 +15,11 @@ import (
 type SyncMode uint8
 
 const (
-	// SyncGroup fsyncs batches: after the first pending frame the
-	// writer waits up to Options.MaxWait (or until Options.BatchSize
-	// frames are pending) before issuing one buffered write and one
+	// SyncGroup fsyncs groups: the log goroutine takes every frame
+	// pending when it runs and issues one buffered write and one
 	// fsync for the whole group. Every waiter is released only after
 	// the fsync covering its frame returns.
 	SyncGroup SyncMode = iota
-	// SyncAlways adds no batching window: every pending group is
-	// written and fsynced immediately. Concurrent publishers may
-	// still coalesce into one fsync, but no publisher ever waits for
-	// company.
-	SyncAlways
 	// SyncNone acknowledges before durability: Publish enqueues the
 	// frame and returns, and the log goroutine writes it out without
 	// fsync. A crash can lose acked ops; recovery still yields a
@@ -32,23 +27,19 @@ const (
 	SyncNone
 )
 
-// ParseSyncMode parses the -fsync flag values: always, group, none.
+// ParseSyncMode parses the -fsync flag values: group, none.
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
-	case "always":
-		return SyncAlways, nil
 	case "group":
 		return SyncGroup, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync mode %q (want always, group, or none)", s)
+	return 0, fmt.Errorf("wal: unknown sync mode %q (want group or none)", s)
 }
 
 func (m SyncMode) String() string {
 	switch m {
-	case SyncAlways:
-		return "always"
 	case SyncGroup:
 		return "group"
 	case SyncNone:
@@ -61,7 +52,7 @@ func (m SyncMode) String() string {
 // fields must be non-nil; NewMetrics wires them into a Registry under
 // the promised names.
 type Metrics struct {
-	AppendNs    *obs.AtomicHist // Publish call → frame durable (waiting modes only)
+	AppendNs    *obs.AtomicHist // Publish call → frame durable (SyncGroup only)
 	FsyncNs     *obs.AtomicHist // per-batch fsync duration
 	BatchFrames *obs.AtomicHist // frames coalesced per batch write
 	Bytes       *obs.Counter    // frame bytes appended
@@ -92,14 +83,6 @@ type Options struct {
 	// SegmentBytes triggers rotation once a segment reaches this
 	// size; default 64 MiB. Segments may overshoot by one batch.
 	SegmentBytes int64
-	// BatchSize caps the group-commit window: once this many frames
-	// are pending the batch is written without waiting out MaxWait.
-	// Default 64.
-	BatchSize int
-	// MaxWait is the group-commit window for SyncGroup: how long the
-	// log goroutine waits for company after the first pending frame.
-	// Default 200µs; ignored by SyncAlways and SyncNone.
-	MaxWait time.Duration
 	// Metrics defaults to a private unexported set.
 	Metrics *Metrics
 }
@@ -110,15 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 200 * time.Microsecond
-	}
-	if o.Sync != SyncGroup {
-		o.MaxWait = 0
 	}
 	if o.Metrics == nil {
 		o.Metrics = NewMetrics(obs.NewRegistry())
@@ -192,11 +166,11 @@ func (w *Writer) Abandon(t Ticket) {
 	w.kick()
 }
 
-// Publish writes payload as the frame for ticket t. Under SyncAlways
-// and SyncGroup it returns once the frame is durable (or the writer
-// failed); under SyncNone it returns as soon as the frame is
-// enqueued. A non-nil error means the frame is NOT acknowledged as
-// durable and the caller must not ack its client.
+// Publish writes payload as the frame for ticket t. Under SyncGroup
+// it returns once the frame is durable (or the writer failed); under
+// SyncNone it returns as soon as the frame is enqueued. A non-nil
+// error means the frame is NOT acknowledged as durable and the caller
+// must not ack its client.
 func (w *Writer) Publish(t Ticket, payload []byte) error {
 	if err := checkPayload(payload); err != nil {
 		w.Abandon(t)
@@ -331,9 +305,16 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// run is the log goroutine: it steals the pending buffer, optionally
-// waits out the group-commit window, performs one buffered write and
-// one fsync per batch, and releases the batch's waiters.
+// run is the log goroutine: it steals the pending buffer, performs
+// one buffered write and one fsync per group, and releases the group's
+// waiters.
+//
+// Under SyncGroup it yields once before taking a group. A goroutine
+// that is already runnable — typically a connection that has just
+// committed and is about to Publish — then joins this group instead of
+// waiting out a whole fsync for the next one. On an idle server the
+// yield returns at once, so a lone publisher waits for no company; no
+// timer holds a group open.
 func (w *Writer) run() {
 	defer close(w.exited)
 	for {
@@ -343,32 +324,10 @@ func (w *Writer) run() {
 			w.finish()
 			return
 		}
-		if w.opts.MaxWait > 0 {
-			w.waitWindow()
+		if w.opts.Sync == SyncGroup {
+			runtime.Gosched()
 		}
 		w.flushPending(false)
-	}
-}
-
-// waitWindow holds the batch open for MaxWait after the first pending
-// frame, closing early at BatchSize frames or on shutdown.
-func (w *Writer) waitWindow() {
-	deadline := time.NewTimer(w.opts.MaxWait)
-	defer deadline.Stop()
-	for {
-		w.mu.Lock()
-		full := w.pendN >= w.opts.BatchSize
-		w.mu.Unlock()
-		if full {
-			return
-		}
-		select {
-		case <-deadline.C:
-			return
-		case <-w.notify:
-		case <-w.quit:
-			return
-		}
 	}
 }
 
