@@ -23,8 +23,14 @@ test:
 # race also runs the coalescing gate on one engine under the detector:
 # feed tailers, pipelined load, the coalescer, group fsync and drain in
 # one process is the most concurrent configuration in the repository.
+#
+# CONN_TESTS, the connection's order, window and answer contracts, run ten
+# times more under the detector: one pass rarely meets the interleaving
+# of completions that would break them.
+CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFrameReadAfterOwedReplies|TestRingKeepsRequestOrder|TestPipelineWindowIsExact|TestShardQueueFullRepliesInOrder|TestRequestsCountedBeforeReplies
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver
 	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
 
 # GO_FILES is the tree's own Go source, one list for fmt and loc:

@@ -37,7 +37,7 @@ type Feed struct {
 	next   uint64        // next seq to assign (1-based)
 	start  uint64        // oldest seq still retained
 	buf    []Event       // ring storage, len == capacity
-	wake   chan struct{} // closed and replaced on every append
+	wake   chan struct{} // handed to waiters by Next; closed on the next append
 	closed bool
 }
 
@@ -58,7 +58,6 @@ func NewFeed(capacity int, events *obs.Counter) *Feed {
 		next:     1,
 		start:    1,
 		buf:      make([]Event, capacity),
-		wake:     make(chan struct{}),
 	}
 	f.seq = ticket.New(slices.Clone[[]Event], f.appendLocked)
 	return f
@@ -134,6 +133,9 @@ func (f *Feed) Next(cursor uint64, dst []Event, max int) (batch []Event, next ui
 	if f.closed {
 		return nil, cursor, nil, true, nil
 	}
+	if f.wake == nil {
+		f.wake = make(chan struct{})
+	}
 	return nil, cursor, f.wake, false, nil
 }
 
@@ -157,7 +159,12 @@ func (f *Feed) Close() {
 	f.wakeLocked()
 }
 
+// wakeLocked wakes the waiters Next has handed the current channel to.
+// The next one is made only when Next hands one out again, so an append
+// with no subscriber waiting allocates nothing.
 func (f *Feed) wakeLocked() {
-	close(f.wake)
-	f.wake = make(chan struct{})
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
+	}
 }

@@ -111,6 +111,17 @@ func TestFeedCursorZeroSkipsHistory(t *testing.T) {
 	}
 }
 
+// TestFeedPublishWithoutWaiterDoesNotAllocate: an in-order Publish that
+// no subscriber waits on costs no allocation — the wake channel is made
+// only when Next hands one out.
+func TestFeedPublishWithoutWaiterDoesNotAllocate(t *testing.T) {
+	f := coalesce.NewFeed(16, nil)
+	events := []coalesce.Event{{Key: 1}}
+	if got := testing.AllocsPerRun(1000, func() { f.Publish(f.Reserve(), events) }); got != 0 {
+		t.Fatalf("%.2f allocations per Publish with no subscriber waiting, want 0", got)
+	}
+}
+
 // TestFeedCloseDrainsThenDone pins shutdown: Close wakes waiters,
 // remaining events stay readable, and only then does Next report done.
 func TestFeedCloseDrainsThenDone(t *testing.T) {

@@ -139,8 +139,18 @@ func (c *redoCursor) u64() uint64 {
 	return v
 }
 
-// DecodeRedo decodes one record. It never panics on arbitrary bytes
-// and rejects trailing garbage.
+// key reads the key of a mutation, which is never a reserved sentinel.
+func (c *redoCursor) key() stm.Word {
+	k := stm.Word(c.u64())
+	if k == emptyKey || k == tombKey {
+		c.fail(fmt.Errorf("txkv: redo record names reserved key %d", k))
+	}
+	return k
+}
+
+// DecodeRedo decodes one record. It never panics on arbitrary bytes,
+// rejects trailing garbage and refuses a mutation of a reserved key,
+// which no acknowledged operation can have made.
 func DecodeRedo(payload []byte) ([]RedoEntry, error) {
 	c := &redoCursor{b: payload}
 	n := int(c.u16())
@@ -152,11 +162,14 @@ func DecodeRedo(payload []byte) ([]RedoEntry, error) {
 		var e RedoEntry
 		e.Op = RedoOp(c.u8())
 		switch e.Op {
-		case RedoInit, RedoPut:
+		case RedoInit:
 			e.Key = stm.Word(c.u64())
 			e.Val = stm.Word(c.u64())
+		case RedoPut:
+			e.Key = c.key()
+			e.Val = stm.Word(c.u64())
 		case RedoDelete:
-			e.Key = stm.Word(c.u64())
+			e.Key = c.key()
 		case RedoTransfer:
 			e.Amount = stm.Word(c.u64())
 			nk := int(c.u16())
@@ -165,7 +178,7 @@ func DecodeRedo(payload []byte) ([]RedoEntry, error) {
 			}
 			e.Keys = make([]stm.Word, nk)
 			for j := range e.Keys {
-				e.Keys[j] = stm.Word(c.u64())
+				e.Keys[j] = c.key()
 			}
 		default:
 			c.fail(fmt.Errorf("txkv: redo entry %d has unknown op %d", i, e.Op))
@@ -182,6 +195,12 @@ func DecodeRedo(payload []byte) ([]RedoEntry, error) {
 	}
 	return entries, nil
 }
+
+// MaxKeys bounds the population a store is built for from a log's init
+// record. ConfigForKeys provisions four slots per key, a 128 MiB slot
+// table at this bound; a forged population could ask for terabytes of it
+// before any engine's arena refused the first object.
+const MaxKeys = 1 << 22
 
 // initChunk bounds the keys seeded per prefill transaction, keeping
 // the allocation transactions short on every engine.
@@ -239,10 +258,18 @@ func (s *Store) ApplyRedo(th stm.Thread, entries []RedoEntry) error {
 // holds no frames (a fresh directory: the caller seeds and logs
 // RedoInit itself). A log whose first frame is not a RedoInit record,
 // or whose records diverge from the rebuilt store, is an error — the
-// log does not describe a txkv history.
+// log does not describe a txkv history. So is a record the store cannot
+// apply — an init population over MaxKeys or beyond the engine's arena,
+// a shard overflowing: its panic, already rolled back by the engine,
+// becomes an error naming the frame.
 func ReplayWAL(fs wal.FS, dir string, th stm.Thread) (*Store, wal.RecoverInfo, error) {
 	var s *Store
-	info, err := wal.Recover(fs, dir, func(lsn uint64, payload []byte) error {
+	info, err := wal.Recover(fs, dir, func(lsn uint64, payload []byte) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("frame %d: %v", lsn, r)
+			}
+		}()
 		entries, err := DecodeRedo(payload)
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", lsn, err)
@@ -250,6 +277,9 @@ func ReplayWAL(fs wal.FS, dir string, th stm.Thread) (*Store, wal.RecoverInfo, e
 		if s == nil {
 			if len(entries) != 1 || entries[0].Op != RedoInit {
 				return fmt.Errorf("frame %d: log does not begin with an init record", lsn)
+			}
+			if entries[0].Key > MaxKeys {
+				return fmt.Errorf("frame %d: init population %d over txkv.MaxKeys (%d)", lsn, entries[0].Key, MaxKeys)
 			}
 			s = NewInitialized(th, int(entries[0].Key), entries[0].Val)
 			return nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"swisstm/internal/harness"
 	"swisstm/internal/stm"
 	"swisstm/internal/txkv"
 	"swisstm/internal/wal"
@@ -198,5 +199,73 @@ func TestReplayStopsAtTornTail(t *testing.T) {
 		if v, ok := s.Get(tx, 1); !ok || v != 11 {
 			t.Fatalf("clean-prefix Get(1) = %d,%v", v, ok)
 		}
+	})
+}
+
+// replayTwoFrames writes, through the real writer, an init record of keys
+// keys and then payload, and replays the log on a SwissTM store whose
+// arena holds 1<<16 words. It reports the replay's error, and skips a
+// payload the writer refuses.
+func replayTwoFrames(t *testing.T, keys uint64, payload []byte) error {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecord(t, w, []txkv.RedoEntry{{Op: txkv.RedoInit, Key: stm.Word(keys), Val: 100}})
+	if err := w.Append(payload); err != nil {
+		w.Close()
+		t.Skipf("the writer refuses the payload: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	th := harness.EngineSpec{Kind: "swisstm", ArenaWords: 1 << 16}.New().NewThread(0)
+	_, _, err = txkv.ReplayWAL(wal.OSFS{}, dir, th)
+	return err
+}
+
+// redoPut encodes a one-put record. AppendRedo checks no key, so it
+// encodes a sentinel key too.
+func redoPut(key stm.Word) []byte {
+	b, _ := txkv.AppendRedo(nil, []txkv.RedoEntry{{Op: txkv.RedoPut, Key: key, Val: 1}})
+	return b
+}
+
+// TestReplayRefusesWhatTheStoreCannotHold: a put of a sentinel key, an
+// init population beyond the arena and one beyond any memory are each an
+// error naming its frame, not a crash.
+func TestReplayRefusesWhatTheStoreCannotHold(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		keys    uint64
+		payload []byte
+		frame   string
+	}{
+		{"sentinel key", 64, redoPut(0), "frame 2"},
+		{"over the arena", 1 << 20, redoPut(1), "frame 1"},
+		{"over MaxKeys", 1 << 40, redoPut(1), "frame 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := replayTwoFrames(t, c.keys, c.payload); err == nil || !strings.Contains(err.Error(), c.frame) {
+				t.Fatalf("replay: %v, want an error naming %s", err, c.frame)
+			}
+		})
+	}
+}
+
+// FuzzReplayWAL: recovery of a checksum-valid log — an init record, then
+// an arbitrary redo payload — returns a store or an error and never
+// crashes the process.
+func FuzzReplayWAL(f *testing.F) {
+	transfer, _ := txkv.AppendRedo(nil, []txkv.RedoEntry{{Op: txkv.RedoTransfer, Amount: 5, Keys: []stm.Word{1, 2, 3}}})
+	f.Add(uint64(64), redoPut(0))
+	f.Add(uint64(1<<20), redoPut(1))
+	f.Add(uint64(1<<40), redoPut(1))
+	f.Add(uint64(64), redoPut(7))
+	f.Add(uint64(64), transfer)
+	f.Fuzz(func(t *testing.T, keys uint64, payload []byte) {
+		replayTwoFrames(t, keys, payload)
 	})
 }

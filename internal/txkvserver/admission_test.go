@@ -326,7 +326,7 @@ func TestMaxConnsRejected(t *testing.T) {
 // metrics layer: the total histogram records exactly the sum of the
 // six phase sums, so per-phase time can never leak out of (or
 // double-count into) the end-to-end figure — whether a request is
-// recorded in one call or, as connWriter does around a pass, counted
+// recorded in one call or, as writePass does around a pass, counted
 // first and observed later.
 func TestTotalIsPhaseSum(t *testing.T) {
 	phases := [phaseCount]uint64{1, 20, 300, 4000, 50_000, 600_000}

@@ -1,7 +1,11 @@
 package txkvserver
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +258,50 @@ func TestSubscribeStreamsCommitsInOrder(t *testing.T) {
 			t.Fatalf("key %d saw a fourth event: %+v", e.Key, e)
 		}
 		perKey[e.Key]++
+	}
+}
+
+// hookConn runs onWrite on every socket write, which fails once onWrite
+// returns false.
+type hookConn struct {
+	net.Conn
+	onWrite func(reply txkvwire.Reply) bool
+}
+
+func (h hookConn) Write(p []byte) (int, error) {
+	payload, err := txkvwire.ReadFrame(bytes.NewReader(p), nil)
+	if err != nil {
+		return 0, err
+	}
+	reply, err := txkvwire.DecodeReply(payload)
+	if err != nil || !h.onWrite(reply) {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+func (h hookConn) Close() error { return nil }
+
+// TestSubscribeFromNowStartsAtTheAck: a commit published the moment the
+// subscribe ack is on the wire — before the stream first polls its feed —
+// is streamed. A "from now" resolved at that first poll skipped it, so a
+// client that committed after reading its ack could miss its own write.
+func TestSubscribeFromNowStartsAtTheAck(t *testing.T) {
+	srv := startCoalesced(t, "swisstm", 64, Config{})
+	f := srv.feeds[0]
+	var frames []txkvwire.Reply
+	nc := hookConn{onWrite: func(reply txkvwire.Reply) bool {
+		if frames = append(frames, reply); len(frames) == 1 {
+			f.Publish(f.Reserve(), []coalesce.Event{{Key: 3, Val: 77}})
+		}
+		return len(frames) < 2
+	}}
+	c := &conn{s: srv, nc: nc, bw: bufio.NewWriterSize(nc, 4<<10)}
+	srv.wg.Add(1) // subscribe trades the request plane's slot for a subscriber's
+	c.subscribe(txkvwire.Req{Op: txkvwire.OpSubscribe, Shard: 0}, 0)
+	srv.subWg.Done()
+	if len(frames) != 2 || len(frames[1].Events) != 1 || frames[1].Events[0].Key != 3 {
+		t.Fatalf("frames %+v, want the ack and then the event for key 3", frames)
 	}
 }
 

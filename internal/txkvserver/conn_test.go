@@ -74,14 +74,14 @@ func pipeline(t *testing.T, addr string, window, n int, req func(i int) txkvwire
 }
 
 // waitGoroutines waits for the process to fall back to at most limit
-// goroutines: the connection goroutines and reply writers of closed
-// connections exit on their own, shortly after the close.
+// goroutines: the goroutines of closed connections exit on their own,
+// shortly after the close.
 func waitGoroutines(t *testing.T, limit int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > limit {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left, want at most %d: a connection goroutine or reply writer did not exit",
+			t.Fatalf("%d goroutines left, want at most %d: a connection goroutine did not exit",
 				runtime.NumGoroutine(), limit)
 		}
 		time.Sleep(time.Millisecond)
@@ -242,9 +242,9 @@ func TestSubscribeAckedAfterCoalescedReplies(t *testing.T) {
 }
 
 // TestNoPerRequestGoroutines: under 8 pipelined connections × window 16
-// the process holds a bounded number of goroutines per connection — one
-// on the server with coalescing off, two with it on — however many
-// requests are in flight. (The test's own pipes add two each.)
+// the server holds one goroutine per connection on both paths, however
+// many requests are in flight. (The test adds two per connection: its
+// collector and the pipe's submitter.)
 func TestNoPerRequestGoroutines(t *testing.T) {
 	const conns, window, perConn = 8, 16, 4000
 	for _, coalesce := range []bool{false, true} {
@@ -311,9 +311,9 @@ func TestNoPerRequestGoroutines(t *testing.T) {
 			}
 			wg.Wait()
 			close(stop)
-			// Sampler + per connection: serving goroutine, reply writer
-			// (coalescing on), the pipe's collector and submitter.
-			if got, limit := <-peak, idle+1+4*conns+4; got > limit {
+			// Sampler + per connection: the connection goroutine, the
+			// test's collector and the pipe's submitter.
+			if got, limit := <-peak, idle+1+3*conns+4; got > limit {
 				t.Fatalf("%d goroutines under %d×%d in-flight requests (idle %d, limit %d): something spawns per request",
 					got, conns, window, idle, limit)
 			}
@@ -446,8 +446,8 @@ func burstOnHeldShard(t *testing.T, srv *Server, window int) (nc net.Conn, relea
 // TestClientGoneWithItemsInFlight is the third, teardown: the client goes
 // away (orderly, or with a reset that makes the reply write fail) while
 // its whole window is in flight, held queued on a shard. The accepted
-// items still execute, the writer answers or discards them, and both of
-// the connection's goroutines exit.
+// items still execute, the connection goroutine answers or discards
+// them, and exits.
 func TestClientGoneWithItemsInFlight(t *testing.T) {
 	for _, reset := range []bool{false, true} {
 		name := "close"

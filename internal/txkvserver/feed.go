@@ -30,10 +30,15 @@ const feedHeartbeat = 500 * time.Millisecond
 // reply is out (serve waited for the in-flight coalesced ones), so the
 // connection leaves the request plane: it releases its wg slot for a
 // subWg one (Add before Done keeps shutdown's subWg.Wait race-free),
-// acks, and streams until the feed closes or the client goes away.
+// acks, and streams until the feed closes or the client goes away. "From
+// now" is resolved before the ack, so a commit the client makes after
+// reading the ack is streamed.
 func (c *conn) subscribe(req txkvwire.Req, parseNs uint64) {
 	c.s.subWg.Add(1)
 	c.s.wg.Done()
+	if req.From == 0 {
+		req.From = c.s.feeds[req.Shard].End()
+	}
 	r0 := time.Now()
 	if c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe}, true) {
 		c.s.m.record(txkvwire.OpSubscribe, [phaseCount]uint64{phaseParse: parseNs, phaseReply: uint64(time.Since(r0))})

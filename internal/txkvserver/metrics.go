@@ -129,10 +129,10 @@ func (m *metrics) record(op txkvwire.Op, phases [phaseCount]uint64) {
 	m.observe(op, phases)
 }
 
-// observe is record less the count, for connWriter, which counts a
-// request before its reply is written and knows its reply phase only
-// after. The total histogram records the phase sum, so per-op totals and
-// phase splits agree by construction.
+// observe is record less the count, for a pass of coalesced replies,
+// which counts a request before its reply is written and knows its reply
+// phase only after. The total histogram records the phase sum, so per-op
+// totals and phase splits agree by construction.
 func (m *metrics) observe(op txkvwire.Op, phases [phaseCount]uint64) {
 	om := &m.ops[int(op)]
 	var total uint64

@@ -5,48 +5,35 @@ import (
 	"time"
 
 	"swisstm/internal/coalesce"
-	"swisstm/internal/txkvwire"
 )
 
 // The reply ring (DESIGN.md §14.2): a connection's in-flight coalesced
-// items, in request order, between the three parties that touch them.
-// The connection goroutine reserves the slot at tail and enqueues the item
-// embedded in it; the item's shard flusher completes it, in whatever
-// order batches happen to flush; connWriter answers from head in waves —
-// once the head completes, it waits for the rest of what was in flight
-// then, and sends it all in one write. One mutex, two conds, and no
-// allocation per request.
+// items, in request order. The connection goroutine reserves and answers
+// them; shard flushers complete them, in whatever order batches flush.
 
 // slot is one in-flight coalesced item and its place in the reply order.
 // The item is queued on its shard by pointer and the slot is its sink.
 type slot struct {
 	coalesce.Item
 	ring    *replyRing
-	seq     uint64 // request sequence number: this is ring.slots[seq % len]
-	op      txkvwire.Op
 	parseNs uint64
 	res     coalesce.Result
-	done    bool
 }
 
 type replyRing struct {
-	mu    sync.Mutex
-	ready sync.Cond // the head or the open wave completed, or the ring closed: wakes connWriter
-	space sync.Cond // head advanced: wakes the connection goroutine
-	slots []slot    // Config.Pipeline of them: the window
-	// Slots [head, tail) are in flight. head == tail, seen under mu by
-	// the connection goroutine, is the hand-over of the reply side to it.
+	slots []slot // Config.Pipeline of them: the window
+	// Slots [head, tail) are reserved and not yet answered. Only the
+	// connection goroutine touches head and tail.
 	head, tail uint64
-	// Slots [head, wave) are the open wave, undone of them not yet
-	// completed; wave <= head means no wave is open.
-	wave   uint64
-	undone int
-	closed bool
+
+	mu     sync.Mutex
+	idle   sync.Cond // undone reached 0: wakes the connection goroutine in answer
+	undone int       // reserved slots not yet completed
 }
 
 func newReplyRing(window int) *replyRing {
 	r := &replyRing{slots: make([]slot, window)}
-	r.ready.L, r.space.L = &r.mu, &r.mu
+	r.idle.L = &r.mu
 	for i := range r.slots {
 		r.slots[i].ring = r
 	}
@@ -55,124 +42,61 @@ func newReplyRing(window int) *replyRing {
 
 func (r *replyRing) at(seq uint64) *slot { return &r.slots[seq%uint64(len(r.slots))] }
 
+func (r *replyRing) full() bool { return r.tail-r.head == uint64(len(r.slots)) }
+
 // reserve takes the next slot in request order for an item about to be
-// enqueued, blocking while the window is full; waited says it did.
-func (r *replyRing) reserve(op txkvwire.Op, parseNs uint64) (sl *slot, waited bool) {
-	r.mu.Lock()
-	for r.tail-r.head == uint64(len(r.slots)) {
-		waited = true
-		r.space.Wait()
-	}
-	sl = r.at(r.tail)
-	sl.seq, sl.op, sl.parseNs, sl.done = r.tail, op, parseNs, false
+// enqueued. The window must not be full.
+func (r *replyRing) reserve(parseNs uint64) *slot {
+	sl := r.at(r.tail)
+	sl.parseNs = parseNs
 	r.tail++
+	r.mu.Lock()
+	r.undone++
 	r.mu.Unlock()
-	return sl, waited
+	return sl
 }
 
 // unreserve gives the last reserved slot back: its item was refused, so
-// nobody will complete it — and a wave that counted it must not wait for
-// it.
+// nobody will complete it.
 func (r *replyRing) unreserve() {
-	r.mu.Lock()
 	r.tail--
-	if r.tail < r.wave {
-		r.wave = r.tail
-		if r.undone--; r.undone == 0 {
-			r.ready.Signal()
-		}
-	}
-	r.mu.Unlock()
-}
-
-// waitIdle blocks until every reserved slot has been answered. On return
-// the caller owns the connection's reply side.
-func (r *replyRing) waitIdle() {
 	r.mu.Lock()
-	for r.head != r.tail {
-		r.space.Wait()
-	}
-	r.mu.Unlock()
-}
-
-// close tells connWriter to exit once the ring is idle, and waits for
-// that idleness.
-func (r *replyRing) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.ready.Signal()
-	for r.head != r.tail {
-		r.space.Wait()
-	}
+	r.undone--
 	r.mu.Unlock()
 }
 
 // Complete is the slot's coalesce.Sink: called once by the shard flusher
-// that executed (or shed) the item. It never blocks, and wakes the writer
-// only when it is what the writer waits for: the head, or the last undone
-// slot of the open wave.
+// that executed (or shed) the item. It never blocks, and wakes the
+// connection goroutine only when the last reserved slot completes.
 func (sl *slot) Complete(res coalesce.Result) {
 	r := sl.ring
 	r.mu.Lock()
-	sl.res, sl.done = res, true
-	var wake bool
-	if sl.seq < r.wave {
-		r.undone--
-		wake = r.undone == 0
-	} else {
-		wake = sl.seq == r.head
+	sl.res = res
+	if r.undone--; r.undone == 0 {
+		r.idle.Signal()
 	}
 	r.mu.Unlock()
-	if wake {
-		r.ready.Signal()
-	}
 }
 
-// connWriter sends the replies of a connection's coalesced items in
-// request order, in waves. When the head slot completes it opens a wave —
-// the slots reserved at that moment — and waits until all of them have
-// completed; then it takes every consecutive completed slot in one pass
-// and one flush. A reply so waits only for items that were already
-// queued or executing when its wave opened, never for a later request,
-// and the writer never parks on unflushed replies. head moves only after
-// the flush: the connection goroutine may take the reply side the moment
-// it sees the ring idle. After a write error it keeps consuming — wait,
-// discard, advance — so the connection goroutine is never left blocked on
-// the window. It exits when serveConn has closed the ring and the ring is
-// idle, and touches nothing after its last advance.
-func (c *conn) connWriter() {
-	r := c.ring
-	r.mu.Lock()
-	for {
-		for r.head == r.tail || !r.at(r.head).done {
-			if r.closed && r.head == r.tail {
-				r.mu.Unlock()
-				return
-			}
-			r.ready.Wait()
-		}
-		r.wave, r.undone = r.tail, 0
-		for seq := r.head + 1; seq != r.tail; seq++ {
-			if !r.at(seq).done {
-				r.undone++
-			}
-		}
+// answer waits until every reserved slot has completed, then writes their
+// replies in one pass and one flush. A reply so waits only for the items
+// in flight beside it: serve answers before a blocking read, so a later
+// request is not read until the pass is written. After a write error it
+// still waits, so no item is left queued, and discards the replies. It
+// reports whether the reply side is still usable.
+func (c *conn) answer() bool {
+	if r := c.ring; r != nil && r.head != r.tail {
+		r.mu.Lock()
 		for r.undone > 0 {
-			r.ready.Wait()
-		}
-		start, end := r.head, r.wave
-		for end != r.tail && r.at(end).done {
-			end++
+			r.idle.Wait()
 		}
 		r.mu.Unlock()
-		// Slots [start, end) are the writer's alone until head passes them.
 		if !c.failed {
-			c.writePass(start, end)
+			c.writePass(r.head, r.tail)
 		}
-		r.mu.Lock()
-		r.head = end
-		r.space.Signal()
+		r.head = r.tail
 	}
+	return !c.failed
 }
 
 // writePass answers slots [start, end) and books them. The pass is timed
@@ -186,14 +110,14 @@ func (c *conn) writePass(start, end uint64) {
 	p0 := time.Now()
 	for seq := start; seq != end; seq++ {
 		sl := r.at(seq)
-		m.ops[sl.op].requests.Inc()
-		if !c.writeReply(c.s.coalescedReply(sl.op, sl.res), seq+1 == end) {
+		m.ops[sl.Op].requests.Inc()
+		if !c.writeReply(c.s.coalescedReply(sl.Op, sl.res), seq+1 == end) {
 			return
 		}
 	}
 	share := uint64(time.Since(p0)) / (end - start)
 	for seq := start; seq != end; seq++ {
 		sl := r.at(seq)
-		m.observe(sl.op, [phaseCount]uint64{sl.parseNs, sl.res.QueueNs, sl.res.TxnNs, sl.res.CommitNs, sl.res.WalNs, share})
+		m.observe(sl.Op, [phaseCount]uint64{sl.parseNs, sl.res.QueueNs, sl.res.TxnNs, sl.res.CommitNs, sl.res.WalNs, share})
 	}
 }

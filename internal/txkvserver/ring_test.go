@@ -3,6 +3,8 @@ package txkvserver
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -13,131 +15,171 @@ import (
 	"swisstm/internal/txkvwire"
 )
 
-// The wave rule (DESIGN.md §14.2), driven slot by slot: a connWriter over
-// a connection that records its socket writes, and slots completed by
-// hand in a chosen order.
+// The answer rule (DESIGN.md §14.2), driven slot by slot and frame by
+// frame over a connection that records its socket reads and writes.
 
-// wireConn counts the reply frames in each socket write.
+// wireConn serves the request bytes a test feeds it and logs, in order,
+// how many frames each socket read and write carried.
 type wireConn struct {
 	net.Conn
+	in     chan []byte // closed: the client is gone
 	mu     sync.Mutex
-	writes []int
+	events []string
+}
+
+// newWireConn's input holds a few chunks, so a test can feed frames the
+// server has not read yet without blocking.
+func newWireConn() *wireConn { return &wireConn{in: make(chan []byte, 4)} }
+
+// Read hands over one fed chunk; chunks are far smaller than the server's
+// read buffer.
+func (w *wireConn) Read(p []byte) (int, error) {
+	b, ok := <-w.in
+	if !ok {
+		return 0, io.EOF
+	}
+	w.record("read", b)
+	return copy(p, b), nil
 }
 
 func (w *wireConn) Write(p []byte) (int, error) {
-	n := 0
-	for r := bytes.NewReader(p); r.Len() > 0; n++ {
-		if _, err := txkvwire.ReadFrame(r, nil); err != nil {
-			return 0, err
-		}
-	}
-	w.mu.Lock()
-	w.writes = append(w.writes, n)
-	w.mu.Unlock()
+	w.record("write", p)
 	return len(p), nil
 }
 
 func (w *wireConn) Close() error { return nil }
 
-// sent returns the replies of each socket write so far.
-func (w *wireConn) sent() []int {
+func (w *wireConn) record(what string, p []byte) {
+	n := 0
+	for r := bytes.NewReader(p); r.Len() > 0; n++ {
+		if _, err := txkvwire.ReadFrame(r, nil); err != nil {
+			n = -1 // a torn frame
+			break
+		}
+	}
+	w.mu.Lock()
+	w.events = append(w.events, fmt.Sprintf("%s %d", what, n))
+	w.mu.Unlock()
+}
+
+// sent returns the socket reads and writes so far.
+func (w *wireConn) sent() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return slices.Clone(w.writes)
+	return slices.Clone(w.events)
 }
 
-// startWriter runs a connWriter over a fresh ring of the given window and
-// stops it at cleanup — unless the test failed, when the ring may never
-// go idle.
-func startWriter(t *testing.T, window int) (*replyRing, *wireConn) {
-	w := &wireConn{}
-	c := &conn{s: &Server{m: newMetrics(1)}, nc: w, bw: bufio.NewWriterSize(w, 4<<10), ring: newReplyRing(window)}
-	go c.connWriter()
-	t.Cleanup(func() {
-		if !t.Failed() {
-			c.ring.close()
-		}
-	})
-	return c.ring, w
+// newRingConn is a connection with a ring of the given window over a
+// wireConn.
+func newRingConn(window int) (*conn, *wireConn) {
+	w := newWireConn()
+	return &conn{s: &Server{m: newMetrics(1)}, nc: w, bw: bufio.NewWriterSize(w, 4<<10), ring: newReplyRing(window)}, w
 }
 
-// reserve takes n slots in request order.
+// reserve takes n slots in request order and arms their items as puts.
 func reserve(r *replyRing, n int) []*slot {
 	sls := make([]*slot, n)
 	for i := range sls {
-		sls[i], _ = r.reserve(txkvwire.OpPut, 0)
+		sls[i] = r.reserve(0)
+		sls[i].Init(coalesce.OpPut, 1, 1, 0, time.Time{}, sls[i])
 	}
 	return sls
 }
 
 func complete(sl *slot) { sl.Complete(coalesce.Result{OK: true}) }
 
-// eventually polls cond, under the ring's lock, until it holds.
-func eventually(t *testing.T, r *replyRing, what string, cond func() bool) {
+// answerWithin runs answer and fails the test if it does not return.
+func answerWithin(t *testing.T, c *conn) {
 	t.Helper()
+	done := make(chan bool, 1)
+	go func() { done <- c.answer() }()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("answer: the reply side failed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("answer never returned")
+	}
+}
+
+// TestAnswerWritesWindowOnce: the head of a full window completes first,
+// the other fifteen after it in reverse order. answer waits for all of
+// them and sends the sixteen replies in one socket write.
+func TestAnswerWritesWindowOnce(t *testing.T) {
+	const window = 16
+	c, w := newRingConn(window)
+	sls := reserve(c.ring, window)
+	go func() {
+		complete(sls[0])
+		for i := window - 1; i > 0; i-- {
+			time.Sleep(100 * time.Microsecond)
+			complete(sls[i])
+		}
+	}()
+	answerWithin(t, c)
+	if got := w.sent(); !slices.Equal(got, []string{"write 16"}) {
+		t.Fatalf("socket writes %v, want the window in one", got)
+	}
+}
+
+// TestUnreserveDoesNotStallAnswer: the last slot given back by unreserve
+// — its item was refused, a shard queue full — is not waited for: answer
+// writes the rest.
+func TestUnreserveDoesNotStallAnswer(t *testing.T) {
+	c, w := newRingConn(4)
+	sls := reserve(c.ring, 3)
+	complete(sls[0])
+	complete(sls[1])
+	c.ring.unreserve()
+	answerWithin(t, c)
+	if got := w.sent(); !slices.Equal(got, []string{"write 2"}) {
+		t.Fatalf("socket writes %v, want [write 2]", got)
+	}
+}
+
+// TestFrameReadAfterOwedReplies: a put is held queued on its shard when
+// the next frame arrives. The connection goroutine does not read that
+// frame until the put's reply is written, so a later request cannot hold
+// a pass back.
+func TestFrameReadAfterOwedReplies(t *testing.T) {
+	srv := startCoalesced(t, "swisstm", 64, Config{})
+	release := holdShard(t, srv, 1)
+	w := newWireConn()
+	c := &conn{s: srv, nc: w, br: bufio.NewReaderSize(w, 16<<10), bw: bufio.NewWriterSize(w, 4<<10),
+		cm: coalesce.NewCommit(srv.store, srv.wal, srv.feeds), ring: newReplyRing(srv.cfg.Pipeline)}
+	served := make(chan struct{})
+	go func() {
+		c.serve()
+		c.answer()
+		close(served)
+	}()
+
+	w.in <- putFrames(t, 1, 100, 1)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		r.mu.Lock()
-		ok := cond()
-		r.mu.Unlock()
-		if ok {
-			return
+		c.ring.mu.Lock()
+		queued := c.ring.undone == 1
+		c.ring.mu.Unlock()
+		if queued {
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting until %s", what)
+			t.Fatal("the first put was never enqueued")
 		}
 	}
-}
-
-// TestWaveWritesWindowOnce: the head of a full window completes first,
-// the other fifteen after it in reverse order. The writer waits out the
-// wave the head opened and sends all sixteen replies in one socket write.
-func TestWaveWritesWindowOnce(t *testing.T) {
-	const window = 16
-	r, w := startWriter(t, window)
-	sls := reserve(r, window)
-	complete(sls[0])
-	eventually(t, r, "the writer has seen the head", func() bool { return r.wave != 0 || r.head != 0 })
-	for i := window - 1; i > 0; i-- {
-		complete(sls[i])
+	w.in <- putFrames(t, 1, 101, 1)
+	time.Sleep(20 * time.Millisecond) // a goroutine that read on would have taken the frame by now
+	if got := w.sent(); !slices.Equal(got, []string{"read 1"}) {
+		t.Fatalf("socket reads and writes %v with the first reply owed, want [read 1]", got)
 	}
-	eventually(t, r, "the window is answered", func() bool { return r.head == window })
-	if got := w.sent(); !slices.Equal(got, []int{window}) {
-		t.Fatalf("replies per socket write %v, want the window in one", got)
+	release()
+	close(w.in)
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection never finished")
 	}
-}
-
-// TestWaveIgnoresLaterRequests: a request reserved after the head's wave
-// opened does not hold that wave's write back.
-func TestWaveIgnoresLaterRequests(t *testing.T) {
-	r, w := startWriter(t, 4)
-	sls := reserve(r, 2)
-	complete(sls[0])
-	eventually(t, r, "the wave opens", func() bool { return r.wave == 2 })
-	late := reserve(r, 1)[0]
-	complete(sls[1])
-	eventually(t, r, "the wave is answered", func() bool { return r.head == 2 })
-	if got := w.sent(); !slices.Equal(got, []int{2}) {
-		t.Fatalf("replies per socket write %v with the later request pending, want [2]", got)
-	}
-	complete(late)
-	eventually(t, r, "the later request is answered", func() bool { return r.head == 3 })
-	if got := w.sent(); !slices.Equal(got, []int{2, 1}) {
-		t.Fatalf("replies per socket write %v, want [2 1]", got)
-	}
-}
-
-// TestUnreserveInsideWave: a slot given back by unreserve — its item was
-// refused, a shard queue full — after the wave that counts it opened is
-// no longer waited for: the writer answers the rest of the wave.
-func TestUnreserveInsideWave(t *testing.T) {
-	r, w := startWriter(t, 4)
-	sls := reserve(r, 3)
-	complete(sls[0])
-	eventually(t, r, "the wave opens", func() bool { return r.wave == 3 })
-	complete(sls[1])
-	r.unreserve()
-	eventually(t, r, "the wave is answered", func() bool { return r.head == 2 && r.tail == 2 })
-	if got := w.sent(); !slices.Equal(got, []int{2}) {
-		t.Fatalf("replies per socket write %v, want [2]", got)
+	if got, want := w.sent(), []string{"read 1", "write 1", "read 1", "write 1"}; !slices.Equal(got, want) {
+		t.Fatalf("socket reads and writes %v, want %v", got, want)
 	}
 }

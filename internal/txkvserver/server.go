@@ -115,8 +115,8 @@ func (c *Config) fill() error {
 	if c.Keys == 0 {
 		c.Keys = 1024
 	}
-	if c.Keys < 1 {
-		return fmt.Errorf("txkvserver: bad key population %d", c.Keys)
+	if c.Keys < 1 || c.Keys > txkv.MaxKeys {
+		return fmt.Errorf("txkvserver: bad key population %d (want 1..%d)", c.Keys, txkv.MaxKeys)
 	}
 	if c.Balance == 0 {
 		c.Balance = txkv.DefaultBalance
@@ -493,35 +493,28 @@ type conn struct {
 	// executes, one at a time.
 	cm *coalesce.Commit
 
-	// ring is nil with coalescing off, and there is then no writer
-	// goroutine. The reply side (bw, obuf, failed) has one owner at a
-	// time: connWriter while the ring holds slots, the connection
-	// goroutine once it has seen the ring idle.
-	ring   *replyRing
-	failed bool // a reply write failed; the connection is closed
+	ring   *replyRing // nil with coalescing off
+	failed bool       // a reply write failed; the connection is closed
 }
 
 // serveConn runs one connection on one goroutine: read a frame, execute
 // it, buffer the reply, flush once no complete request is left in the
 // read buffer. A unary request costs one read and one write, a pipelined
 // burst still goes out as one write, and requests take effect in the
-// order the connection sent them. Only coalesced ops leave this
-// goroutine — enqueued here, answered by connWriter when their batch
-// flushes — and every other request waits for their replies first, so
-// the order holds across both execution paths.
+// order the connection sent them. Only coalesced ops are executed
+// elsewhere — enqueued here, answered here once their batches flush —
+// and every other request waits for their replies first, so the order
+// holds across both execution paths.
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), bw: bufio.NewWriterSize(nc, 4<<10),
 		cm: coalesce.NewCommit(s.store, s.wal, s.feeds)}
 	if s.co != nil {
 		c.ring = newReplyRing(s.cfg.Pipeline)
-		go c.connWriter()
 	}
 	sub := c.serve()
-	// Stop the writer once it has sent the replies it still owes: a
-	// drained connection acks every request it accepted before it closes.
-	if c.ring != nil {
-		c.ring.close()
-	}
+	// Answer what is still in flight: a drained connection acks every
+	// request it accepted before it closes.
+	c.answer()
 	if !c.failed {
 		c.bw.Flush()
 	}
@@ -552,10 +545,17 @@ func (c *conn) serve() (sub bool) {
 			return false // drained: the previous request was the last one read
 		}
 		buffered := txkvwire.FrameBuffered(c.br)
-		if !buffered && s.cfg.ReadTimeout > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-			if s.draining.Load() {
-				return false // re-check: the re-armed deadline must not outlive a drain
+		if !buffered {
+			// About to block on the socket: answer the coalesced replies
+			// owed first, so none of them waits for the client's next frame.
+			if !c.answer() {
+				return false
+			}
+			if s.cfg.ReadTimeout > 0 {
+				c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+				if s.draining.Load() {
+					return false // re-check: the re-armed deadline must not outlive a drain
+				}
 			}
 		}
 		payload, err := txkvwire.ReadFrame(c.br, fbuf)
@@ -595,14 +595,17 @@ func (c *conn) serve() (sub bool) {
 			reply = txkvwire.Reply{Op: op, Err: derr.Error(), Code: txkvwire.CodeRejected}
 		} else if s.co != nil && coalesce.Accepts(op) {
 			// Enqueued here, so this connection's ops land in the shard
-			// queues in request order: pipelined read-your-writes. The
-			// reserve blocks while the window is full — back-pressure on
-			// the wire instead of an unbounded queue; the enqueue never
-			// blocks (a full shard queue sheds).
-			sl, waited := c.ring.reserve(op, parseNs)
-			if waited {
+			// queues in request order: pipelined read-your-writes. A full
+			// window is answered first — back-pressure on the wire instead
+			// of an unbounded queue; the enqueue never blocks (a full
+			// shard queue sheds).
+			if c.ring.full() {
+				if !c.answer() {
+					return false
+				}
 				t0 = time.Now() // the wait is this item's queue time, not the next one's parse
 			}
+			sl := c.ring.reserve(parseNs)
 			sl.Init(op, stm.Word(req.Key), stm.Word(req.Val), stm.Word(req.Old), deadline, sl)
 			code, msg := s.co.EnqueueAt(&sl.Item, parsed)
 			if code == 0 {
@@ -613,17 +616,15 @@ func (c *conn) serve() (sub bool) {
 			reply = txkvwire.Reply{Op: op, Err: msg, Code: code}
 		}
 
-		// Everything else is answered from this goroutine, after the
-		// in-flight coalesced replies are out: the wait (booked as queue
-		// time) keeps replies in request order, makes a coalesced write
-		// visible to the pooled request pipelined behind it, and hands
-		// the reply side back.
+		// Everything else is answered after the in-flight coalesced
+		// replies: the wait (booked as queue time) keeps replies in
+		// request order and makes a coalesced write visible to the pooled
+		// request pipelined behind it.
 		if c.ring != nil {
-			c.ring.waitIdle()
-			queueNs = uint64(time.Since(parsed))
-			if c.failed {
+			if !c.answer() {
 				return false
 			}
+			queueNs = uint64(time.Since(parsed))
 		}
 		switch {
 		case reply.Code != 0: // rejected or shed above: nothing to execute

@@ -41,11 +41,11 @@ func awaitRequests(t *testing.T, srv *Server, n uint64) {
 
 // TestWindowWaitIsQueueTime: Pipeline 2, a put held queued on its shard
 // and a marker put on another shard in flight, two more puts behind them
-// in the same burst. The third blocks in reserve for as long as the hold:
-// that wait is its queue time. It is not its parse time (it was parsed
-// before), and not the fourth's either — whose parse phase starts at the
-// stamp taken after the wait, not at the third's. Over the whole server
-// the totals are still the phase sums.
+// in the same burst. The third finds the window full and waits in answer
+// for as long as the hold: that wait is its queue time. It is not its
+// parse time (it was parsed before), and not the fourth's either — whose
+// parse phase starts at the stamp taken after the wait, not at the
+// third's. Over the whole server the totals are still the phase sums.
 func TestWindowWaitIsQueueTime(t *testing.T) {
 	const stall = 80 * time.Millisecond
 	srv := startCoalesced(t, "swisstm", 64, Config{Pipeline: 2})

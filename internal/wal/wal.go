@@ -51,16 +51,17 @@ var (
 )
 
 // AppendFrame appends one encoded frame to dst and returns the
-// extended slice.
+// extended slice. The header is built in dst itself: a local header
+// array would escape through crc32.Update and cost an allocation per
+// frame.
 func AppendFrame(dst []byte, lsn uint64, payload []byte) []byte {
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	crc := crc32.Update(0, castagnoli, hdr[8:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	off := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the CRC, below
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[off+4:off+8], crc32.Checksum(dst[off+8:], castagnoli))
+	return dst
 }
 
 // DecodeFrame decodes the first frame in b. payload aliases b. rest

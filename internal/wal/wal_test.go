@@ -274,6 +274,24 @@ func TestSyncNoneAcksImmediatelyAndSyncFlushes(t *testing.T) {
 	}
 }
 
+// TestPublishSyncNoneDoesNotAllocate: in steady state a publish that does
+// not wait for durability costs no allocation — the frame is encoded
+// into the pending buffer, header included, and the log goroutine hands
+// its written buffer back as the next spare.
+func TestPublishSyncNoneDoesNotAllocate(t *testing.T) {
+	w := openTest(t, Options{Dir: t.TempDir(), Sync: SyncNone})
+	defer w.Close()
+	p := payload(1)
+	got := testing.AllocsPerRun(2000, func() {
+		if err := w.Publish(w.Reserve(), p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("%.2f allocations per Publish under SyncNone, want 0", got)
+	}
+}
+
 func TestInjectedShortWritePoisonsWriterAndKeepsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	// Write call 1 = magic of segment 1. Let two batches through,
