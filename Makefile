@@ -8,7 +8,8 @@ GO ?= go
 # txkv rides along for its concurrent transfer-invariant test; the
 # server stack (wire/server/client) because its tests run many TCP
 # connections against one shared engine.
-RACE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce ./internal/ticket
+ENGINE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm
+RACE_PKGS := $(ENGINE_PKGS) ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce ./internal/ticket
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
@@ -28,9 +29,17 @@ test:
 # times more under the detector: one pass rarely meets the interleaving
 # of completions that would break them.
 CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFrameReadAfterOwedReplies|TestRingKeepsRequestOrder|TestPipelineWindowIsExact|TestShardQueueFullRepliesInOrder|TestRequestsCountedBeforeReplies
+#
+# The engines' attempt lifecycle (Begin/BeginRO, Commit, Unwind, AbortUser)
+# runs five times more under the detector on the four engines: the APIV2
+# conformance cases (under each RSTM variant), the abort-path suite and the
+# no-stale-dedup-bits endings.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver
+	$(GO) test -race -count=5 -run '^(TestAbortPath|TestDedupNoStaleBits)$$' $(ENGINE_PKGS)
+	$(GO) test -race -count=5 -run '^TestConformance$$/^APIV2$$' ./internal/swisstm ./internal/tl2 ./internal/tinystm
+	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^APIV2$$' ./internal/rstm
 	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
 
 # GO_FILES is the tree's own Go source, one list for fmt and loc:

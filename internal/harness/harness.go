@@ -36,8 +36,6 @@ type EngineSpec struct {
 	// StripeWords sets the lock granularity in words (word-based
 	// engines); 0 selects the engines' 4-word default.
 	StripeWords int
-	// TableBits sizes the lock table (word-based engines).
-	TableBits uint
 	// Policy is SwissTM's CM: "twophase" (default), "greedy", "timid".
 	Policy string
 	// NoBackoff disables SwissTM's post-abort back-off.
@@ -106,15 +104,14 @@ func (s EngineSpec) DisplayName() string {
 	return s.Kind
 }
 
+// tableBits sizes the word-based engines' lock tables at 2^18 entries.
+const tableBits = 18
+
 // New builds a fresh engine for the spec.
 func (s EngineSpec) New() stm.STM {
 	arena := s.ArenaWords
 	if arena == 0 {
 		arena = 1 << 22
-	}
-	table := s.TableBits
-	if table == 0 {
-		table = 18
 	}
 	switch s.Kind {
 	case "swisstm":
@@ -128,7 +125,7 @@ func (s EngineSpec) New() stm.STM {
 		return swisstm.New(swisstm.Config{
 			ArenaWords:  arena,
 			StripeWords: s.StripeWords,
-			TableBits:   table,
+			TableBits:   tableBits,
 			Policy:      pol,
 			NoBackoff:   s.NoBackoff,
 			Obs:         s.TxnObs,
@@ -137,14 +134,14 @@ func (s EngineSpec) New() stm.STM {
 		return tl2.New(tl2.Config{
 			ArenaWords:  arena,
 			StripeWords: s.StripeWords,
-			TableBits:   table,
+			TableBits:   tableBits,
 			Obs:         s.TxnObs,
 		})
 	case "tinystm":
 		return tinystm.New(tinystm.Config{
 			ArenaWords:  arena,
 			StripeWords: s.StripeWords,
-			TableBits:   table,
+			TableBits:   tableBits,
 			Obs:         s.TxnObs,
 		})
 	case "rstm":

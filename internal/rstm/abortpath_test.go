@@ -18,7 +18,7 @@ func TestAbortPath(t *testing.T) {
 	for _, acq := range []AcquireMode{Eager, Lazy} {
 		t.Run(acq.String(), func(t *testing.T) {
 			mk := func() stm.STM {
-				return New(Config{Acquire: acq, Manager: cm.NewSerializer(), BackoffUnit: 1})
+				return New(Config{Acquire: acq, Manager: cm.NewSerializer()})
 			}
 			stmtest.AbortPathSuite(t, mk, stmtest.ShapeObjectValidation)
 		})
@@ -33,7 +33,7 @@ func TestAbortPath(t *testing.T) {
 // fail with LockAcquireFail — delivered as a checked return, never
 // across a recover.
 func TestLazyAcquireAbortReturns(t *testing.T) {
-	e := New(Config{Acquire: Lazy, Manager: cm.NewSerializer(), BackoffUnit: 1})
+	e := New(Config{Acquire: Lazy, Manager: cm.NewSerializer()})
 	thA := e.NewThread(1)
 	thB := e.NewThread(2)
 	var h stm.Handle
@@ -91,7 +91,7 @@ func TestReaderBitmapLifecycle(t *testing.T) {
 // The reader's next access unwinds (mid-body kill), it retries, and its
 // bit is gone afterwards.
 func TestWriterKillsVisibleReader(t *testing.T) {
-	e := New(Config{Reads: Visible, Manager: cm.NewGreedy(), BackoffUnit: 1})
+	e := New(Config{Reads: Visible, Manager: cm.NewGreedy()})
 	thR := e.NewThread(1)
 	thW := e.NewThread(2)
 	var h stm.Handle

@@ -23,7 +23,7 @@ func TestZeroAllocSteadyStateObs(t *testing.T) {
 // arbitration vs commit-time stale-clone detection).
 func TestAbortCausePartition(t *testing.T) {
 	for _, acq := range []AcquireMode{Eager, Lazy} {
-		e := New(Config{Acquire: acq, BackoffUnit: 1})
+		e := New(Config{Acquire: acq})
 		stmtest.AbortCausePartition(t, e)
 	}
 }

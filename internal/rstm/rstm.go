@@ -78,8 +78,6 @@ type Config struct {
 	// Manager arbitrates conflicts (default: Polka, the paper's default
 	// RSTM configuration).
 	Manager cm.Manager
-	// BackoffUnit scales the post-abort randomized back-off.
-	BackoffUnit int
 	// Obs, when non-nil, collects per-transaction telemetry at commit
 	// (see the field in package swisstm; DESIGN.md §11).
 	Obs *obs.TxnObs
@@ -88,9 +86,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Manager == nil {
 		c.Manager = cm.NewPolka()
-	}
-	if c.BackoffUnit == 0 {
-		c.BackoffUnit = 512
 	}
 }
 
@@ -175,26 +170,6 @@ type paddedAttemptPtr struct {
 	_ [mem.CacheLine - 8]byte
 }
 
-// orBits sets mask bits in u; clearBits clears them. CAS loops because
-// the Go 1.22 toolchain predates atomic.Uint64.Or/And.
-func orBits(u *atomic.Uint64, mask uint64) {
-	for {
-		v := u.Load()
-		if v&mask == mask || u.CompareAndSwap(v, v|mask) {
-			return
-		}
-	}
-}
-
-func clearBits(u *atomic.Uint64, mask uint64) {
-	for {
-		v := u.Load()
-		if v&mask == 0 || u.CompareAndSwap(v, v&^mask) {
-			return
-		}
-	}
-}
-
 // New creates an RSTM engine.
 func New(cfg Config) *Engine {
 	cfg.fill()
@@ -266,7 +241,7 @@ type lazyWrite struct {
 type txn struct {
 	e        *Engine
 	id       int
-	ro       bool // current transaction declared read-only (stm.ReadOnly)
+	ro       bool // current transaction declared read-only (BeginRO)
 	cur      *attempt
 	pub      bool // cur escaped into shared state (locator / reader slot)
 	state    cm.TxState
@@ -282,7 +257,7 @@ type txn struct {
 	// validation failure to the read phase or the commit phase
 	// (stm.Stats.AbortsValidRead vs AbortsValidCommit).
 	committing bool
-	roV        roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
+	roV        roTx          // pre-allocated read-only view returned by BeginRO
 	obsh       *obs.TxnShard // per-thread telemetry shard (nil = obs off)
 	stats      stm.Stats
 }
@@ -307,25 +282,22 @@ func (e *Engine) NewThread(id int) stm.Thread {
 // Stats implements stm.Thread.
 func (t *txn) Stats() stm.Stats { return t.stats }
 
-// Run implements stm.Thread: the engine-facing v2 primitive.
-func (t *txn) Run(body func(stm.Tx) error, mode stm.Mode) error {
-	return stm.RunLoop(t, body, mode)
+// Begin implements stm.Thread.
+func (t *txn) Begin(restart bool) stm.Tx {
+	t.ro = false
+	t.begin(restart)
+	return t
 }
 
-// Begin implements stm.Thread. A declared read-only transaction skips
+// BeginRO implements stm.Thread. A declared read-only transaction skips
 // the acquire/arbitration state wholesale: no write or lazy sets, and —
 // with invisible reads — no contention-manager bookkeeping either, since
 // an invisible read-only attempt is never published and so never
 // arbitrates against anyone (DESIGN.md §9.3).
-func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
-	if mode == stm.ReadOnly {
-		t.ro = true
-		t.beginRO(restart)
-		return &t.roV
-	}
-	t.ro = false
-	t.begin(restart)
-	return t
+func (t *txn) BeginRO(restart bool) stm.TxRO {
+	t.ro = true
+	t.beginRO(restart)
+	return &t.roV
 }
 
 // Commit implements stm.Thread: try to commit; a failure is delivered as
@@ -371,7 +343,7 @@ func (t *txn) AbortUser() {
 // Backoff implements stm.Thread.
 func (t *txn) Backoff() {
 	t.succ++
-	util.BackoffLinear(t.rng, t.succ, t.e.cfg.BackoffUnit)
+	util.BackoffLinear(t.rng, t.succ)
 }
 
 func (t *txn) begin(restart bool) {
@@ -571,7 +543,7 @@ func (t *txn) openReadVisible(o *object, loc *locator) ([]stm.Word, bool) {
 			t.e.visible[t.id].p.Store(t.cur)
 			t.pub = true
 		}
-		orBits(&o.readers, bit)
+		o.readers.Or(bit)
 		t.visSet = append(t.visSet, o)
 	}
 	for {
@@ -845,7 +817,7 @@ func (t *txn) dropVisible() {
 	}
 	bit := uint64(1) << uint(t.id)
 	for _, o := range t.visSet {
-		clearBits(&o.readers, bit)
+		o.readers.And(^bit)
 	}
 	t.visSet = t.visSet[:0]
 }
@@ -917,19 +889,12 @@ func (t *txn) Store(a stm.Addr, v stm.Word) { panic(stm.ErrWordAPI) }
 // AllocWords implements stm.Tx.
 func (t *txn) AllocWords(n uint32) stm.Addr { panic(stm.ErrWordAPI) }
 
-// SupportsWordAPI reports the word-API capability (stm.SupportsWordAPI):
-// RSTM is object-based and has none.
-func (e *Engine) SupportsWordAPI() bool { return false }
-
-// roTx is the transaction view Begin returns for declared read-only
-// mode; see the swisstm counterpart for the rationale. Object-API write
-// methods are unreachable through TxRO and panic as defense in depth;
-// word-API methods panic ErrWordAPI like the read-write view.
+// roTx is the transaction view BeginRO returns; see the swisstm
+// counterpart for the rationale. It implements stm.TxRO and nothing more;
+// its Load panics ErrWordAPI like the read-write view's.
 type roTx struct{ t *txn }
 
-const errROWrite = "rstm: write inside a declared read-only transaction"
-
-// ReadField implements stm.Tx on the read-only view.
+// ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	data, ok := r.t.openReadRO(r.t.e.object(h))
 	if !ok {
@@ -938,22 +903,18 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return data[field]
 }
 
-// ReadRef implements stm.Tx on the read-only view.
+// ReadRef implements stm.TxRO.
 func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
 	return stm.Handle(r.ReadField(h, field))
 }
 
-// Restart implements stm.Tx on the read-only view.
+// Restart implements stm.TxRO.
 func (r *roTx) Restart() { r.t.Restart() }
 
-func (r *roTx) Load(stm.Addr) stm.Word                  { panic(stm.ErrWordAPI) }
-func (r *roTx) Store(stm.Addr, stm.Word)                { panic(stm.ErrWordAPI) }
-func (r *roTx) AllocWords(uint32) stm.Addr              { panic(stm.ErrWordAPI) }
-func (r *roTx) WriteField(stm.Handle, uint32, stm.Word) { panic(errROWrite) }
-func (r *roTx) WriteRef(stm.Handle, uint32, stm.Handle) { panic(errROWrite) }
-func (r *roTx) NewObject(uint32) stm.Handle             { panic(errROWrite) }
+// Load implements stm.TxRO; see txn.Load.
+func (r *roTx) Load(stm.Addr) stm.Word { panic(stm.ErrWordAPI) }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)
 var _ stm.Tx = (*txn)(nil)
-var _ stm.Tx = (*roTx)(nil)
+var _ stm.TxRO = (*roTx)(nil)

@@ -7,8 +7,9 @@
 //
 //   - The word API (Load/Store on arena addresses) is the native interface
 //     of the word-based engines — SwissTM, TL2, TinySTM. STAMP uses it.
-//     Object-based RSTM does not implement it; consult SupportsWordAPI
-//     before running a word-API workload on an arbitrary engine.
+//     Object-based RSTM does not implement it (it has no arena); consult
+//     SupportsWordAPI before running a word-API workload on an arbitrary
+//     engine.
 //   - The object API (ReadField/WriteField on opaque handles) is the native
 //     interface of object-based RSTM; the word-based engines implement it
 //     with a thin wrapper that lays an object out as a contiguous block of
@@ -39,11 +40,11 @@
 // protocol (see DESIGN.md §9.3).
 //
 // The entry points drive the engine-facing attempt primitives of the
-// Thread interface (Begin/Commit/Unwind/AbortUser/Backoff). Keeping the
-// retry loop in non-capturing package functions is what makes the v2 API
-// allocation-free in steady state: a closure-adapting wrapper would heap-
-// allocate per call (stmtest.ZeroAllocSteadyState holds every engine to
-// exactly zero).
+// Thread interface (Begin/BeginRO/Commit/Unwind/AbortUser/Backoff).
+// Keeping the retry loop in non-capturing package functions is what makes
+// the v2 API allocation-free in steady state: a closure-adapting wrapper
+// would heap-allocate per call (stmtest.ZeroAllocSteadyState holds every
+// engine to exactly zero).
 package stm
 
 import "swisstm/internal/mem"
@@ -64,26 +65,13 @@ type Addr = mem.Addr
 // conversion), and reading one back through TxRO.ReadRef.
 type Handle uint64
 
-// Mode declares, at transaction start, whether the body may write.
-type Mode uint8
-
-const (
-	// ReadWrite is the general mode: the body gets the full Tx.
-	ReadWrite Mode = iota
-	// ReadOnly declares that the body performs no writes. Engines use the
-	// declaration to skip their write machinery entirely: TL2 commits on
-	// its clock sample with no read logging at all, SwissTM and TinySTM
-	// skip write-set init, lock acquisition and the write side of commit,
-	// RSTM skips acquire/arbitration state (DESIGN.md §9.3).
-	ReadOnly
-)
-
 // TxRO is the read-only transaction handle: the view an AtomicRO body
 // receives. It has no write methods, so writing inside a declared
-// read-only transaction is a compile error, not a runtime panic.
-// All methods abort the transaction (by panicking with an internal signal
-// that the retry loop recovers) when a conflict requires it; user code
-// never observes an inconsistent snapshot (opacity).
+// read-only transaction is a compile error, not a runtime panic; the
+// engines' read-only views implement TxRO alone, so asserting one to Tx
+// fails too. All methods abort the transaction (by panicking with an
+// internal signal that the retry loop recovers) when a conflict requires
+// it; user code never observes an inconsistent snapshot (opacity).
 type TxRO interface {
 	// Load reads one arena word (word API). RSTM does not support the
 	// word API and panics with ErrWordAPI; gate with SupportsWordAPI.
@@ -125,29 +113,28 @@ type Tx interface {
 // must create its own Thread; Threads are not safe for concurrent use.
 //
 // Beyond Stats, the interface is the engine-facing attempt machinery the
-// package-level entry points (Atomic, AtomicErr, AtomicRO, AtomicVoid,
-// RunLoop) drive; application code should not call the primitives
+// package-level entry points (Atomic, AtomicErr, AtomicRO, AtomicROErr,
+// AtomicVoid) drive; application code should not call the primitives
 // directly. One transaction is one
 //
-//	Begin → body → Commit
+//	Begin (or BeginRO) → body → Commit
 //
 // cycle per attempt, with Unwind triaging panics that interrupt the body,
 // Backoff pacing retries and AbortUser rolling back an attempt whose body
 // returned an error.
 type Thread interface {
-	// Run executes body as one transaction in the given mode, retrying on
-	// conflicts until it commits or the body returns a non-nil error (the
-	// transaction is then rolled back and the error returned). It is the
-	// non-generic engine-facing primitive; engines implement it by
-	// delegating to RunLoop, and the generic entry points replicate its
-	// loop so results flow back without a heap-allocated adapter.
-	Run(body func(Tx) error, mode Mode) error
-
-	// Begin starts one attempt in the given mode and returns the
-	// transaction handle to run the body against. restart is true when
-	// retrying the same logical transaction (contention managers keep
-	// their priority state across retries).
-	Begin(mode Mode, restart bool) Tx
+	// Begin starts one read-write attempt and returns the transaction
+	// handle to run the body against. restart is true when retrying the
+	// same logical transaction (contention managers keep their priority
+	// state across retries).
+	Begin(restart bool) Tx
+	// BeginRO starts one attempt of a transaction declared read-only.
+	// Engines use the declaration to skip their write machinery entirely:
+	// TL2 commits on its clock sample with no read logging at all,
+	// SwissTM and TinySTM skip write-set init, lock acquisition and the
+	// write side of commit, RSTM skips acquire/arbitration state
+	// (DESIGN.md §9.3).
+	BeginRO(restart bool) TxRO
 	// Commit attempts to commit the current attempt. It reports false
 	// when the attempt aborted (checked delivery; the caller retries).
 	// On success it also performs the engine's post-commit duties.
@@ -185,24 +172,13 @@ type STM interface {
 	NewThread(id int) Thread
 }
 
-// wordAPICapable is implemented by engines that can answer the word-API
-// capability question (all four in this repository do).
-type wordAPICapable interface {
-	SupportsWordAPI() bool
-}
-
 // SupportsWordAPI reports whether e implements the word API (Load/Store/
-// AllocWords). Word-based engines (SwissTM, TL2, TinySTM) do; object-based
-// RSTM does not — the paper cannot run STAMP on RSTM for the same reason
-// (§4 footnote 4). Drivers consult this before starting a word-API
-// workload so an unsupported engine fails fast with a clear error instead
-// of panicking with ErrWordAPI mid-run.
-func SupportsWordAPI(e STM) bool {
-	if c, ok := e.(wordAPICapable); ok {
-		return c.SupportsWordAPI()
-	}
-	return false
-}
+// AllocWords): whether it has a word arena. Word-based engines (SwissTM,
+// TL2, TinySTM) do; object-based RSTM does not — the paper cannot run
+// STAMP on RSTM for the same reason (§4 footnote 4). Drivers consult this
+// before starting a word-API workload so an unsupported engine fails fast
+// with a clear error instead of panicking with ErrWordAPI mid-run.
+func SupportsWordAPI(e STM) bool { return e.Arena() != nil }
 
 // MaxThreads bounds the number of concurrently registered threads. The
 // paper's testbed has 8 hardware threads; we leave headroom.
@@ -219,7 +195,7 @@ const MaxThreads = 64
 // until it commits, and returns the body's result.
 func Atomic[T any](th Thread, body func(Tx) T) T {
 	for restart := false; ; restart = true {
-		tx := th.Begin(ReadWrite, restart)
+		tx := th.Begin(restart)
 		if v, ok := attempt(th, tx, body); ok {
 			return v
 		}
@@ -248,7 +224,7 @@ func attempt[T any](th Thread, tx Tx, body func(Tx) T) (v T, ok bool) {
 // the zero value.
 func AtomicErr[T any](th Thread, body func(Tx) (T, error)) (T, error) {
 	for restart := false; ; restart = true {
-		tx := th.Begin(ReadWrite, restart)
+		tx := th.Begin(restart)
 		v, err, ok := attemptErr(th, tx, body)
 		if err != nil {
 			th.AbortUser()
@@ -284,7 +260,7 @@ func attemptErr[T any](th Thread, tx Tx, body func(Tx) (T, error)) (v T, err err
 // runs its read-only fast path (DESIGN.md §9.3).
 func AtomicRO[T any](th Thread, body func(TxRO) T) T {
 	for restart := false; ; restart = true {
-		tx := th.Begin(ReadOnly, restart)
+		tx := th.BeginRO(restart)
 		if v, ok := attemptRO(th, tx, body); ok {
 			return v
 		}
@@ -308,7 +284,7 @@ func attemptRO[T any](th Thread, tx TxRO, body func(TxRO) T) (v T, ok bool) {
 // AtomicROErr is AtomicErr for declared read-only transactions.
 func AtomicROErr[T any](th Thread, body func(TxRO) (T, error)) (T, error) {
 	for restart := false; ; restart = true {
-		tx := th.Begin(ReadOnly, restart)
+		tx := th.BeginRO(restart)
 		v, err, ok := attemptROErr(th, tx, body)
 		if err != nil {
 			th.AbortUser()
@@ -344,7 +320,7 @@ func attemptROErr[T any](th Thread, tx TxRO, body func(TxRO) (T, error)) (v T, e
 // classic `atomic { ... }` block.
 func AtomicVoid(th Thread, body func(Tx)) {
 	for restart := false; ; restart = true {
-		tx := th.Begin(ReadWrite, restart)
+		tx := th.Begin(restart)
 		if attemptVoid(th, tx, body) {
 			return
 		}
@@ -363,39 +339,6 @@ func attemptVoid(th Thread, tx Tx, body func(Tx)) (ok bool) {
 	}()
 	body(tx)
 	return th.Commit()
-}
-
-// RunLoop is the shared implementation of Thread.Run: engines delegate
-// their Run method here so the retry protocol lives in exactly one place.
-func RunLoop(th Thread, body func(Tx) error, mode Mode) error {
-	for restart := false; ; restart = true {
-		tx := th.Begin(mode, restart)
-		err, ok := attemptRun(th, tx, body)
-		if err != nil {
-			th.AbortUser()
-			return err
-		}
-		if ok {
-			return nil
-		}
-		th.Backoff()
-	}
-}
-
-func attemptRun(th Thread, tx Tx, body func(Tx) error) (err error, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if !th.Unwind(r) {
-				panic(r)
-			}
-			ok = false
-			err = nil
-		}
-	}()
-	if err = body(tx); err != nil {
-		return err, false
-	}
-	return nil, th.Commit()
 }
 
 // ---------------------------------------------------------------------------

@@ -9,24 +9,12 @@ import (
 	"swisstm/internal/stm"
 )
 
-// roOnly implements exactly the read-only method set. Its assignment to
-// stm.TxRO below is the compile-time guarantee the v2 API makes: if TxRO
-// ever grows a write method, this file stops compiling — misuse of a
-// declared read-only transaction is a compile error, not a runtime panic.
-type roOnly struct{}
-
-func (roOnly) Load(stm.Addr) stm.Word                { return 0 }
-func (roOnly) ReadField(stm.Handle, uint32) stm.Word { return 0 }
-func (roOnly) ReadRef(stm.Handle, uint32) stm.Handle { return 0 }
-func (roOnly) Restart()                              {}
-
-var _ stm.TxRO = roOnly{}
-
 // APIV2Suite exercises the value-returning transaction API (DESIGN.md §9)
 // on one engine: value returns across retries, error propagation with
-// locks released and writes rolled back, declared read-only opacity and
-// statistics, and the engine-facing Run primitive. It is included in Run
-// and also invoked directly by the per-engine -race tests.
+// locks released and writes rolled back, declared read-only opacity,
+// statistics and handle type, and the error-returning entry points as the
+// one-call primitive. It is included in Run and also invoked directly by
+// the per-engine -race tests.
 func APIV2Suite(t *testing.T, factory func() stm.STM, opts Options) {
 	if opts.Threads == 0 {
 		opts.Threads = 4
@@ -39,6 +27,7 @@ func APIV2Suite(t *testing.T, factory func() stm.STM, opts Options) {
 	t.Run("ROOpacity", func(t *testing.T) { testROOpacity(t, factory(), opts.Threads) })
 	t.Run("ROStats", func(t *testing.T) { testROStats(t, factory()) })
 	t.Run("RORestart", func(t *testing.T) { testRORestart(t, factory()) })
+	t.Run("ROHandleNotTx", func(t *testing.T) { testROHandleNotTx(t, factory()) })
 	t.Run("RunPrimitive", func(t *testing.T) { testRunPrimitive(t, factory()) })
 }
 
@@ -323,30 +312,38 @@ func testRORestart(t *testing.T, e stm.STM) {
 	}
 }
 
-// testRunPrimitive drives Thread.Run directly: commits apply, errors
-// roll back and surface.
+// testROHandleNotTx: the handle an AtomicRO body receives is a TxRO and
+// nothing more — asserting it to stm.Tx fails, so a declared read-only
+// body cannot reach a write method even by type assertion.
+func testROHandleNotTx(t *testing.T, e stm.STM) {
+	th := e.NewThread(0)
+	if stm.AtomicRO(th, func(tx stm.TxRO) bool { _, ok := tx.(stm.Tx); return ok }) {
+		t.Fatal("the read-only handle asserts to stm.Tx")
+	}
+}
+
+// testRunPrimitive drives the error-returning entry points as one call
+// each: a nil error commits, a body error rolls back and surfaces, and a
+// read-only body sees the committed value.
 func testRunPrimitive(t *testing.T, e stm.STM) {
 	th := e.NewThread(0)
 	h := alloc(th, 1)
-	if err := th.Run(func(tx stm.Tx) error {
+	if _, err := stm.AtomicErr(th, func(tx stm.Tx) (struct{}, error) {
 		tx.WriteField(h, 0, 21)
-		return nil
-	}, stm.ReadWrite); err != nil {
-		t.Fatalf("Run: %v", err)
+		return struct{}{}, nil
+	}); err != nil {
+		t.Fatalf("AtomicErr: %v", err)
 	}
 	boom := errors.New("nope")
-	if err := th.Run(func(tx stm.Tx) error {
+	if _, err := stm.AtomicErr(th, func(tx stm.Tx) (struct{}, error) {
 		tx.WriteField(h, 0, 77)
-		return boom
-	}, stm.ReadWrite); !errors.Is(err, boom) {
-		t.Fatalf("Run error %v, want the body's error", err)
+		return struct{}{}, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("AtomicErr error %v, want the body's error", err)
 	}
-	var seen stm.Word
-	if err := th.Run(func(tx stm.Tx) error {
-		seen = tx.ReadField(h, 0)
-		return nil
-	}, stm.ReadOnly); err != nil {
-		t.Fatalf("Run(ReadOnly): %v", err)
+	seen, err := stm.AtomicROErr(th, func(tx stm.TxRO) (stm.Word, error) { return tx.ReadField(h, 0), nil })
+	if err != nil {
+		t.Fatalf("AtomicROErr: %v", err)
 	}
 	if seen != 21 {
 		t.Fatalf("read %d, want 21 (errored write must not commit)", seen)

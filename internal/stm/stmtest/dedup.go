@@ -35,11 +35,23 @@ type ReadSetProbe struct {
 	Kill func()
 }
 
-func modeName(m stm.Mode) string {
-	if m == stm.ReadOnly {
+func modeName(ro bool) string {
+	if ro {
 		return "read-only"
 	}
 	return "read-write"
+}
+
+// runMode runs body as one transaction through AtomicROErr when ro and
+// AtomicErr otherwise, retrying as they do. A read-write body also gets
+// its Tx as w; a read-only body gets nil there.
+func runMode(th stm.Thread, ro bool, body func(tx stm.TxRO, w stm.Tx) error) error {
+	if ro {
+		_, err := stm.AtomicROErr(th, func(tx stm.TxRO) (struct{}, error) { return struct{}{}, body(tx, nil) })
+		return err
+	}
+	_, err := stm.AtomicErr(th, func(tx stm.Tx) (struct{}, error) { return struct{}{}, body(tx, tx) })
+	return err
 }
 
 const (
@@ -77,7 +89,7 @@ func DedupNoStaleBits(t *testing.T, mk func(tableBits uint) stm.STM, probe func(
 
 			// traverse pollutes: the whole structure read, one stripe of it
 			// twice, and (read-write mode) one stripe owned.
-			traverse := func(tx stm.Tx, mode stm.Mode) {
+			traverse := func(tx stm.TxRO, w stm.Tx) {
 				for _, h := range hs {
 					tx.ReadField(h, 0)
 				}
@@ -86,13 +98,13 @@ func DedupNoStaleBits(t *testing.T, mk func(tableBits uint) stm.STM, probe func(
 				if got := p.LogLen(); got != distinct {
 					t.Fatalf("traversal logged %d entries, want %d", got, distinct)
 				}
-				if mode == stm.ReadWrite {
-					tx.WriteField(mine, 0, 1)
+				if w != nil {
+					w.WriteField(mine, 0, 1)
 				}
 			}
 			// freshBody is the attempt after: clean at entry, one entry per
 			// distinct stripe at exit.
-			freshBody := func(tx stm.Tx, what string) {
+			freshBody := func(tx stm.TxRO, what string) {
 				if l, b := p.LogLen(), p.SetBits(); l != 0 || b != 0 {
 					t.Fatalf("after %s: attempt begins with %d log entries and %d bits set, want 0 and 0", what, l, b)
 				}
@@ -110,34 +122,34 @@ func DedupNoStaleBits(t *testing.T, mk func(tableBits uint) stm.STM, probe func(
 				name string
 				// end finishes the polluted first attempt; it returns the
 				// error the body returns, or does not return at all.
-				end   func(tx stm.Tx) error
-				modes []stm.Mode
+				end func(tx stm.TxRO) error
+				ro  []bool // the modes it is tried in: read-only or not
 			}
-			both := []stm.Mode{stm.ReadOnly, stm.ReadWrite}
+			both := []bool{true, false}
 			endings := []ending{
-				{"commit", func(stm.Tx) error { return nil }, both},
-				{"validation abort", func(tx stm.Tx) error {
+				{"commit", func(stm.TxRO) error { return nil }, both},
+				{"validation abort", func(tx stm.TxRO) error {
 					stm.AtomicVoid(other, func(o stm.Tx) { o.WriteField(hs[0], 0, o.ReadField(hs[0], 0)+1) })
 					tx.ReadField(hs[0], 0)
 					t.Fatal("re-read of an overwritten stripe did not abort")
 					return nil
 				}, both},
-				{"Restart", func(tx stm.Tx) error { tx.Restart(); return nil }, both},
-				{"body error", func(stm.Tx) error { return errBody }, both},
-				{"foreign panic", func(stm.Tx) error { panic("boom") }, both},
+				{"Restart", func(tx stm.TxRO) error { tx.Restart(); return nil }, both},
+				{"body error", func(stm.TxRO) error { return errBody }, both},
+				{"foreign panic", func(stm.TxRO) error { panic("boom") }, both},
 			}
 			if p.Kill != nil {
-				endings = append(endings, ending{"CM kill", func(tx stm.Tx) error {
+				endings = append(endings, ending{"CM kill", func(tx stm.TxRO) error {
 					p.Kill()
 					tx.ReadField(hs[1], 0)
 					t.Fatal("read by a killed transaction did not abort")
 					return nil
-				}, []stm.Mode{stm.ReadWrite}})
+				}, []bool{false}})
 			}
 			for _, end := range endings {
-				for _, mode := range end.modes {
+				for _, ro := range end.ro {
 					for _, next := range both {
-						what := fmt.Sprintf("%s in a %s attempt, then a %s one", end.name, modeName(mode), modeName(next))
+						what := fmt.Sprintf("%s in a %s attempt, then a %s one", end.name, modeName(ro), modeName(next))
 						attempt := 0
 						func() {
 							defer func() {
@@ -145,20 +157,20 @@ func DedupNoStaleBits(t *testing.T, mk func(tableBits uint) stm.STM, probe func(
 									panic(r)
 								}
 							}()
-							err := th.Run(func(tx stm.Tx) error {
+							err := runMode(th, ro, func(tx stm.TxRO, w stm.Tx) error {
 								if attempt++; attempt == 1 {
-									traverse(tx, mode)
+									traverse(tx, w)
 									return end.end(tx)
 								}
 								freshBody(tx, what+", the retry")
 								return nil
-							}, mode)
+							})
 							if err != nil && err != errBody {
-								t.Fatalf("%s: Run returned %v", what, err)
+								t.Fatalf("%s: the transaction returned %v", what, err)
 							}
 						}()
-						for _, m := range []stm.Mode{next, 1 - next} {
-							if err := th.Run(func(tx stm.Tx) error { freshBody(tx, what); return nil }, m); err != nil {
+						for _, m := range []bool{next, !next} {
+							if err := runMode(th, m, func(tx stm.TxRO, _ stm.Tx) error { freshBody(tx, what); return nil }); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -176,9 +188,7 @@ func DedupNoStaleBits(t *testing.T, mk func(tableBits uint) stm.STM, probe func(
 			if b := p.SetBits(); b != 0 {
 				t.Fatalf("re-registered thread starts with %d bits set", b)
 			}
-			if err := again.Run(func(tx stm.Tx) error { freshBody(tx, "re-registration"); return nil }, stm.ReadWrite); err != nil {
-				t.Fatal(err)
-			}
+			stm.AtomicVoid(again, func(tx stm.Tx) { freshBody(tx, "re-registration") })
 		})
 	}
 }
@@ -196,10 +206,10 @@ func DedupExtendThenConflict(t *testing.T, e stm.STM) {
 	bump := func(h stm.Handle) {
 		stm.AtomicVoid(thB, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) })
 	}
-	for _, mode := range []stm.Mode{stm.ReadOnly, stm.ReadWrite} {
+	for _, ro := range []bool{true, false} {
 		before := thA.Stats()
 		attempt := 0
-		err := thA.Run(func(tx stm.Tx) error {
+		err := runMode(thA, ro, func(tx stm.TxRO, _ stm.Tx) error {
 			if attempt++; attempt > 1 {
 				return nil
 			}
@@ -208,26 +218,26 @@ func DedupExtendThenConflict(t *testing.T, e stm.STM) {
 			tx.ReadField(u, 0)
 			ext := thA.Stats()
 			if ext.Validations != before.Validations+1 {
-				t.Errorf("%s: reading a stripe committed after begin ran %d validations, want 1", modeName(mode), ext.Validations-before.Validations)
+				t.Errorf("%s: reading a stripe committed after begin ran %d validations, want 1", modeName(ro), ext.Validations-before.Validations)
 			}
 			tx.ReadField(s, 0)
 			hit := thA.Stats()
 			if hit.ReadsDeduped != ext.ReadsDeduped+1 || hit.Aborts != ext.Aborts {
 				t.Errorf("%s: re-read after an extension: ReadsDeduped +%d, Aborts +%d, want +1 and +0",
-					modeName(mode), hit.ReadsDeduped-ext.ReadsDeduped, hit.Aborts-ext.Aborts)
+					modeName(ro), hit.ReadsDeduped-ext.ReadsDeduped, hit.Aborts-ext.Aborts)
 			}
 			bump(s)
 			tx.ReadField(s, 0)
-			t.Errorf("%s: re-read of an overwritten stripe did not abort", modeName(mode))
+			t.Errorf("%s: re-read of an overwritten stripe did not abort", modeName(ro))
 			return nil
-		}, mode)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := thA.Stats()
 		if attempt != 2 || after.AbortsValidRead != before.AbortsValidRead+1 || after.ReadsDeduped != before.ReadsDeduped+1 {
 			t.Errorf("%s: %d attempts, AbortsValidRead +%d, ReadsDeduped +%d; want 2, +1, +1",
-				modeName(mode), attempt, after.AbortsValidRead-before.AbortsValidRead, after.ReadsDeduped-before.ReadsDeduped)
+				modeName(ro), attempt, after.AbortsValidRead-before.AbortsValidRead, after.ReadsDeduped-before.ReadsDeduped)
 		}
 	}
 }
@@ -277,13 +287,12 @@ func DedupSnapshotInvariant(t *testing.T, e stm.STM, probe func(stm.Thread) Read
 	attempts, sweeps := 0, 0
 	seed := uint64(977)
 	for n := 0; attempts < budget && bad == nil; n++ {
-		mode := stm.Mode(n % 2)
-		err := th.Run(func(tx stm.Tx) error {
+		err := runMode(th, n%2 == 1, func(tx stm.TxRO, w stm.Tx) error {
 			if attempts++; attempts > budget {
 				return errDone
 			}
-			if mode == stm.ReadWrite {
-				tx.WriteField(private, 0, stm.Word(n))
+			if w != nil {
+				w.WriteField(private, 0, stm.Word(n))
 			}
 			for i := 0; i < steps; i++ {
 				seed = seed*6364136223846793005 + 1
@@ -299,7 +308,7 @@ func DedupSnapshotInvariant(t *testing.T, e stm.STM, probe func(stm.Thread) Read
 				}
 			}
 			return nil
-		}, mode)
+		})
 		if err != nil && err != errDone && err != bad {
 			t.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func TestLockWordAliasedReadAfterWrite(t *testing.T) {
 // word, kills it and waits for the stripe. The victim holds its lock
 // until the kill arrives, so the interleaving is forced, not timed.
 func TestLockWordOwnerResolution(t *testing.T) {
-	e := New(Config{ArenaWords: 1 << 12, TableBits: 8, Wn: 2})
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	setup := e.NewThread(0)
 	var base stm.Addr
-	stm.AtomicVoid(setup, func(tx stm.Tx) { base = tx.AllocWords(64) })
-	x, y, s := base, base+16, base+32
+	stm.AtomicVoid(setup, func(tx stm.Tx) { base = tx.AllocWords(4 * (wn + 1)) })
+	x, s := base, base+4*wn // x is the first of wn stripes; s follows them
 
 	victim := e.NewThread(7).(*txn)
 	locked := make(chan struct{})
@@ -84,8 +84,9 @@ func TestLockWordOwnerResolution(t *testing.T) {
 	<-locked
 	attacker := e.NewThread(9)
 	stm.AtomicVoid(attacker, func(tx stm.Tx) {
-		tx.Store(x, 1)
-		tx.Store(y, 1) // Wn-th write: phase two
+		for i := stm.Addr(0); i < wn; i++ {
+			tx.Store(x+4*i, 1) // the wn-th write enters phase two
+		}
 		tx.Store(s, tx.Load(s)+1)
 	})
 	<-victimDone
@@ -99,7 +100,7 @@ func TestLockWordOwnerResolution(t *testing.T) {
 	for _, c := range []struct {
 		addr stm.Addr
 		want stm.Word
-	}{{x, 1}, {y, 1}, {s, 2}} {
+	}{{x, 1}, {x + 4*(wn-1), 1}, {s, 2}} {
 		if got := e.Arena().Load(c.addr); got != c.want {
 			t.Errorf("word %d = %d, want %d", c.addr, got, c.want)
 		}

@@ -81,20 +81,14 @@ type Config struct {
 	// (stripe write masks are 64-bit); pass 1 for word granularity.
 	StripeWords int
 	// TableBits is log2 of the lock-table entry count. 0 selects 20; the
-	// paper's C implementation uses 22, the experiment harness defaults to
-	// 18 (harness.EngineSpec).
+	// paper's C implementation uses 22, the experiment harness 18
+	// (harness.EngineSpec.New).
 	TableBits uint
 	// Policy is the contention-management scheme (default TwoPhase).
 	Policy CMPolicy
-	// Wn is the write count at which a two-phase transaction enters its
-	// second (Greedy) phase. The paper sets 10.
-	Wn int
 	// NoBackoff disables the randomized linear back-off after rollbacks
 	// (Figure 11's ablation).
 	NoBackoff bool
-	// BackoffUnit is the spin budget multiplied by the successive-abort
-	// count when backing off.
-	BackoffUnit int
 	// PrivatizationSafe enables the quiescence scheme sketched in the
 	// paper's §6: every committing update transaction waits until all
 	// transactions that started before its commit have validated,
@@ -118,12 +112,6 @@ func (c *Config) fill() {
 	if c.TableBits == 0 {
 		c.TableBits = 20
 	}
-	if c.Wn == 0 {
-		c.Wn = 10
-	}
-	if c.BackoffUnit == 0 {
-		c.BackoffUnit = 512
-	}
 	if c.StripeWords == 0 {
 		c.StripeWords = 4
 	}
@@ -138,6 +126,9 @@ func (c *Config) fill() {
 const (
 	rLocked  = uint64(1) // r-lock value while its owner is committing
 	infinity = ^uint64(0)
+	// wn is the paper's Wn: the write count at which a two-phase
+	// transaction enters its second (Greedy) phase.
+	wn = 10
 	// A w-lock word is 0 when free, otherwise ownerTag<<24 | write-log
 	// index, where ownerTag is the owner's thread id + 1 (DESIGN.md §7).
 	// A write log holds one entry per lock-table entry, so TableBits ≤ 24
@@ -254,7 +245,7 @@ type txn struct {
 	e         *Engine
 	id        int
 	tag       uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
-	ro        bool   // current transaction declared read-only (stm.ReadOnly)
+	ro        bool   // current transaction declared read-only (BeginRO)
 	validTS   uint64
 	cmTS      atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
 	status    atomic.Uint32 // 0 active, 1 killed by another transaction's CM
@@ -265,7 +256,7 @@ type txn struct {
 	rng       *util.Rand
 	succ      int           // successive aborts of the current logical transaction
 	quiesceTS uint64        // commit timestamp to quiesce on (privatization safety)
-	roV       roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
+	roV       roTx          // pre-allocated read-only view returned by BeginRO
 	obsh      *obs.TxnShard // per-thread telemetry shard (nil = obs off)
 	stats     stm.Stats
 }
@@ -297,24 +288,20 @@ func (e *Engine) NewThread(id int) stm.Thread {
 // Stats implements stm.Thread.
 func (t *txn) Stats() stm.Stats { return t.stats }
 
-// Run implements stm.Thread: the engine-facing v2 primitive.
-func (t *txn) Run(body func(stm.Tx) error, mode stm.Mode) error {
-	return stm.RunLoop(t, body, mode)
-}
-
-// Begin implements stm.Thread: start one attempt in the given mode. A
-// declared read-only transaction gets the pre-allocated roTx view, whose
-// method set runs the read-only protocol with no mode branches on the
-// read-write fast path.
-func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
-	if mode == stm.ReadOnly {
-		t.ro = true
-		t.beginRO()
-		return &t.roV
-	}
+// Begin implements stm.Thread: start one read-write attempt.
+func (t *txn) Begin(restart bool) stm.Tx {
 	t.ro = false
 	t.begin(restart)
 	return t
+}
+
+// BeginRO implements stm.Thread: a declared read-only attempt gets the
+// pre-allocated roTx view, whose method set runs the read-only protocol
+// with no mode branches on the read-write fast path.
+func (t *txn) BeginRO(bool) stm.TxRO {
+	t.ro = true
+	t.beginRO()
+	return &t.roV
 }
 
 // Commit implements stm.Thread: try to commit the current attempt, and on
@@ -377,7 +364,7 @@ func (t *txn) Backoff() {
 	}
 	t.succ++
 	if !t.e.cfg.NoBackoff {
-		util.BackoffLinear(t.rng, t.succ, t.e.cfg.BackoffUnit)
+		util.BackoffLinear(t.rng, t.succ)
 	}
 }
 
@@ -840,7 +827,7 @@ func (t *txn) cmOnWrite() {
 	if t.e.cfg.Policy != TwoPhase {
 		return
 	}
-	if t.cmTS.Load() == infinity && t.nw == t.e.cfg.Wn {
+	if t.cmTS.Load() == infinity && t.nw == wn {
 		t.cmTS.Store(t.e.greedyTS.Add(1))
 	}
 }
@@ -921,19 +908,13 @@ func (t *txn) NewObject(fields uint32) stm.Handle {
 	return stm.Handle(t.e.arena.Alloc(fields))
 }
 
-// SupportsWordAPI reports the word-API capability (stm.SupportsWordAPI).
-func (e *Engine) SupportsWordAPI() bool { return true }
-
-// roTx is the transaction view Begin returns for declared read-only mode:
-// its read methods run the loadRO fast path (no write-log probe, no kill
-// checks) with zero mode branches on either path. The write methods exist
-// only to satisfy stm.Tx — they are unreachable through the TxRO the
-// AtomicRO entry points expose, and panic as defense in depth.
+// roTx is the transaction view BeginRO returns: its read methods run the
+// loadRO fast path (no write-log probe, no kill checks) with zero mode
+// branches on either path. It implements stm.TxRO and nothing more, so a
+// read-only body cannot reach a write method even by type assertion.
 type roTx struct{ t *txn }
 
-const errROWrite = "swisstm: write inside a declared read-only transaction"
-
-// Load implements stm.Tx on the read-only view.
+// Load implements stm.TxRO.
 func (r *roTx) Load(a stm.Addr) stm.Word {
 	v, ok := r.t.loadRO(a)
 	if !ok {
@@ -942,26 +923,20 @@ func (r *roTx) Load(a stm.Addr) stm.Word {
 	return v
 }
 
-// ReadField implements stm.Tx on the read-only view.
+// ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return r.Load(stm.Addr(h) + field)
 }
 
-// ReadRef implements stm.Tx on the read-only view.
+// ReadRef implements stm.TxRO.
 func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
 	return stm.Handle(r.Load(stm.Addr(h) + field))
 }
 
-// Restart implements stm.Tx on the read-only view.
+// Restart implements stm.TxRO.
 func (r *roTx) Restart() { r.t.Restart() }
-
-func (r *roTx) Store(stm.Addr, stm.Word)                { panic(errROWrite) }
-func (r *roTx) AllocWords(uint32) stm.Addr              { panic(errROWrite) }
-func (r *roTx) WriteField(stm.Handle, uint32, stm.Word) { panic(errROWrite) }
-func (r *roTx) WriteRef(stm.Handle, uint32, stm.Handle) { panic(errROWrite) }
-func (r *roTx) NewObject(uint32) stm.Handle             { panic(errROWrite) }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)
 var _ stm.Tx = (*txn)(nil)
-var _ stm.Tx = (*roTx)(nil)
+var _ stm.TxRO = (*roTx)(nil)

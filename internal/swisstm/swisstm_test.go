@@ -97,27 +97,27 @@ func TestFalseConflictSameStripe(t *testing.T) {
 }
 
 func TestTwoPhasePromotion(t *testing.T) {
-	// A transaction that performs Wn writes must enter phase two (acquire
-	// a finite Greedy timestamp); one with Wn-1 writes must not.
-	e := New(Config{ArenaWords: 1 << 12, TableBits: 8, Wn: 4})
+	// A transaction that performs wn (10) writes must enter phase two
+	// (acquire a finite Greedy timestamp); one with wn-1 writes must not.
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0).(*txn)
 	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(64) })
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(8 * wn) })
 
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		for i := uint32(0); i < 3; i++ {
+		for i := uint32(0); i < wn-1; i++ {
 			tx.Store(base+i*8, 1) // distinct stripes at default granularity
 		}
 		if th.cmTS.Load() != infinity {
-			t.Errorf("phase-two entered after 3 writes with Wn=4")
+			t.Errorf("phase-two entered after %d writes", wn-1)
 		}
 	})
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		for i := uint32(0); i < 4; i++ {
+		for i := uint32(0); i < wn; i++ {
 			tx.Store(base+i*8, 1)
 		}
 		if th.cmTS.Load() == infinity {
-			t.Errorf("still phase-one after Wn=4 writes")
+			t.Errorf("still phase-one after %d writes", wn)
 		}
 	})
 	// A fresh (non-restart) transaction resets to phase one.
@@ -131,7 +131,9 @@ func TestTwoPhasePromotion(t *testing.T) {
 func TestKilledVictimRetries(t *testing.T) {
 	// A long phase-two transaction must win against short phase-two
 	// transactions that started later, and everything must still commit.
-	e := New(Config{ArenaWords: 1 << 14, TableBits: 10, Wn: 1})
+	// Each transaction writes 16 stripes, so it reaches phase two at its
+	// wn-th.
+	e := New(Config{ArenaWords: 1 << 14, TableBits: 10})
 	th0 := e.NewThread(0)
 	var base stm.Addr
 	stm.AtomicVoid(th0, func(tx stm.Tx) { base = tx.AllocWords(256) })

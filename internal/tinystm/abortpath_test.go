@@ -13,7 +13,7 @@ import (
 // keep unwinding; user panics propagate with the owner locks released.
 func TestAbortPath(t *testing.T) {
 	mk := func() stm.STM {
-		return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1})
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10})
 	}
 	stmtest.AbortPathSuite(t, mk, stmtest.ShapeReadValidation)
 }

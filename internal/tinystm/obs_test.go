@@ -19,6 +19,6 @@ func TestZeroAllocSteadyStateObs(t *testing.T) {
 // TestAbortCausePartition asserts sum(causes) == Aborts plus the
 // validation and delivery splits under a contended multi-thread mix.
 func TestAbortCausePartition(t *testing.T) {
-	e := New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1})
+	e := New(Config{ArenaWords: 1 << 16, TableBits: 10})
 	stmtest.AbortCausePartition(t, e)
 }

@@ -38,7 +38,6 @@ type Config struct {
 	// documentation in package swisstm). Must be a power of two ≤ 64.
 	StripeWords int
 	TableBits   uint
-	BackoffUnit int
 	// Obs, when non-nil, collects per-transaction telemetry at commit
 	// (see the field in package swisstm; DESIGN.md §11).
 	Obs *obs.TxnObs
@@ -50,9 +49,6 @@ func (c *Config) fill() {
 	}
 	if c.TableBits == 0 {
 		c.TableBits = 20
-	}
-	if c.BackoffUnit == 0 {
-		c.BackoffUnit = 512
 	}
 	if c.StripeWords == 0 {
 		c.StripeWords = 4
@@ -151,7 +147,7 @@ type txn struct {
 	e       *Engine
 	id      int
 	tag     uint32 // (id+1)<<24: the owner bits of every owner word this thread installs
-	ro      bool   // current transaction declared read-only (stm.ReadOnly)
+	ro      bool   // current transaction declared read-only (BeginRO)
 	validTS uint64
 	readLog []rEntry
 	pool    []wEntry // write-entry pool; pool[:nw] is the current write log
@@ -159,7 +155,7 @@ type txn struct {
 	seen    util.StripeSet // bit idx set ⇔ readLog holds an entry for stripe idx (DESIGN.md §7.1)
 	rng     *util.Rand
 	succ    int
-	roV     roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
+	roV     roTx          // pre-allocated read-only view returned by BeginRO
 	obsh    *obs.TxnShard // per-thread telemetry shard (nil = obs off)
 	stats   stm.Stats
 }
@@ -188,26 +184,23 @@ func (e *Engine) NewThread(id int) stm.Thread {
 // Stats implements stm.Thread.
 func (t *txn) Stats() stm.Stats { return t.stats }
 
-// Run implements stm.Thread: the engine-facing v2 primitive.
-func (t *txn) Run(body func(stm.Tx) error, mode stm.Mode) error {
-	return stm.RunLoop(t, body, mode)
-}
-
-// Begin implements stm.Thread. A declared read-only transaction skips the
-// write-set init entirely: the write log is invariantly empty between
-// transactions (commit and abort both truncate it; DESIGN.md §9.3).
-func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
-	if mode == stm.ReadOnly {
-		t.ro = true
-		t.validTS = t.e.clock.Load()
-		if len(t.readLog) != 0 {
-			t.clearReadSet()
-		}
-		return &t.roV
-	}
+// Begin implements stm.Thread.
+func (t *txn) Begin(bool) stm.Tx {
 	t.ro = false
 	t.begin()
 	return t
+}
+
+// BeginRO implements stm.Thread. A declared read-only transaction skips
+// the write-set init entirely: the write log is invariantly empty between
+// transactions (commit and abort both truncate it; DESIGN.md §9.3).
+func (t *txn) BeginRO(bool) stm.TxRO {
+	t.ro = true
+	t.validTS = t.e.clock.Load()
+	if len(t.readLog) != 0 {
+		t.clearReadSet()
+	}
+	return &t.roV
 }
 
 // Commit implements stm.Thread.
@@ -247,7 +240,7 @@ func (t *txn) AbortUser() {
 // Backoff implements stm.Thread.
 func (t *txn) Backoff() {
 	t.succ++
-	util.BackoffLinear(t.rng, t.succ, t.e.cfg.BackoffUnit)
+	util.BackoffLinear(t.rng, t.succ)
 }
 
 func (t *txn) begin() {
@@ -619,17 +612,11 @@ func (t *txn) NewObject(fields uint32) stm.Handle {
 	return stm.Handle(t.e.arena.Alloc(fields))
 }
 
-// SupportsWordAPI reports the word-API capability (stm.SupportsWordAPI).
-func (e *Engine) SupportsWordAPI() bool { return true }
-
-// roTx is the transaction view Begin returns for declared read-only
-// mode; see the swisstm counterpart for the rationale. Write methods are
-// unreachable through TxRO and panic as defense in depth.
+// roTx is the transaction view BeginRO returns; see the swisstm
+// counterpart for the rationale. It implements stm.TxRO and nothing more.
 type roTx struct{ t *txn }
 
-const errROWrite = "tinystm: write inside a declared read-only transaction"
-
-// Load implements stm.Tx on the read-only view.
+// Load implements stm.TxRO.
 func (r *roTx) Load(a stm.Addr) stm.Word {
 	v, ok := r.t.loadRO(a)
 	if !ok {
@@ -638,26 +625,20 @@ func (r *roTx) Load(a stm.Addr) stm.Word {
 	return v
 }
 
-// ReadField implements stm.Tx on the read-only view.
+// ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return r.Load(stm.Addr(h) + field)
 }
 
-// ReadRef implements stm.Tx on the read-only view.
+// ReadRef implements stm.TxRO.
 func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
 	return stm.Handle(r.Load(stm.Addr(h) + field))
 }
 
-// Restart implements stm.Tx on the read-only view.
+// Restart implements stm.TxRO.
 func (r *roTx) Restart() { r.t.Restart() }
-
-func (r *roTx) Store(stm.Addr, stm.Word)                { panic(errROWrite) }
-func (r *roTx) AllocWords(uint32) stm.Addr              { panic(errROWrite) }
-func (r *roTx) WriteField(stm.Handle, uint32, stm.Word) { panic(errROWrite) }
-func (r *roTx) WriteRef(stm.Handle, uint32, stm.Handle) { panic(errROWrite) }
-func (r *roTx) NewObject(uint32) stm.Handle             { panic(errROWrite) }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)
 var _ stm.Tx = (*txn)(nil)
-var _ stm.Tx = (*roTx)(nil)
+var _ stm.TxRO = (*roTx)(nil)

@@ -15,7 +15,7 @@ import (
 // Restart panic.
 func TestAbortPath(t *testing.T) {
 	mk := func() stm.STM {
-		return New(Config{ArenaWords: 1 << 16, TableBits: 10, BackoffUnit: 1})
+		return New(Config{ArenaWords: 1 << 16, TableBits: 10})
 	}
 	stmtest.AbortPathSuite(t, mk, stmtest.ShapeLockAcquire)
 }

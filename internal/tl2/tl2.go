@@ -41,11 +41,6 @@ type Config struct {
 	// documentation in package swisstm). Must be a power of two ≤ 64.
 	StripeWords int
 	TableBits   uint
-	BackoffUnit int
-	// CommitSpin bounds how long the committer spins on a locked stripe
-	// before giving up and aborting (the original aborts immediately; a
-	// tiny bounded spin reduces convoying on oversubscribed hosts).
-	CommitSpin int
 	// Obs, when non-nil, collects per-transaction telemetry at commit
 	// (see the field in package swisstm; DESIGN.md §11).
 	Obs *obs.TxnObs
@@ -58,12 +53,6 @@ func (c *Config) fill() {
 	if c.TableBits == 0 {
 		c.TableBits = 20
 	}
-	if c.BackoffUnit == 0 {
-		c.BackoffUnit = 512
-	}
-	if c.CommitSpin == 0 {
-		c.CommitSpin = 64
-	}
 	if c.StripeWords == 0 {
 		c.StripeWords = 4
 	}
@@ -71,6 +60,11 @@ func (c *Config) fill() {
 		panic("tl2: StripeWords must be a power of two ≤ 64")
 	}
 }
+
+// commitSpin bounds how long the committer spins on a locked stripe
+// before giving up and aborting (the original aborts immediately; a tiny
+// bounded spin reduces convoying on oversubscribed hosts).
+const commitSpin = 64
 
 // Engine is a TL2 instance. Each lock-table entry is a versioned lock:
 // version<<1 when free, owner-tagged odd value when locked. The global
@@ -125,7 +119,7 @@ type wsEntry struct {
 type txn struct {
 	e         *Engine
 	id        int
-	ro        bool   // current transaction declared read-only (stm.ReadOnly)
+	ro        bool   // current transaction declared read-only (BeginRO)
 	rv        uint64 // read version (clock snapshot at start)
 	readLog   []uint32
 	readVer   []uint64
@@ -136,7 +130,7 @@ type txn struct {
 	saved     []savedLock // pre-lock versions, for release on commit abort
 	rng       *util.Rand
 	succ      int
-	roV       roTx          // pre-allocated read-only view returned by Begin(ReadOnly)
+	roV       roTx          // pre-allocated read-only view returned by BeginRO
 	obsh      *obs.TxnShard // per-thread telemetry shard (nil = obs off)
 	stats     stm.Stats
 }
@@ -166,29 +160,26 @@ func (e *Engine) NewThread(id int) stm.Thread {
 // Stats implements stm.Thread.
 func (t *txn) Stats() stm.Stats { return t.stats }
 
-// Run implements stm.Thread: the engine-facing v2 primitive.
-func (t *txn) Run(body func(stm.Tx) error, mode stm.Mode) error {
-	return stm.RunLoop(t, body, mode)
+// Begin implements stm.Thread.
+func (t *txn) Begin(bool) stm.Tx {
+	t.ro = false
+	t.begin()
+	return t
 }
 
-// Begin implements stm.Thread. TL2's declared read-only mode is the
+// BeginRO implements stm.Thread. TL2's declared read-only mode is the
 // classic one from the TL2 paper: sample the clock and nothing else. No
 // read log is kept at all — each read validates against rv on the spot,
 // so the whole transaction is consistent at rv by construction and the
 // commit needs no validation (DESIGN.md §9.3). The logs are truncated so
 // a read-only abort never charges a previous transaction's entries to
 // the ReadsLogged counter.
-func (t *txn) Begin(mode stm.Mode, restart bool) stm.Tx {
-	if mode == stm.ReadOnly {
-		t.ro = true
-		t.rv = t.e.clock.Load()
-		t.readLog = t.readLog[:0]
-		t.readVer = t.readVer[:0]
-		return &t.roV
-	}
-	t.ro = false
-	t.begin()
-	return t
+func (t *txn) BeginRO(bool) stm.TxRO {
+	t.ro = true
+	t.rv = t.e.clock.Load()
+	t.readLog = t.readLog[:0]
+	t.readVer = t.readVer[:0]
+	return &t.roV
 }
 
 // Commit implements stm.Thread.
@@ -228,7 +219,7 @@ func (t *txn) AbortUser() {
 // Backoff implements stm.Thread.
 func (t *txn) Backoff() {
 	t.succ++
-	util.BackoffLinear(t.rng, t.succ, t.e.cfg.BackoffUnit)
+	util.BackoffLinear(t.rng, t.succ)
 }
 
 func (t *txn) begin() {
@@ -411,7 +402,7 @@ func (t *txn) commit() bool {
 	for _, idx := range t.lockSet {
 		l := &t.e.locks[idx]
 		ok := false
-		for spin := 0; spin < t.e.cfg.CommitSpin; spin++ {
+		for spin := 0; spin < commitSpin; spin++ {
 			v := l.Load()
 			if v&1 == 1 {
 				if spin&0xf == 0xf {
@@ -564,17 +555,11 @@ func (t *txn) NewObject(fields uint32) stm.Handle {
 	return stm.Handle(t.e.arena.Alloc(fields))
 }
 
-// SupportsWordAPI reports the word-API capability (stm.SupportsWordAPI).
-func (e *Engine) SupportsWordAPI() bool { return true }
-
-// roTx is the transaction view Begin returns for declared read-only
-// mode; see the swisstm counterpart for the rationale. Write methods are
-// unreachable through TxRO and panic as defense in depth.
+// roTx is the transaction view BeginRO returns; see the swisstm
+// counterpart for the rationale. It implements stm.TxRO and nothing more.
 type roTx struct{ t *txn }
 
-const errROWrite = "tl2: write inside a declared read-only transaction"
-
-// Load implements stm.Tx on the read-only view.
+// Load implements stm.TxRO.
 func (r *roTx) Load(a stm.Addr) stm.Word {
 	v, ok := r.t.loadRO(a)
 	if !ok {
@@ -583,26 +568,20 @@ func (r *roTx) Load(a stm.Addr) stm.Word {
 	return v
 }
 
-// ReadField implements stm.Tx on the read-only view.
+// ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return r.Load(stm.Addr(h) + field)
 }
 
-// ReadRef implements stm.Tx on the read-only view.
+// ReadRef implements stm.TxRO.
 func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
 	return stm.Handle(r.Load(stm.Addr(h) + field))
 }
 
-// Restart implements stm.Tx on the read-only view.
+// Restart implements stm.TxRO.
 func (r *roTx) Restart() { r.t.Restart() }
-
-func (r *roTx) Store(stm.Addr, stm.Word)                { panic(errROWrite) }
-func (r *roTx) AllocWords(uint32) stm.Addr              { panic(errROWrite) }
-func (r *roTx) WriteField(stm.Handle, uint32, stm.Word) { panic(errROWrite) }
-func (r *roTx) WriteRef(stm.Handle, uint32, stm.Handle) { panic(errROWrite) }
-func (r *roTx) NewObject(uint32) stm.Handle             { panic(errROWrite) }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)
 var _ stm.Tx = (*txn)(nil)
-var _ stm.Tx = (*roTx)(nil)
+var _ stm.TxRO = (*roTx)(nil)

@@ -51,8 +51,9 @@ func spinHint() {}
 
 // BackoffLinear waits a random duration that grows linearly with attempt,
 // the randomized linear back-off SwissTM applies after rollbacks
-// (Algorithm 2, cm-on-rollback). unit is the per-attempt spin budget.
-func BackoffLinear(r *Rand, attempt, unit int) {
+// (Algorithm 2, cm-on-rollback). All four engines back off on it.
+func BackoffLinear(r *Rand, attempt int) {
+	const unit = 512 // spin budget per successive abort
 	if attempt <= 0 {
 		return
 	}

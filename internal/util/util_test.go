@@ -68,7 +68,7 @@ func TestRandRoughUniformity(t *testing.T) {
 func TestBackoffTerminates(t *testing.T) {
 	r := NewRand(1)
 	for attempt := 0; attempt < 30; attempt++ {
-		BackoffLinear(r, attempt, 64)
+		BackoffLinear(r, attempt)
 		BackoffExp(r, attempt, 64)
 	}
 	// Overflow guard: enormous attempts must not wrap into huge spins.
