@@ -46,8 +46,10 @@ func TestProtocolCountsPinned(t *testing.T) {
 		// TL2 keeps duplicate entries and, alone on the clock, takes the GV4
 		// fast path at every commit, so it never validates.
 		{"tl2", protocolCounts{ReadsLogged: 34223, Commits: 400}, protocolCounts{ReadsLogged: 43687, Commits: 5001}},
-		// RSTM records no read counters.
-		{"rstm", protocolCounts{Commits: 400}, protocolCounts{Commits: 5001}},
+		// RSTM logs every invisible read, with no dedup, and validates a
+		// writer's reads once in its commit's flip section.
+		{"rstm", protocolCounts{ReadsLogged: 460862, Validations: 143, ValidationReads: 22478, Commits: 400},
+			protocolCounts{ReadsLogged: 48807, Validations: 4969, ValidationReads: 43687, Commits: 5001}},
 	}
 	for _, pin := range pins {
 		kind := pin.kind

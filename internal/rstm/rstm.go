@@ -398,9 +398,11 @@ func (t *txn) beginRO(restart bool) {
 // or panic with the pre-allocated signal when user code must be
 // interrupted.
 func (t *txn) abort(explicit bool) {
+	reads := len(t.readSet) + len(t.visSet)
 	t.cur.status.CompareAndSwap(statusActive, statusAborted)
 	t.dropVisible()
 	t.stats.Aborts++
+	t.stats.ReadsLogged += uint64(reads)
 	if explicit {
 		t.stats.AbortsExplicit++
 	}
@@ -662,6 +664,8 @@ func (t *txn) openWriteLazy(o *object) ([]stm.Word, bool) {
 // validate re-checks every invisible read: the object's current data must
 // still be the slice we observed.
 func (t *txn) validate() bool {
+	t.stats.Validations++
+	t.stats.ValidationReads += uint64(len(t.readSet))
 	for i := range t.readSet {
 		re := &t.readSet[i]
 		loc := re.obj.loc.Load()
@@ -705,6 +709,7 @@ func (t *txn) commitRO() bool {
 	t.dropVisible()
 	t.stats.Commits++
 	t.stats.ROCommits++
+	t.stats.ReadsLogged += uint64(rs)
 	if t.obsh != nil {
 		t.obsh.RecordCommit(uint64(t.succ), uint64(rs), 0)
 	}
@@ -769,6 +774,7 @@ func (t *txn) commitInner() bool {
 		}
 		t.dropVisible()
 		t.stats.Commits++
+		t.stats.ReadsLogged += uint64(rs)
 		if t.obsh != nil {
 			t.obsh.RecordCommit(uint64(t.succ), uint64(rs), uint64(ws))
 		}
@@ -803,6 +809,7 @@ func (t *txn) commitInner() bool {
 	}
 	t.dropVisible()
 	t.stats.Commits++
+	t.stats.ReadsLogged += uint64(rs)
 	if t.obsh != nil {
 		t.obsh.RecordCommit(uint64(t.succ), uint64(rs), uint64(ws))
 	}

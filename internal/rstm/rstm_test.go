@@ -108,3 +108,42 @@ func TestObjectTableGrowth(t *testing.T) {
 func TestTransferExtend(t *testing.T) {
 	stmtest.TransferExtend(t, New(Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewPolka()}))
 }
+
+// TestReadCounters: RSTM counts the read-set entries its attempts log —
+// committed and aborted alike, the size it records in obs — and its
+// validation passes over them, as the word engines do, so its records'
+// reads_logged and validations columns are not zero.
+func TestReadCounters(t *testing.T) {
+	for _, reads := range []ReadMode{Invisible, Visible} {
+		t.Run(reads.String(), func(t *testing.T) {
+			e := New(Config{Reads: reads})
+			th := e.NewThread(0)
+			var a, b, c stm.Handle
+			stm.AtomicVoid(th, func(tx stm.Tx) { a, b, c = tx.NewObject(1), tx.NewObject(1), tx.NewObject(1) })
+
+			sum := func(tx stm.TxRO) stm.Word { return tx.ReadField(a, 0) + tx.ReadField(b, 0) + tx.ReadField(c, 0) }
+			stm.AtomicRO(th, sum)
+			n := 0
+			stm.AtomicRO(th, func(tx stm.TxRO) stm.Word {
+				if n++; n == 1 {
+					tx.ReadField(a, 0)
+					tx.Restart()
+				}
+				return sum(tx)
+			})
+			stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(c, 0, tx.ReadField(a, 0)+tx.ReadField(b, 0)) })
+
+			// 3 + (1 aborted + 3) + 2 entries; the writer validates its two
+			// invisible reads once, in the flip section of its commit.
+			want := stm.Stats{ReadsLogged: 9}
+			if reads == Invisible {
+				want.Validations, want.ValidationReads = 1, 2
+			}
+			s := th.Stats()
+			if s.ReadsLogged != want.ReadsLogged || s.Validations != want.Validations || s.ValidationReads != want.ValidationReads {
+				t.Errorf("ReadsLogged/Validations/ValidationReads = %d/%d/%d, want %d/%d/%d",
+					s.ReadsLogged, s.Validations, s.ValidationReads, want.ReadsLogged, want.Validations, want.ValidationReads)
+			}
+		})
+	}
+}
