@@ -4,11 +4,12 @@
 GO ?= go
 
 # Engine packages get a dedicated -race pass: they are the lock-level
-# concurrent code, and the data-structure stress tests hammer them.
+# concurrent code, and the data-structure stress tests hammer them. The
+# kernel they share (internal/stm/kernel) rides with them.
 # txkv rides along for its concurrent transfer-invariant test; the
 # server stack (wire/server/client) because its tests run many TCP
 # connections against one shared engine.
-ENGINE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm
+ENGINE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm ./internal/stm/kernel
 RACE_PKGS := $(ENGINE_PKGS) ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce ./internal/ticket
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
@@ -33,7 +34,7 @@ CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFra
 # The engines' attempt lifecycle (Begin/BeginRO, Commit, Unwind, AbortUser)
 # runs five times more under the detector on the four engines: the APIV2
 # conformance cases (under each RSTM variant), the abort-path suite and the
-# no-stale-dedup-bits endings.
+# no-stale-dedup-bits endings, and the kernel's record helpers.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver

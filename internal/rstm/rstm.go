@@ -34,7 +34,7 @@ import (
 	"swisstm/internal/mem"
 	"swisstm/internal/obs"
 	"swisstm/internal/stm"
-	"swisstm/internal/util"
+	"swisstm/internal/stm/kernel"
 )
 
 // AcquireMode selects when writers acquire objects.
@@ -78,8 +78,8 @@ type Config struct {
 	// Manager arbitrates conflicts (default: Polka, the paper's default
 	// RSTM configuration).
 	Manager cm.Manager
-	// Obs, when non-nil, collects per-transaction telemetry at commit
-	// (see the field in package swisstm; DESIGN.md §11).
+	// Obs, when non-nil, collects per-transaction telemetry at commit, as
+	// the word engines' kernel.WordConfig.Obs does (DESIGN.md §11).
 	Obs *obs.TxnObs
 }
 
@@ -240,8 +240,6 @@ type lazyWrite struct {
 // txn is a per-thread transaction context.
 type txn struct {
 	e        *Engine
-	id       int
-	ro       bool // current transaction declared read-only (BeginRO)
 	cur      *attempt
 	pub      bool // cur escaped into shared state (locator / reader slot)
 	state    cm.TxState
@@ -250,41 +248,25 @@ type txn struct {
 	lazySet  []lazyWrite // lazy mode: private clones
 	visSet   []*object   // objects where we occupy a visible-reader slot
 	lastCC   uint64      // commit counter at last validation
-	rng      *util.Rand
-	succ     int
 	// committing marks the window between entering commitRO/commitInner
 	// and the next begin, so the shared maybeValidate can attribute a
 	// validation failure to the read phase or the commit phase
 	// (stm.Stats.AbortsValidRead vs AbortsValidCommit).
 	committing bool
-	roV        roTx          // pre-allocated read-only view returned by BeginRO
-	obsh       *obs.TxnShard // per-thread telemetry shard (nil = obs off)
-	stats      stm.Stats
+	roV        roTx // pre-allocated read-only view returned by BeginRO
+	kernel.Thread
 }
 
 // NewThread implements stm.STM.
 func (e *Engine) NewThread(id int) stm.Thread {
-	if id < 0 || id >= stm.MaxThreads {
-		panic("rstm: thread id out of range")
-	}
-	t := &txn{
-		e:   e,
-		id:  id,
-		rng: util.NewRand(uint64(id)*0x2545f491 + 11),
-	}
+	t := &txn{Thread: kernel.NewThread("rstm", id, uint64(id)*0x2545f491+11, e.cfg.Obs), e: e}
 	t.roV.t = t
-	if e.cfg.Obs != nil {
-		t.obsh = e.cfg.Obs.Shard(id)
-	}
 	return t
 }
 
-// Stats implements stm.Thread.
-func (t *txn) Stats() stm.Stats { return t.stats }
-
 // Begin implements stm.Thread.
 func (t *txn) Begin(restart bool) stm.Tx {
-	t.ro = false
+	t.RO = false
 	t.begin(restart)
 	return t
 }
@@ -295,7 +277,7 @@ func (t *txn) Begin(restart bool) stm.Tx {
 // an invisible read-only attempt is never published and so never
 // arbitrates against anyone (DESIGN.md §9.3).
 func (t *txn) BeginRO(restart bool) stm.TxRO {
-	t.ro = true
+	t.RO = true
 	t.beginRO(restart)
 	return &t.roV
 }
@@ -304,25 +286,22 @@ func (t *txn) BeginRO(restart bool) stm.TxRO {
 // a checked return.
 func (t *txn) Commit() bool {
 	var ok bool
-	if t.ro {
+	if t.RO {
 		ok = t.commitRO()
 	} else {
 		ok = t.commitInner()
 	}
-	if ok {
-		t.succ = 0
-		return true
+	if !ok {
+		t.Stat.AbortsReturned++
 	}
-	t.stats.AbortsReturned++
-	return false
+	return ok
 }
 
 // Unwind implements stm.Thread: triage a panic recovered mid-body; a
 // foreign panic freezes the attempt and drops visible-reader slots
 // before the caller propagates it.
 func (t *txn) Unwind(r any) bool {
-	if _, rb := r.(stm.RollbackSignal); rb {
-		t.stats.AbortsUnwound++
+	if t.Thread.Unwind(r) {
 		return true
 	}
 	t.cur.status.CompareAndSwap(statusActive, statusAborted)
@@ -335,15 +314,7 @@ func (t *txn) Unwind(r any) bool {
 // (stale locators resolve to old data); no retry.
 func (t *txn) AbortUser() {
 	t.abort(false)
-	t.stats.AbortsUser++
-	t.stats.AbortsReturned++
-	t.succ = 0 // the logical transaction ends here, like a commit
-}
-
-// Backoff implements stm.Thread.
-func (t *txn) Backoff() {
-	t.succ++
-	util.BackoffLinear(t.rng, t.succ)
+	t.AbortedUser()
 }
 
 func (t *txn) begin(restart bool) {
@@ -401,10 +372,9 @@ func (t *txn) abort(explicit bool) {
 	reads := len(t.readSet) + len(t.visSet)
 	t.cur.status.CompareAndSwap(statusActive, statusAborted)
 	t.dropVisible()
-	t.stats.Aborts++
-	t.stats.ReadsLogged += uint64(reads)
+	t.Aborted(reads)
 	if explicit {
-		t.stats.AbortsExplicit++
+		t.Stat.AbortsExplicit++
 	}
 }
 
@@ -418,7 +388,7 @@ func (t *txn) Restart() {
 // transaction aborted and the caller must back out.
 func (t *txn) killedAbort() bool {
 	if t.cur.status.Load() == statusAborted {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		t.abort(false)
 		return true
 	}
@@ -436,15 +406,15 @@ func (t *txn) resolveConflict(owner *attempt) bool {
 		}
 		switch t.e.cfg.Manager.Resolve(&t.state, owner.state, attemptNo) {
 		case cm.AbortSelf:
-			t.stats.AbortsWW++
+			t.Stat.AbortsWW++
 			t.abort(false)
 			return false
 		case cm.AbortOther:
 			owner.status.CompareAndSwap(statusActive, statusAborted)
 			return true
 		case cm.Wait:
-			t.stats.WaitsCM++
-			t.e.cfg.Manager.WaitBackoff(t.rng, attemptNo)
+			t.Stat.WaitsCM++
+			t.e.cfg.Manager.WaitBackoff(t.Rng, attemptNo)
 			if t.killedAbort() {
 				return false
 			}
@@ -478,11 +448,11 @@ func (t *txn) maybeValidate() bool {
 			continue
 		}
 		if !t.validate() {
-			t.stats.AbortsValid++
+			t.Stat.AbortsValid++
 			if t.committing {
-				t.stats.AbortsValidCommit++
+				t.Stat.AbortsValidCommit++
 			} else {
-				t.stats.AbortsValidRead++
+				t.Stat.AbortsValidRead++
 			}
 			t.abort(false)
 			return false
@@ -539,10 +509,10 @@ func (t *txn) openReadVisible(o *object, loc *locator) ([]stm.Word, bool) {
 	// could resolve the bit to a stale attempt. The first registration of
 	// an attempt (empty visSet — bits are only set while in visSet)
 	// publishes; later ones reuse the slot.
-	bit := uint64(1) << uint(t.id)
+	bit := uint64(1) << uint(t.ID)
 	if o.readers.Load()&bit == 0 {
 		if len(t.visSet) == 0 {
-			t.e.visible[t.id].p.Store(t.cur)
+			t.e.visible[t.ID].p.Store(t.cur)
 			t.pub = true
 		}
 		o.readers.Or(bit)
@@ -608,7 +578,7 @@ func (t *txn) afterAcquire(o *object) bool {
 		// Writer vs visible readers: walk the set bits of the reader
 		// bitmap (skipping our own) and resolve each through the visible
 		// table — O(popcount), not O(slots).
-		bm := o.readers.Load() &^ (uint64(1) << uint(t.id))
+		bm := o.readers.Load() &^ (uint64(1) << uint(t.ID))
 		for bm != 0 {
 			i := bits.TrailingZeros64(bm)
 			bm &= bm - 1
@@ -619,7 +589,7 @@ func (t *txn) afterAcquire(o *object) bool {
 			// Eager read/write conflict: writer vs visible reader.
 			switch t.e.cfg.Manager.Resolve(&t.state, r.state, 0) {
 			case cm.AbortSelf:
-				t.stats.AbortsWW++
+				t.Stat.AbortsWW++
 				t.abort(false)
 				return false
 			default:
@@ -664,8 +634,8 @@ func (t *txn) openWriteLazy(o *object) ([]stm.Word, bool) {
 // validate re-checks every invisible read: the object's current data must
 // still be the slice we observed.
 func (t *txn) validate() bool {
-	t.stats.Validations++
-	t.stats.ValidationReads += uint64(len(t.readSet))
+	t.Stat.Validations++
+	t.Stat.ValidationReads += uint64(len(t.readSet))
 	for i := range t.readSet {
 		re := &t.readSet[i]
 		loc := re.obj.loc.Load()
@@ -702,17 +672,12 @@ func (t *txn) commitRO() bool {
 		}
 	}
 	if !t.cur.status.CompareAndSwap(statusActive, statusCommitted) {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		t.abort(false)
 		return false
 	}
 	t.dropVisible()
-	t.stats.Commits++
-	t.stats.ROCommits++
-	t.stats.ReadsLogged += uint64(rs)
-	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(rs), 0)
-	}
+	t.CommittedRO(rs)
 	return true
 }
 
@@ -746,7 +711,7 @@ func (t *txn) commitInner() bool {
 			if len(cur) > 0 && (len(lw.base) == 0 || &cur[0] != &lw.base[0]) {
 				// Someone committed a new version since we cloned:
 				// our buffered update is stale.
-				t.stats.LockAcquireFail++
+				t.Stat.LockAcquireFail++
 				t.abort(false)
 				return false
 			}
@@ -768,16 +733,12 @@ func (t *txn) commitInner() bool {
 			}
 		}
 		if !t.cur.status.CompareAndSwap(statusActive, statusCommitted) {
-			t.stats.AbortsKilled++
+			t.Stat.AbortsKilled++
 			t.abort(false)
 			return false
 		}
 		t.dropVisible()
-		t.stats.Commits++
-		t.stats.ReadsLogged += uint64(rs)
-		if t.obsh != nil {
-			t.obsh.RecordCommit(uint64(t.succ), uint64(rs), uint64(ws))
-		}
+		t.Committed(rs, ws)
 		return true
 	}
 	// Writer: enter the flip section (counter even→odd), validate, flip,
@@ -797,22 +758,18 @@ func (t *txn) commitInner() bool {
 	}
 	t.e.commits.Add(1) // leave the flip section (back to even)
 	if !ok {
-		t.stats.AbortsValid++
-		t.stats.AbortsValidCommit++
+		t.Stat.AbortsValid++
+		t.Stat.AbortsValidCommit++
 		t.abort(false)
 		return false
 	}
 	if !flipped {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		t.abort(false)
 		return false
 	}
 	t.dropVisible()
-	t.stats.Commits++
-	t.stats.ReadsLogged += uint64(rs)
-	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(rs), uint64(ws))
-	}
+	t.Committed(rs, ws)
 	return true
 }
 
@@ -822,7 +779,7 @@ func (t *txn) dropVisible() {
 	if len(t.visSet) == 0 {
 		return
 	}
-	bit := uint64(1) << uint(t.id)
+	bit := uint64(1) << uint(t.ID)
 	for _, o := range t.visSet {
 		o.readers.And(^bit)
 	}
@@ -896,9 +853,10 @@ func (t *txn) Store(a stm.Addr, v stm.Word) { panic(stm.ErrWordAPI) }
 // AllocWords implements stm.Tx.
 func (t *txn) AllocWords(n uint32) stm.Addr { panic(stm.ErrWordAPI) }
 
-// roTx is the transaction view BeginRO returns; see the swisstm
-// counterpart for the rationale. It implements stm.TxRO and nothing more;
-// its Load panics ErrWordAPI like the read-write view's.
+// roTx is the transaction view BeginRO returns: its read methods run the
+// openReadRO fast path with no mode branch, and it implements stm.TxRO and
+// nothing more (DESIGN.md §9.3); its Load panics ErrWordAPI like the
+// read-write view's.
 type roTx struct{ t *txn }
 
 // ReadField implements stm.TxRO.

@@ -22,14 +22,14 @@ func TestDedupLogsStripeOnce(t *testing.T) {
 	e := newDedupEngine()
 	th := e.NewThread(0)
 	tx0 := th.(*txn)
-	base := e.arena.Alloc(8) // spans two 4-word stripes
+	base := e.Arena().Alloc(8) // spans two 4-word stripes
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for rep := 0; rep < 10; rep++ {
 			tx.Load(base)     // stripe A
 			tx.Load(base + 1) // stripe A again (sibling word)
 			tx.Load(base + 4) // stripe B
 		}
-		if got := len(tx0.readLog); got != 2 {
+		if got := len(tx0.rs.Log); got != 2 {
 			t.Errorf("read log has %d entries, want 2 (one per distinct stripe)", got)
 		}
 	})
@@ -53,8 +53,8 @@ func TestDedupDoesNotMaskConflict(t *testing.T) {
 	e := newDedupEngine()
 	thA := e.NewThread(0)
 	thB := e.NewThread(1)
-	addr := e.arena.Alloc(1)
-	e.arena.Store(addr, 1)
+	addr := e.Arena().Alloc(1)
+	e.Arena().Store(addr, 1)
 
 	attempts := 0
 	var first, second stm.Word
@@ -87,8 +87,8 @@ func TestDedupDoesNotMaskConflict(t *testing.T) {
 func TestDedupOpacityUnderContention(t *testing.T) {
 	e := newDedupEngine()
 	setup := e.NewThread(0)
-	x := e.arena.Alloc(1)
-	y := e.arena.Alloc(5) // a different stripe than x
+	x := e.Arena().Alloc(1)
+	y := e.Arena().Alloc(5) // a different stripe than x
 	stm.AtomicVoid(setup, func(tx stm.Tx) {
 		tx.Store(x, 0)
 		tx.Store(y, 0)
@@ -144,31 +144,31 @@ func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
 	d := th.(*txn)
 	setBits := func() int {
 		n := 0
-		for _, w := range d.seen {
+		for _, w := range d.rs.Seen {
 			n += bits.OnesCount64(w)
 		}
 		return n
 	}
 	return stmtest.ReadSetProbe{
-		LogLen:  func() int { return len(d.readLog) },
+		LogLen:  func() int { return len(d.rs.Log) },
 		SetBits: setBits,
 		Kill:    func() { d.status.Store(1) },
 		Sweep: func() error {
-			logged := make(map[uint32]bool, len(d.readLog))
-			for _, re := range d.readLog {
-				if logged[re.lockIdx] {
-					return fmt.Errorf("stripe %d logged twice", re.lockIdx)
+			logged := make(map[uint32]bool, len(d.rs.Log))
+			for _, re := range d.rs.Log {
+				if logged[re.Idx] {
+					return fmt.Errorf("stripe %d logged twice", re.Idx)
 				}
-				logged[re.lockIdx] = true
-				if re.rlock>>1 > d.validTS {
-					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.lockIdx, re.rlock>>1, d.validTS)
+				logged[re.Idx] = true
+				if re.Ver>>1 > d.validTS {
+					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.Idx, re.Ver>>1, d.validTS)
 				}
-				if cur := d.e.rlocks[re.lockIdx].Load(); cur != rLocked && cur>>1 <= d.validTS && cur != re.rlock {
-					return fmt.Errorf("(II) stripe %d logged at r-lock %#x now reads %#x, both within validTS %d", re.lockIdx, re.rlock, cur, d.validTS)
+				if cur := d.e.rlocks[re.Idx].Load(); cur != rLocked && cur>>1 <= d.validTS && cur != re.Ver {
+					return fmt.Errorf("(II) stripe %d logged at r-lock %#x now reads %#x, both within validTS %d", re.Idx, re.Ver, cur, d.validTS)
 				}
 			}
-			if n := setBits(); n != len(d.readLog) {
-				return fmt.Errorf("%d bits set for %d log entries", n, len(d.readLog))
+			if n := setBits(); n != len(d.rs.Log) {
+				return fmt.Errorf("%d bits set for %d log entries", n, len(d.rs.Log))
 			}
 			return nil
 		},

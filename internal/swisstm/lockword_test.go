@@ -31,11 +31,11 @@ func TestLockWordAliasedReadAfterWrite(t *testing.T) {
 		tx.Store(base, 1)  // write-log entry 0, another stripe
 		tx.Store(a, 10)    // entry 1, primary region
 		tx.Store(a+64, 20) // same lock entry: entry 1's overflow
-		if w, mine := e.wlocks[e.stripe(a)].Load(), uint32(5+1)<<wTagShift|1; w != mine {
+		if w, mine := e.wlocks[e.Stripe(a)].Load(), uint32(5+1)<<wTagShift|1; w != mine {
 			t.Fatalf("w-lock word = %#x, want %#x (tag 6, write-log index 1)", w, mine)
 		}
-		if e.stripe(a) != e.stripe(a+64) || th.nw != 2 {
-			t.Fatalf("regions do not alias: stripes %d/%d, %d entries", e.stripe(a), e.stripe(a+64), th.nw)
+		if e.Stripe(a) != e.Stripe(a+64) || th.log.Len() != 2 {
+			t.Fatalf("regions do not alias: stripes %d/%d, %d entries", e.Stripe(a), e.Stripe(a+64), th.log.Len())
 		}
 		for _, c := range want {
 			if got := tx.Load(c.addr); got != c.val {

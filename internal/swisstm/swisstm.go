@@ -28,13 +28,13 @@ package swisstm
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 
 	"swisstm/internal/mem"
 	"swisstm/internal/obs"
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/kernel"
 	"swisstm/internal/util"
 )
 
@@ -65,25 +65,14 @@ func (p CMPolicy) String() string {
 	}
 }
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. ArenaWords, StripeWords, TableBits and
+// Obs are the fields of kernel.WordConfig, which TL2 and TinySTM take as
+// their whole Config, and mean what they mean there.
 type Config struct {
-	// ArenaWords is the transactional heap capacity in 64-bit words.
-	ArenaWords int
-	// Arena optionally supplies a pre-built arena (shared setup);
-	// when non-nil ArenaWords is ignored.
-	Arena *mem.Arena
-	// StripeWords is the number of consecutive words covered by one
-	// lock-table entry. The paper's default granularity is 4 words
-	// (Table 2 shows it strikes the best balance), and 0 selects that
-	// default — the seed's log2-encoded field silently defaulted to
-	// 1-word stripes, contradicting its own documentation and tripling
-	// read-log traffic on object traversals. Must be a power of two ≤ 64
-	// (stripe write masks are 64-bit); pass 1 for word granularity.
+	ArenaWords  int
 	StripeWords int
-	// TableBits is log2 of the lock-table entry count. 0 selects 20; the
-	// paper's C implementation uses 22, the experiment harness 18
-	// (harness.EngineSpec.New).
-	TableBits uint
+	TableBits   uint
+	Obs         *obs.TxnObs
 	// Policy is the contention-management scheme (default TwoPhase).
 	Policy CMPolicy
 	// NoBackoff disables the randomized linear back-off after rollbacks
@@ -98,29 +87,6 @@ type Config struct {
 	// predicts (and BenchmarkPrivatizationSafeReadHeavy confirms) a
 	// significant cost.
 	PrivatizationSafe bool
-	// Obs, when non-nil, collects per-transaction distribution telemetry
-	// (retry count, read-/write-set sizes) into per-thread shards at
-	// commit (DESIGN.md §11). Off (nil) by default; the instrumented
-	// path costs a handful of plain increments and no allocations.
-	Obs *obs.TxnObs
-}
-
-func (c *Config) fill() {
-	if c.ArenaWords == 0 {
-		c.ArenaWords = 1 << 22
-	}
-	if c.TableBits == 0 {
-		c.TableBits = 20
-	}
-	if c.StripeWords == 0 {
-		c.StripeWords = 4
-	}
-	if c.StripeWords > 64 || c.StripeWords&(c.StripeWords-1) != 0 {
-		panic("swisstm: StripeWords must be a power of two ≤ 64")
-	}
-	if c.TableBits > wTagShift {
-		panic("swisstm: TableBits must be ≤ 24")
-	}
 }
 
 const (
@@ -131,61 +97,26 @@ const (
 	wn = 10
 	// A w-lock word is 0 when free, otherwise ownerTag<<24 | write-log
 	// index, where ownerTag is the owner's thread id + 1 (DESIGN.md §7).
-	// A write log holds one entry per lock-table entry, so TableBits ≤ 24
-	// bounds the index; the constant below fails to compile should
-	// MaxThreads outgrow the tag's eight bits.
-	wTagShift = 24
+	// A write log holds one entry per lock-table entry, so
+	// kernel.MaxTableBits bounds the index; the constant below fails to
+	// compile should MaxThreads outgrow the tag's eight bits.
+	wTagShift = kernel.MaxTableBits
 	wIdxMask  = uint32(1)<<wTagShift - 1
 	_         = uint8(stm.MaxThreads + 1)
 )
 
-// wEntry is a write-log entry covering one lock-table stripe: the redo
-// values for the words of that stripe this transaction has written. The
-// stripe's w-lock names its owner and the entry's position in the owner's
-// write log, which makes the lock table itself the write-set lookup
-// structure (as in the C implementation). Entries are owner-private: other
-// threads read only the lock word.
-type wEntry struct {
-	lockIdx    uint32
-	base       stm.Addr // first word of the primary stripe
-	mask       uint64   // bit i set ⇒ vals[i] holds the new value of base+i
-	vals       []stm.Word
-	savedRLock uint64 // r-lock value saved while locked at commit
-	// overflow holds writes to *aliased* stripes: distinct memory regions
-	// that map to the same lock-table entry (the table is a hash of the
-	// address space, Figure 1). Aliasing is rare with paper-sized tables
-	// but must be correct at any table size.
-	overflow []wsPair
-}
-
-// wsPair is one buffered aliased write.
-type wsPair struct {
-	addr stm.Addr
-	val  stm.Word
-}
-
-// rEntry is a read-log entry: the raw (unlocked) r-lock value observed.
-type rEntry struct {
-	lockIdx uint32
-	rlock   uint64 // version<<1 as read
-}
-
 // Engine is a SwissTM instance: an arena plus its lock table and global
 // counters. Field order is cache-line-aware: the read-mostly mapping
-// state (heap slice, lock-table slices, shift/mask) sits together and is
+// state (the kernel.Heap, the lock-table slices) sits together and is
 // never written after New, while the two global counters — the hottest
 // write-shared words in the system — are each padded onto a private line
 // so a committer bumping commitTS does not invalidate the line holding
 // greedyTS (or the mapping state) in every other core's cache.
 type Engine struct {
-	cfg     Config
-	arena   *mem.Arena
-	heap    []atomic.Uint64 // arena backing array, cached for direct indexing
-	rlocks  []atomic.Uint64 // version<<1 when unlocked; 1 when locked
-	wlocks  []atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
-	shift   uint
-	mask    uint32
-	stripeW uint32 // words per stripe
+	cfg Config
+	kernel.Heap
+	rlocks []atomic.Uint64 // version<<1 when unlocked; 1 when locked
+	wlocks []atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
 
 	_        mem.CacheLinePad
 	commitTS mem.PaddedUint64 // global commit counter (Algorithm 1)
@@ -204,21 +135,14 @@ type Engine struct {
 
 // New creates a SwissTM engine.
 func New(cfg Config) *Engine {
-	cfg.fill()
-	a := cfg.Arena
-	if a == nil {
-		a = mem.NewArena(cfg.ArenaWords)
-	}
-	n := 1 << cfg.TableBits
+	h := kernel.NewHeap("swisstm", &kernel.WordConfig{
+		ArenaWords: cfg.ArenaWords, StripeWords: cfg.StripeWords, TableBits: cfg.TableBits,
+	})
 	return &Engine{
-		cfg:     cfg,
-		arena:   a,
-		heap:    a.Words(),
-		rlocks:  make([]atomic.Uint64, n),
-		wlocks:  make([]atomic.Uint32, n),
-		shift:   uint(bits.TrailingZeros(uint(cfg.StripeWords))),
-		mask:    uint32(n - 1),
-		stripeW: uint32(cfg.StripeWords),
+		cfg:    cfg,
+		Heap:   h,
+		rlocks: make([]atomic.Uint64, h.Entries()),
+		wlocks: make([]atomic.Uint32, h.Entries()),
 	}
 }
 
@@ -230,67 +154,44 @@ func (e *Engine) Name() string {
 	return "SwissTM"
 }
 
-// Arena implements stm.STM.
-func (e *Engine) Arena() *mem.Arena { return e.arena }
-
-// stripe returns the lock-table index for addr (Figure 1's mapping).
-func (e *Engine) stripe(a stm.Addr) uint32 { return (a >> e.shift) & e.mask }
-
-// stripeBase returns the first address covered by the same stripe as a.
-func (e *Engine) stripeBase(a stm.Addr) stm.Addr { return a &^ (e.stripeW - 1) }
-
 // txn is a transaction descriptor. One descriptor per thread is reused
 // across that thread's transactions.
 type txn struct {
-	e         *Engine
-	id        int
-	tag       uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
-	ro        bool   // current transaction declared read-only (BeginRO)
-	validTS   uint64
-	cmTS      atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
-	status    atomic.Uint32 // 0 active, 1 killed by another transaction's CM
-	readLog   []rEntry
-	pool      []wEntry // write-entry pool; pool[:nw] is the current write log
-	nw        int
-	seen      util.StripeSet // bit idx set ⇔ readLog holds an entry for stripe idx (DESIGN.md §7.1)
-	rng       *util.Rand
-	succ      int           // successive aborts of the current logical transaction
-	quiesceTS uint64        // commit timestamp to quiesce on (privatization safety)
-	roV       roTx          // pre-allocated read-only view returned by BeginRO
-	obsh      *obs.TxnShard // per-thread telemetry shard (nil = obs off)
-	stats     stm.Stats
+	e       *Engine
+	tag     uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
+	validTS uint64
+	cmTS    atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
+	status  atomic.Uint32 // 0 active, 1 killed by another transaction's CM
+	rs      kernel.ReadSet
+	// log is the write log. A stripe's w-lock names its owner and the
+	// entry's position in the owner's log, which makes the lock table
+	// itself the write-set lookup structure (as in the C implementation).
+	log       kernel.RedoLog
+	quiesceTS uint64 // commit timestamp to quiesce on (privatization safety)
+	roV       roTx   // pre-allocated read-only view returned by BeginRO
+	kernel.Thread
 }
 
 // NewThread implements stm.STM. The id is the thread's identity in the
 // lock table (w-lock words carry it), so it takes over the id from any
 // descriptor registered under it before; see stm.STM.NewThread.
 func (e *Engine) NewThread(id int) stm.Thread {
-	if id < 0 || id >= stm.MaxThreads {
-		panic("swisstm: thread id out of range")
-	}
 	t := &txn{
-		e:       e,
-		id:      id,
-		tag:     uint32(id+1) << wTagShift,
-		readLog: make([]rEntry, 0, 1024),
-		rng:     util.NewRand(uint64(id)*0x9e3779b9 + 1),
+		Thread: kernel.NewThread("swisstm", id, uint64(id)*0x9e3779b9+1, e.cfg.Obs),
+		e:      e,
+		tag:    uint32(id+1) << wTagShift,
+		rs:     kernel.NewReadSet(len(e.rlocks)),
+		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.roV.t = t
-	t.seen = util.NewStripeSet(len(e.rlocks))
 	t.cmTS.Store(infinity)
-	if e.cfg.Obs != nil {
-		t.obsh = e.cfg.Obs.Shard(id)
-	}
 	e.threads[id].Store(t)
 	return t
 }
 
-// Stats implements stm.Thread.
-func (t *txn) Stats() stm.Stats { return t.stats }
-
 // Begin implements stm.Thread: start one read-write attempt.
 func (t *txn) Begin(restart bool) stm.Tx {
-	t.ro = false
+	t.RO = false
 	t.begin(restart)
 	return t
 }
@@ -299,29 +200,25 @@ func (t *txn) Begin(restart bool) stm.Tx {
 // pre-allocated roTx view, whose method set runs the read-only protocol
 // with no mode branches on the read-write fast path.
 func (t *txn) BeginRO(bool) stm.TxRO {
-	t.ro = true
+	t.RO = true
 	t.beginRO()
 	return &t.roV
 }
 
 // Commit implements stm.Thread: try to commit the current attempt, and on
-// success perform the post-commit duties (retry-counter reset and, under
-// PrivatizationSafe, deactivation + quiescence).
+// success under PrivatizationSafe deactivate and quiesce.
 func (t *txn) Commit() bool {
 	var ok bool
-	if t.ro {
+	if t.RO {
 		ok = t.commitRO()
 	} else {
 		ok = t.commit()
 	}
-	if ok {
-		t.succ = 0
-		if t.e.cfg.PrivatizationSafe {
-			t.e.activity[t.id].Store(0)
-			if t.quiesceTS != 0 {
-				t.e.quiesce(t.id, t.quiesceTS)
-				t.quiesceTS = 0
-			}
+	if ok && t.e.cfg.PrivatizationSafe {
+		t.e.activity[t.ID].Store(0)
+		if t.quiesceTS != 0 {
+			t.e.quiesce(t.ID, t.quiesceTS)
+			t.quiesceTS = 0
 		}
 	}
 	return ok
@@ -332,13 +229,12 @@ func (t *txn) Commit() bool {
 // foreign panic (bug in user code, arena exhaustion) — release write
 // locks so other threads are not wedged and let the caller propagate it.
 func (t *txn) Unwind(r any) bool {
-	if _, rb := r.(stm.RollbackSignal); rb {
-		t.stats.AbortsUnwound++
+	if t.Thread.Unwind(r) {
 		return true
 	}
 	t.releaseWLocks()
 	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.id].Store(0)
+		t.e.activity[t.ID].Store(0)
 	}
 	return false
 }
@@ -348,23 +244,21 @@ func (t *txn) Unwind(r any) bool {
 // delivery keeps the AbortsUnwound/AbortsReturned partition exact.
 func (t *txn) AbortUser() {
 	t.abort()
-	t.stats.AbortsUser++
-	t.stats.AbortsReturned++
-	t.succ = 0 // the logical transaction ends here, like a commit
+	t.AbortedUser()
 	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.id].Store(0)
+		t.e.activity[t.ID].Store(0)
 	}
 }
 
-// Backoff implements stm.Thread: cm-on-rollback (Algorithm 2 line 11) —
-// randomized linear back-off proportional to the successive-abort count.
+// Backoff implements stm.Thread: kernel.Thread.Backoff, after deactivating
+// under PrivatizationSafe, and with the wait left out under NoBackoff.
 func (t *txn) Backoff() {
 	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.id].Store(0)
+		t.e.activity[t.ID].Store(0)
 	}
-	t.succ++
+	t.Succ++
 	if !t.e.cfg.NoBackoff {
-		util.BackoffLinear(t.rng, t.succ)
+		util.BackoffLinear(t.Rng, t.Succ)
 	}
 }
 
@@ -399,15 +293,13 @@ func (e *Engine) quiesce(self int, ts uint64) {
 func (t *txn) begin(restart bool) {
 	t.validTS = t.e.commitTS.Load()
 	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.id].Store(t.validTS + 1)
+		t.e.activity[t.ID].Store(t.validTS + 1)
 	}
 	if t.status.Load() != 0 {
 		t.status.Store(0)
 	}
-	if len(t.readLog) != 0 {
-		t.clearReadSet()
-	}
-	t.nw = 0
+	t.rs.Clear()
+	t.log.Reset()
 	if !restart {
 		if t.e.cfg.Policy == Greedy {
 			t.cmTS.Store(t.e.greedyTS.Add(1))
@@ -425,28 +317,9 @@ func (t *txn) begin(restart bool) {
 func (t *txn) beginRO() {
 	t.validTS = t.e.commitTS.Load()
 	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.id].Store(t.validTS + 1)
+		t.e.activity[t.ID].Store(t.validTS + 1)
 	}
-	if len(t.readLog) != 0 {
-		t.clearReadSet()
-	}
-}
-
-// clearReadSet truncates the read log and clears its stripes' bits in
-// seen. It is the only place the log is truncated, and it runs at the
-// start of an attempt rather than the end of one, so however the previous
-// attempt ended — commit, abort, kill, Restart, a body error, a foreign
-// panic — its log is still there to say which bits to clear. A log longer
-// than the bitmap has words is cheaper to undo by wiping the bitmap.
-func (t *txn) clearReadSet() {
-	if len(t.readLog) > len(t.seen) {
-		clear(t.seen)
-	} else {
-		for i := range t.readLog {
-			t.seen.Remove(t.readLog[i].lockIdx)
-		}
-	}
-	t.readLog = t.readLog[:0]
+	t.rs.Clear()
 }
 
 func (t *txn) killed() bool { return t.status.Load() != 0 }
@@ -466,7 +339,7 @@ func (t *txn) Load(a stm.Addr) stm.Word {
 // transaction aborted (bookkeeping already done by abort()).
 func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	if t.killed() {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		t.abort()
 		return 0, false
 	}
@@ -474,20 +347,20 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// length: the compiler proves the access in bounds (no check) and the
 	// engine pointer is dereferenced once.
 	rlocks := t.e.rlocks
-	i := int(a>>t.e.shift) & (len(rlocks) - 1)
+	i := int(a>>t.e.Shift) & (len(rlocks) - 1)
 	idx := uint32(i)
 	// The w-lock lookup exists only for read-after-write; a transaction
 	// that has written nothing cannot own any w-lock, so read-only
 	// transactions skip the shared-table probe entirely.
-	if t.nw != 0 {
+	if t.log.Len() != 0 {
 		if w := t.e.wlocks[idx].Load(); w&^wIdxMask == t.tag {
 			// Read-after-write: return the value from our own write log
 			// (line 6). Unwritten words of an owned stripe are stable in
 			// memory because we hold the w-lock.
-			if v, ok := t.pool[w&wIdxMask].get(a); ok {
+			if v, ok := t.log.At(w & wIdxMask).Get(a); ok {
 				return v, true
 			}
-			return t.e.heap[a].Load(), true
+			return t.e.Words[a].Load(), true
 		}
 	}
 	// Consistent double-read of r-lock around the data word (lines 8-15).
@@ -501,7 +374,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			// momentarily. Reading would be inconsistent, so wait.
 			if spin&0x3f == 0x3f {
 				if t.killed() {
-					t.stats.AbortsKilled++
+					t.Stat.AbortsKilled++
 					t.abort()
 					return 0, false
 				}
@@ -509,7 +382,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			}
 			continue
 		}
-		val = t.e.heap[a].Load()
+		val = t.e.Words[a].Load()
 		if rl.Load() == v1 {
 			break
 		}
@@ -524,19 +397,19 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// future extension would fail on its entry, and the only difference
 	// from logging a duplicate is that we abort now instead of at the next
 	// validation (dedup_test.go).
-	if t.seen.TestAndSet(idx) {
+	if t.rs.TestAndSet(idx) {
 		if v1>>1 <= t.validTS {
-			t.stats.ReadsDeduped++
+			t.Stat.ReadsDeduped++
 			return val, true
 		}
 	} else {
-		t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
 		if v1>>1 <= t.validTS || t.extend() {
 			return val, true
 		}
 	}
-	t.stats.AbortsValid++
-	t.stats.AbortsValidRead++
+	t.Stat.AbortsValid++
+	t.Stat.AbortsValidRead++
 	t.abort()
 	return 0, false
 }
@@ -548,7 +421,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 // aborted.
 func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 	rlocks := t.e.rlocks
-	i := int(a>>t.e.shift) & (len(rlocks) - 1)
+	i := int(a>>t.e.Shift) & (len(rlocks) - 1)
 	idx := uint32(i)
 	rl := &rlocks[i]
 	var v1 uint64
@@ -561,25 +434,25 @@ func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 			}
 			continue
 		}
-		val = t.e.heap[a].Load()
+		val = t.e.Words[a].Load()
 		if rl.Load() == v1 {
 			break
 		}
 	}
 	// Same read-set dedup discipline as load (DESIGN.md §7.1).
-	if t.seen.TestAndSet(idx) {
+	if t.rs.TestAndSet(idx) {
 		if v1>>1 <= t.validTS {
-			t.stats.ReadsDeduped++
+			t.Stat.ReadsDeduped++
 			return val, true
 		}
 	} else {
-		t.readLog = append(t.readLog, rEntry{lockIdx: idx, rlock: v1})
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
 		if v1>>1 <= t.validTS || t.extend() {
 			return val, true
 		}
 	}
-	t.stats.AbortsValid++
-	t.stats.AbortsValidRead++
+	t.Stat.AbortsValid++
+	t.Stat.AbortsValidRead++
 	t.abort()
 	return 0, false
 }
@@ -599,29 +472,29 @@ func (t *txn) Store(a stm.Addr, v stm.Word) {
 // transaction aborted.
 func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	if t.killed() {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		t.abort()
 		return false
 	}
-	idx := t.e.stripe(a)
+	idx := t.e.Stripe(a)
 	wl := &t.e.wlocks[idx]
 	for spin := 0; ; spin++ {
 		w := wl.Load()
 		if w&^wIdxMask == t.tag {
-			t.pool[w&wIdxMask].set(a, v)
+			t.log.At(w&wIdxMask).Set(a, v)
 			return true
 		}
 		if w != 0 {
 			// Write/write conflict: ask the contention manager
 			// (Algorithm 1 line 26).
 			if t.cmShouldAbort(w) {
-				t.stats.AbortsWW++
+				t.Stat.AbortsWW++
 				t.abort()
 				return false
 			}
 			// CM said wait for the owner to finish.
 			if t.killed() {
-				t.stats.AbortsKilled++
+				t.Stat.AbortsKilled++
 				t.abort()
 				return false
 			}
@@ -630,17 +503,17 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 			}
 			continue
 		}
-		t.newEntry(idx, t.e.stripeBase(a)).set(a, v)
-		if wl.CompareAndSwap(0, t.tag|uint32(t.nw)) {
-			t.nw++ // the entry joins the write log only once the lock is ours
+		t.log.Next(idx, t.e.StripeBase(a)).Set(a, v)
+		if wl.CompareAndSwap(0, t.tag|uint32(t.log.Len())) {
+			t.log.Push() // the entry joins the write log only once the lock is ours
 			break
 		}
 	}
 	// Opacity guard (lines 31-32): if the stripe moved past our snapshot
 	// we must revalidate before continuing.
 	if rv := t.e.rlocks[idx].Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
+		t.Stat.AbortsValid++
+		t.Stat.AbortsValidRead++
 		t.abort()
 		return false
 	}
@@ -653,63 +526,47 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 // path and never unwind (DESIGN.md §8).
 func (t *txn) commit() bool {
 	if t.killed() {
-		t.stats.AbortsKilled++
+		t.Stat.AbortsKilled++
 		return t.commitAbort()
 	}
-	if t.nw == 0 { // read-only fast path (line 35)
-		t.stats.Commits++
-		t.stats.ReadsLogged += uint64(len(t.readLog))
-		if t.obsh != nil {
-			t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), 0)
-		}
+	if t.log.Len() == 0 { // read-only fast path (line 35)
+		t.Committed(len(t.rs.Log), 0)
 		return true
 	}
 	// Lock the r-locks of all written stripes so readers cannot observe a
 	// partially written state.
-	wlog := t.pool[:t.nw]
+	wlog := t.log.Entries()
 	for i := range wlog {
 		we := &wlog[i]
-		rl := &t.e.rlocks[we.lockIdx]
-		we.savedRLock = rl.Load() // unlocked: only the w-lock owner locks it
+		rl := &t.e.rlocks[we.Idx]
+		we.Saved = rl.Load() // unlocked: only the w-lock owner locks it
 		rl.Store(rLocked)
 	}
 	ts := t.e.commitTS.Add(1)
 	if ts > t.validTS+1 && !t.validate() {
 		for i := range wlog {
-			t.e.rlocks[wlog[i].lockIdx].Store(wlog[i].savedRLock)
+			t.e.rlocks[wlog[i].Idx].Store(wlog[i].Saved)
 		}
-		t.stats.AbortsValid++
-		t.stats.AbortsValidCommit++
+		t.Stat.AbortsValid++
+		t.Stat.AbortsValidCommit++
 		return t.commitAbort()
 	}
 	newRLock := ts << 1
 	for i := range wlog {
 		we := &wlog[i]
-		m := we.mask
-		for m != 0 {
-			i := uint(bits.TrailingZeros64(m))
-			t.e.heap[we.base+stm.Addr(i)].Store(we.vals[i])
-			m &= m - 1
-		}
-		for _, p := range we.overflow {
-			t.e.heap[p.addr].Store(p.val)
-		}
-		t.e.rlocks[we.lockIdx].Store(newRLock)
-		t.e.wlocks[we.lockIdx].Store(0)
+		we.WriteBack(t.e.Words)
+		t.e.rlocks[we.Idx].Store(newRLock)
+		t.e.wlocks[we.Idx].Store(0)
 	}
 	// Truncate the write log here rather than at the next begin: the log
 	// is then invariantly empty between transactions, which is what lets
 	// beginRO skip write-set init entirely (a stale log would make a later
 	// read-only abort release stripes it does not own).
-	t.nw = 0
+	t.log.Reset()
 	if t.e.cfg.PrivatizationSafe {
 		t.quiesceTS = ts // quiesce after the descriptor is deactivated
 	}
-	t.stats.Commits++
-	t.stats.ReadsLogged += uint64(len(t.readLog))
-	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(len(wlog)))
-	}
+	t.Committed(len(t.rs.Log), len(wlog))
 	return true
 }
 
@@ -717,28 +574,22 @@ func (t *txn) commit() bool {
 // validated (and extended) incrementally, no lock is held and no CM can
 // have killed us, so there is nothing left to check or publish.
 func (t *txn) commitRO() bool {
-	t.stats.Commits++
-	t.stats.ROCommits++
-	t.stats.ReadsLogged += uint64(len(t.readLog))
-	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), 0)
-	}
+	t.CommittedRO(len(t.rs.Log))
 	return true
 }
 
 // validate re-checks every read-log entry (Algorithm 1 lines 50-53).
 func (t *txn) validate() bool {
-	t.stats.Validations++
-	t.stats.ValidationReads += uint64(len(t.readLog))
-	for i := range t.readLog {
-		re := &t.readLog[i]
-		cur := t.e.rlocks[re.lockIdx].Load()
-		if cur == re.rlock {
+	t.Stat.Validations++
+	t.Stat.ValidationReads += uint64(len(t.rs.Log))
+	for _, re := range t.rs.Log {
+		cur := t.e.rlocks[re.Idx].Load()
+		if cur == re.Ver {
 			continue
 		}
 		// Changed or locked: still fine if we are the one holding it
 		// (we locked our own written stripes at commit).
-		if cur == rLocked && t.e.wlocks[re.lockIdx].Load()&^wIdxMask == t.tag {
+		if cur == rLocked && t.e.wlocks[re.Idx].Load()&^wIdxMask == t.tag {
 			continue
 		}
 		return false
@@ -754,7 +605,7 @@ func (t *txn) extend() bool {
 		if t.e.cfg.PrivatizationSafe {
 			// Publish the new snapshot so quiescing committers older
 			// than it stop waiting for us.
-			t.e.activity[t.id].Store(ts + 1)
+			t.e.activity[t.ID].Store(ts + 1)
 		}
 		return true
 	}
@@ -767,29 +618,29 @@ func (t *txn) extend() bool {
 // pre-allocated signal when user code must be interrupted.
 func (t *txn) abort() {
 	t.releaseWLocks()
-	t.stats.Aborts++
-	t.stats.ReadsLogged += uint64(len(t.readLog))
+	t.Aborted(len(t.rs.Log))
 }
 
 // commitAbort delivers a commit-time abort as a checked return.
 func (t *txn) commitAbort() bool {
 	t.abort()
-	t.stats.AbortsReturned++
+	t.Stat.AbortsReturned++
 	return false
 }
 
 func (t *txn) releaseWLocks() {
-	for i := range t.pool[:t.nw] {
-		t.e.wlocks[t.pool[i].lockIdx].Store(0)
+	wlog := t.log.Entries()
+	for i := range wlog {
+		t.e.wlocks[wlog[i].Idx].Store(0)
 	}
-	t.nw = 0
+	t.log.Reset()
 }
 
 // Restart implements stm.Tx: a user-requested retry always unwinds (it
 // must escape the user closure).
 func (t *txn) Restart() {
 	t.abort()
-	t.stats.AbortsExplicit++
+	t.Stat.AbortsExplicit++
 	panic(stm.SignalRestart)
 }
 
@@ -816,7 +667,7 @@ func (t *txn) cmShouldAbort(w uint32) bool {
 		// thread (descriptor reuse); that only causes a spurious retry
 		// of that transaction, never a safety violation.
 		owner.status.CompareAndSwap(0, 1)
-		t.stats.WaitsCM++
+		t.Stat.WaitsCM++
 		return false
 	}
 }
@@ -827,59 +678,13 @@ func (t *txn) cmOnWrite() {
 	if t.e.cfg.Policy != TwoPhase {
 		return
 	}
-	if t.cmTS.Load() == infinity && t.nw == wn {
+	if t.cmTS.Load() == infinity && t.log.Len() == wn {
 		t.cmTS.Store(t.e.greedyTS.Add(1))
 	}
 }
 
-// newEntry readies pool[nw], the entry the next acquired stripe will use.
-// The pointer is good until the next call: growing the pool moves it.
-func (t *txn) newEntry(idx uint32, base stm.Addr) *wEntry {
-	if t.nw == len(t.pool) {
-		t.pool = append(t.pool, wEntry{vals: make([]stm.Word, t.e.stripeW)})
-	}
-	we := &t.pool[t.nw]
-	we.lockIdx = idx
-	we.base = base
-	we.mask = 0
-	we.overflow = we.overflow[:0]
-	return we
-}
-
-func (we *wEntry) set(a stm.Addr, v stm.Word) {
-	if off := a - we.base; off < stm.Addr(len(we.vals)) {
-		we.mask |= 1 << off
-		we.vals[off] = v
-		return
-	}
-	for i := range we.overflow {
-		if we.overflow[i].addr == a {
-			we.overflow[i].val = v
-			return
-		}
-	}
-	we.overflow = append(we.overflow, wsPair{addr: a, val: v})
-}
-
-// get returns the buffered value for a, or ok=false when this entry holds
-// no write for it (the caller may then read memory: it owns the lock).
-func (we *wEntry) get(a stm.Addr) (stm.Word, bool) {
-	if off := a - we.base; off < stm.Addr(len(we.vals)) {
-		if we.mask&(1<<off) != 0 {
-			return we.vals[off], true
-		}
-		return 0, false
-	}
-	for i := range we.overflow {
-		if we.overflow[i].addr == a {
-			return we.overflow[i].val, true
-		}
-	}
-	return 0, false
-}
-
 // AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.arena.Alloc(n) }
+func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
 
 // Object API: an object is a contiguous block of words (DESIGN.md §3.1).
 
@@ -905,7 +710,7 @@ func (t *txn) WriteRef(h stm.Handle, field uint32, ref stm.Handle) {
 
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle {
-	return stm.Handle(t.e.arena.Alloc(fields))
+	return stm.Handle(t.e.Arena().Alloc(fields))
 }
 
 // roTx is the transaction view BeginRO returns: its read methods run the

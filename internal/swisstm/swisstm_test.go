@@ -48,18 +48,18 @@ func TestConformanceGranularities(t *testing.T) {
 func TestStripeMapping(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 10, TableBits: 8, StripeWords: 4})
 	// Four consecutive words share a stripe; the fifth does not (Figure 1).
-	if e.stripe(0) != e.stripe(3) {
+	if e.Stripe(0) != e.Stripe(3) {
 		t.Fatalf("words 0 and 3 should share a stripe")
 	}
-	if e.stripe(3) == e.stripe(4) {
+	if e.Stripe(3) == e.Stripe(4) {
 		t.Fatalf("words 3 and 4 should be in different stripes")
 	}
-	if e.stripeBase(7) != 4 {
-		t.Fatalf("stripeBase(7) = %d, want 4", e.stripeBase(7))
+	if e.StripeBase(7) != 4 {
+		t.Fatalf("stripeBase(7) = %d, want 4", e.StripeBase(7))
 	}
 	// Mapping wraps modulo the table size rather than overflowing.
 	big := stm.Addr(1<<9 - 1)
-	if int(e.stripe(big)) >= 1<<8 {
+	if int(e.Stripe(big)) >= 1<<8 {
 		t.Fatalf("stripe index out of table range")
 	}
 }

@@ -35,12 +35,12 @@ func TestEagerAcquireLocksAtEncounter(t *testing.T) {
 	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(1) })
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		tx.Store(base, 5)
-		if e.owners[e.stripeIdx(base)].Load() == 0 {
+		if e.owners[e.Stripe(base)].Load() == 0 {
 			t.Fatal("eager engine did not lock the stripe at encounter time")
 		}
 	})
 	// And releases it at commit.
-	if e.owners[e.stripeIdx(base)].Load() != 0 {
+	if e.owners[e.Stripe(base)].Load() != 0 {
 		t.Fatal("stripe lock leaked past commit")
 	}
 }

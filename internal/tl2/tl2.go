@@ -21,45 +21,17 @@
 package tl2
 
 import (
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
 
 	"swisstm/internal/mem"
-	"swisstm/internal/obs"
 	"swisstm/internal/stm"
-	"swisstm/internal/util"
+	"swisstm/internal/stm/kernel"
 )
 
 // Config parameterizes a TL2 engine.
-type Config struct {
-	ArenaWords int
-	Arena      *mem.Arena
-	// StripeWords is the lock granularity in words; 0 selects the
-	// 4-word default shared by all word-based engines (see the field's
-	// documentation in package swisstm). Must be a power of two ≤ 64.
-	StripeWords int
-	TableBits   uint
-	// Obs, when non-nil, collects per-transaction telemetry at commit
-	// (see the field in package swisstm; DESIGN.md §11).
-	Obs *obs.TxnObs
-}
-
-func (c *Config) fill() {
-	if c.ArenaWords == 0 {
-		c.ArenaWords = 1 << 22
-	}
-	if c.TableBits == 0 {
-		c.TableBits = 20
-	}
-	if c.StripeWords == 0 {
-		c.StripeWords = 4
-	}
-	if c.StripeWords > 64 || c.StripeWords&(c.StripeWords-1) != 0 {
-		panic("tl2: StripeWords must be a power of two ≤ 64")
-	}
-}
+type Config = kernel.WordConfig
 
 // commitSpin bounds how long the committer spins on a locked stripe
 // before giving up and aborting (the original aborts immediately; a tiny
@@ -72,12 +44,9 @@ const commitSpin = 64
 // line so clock traffic does not invalidate the read-mostly mapping
 // state cached by every reader.
 type Engine struct {
-	cfg   Config
-	arena *mem.Arena
-	heap  []atomic.Uint64 // arena backing array, cached for direct indexing
+	cfg Config
+	kernel.Heap
 	locks []atomic.Uint64
-	shift uint
-	mask  uint32
 
 	_     mem.CacheLinePad
 	clock mem.PaddedUint64
@@ -85,29 +54,12 @@ type Engine struct {
 
 // New creates a TL2 engine.
 func New(cfg Config) *Engine {
-	cfg.fill()
-	a := cfg.Arena
-	if a == nil {
-		a = mem.NewArena(cfg.ArenaWords)
-	}
-	n := 1 << cfg.TableBits
-	return &Engine{
-		cfg:   cfg,
-		arena: a,
-		heap:  a.Words(),
-		locks: make([]atomic.Uint64, n),
-		shift: uint(bits.TrailingZeros(uint(cfg.StripeWords))),
-		mask:  uint32(n - 1),
-	}
+	h := kernel.NewHeap("tl2", &cfg)
+	return &Engine{cfg: cfg, Heap: h, locks: make([]atomic.Uint64, h.Entries())}
 }
 
 // Name implements stm.STM.
 func (e *Engine) Name() string { return "TL2" }
-
-// Arena implements stm.STM.
-func (e *Engine) Arena() *mem.Arena { return e.arena }
-
-func (e *Engine) stripe(a stm.Addr) uint32 { return (a >> e.shift) & e.mask }
 
 // wsEntry is one buffered write (TL2 logs individual words).
 type wsEntry struct {
@@ -118,8 +70,6 @@ type wsEntry struct {
 // txn is a TL2 transaction descriptor, one per thread.
 type txn struct {
 	e         *Engine
-	id        int
-	ro        bool   // current transaction declared read-only (BeginRO)
 	rv        uint64 // read version (clock snapshot at start)
 	readLog   []uint32
 	readVer   []uint64
@@ -128,41 +78,31 @@ type txn struct {
 	lockSet   []uint32
 	lockBloom uint64      // stripe-membership filter over lockSet (commit only)
 	saved     []savedLock // pre-lock versions, for release on commit abort
-	rng       *util.Rand
-	succ      int
-	roV       roTx          // pre-allocated read-only view returned by BeginRO
-	obsh      *obs.TxnShard // per-thread telemetry shard (nil = obs off)
-	stats     stm.Stats
+	roV       roTx        // pre-allocated read-only view returned by BeginRO
+	// Thread's Unwind is TL2's as it stands: TL2 holds no locks outside
+	// commit, so a foreign panic needs no cleanup before the caller
+	// propagates it.
+	kernel.Thread
 }
 
 // NewThread implements stm.STM.
 func (e *Engine) NewThread(id int) stm.Thread {
-	if id < 0 || id >= stm.MaxThreads {
-		panic("tl2: thread id out of range")
-	}
 	t := &txn{
+		Thread:  kernel.NewThread("tl2", id, uint64(id)*0x51f15ee1+7, e.cfg.Obs),
 		e:       e,
-		id:      id,
 		readLog: make([]uint32, 0, 1024),
 		readVer: make([]uint64, 0, 1024),
 		writes:  make([]wsEntry, 0, 256),
 		lockSet: make([]uint32, 0, 256),
 		saved:   make([]savedLock, 0, 256),
-		rng:     util.NewRand(uint64(id)*0x51f15ee1 + 7),
 	}
 	t.roV.t = t
-	if e.cfg.Obs != nil {
-		t.obsh = e.cfg.Obs.Shard(id)
-	}
 	return t
 }
 
-// Stats implements stm.Thread.
-func (t *txn) Stats() stm.Stats { return t.stats }
-
 // Begin implements stm.Thread.
 func (t *txn) Begin(bool) stm.Tx {
-	t.ro = false
+	t.RO = false
 	t.begin()
 	return t
 }
@@ -175,7 +115,7 @@ func (t *txn) Begin(bool) stm.Tx {
 // a read-only abort never charges a previous transaction's entries to
 // the ReadsLogged counter.
 func (t *txn) BeginRO(bool) stm.TxRO {
-	t.ro = true
+	t.RO = true
 	t.rv = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
 	t.readVer = t.readVer[:0]
@@ -184,26 +124,10 @@ func (t *txn) BeginRO(bool) stm.TxRO {
 
 // Commit implements stm.Thread.
 func (t *txn) Commit() bool {
-	var ok bool
-	if t.ro {
-		ok = t.commitRO()
-	} else {
-		ok = t.commit()
+	if t.RO {
+		return t.commitRO()
 	}
-	if ok {
-		t.succ = 0
-	}
-	return ok
-}
-
-// Unwind implements stm.Thread. TL2 holds no locks outside commit, so a
-// foreign panic needs no cleanup before the caller propagates it.
-func (t *txn) Unwind(r any) bool {
-	if _, rb := r.(stm.RollbackSignal); rb {
-		t.stats.AbortsUnwound++
-		return true
-	}
-	return false
+	return t.commit()
 }
 
 // AbortUser implements stm.Thread: the body returned an error. Writes
@@ -211,15 +135,7 @@ func (t *txn) Unwind(r any) bool {
 // bookkeeping.
 func (t *txn) AbortUser() {
 	t.abort()
-	t.stats.AbortsUser++
-	t.stats.AbortsReturned++
-	t.succ = 0 // the logical transaction ends here, like a commit
-}
-
-// Backoff implements stm.Thread.
-func (t *txn) Backoff() {
-	t.succ++
-	util.BackoffLinear(t.rng, t.succ)
+	t.AbortedUser()
 }
 
 func (t *txn) begin() {
@@ -232,23 +148,21 @@ func (t *txn) begin() {
 }
 
 // abort performs the rollback bookkeeping without deciding the delivery
-// mechanism (checked return vs unwinding panic); see package swisstm.
-func (t *txn) abort() {
-	t.stats.Aborts++
-	t.stats.ReadsLogged += uint64(len(t.readLog))
-}
+// mechanism: callers either return a checked false up to the retry loop or
+// panic with the pre-allocated signal when user code must be interrupted.
+func (t *txn) abort() { t.Aborted(len(t.readLog)) }
 
 // commitAbort delivers a commit-time abort as a checked return.
 func (t *txn) commitAbort() bool {
 	t.abort()
-	t.stats.AbortsReturned++
+	t.Stat.AbortsReturned++
 	return false
 }
 
 // Restart implements stm.Tx: a user-requested retry always unwinds.
 func (t *txn) Restart() {
 	t.abort()
-	t.stats.AbortsExplicit++
+	t.Stat.AbortsExplicit++
 	panic(stm.SignalRestart)
 }
 
@@ -280,22 +194,22 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// Local slice header + length mask: provably in-bounds (no check),
 	// one engine dereference.
 	locks := t.e.locks
-	i := int(a>>t.e.shift) & (len(locks) - 1)
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
 	idx := uint32(i)
 	l := &locks[i]
 	v1 := l.Load()
-	val := t.e.heap[a].Load()
+	val := t.e.Words[a].Load()
 	v2 := l.Load()
 	if v1 != v2 || v1&1 == 1 {
 		// Locked or changed under us: the timid policy aborts the reader.
-		t.stats.AbortsLocked++
+		t.Stat.AbortsLocked++
 		t.abort()
 		return 0, false
 	}
 	if v1>>1 > t.rv {
 		// Newer than our snapshot; TL2 has no extension mechanism.
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
+		t.Stat.AbortsValid++
+		t.Stat.AbortsValidRead++
 		t.abort()
 		return 0, false
 	}
@@ -311,19 +225,19 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 // consistent at rv). ok=false means the transaction aborted.
 func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
 	locks := t.e.locks
-	i := int(a>>t.e.shift) & (len(locks) - 1)
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
 	l := &locks[i]
 	v1 := l.Load()
-	val := t.e.heap[a].Load()
+	val := t.e.Words[a].Load()
 	v2 := l.Load()
 	if v1 != v2 || v1&1 == 1 {
-		t.stats.AbortsLocked++
+		t.Stat.AbortsLocked++
 		t.abort()
 		return 0, false
 	}
 	if v1>>1 > t.rv {
-		t.stats.AbortsValid++
-		t.stats.AbortsValidRead++
+		t.Stat.AbortsValid++
+		t.Stat.AbortsValidRead++
 		t.abort()
 		return 0, false
 	}
@@ -351,12 +265,7 @@ func (t *txn) Store(a stm.Addr, v stm.Word) {
 // is the fast path the v2 API exists to expose — Stats.ValidationReads
 // stays untouched, which the API-v2 suite asserts.
 func (t *txn) commitRO() bool {
-	t.stats.Commits++
-	t.stats.ROCommits++
-	if t.obsh != nil {
-		// TL2 RO keeps no read log, so the read-set size records 0.
-		t.obsh.RecordCommit(uint64(t.succ), 0, 0)
-	}
+	t.CommittedRO(0) // no read log, so the read-set size records 0
 	return true
 }
 
@@ -365,12 +274,8 @@ func (t *txn) commitRO() bool {
 // failures and read-set validation — takes the checked return path and
 // never unwinds.
 func (t *txn) commit() bool {
-	if len(t.writes) == 0 {
-		t.stats.Commits++ // read-only: already validated incrementally
-		t.stats.ReadsLogged += uint64(len(t.readLog))
-		if t.obsh != nil {
-			t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), 0)
-		}
+	if len(t.writes) == 0 { // read-only: already validated incrementally
+		t.Committed(len(t.readLog), 0)
 		return true
 	}
 	// Collect the distinct stripes of the write set, in a canonical order
@@ -382,7 +287,7 @@ func (t *txn) commit() bool {
 	t.lockSet = t.lockSet[:0]
 	t.lockBloom = 0
 	for _, w := range t.writes {
-		idx := t.e.stripe(w.addr)
+		idx := t.e.Stripe(w.addr)
 		t.lockSet = append(t.lockSet, idx)
 		t.lockBloom |= stripeBloomBit(idx)
 	}
@@ -397,7 +302,7 @@ func (t *txn) commit() bool {
 	t.lockSet = t.lockSet[:n]
 
 	// Phase 1: acquire the versioned locks (CAS free→locked).
-	lockedVal := uint64(t.id)<<1 | 1
+	lockedVal := uint64(t.ID)<<1 | 1
 	acquired := 0
 	for _, idx := range t.lockSet {
 		l := &t.e.locks[idx]
@@ -421,7 +326,7 @@ func (t *txn) commit() bool {
 		}
 		if !ok {
 			t.releaseLocks(acquired)
-			t.stats.LockAcquireFail++
+			t.Stat.LockAcquireFail++
 			return t.commitAbort()
 		}
 		acquired++
@@ -430,8 +335,8 @@ func (t *txn) commit() bool {
 	wv := t.e.clock.Add(1)
 	// Phase 3: validate the read set (GV4: skip when wv == rv+1).
 	if wv != t.rv+1 {
-		t.stats.Validations++
-		t.stats.ValidationReads += uint64(len(t.readLog))
+		t.Stat.Validations++
+		t.Stat.ValidationReads += uint64(len(t.readLog))
 		for i, idx := range t.readLog {
 			v := t.e.locks[idx].Load()
 			if v&1 == 1 {
@@ -439,31 +344,27 @@ func (t *txn) commit() bool {
 					continue
 				}
 				t.releaseLocks(acquired)
-				t.stats.AbortsValid++
-				t.stats.AbortsValidCommit++
+				t.Stat.AbortsValid++
+				t.Stat.AbortsValidCommit++
 				return t.commitAbort()
 			}
 			if v != t.readVer[i] {
 				t.releaseLocks(acquired)
-				t.stats.AbortsValid++
-				t.stats.AbortsValidCommit++
+				t.Stat.AbortsValid++
+				t.Stat.AbortsValidCommit++
 				return t.commitAbort()
 			}
 		}
 	}
 	// Phase 4: write back and release with the new version.
 	for _, w := range t.writes {
-		t.e.heap[w.addr].Store(w.val)
+		t.e.Words[w.addr].Store(w.val)
 	}
 	newVer := wv << 1
 	for _, idx := range t.lockSet {
 		t.e.locks[idx].Store(newVer)
 	}
-	t.stats.Commits++
-	t.stats.ReadsLogged += uint64(len(t.readLog))
-	if t.obsh != nil {
-		t.obsh.RecordCommit(uint64(t.succ), uint64(len(t.readLog)), uint64(len(t.writes)))
-	}
+	t.Committed(len(t.readLog), len(t.writes))
 	return true
 }
 
@@ -528,7 +429,7 @@ func (t *txn) ownsStripe(idx uint32) bool {
 }
 
 // AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.arena.Alloc(n) }
+func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
 
 // ReadField implements stm.Tx (object-over-words wrapper).
 func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
@@ -552,11 +453,12 @@ func (t *txn) WriteRef(h stm.Handle, field uint32, ref stm.Handle) {
 
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle {
-	return stm.Handle(t.e.arena.Alloc(fields))
+	return stm.Handle(t.e.Arena().Alloc(fields))
 }
 
-// roTx is the transaction view BeginRO returns; see the swisstm
-// counterpart for the rationale. It implements stm.TxRO and nothing more.
+// roTx is the transaction view BeginRO returns: its read method runs the
+// loadRO fast path with no mode branch, and it implements stm.TxRO and
+// nothing more (DESIGN.md §9.3).
 type roTx struct{ t *txn }
 
 // Load implements stm.TxRO.

@@ -83,7 +83,7 @@ func TestLazyAcquireDefersConflict(t *testing.T) {
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		tx.Store(base, 5)
 		// The stripe's versioned lock must still be free mid-transaction.
-		if v := e.locks[e.stripe(base)].Load(); v&1 == 1 {
+		if v := e.locks[e.Stripe(base)].Load(); v&1 == 1 {
 			t.Fatal("lazy engine locked a stripe before commit")
 		}
 	})
