@@ -38,6 +38,11 @@ type Thread struct {
 	Rng  *util.Rand    // back-off randomness, private to the thread
 	Obs  *obs.TxnShard // per-thread telemetry shard (nil = obs off)
 	Stat stm.Stats
+	// A descriptor embeds Thread last, and an engine's descriptors are
+	// allocated one after another: the pad keeps Stat, written at every
+	// commit and abort, off the cache line where the next thread's
+	// descriptor starts with its hot fields.
+	_ mem.CacheLinePad
 }
 
 // NewThread returns the bookkeeping of thread id: its generator starts at
@@ -145,7 +150,7 @@ type Heap struct {
 	Words []atomic.Uint64 // the arena's backing array, cached for direct indexing
 	Shift uint            // log2 of the words per stripe
 	Width uint32          // words per stripe
-	Mask  uint32          // lock-table entries - 1
+	mask  uint32          // lock-table entries - 1
 }
 
 // NewHeap fills c's defaults, checks them — panicking with a message that
@@ -172,7 +177,7 @@ func NewHeap(engine string, c *WordConfig) Heap {
 		Words: a.Words(),
 		Shift: uint(bits.TrailingZeros(uint(c.StripeWords))),
 		Width: uint32(c.StripeWords),
-		Mask:  uint32(1)<<c.TableBits - 1,
+		mask:  uint32(1)<<c.TableBits - 1,
 	}
 }
 
@@ -180,10 +185,10 @@ func NewHeap(engine string, c *WordConfig) Heap {
 func (h *Heap) Arena() *mem.Arena { return h.arena }
 
 // Entries is the number of lock-table entries.
-func (h *Heap) Entries() int { return int(h.Mask) + 1 }
+func (h *Heap) Entries() int { return int(h.mask) + 1 }
 
 // Stripe returns the lock-table index of a.
-func (h *Heap) Stripe(a stm.Addr) uint32 { return (a >> h.Shift) & h.Mask }
+func (h *Heap) Stripe(a stm.Addr) uint32 { return (a >> h.Shift) & h.mask }
 
 // StripeBase returns the first word of a's stripe.
 func (h *Heap) StripeBase(a stm.Addr) stm.Addr { return a &^ (h.Width - 1) }
