@@ -14,7 +14,7 @@ RACE_PKGS := $(ENGINE_PKGS) ./internal/cm ./internal/txkv ./internal/bench7 ./in
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test race loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet benchmark benchmark-trace benchmark-ab ci
+.PHONY: build test race loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet benchmark benchmark-trace benchmark-ab hotpath ci
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,16 @@ TRACE ?=
 CLAIM ?=
 benchmark-ab:
 	GO=$(GO) TRACE=$(TRACE) CLAIM=$(CLAIM) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
+
+# hotpath compares the word engines' hot paths with REV's, from the
+# compiler's -S output (scripts/hotpath.sh): for SwissTM's, TL2's and
+# TinySTM's load, loadRO, store, commit, validate, extend and releaseWLocks,
+# the multiset of CALL targets (bounds-check panics included) and the count
+# of LOCK-prefixed and memory-operand XCHG instructions, parent beside
+# change. Exits non-zero on any difference. Not part of ci: it needs a REV.
+#   make hotpath REV=HEAD~1
+hotpath:
+	GO=$(GO) scripts/hotpath.sh $(REV)
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.

@@ -45,6 +45,22 @@ func TestDocReferences(t *testing.T) {
 	}
 }
 
+// designMaxLines is DESIGN.md's length ceiling. It only ever goes down:
+// a change that shortens DESIGN.md lowers it to the new length, and a
+// change that needs more room makes it by cutting elsewhere in the file.
+const designMaxLines = 1916
+
+// TestDesignLength: DESIGN.md has at most designMaxLines lines.
+func TestDesignLength(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, more than the %d designMaxLines allows", n, designMaxLines)
+	}
+}
+
 // pkgIndex maps a package name (an external _test package under the name
 // it tests) to its declared names: "Ident" for a package-level
 // declaration, "Type.Member" for a method, struct field or interface

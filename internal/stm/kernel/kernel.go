@@ -130,9 +130,11 @@ type WordConfig struct {
 	// of two ≤ 64, the bits of a redo-log entry's write mask; pass 1 for
 	// word granularity.
 	StripeWords int
-	// TableBits is log2 of the lock-table entry count, at most MaxTableBits.
-	// 0 selects 20; the paper's C implementation uses 22, the experiment
-	// harness 18 (harness.EngineSpec.New).
+	// TableBits is log2 of the largest lock-table entry count, at most
+	// MaxTableBits. 0 selects 20; the paper's C implementation uses 22, the
+	// experiment harness 18 (harness.EngineSpec.New). The table gets no more
+	// entries than the arena has stripes, rounded up to a power of two:
+	// entries no arena address maps to would only cost memory (Heap).
 	TableBits uint
 	// Obs, when non-nil, collects per-transaction distribution telemetry
 	// (retry count, read-/write-set sizes) into per-thread shards at commit
@@ -144,7 +146,11 @@ type WordConfig struct {
 // Heap is a word engine's arena and the mapping of its words onto
 // lock-table stripes, the paper's Figure 1: shift by the stripe size, mask
 // by the table size. An engine embeds it with its read-mostly state and
-// indexes its own lock tables by Stripe.
+// indexes its own lock tables by Stripe. The table has
+// min(2^TableBits, P) entries, P the smallest power of two no smaller than
+// the arena's stripe count. Every arena address has the stripe it would
+// have in a table of 2^TableBits: when P is the smaller, a>>Shift is below
+// P, so the bits the smaller mask drops are zero anyway.
 type Heap struct {
 	arena *mem.Arena
 	Words []atomic.Uint64 // the arena's backing array, cached for direct indexing
@@ -172,12 +178,14 @@ func NewHeap(engine string, c *WordConfig) Heap {
 		panic(engine + ": TableBits must be ≤ 24")
 	}
 	a := mem.NewArena(c.ArenaWords)
+	stripes := (a.Cap() + c.StripeWords - 1) / c.StripeWords
+	tableBits := min(c.TableBits, uint(bits.Len(uint(stripes-1))))
 	return Heap{
 		arena: a,
 		Words: a.Words(),
 		Shift: uint(bits.TrailingZeros(uint(c.StripeWords))),
 		Width: uint32(c.StripeWords),
-		mask:  uint32(1)<<c.TableBits - 1,
+		mask:  uint32(1)<<tableBits - 1,
 	}
 }
 

@@ -36,3 +36,33 @@ func TestAbortPath(t *testing.T) {
 		t.Errorf("stats %+v, Succ %d;\nwant %+v, Succ 0", s, th.Succ, want)
 	}
 }
+
+// TestHeapTableSizedToArena: a lock table gets no more entries than its
+// arena has stripes (rounded up to a power of two), and no arena address
+// changes stripe for it: Stripe(a) is still (a>>shift) masked by
+// 2^TableBits-1, so aliasing, read-set dedup and every count stay as in a
+// full-size table.
+func TestHeapTableSizedToArena(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     WordConfig
+		entries int
+	}{
+		{"clamped", WordConfig{ArenaWords: 1 << 14, StripeWords: 4, TableBits: 18}, 1 << 12},
+		{"clamped-uneven", WordConfig{ArenaWords: 1000, StripeWords: 8, TableBits: 18}, 1 << 7},
+		{"unclamped", WordConfig{ArenaWords: 1 << 14, StripeWords: 4, TableBits: 8}, 1 << 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := NewHeap("kernel", &c.cfg)
+			if h.Entries() != c.entries {
+				t.Fatalf("Entries() = %d, want %d", h.Entries(), c.entries)
+			}
+			full := stm.Addr(1)<<c.cfg.TableBits - 1
+			for a := stm.Addr(0); a < stm.Addr(h.Arena().Cap()); a++ {
+				if got, want := h.Stripe(a), (a>>h.Shift)&full; got != want {
+					t.Fatalf("Stripe(%d) = %d, want %d", a, got, want)
+				}
+			}
+		})
+	}
+}

@@ -163,7 +163,7 @@ func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
 				if re.Ver>>1 > d.validTS {
 					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.Idx, re.Ver>>1, d.validTS)
 				}
-				if cur := d.e.rlocks[re.Idx].Load(); cur != rLocked && cur>>1 <= d.validTS && cur != re.Ver {
+				if cur := d.e.locks[re.Idx].r.Load(); cur != rLocked && cur>>1 <= d.validTS && cur != re.Ver {
 					return fmt.Errorf("(II) stripe %d logged at r-lock %#x now reads %#x, both within validTS %d", re.Idx, re.Ver, cur, d.validTS)
 				}
 			}

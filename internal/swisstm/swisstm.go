@@ -105,9 +105,17 @@ const (
 	_         = uint8(stm.MaxThreads + 1)
 )
 
+// lockEntry is one stripe's lock-table entry, the paper's Figure 1: the
+// r-lock and the w-lock side by side. It is 16 bytes, so four stripes share
+// a 64-byte line and a stripe's two words are never on two lines.
+type lockEntry struct {
+	r atomic.Uint64 // version<<1 when unlocked; 1 when locked
+	w atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
+}
+
 // Engine is a SwissTM instance: an arena plus its lock table and global
 // counters. Field order is cache-line-aware: the read-mostly mapping
-// state (the kernel.Heap, the lock-table slices) sits together and is
+// state (the kernel.Heap, the lock-table slice) sits together and is
 // never written after New, while the two global counters — the hottest
 // write-shared words in the system — are each padded onto a private line
 // so a committer bumping commitTS does not invalidate the line holding
@@ -115,8 +123,7 @@ const (
 type Engine struct {
 	cfg Config
 	kernel.Heap
-	rlocks []atomic.Uint64 // version<<1 when unlocked; 1 when locked
-	wlocks []atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
+	locks []lockEntry
 
 	_        mem.CacheLinePad
 	commitTS mem.PaddedUint64 // global commit counter (Algorithm 1)
@@ -139,10 +146,9 @@ func New(cfg Config) *Engine {
 		ArenaWords: cfg.ArenaWords, StripeWords: cfg.StripeWords, TableBits: cfg.TableBits,
 	})
 	return &Engine{
-		cfg:    cfg,
-		Heap:   h,
-		rlocks: make([]atomic.Uint64, h.Entries()),
-		wlocks: make([]atomic.Uint32, h.Entries()),
+		cfg:   cfg,
+		Heap:  h,
+		locks: make([]lockEntry, h.Entries()),
 	}
 }
 
@@ -180,7 +186,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		Thread: kernel.NewThread("swisstm", id, uint64(id)*0x9e3779b9+1, e.cfg.Obs),
 		e:      e,
 		tag:    uint32(id+1) << wTagShift,
-		rs:     kernel.NewReadSet(len(e.rlocks)),
+		rs:     kernel.NewReadSet(len(e.locks)),
 		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.roV.t = t
@@ -346,14 +352,14 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// Index the lock table through a local slice header masked by its own
 	// length: the compiler proves the access in bounds (no check) and the
 	// engine pointer is dereferenced once.
-	rlocks := t.e.rlocks
-	i := int(a>>t.e.Shift) & (len(rlocks) - 1)
+	locks := t.e.locks
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
 	idx := uint32(i)
 	// The w-lock lookup exists only for read-after-write; a transaction
 	// that has written nothing cannot own any w-lock, so read-only
 	// transactions skip the shared-table probe entirely.
 	if t.log.Len() != 0 {
-		if w := t.e.wlocks[idx].Load(); w&^wIdxMask == t.tag {
+		if w := t.e.locks[idx].w.Load(); w&^wIdxMask == t.tag {
 			// Read-after-write: return the value from our own write log
 			// (line 6). Unwritten words of an owned stripe are stable in
 			// memory because we hold the w-lock.
@@ -364,7 +370,7 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 		}
 	}
 	// Consistent double-read of r-lock around the data word (lines 8-15).
-	rl := &rlocks[i]
+	rl := &locks[i].r
 	var v1 uint64
 	var val stm.Word
 	for spin := 0; ; spin++ {
@@ -420,10 +426,10 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 // w-lock means no CM ever targets us). ok=false means the transaction
 // aborted.
 func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
-	rlocks := t.e.rlocks
-	i := int(a>>t.e.Shift) & (len(rlocks) - 1)
+	locks := t.e.locks
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
 	idx := uint32(i)
-	rl := &rlocks[i]
+	rl := &locks[i].r
 	var v1 uint64
 	var val stm.Word
 	for spin := 0; ; spin++ {
@@ -477,7 +483,7 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 		return false
 	}
 	idx := t.e.Stripe(a)
-	wl := &t.e.wlocks[idx]
+	wl := &t.e.locks[idx].w
 	for spin := 0; ; spin++ {
 		w := wl.Load()
 		if w&^wIdxMask == t.tag {
@@ -511,7 +517,7 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	}
 	// Opacity guard (lines 31-32): if the stripe moved past our snapshot
 	// we must revalidate before continuing.
-	if rv := t.e.rlocks[idx].Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
+	if rv := t.e.locks[idx].r.Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
@@ -538,14 +544,14 @@ func (t *txn) commit() bool {
 	wlog := t.log.Entries()
 	for i := range wlog {
 		we := &wlog[i]
-		rl := &t.e.rlocks[we.Idx]
+		rl := &t.e.locks[we.Idx].r
 		we.Saved = rl.Load() // unlocked: only the w-lock owner locks it
 		rl.Store(rLocked)
 	}
 	ts := t.e.commitTS.Add(1)
 	if ts > t.validTS+1 && !t.validate() {
 		for i := range wlog {
-			t.e.rlocks[wlog[i].Idx].Store(wlog[i].Saved)
+			t.e.locks[wlog[i].Idx].r.Store(wlog[i].Saved)
 		}
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidCommit++
@@ -555,8 +561,8 @@ func (t *txn) commit() bool {
 	for i := range wlog {
 		we := &wlog[i]
 		we.WriteBack(t.e.Words)
-		t.e.rlocks[we.Idx].Store(newRLock)
-		t.e.wlocks[we.Idx].Store(0)
+		t.e.locks[we.Idx].r.Store(newRLock)
+		t.e.locks[we.Idx].w.Store(0)
 	}
 	// Truncate the write log here rather than at the next begin: the log
 	// is then invariantly empty between transactions, which is what lets
@@ -583,13 +589,13 @@ func (t *txn) validate() bool {
 	t.Stat.Validations++
 	t.Stat.ValidationReads += uint64(len(t.rs.Log))
 	for _, re := range t.rs.Log {
-		cur := t.e.rlocks[re.Idx].Load()
+		cur := t.e.locks[re.Idx].r.Load()
 		if cur == re.Ver {
 			continue
 		}
 		// Changed or locked: still fine if we are the one holding it
 		// (we locked our own written stripes at commit).
-		if cur == rLocked && t.e.wlocks[re.Idx].Load()&^wIdxMask == t.tag {
+		if cur == rLocked && t.e.locks[re.Idx].w.Load()&^wIdxMask == t.tag {
 			continue
 		}
 		return false
@@ -631,7 +637,7 @@ func (t *txn) commitAbort() bool {
 func (t *txn) releaseWLocks() {
 	wlog := t.log.Entries()
 	for i := range wlog {
-		t.e.wlocks[wlog[i].Idx].Store(0)
+		t.e.locks[wlog[i].Idx].w.Store(0)
 	}
 	t.log.Reset()
 }

@@ -203,8 +203,8 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 	}()
 	// Every write lock must have been released: no lock word is left set,
 	// and another thread can write.
-	for i := range e.wlocks {
-		if w := e.wlocks[i].Load(); w != 0 {
+	for i := range e.locks {
+		if w := e.locks[i].w.Load(); w != 0 {
 			t.Fatalf("w-lock %d = %#x after a foreign panic, want 0", i, w)
 		}
 	}

@@ -13,10 +13,10 @@ package util
 //
 // Neighbouring stripes share a word exactly as their lock words share a
 // cache line, so a traversal in allocation order walks the bitmap
-// sequentially. It never grows: 2^TableBits/8 bytes for the life of the
-// descriptor. A StripeSet is owned by exactly one thread and is not safe
-// for concurrent use — exactly like the transaction descriptor embedding
-// it.
+// sequentially. It never grows: one bit per lock-table entry
+// (kernel.Heap.Entries) for the life of the descriptor. A StripeSet is
+// owned by exactly one thread and is not safe for concurrent use — exactly
+// like the transaction descriptor embedding it.
 type StripeSet []uint64
 
 // NewStripeSet returns an empty set over a lock table of the given number
