@@ -106,10 +106,11 @@ benchmark-ab:
 
 # hotpath compares the word engines' hot paths with REV's, from the
 # compiler's -S output (scripts/hotpath.sh): for SwissTM's, TL2's and
-# TinySTM's load, loadRO, store, commit, validate, extend and releaseWLocks,
-# the multiset of CALL targets (bounds-check panics included) and the count
-# of LOCK-prefixed and memory-operand XCHG instructions, parent beside
-# change. Exits non-zero on any difference. Not part of ci: it needs a REV.
+# TinySTM's begin, beginRO, load, loadRO, store, commit, validate, extend
+# and releaseWLocks, the multiset of CALL targets (bounds-check panics
+# included) and the count of LOCK-prefixed and memory-operand XCHG
+# instructions, parent beside change. Exits non-zero on any difference.
+# Not part of ci: it needs a REV.
 #   make hotpath REV=HEAD~1
 hotpath:
 	GO=$(GO) scripts/hotpath.sh $(REV)

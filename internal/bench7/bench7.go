@@ -186,7 +186,7 @@ func Setup(e stm.STM, cfg Config) *Bench {
 			tx.WriteField(ba, baLevel, 1)
 			for k := 0; k < compPerBase; k++ {
 				c := comps[rng.Intn(len(comps))]
-				tx.WriteRef(ba, baComp0+uint32(k), c)
+				stm.WriteRef(tx, ba, baComp0+uint32(k), c)
 				tx.WriteField(c, cpUsed, tx.ReadField(c, cpUsed)+1)
 			}
 			b.Bases = append(b.Bases, ba)
@@ -196,7 +196,7 @@ func Setup(e stm.STM, cfg Config) *Bench {
 		tx.WriteField(ca, caID, stm.Word(id))
 		tx.WriteField(ca, caLevel, stm.Word(level))
 		for k := 0; k < cfg.Fanout; k++ {
-			tx.WriteRef(ca, caSub0+uint32(k), build(tx, level-1))
+			stm.WriteRef(tx, ca, caSub0+uint32(k), build(tx, level-1))
 		}
 		return ca
 	}
@@ -204,7 +204,7 @@ func Setup(e stm.STM, cfg Config) *Bench {
 		root := build(tx, cfg.Levels)
 		b.Module = tx.NewObject(2)
 		tx.WriteField(b.Module, 0, 1) // module id
-		tx.WriteRef(b.Module, 1, root)
+		stm.WriteRef(tx, b.Module, 1, root)
 	})
 	return b
 }
@@ -235,7 +235,7 @@ func (b *Bench) newCompositePart(tx stm.Tx) stm.Handle {
 		tx.WriteField(p, apY, partID*17)
 		tx.WriteField(p, apDate, date)
 		parts[i] = p
-		tx.WriteRef(partsArr, uint32(i), p)
+		stm.WriteRef(tx, partsArr, uint32(i), p)
 		b.PartIdx.Insert(tx, partID, stm.Word(p))
 	}
 	// Ring + chords connection graph: part i connects to i+1, i+2, i+3
@@ -243,16 +243,16 @@ func (b *Bench) newCompositePart(tx stm.Tx) stm.Handle {
 	n := cfg.AtomicPerComp
 	for i := 0; i < n; i++ {
 		for k := 0; k < cfg.ConnPerPart; k++ {
-			tx.WriteRef(parts[i], apConn0+uint32(k), parts[(i+k+1)%n])
+			stm.WriteRef(tx, parts[i], apConn0+uint32(k), parts[(i+k+1)%n])
 		}
 	}
 
 	comp := tx.NewObject(cpFields)
 	tx.WriteField(comp, cpID, compID)
 	tx.WriteField(comp, cpDate, date)
-	tx.WriteRef(comp, cpDoc, doc)
-	tx.WriteRef(comp, cpParts, partsArr)
-	tx.WriteRef(comp, cpRoot, parts[0])
+	stm.WriteRef(tx, comp, cpDoc, doc)
+	stm.WriteRef(tx, comp, cpParts, partsArr)
+	stm.WriteRef(tx, comp, cpRoot, parts[0])
 	b.CompIdx.Insert(tx, compID, stm.Word(comp))
 	b.DateIdx.Insert(tx, date, stm.Word(comp))
 	return comp
@@ -276,7 +276,7 @@ func (b *Bench) newCompositePart(tx stm.Tx) stm.Handle {
 // root part (bounded DFS over the connection graph, using the caller's
 // scratch), calling visit for each distinct part.
 func (b *Bench) graphWalk(tx stm.TxRO, comp stm.Handle, ws *walkScratch, visit func(part stm.Handle)) int {
-	root := tx.ReadRef(comp, cpRoot)
+	root := stm.ReadRef(tx, comp, cpRoot)
 	if root == 0 {
 		return 0
 	}
@@ -288,7 +288,7 @@ func (b *Bench) graphWalk(tx stm.TxRO, comp stm.Handle, ws *walkScratch, visit f
 		stack = stack[:len(stack)-1]
 		visit(p)
 		for k := 0; k < b.Cfg.ConnPerPart; k++ {
-			q := tx.ReadRef(p, apConn0+uint32(k))
+			q := stm.ReadRef(tx, p, apConn0+uint32(k))
 			if q != 0 && ws.seen.Add(uint64(q)) {
 				stack = append(stack, q)
 			}
@@ -314,14 +314,14 @@ func (b *Bench) randomComposite(tx stm.TxRO, rng *util.Rand) (stm.Handle, bool) 
 // Plain method recursion: the self-referential `var walk func(...)`
 // closure it replaced allocated on every traversal.
 func (b *Bench) assemblyWalk(tx stm.TxRO, visit func(comp stm.Handle)) {
-	b.walkAssembly(tx, tx.ReadRef(b.Module, 1), visit)
+	b.walkAssembly(tx, stm.ReadRef(tx, b.Module, 1), visit)
 }
 
 func (b *Bench) walkAssembly(tx stm.TxRO, h stm.Handle, visit func(comp stm.Handle)) {
 	level := tx.ReadField(h, caLevel)
 	if level <= 1 { // base assembly (field layout: baID, comps...)
 		for k := 0; k < compPerBase; k++ {
-			comp := tx.ReadRef(h, baComp0+uint32(k))
+			comp := stm.ReadRef(tx, h, baComp0+uint32(k))
 			if comp != 0 {
 				visit(comp)
 			}
@@ -329,7 +329,7 @@ func (b *Bench) walkAssembly(tx stm.TxRO, h stm.Handle, visit func(comp stm.Hand
 		return
 	}
 	for k := 0; k < b.Cfg.Fanout; k++ {
-		sub := tx.ReadRef(h, caSub0+uint32(k))
+		sub := stm.ReadRef(tx, h, caSub0+uint32(k))
 		if sub != 0 {
 			b.walkAssembly(tx, sub, visit)
 		}
@@ -433,7 +433,7 @@ func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
 		b.assemblyWalk(tx, o.visitCompBump)
 	}
 	o.structMod = func(tx stm.Tx) {
-		old := tx.ReadRef(o.base, o.slot)
+		old := stm.ReadRef(tx, o.base, o.slot)
 		if old != 0 {
 			// Drop one reference; unregister the composite only when the
 			// last base assembly stops using it (shared composites stay).
@@ -444,9 +444,9 @@ func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
 				oldDate := tx.ReadField(old, cpDate)
 				b.CompIdx.Delete(tx, oldID)
 				b.DateIdx.Delete(tx, oldDate)
-				partsArr := tx.ReadRef(old, cpParts)
+				partsArr := stm.ReadRef(tx, old, cpParts)
 				for i := 0; i < b.Cfg.AtomicPerComp; i++ {
-					p := tx.ReadRef(partsArr, uint32(i))
+					p := stm.ReadRef(tx, partsArr, uint32(i))
 					if p != 0 {
 						b.PartIdx.Delete(tx, tx.ReadField(p, apID))
 					}
@@ -455,7 +455,7 @@ func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
 		}
 		comp := b.newCompositePart(tx)
 		tx.WriteField(comp, cpUsed, 1)
-		tx.WriteRef(o.base, o.slot, comp)
+		stm.WriteRef(tx, o.base, o.slot, comp)
 	}
 	return o
 }
@@ -550,7 +550,7 @@ func (b *Bench) Check() error {
 	return stm.AtomicRO(th, func(tx stm.TxRO) error {
 		for _, base := range b.Bases {
 			for k := 0; k < compPerBase; k++ {
-				comp := tx.ReadRef(base, baComp0+uint32(k))
+				comp := stm.ReadRef(tx, base, baComp0+uint32(k))
 				if comp == 0 {
 					return fmt.Errorf("bench7: empty base-assembly slot")
 				}

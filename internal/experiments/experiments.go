@@ -33,9 +33,7 @@ type Options struct {
 	Scale    stamp.Scale   // STAMP input scale
 	Bench7   bench7.Config // structure dimensions (mix is set per run)
 	RBRange  int           // red-black tree key range (paper: 16384)
-	RBUpdate int           // update percentage (paper: 20)
 	KVKeys   int           // txkv key population (default 1024)
-	KVZipf   float64       // txkv zipfian skew θ (default 0.99)
 	Repeats  int           // measured repeats per point (0 or 1 = single run)
 	Seed     uint64        // non-zero = deterministic mode: seeded RNGs + fixed-ops points
 	FixedOps uint64        // per-worker ops per throughput point (0 = harness.DefaultFixedOps when seeded)
@@ -49,9 +47,7 @@ func Default(out io.Writer) Options {
 		Threads:  []int{1, 2, 4, 8},
 		Scale:    stamp.Bench,
 		RBRange:  16384,
-		RBUpdate: 20,
 		KVKeys:   16384,
-		KVZipf:   0.99,
 		Repeats:  1,
 	}
 }
@@ -65,9 +61,7 @@ func Quick(out io.Writer) Options {
 		Scale:    stamp.Test,
 		Bench7:   bench7.Config{Levels: 3, Fanout: 3, CompPool: 32, AtomicPerComp: 10},
 		RBRange:  1024,
-		RBUpdate: 20,
 		KVKeys:   1024,
-		KVZipf:   0.99,
 		Repeats:  1,
 	}
 }
@@ -121,13 +115,15 @@ func (o Options) bench7Workload(mix int) harness.Workload {
 	}
 }
 
+// rbUpdatePct is the red-black tree's update percentage (paper: 20).
+const rbUpdatePct = 20
+
 // rbWorkload is the Figure 5/10 microbenchmark: lookups/inserts/removals
 // over a pre-filled tree. seed feeds the pre-fill RNG so seeded runs
 // rebuild the identical tree (0 keeps the legacy fixed pre-fill).
 func (o Options) rbWorkload(seed uint64) harness.Workload {
 	var tree *rbtree.Tree
 	keyRange := o.RBRange
-	updPct := o.RBUpdate
 	return harness.Workload{
 		Setup: func(e stm.STM) error {
 			th := e.NewThread(0)
@@ -144,9 +140,9 @@ func (o Options) rbWorkload(seed uint64) harness.Workload {
 			k := stm.Word(rng.Intn(keyRange) + 1)
 			r := rng.Intn(100)
 			switch {
-			case r < updPct/2:
+			case r < rbUpdatePct/2:
 				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Insert(tx, k, k) })
-			case r < updPct:
+			case r < rbUpdatePct:
 				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Delete(tx, k) })
 			default:
 				// Lookups are declared read-only: the microbenchmark's 80%
@@ -383,7 +379,7 @@ func (o Options) Fig5() ([]results.Record, error) {
 		return recs, err
 	}
 	o.emit(harness.FormatFigure(
-		fmt.Sprintf("Figure 5: red-black tree (range %d, %d%% updates)", o.RBRange, o.RBUpdate),
+		fmt.Sprintf("Figure 5: red-black tree (range %d, %d%% updates)", o.RBRange, rbUpdatePct),
 		"throughput [tx/s]", o.Threads, medianSeries(recs, metricThroughput)))
 	return recs, nil
 }

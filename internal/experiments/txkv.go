@@ -13,6 +13,9 @@ import (
 	"swisstm/internal/txkv"
 )
 
+// kvZipf is the txkv zipfian skew θ of every zipfian point.
+const kvZipf = 0.99
+
 // txkvWorkloads assembles the measured (tag, generator-config) points:
 // the three headline mixes plus read-only under zipfian popularity,
 // and one uniform-popularity point to expose the skew axis.
@@ -24,10 +27,6 @@ func (o Options) txkvWorkloads() []struct {
 	if keys == 0 {
 		keys = 1024
 	}
-	theta := o.KVZipf
-	if theta == 0 {
-		theta = 0.99
-	}
 	type wl = struct {
 		tag string
 		cfg txkv.GenConfig
@@ -36,7 +35,7 @@ func (o Options) txkvWorkloads() []struct {
 	for _, mix := range txkv.Mixes {
 		wls = append(wls, wl{
 			tag: "txkv/" + mix.Name + "-zipf",
-			cfg: txkv.GenConfig{Mix: mix, Keys: keys, Zipf: theta},
+			cfg: txkv.GenConfig{Mix: mix, Keys: keys, Zipf: kvZipf},
 		})
 	}
 	wls = append(wls, wl{

@@ -27,13 +27,12 @@ const CacheLine = 64
 type CacheLinePad struct{ _ [CacheLine]byte }
 
 // PaddedUint64 is an atomic.Uint64 followed by enough padding that
-// adjacent PaddedUint64s (e.g. array slots owned by different threads)
-// sit a full cache line apart. Go only guarantees 8-byte alignment, so
-// when the enclosing allocation is not line-aligned a slot may straddle
-// two lines and neighbors share the boundary line — the padding bounds
-// false sharing to at most that boundary rather than eliminating it
-// outright. Engines use it for their global clocks and per-thread
-// activity slots, which are written from different cores at high rates.
+// adjacent PaddedUint64s sit a full cache line apart. Go only guarantees
+// 8-byte alignment, so when the enclosing allocation is not line-aligned
+// a value may straddle two lines and neighbors share the boundary line —
+// the padding bounds false sharing to at most that boundary rather than
+// eliminating it outright. Engines use it for their global clocks, which
+// are written from different cores at high rates.
 type PaddedUint64 struct {
 	atomic.Uint64
 	_ [CacheLine - 8]byte

@@ -42,8 +42,8 @@ func New(th stm.Thread) *Tree {
 	return &Tree{holder: stm.Atomic(th, func(tx stm.Tx) stm.Handle { return tx.NewObject(1) })}
 }
 
-func (t *Tree) root(tx stm.TxRO) stm.Handle     { return tx.ReadRef(t.holder, 0) }
-func (t *Tree) setRoot(tx stm.Tx, h stm.Handle) { tx.WriteRef(t.holder, 0, h) }
+func (t *Tree) root(tx stm.TxRO) stm.Handle     { return stm.ReadRef(tx, t.holder, 0) }
+func (t *Tree) setRoot(tx stm.Tx, h stm.Handle) { stm.WriteRef(tx, t.holder, 0, h) }
 
 // Lookup returns the value stored under key.
 func (t *Tree) Lookup(tx stm.TxRO, key stm.Word) (stm.Word, bool) {
@@ -54,9 +54,9 @@ func (t *Tree) Lookup(tx stm.TxRO, key stm.Word) (stm.Word, bool) {
 		case key == k:
 			return tx.ReadField(n, fVal), true
 		case key < k:
-			n = tx.ReadRef(n, fLeft)
+			n = stm.ReadRef(tx, n, fLeft)
 		default:
-			n = tx.ReadRef(n, fRight)
+			n = stm.ReadRef(tx, n, fRight)
 		}
 	}
 	return 0, false
@@ -69,7 +69,7 @@ func (t *Tree) Min(tx stm.TxRO) (stm.Word, bool) {
 		return 0, false
 	}
 	for {
-		l := tx.ReadRef(n, fLeft)
+		l := stm.ReadRef(tx, n, fLeft)
 		if l == nilH {
 			return tx.ReadField(n, fKey), true
 		}
@@ -90,13 +90,13 @@ func (t *Tree) rangeCount(tx stm.TxRO, n stm.Handle, lo, hi stm.Word) int {
 	k := tx.ReadField(n, fKey)
 	cnt := 0
 	if lo < k {
-		cnt += t.rangeCount(tx, tx.ReadRef(n, fLeft), lo, hi)
+		cnt += t.rangeCount(tx, stm.ReadRef(tx, n, fLeft), lo, hi)
 	}
 	if lo <= k && k <= hi {
 		cnt++
 	}
 	if k < hi {
-		cnt += t.rangeCount(tx, tx.ReadRef(n, fRight), lo, hi)
+		cnt += t.rangeCount(tx, stm.ReadRef(tx, n, fRight), lo, hi)
 	}
 	return cnt
 }
@@ -110,9 +110,9 @@ func (t *Tree) visit(tx stm.TxRO, n stm.Handle, fn func(k, v stm.Word)) {
 	if n == nilH {
 		return
 	}
-	t.visit(tx, tx.ReadRef(n, fLeft), fn)
+	t.visit(tx, stm.ReadRef(tx, n, fLeft), fn)
 	fn(tx.ReadField(n, fKey), tx.ReadField(n, fVal))
-	t.visit(tx, tx.ReadRef(n, fRight), fn)
+	t.visit(tx, stm.ReadRef(tx, n, fRight), fn)
 }
 
 // Insert adds key→val, returning false (and updating the value) when the
@@ -128,65 +128,65 @@ func (t *Tree) Insert(tx stm.Tx, key, val stm.Word) bool {
 		}
 		parent = n
 		if key < k {
-			n = tx.ReadRef(n, fLeft)
+			n = stm.ReadRef(tx, n, fLeft)
 		} else {
-			n = tx.ReadRef(n, fRight)
+			n = stm.ReadRef(tx, n, fRight)
 		}
 	}
 	node := tx.NewObject(nodeFields)
 	tx.WriteField(node, fKey, key)
 	tx.WriteField(node, fVal, val)
-	tx.WriteRef(node, fParent, parent)
+	stm.WriteRef(tx, node, fParent, parent)
 	tx.WriteField(node, fColor, red)
 	if parent == nilH {
 		t.setRoot(tx, node)
 	} else if key < tx.ReadField(parent, fKey) {
-		tx.WriteRef(parent, fLeft, node)
+		stm.WriteRef(tx, parent, fLeft, node)
 	} else {
-		tx.WriteRef(parent, fRight, node)
+		stm.WriteRef(tx, parent, fRight, node)
 	}
 	t.insertFixup(tx, node)
 	return true
 }
 
 func (t *Tree) rotateLeft(tx stm.Tx, x stm.Handle) {
-	y := tx.ReadRef(x, fRight)
-	yl := tx.ReadRef(y, fLeft)
-	tx.WriteRef(x, fRight, yl)
+	y := stm.ReadRef(tx, x, fRight)
+	yl := stm.ReadRef(tx, y, fLeft)
+	stm.WriteRef(tx, x, fRight, yl)
 	if yl != nilH {
-		tx.WriteRef(yl, fParent, x)
+		stm.WriteRef(tx, yl, fParent, x)
 	}
-	xp := tx.ReadRef(x, fParent)
-	tx.WriteRef(y, fParent, xp)
+	xp := stm.ReadRef(tx, x, fParent)
+	stm.WriteRef(tx, y, fParent, xp)
 	if xp == nilH {
 		t.setRoot(tx, y)
-	} else if tx.ReadRef(xp, fLeft) == x {
-		tx.WriteRef(xp, fLeft, y)
+	} else if stm.ReadRef(tx, xp, fLeft) == x {
+		stm.WriteRef(tx, xp, fLeft, y)
 	} else {
-		tx.WriteRef(xp, fRight, y)
+		stm.WriteRef(tx, xp, fRight, y)
 	}
-	tx.WriteRef(y, fLeft, x)
-	tx.WriteRef(x, fParent, y)
+	stm.WriteRef(tx, y, fLeft, x)
+	stm.WriteRef(tx, x, fParent, y)
 }
 
 func (t *Tree) rotateRight(tx stm.Tx, x stm.Handle) {
-	y := tx.ReadRef(x, fLeft)
-	yr := tx.ReadRef(y, fRight)
-	tx.WriteRef(x, fLeft, yr)
+	y := stm.ReadRef(tx, x, fLeft)
+	yr := stm.ReadRef(tx, y, fRight)
+	stm.WriteRef(tx, x, fLeft, yr)
 	if yr != nilH {
-		tx.WriteRef(yr, fParent, x)
+		stm.WriteRef(tx, yr, fParent, x)
 	}
-	xp := tx.ReadRef(x, fParent)
-	tx.WriteRef(y, fParent, xp)
+	xp := stm.ReadRef(tx, x, fParent)
+	stm.WriteRef(tx, y, fParent, xp)
 	if xp == nilH {
 		t.setRoot(tx, y)
-	} else if tx.ReadRef(xp, fRight) == x {
-		tx.WriteRef(xp, fRight, y)
+	} else if stm.ReadRef(tx, xp, fRight) == x {
+		stm.WriteRef(tx, xp, fRight, y)
 	} else {
-		tx.WriteRef(xp, fLeft, y)
+		stm.WriteRef(tx, xp, fLeft, y)
 	}
-	tx.WriteRef(y, fRight, x)
-	tx.WriteRef(x, fParent, y)
+	stm.WriteRef(tx, y, fRight, x)
+	stm.WriteRef(tx, x, fParent, y)
 }
 
 func colorOf(tx stm.TxRO, n stm.Handle) stm.Word {
@@ -204,16 +204,16 @@ func setColor(tx stm.Tx, n stm.Handle, c stm.Word) {
 
 func (t *Tree) insertFixup(tx stm.Tx, z stm.Handle) {
 	for {
-		zp := tx.ReadRef(z, fParent)
+		zp := stm.ReadRef(tx, z, fParent)
 		if zp == nilH || colorOf(tx, zp) == black {
 			break
 		}
-		zpp := tx.ReadRef(zp, fParent)
+		zpp := stm.ReadRef(tx, zp, fParent)
 		if zpp == nilH {
 			break
 		}
-		if tx.ReadRef(zpp, fLeft) == zp {
-			u := tx.ReadRef(zpp, fRight) // uncle
+		if stm.ReadRef(tx, zpp, fLeft) == zp {
+			u := stm.ReadRef(tx, zpp, fRight) // uncle
 			if colorOf(tx, u) == red {
 				setColor(tx, zp, black)
 				setColor(tx, u, black)
@@ -221,17 +221,17 @@ func (t *Tree) insertFixup(tx stm.Tx, z stm.Handle) {
 				z = zpp
 				continue
 			}
-			if tx.ReadRef(zp, fRight) == z {
+			if stm.ReadRef(tx, zp, fRight) == z {
 				z = zp
 				t.rotateLeft(tx, z)
-				zp = tx.ReadRef(z, fParent)
-				zpp = tx.ReadRef(zp, fParent)
+				zp = stm.ReadRef(tx, z, fParent)
+				zpp = stm.ReadRef(tx, zp, fParent)
 			}
 			setColor(tx, zp, black)
 			setColor(tx, zpp, red)
 			t.rotateRight(tx, zpp)
 		} else {
-			u := tx.ReadRef(zpp, fLeft)
+			u := stm.ReadRef(tx, zpp, fLeft)
 			if colorOf(tx, u) == red {
 				setColor(tx, zp, black)
 				setColor(tx, u, black)
@@ -239,11 +239,11 @@ func (t *Tree) insertFixup(tx stm.Tx, z stm.Handle) {
 				z = zpp
 				continue
 			}
-			if tx.ReadRef(zp, fLeft) == z {
+			if stm.ReadRef(tx, zp, fLeft) == z {
 				z = zp
 				t.rotateRight(tx, z)
-				zp = tx.ReadRef(z, fParent)
-				zpp = tx.ReadRef(zp, fParent)
+				zp = stm.ReadRef(tx, z, fParent)
+				zpp = stm.ReadRef(tx, zp, fParent)
 			}
 			setColor(tx, zp, black)
 			setColor(tx, zpp, red)
@@ -262,9 +262,9 @@ func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
 			break
 		}
 		if key < k {
-			z = tx.ReadRef(z, fLeft)
+			z = stm.ReadRef(tx, z, fLeft)
 		} else {
-			z = tx.ReadRef(z, fRight)
+			z = stm.ReadRef(tx, z, fRight)
 		}
 	}
 	if z == nilH {
@@ -274,11 +274,11 @@ func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
 	// y is the node physically removed; x its (possibly nil) child that
 	// moves up; xParent tracks x's parent since x may be nil.
 	y := z
-	if tx.ReadRef(z, fLeft) != nilH && tx.ReadRef(z, fRight) != nilH {
+	if stm.ReadRef(tx, z, fLeft) != nilH && stm.ReadRef(tx, z, fRight) != nilH {
 		// Two children: splice out the in-order successor instead.
-		y = tx.ReadRef(z, fRight)
+		y = stm.ReadRef(tx, z, fRight)
 		for {
-			l := tx.ReadRef(y, fLeft)
+			l := stm.ReadRef(tx, y, fLeft)
 			if l == nilH {
 				break
 			}
@@ -286,21 +286,21 @@ func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
 		}
 	}
 	var x stm.Handle
-	if tx.ReadRef(y, fLeft) != nilH {
-		x = tx.ReadRef(y, fLeft)
+	if stm.ReadRef(tx, y, fLeft) != nilH {
+		x = stm.ReadRef(tx, y, fLeft)
 	} else {
-		x = tx.ReadRef(y, fRight)
+		x = stm.ReadRef(tx, y, fRight)
 	}
-	xParent := tx.ReadRef(y, fParent)
+	xParent := stm.ReadRef(tx, y, fParent)
 	if x != nilH {
-		tx.WriteRef(x, fParent, xParent)
+		stm.WriteRef(tx, x, fParent, xParent)
 	}
 	if xParent == nilH {
 		t.setRoot(tx, x)
-	} else if tx.ReadRef(xParent, fLeft) == y {
-		tx.WriteRef(xParent, fLeft, x)
+	} else if stm.ReadRef(tx, xParent, fLeft) == y {
+		stm.WriteRef(tx, xParent, fLeft, x)
 	} else {
-		tx.WriteRef(xParent, fRight, x)
+		stm.WriteRef(tx, xParent, fRight, x)
 	}
 	if y != z {
 		// Move successor's payload into z (keys move, nodes stay).
@@ -318,69 +318,69 @@ func (t *Tree) deleteFixup(tx stm.Tx, x, xParent stm.Handle) {
 		if xParent == nilH {
 			break
 		}
-		if tx.ReadRef(xParent, fLeft) == x {
-			w := tx.ReadRef(xParent, fRight) // sibling
+		if stm.ReadRef(tx, xParent, fLeft) == x {
+			w := stm.ReadRef(tx, xParent, fRight) // sibling
 			if colorOf(tx, w) == red {
 				setColor(tx, w, black)
 				setColor(tx, xParent, red)
 				t.rotateLeft(tx, xParent)
-				w = tx.ReadRef(xParent, fRight)
+				w = stm.ReadRef(tx, xParent, fRight)
 			}
 			if w == nilH {
 				x = xParent
-				xParent = tx.ReadRef(x, fParent)
+				xParent = stm.ReadRef(tx, x, fParent)
 				continue
 			}
-			wl := tx.ReadRef(w, fLeft)
-			wr := tx.ReadRef(w, fRight)
+			wl := stm.ReadRef(tx, w, fLeft)
+			wr := stm.ReadRef(tx, w, fRight)
 			if colorOf(tx, wl) == black && colorOf(tx, wr) == black {
 				setColor(tx, w, red)
 				x = xParent
-				xParent = tx.ReadRef(x, fParent)
+				xParent = stm.ReadRef(tx, x, fParent)
 				continue
 			}
 			if colorOf(tx, wr) == black {
 				setColor(tx, wl, black)
 				setColor(tx, w, red)
 				t.rotateRight(tx, w)
-				w = tx.ReadRef(xParent, fRight)
+				w = stm.ReadRef(tx, xParent, fRight)
 			}
 			setColor(tx, w, colorOf(tx, xParent))
 			setColor(tx, xParent, black)
-			setColor(tx, tx.ReadRef(w, fRight), black)
+			setColor(tx, stm.ReadRef(tx, w, fRight), black)
 			t.rotateLeft(tx, xParent)
 			x = t.root(tx)
 			break
 		} else {
-			w := tx.ReadRef(xParent, fLeft)
+			w := stm.ReadRef(tx, xParent, fLeft)
 			if colorOf(tx, w) == red {
 				setColor(tx, w, black)
 				setColor(tx, xParent, red)
 				t.rotateRight(tx, xParent)
-				w = tx.ReadRef(xParent, fLeft)
+				w = stm.ReadRef(tx, xParent, fLeft)
 			}
 			if w == nilH {
 				x = xParent
-				xParent = tx.ReadRef(x, fParent)
+				xParent = stm.ReadRef(tx, x, fParent)
 				continue
 			}
-			wl := tx.ReadRef(w, fLeft)
-			wr := tx.ReadRef(w, fRight)
+			wl := stm.ReadRef(tx, w, fLeft)
+			wr := stm.ReadRef(tx, w, fRight)
 			if colorOf(tx, wr) == black && colorOf(tx, wl) == black {
 				setColor(tx, w, red)
 				x = xParent
-				xParent = tx.ReadRef(x, fParent)
+				xParent = stm.ReadRef(tx, x, fParent)
 				continue
 			}
 			if colorOf(tx, wl) == black {
 				setColor(tx, wr, black)
 				setColor(tx, w, red)
 				t.rotateLeft(tx, w)
-				w = tx.ReadRef(xParent, fLeft)
+				w = stm.ReadRef(tx, xParent, fLeft)
 			}
 			setColor(tx, w, colorOf(tx, xParent))
 			setColor(tx, xParent, black)
-			setColor(tx, tx.ReadRef(w, fLeft), black)
+			setColor(tx, stm.ReadRef(tx, w, fLeft), black)
 			t.rotateRight(tx, xParent)
 			x = t.root(tx)
 			break
@@ -408,7 +408,7 @@ func (t *Tree) check(tx stm.TxRO, n, parent stm.Handle, lo, hi stm.Word) (count,
 	if n == nilH {
 		return 0, 1
 	}
-	if tx.ReadRef(n, fParent) != parent {
+	if stm.ReadRef(tx, n, fParent) != parent {
 		panic("rbtree: bad parent pointer")
 	}
 	k := tx.ReadField(n, fKey)
@@ -416,8 +416,8 @@ func (t *Tree) check(tx stm.TxRO, n, parent stm.Handle, lo, hi stm.Word) (count,
 		panic("rbtree: BST order violated")
 	}
 	c := colorOf(tx, n)
-	l := tx.ReadRef(n, fLeft)
-	r := tx.ReadRef(n, fRight)
+	l := stm.ReadRef(tx, n, fLeft)
+	r := stm.ReadRef(tx, n, fRight)
 	if c == red && (colorOf(tx, l) == red || colorOf(tx, r) == red) {
 		panic("rbtree: red node with red child")
 	}

@@ -820,11 +820,6 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	return data[field]
 }
 
-// ReadRef implements stm.Tx.
-func (t *txn) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(t.ReadField(h, field))
-}
-
 // WriteField implements stm.Tx.
 func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	data, ok := t.openWrite(t.e.object(h))
@@ -832,11 +827,6 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 		panic(stm.SignalRollback)
 	}
 	data[field] = v
-}
-
-// WriteRef implements stm.Tx.
-func (t *txn) WriteRef(h stm.Handle, field uint32, ref stm.Handle) {
-	t.WriteField(h, field, stm.Word(ref))
 }
 
 // NewObject implements stm.Tx.
@@ -866,11 +856,6 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 		panic(stm.SignalRollback)
 	}
 	return data[field]
-}
-
-// ReadRef implements stm.TxRO.
-func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(r.ReadField(h, field))
 }
 
 // Restart implements stm.TxRO.

@@ -213,7 +213,7 @@ func (a *App) Check(e stm.STM) error {
 		}
 		n := start
 		for {
-			nx := tx.ReadRef(n, sgNext)
+			nx := stm.ReadRef(tx, n, sgNext)
 			if nx == 0 {
 				break
 			}

@@ -61,9 +61,20 @@ type Addr = mem.Addr
 //
 // Handle is a defined type (not an alias for uint64) so that handles and
 // raw Word values can no longer be mixed silently: storing a reference in
-// an object field goes through Tx.WriteRef (or an explicit Word(h)
-// conversion), and reading one back through TxRO.ReadRef.
+// an object field goes through WriteRef (or an explicit Word(h)
+// conversion), and reading one back through ReadRef.
 type Handle uint64
+
+// ReadRef reads a field that holds an object reference, typed. It is
+// ReadField plus the conversion, so every engine serves it unchanged.
+func ReadRef(tx TxRO, h Handle, field uint32) Handle {
+	return Handle(tx.ReadField(h, field))
+}
+
+// WriteRef writes a field that holds an object reference, typed.
+func WriteRef(tx Tx, h Handle, field uint32, ref Handle) {
+	tx.WriteField(h, field, Word(ref))
+}
 
 // TxRO is the read-only transaction handle: the view an AtomicRO body
 // receives. It has no write methods, so writing inside a declared
@@ -79,8 +90,6 @@ type TxRO interface {
 
 	// ReadField reads one field of an object (object API, all engines).
 	ReadField(h Handle, field uint32) Word
-	// ReadRef reads a field that holds an object reference, typed.
-	ReadRef(h Handle, field uint32) Handle
 
 	// Restart aborts and retries the transaction immediately (user-level
 	// retry, e.g. bounded wait loops in benchmark code).
@@ -103,8 +112,6 @@ type Tx interface {
 
 	// WriteField writes one field of an object (object API, all engines).
 	WriteField(h Handle, field uint32, v Word)
-	// WriteRef writes a field that holds an object reference, typed.
-	WriteRef(h Handle, field uint32, ref Handle)
 	// NewObject allocates a fresh object with the given field count.
 	NewObject(fields uint32) Handle
 }

@@ -277,9 +277,7 @@ func runCounterHammer(e stm.STM, h stm.Handle, workers, perWorker int) []stm.Sta
 // window in which TinySTM's validation once accepted a stale entry and
 // lost an update — and the others abort and retry unforced.
 //
-// Not for an engine configured to quiesce at commit: the nested commit
-// would wait for its own suspended caller. It uses engine thread ids
-// 0..4 and stm.MaxThreads-4..stm.MaxThreads-1.
+// It uses engine thread ids 0..4 and stm.MaxThreads-4..stm.MaxThreads-1.
 func TransferExtend(t *testing.T, e stm.STM) {
 	const threads = 4
 	const accounts = 16

@@ -157,8 +157,8 @@ func testOwnWriteValidates(t *testing.T, e stm.STM) {
 			stm.AtomicVoid(b, func(tx stm.Tx) { tx.WriteField(u, 0, tx.ReadField(u, 0)+1) })
 			close(bDone)
 		}()
-		// Wait for B's commit to publish, not for B to return: a committer
-		// that quiesces (SwissTM's PrivatizationSafe) waits for A too.
+		// Wait until B's write is readable, so B's commit is published
+		// before A goes on to commit; B's goroutine is joined after A.
 		for readField(c, u, 0) == 0 {
 			runtime.Gosched()
 		}

@@ -7,15 +7,9 @@ import (
 )
 
 // TestZeroAllocSteadyState is the allocation-regression gate of
-// DESIGN.md §7: warm transactions must not allocate, on the default
-// configuration and with the quiescence scheme armed.
+// DESIGN.md §7: warm transactions must not allocate.
 func TestZeroAllocSteadyState(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 16, TableBits: 10})
-	stmtest.ZeroAllocSteadyState(t, e, true, true)
-}
-
-func TestZeroAllocSteadyStatePrivatizationSafe(t *testing.T) {
-	e := New(Config{ArenaWords: 1 << 16, TableBits: 10, PrivatizationSafe: true})
 	stmtest.ZeroAllocSteadyState(t, e, true, true)
 }
 

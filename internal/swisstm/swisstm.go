@@ -78,15 +78,6 @@ type Config struct {
 	// NoBackoff disables the randomized linear back-off after rollbacks
 	// (Figure 11's ablation).
 	NoBackoff bool
-	// PrivatizationSafe enables the quiescence scheme sketched in the
-	// paper's §6: every committing update transaction waits until all
-	// transactions that started before its commit have validated,
-	// committed or aborted. Afterwards, data made private by the commit
-	// (e.g. an unlinked node) can be accessed non-transactionally with no
-	// risk of a belated redo-log write-back or a zombie reader. The paper
-	// predicts (and BenchmarkPrivatizationSafeReadHeavy confirms) a
-	// significant cost.
-	PrivatizationSafe bool
 }
 
 const (
@@ -128,12 +119,6 @@ type Engine struct {
 	_        mem.CacheLinePad
 	commitTS mem.PaddedUint64 // global commit counter (Algorithm 1)
 	greedyTS mem.PaddedUint64 // Greedy timestamp source (Algorithm 2)
-	// activity publishes each thread's in-flight snapshot timestamp + 1
-	// (0 = no transaction running); used by the quiescence scheme. One
-	// padded slot per thread: each slot is stored by exactly one thread
-	// but polled by every committer, so unpadded slots false-share
-	// heavily under PrivatizationSafe (see BenchmarkActivitySlotLayout).
-	activity [stm.MaxThreads]mem.PaddedUint64
 	// threads maps an owner tag (id + 1) back to its descriptor. Written
 	// by NewThread, read only when the contention manager must arbitrate
 	// against a second-phase attacker (cmShouldAbort).
@@ -172,9 +157,8 @@ type txn struct {
 	// log is the write log. A stripe's w-lock names its owner and the
 	// entry's position in the owner's log, which makes the lock table
 	// itself the write-set lookup structure (as in the C implementation).
-	log       kernel.RedoLog
-	quiesceTS uint64 // commit timestamp to quiesce on (privatization safety)
-	roV       roTx   // pre-allocated read-only view returned by BeginRO
+	log kernel.RedoLog
+	roV roTx // pre-allocated read-only view returned by BeginRO
 	kernel.Thread
 }
 
@@ -211,23 +195,12 @@ func (t *txn) BeginRO(bool) stm.TxRO {
 	return &t.roV
 }
 
-// Commit implements stm.Thread: try to commit the current attempt, and on
-// success under PrivatizationSafe deactivate and quiesce.
+// Commit implements stm.Thread: try to commit the current attempt.
 func (t *txn) Commit() bool {
-	var ok bool
 	if t.RO {
-		ok = t.commitRO()
-	} else {
-		ok = t.commit()
+		return t.commitRO()
 	}
-	if ok && t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(0)
-		if t.quiesceTS != 0 {
-			t.e.quiesce(t.ID, t.quiesceTS)
-			t.quiesceTS = 0
-		}
-	}
-	return ok
+	return t.commit()
 }
 
 // Unwind implements stm.Thread: triage a panic recovered mid-body. The
@@ -239,9 +212,6 @@ func (t *txn) Unwind(r any) bool {
 		return true
 	}
 	t.releaseWLocks()
-	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(0)
-	}
 	return false
 }
 
@@ -251,39 +221,14 @@ func (t *txn) Unwind(r any) bool {
 func (t *txn) AbortUser() {
 	t.abort()
 	t.AbortedUser()
-	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(0)
-	}
 }
 
-// Backoff implements stm.Thread: kernel.Thread.Backoff, after deactivating
-// under PrivatizationSafe, and with the wait left out under NoBackoff.
+// Backoff implements stm.Thread: kernel.Thread.Backoff, with the wait left
+// out under NoBackoff.
 func (t *txn) Backoff() {
-	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(0)
-	}
 	t.Succ++
 	if !t.e.cfg.NoBackoff {
 		util.BackoffLinear(t.Rng, t.Succ)
-	}
-}
-
-// quiesce waits until every other thread's in-flight transaction either
-// finished or has validated at a snapshot no older than ts (§6's scheme).
-func (e *Engine) quiesce(self int, ts uint64) {
-	for i := range e.activity {
-		if i == self {
-			continue
-		}
-		for spin := 0; ; spin++ {
-			v := e.activity[i].Load()
-			if v == 0 || v > ts {
-				break
-			}
-			if spin&0x3f == 0x3f {
-				runtime.Gosched()
-			}
-		}
 	}
 }
 
@@ -298,9 +243,6 @@ func (e *Engine) quiesce(self int, ts uint64) {
 // already accounts for.
 func (t *txn) begin(restart bool) {
 	t.validTS = t.e.commitTS.Load()
-	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(t.validTS + 1)
-	}
 	if t.status.Load() != 0 {
 		t.status.Store(0)
 	}
@@ -322,9 +264,6 @@ func (t *txn) begin(restart bool) {
 // CM can kill it (status and cmTS stay untouched).
 func (t *txn) beginRO() {
 	t.validTS = t.e.commitTS.Load()
-	if t.e.cfg.PrivatizationSafe {
-		t.e.activity[t.ID].Store(t.validTS + 1)
-	}
 	t.rs.Clear()
 }
 
@@ -569,9 +508,6 @@ func (t *txn) commit() bool {
 	// beginRO skip write-set init entirely (a stale log would make a later
 	// read-only abort release stripes it does not own).
 	t.log.Reset()
-	if t.e.cfg.PrivatizationSafe {
-		t.quiesceTS = ts // quiesce after the descriptor is deactivated
-	}
 	t.Committed(len(t.rs.Log), len(wlog))
 	return true
 }
@@ -608,11 +544,6 @@ func (t *txn) extend() bool {
 	ts := t.e.commitTS.Load()
 	if t.validate() {
 		t.validTS = ts
-		if t.e.cfg.PrivatizationSafe {
-			// Publish the new snapshot so quiescing committers older
-			// than it stop waiting for us.
-			t.e.activity[t.ID].Store(ts + 1)
-		}
 		return true
 	}
 	return false
@@ -699,19 +630,9 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	return t.Load(stm.Addr(h) + field)
 }
 
-// ReadRef implements stm.Tx.
-func (t *txn) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(t.Load(stm.Addr(h) + field))
-}
-
 // WriteField implements stm.Tx.
 func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	t.Store(stm.Addr(h)+field, v)
-}
-
-// WriteRef implements stm.Tx.
-func (t *txn) WriteRef(h stm.Handle, field uint32, ref stm.Handle) {
-	t.Store(stm.Addr(h)+field, stm.Word(ref))
 }
 
 // NewObject implements stm.Tx.
@@ -737,11 +658,6 @@ func (r *roTx) Load(a stm.Addr) stm.Word {
 // ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return r.Load(stm.Addr(h) + field)
-}
-
-// ReadRef implements stm.TxRO.
-func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(r.Load(stm.Addr(h) + field))
 }
 
 // Restart implements stm.TxRO.

@@ -399,19 +399,9 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	return t.Load(stm.Addr(h) + field)
 }
 
-// ReadRef implements stm.Tx.
-func (t *txn) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(t.Load(stm.Addr(h) + field))
-}
-
 // WriteField implements stm.Tx.
 func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	t.Store(stm.Addr(h)+field, v)
-}
-
-// WriteRef implements stm.Tx.
-func (t *txn) WriteRef(h stm.Handle, field uint32, ref stm.Handle) {
-	t.Store(stm.Addr(h)+field, stm.Word(ref))
 }
 
 // NewObject implements stm.Tx.
@@ -436,11 +426,6 @@ func (r *roTx) Load(a stm.Addr) stm.Word {
 // ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	return r.Load(stm.Addr(h) + field)
-}
-
-// ReadRef implements stm.TxRO.
-func (r *roTx) ReadRef(h stm.Handle, field uint32) stm.Handle {
-	return stm.Handle(r.Load(stm.Addr(h) + field))
 }
 
 // Restart implements stm.TxRO.

@@ -46,8 +46,6 @@ type LoadConfig struct {
 	// lagged its scheduled arrival by more than this (default 1ms;
 	// open-loop mode only).
 	LateThreshold time.Duration
-	// SkipOracles disables the post-run correctness checks.
-	SkipOracles bool
 	// Timeout is the per-request deadline on every load connection
 	// (0 = none).
 	Timeout time.Duration
@@ -246,7 +244,7 @@ func Run(cfg LoadConfig) (Result, error) {
 	defer ctl.Close()
 	var sum0 uint64
 	conserving := cfg.Mix.UpdatePct == 0 && cfg.Mix.CASPct == 0
-	if !cfg.SkipOracles && conserving {
+	if conserving {
 		if sum0, err = ctl.Sum(-1); err != nil {
 			return Result{}, err
 		}
@@ -275,9 +273,7 @@ func Run(cfg LoadConfig) (Result, error) {
 	}
 	res.Server = stats1.Sub(stats0)
 
-	if !cfg.SkipOracles {
-		res.OracleErr = checkOracles(ctl, cfg, conserving, sum0)
-	}
+	res.OracleErr = checkOracles(ctl, cfg, conserving, sum0)
 	return res, nil
 }
 

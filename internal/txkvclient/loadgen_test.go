@@ -211,10 +211,13 @@ func TestClockStartsAfterWorkersAreBuilt(t *testing.T) {
 			res, err := txkvclient.Run(txkvclient.LoadConfig{
 				Addr: srv.Addr().String(), Mix: txkv.ReadOnly, Conns: 4,
 				// Reads past the server's 512 keys just miss.
-				Keys: 1 << 20, Zipf: 0.5, SkipOracles: true,
+				Keys: 1 << 20, Zipf: 0.5,
 				Seed: 1, Ops: 4, Rate: 200, LateThreshold: 30 * time.Millisecond,
 				Pipeline: pipeline,
 			})
+			// OracleErr is not checked: the key-count oracle wants the
+			// 2^20 keys drawn from, and the server holds 512 on purpose.
+			// This test is about arrival lateness, not the store.
 			if err != nil || res.Ops != 4 {
 				t.Fatalf("%d ops of 4, err %v", res.Ops, err)
 			}
