@@ -61,6 +61,30 @@ func TestDesignLength(t *testing.T) {
 	}
 }
 
+// designMaxPRRefs is the most lines of DESIGN.md that may cite a PR by
+// number. Like designMaxLines it only ever goes down: DESIGN.md says what
+// is and why, and which change did it belongs in CHANGES.md.
+const designMaxPRRefs = 1
+
+// TestDesignPRCitations: at most designMaxPRRefs lines of DESIGN.md match
+// `PR [0-9]`.
+func TestDesignPRCitations(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prRef := regexp.MustCompile(`PR [0-9]`)
+	n := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if prRef.MatchString(line) {
+			n++
+		}
+	}
+	if n > designMaxPRRefs {
+		t.Errorf("DESIGN.md has %d lines citing a PR, more than the %d designMaxPRRefs allows", n, designMaxPRRefs)
+	}
+}
+
 // pkgIndex maps a package name (an external _test package under the name
 // it tests) to its declared names: "Ident" for a package-level
 // declaration, "Type.Member" for a method, struct field or interface

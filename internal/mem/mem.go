@@ -10,6 +10,12 @@
 // All word accesses are atomic so that the invisible-read protocols of the
 // engines (which read data words while concurrent committers write them)
 // are well-defined under the Go memory model.
+//
+// On Linux an arena of 2 MiB or more is an anonymous mapping of its own on
+// huge pages, so only the pages an engine touches become resident. It is
+// unmapped once its *Arena is collected: a Words slice is valid only while
+// its *Arena is reachable. Smaller arenas, and all arenas elsewhere, are Go
+// slices.
 package mem
 
 import (
@@ -53,14 +59,18 @@ type Arena struct {
 	next  atomic.Uint64 // next free word index
 }
 
-// NewArena returns an arena with capacity for capWords words.
-// Word index 0 is reserved (the nil handle), so usable capacity is
-// capWords-1 words.
+// NewArena returns a zeroed arena with capacity for capWords words, at
+// most 2^32, all an Addr can index. Word index 0 is reserved (the nil
+// handle), so usable capacity is capWords-1 words.
 func NewArena(capWords int) *Arena {
 	if capWords < 2 {
 		capWords = 2
 	}
-	a := &Arena{words: make([]atomic.Uint64, capWords)}
+	if uint64(capWords) > 1<<32 {
+		panic(fmt.Sprintf("mem: arena of %d words is more than the 2^32 an Addr can index", capWords))
+	}
+	a := &Arena{}
+	a.words = newWords(a, capWords)
 	a.next.Store(1) // reserve index 0 as nil
 	return a
 }
@@ -92,7 +102,8 @@ func (a *Arena) Store(addr Addr, v Word) { a.words[addr].Store(v) }
 // the engine struct saves one pointer dereference per transactional
 // access compared to calling a.Load/a.Store (arena pointer → slice
 // header → element), and the engine-side accesses inline fully. The
-// slice must only be accessed with atomic operations.
+// slice must only be accessed with atomic operations, and only while a
+// is reachable (package doc).
 func (a *Arena) Words() []atomic.Uint64 { return a.words }
 
 // Cap returns the arena capacity in words.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -102,4 +103,17 @@ func TestConcurrentAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestArenaBoundedByAddr: an Addr is 32 bits, so NewArena refuses a
+// capacity it could not index, before it allocates anything.
+func TestArenaBoundedByAddr(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("NewArena(1<<32 + 1) did not panic")
+		} else if msg, _ := r.(string); !strings.Contains(msg, "Addr") {
+			t.Fatalf("panic %q does not say why", r)
+		}
+	}()
+	NewArena(1<<32 + 1)
 }

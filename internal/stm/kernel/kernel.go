@@ -152,6 +152,9 @@ type WordConfig struct {
 // have in a table of 2^TableBits: when P is the smaller, a>>Shift is below
 // P, so the bits the smaller mask drops are zero anyway.
 type Heap struct {
+	// arena keeps Words valid: a large arena's words are an OS mapping
+	// that is unmapped once the *mem.Arena is collected, so Heap holds
+	// the arena for as long as it holds the slice.
 	arena *mem.Arena
 	Words []atomic.Uint64 // the arena's backing array, cached for direct indexing
 	Shift uint            // log2 of the words per stripe
