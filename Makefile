@@ -51,11 +51,13 @@ race:
 	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^APIV2$$' ./internal/rstm
 	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
 
-# cross builds the tree for two systems other than Linux, where
-# internal/mem's arena is always a Go slice (arena_other.go): what only
-# builds on Linux fails here first.
+# cross builds the tree for two systems other than Linux, where every
+# mem.NewTable is a Go slice (table_other.go): what only builds on Linux
+# fails here first. go build skips test files, so darwin also vets
+# ./internal/..., which type-checks the tests against table_other.go.
 cross:
 	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/...
 
 # GO_FILES is the tree's own Go source, one list for fmt and loc:

@@ -65,12 +65,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Workload mix presets matching the paper's three STMBench7 workloads.
-var (
-	ReadDominated  = Config{ReadOnlyPct: 90}
-	ReadWrite      = Config{ReadOnlyPct: 60}
-	WriteDominated = Config{ReadOnlyPct: 10}
-)
+// ReadWrite is the paper's read-write STMBench7 mix; the read-dominated
+// (90 %) and write-dominated (10 %) mixes set ReadOnlyPct directly.
+var ReadWrite = Config{ReadOnlyPct: 60}
 
 // Object field layouts. All objects are blocks of stm.Word fields.
 const (

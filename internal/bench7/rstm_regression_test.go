@@ -32,7 +32,8 @@ func TestRSTMLazySnapshotRegression(t *testing.T) {
 				},
 				Check: func(e stm.STM) error { return b.Check() },
 			}
-			if _, err := harness.MeasureThroughput(spec, w, 8, 250*time.Millisecond); err != nil {
+			mk := func(uint64) harness.Workload { return w }
+			if _, err := harness.RepeatThroughput(spec, mk, harness.RunConfig{Threads: 8, Duration: 250 * time.Millisecond}); err != nil {
 				t.Fatalf("round %d %s: %v", round, spec.DisplayName(), err)
 			}
 		}

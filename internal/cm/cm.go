@@ -29,14 +29,11 @@ const (
 // are atomic because victims' states are read by attackers.
 type TxState struct {
 	// Timestamp orders transactions for Greedy/Serializer (lower = older
-	// = higher priority). ^0 means "no timestamp".
+	// = higher priority).
 	Timestamp atomic.Uint64
 	// Opens counts objects opened so far; Polka uses it as the priority.
 	Opens atomic.Uint64
 }
-
-// NoTimestamp is the Timestamp value of transactions that have none.
-const NoTimestamp = ^uint64(0)
 
 // Manager arbitrates conflicts. Implementations must be safe for
 // concurrent use: Resolve runs on the attacker's thread while the victim

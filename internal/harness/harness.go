@@ -262,23 +262,12 @@ type measureCfg struct {
 	seed     uint64        // base RNG seed; 0 = legacy nondeterministic seeding
 }
 
-// MeasureThroughput runs w on a fresh engine with the given worker count
-// for approximately dur, returning ops/second (fixed-time mode; used by
-// STMBench7 and the red-black tree experiments).
-func MeasureThroughput(spec EngineSpec, w Workload, threads int, dur time.Duration) (Result, error) {
-	return measureThroughput(spec, w, measureCfg{threads: threads, dur: dur})
-}
-
-// MeasureThroughputOps runs w with a fixed per-worker operation quota
-// instead of a time budget: every worker performs exactly opsPerWorker
-// operations and the elapsed wall time yields the throughput. Because
-// the op count is part of the configuration rather than a race against
-// the clock, seeded runs are reproducible bit-for-bit (identical Ops on
-// one thread; identical per-worker op streams at any thread count).
-func MeasureThroughputOps(spec EngineSpec, w Workload, threads int, opsPerWorker, seed uint64) (Result, error) {
-	return measureThroughput(spec, w, measureCfg{threads: threads, fixedOps: opsPerWorker, seed: seed})
-}
-
+// measureThroughput runs w on a fresh engine with cfg.threads workers,
+// for about cfg.dur or, in fixed-ops mode, for exactly cfg.fixedOps
+// operations per worker: the op count is then part of the configuration
+// rather than a race against the clock, so seeded runs are reproducible
+// bit-for-bit (identical Ops on one thread; identical per-worker op
+// streams at any thread count).
 func measureThroughput(spec EngineSpec, w Workload, cfg measureCfg) (Result, error) {
 	e := spec.New()
 	if err := w.Setup(e); err != nil {
@@ -359,12 +348,8 @@ type WorkSpec struct {
 	Check func(e stm.STM) error
 }
 
-// MeasureWork runs a fixed-work benchmark (Lee-TM, STAMP): all routes /
+// measureWork runs a fixed-work benchmark (Lee-TM, STAMP): all routes /
 // tasks are processed exactly once and the wall time is reported.
-func MeasureWork(spec EngineSpec, setup func(e stm.STM) error, work WorkFn, check func(e stm.STM) error, threads int) (Result, error) {
-	return measureWork(spec, WorkSpec{Setup: setup, Work: work, Check: check}, measureCfg{threads: threads})
-}
-
 func measureWork(spec EngineSpec, ws WorkSpec, cfg measureCfg) (Result, error) {
 	e := spec.New()
 	threads := cfg.threads

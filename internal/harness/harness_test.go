@@ -91,7 +91,7 @@ func TestMeasureThroughputCountsOps(t *testing.T) {
 			stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) })
 		},
 	}
-	res, err := MeasureThroughput(EngineSpec{Kind: "swisstm"}, w, 2, 50*time.Millisecond)
+	res, err := measureThroughput(EngineSpec{Kind: "swisstm"}, w, measureCfg{threads: 2, dur: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +112,18 @@ func TestMeasureWorkConservation(t *testing.T) {
 		cursor <- i
 	}
 	close(cursor)
-	res, err := MeasureWork(EngineSpec{Kind: "tinystm"},
-		func(e stm.STM) error {
+	res, err := measureWork(EngineSpec{Kind: "tinystm"}, WorkSpec{
+		Setup: func(e stm.STM) error {
 			th := e.NewThread(0)
 			stm.AtomicVoid(th, func(tx stm.Tx) { h = tx.NewObject(1) })
 			return nil
 		},
-		func(e stm.STM, th stm.Thread, worker, threads int, rng *util.Rand) {
+		Work: func(e stm.STM, th stm.Thread, worker, threads int, rng *util.Rand) {
 			for range cursor {
 				stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) })
 			}
 		},
-		func(e stm.STM) error {
+		Check: func(e stm.STM) error {
 			th := e.NewThread(10)
 			var got stm.Word
 			stm.AtomicVoid(th, func(tx stm.Tx) { got = tx.ReadField(h, 0) })
@@ -132,7 +132,7 @@ func TestMeasureWorkConservation(t *testing.T) {
 			}
 			return nil
 		},
-		3)
+	}, measureCfg{threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func counterWorkload() Workload {
 
 func TestMeasureThroughputOpsIsExact(t *testing.T) {
 	const quota = 500
-	res, err := MeasureThroughputOps(EngineSpec{Kind: "swisstm"}, counterWorkload(), 2, quota, 7)
+	res, err := measureThroughput(EngineSpec{Kind: "swisstm"}, counterWorkload(), measureCfg{threads: 2, fixedOps: quota, seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestMeasureThroughputOpsIsExact(t *testing.T) {
 }
 
 func TestToRecord(t *testing.T) {
-	res, err := MeasureThroughputOps(EngineSpec{Kind: "tl2"}, counterWorkload(), 1, 100, 9)
+	res, err := measureThroughput(EngineSpec{Kind: "tl2"}, counterWorkload(), measureCfg{threads: 1, fixedOps: 100, seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

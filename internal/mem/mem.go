@@ -11,17 +11,30 @@
 // engines (which read data words while concurrent committers write them)
 // are well-defined under the Go memory model.
 //
-// On Linux an arena of 2 MiB or more is an anonymous mapping of its own on
-// huge pages, so only the pages an engine touches become resident. It is
-// unmapped once its *Arena is collected: a Words slice is valid only while
-// its *Arena is reachable. Smaller arenas, and all arenas elsewhere, are Go
-// slices.
+// Every pointer-free table sized once at construction — an arena's words,
+// an engine's lock tables, a txkv store's slot directory — comes from
+// NewTable. On Linux a table of 2 MiB or more is an anonymous mapping of
+// its own on huge pages, so only the pages in use become resident; it is
+// unmapped once its owner is collected, so a table is valid only while its
+// owner is reachable. Smaller tables, and all tables elsewhere, are slices.
 package mem
 
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
+
+// NewTable returns a zeroed table of n Ts, valid while owner is reachable.
+// T must hold no pointers: a mapped table (package doc) is outside the Go
+// heap, so the collector neither scans it nor keeps anything alive by it.
+func NewTable[T, O any](owner *O, n int) []T {
+	var t T
+	if p := mapTable(owner, uintptr(n)*unsafe.Sizeof(t)); p != nil {
+		return unsafe.Slice((*T)(p), n)
+	}
+	return make([]T, n)
+}
 
 // CacheLine is the assumed coherence granularity. 64 bytes is correct for
 // every x86-64 and almost every arm64 part; padding to it prevents false
@@ -70,7 +83,7 @@ func NewArena(capWords int) *Arena {
 		panic(fmt.Sprintf("mem: arena of %d words is more than the 2^32 an Addr can index", capWords))
 	}
 	a := &Arena{}
-	a.words = newWords(a, capWords)
+	a.words = NewTable[atomic.Uint64](a, capWords)
 	a.next.Store(1) // reserve index 0 as nil
 	return a
 }

@@ -1,0 +1,9 @@
+//go:build !linux
+
+package mem
+
+import "unsafe"
+
+// mapTable maps nothing off Linux: every table is a Go slice
+// (table_linux.go maps large ones from the OS).
+func mapTable[O any](*O, uintptr) unsafe.Pointer { return nil }

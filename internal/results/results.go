@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -168,8 +167,7 @@ func (r *Record) SetStats(s stm.Stats) {
 }
 
 // header is the CSV column order: Record's json tags, in field order.
-// Building it checks that every field is of a kind row and ReadCSV
-// convert.
+// Building it checks that every field is of a kind row converts.
 var header = func() []string {
 	t := reflect.TypeOf(Record{})
 	h := make([]string, t.NumField())
@@ -205,38 +203,6 @@ func (r Record) row() []string {
 	return row
 }
 
-// setField parses one CSV cell into the record field of the same column.
-func setField(f reflect.Value, cell string) error {
-	switch f.Kind() {
-	case reflect.String:
-		f.SetString(cell)
-	case reflect.Int:
-		n, err := strconv.Atoi(cell)
-		if err != nil {
-			return err
-		}
-		f.SetInt(int64(n))
-	case reflect.Uint64:
-		n, err := strconv.ParseUint(cell, 10, 64)
-		if err != nil {
-			return err
-		}
-		f.SetUint(n)
-	case reflect.Float64:
-		x, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			return err
-		}
-		f.SetFloat(x)
-	case reflect.Bool:
-		if cell != "true" && cell != "false" {
-			return fmt.Errorf("bad bool value %q", cell)
-		}
-		f.SetBool(cell == "true")
-	}
-	return nil
-}
-
 // WriteCSV writes recs as CSV with a header row.
 func WriteCSV(w io.Writer, recs []Record) error {
 	cw := csv.NewWriter(w)
@@ -261,38 +227,6 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 		}
 	}
 	return nil
-}
-
-// ReadCSV parses a CSV previously written by WriteCSV. It is the
-// round-trip used by tests and by external tooling that post-processes
-// run directories.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("results: empty CSV")
-	}
-	if !slices.Equal(rows[0], header) {
-		return nil, fmt.Errorf("results: unexpected CSV header %v", rows[0])
-	}
-	recs := make([]Record, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("results: row has %d columns, want %d", len(row), len(header))
-		}
-		var rec Record
-		v := reflect.ValueOf(&rec).Elem()
-		for c, cell := range row {
-			if err := setField(v.Field(c), cell); err != nil {
-				return nil, fmt.Errorf("results: data row %d: %s: %w", i+1, header[c], err)
-			}
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
 }
 
 // Summary is a distribution over the repeats of one metric.

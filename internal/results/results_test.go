@@ -2,10 +2,16 @@ package results
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,7 +55,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,40 +66,6 @@ func TestCSVRoundTrip(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Errorf("record %d changed:\n got %+v\nwant %+v", i, got[i], recs[i])
 		}
-	}
-}
-
-func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
-		t.Error("wrong header should fail")
-	}
-	// Corrupt one numeric cell: the row must be rejected, not zeroed.
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sample()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	corrupted := strings.Replace(buf.String(), ",50,", ",5x0,", 1)
-	if corrupted == buf.String() {
-		t.Fatal("test setup: ops column not found")
-	}
-	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
-		t.Error("corrupt numeric cell should fail, not parse as zero")
-	}
-	bogusBool := strings.Replace(buf.String(), ",true", ",yes", 1)
-	if _, err := ReadCSV(strings.NewReader(bogusBool)); err == nil {
-		t.Error("bad checked_ok value should fail")
-	}
-	// Two uint64 columns swapped in the header: every cell still parses,
-	// so only comparing each name keeps commits out of ro_commits.
-	swapped := strings.Replace(buf.String(), ",commits,ro_commits,", ",ro_commits,commits,", 1)
-	if swapped == buf.String() {
-		t.Fatal("test setup: commits columns not found")
-	}
-	if _, err := ReadCSV(strings.NewReader(swapped)); err == nil {
-		t.Error("header with two columns swapped should fail")
 	}
 }
 
@@ -209,7 +181,7 @@ func TestWriteFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadCSV(bytes.NewReader(raw))
+	recs, err := readCSV(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +244,7 @@ func TestGoldenRow(t *testing.T) {
 	if got := buf.String(); got != golden {
 		t.Errorf("CSV changed:\n got %q\nwant %q", got, golden)
 	}
-	recs, err := ReadCSV(strings.NewReader(golden))
+	recs, err := readCSV(strings.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,3 +258,67 @@ func TestGoldenRow(t *testing.T) {
 const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,waits_cm,lock_acquire_fail,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs,cores
 txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59,60
 `
+
+// readCSV parses a CSV written by WriteCSV, the round trip the tests
+// check the writer with: it refuses a header that is not Record's, a
+// short row and a cell that does not parse.
+func readCSV(r io.Reader) ([]Record, error) {
+	cr := csv.NewReader(r)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("results: empty CSV")
+	}
+	if !slices.Equal(rows[0], header) {
+		return nil, fmt.Errorf("results: unexpected CSV header %v", rows[0])
+	}
+	recs := make([]Record, 0, len(rows)-1)
+	for i, row := range rows[1:] {
+		if len(row) != len(header) {
+			return nil, fmt.Errorf("results: row has %d columns, want %d", len(row), len(header))
+		}
+		var rec Record
+		v := reflect.ValueOf(&rec).Elem()
+		for c, cell := range row {
+			if err := setField(v.Field(c), cell); err != nil {
+				return nil, fmt.Errorf("results: data row %d: %s: %w", i+1, header[c], err)
+			}
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
+// setField parses one CSV cell into the record field of the same column.
+func setField(f reflect.Value, cell string) error {
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(cell)
+	case reflect.Int:
+		n, err := strconv.Atoi(cell)
+		if err != nil {
+			return err
+		}
+		f.SetInt(int64(n))
+	case reflect.Uint64:
+		n, err := strconv.ParseUint(cell, 10, 64)
+		if err != nil {
+			return err
+		}
+		f.SetUint(n)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			return err
+		}
+		f.SetFloat(x)
+	case reflect.Bool:
+		if cell != "true" && cell != "false" {
+			return fmt.Errorf("bad bool value %q", cell)
+		}
+		f.SetBool(cell == "true")
+	}
+	return nil
+}

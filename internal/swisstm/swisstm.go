@@ -114,7 +114,7 @@ type lockEntry struct {
 type Engine struct {
 	cfg Config
 	kernel.Heap
-	locks []lockEntry
+	locks []lockEntry // a mem.NewTable: valid while the engine is reachable
 
 	_        mem.CacheLinePad
 	commitTS mem.PaddedUint64 // global commit counter (Algorithm 1)
@@ -130,11 +130,9 @@ func New(cfg Config) *Engine {
 	h := kernel.NewHeap("swisstm", &kernel.WordConfig{
 		ArenaWords: cfg.ArenaWords, StripeWords: cfg.StripeWords, TableBits: cfg.TableBits,
 	})
-	return &Engine{
-		cfg:   cfg,
-		Heap:  h,
-		locks: make([]lockEntry, h.Entries()),
-	}
+	e := &Engine{cfg: cfg, Heap: h}
+	e.locks = mem.NewTable[lockEntry](e, h.Entries())
+	return e
 }
 
 // Name implements stm.STM.

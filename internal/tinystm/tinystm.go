@@ -47,6 +47,7 @@ const (
 type Engine struct {
 	cfg Config
 	kernel.Heap
+	// vers and owners are mem.NewTables: valid while the engine is reachable.
 	vers   []atomic.Uint64
 	owners []atomic.Uint32
 
@@ -57,12 +58,10 @@ type Engine struct {
 // New creates a TinySTM engine.
 func New(cfg Config) *Engine {
 	h := kernel.NewHeap("tinystm", &cfg)
-	return &Engine{
-		cfg:    cfg,
-		Heap:   h,
-		vers:   make([]atomic.Uint64, h.Entries()),
-		owners: make([]atomic.Uint32, h.Entries()),
-	}
+	e := &Engine{cfg: cfg, Heap: h}
+	e.vers = mem.NewTable[atomic.Uint64](e, h.Entries())
+	e.owners = mem.NewTable[atomic.Uint32](e, h.Entries())
+	return e
 }
 
 // Name implements stm.STM.

@@ -46,7 +46,7 @@ const commitSpin = 64
 type Engine struct {
 	cfg Config
 	kernel.Heap
-	locks []atomic.Uint64
+	locks []atomic.Uint64 // a mem.NewTable: valid while the engine is reachable
 
 	_     mem.CacheLinePad
 	clock mem.PaddedUint64
@@ -55,7 +55,9 @@ type Engine struct {
 // New creates a TL2 engine.
 func New(cfg Config) *Engine {
 	h := kernel.NewHeap("tl2", &cfg)
-	return &Engine{cfg: cfg, Heap: h, locks: make([]atomic.Uint64, h.Entries())}
+	e := &Engine{cfg: cfg, Heap: h}
+	e.locks = mem.NewTable[atomic.Uint64](e, h.Entries())
+	return e
 }
 
 // Name implements stm.STM.

@@ -15,3 +15,6 @@ func (s *Store) SlotAt(tx stm.TxRO, shard, slot int) (key, val stm.Word) {
 // Place runs NewInitialized's placement pass for keys 1..keys over s's
 // table, which it leaves untouched.
 func Place(s *Store, keys int) { s.place(keys) }
+
+// Rows returns the store's shard rows.
+func (s *Store) Rows() [][]stm.Handle { return s.table }

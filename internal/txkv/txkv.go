@@ -13,8 +13,8 @@
 //
 //   - The key space is hashed (splitmix64 finalizer) onto Shards open-
 //     addressed slot tables. The shard/slot directory is built once at
-//     setup and immutable afterwards, so it lives in plain Go memory
-//     and costs no read-set entries.
+//     setup and immutable afterwards, so it lives outside the STM, in
+//     one mem.NewTable, and costs no read-set entries.
 //   - Each slot is one 2-field object {key, value}. A Get probes the
 //     linear-probe sequence reading one key field per hop. ConfigForKeys
 //     provisions four slots per expected key (a load factor of at most
@@ -26,7 +26,10 @@
 //     the same slot objects (or lock stripes, on word-based engines).
 package txkv
 
-import "swisstm/internal/stm"
+import (
+	"swisstm/internal/mem"
+	"swisstm/internal/stm"
+)
 
 // Slot object field indices.
 const (
@@ -95,7 +98,8 @@ type Store struct {
 	shards int
 	slots  int
 	// table[shard][slot] is the handle of that slot's 2-field object.
-	// Written once during New, read-only afterwards.
+	// Written once during New, read-only afterwards. Rows are capped views
+	// into one mem.NewTable, valid only while the Store is reachable.
 	table [][]stm.Handle
 }
 
@@ -103,9 +107,11 @@ type Store struct {
 func New(th stm.Thread, cfg Config) *Store {
 	cfg.fill()
 	s := &Store{shards: cfg.Shards, slots: cfg.Slots}
+	flat := mem.NewTable[stm.Handle](s, cfg.Shards*cfg.Slots)
 	s.table = make([][]stm.Handle, cfg.Shards)
 	for si := range s.table {
-		row := make([]stm.Handle, cfg.Slots)
+		lo, hi := si*cfg.Slots, (si+1)*cfg.Slots
+		row := flat[lo:hi:hi]
 		// One allocation-only transaction per shard keeps transactions
 		// bounded; fresh objects cannot conflict with anything.
 		stm.AtomicVoid(th, func(tx stm.Tx) {

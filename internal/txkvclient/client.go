@@ -376,21 +376,6 @@ func (c *Client) Len() (uint64, error) {
 	return reply.Val, err
 }
 
-// Batch runs subs as one all-or-nothing server-side transaction. When
-// the batch aborted (a conditional sub-op failed), the abort reason is
-// returned as abortErr with the store untouched; transport failures come
-// back as err.
-func (c *Client) Batch(subs []txkvwire.Req) (replies []txkvwire.Reply, abortErr error, err error) {
-	reply, err := c.Do(txkvwire.Req{Op: txkvwire.OpBatch, Sub: subs})
-	if err != nil {
-		return nil, nil, err
-	}
-	if reply.Err != "" {
-		return nil, fmt.Errorf("txkvclient: %s", reply.Err), nil
-	}
-	return reply.Sub, nil, nil
-}
-
 // Stats fetches the server's cumulative request/phase counters.
 func (c *Client) Stats() (txkvwire.Stats, error) {
 	reply, err := c.do(txkvwire.Req{Op: txkvwire.OpStats})

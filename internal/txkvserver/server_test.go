@@ -122,16 +122,16 @@ func TestServeAllEngines(t *testing.T) {
 // landed together.
 func TestBatchAtomicCommit(t *testing.T) {
 	_, cl := startServer(t, "swisstm", 128)
-	replies, abortErr, err := cl.Batch([]txkvwire.Req{
+	reply, err := cl.Do(txkvwire.Req{Op: txkvwire.OpBatch, Sub: []txkvwire.Req{
 		{Op: txkvwire.OpPut, Key: 200, Val: 7},
 		{Op: txkvwire.OpCAS, Key: 1, Old: 1000, Val: 1001},
 		{Op: txkvwire.OpGet, Key: 200},
-	})
-	if err != nil || abortErr != nil {
-		t.Fatalf("batch: %v / %v", abortErr, err)
+	}})
+	if err != nil || reply.Err != "" {
+		t.Fatalf("batch: %q / %v", reply.Err, err)
 	}
-	if len(replies) != 3 || !replies[0].OK || !replies[1].OK || !replies[2].Found || replies[2].Val != 7 {
-		t.Fatalf("batch replies: %+v", replies)
+	if r := reply.Sub; len(r) != 3 || !r[0].OK || !r[1].OK || !r[2].Found || r[2].Val != 7 {
+		t.Fatalf("batch replies: %+v", r)
 	}
 	if v, _, _ := cl.Get(1); v != 1001 {
 		t.Fatalf("batched cas not visible: %d", v)
@@ -150,16 +150,16 @@ func TestBatchAbortRollsBack(t *testing.T) {
 			sum0, _ := cl.Sum(-1)
 			len0, _ := cl.Len()
 
-			replies, abortErr, err := cl.Batch([]txkvwire.Req{
+			reply, err := cl.Do(txkvwire.Req{Op: txkvwire.OpBatch, Sub: []txkvwire.Req{
 				{Op: txkvwire.OpPut, Key: 500, Val: 99},        // fresh insert — would grow the store
 				{Op: txkvwire.OpPut, Key: 1, Val: 77},          // overwrite — would break the sum
 				{Op: txkvwire.OpCAS, Key: 2, Old: 123, Val: 9}, // fails: key 2 holds 1000
-			})
+			}})
 			if err != nil {
 				t.Fatalf("transport: %v", err)
 			}
-			if abortErr == nil || !strings.Contains(abortErr.Error(), "index 2") {
-				t.Fatalf("batch abort error: %v (replies %+v)", abortErr, replies)
+			if !strings.Contains(reply.Err, "index 2") {
+				t.Fatalf("batch abort error: %q (replies %+v)", reply.Err, reply.Sub)
 			}
 
 			if _, found, _ := cl.Get(500); found {

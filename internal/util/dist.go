@@ -43,10 +43,9 @@ func (u Uniform) N() int { return u.n }
 // key space get their hot keys adjacent. The txkv store hashes keys
 // before placement, so no extra scrambling pass is needed there.
 type Zipf struct {
-	n     int
-	theta float64
-	cdf   []float64 // cdf[i] = P(rank ≤ i); cdf[n-1] == 1
-	qidx  []int32   // qidx[k] = first rank i with cdf[i] ≥ k/zipfQuantiles
+	n    int
+	cdf  []float64 // cdf[i] = P(rank ≤ i); cdf[n-1] == 1
+	qidx []int32   // qidx[k] = first rank i with cdf[i] ≥ k/zipfQuantiles
 }
 
 // zipfQuantiles is the quantile-index resolution: Next narrows a draw to
@@ -63,7 +62,7 @@ func NewZipf(n int, theta float64) *Zipf {
 	if theta <= 0 || theta >= 1 {
 		panic("util: zipf skew must be in (0, 1)")
 	}
-	z := &Zipf{n: n, theta: theta, cdf: make([]float64, n)}
+	z := &Zipf{n: n, cdf: make([]float64, n)}
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), theta)
@@ -104,6 +103,3 @@ func (z *Zipf) Next(r *Rand) int {
 
 // N implements Dist.
 func (z *Zipf) N() int { return z.n }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
