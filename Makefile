@@ -41,14 +41,14 @@ CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFra
 #
 # The engines' attempt lifecycle (Begin/BeginRO, Commit, Unwind, AbortUser)
 # runs five times more under the detector on the four engines: the APIV2
-# conformance cases (under each RSTM variant), the abort-path suite and the
-# no-stale-dedup-bits endings, and the kernel's record helpers.
+# and NewObjects conformance cases (under each RSTM variant), the abort-path
+# suite and the no-stale-dedup-bits endings, and the kernel's record helpers.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver
 	$(GO) test -race -count=5 -run '^(TestAbortPath|TestDedupNoStaleBits)$$' $(ENGINE_PKGS)
-	$(GO) test -race -count=5 -run '^TestConformance$$/^APIV2$$' ./internal/swisstm ./internal/tl2 ./internal/tinystm
-	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^APIV2$$' ./internal/rstm
+	$(GO) test -race -count=5 -run '^TestConformance$$/^(APIV2|NewObjects)$$' ./internal/swisstm ./internal/tl2 ./internal/tinystm
+	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^(APIV2|NewObjects)$$' ./internal/rstm
 	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
 
 # cross builds the tree for two systems other than Linux, where every

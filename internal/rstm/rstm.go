@@ -832,6 +832,17 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return t.e.newObject(fields) }
 
+// NewObjects implements stm.Tx: a new locator's data is not yet shared.
+func (t *txn) NewObjects(dst []stm.Handle, fields uint32, vals []stm.Word) {
+	stm.ObjectWords(len(dst), fields, vals)
+	for i := range dst {
+		dst[i] = t.e.newObject(fields)
+		if vals != nil {
+			copy(t.e.object(dst[i]).loc.Load().new, vals[uint32(i)*fields:])
+		}
+	}
+}
+
 // Load implements stm.Tx. RSTM has no word API (the paper cannot run
 // STAMP on RSTM for the same reason, §4 footnote 4); drivers gate on
 // stm.SupportsWordAPI, so reaching this panic is a driver bug.

@@ -6,9 +6,10 @@
 //
 // Nothing here loads, stores or swaps a lock, clock, owner or status word:
 // which shared word an engine touches, and in which order, stays in the
-// engine's own package (DESIGN.md §7.6). The one shared store made here is
-// a committing owner's write-back of the arena words its locks cover
-// (Entry.WriteBack), and the engine decides when that happens.
+// engine's own package (DESIGN.md §7.6). The shared stores made here are a
+// committing owner's write-back of the arena words it wrote under its locks
+// (Entry.WriteBack) and fresh objects' initial contents (Heap.NewObjects),
+// which no other thread can reach yet; the engine decides when either happens.
 //
 // Engines embed these types by value and call their methods directly: no
 // interface, no type parameter, no closure (DESIGN.md §9.2). Every method
@@ -203,6 +204,22 @@ func (h *Heap) Stripe(a stm.Addr) uint32 { return (a >> h.Shift) & h.mask }
 
 // StripeBase returns the first word of a's stripe.
 func (h *Heap) StripeBase(a stm.Addr) stm.Addr { return a &^ (h.Width - 1) }
+
+// NewObjects implements stm.Tx for the word engines: one arena allocation
+// for all the objects, then one store per non-zero value (the arena is
+// never reused, so its words start zero). A zero-field object takes a word.
+func (h *Heap) NewObjects(dst []stm.Handle, fields uint32, vals []stm.Word) {
+	words := stm.ObjectWords(len(dst), fields, vals)
+	base := h.arena.Alloc(max(words, uint32(len(dst))))
+	for i := range dst {
+		dst[i] = stm.Handle(base + stm.Addr(i)*max(fields, 1))
+	}
+	for j, v := range vals {
+		if v != 0 {
+			h.Words[base+stm.Addr(j)].Store(v)
+		}
+	}
+}
 
 // RedoLog is the write log of an engine that locks a stripe at its first
 // write and writes back at commit (SwissTM, TinySTM): one Entry per stripe

@@ -114,6 +114,25 @@ type Tx interface {
 	WriteField(h Handle, field uint32, v Word)
 	// NewObject allocates a fresh object with the given field count.
 	NewObject(fields uint32) Handle
+	// NewObjects allocates len(dst) objects of fields fields each into dst;
+	// field f of object i starts as vals[i*fields+f], or zero for a nil
+	// vals. No thread can reach an object before the call returns, so its
+	// initial contents take no lock, log entry or version (captured memory,
+	// Dragojević et al., SPAA 2009). It panics, allocating nothing, on the
+	// arguments ObjectWords refuses. An abort does not undo the allocation.
+	NewObjects(dst []Handle, fields uint32, vals []Word)
+}
+
+// ObjectWords returns n*fields, the words of NewObjects' n objects. It
+// panics when that exceeds 2^32-1 or a non-nil vals has another length.
+func ObjectWords(n int, fields uint32, vals []Word) uint32 {
+	if uint64(n) > 1<<32-1 || uint64(n)*uint64(fields) > 1<<32-1 {
+		panic("stm: NewObjects of more than 2^32-1 words")
+	}
+	if words := uint32(n) * fields; vals == nil || len(vals) == int(words) {
+		return words
+	}
+	panic("stm: NewObjects vals length is not len(dst)*fields")
 }
 
 // Thread is a per-worker execution context. Each OS-level worker goroutine

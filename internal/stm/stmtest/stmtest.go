@@ -44,6 +44,7 @@ func Run(t *testing.T, factory func() stm.STM, opts Options) {
 	t.Run("QuickModelCheck", func(t *testing.T) { testQuickModel(t, factory) })
 	t.Run("ThreadReRegistration", func(t *testing.T) { testThreadReRegistration(t, factory()) })
 	t.Run("OwnWriteValidates", func(t *testing.T) { testOwnWriteValidates(t, factory()) })
+	t.Run("NewObjects", func(t *testing.T) { testNewObjects(t, factory()) })
 	if opts.WordAPI {
 		if !stm.SupportsWordAPI(factory()) {
 			t.Fatal("options claim word-API support but the engine denies it")

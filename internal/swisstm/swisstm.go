@@ -634,9 +634,10 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 }
 
 // NewObject implements stm.Tx.
-func (t *txn) NewObject(fields uint32) stm.Handle {
-	return stm.Handle(t.e.Arena().Alloc(fields))
-}
+func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
+
+// NewObjects implements stm.Tx.
+func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewObjects(dst, f, vals) }
 
 // roTx is the transaction view BeginRO returns: its read methods run the
 // loadRO fast path (no write-log probe, no kill checks) with zero mode

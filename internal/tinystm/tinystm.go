@@ -404,9 +404,10 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 }
 
 // NewObject implements stm.Tx.
-func (t *txn) NewObject(fields uint32) stm.Handle {
-	return stm.Handle(t.e.Arena().Alloc(fields))
-}
+func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
+
+// NewObjects implements stm.Tx.
+func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewObjects(dst, f, vals) }
 
 // roTx is the transaction view BeginRO returns: its read method runs the
 // loadRO fast path with no mode branch, and it implements stm.TxRO and

@@ -202,72 +202,36 @@ func DecodeRedo(payload []byte) ([]RedoEntry, error) {
 // before any engine's arena refused the first object.
 const MaxKeys = 1 << 22
 
-// initChunk bounds the keys seeded per prefill transaction, keeping
-// the seeding transactions short on every engine (one transaction per
-// shard costs TL2 six times as much).
-const initChunk = 256
-
 // NewInitialized builds a store sized for keys (at most MaxKeys) and
 // seeds keys 1..keys with balance each — the server's baseline
 // population and the replay meaning of RedoInit. The result is slot for
 // slot the store New followed by Put of keys 1..keys in ascending order
-// builds, but no key is probed transactionally: place decides every
-// key's slot in plain Go memory before the table is shared, and the
-// seeding transactions only write the owned slots.
+// builds, but no key is probed or written transactionally: place groups
+// the keys by shard in plain Go memory, and build makes them the initial
+// contents of the slot objects.
 func NewInitialized(th stm.Thread, keys int, balance stm.Word) *Store {
-	s := New(th, ConfigForKeys(keys))
-	owner := s.place(keys)
-	for i := 0; i < len(owner); {
-		i = stm.Atomic(th, func(tx stm.Tx) int { return s.seed(tx, owner, i, balance) })
-	}
+	cfg := ConfigForKeys(keys)
+	s := &Store{shards: cfg.Shards, slots: cfg.Slots}
+	s.build(th, s.place(keys), balance)
 	return s
 }
 
-// place runs Put's probe for keys 1..keys, in that order, over the empty
-// table in plain Go memory: each key takes the first free slot of its
-// linear-probe sequence, which is the slot Put gives it — a fresh table
-// has no tombstones, the keys are distinct, and keys of different shards
-// never share a sequence. owner[shard*slots+slot] is the key placed in
-// that slot, 0 when it stays free. A sequence with no free slot panics
-// with Put's message.
-func (s *Store) place(keys int) []uint32 {
-	owner := make([]uint32, s.shards*s.slots)
-	mask := s.slots - 1
+// place returns keys 1..keys grouped by shard, each shard's in ascending
+// order: the order Put of keys 1..keys inserts them in. Keys of different
+// shards never share a probe sequence, and a fresh table has no
+// tombstones, so a shard is full exactly when it receives more keys than
+// it has slots; place then panics with Put's message at the key Put
+// would panic at.
+func (s *Store) place(keys int) [][]uint32 {
+	byShard := make([][]uint32, s.shards)
 	for k := 1; k <= keys; k++ {
-		shard, start := s.home(stm.Word(k))
-		base := shard * s.slots
-		for i := 0; ; i++ {
-			if i == s.slots {
-				panic("txkv: shard full (size the store with ConfigForKeys)")
-			}
-			if j := base + (start+i)&mask; owner[j] == 0 {
-				owner[j] = uint32(k)
-				break
-			}
+		si := s.ShardOf(stm.Word(k))
+		if len(byShard[si]) == s.slots {
+			panic("txkv: shard full (size the store with ConfigForKeys)")
 		}
+		byShard[si] = append(byShard[si], uint32(k))
 	}
-	return owner
-}
-
-// seed writes key and balance into the slots owner assigns, walking each
-// shard's slots in order from flat index lo, and returns the index the
-// next transaction resumes at once it has written initChunk keys.
-func (s *Store) seed(tx stm.Tx, owner []uint32, lo int, balance stm.Word) int {
-	n := 0
-	for i := lo; i < len(owner); i++ {
-		k := owner[i]
-		if k == 0 {
-			continue
-		}
-		if n == initChunk {
-			return i
-		}
-		slot := s.table[i/s.slots][i%s.slots]
-		tx.WriteField(slot, sKey, stm.Word(k))
-		tx.WriteField(slot, sVal, balance)
-		n++
-	}
-	return len(owner)
+	return byShard
 }
 
 // ApplyRedo replays one redo record as a single transaction. A

@@ -310,6 +310,24 @@ func TestNewInitializedMatchesPut(t *testing.T) {
 	})
 }
 
+// TestNewInitializedOnlyAllocates: building the service's 65 536-key
+// store on a fresh thread commits one allocation transaction per shard
+// at most, aborts none and logs no read: every seeded slot is a fresh
+// object's initial contents, not a transactional write.
+func TestNewInitializedOnlyAllocates(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e stm.STM) {
+		th := e.NewThread(0)
+		before := th.Stats()
+		s := txkv.NewInitialized(th, 65536, 1000)
+		after := th.Stats()
+		commits, aborts := after.Commits-before.Commits, after.Aborts-before.Aborts
+		if reads := after.ReadsLogged - before.ReadsLogged; commits > uint64(s.Shards()) || aborts != 0 || reads != 0 {
+			t.Fatalf("%d commits, %d aborts, %d reads logged; want at most %d commits and no abort or read",
+				commits, aborts, reads, s.Shards())
+		}
+	})
+}
+
 // TestPlacementShardFullPanicsLikePut: on a table too small for the
 // population, the placement pass panics at the key at which Put of keys
 // 1..n in order finds its shard full, and with Put's message — the panic

@@ -107,21 +107,41 @@ type Store struct {
 func New(th stm.Thread, cfg Config) *Store {
 	cfg.fill()
 	s := &Store{shards: cfg.Shards, slots: cfg.Slots}
-	flat := mem.NewTable[stm.Handle](s, cfg.Shards*cfg.Slots)
-	s.table = make([][]stm.Handle, cfg.Shards)
+	s.build(th, nil, 0)
+	return s
+}
+
+// build allocates the slot objects, one allocation transaction per shard,
+// so that no transaction is larger than a shard. With byShard non-nil it
+// also seeds shard si's keys byShard[si], each with balance, into the
+// slots Put of them in that order would give them: the first free slot
+// of each key's probe sequence. The seeded fields are the initial
+// contents of fresh objects, which no other thread can reach yet, so no
+// slot is probed or written transactionally (stm.Tx.NewObjects).
+func (s *Store) build(th stm.Thread, byShard [][]uint32, balance stm.Word) {
+	flat := mem.NewTable[stm.Handle](s, s.shards*s.slots)
+	s.table = make([][]stm.Handle, s.shards)
+	var vals []stm.Word // one shard's slot fields, slotFields words per slot
+	if byShard != nil {
+		vals = make([]stm.Word, s.slots*int(slotFields))
+	}
 	for si := range s.table {
-		lo, hi := si*cfg.Slots, (si+1)*cfg.Slots
+		lo, hi := si*s.slots, (si+1)*s.slots
 		row := flat[lo:hi:hi]
-		// One allocation-only transaction per shard keeps transactions
-		// bounded; fresh objects cannot conflict with anything.
-		stm.AtomicVoid(th, func(tx stm.Tx) {
-			for bi := range row {
-				row[bi] = tx.NewObject(slotFields)
+		if byShard != nil {
+			clear(vals)
+			for _, k := range byShard[si] {
+				_, i := s.home(stm.Word(k))
+				for vals[i*int(slotFields)+int(sKey)] != emptyKey {
+					i = (i + 1) & (s.slots - 1)
+				}
+				slot := vals[i*int(slotFields):][:slotFields]
+				slot[sKey], slot[sVal] = stm.Word(k), balance
 			}
-		})
+		}
+		stm.AtomicVoid(th, func(tx stm.Tx) { tx.NewObjects(row, slotFields, vals) })
 		s.table[si] = row
 	}
-	return s
 }
 
 // Shards returns the shard count (the unit SumShard iterates).
