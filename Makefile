@@ -34,10 +34,10 @@ bench-once:
 # feed tailers, pipelined load, the coalescer, group fsync and drain in
 # one process is the most concurrent configuration in the repository.
 #
-# CONN_TESTS, the connection's order, window and answer contracts, run ten
-# times more under the detector: one pass rarely meets the interleaving
-# of completions that would break them.
-CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFrameReadAfterOwedReplies|TestRingKeepsRequestOrder|TestPipelineWindowIsExact|TestShardQueueFullRepliesInOrder|TestRequestsCountedBeforeReplies
+# CONN_TESTS, the connection's order, window and answer contracts and the
+# lifetime of its Batch buffers, run ten times more under the detector: one
+# pass rarely meets the interleaving of completions that would break them.
+CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFrameReadAfterOwedReplies|TestRingKeepsRequestOrder|TestPipelineWindowIsExact|TestShardQueueFullRepliesInOrder|TestRequestsCountedBeforeReplies|TestBatchBuffersReused
 #
 # The engines' attempt lifecycle (Begin/BeginRO, Commit, Unwind, AbortUser)
 # runs five times more under the detector on the four engines: the APIV2

@@ -292,3 +292,59 @@ func TestPooledPutAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPooledBatchAllocs pins what a 256-op Batch costs through the same
+// path. The connection keeps the sub-reply buffer of its largest Batch,
+// so a Batch of Gets allocates nothing on any engine, and neither does a
+// Batch of Puts on a word engine; the object-based engine clones what it
+// writes.
+func TestPooledBatchAllocs(t *testing.T) {
+	gets := make([]txkvwire.Req, txkvwire.MaxBatch)
+	puts := make([]txkvwire.Req, txkvwire.MaxBatch)
+	for i := range gets {
+		gets[i] = txkvwire.Req{Op: txkvwire.OpGet, Key: uint64(i + 1)}
+		puts[i] = txkvwire.Req{Op: txkvwire.OpPut, Key: uint64(i + 1)}
+	}
+	for _, kind := range engineKinds {
+		t.Run(kind, func(t *testing.T) {
+			srv, err := Start("127.0.0.1:0", Config{
+				Engine: harness.EngineSpec{Kind: kind, Manager: "polka"}, Keys: txkvwire.MaxBatch,
+				WALDir: t.TempDir(), WALSync: wal.SyncNone,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c := &conn{s: srv, cm: coalesce.NewCommit(srv.store, srv.wal, srv.feeds)}
+			putAllocs := 0.0
+			if kind == "rstm" {
+				putAllocs = 2*txkvwire.MaxBatch + 1
+			}
+			for _, tc := range []struct {
+				req  txkvwire.Req
+				want float64
+			}{
+				{txkvwire.Req{Op: txkvwire.OpBatch, Sub: gets}, 0},
+				{txkvwire.Req{Op: txkvwire.OpBatch, Sub: puts}, putAllocs},
+			} {
+				run := func() {
+					for i := range puts {
+						puts[i].Val++
+					}
+					reply, _, _, _, _ := c.dispatch(tc.req, time.Time{})
+					if reply.Err != "" || len(reply.Sub) != txkvwire.MaxBatch {
+						t.Fatalf("%d sub-replies, error %q", len(reply.Sub), reply.Err)
+					}
+				}
+				// Every pool thread first grows its logs to a Batch's size.
+				for range 2 * srv.cfg.Threads {
+					run()
+				}
+				got := testing.AllocsPerRun(100, run)
+				if got > tc.want {
+					t.Errorf("%.1f allocations per %d-%s Batch, want at most %.0f", got, txkvwire.MaxBatch, tc.req.Sub[0].Op, tc.want)
+				}
+			}
+		})
+	}
+}

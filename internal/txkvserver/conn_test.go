@@ -591,3 +591,81 @@ func TestShardQueueFullRepliesInOrder(t *testing.T) {
 		t.Fatalf("%d Overloaded replies, %d queue-full sheds counted", overloaded, got)
 	}
 }
+
+// TestBatchBuffersReused pins the lifetime of the connection's Batch
+// buffers (DESIGN.md §10.2). One pipelined connection, coalescing on and
+// window 16, interleaves 256-Get Batches over disjoint key ranges, a
+// Batch of 3, coalesced Puts to keys those Batches read, and a Batch that
+// a CAS miss fails. Every Batch reply has its own length and the values
+// of its own keys as of its place in the connection's order: no reply
+// carries a sub-reply or a sub-request of the Batch before it.
+func TestBatchBuffersReused(t *testing.T) {
+	const window, ranges, rounds = 16, 4, 12
+	const keys = ranges * txkvwire.MaxBatch
+	srv := startCoalesced(t, "swisstm", keys, Config{Pipeline: window})
+	model := make(map[uint64]uint64, keys)
+	for k := uint64(1); k <= keys; k++ {
+		model[k] = uint64(srv.cfg.Balance)
+	}
+	var reqs []txkvwire.Req
+	var want []txkvwire.Reply
+	add := func(req txkvwire.Req, reply txkvwire.Reply) {
+		reqs, want = append(reqs, req), append(want, reply)
+	}
+	gets := func(ks ...uint64) {
+		req := txkvwire.Req{Op: txkvwire.OpBatch}
+		reply := txkvwire.Reply{Op: txkvwire.OpBatch}
+		for _, k := range ks {
+			req.Sub = append(req.Sub, txkvwire.Req{Op: txkvwire.OpGet, Key: k})
+			reply.Sub = append(reply.Sub, txkvwire.Reply{Op: txkvwire.OpGet, Found: true, Val: model[k]})
+		}
+		add(req, reply)
+	}
+	put := func(k uint64) {
+		v := uint64(1_000_000 + len(reqs))
+		add(txkvwire.Req{Op: txkvwire.OpPut, Key: k, Val: v}, txkvwire.Reply{Op: txkvwire.OpPut})
+		model[k] = v
+	}
+	for r := 0; r < rounds; r++ {
+		lo := uint64(1 + r%ranges*txkvwire.MaxBatch)
+		ks := make([]uint64, txkvwire.MaxBatch)
+		for i := range ks {
+			ks[i] = lo + uint64(i)
+		}
+		gets(ks...)
+		k := lo + uint64(r*37%txkvwire.MaxBatch)
+		put(k)
+		put(lo + 1)
+		gets(k, lo+1, lo+2)
+		// Rolled back: the Put before the miss must not show.
+		add(txkvwire.Req{Op: txkvwire.OpBatch, Sub: []txkvwire.Req{
+			{Op: txkvwire.OpPut, Key: lo + 2, Val: 7},
+			{Op: txkvwire.OpCAS, Key: k, Old: model[k] + 1, Val: 9},
+		}}, txkvwire.Reply{Op: txkvwire.OpBatch, Code: txkvwire.CodeRejected})
+	}
+	err := runPipe(srv.Addr().String(), window, len(reqs),
+		func(i int) txkvwire.Req { return reqs[i] },
+		func(i int, got txkvwire.Reply) error {
+			w := want[i]
+			if w.Code != 0 {
+				if got.Op != w.Op || got.Code != w.Code {
+					return fmt.Errorf("reply %d: got %v %q, want a %v error", i, got.Code, got.Err, w.Code)
+				}
+				return nil
+			}
+			if got.Err != "" || got.Op != w.Op || len(got.Sub) != len(w.Sub) {
+				return fmt.Errorf("reply %d: got %v with %d sub-replies (%q), want %v with %d",
+					i, got.Op, len(got.Sub), got.Err, w.Op, len(w.Sub))
+			}
+			for j, ws := range w.Sub {
+				if gs := got.Sub[j]; gs.Err != "" || gs.Op != ws.Op || gs.Found != ws.Found || gs.Val != ws.Val {
+					return fmt.Errorf("reply %d, sub-reply %d (key %d): got %+v, want %+v",
+						i, j, reqs[i].Sub[j].Key, got.Sub[j], w.Sub[j])
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

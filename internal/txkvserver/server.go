@@ -495,6 +495,12 @@ type conn struct {
 
 	ring   *replyRing // nil with coalescing off
 	failed bool       // a reply write failed; the connection is closed
+
+	// subs and replies hold a Batch's sub-requests and sub-replies from
+	// decode to writeReply, on this goroutine only; each grows to the
+	// largest Batch the connection has sent (DESIGN.md §10.2).
+	subs    []txkvwire.Req
+	replies []txkvwire.Reply
 }
 
 // serveConn runs one connection on one goroutine: read a frame, execute
@@ -567,10 +573,13 @@ func (c *conn) serve() (sub bool) {
 		if !buffered {
 			t0 = time.Now()
 		}
-		req, derr := txkvwire.DecodeReq(payload)
+		req, derr := txkvwire.DecodeReqInto(payload, c.subs)
 		op := txkvwire.OpInvalid
 		if derr == nil {
 			op = req.Op
+			if cap(req.Sub) > cap(c.subs) {
+				c.subs = req.Sub
+			}
 			derr = s.validate(req, true)
 		}
 		// parsed ends the parse phase and starts the queue phase: it is a
@@ -703,7 +712,7 @@ func (c *conn) dispatch(req txkvwire.Req, deadline time.Time) (reply txkvwire.Re
 		return txkvwire.Reply{Op: req.Op, Err: msg, Code: code}, queueNs, 0, 0, 0
 	}
 	abortsBefore := w.th.Stats().Aborts
-	reply, txnNs, commitNs = s.execute(w, c.cm, &req)
+	reply, txnNs, commitNs = c.execute(w, &req)
 	// Attribute this request's engine aborts to the shard its (first)
 	// key hashes to — the per-shard conflict heat map (DESIGN.md §11).
 	// Safe while we hold the worker: the thread is quiescent between
@@ -834,7 +843,8 @@ func (s *Server) validate(req txkvwire.Req, batchOK bool) error {
 // aborted attempts with their back-off. A mutating body runs inside the
 // commit scope (coalesce.Commit); the caller publishes it after returning
 // the worker to the pool.
-func (s *Server) execute(w *worker, cm *coalesce.Commit, req *txkvwire.Req) (reply txkvwire.Reply, txnNs, commitNs uint64) {
+func (c *conn) execute(w *worker, req *txkvwire.Req) (reply txkvwire.Reply, txnNs, commitNs uint64) {
+	s, cm := c.s, c.cm
 	defer func() {
 		// A foreign panic out of a transaction body (e.g. a shard
 		// overflowing on Put) has already rolled the attempt back and
@@ -861,7 +871,7 @@ func (s *Server) execute(w *worker, cm *coalesce.Commit, req *txkvwire.Req) (rep
 		reply, err = stm.AtomicErr(w.th, func(tx stm.Tx) (txkvwire.Reply, error) {
 			cm.Begin()
 			b0 := time.Now()
-			r, err := s.apply(tx, cm, req)
+			r, err := c.apply(tx, req)
 			if err == nil {
 				cm.Reserve()
 			}
@@ -891,12 +901,16 @@ func (s *Server) execute(w *worker, cm *coalesce.Commit, req *txkvwire.Req) (rep
 // In a Batch it is an error out of the body, which rolls the whole
 // transaction back — no sub-op's write survives — and surfaces as an
 // error reply naming the failing index.
-func (s *Server) apply(tx stm.Tx, cm *coalesce.Commit, req *txkvwire.Req) (txkvwire.Reply, error) {
+func (c *conn) apply(tx stm.Tx, req *txkvwire.Req) (txkvwire.Reply, error) {
+	s, cm := c.s, c.cm
 	if req.Op != txkvwire.OpBatch {
 		reply, _ := s.applyOp(tx, cm, req)
 		return reply, nil
 	}
-	subs := make([]txkvwire.Reply, len(req.Sub))
+	if cap(c.replies) < len(req.Sub) {
+		c.replies = make([]txkvwire.Reply, len(req.Sub))
+	}
+	subs := c.replies[:len(req.Sub)]
 	for i := range req.Sub {
 		var why string
 		if subs[i], why = s.applyOp(tx, cm, &req.Sub[i]); why != "" {
@@ -921,8 +935,8 @@ func (s *Server) applyOp(tx stm.Tx, cm *coalesce.Commit, req *txkvwire.Req) (rep
 	case txkvwire.OpCAS:
 		ok, why = cm.CAS(tx, key, stm.Word(req.Old), stm.Word(req.Val)), "key not at expected value"
 	case txkvwire.OpTransfer:
-		// The redo record keeps req.Keys until Publish; DecodeReq allocated
-		// it for this request alone.
+		// The redo record keeps req.Keys until Publish; the decoder
+		// allocated it for this request alone.
 		ok, why = cm.Transfer(tx, req.Keys, stm.Word(req.Amount)), "refused"
 	default:
 		return s.readOp(tx, req)

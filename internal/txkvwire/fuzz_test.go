@@ -2,6 +2,8 @@ package txkvwire
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -39,6 +41,16 @@ func FuzzDecodeReq(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeReq(data) // must never panic
+		// Into a buffer of junk sub-requests: the same request, the same
+		// error, nothing of the junk.
+		junk := make([]Req, MaxBatch)
+		for i := range junk {
+			junk[i] = Req{Op: OpTransfer, Key: 13, Amount: 5, Keys: []uint64{1, 2}, Shard: 3}
+		}
+		into, errInto := DecodeReqInto(data, junk)
+		if fmt.Sprint(errInto) != fmt.Sprint(err) || !reflect.DeepEqual(into, req) {
+			t.Fatalf("DecodeReqInto gave %+v, %v; DecodeReq gave %+v, %v", into, errInto, req, err)
+		}
 		if err != nil {
 			return
 		}

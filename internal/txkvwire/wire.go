@@ -498,8 +498,15 @@ func appendReq(dst []byte, r Req, batchOK bool) ([]byte, error) {
 
 // DecodeReq decodes one request payload. The whole payload must be
 // consumed: trailing bytes are a protocol error.
-func DecodeReq(payload []byte) (Req, error) {
-	c := cursor{b: payload}
+func DecodeReq(payload []byte) (Req, error) { return DecodeReqInto(payload, nil) }
+
+// DecodeReqInto is DecodeReq that decodes a Batch's sub-requests into
+// subs, overwriting its elements, when its capacity holds them all; the
+// returned Req's Sub then shares subs' array. A server reading one
+// request at a time passes the largest Sub it has decoded back in, so a
+// Batch costs no allocation once the connection has sent one as large.
+func DecodeReqInto(payload []byte, subs []Req) (Req, error) {
+	c := cursor{b: payload, subs: subs}
 	flags := c.u8()
 	if c.err == nil && flags&^byte(reqFlagTTL) != 0 {
 		c.fail(fmt.Errorf("txkvwire: unknown request flags %#x", flags))
@@ -539,6 +546,7 @@ func decodeReq(c *cursor, batchOK bool) Req {
 			c.fail(fmt.Errorf("txkvwire: transfer with %d keys (want 2..%d)", n, MaxTransferKeys))
 			return r
 		}
+		r.Keys = make([]uint64, 0, c.room(n, 8))
 		for i := 0; i < n && c.err == nil; i++ {
 			r.Keys = append(r.Keys, c.u64())
 		}
@@ -562,6 +570,9 @@ func decodeReq(c *cursor, batchOK bool) Req {
 		if c.err == nil && (n < 1 || n > MaxBatch) {
 			c.fail(fmt.Errorf("txkvwire: batch with %d sub-requests (want 1..%d)", n, MaxBatch))
 			return r
+		}
+		if r.Sub = c.subs[:0]; cap(r.Sub) < n {
+			r.Sub = make([]Req, 0, c.room(n, 1)) // an opcode-only sub-request is one byte
 		}
 		for i := 0; i < n && c.err == nil; i++ {
 			sub := decodeReq(c, false)
@@ -715,6 +726,7 @@ func decodeReply(c *cursor, batchOK bool) Reply {
 			c.fail(fmt.Errorf("txkvwire: batch reply with %d sub-replies (want 1..%d)", n, MaxBatch))
 			return r
 		}
+		r.Sub = make([]Reply, 0, c.room(n, 3)) // op, status, OK
 		for i := 0; i < n && c.err == nil; i++ {
 			r.Sub = append(r.Sub, decodeReply(c, false))
 		}
@@ -728,6 +740,9 @@ func decodeReply(c *cursor, batchOK bool) Reply {
 		if c.err == nil && n > MaxFeedEvents {
 			c.fail(fmt.Errorf("txkvwire: subscribe reply with %d events (max %d)", n, MaxFeedEvents))
 			return r
+		}
+		if n > 0 { // an ack's Events stays nil
+			r.Events = make([]FeedEvent, 0, c.room(n, 25)) // seq, del, key, val
 		}
 		for i := 0; i < n && c.err == nil; i++ {
 			var e FeedEvent
@@ -756,9 +771,18 @@ func appendBool(dst []byte, b bool) []byte {
 // with one error check at the end — and cannot index out of bounds.
 
 type cursor struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	subs []Req // DecodeReqInto's buffer for a Batch's sub-requests
+}
+
+// room caps the capacity of a slice decoded from an announced count of
+// n entries of at least size bytes each at the entries the rest of the
+// payload can hold: each decoded slice is made once, and a truncated
+// frame announcing the maximum allocates in proportion to its bytes.
+func (c *cursor) room(n, size int) int {
+	return min(n, (len(c.b)-c.off)/size)
 }
 
 func (c *cursor) fail(err error) {

@@ -3,8 +3,10 @@ package txkvwire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -504,5 +506,84 @@ func TestFramePathsDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("encoding and buffering a Put reply: %v allocations, want 0", n)
+	}
+}
+
+// TestDecodeAllocs pins what decoding costs: each decoded slice is made
+// once, at the size it ends at, and a Batch decoded into a buffer with
+// room makes none. A frame that announces the most entries and carries
+// no body allocates in proportion to its bytes, not to the announcement.
+func TestDecodeAllocs(t *testing.T) {
+	gets := Req{Op: OpBatch, Sub: make([]Req, MaxBatch)}
+	getsReply := Reply{Op: OpBatch, Sub: make([]Reply, MaxBatch)}
+	for i := range gets.Sub {
+		gets.Sub[i] = Req{Op: OpGet, Key: uint64(i + 1)}
+		getsReply.Sub[i] = Reply{Op: OpGet, Found: true, Val: uint64(i)}
+	}
+	transfer := Req{Op: OpTransfer, Amount: 1, Keys: make([]uint64, MaxTransferKeys)}
+	for i := range transfer.Keys {
+		transfer.Keys[i] = uint64(i + 1)
+	}
+	feed := Reply{Op: OpSubscribe, Events: make([]FeedEvent, MaxFeedEvents)}
+	for i := range feed.Events {
+		feed.Events[i] = FeedEvent{Seq: uint64(i + 1), Key: uint64(i), Val: 3}
+	}
+	getsP, err1 := AppendReq(nil, gets)
+	getsReplyP, err2 := AppendReply(nil, getsReply)
+	transferP, err3 := AppendReq(nil, transfer)
+	feedP, err4 := AppendReply(nil, feed)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		t.Fatal(err)
+	}
+	decReq := func(p []byte) error { _, err := DecodeReq(p); return err }
+	decReply := func(p []byte) error { _, err := DecodeReply(p); return err }
+	subs := make([]Req, 0, MaxBatch)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+		want    float64
+	}{
+		{"DecodeReq, 256-Get Batch", getsP, decReq, 1},
+		{"DecodeReply, 256-Get Batch reply", getsReplyP, decReply, 1},
+		{"DecodeReq, 64-key Transfer", transferP, decReq, 1},
+		{"DecodeReply, 512-event Subscribe frame", feedP, decReply, 1},
+		{"DecodeReqInto a MaxBatch buffer, 256-Get Batch", getsP,
+			func(p []byte) error { _, err := DecodeReqInto(p, subs); return err }, 0},
+	} {
+		var err error
+		got := testing.AllocsPerRun(100, func() { err = tc.decode(tc.payload) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %v allocations, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// Announced counts with no body: MaxBatch (256) sub-requests and
+	// sub-replies, MaxTransferKeys keys, MaxFeedEvents (512) events.
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"Batch", []byte{0, byte(OpBatch), 0, 1}, decReq},
+		{"Transfer", []byte{0, byte(OpTransfer), 1, 0, 0, 0, 0, 0, 0, 0, MaxTransferKeys, 0}, decReq},
+		{"Batch reply", []byte{byte(OpBatch), 0, 0, 1}, decReply},
+		{"Subscribe frame", []byte{byte(OpSubscribe), 0, 0, 2}, decReply},
+	} {
+		const n = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			if tc.decode(tc.payload) == nil {
+				t.Fatalf("%s with no body decoded", tc.name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1<<10 {
+			t.Errorf("%s announcing the most entries with no body: %d bytes per decode, want under 1 KiB", tc.name, per)
+		}
 	}
 }
