@@ -10,7 +10,10 @@ GO ?= go
 # server stack (wire/server/client) because its tests run many TCP
 # connections against one shared engine; mem for its concurrent
 # allocator. The detector does not see atomics on a mapped arena's words
-# (outside the Go heap), so it orders nothing through them.
+# (outside the Go heap), so it orders nothing through them; nor does it
+# see a mapped read log (kernel.NewReadSet, from 2^17 lock-table entries).
+# The conformance suites run at small tables, whose read logs stay Go
+# slices under -race.
 ENGINE_PKGS := ./internal/swisstm ./internal/tl2 ./internal/tinystm ./internal/rstm ./internal/stm/kernel
 RACE_PKGS := $(ENGINE_PKGS) ./internal/mem ./internal/cm ./internal/txkv ./internal/bench7 ./internal/txkvwire ./internal/txkvserver ./internal/txkvclient ./internal/obs ./internal/wal ./internal/chaos ./internal/coalesce ./internal/ticket
 
@@ -37,6 +40,7 @@ bench-once:
 # CONN_TESTS, the connection's order, window and answer contracts and the
 # lifetime of its Batch buffers, run ten times more under the detector: one
 # pass rarely meets the interleaving of completions that would break them.
+# The client's Batch reply buffer (TestBatchReplyBufferReused) runs with them.
 CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFrameReadAfterOwedReplies|TestRingKeepsRequestOrder|TestPipelineWindowIsExact|TestShardQueueFullRepliesInOrder|TestRequestsCountedBeforeReplies|TestBatchBuffersReused
 #
 # The engines' attempt lifecycle (Begin/BeginRO, Commit, Unwind, AbortUser)
@@ -46,6 +50,7 @@ CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFra
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver
+	$(GO) test -race -count=10 -run '^TestBatchReplyBufferReused$$' ./internal/txkvclient
 	$(GO) test -race -count=5 -run '^(TestAbortPath|TestDedupNoStaleBits)$$' $(ENGINE_PKGS)
 	$(GO) test -race -count=5 -run '^TestConformance$$/^(APIV2|NewObjects)$$' ./internal/swisstm ./internal/tl2 ./internal/tinystm
 	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^(APIV2|NewObjects)$$' ./internal/rstm

@@ -17,6 +17,9 @@
 // its own on huge pages, so only the pages in use become resident; it is
 // unmapped once its owner is collected, so a table is valid only while its
 // owner is reachable. Smaller tables, and all tables elsewhere, are slices.
+// NewLog reserves the same way for a log that grows by append up to a
+// known bound — SwissTM's and TinySTM's read logs — but never on huge
+// pages: a log is resident as far as it has grown, not to its bound.
 package mem
 
 import (
@@ -30,10 +33,23 @@ import (
 // heap, so the collector neither scans it nor keeps anything alive by it.
 func NewTable[T, O any](owner *O, n int) []T {
 	var t T
-	if p := mapTable(owner, uintptr(n)*unsafe.Sizeof(t)); p != nil {
+	if p := mapTable(owner, uintptr(n)*unsafe.Sizeof(t), true); p != nil {
 		return unsafe.Slice((*T)(p), n)
 	}
 	return make([]T, n)
+}
+
+// NewLog returns an empty log of Ts that never holds more than n, valid
+// while owner is reachable. Where NewTable would map n Ts, the log is
+// that mapping on small pages, with room for all n: appending to it never
+// allocates. Otherwise it is a Go slice with room for small, grown by
+// append. T must hold no pointers, as for NewTable.
+func NewLog[T, O any](owner *O, n, small int) []T {
+	var t T
+	if p := mapTable(owner, uintptr(n)*unsafe.Sizeof(t), false); p != nil {
+		return unsafe.Slice((*T)(p), n)[:0]
+	}
+	return make([]T, 0, small)
 }
 
 // CacheLine is the assumed coherence granularity. 64 bytes is correct for

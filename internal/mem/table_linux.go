@@ -10,9 +10,10 @@ import (
 // 2 MiB huge page.
 const mapWords = 2 << 20 / 8
 
-// mapTable returns size bytes of anonymous mapping on huge pages, unmapped
-// once owner is collected; nil below 2 MiB or if the mapping fails.
-func mapTable[O any](owner *O, size uintptr) unsafe.Pointer {
+// mapTable returns size bytes of anonymous mapping, on huge pages when
+// huge is set and never on them otherwise, unmapped once owner is
+// collected; nil below 2 MiB or if the mapping fails.
+func mapTable[O any](owner *O, size uintptr, huge bool) unsafe.Pointer {
 	if size < mapWords*8 {
 		return nil
 	}
@@ -20,7 +21,11 @@ func mapTable[O any](owner *O, size uintptr) unsafe.Pointer {
 	if err != nil {
 		return nil
 	}
-	_ = syscall.Madvise(b, syscall.MADV_HUGEPAGE)
+	advice := syscall.MADV_NOHUGEPAGE
+	if huge {
+		advice = syscall.MADV_HUGEPAGE
+	}
+	_ = syscall.Madvise(b, advice)
 	runtime.AddCleanup(owner, func(b []byte) { _ = syscall.Munmap(b) }, b)
 	return unsafe.Pointer(&b[0])
 }

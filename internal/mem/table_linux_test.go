@@ -184,10 +184,12 @@ func touchArena(t *testing.T) int64 {
 // touchTable is touchArena for a 64 MiB table of an owner that is
 // unreachable once it returns.
 func touchTable(t *testing.T) int64 {
-	tbl := NewTable[uint64](new(owner), 64<<20/8)
+	o := new(owner)
+	tbl := NewTable[uint64](o, 64<<20/8)
 	for i := 0; i < len(tbl); i += 512 {
 		tbl[i] = 1
 	}
+	runtime.KeepAlive(o)
 	return vmRSS(t)
 }
 
@@ -215,3 +217,80 @@ func TestMappedArenaReturned(t *testing.T) { returned(t, touchArena(t), "arena")
 // TestMappedTableReturned: a mapped table goes back to the OS once its
 // owner is dropped.
 func TestMappedTableReturned(t *testing.T) { returned(t, touchTable(t), "table") }
+
+// smaps returns the Rss and AnonHugePages, in bytes, of the mapping that
+// covers addr in /proc/self/smaps.
+func smaps(t *testing.T, addr uintptr) (rss, huge int64) {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, found := false, false
+	for _, line := range strings.Split(string(data), "\n") {
+		var lo, hi uintptr
+		if _, err := fmt.Sscanf(line, "%x-%x ", &lo, &hi); err == nil {
+			in = lo <= addr && addr < hi
+			found = found || in
+			continue
+		}
+		if f := strings.Fields(line); in && len(f) == 3 && f[2] == "kB" {
+			kb, _ := strconv.ParseInt(f[1], 10, 64)
+			switch f[0] {
+			case "Rss:":
+				rss = kb << 10
+			case "AnonHugePages:":
+				huge = kb << 10
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no mapping covers %#x in /proc/self/smaps", addr)
+	}
+	return rss, huge
+}
+
+// TestLogThreshold: a log bound of 2 MiB is a mapping of its own with
+// room for the bound, one entry less is a Go slice with room for small.
+func TestLogThreshold(t *testing.T) {
+	o := new(owner)
+	big := NewLog[entry](o, 1<<17, 1024)
+	if len(big) != 0 || cap(big) != 1<<17 || !mappedTable(t, big[:1<<17]) {
+		t.Fatalf("a 2 MiB log: len %d cap %d, want an empty mapping of its own with room for 2^17", len(big), cap(big))
+	}
+	if small := NewLog[entry](o, 1<<17-1, 1024); len(small) != 0 || cap(small) != 1024 || mappedTable(t, small[:1]) {
+		t.Errorf("a log one entry under 2 MiB: len %d cap %d, want an empty Go slice with room for 1 024", len(small), cap(small))
+	}
+	runtime.KeepAlive(o)
+	unmap(t, big[:1])
+}
+
+// TestLogOffHugePages: a mapped log is on small pages, so appending its
+// first entry makes one page of a 4 MiB reservation resident, not a
+// 2 MiB huge page; the mapping goes once its owner is dropped.
+func TestLogOffHugePages(t *testing.T) {
+	o := new(owner)
+	log := NewLog[entry](o, 4<<20/16, 1024)
+	log = append(log, entry{1, 2})
+	if rss, huge := smaps(t, uintptr(unsafe.Pointer(&log[0]))); rss > 64<<10 || huge != 0 {
+		t.Errorf("a 4 MiB log with one entry: Rss %d KiB, AnonHugePages %d KiB; want ≤ 64 and 0", rss>>10, huge>>10)
+	}
+	runtime.KeepAlive(o)
+	unmap(t, log)
+}
+
+// touchLog is touchArena for a 64 MiB log, filled by append, of an owner
+// that is unreachable once it returns.
+func touchLog(t *testing.T) int64 {
+	o := new(owner)
+	log := NewLog[uint64](o, 64<<20/8, 1024)
+	for len(log) < cap(log) {
+		log = append(log, 1)
+	}
+	runtime.KeepAlive(o)
+	return vmRSS(t)
+}
+
+// TestMappedLogReturned: a mapped log goes back to the OS once its owner
+// is dropped.
+func TestMappedLogReturned(t *testing.T) { returned(t, touchLog(t), "log") }

@@ -4,6 +4,6 @@ package mem
 
 import "unsafe"
 
-// mapTable maps nothing off Linux: every table is a Go slice
+// mapTable maps nothing off Linux: every table and log is a Go slice
 // (table_linux.go maps large ones from the OS).
-func mapTable[O any](*O, uintptr) unsafe.Pointer { return nil }
+func mapTable[O any](*O, uintptr, bool) unsafe.Pointer { return nil }

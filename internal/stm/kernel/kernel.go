@@ -355,9 +355,12 @@ type Read struct {
 }
 
 // NewReadSet returns an empty read set over a lock table of entries
-// stripes.
-func NewReadSet(entries int) ReadSet {
-	return ReadSet{Log: make([]Read, 0, 1024), Seen: util.NewStripeSet(entries)}
+// stripes, valid while owner, the descriptor, is reachable. Seen bounds
+// the log at entries, so it is reserved at that bound (mem.NewLog): a
+// log of 2 MiB or more is mapped and never reallocates, a smaller one
+// starts at 1 024 entries and grows by append.
+func NewReadSet[O any](owner *O, entries int) ReadSet {
+	return ReadSet{Log: mem.NewLog[Read](owner, entries, 1024), Seen: util.NewStripeSet(entries)}
 }
 
 // TestAndSet sets stripe idx's bit in Seen and reports whether it was set.

@@ -66,3 +66,14 @@ func TestHeapTableSizedToArena(t *testing.T) {
 		})
 	}
 }
+
+// TestReadSetSmallTable: below the 2 MiB mem.NewLog maps, a read log
+// starts as a Go slice with room for 1 024 entries and grows by append;
+// Seen has one bit per entry.
+func TestReadSetSmallTable(t *testing.T) {
+	o := new(Thread)
+	rs := NewReadSet(o, 4096)
+	if len(rs.Log) != 0 || cap(rs.Log) != 1024 || len(rs.Seen) != 4096/64 {
+		t.Fatalf("a 4 096-entry read set: log len %d cap %d, %d bitmap words; want 0, 1 024, 64", len(rs.Log), cap(rs.Log), len(rs.Seen))
+	}
+}

@@ -156,3 +156,32 @@ func ZeroAllocLoop(t *testing.T, name string, warm int, op func()) {
 		t.Errorf("%s: %.2f allocs/op in steady state, want 0", name, n)
 	}
 }
+
+// ZeroAllocFirstLongRead holds SwissTM and TinySTM on Linux to DESIGN.md
+// §7.2's first long read: a thread fresh from NewThread reads every
+// four-word stripe of e's arena twice in one AtomicRO without allocating,
+// into a read log of capacity logCap that NewThread reserved at one entry
+// per stripe. e's lock table has an entry per stripe, 2^17 or more.
+func ZeroAllocFirstLongRead(t *testing.T, e stm.STM, logCap func(stm.Thread) int) {
+	t.Helper()
+	stripes := e.Arena().Cap() / 4
+	walk := func(tx stm.TxRO) (sum stm.Word) {
+		for a := 0; a < 8*stripes; a += 4 {
+			sum += tx.Load(stm.Addr(a % (4 * stripes)))
+		}
+		return sum
+	}
+	// AllocsPerRun runs twice, a warm-up and the counted run, each on a
+	// thread of its own.
+	ths := []stm.Thread{e.NewThread(0), e.NewThread(1)}
+	next := 0
+	if n := testing.AllocsPerRun(1, func() { stm.AtomicRO(ths[next], walk); next++ }); n != 0 {
+		t.Errorf("%s: a fresh thread's first %d-stripe AtomicRO allocates %.0f objects, want 0", e.Name(), stripes, n)
+	}
+	for i, th := range ths {
+		if c, s := logCap(th), th.Stats(); c != stripes || s.ReadsLogged != uint64(stripes) || s.ReadsDeduped != uint64(stripes) {
+			t.Errorf("%s: thread %d's read log has room for %d after %d reads logged, %d deduped; want %d each",
+				e.Name(), i, c, s.ReadsLogged, s.ReadsDeduped, stripes)
+		}
+	}
+}

@@ -168,9 +168,9 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		Thread: kernel.NewThread("swisstm", id, uint64(id)*0x9e3779b9+1, e.cfg.Obs),
 		e:      e,
 		tag:    uint32(id+1) << wTagShift,
-		rs:     kernel.NewReadSet(len(e.locks)),
 		log:    kernel.NewRedoLog(e.Width),
 	}
+	t.rs = kernel.NewReadSet(t, len(e.locks))
 	t.roV.t = t
 	t.cmTS.Store(infinity)
 	e.threads[id].Store(t)

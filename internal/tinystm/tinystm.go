@@ -85,9 +85,9 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		Thread: kernel.NewThread("tinystm", id, uint64(id)*0xabcd1234+3, e.cfg.Obs),
 		e:      e,
 		tag:    uint32(id+1) << wTagShift,
-		rs:     kernel.NewReadSet(len(e.vers)),
 		log:    kernel.NewRedoLog(e.Width),
 	}
+	t.rs = kernel.NewReadSet(t, len(e.vers))
 	t.roV.t = t
 	return t
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"swisstm/internal/harness"
+	"swisstm/internal/stm"
 	"swisstm/internal/txkv"
 )
 
@@ -37,4 +38,25 @@ func TestDirectoryOffHeap(t *testing.T) {
 			t.Errorf("shard %d: row len %d cap %d, want both %d", i, len(row), cap(row), cfg.Slots)
 		}
 	}
+}
+
+// TestLenReadLogOffHeap: a whole-store Len on a fresh thread logs one
+// read per stripe of a 65 536-key store, 2^17 entries, into the read log
+// NewThread reserved off the Go heap, so it grows the heap by almost
+// nothing; a Go-slice log would keep over 2 MiB of it live.
+func TestLenReadLogOffHeap(t *testing.T) {
+	e := harness.EngineSpec{Kind: "swisstm", ArenaWords: 1 << 21}.New()
+	s := txkv.NewInitialized(e.NewThread(0), 65536, 1)
+	th := e.NewThread(1)
+	n := 0
+	if g := heapGrowth(func() { n = stm.AtomicRO(th, s.Len) }); g >= 256<<10 {
+		t.Errorf("Len on a fresh thread grew the Go heap by %d KiB, want < 256 KiB", g>>10)
+	}
+	if n != 65536 {
+		t.Fatalf("Len = %d, want 65536", n)
+	}
+	if r := th.Stats().ReadsLogged; r != 1<<17 {
+		t.Errorf("Len logged %d reads, want 2^17", r)
+	}
+	runtime.KeepAlive(th) // and its read log, whose collection would hide the growth
 }

@@ -94,6 +94,7 @@ type Client struct {
 	br   *bufio.Reader
 	rbuf []byte
 	wbuf []byte
+	subs []txkvwire.Reply // the largest Batch reply's Sub decoded so far
 
 	// breaker state: consecutive Overloaded replies seen, and the time
 	// before which Do fails fast. Client is single-goroutine, so plain
@@ -156,7 +157,9 @@ func (c *Client) Close() error { return c.conn.Close() }
 // protocol failures, plus ErrCircuitOpen. With Options.MaxRetries set,
 // retryable shed replies and (for reads, or with RetryMutations) lost
 // connections re-issue the request with full-jitter backoff; the
-// remaining deadline budget rides along as the wire TTL.
+// remaining deadline budget rides along as the wire TTL. A Batch reply's
+// Sub is valid until the next call on c: the next Batch reply is decoded
+// into the same array.
 func (c *Client) Do(req txkvwire.Req) (txkvwire.Reply, error) {
 	if c.opts.BreakerThreshold > 0 && time.Now().Before(c.breakerUntil) {
 		return txkvwire.Reply{}, ErrCircuitOpen
@@ -285,7 +288,11 @@ func (c *Client) roundTrip(deadline time.Time) (txkvwire.Reply, error) {
 	if err != nil {
 		return txkvwire.Reply{}, err
 	}
-	return txkvwire.DecodeReply(c.rbuf)
+	reply, err := txkvwire.DecodeReplyInto(c.rbuf, c.subs)
+	if cap(reply.Sub) > cap(c.subs) {
+		c.subs = reply.Sub
+	}
+	return reply, err
 }
 
 // redial replaces the connection after a transport failure.

@@ -178,3 +178,61 @@ func TestOneWritePerRequest(t *testing.T) {
 		t.Fatalf("the wire carries %d bytes, want the %d bytes of the frames in submit order", len(pc.wire), len(want))
 	}
 }
+
+// TestBatchReplyBufferReused: Do decodes a Batch reply into the largest
+// sub-reply array the client has decoded, so once it has had a 256-Get
+// reply a Batch costs no allocation. A reused array never leaks a stale
+// sub-reply: batches of 256, 3, 256 and 1 keys over different ranges each
+// return their own length and their own keys' values.
+func TestBatchReplyBufferReused(t *testing.T) {
+	const keys = 4 * txkvwire.MaxBatch
+	srv, err := txkvserver.Start("127.0.0.1:0", txkvserver.Config{
+		Engine: harness.EngineSpec{Kind: "swisstm", Manager: "polka"},
+		Keys:   keys,
+	})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+
+	val := func(k uint64) uint64 { return 1_000_000 + 7*k }
+	batch := func(op txkvwire.Op, lo uint64, n int) txkvwire.Req {
+		req := txkvwire.Req{Op: txkvwire.OpBatch, Sub: make([]txkvwire.Req, n)}
+		for i := range req.Sub {
+			req.Sub[i] = txkvwire.Req{Op: op, Key: lo + uint64(i), Val: val(lo + uint64(i))}
+		}
+		return req
+	}
+	for lo := uint64(1); lo <= keys; lo += txkvwire.MaxBatch {
+		if reply, err := cl.Do(batch(txkvwire.OpPut, lo, txkvwire.MaxBatch)); err != nil || reply.Err != "" {
+			t.Fatalf("put keys %d..: %v %q", lo, err, reply.Err)
+		}
+	}
+	gets := batch(txkvwire.OpGet, 1, txkvwire.MaxBatch)
+	if _, err := cl.Do(gets); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, err = cl.Do(gets) }); err != nil || n != 0 {
+		t.Errorf("a 256-Get Batch after the first: %v allocations per Do (%v), want 0", n, err)
+	}
+
+	for _, b := range []struct {
+		lo uint64
+		n  int
+	}{{1, 256}, {700, 3}, {300, 256}, {1000, 1}} {
+		reply, err := cl.Do(batch(txkvwire.OpGet, b.lo, b.n))
+		if err != nil || reply.Err != "" || len(reply.Sub) != b.n {
+			t.Fatalf("%d Gets from key %d: %d sub-replies (%v %q)", b.n, b.lo, len(reply.Sub), err, reply.Err)
+		}
+		for i, r := range reply.Sub {
+			if k := b.lo + uint64(i); r.Op != txkvwire.OpGet || !r.Found || r.Val != val(k) {
+				t.Fatalf("%d Gets from key %d: sub-reply %d is %+v, want key %d's value %d", b.n, b.lo, i, r, k, val(k))
+			}
+		}
+	}
+}

@@ -92,6 +92,17 @@ func FuzzDecodeReply(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reply, err := DecodeReply(data) // must never panic
+		// Into a buffer of junk sub-replies: the same reply, the same
+		// error, nothing of the junk.
+		junk := make([]Reply, MaxBatch)
+		for i := range junk {
+			junk[i] = Reply{Op: OpCAS, Err: "junk", Code: CodeInternal, Found: true, Val: 13, OK: true,
+				Stats: &Stats{Requests: 1}, Events: []FeedEvent{{Seq: 1}}}
+		}
+		into, errInto := DecodeReplyInto(data, junk)
+		if fmt.Sprint(errInto) != fmt.Sprint(err) || !reflect.DeepEqual(into, reply) {
+			t.Fatalf("DecodeReplyInto gave %+v, %v; DecodeReply gave %+v, %v", into, errInto, reply, err)
+		}
 		if err != nil {
 			return
 		}

@@ -669,8 +669,14 @@ func appendReply(dst []byte, r Reply, batchOK bool) ([]byte, error) {
 
 // DecodeReply decodes one reply payload; the whole payload must be
 // consumed.
-func DecodeReply(payload []byte) (Reply, error) {
-	c := cursor{b: payload}
+func DecodeReply(payload []byte) (Reply, error) { return DecodeReplyInto(payload, nil) }
+
+// DecodeReplyInto is DecodeReply that decodes a Batch's sub-replies into
+// subs, as DecodeReqInto does its sub-requests: a client that passes the
+// largest Sub it has decoded back in decodes a Batch reply without
+// allocating once it has had one as large.
+func DecodeReplyInto(payload []byte, subs []Reply) (Reply, error) {
+	c := cursor{b: payload, replies: subs}
 	r := decodeReply(&c, true)
 	if c.err != nil {
 		return Reply{}, c.err
@@ -726,7 +732,9 @@ func decodeReply(c *cursor, batchOK bool) Reply {
 			c.fail(fmt.Errorf("txkvwire: batch reply with %d sub-replies (want 1..%d)", n, MaxBatch))
 			return r
 		}
-		r.Sub = make([]Reply, 0, c.room(n, 3)) // op, status, OK
+		if r.Sub = c.replies[:0]; cap(r.Sub) < n {
+			r.Sub = make([]Reply, 0, c.room(n, 3)) // op, status, OK
+		}
 		for i := 0; i < n && c.err == nil; i++ {
 			r.Sub = append(r.Sub, decodeReply(c, false))
 		}
@@ -771,10 +779,11 @@ func appendBool(dst []byte, b bool) []byte {
 // with one error check at the end — and cannot index out of bounds.
 
 type cursor struct {
-	b    []byte
-	off  int
-	err  error
-	subs []Req // DecodeReqInto's buffer for a Batch's sub-requests
+	b       []byte
+	off     int
+	err     error
+	subs    []Req   // DecodeReqInto's buffer for a Batch's sub-requests
+	replies []Reply // DecodeReplyInto's buffer for a Batch's sub-replies
 }
 
 // room caps the capacity of a slice decoded from an announced count of

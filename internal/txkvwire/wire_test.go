@@ -538,6 +538,7 @@ func TestDecodeAllocs(t *testing.T) {
 	decReq := func(p []byte) error { _, err := DecodeReq(p); return err }
 	decReply := func(p []byte) error { _, err := DecodeReply(p); return err }
 	subs := make([]Req, 0, MaxBatch)
+	replies := make([]Reply, 0, MaxBatch)
 	for _, tc := range []struct {
 		name    string
 		payload []byte
@@ -550,6 +551,8 @@ func TestDecodeAllocs(t *testing.T) {
 		{"DecodeReply, 512-event Subscribe frame", feedP, decReply, 1},
 		{"DecodeReqInto a MaxBatch buffer, 256-Get Batch", getsP,
 			func(p []byte) error { _, err := DecodeReqInto(p, subs); return err }, 0},
+		{"DecodeReplyInto a MaxBatch buffer, 256-Get Batch reply", getsReplyP,
+			func(p []byte) error { _, err := DecodeReplyInto(p, replies); return err }, 0},
 	} {
 		var err error
 		got := testing.AllocsPerRun(100, func() { err = tc.decode(tc.payload) })
