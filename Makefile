@@ -47,6 +47,11 @@ CONN_TESTS := TestAnswerWritesWindowOnce|TestUnreserveDoesNotStallAnswer|TestFra
 # runs five times more under the detector on the four engines: the APIV2
 # and NewObjects conformance cases (under each RSTM variant), the abort-path
 # suite and the no-stale-dedup-bits endings, and the kernel's record helpers.
+#
+# The red-black tree's node recycling, and bench7's concurrent mixes whose
+# structure modifications rebuild the composites they unlink, run three
+# times: the whole rbtree package is too slow under the detector for
+# RACE_PKGS.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run '^($(CONN_TESTS))$$' ./internal/txkvserver
@@ -54,6 +59,8 @@ race:
 	$(GO) test -race -count=5 -run '^(TestAbortPath|TestDedupNoStaleBits)$$' $(ENGINE_PKGS)
 	$(GO) test -race -count=5 -run '^TestConformance$$/^(APIV2|NewObjects)$$' ./internal/swisstm ./internal/tl2 ./internal/tinystm
 	$(GO) test -race -count=5 -run '^TestConformanceVariants$$//^(APIV2|NewObjects)$$' ./internal/rstm
+	$(GO) test -race -count=3 -run '^(TestRecycleModel|TestRecycleRollback|TestDeleteReturnsSuccessor)$$' ./internal/rbtree
+	$(GO) test -race -count=3 -run '^TestConcurrentMixedWorkloads$$' ./internal/bench7
 	$(GO) run -race ./cmd/kvsmoke coalesce -engines swisstm
 
 # cross builds the tree for two systems other than Linux, where every

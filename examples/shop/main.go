@@ -35,7 +35,7 @@ func main() {
 			it := tx.NewObject(itFields)
 			tx.WriteField(it, itTotal, stockPer)
 			tx.WriteField(it, itAvail, stockPer)
-			inventory.Insert(tx, stm.Word(id), stm.Word(it))
+			inventory.Insert(tx, stm.Word(id), stm.Word(it), 0)
 		})
 	}
 

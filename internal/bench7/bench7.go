@@ -164,9 +164,10 @@ func Setup(e stm.STM, cfg Config) *Bench {
 
 	// Composite-part pool. Each composite gets its own transaction to
 	// keep setup transactions bounded.
+	o := b.NewOps(th, nil)
 	comps := make([]stm.Handle, cfg.CompPool)
 	for i := range comps {
-		comps[i] = stm.Atomic(th, b.newCompositePart)
+		comps[i] = stm.Atomic(th, func(tx stm.Tx) stm.Handle { return o.newCompositePart(tx, 0) })
 	}
 	b.initialComp = cfg.CompPool
 	b.initialPart = cfg.CompPool * cfg.AtomicPerComp
@@ -206,52 +207,70 @@ func Setup(e stm.STM, cfg Config) *Bench {
 	return b
 }
 
-// newCompositePart creates a composite part with its document and atomic
-// part graph, registering it in all indexes.
-func (b *Bench) newCompositePart(tx stm.Tx) stm.Handle {
-	cfg := &b.Cfg
+// newCompositePart builds a composite part with its document and atomic
+// part graph and registers it in all indexes, writing every field. With
+// old != 0 it is built in the storage of old, a composite no base
+// assembly uses any more: each of old's index entries is deleted and its
+// node relinked by the insert that replaces it.
+func (o *Ops) newCompositePart(tx stm.Tx, old stm.Handle) stm.Handle {
+	b, cfg := o.b, &o.b.Cfg
 	compID := tx.ReadField(b.counters, cntCompID) + 1
 	tx.WriteField(b.counters, cntCompID, compID)
 	date := tx.ReadField(b.counters, cntDate) + 1
 	tx.WriteField(b.counters, cntDate, date)
 
-	doc := tx.NewObject(uint32(1 + cfg.DocWords))
+	var doc, partsArr stm.Handle
+	if old != 0 {
+		doc, partsArr = stm.ReadRef(tx, old, cpDoc), stm.ReadRef(tx, old, cpParts)
+	} else {
+		doc, partsArr = tx.NewObject(uint32(1+cfg.DocWords)), tx.NewObject(uint32(cfg.AtomicPerComp))
+	}
 	tx.WriteField(doc, 0, compID)
 	for w := 0; w < cfg.DocWords; w++ {
 		tx.WriteField(doc, uint32(1+w), stm.Word(w)^stm.Word(compID))
 	}
 
-	partsArr := tx.NewObject(uint32(cfg.AtomicPerComp))
-	parts := make([]stm.Handle, cfg.AtomicPerComp)
-	for i := 0; i < cfg.AtomicPerComp; i++ {
+	for i := range o.parts {
 		partID := tx.ReadField(b.counters, cntPartID) + 1
 		tx.WriteField(b.counters, cntPartID, partID)
-		p := tx.NewObject(uint32(4 + cfg.ConnPerPart))
+		var p, node stm.Handle
+		if old != 0 {
+			p = stm.ReadRef(tx, partsArr, uint32(i))
+			node = b.PartIdx.Delete(tx, tx.ReadField(p, apID))
+		} else {
+			p = tx.NewObject(uint32(4 + cfg.ConnPerPart))
+		}
 		tx.WriteField(p, apID, partID)
 		tx.WriteField(p, apX, partID*31)
 		tx.WriteField(p, apY, partID*17)
 		tx.WriteField(p, apDate, date)
-		parts[i] = p
+		o.parts[i] = p
 		stm.WriteRef(tx, partsArr, uint32(i), p)
-		b.PartIdx.Insert(tx, partID, stm.Word(p))
+		b.PartIdx.Insert(tx, partID, stm.Word(p), node)
 	}
 	// Ring + chords connection graph: part i connects to i+1, i+2, i+3
 	// (mod n) — connected, deterministic, degree ConnPerPart.
-	n := cfg.AtomicPerComp
-	for i := 0; i < n; i++ {
+	n := len(o.parts)
+	for i, p := range o.parts {
 		for k := 0; k < cfg.ConnPerPart; k++ {
-			stm.WriteRef(tx, parts[i], apConn0+uint32(k), parts[(i+k+1)%n])
+			stm.WriteRef(tx, p, apConn0+uint32(k), o.parts[(i+k+1)%n])
 		}
 	}
 
-	comp := tx.NewObject(cpFields)
+	comp, idNode, dateNode := old, stm.Handle(0), stm.Handle(0)
+	if old != 0 {
+		idNode = b.CompIdx.Delete(tx, tx.ReadField(old, cpID))
+		dateNode = b.DateIdx.Delete(tx, tx.ReadField(old, cpDate))
+	} else {
+		comp = tx.NewObject(cpFields)
+	}
 	tx.WriteField(comp, cpID, compID)
 	tx.WriteField(comp, cpDate, date)
 	stm.WriteRef(tx, comp, cpDoc, doc)
 	stm.WriteRef(tx, comp, cpParts, partsArr)
-	stm.WriteRef(tx, comp, cpRoot, parts[0])
-	b.CompIdx.Insert(tx, compID, stm.Word(comp))
-	b.DateIdx.Insert(tx, date, stm.Word(comp))
+	stm.WriteRef(tx, comp, cpRoot, o.parts[0])
+	b.CompIdx.Insert(tx, compID, stm.Word(comp), idNode)
+	b.DateIdx.Insert(tx, date, stm.Word(comp), dateNode)
 	return comp
 }
 
@@ -360,6 +379,7 @@ type Ops struct {
 	total int
 	base  stm.Handle // structure-mod target slot
 	slot  uint32
+	parts []stm.Handle // the parts of the composite being built
 
 	shortRead, readComponent, queryDates, longTraversal     func(stm.TxRO) stm.Word
 	shortUpdate, updateComponent, longTravUpdate, structMod func(stm.Tx)
@@ -369,7 +389,8 @@ type Ops struct {
 
 // NewOps builds the pre-bound operation table for one worker thread.
 func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
-	o := &Ops{b: b, th: th, rng: rng, ws: newWalkScratch(&b.Cfg)}
+	o := &Ops{b: b, th: th, rng: rng, ws: newWalkScratch(&b.Cfg),
+		parts: make([]stm.Handle, b.Cfg.AtomicPerComp)}
 
 	o.visitSum = func(p stm.Handle) { o.sum += o.rtx.ReadField(p, apX) }
 	o.visitSwap = func(p stm.Handle) {
@@ -432,25 +453,15 @@ func (b *Bench) NewOps(th stm.Thread, rng *util.Rand) *Ops {
 	o.structMod = func(tx stm.Tx) {
 		old := stm.ReadRef(tx, o.base, o.slot)
 		if old != 0 {
-			// Drop one reference; unregister the composite only when the
-			// last base assembly stops using it (shared composites stay).
+			// Drop one reference. A composite still used by another base
+			// assembly stays; the new one replaces the last reference's.
 			used := tx.ReadField(old, cpUsed)
 			tx.WriteField(old, cpUsed, used-1)
-			if used <= 1 {
-				oldID := tx.ReadField(old, cpID)
-				oldDate := tx.ReadField(old, cpDate)
-				b.CompIdx.Delete(tx, oldID)
-				b.DateIdx.Delete(tx, oldDate)
-				partsArr := stm.ReadRef(tx, old, cpParts)
-				for i := 0; i < b.Cfg.AtomicPerComp; i++ {
-					p := stm.ReadRef(tx, partsArr, uint32(i))
-					if p != 0 {
-						b.PartIdx.Delete(tx, tx.ReadField(p, apID))
-					}
-				}
+			if used > 1 {
+				old = 0
 			}
 		}
-		comp := b.newCompositePart(tx)
+		comp := o.newCompositePart(tx, old)
 		tx.WriteField(comp, cpUsed, 1)
 		stm.WriteRef(tx, o.base, o.slot, comp)
 	}
@@ -496,11 +507,13 @@ func (o *Ops) LongTraversal() stm.Word { return stm.AtomicRO(o.th, o.longTravers
 // composite part's build date through the whole tree.
 func (o *Ops) LongTraversalUpdate() { stm.AtomicVoid(o.th, o.longTravUpdate) }
 
-// StructureMod is STMBench7's structural modification: build a fresh
-// composite part (graph, document, index entries), unlink a random
-// composite from a random base assembly slot and link the new one in.
-// The old composite is removed from the id and date indexes (its parts
-// are unlinked from the part index), mirroring SM2/SM3.
+// StructureMod is STMBench7's structural modification: replace the
+// composite in a random base assembly slot by a new one, with its
+// document, part graph and index entries, mirroring SM2/SM3. When the
+// slot held the old composite's last reference, the old one leaves the
+// indexes and the same transaction builds the new one in its storage and
+// index nodes, through transactional writes: a reader still holding it
+// sees it whole or aborts, and the arena keeps no dead composite.
 func (o *Ops) StructureMod() {
 	o.base = o.b.Bases[o.rng.Intn(len(o.b.Bases))]
 	o.slot = baComp0 + uint32(o.rng.Intn(compPerBase))
@@ -537,20 +550,28 @@ func (o *Ops) Op() {
 	}
 }
 
-// Check validates the structural invariants after a run: every base
-// assembly slot references a composite registered in the id index, every
-// composite's graph has exactly AtomicPerComp reachable parts, and each
-// part is present in the part index.
+// Check validates the structural invariants after a run: the three
+// indexes are red-black trees (it panics when one is not), every id and
+// part index entry names an object whose id is its key, every base
+// assembly slot references a composite registered in the id index whose
+// used count is the number of slots referencing it, every composite's
+// graph has exactly AtomicPerComp reachable parts, and each part is
+// present in the part index.
 func (b *Bench) Check() error {
 	th := b.E.NewThread(stm.MaxThreads - 1)
 	ws := newWalkScratch(&b.Cfg)
 	return stm.AtomicRO(th, func(tx stm.TxRO) error {
+		if err := b.checkIndexes(tx); err != nil {
+			return err
+		}
+		slots := map[stm.Handle]stm.Word{}
 		for _, base := range b.Bases {
 			for k := 0; k < compPerBase; k++ {
 				comp := stm.ReadRef(tx, base, baComp0+uint32(k))
 				if comp == 0 {
 					return fmt.Errorf("bench7: empty base-assembly slot")
 				}
+				slots[comp]++
 				id := tx.ReadField(comp, cpID)
 				if got, ok := b.CompIdx.Lookup(tx, id); !ok || stm.Handle(got) != comp {
 					return fmt.Errorf("bench7: composite %d missing from index", id)
@@ -571,6 +592,29 @@ func (b *Bench) Check() error {
 				}
 			}
 		}
+		for comp, n := range slots {
+			if used := tx.ReadField(comp, cpUsed); used != n {
+				return fmt.Errorf("bench7: composite %d is in %d slots, used count %d",
+					tx.ReadField(comp, cpID), n, used)
+			}
+		}
 		return nil
 	})
+}
+
+// checkIndexes is Check's index part. DateIdx's keys are not compared
+// with dates: a long update traversal moves composites' dates and leaves
+// the index be.
+func (b *Bench) checkIndexes(tx stm.TxRO) (err error) {
+	b.DateIdx.CheckInvariants(tx)
+	for _, idx := range []*rbtree.Tree{b.CompIdx, b.PartIdx} {
+		idx.CheckInvariants(tx)
+		idx.Visit(tx, func(k, v stm.Word) {
+			// cpID and apID are both field 0.
+			if id := tx.ReadField(stm.Handle(v), cpID); id != k && err == nil {
+				err = fmt.Errorf("bench7: index entry %d names an object of id %d", k, id)
+			}
+		})
+	}
+	return err
 }

@@ -1,6 +1,8 @@
 package bench7
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -134,5 +136,104 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// wordEngines are engines() without RSTM, whose objects are Go values:
+// the word engines' arenas and allocations are what the recycling tests
+// measure.
+func wordEngines() map[string]func() stm.STM {
+	es := engines()
+	delete(es, "rstm")
+	return es
+}
+
+// TestReadWriteMixAllocs holds the warmed 60 % read-only mix, structure
+// modifications included, to at most one heap allocation per hundred
+// operations. It counts the MemStats.Mallocs delta over many operations:
+// testing.AllocsPerRun's integer mean would read 0.06 per op as 0.
+func TestReadWriteMixAllocs(t *testing.T) {
+	const ops = 20000
+	for name, factory := range wordEngines() {
+		t.Run(name, func(t *testing.T) {
+			b := Setup(factory(), testConfig(60))
+			o := b.NewOps(b.E.NewThread(1), util.NewRand(13))
+			for i := 0; i < 2000; i++ {
+				o.Op()
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ops; i++ {
+				o.Op()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; float64(n)/ops > 0.01 {
+				t.Errorf("%d allocations over %d operations, want at most %d", n, ops, ops/100)
+			}
+			if err := b.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStructureModArenaBounded runs structure modifications alone. One
+// builds fresh storage only when the composite it replaces is still
+// shared, and the new composite is never shared, so the arena grows by
+// at most one composite, with its index nodes, per base-assembly slot.
+func TestStructureModArenaBounded(t *testing.T) {
+	for name, factory := range wordEngines() {
+		t.Run(name, func(t *testing.T) {
+			b := Setup(factory(), testConfig(60))
+			cfg := b.Cfg
+			o := b.NewOps(b.E.NewThread(1), util.NewRand(17))
+			before := b.E.Arena().Used()
+			for i := 0; i < 1000; i++ {
+				o.StructureMod()
+			}
+			// A composite, its document, its parts array, its parts and
+			// the 6-word index nodes of its parts, id and date.
+			perComp := int(cpFields) + 1 + cfg.DocWords + cfg.AtomicPerComp*(5+cfg.ConnPerPart) +
+				(cfg.AtomicPerComp+2)*6
+			limit := len(b.Bases) * compPerBase * perComp
+			if grown := b.E.Arena().Used() - before; grown > limit {
+				t.Errorf("1000 structure modifications grew the arena by %d words, want at most %d", grown, limit)
+			}
+			if err := b.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStructureModRollback rolls structure modifications back, rebuilt
+// composites included, between committed ones: every write to the reused
+// storage and index nodes is undone, so the structure stays whole.
+func TestStructureModRollback(t *testing.T) {
+	rollback := errors.New("rollback")
+	for name, factory := range engines() {
+		t.Run(name, func(t *testing.T) {
+			b := Setup(factory(), testConfig(60))
+			th := b.E.NewThread(1)
+			o := b.NewOps(th, util.NewRand(19))
+			for i := 0; i < 20; i++ {
+				o.base, o.slot = b.Bases[i%len(b.Bases)], baComp0
+				_, err := stm.AtomicErr(th, func(tx stm.Tx) (struct{}, error) {
+					o.structMod(tx)
+					return struct{}{}, rollback
+				})
+				if !errors.Is(err, rollback) {
+					t.Fatalf("rolled-back structure modification: %v", err)
+				}
+				if err := b.Check(); err != nil {
+					t.Fatalf("after rollback %d: %v", i, err)
+				}
+				o.StructureMod()
+				if err := b.Check(); err != nil {
+					t.Fatalf("after commit %d: %v", i, err)
+				}
+			}
+		})
 	}
 }

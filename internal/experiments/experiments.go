@@ -132,7 +132,7 @@ func (o Options) rbWorkload(seed uint64) harness.Workload {
 			// Pre-fill to half occupancy, as customary for this bench.
 			for i := 0; i < keyRange/2; i++ {
 				k := stm.Word(rng.Intn(keyRange) + 1)
-				stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, k, k) })
+				stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, k, k, 0) })
 			}
 			return nil
 		},
@@ -141,9 +141,9 @@ func (o Options) rbWorkload(seed uint64) harness.Workload {
 			r := rng.Intn(100)
 			switch {
 			case r < rbUpdatePct/2:
-				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Insert(tx, k, k) })
+				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Insert(tx, k, k, 0) })
 			case r < rbUpdatePct:
-				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Delete(tx, k) })
+				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Delete(tx, k) != 0 })
 			default:
 				// Lookups are declared read-only: the microbenchmark's 80%
 				// read share rides each engine's RO fast path.

@@ -30,7 +30,7 @@ func TestBulkTxStress(t *testing.T) {
 			g := g
 			stm.AtomicVoid(setup, func(tx stm.Tx) {
 				for i := 0; i < perGroup; i++ {
-					tree.Insert(tx, stm.Word(g*1000+i+1), 1)
+					tree.Insert(tx, stm.Word(g*1000+i+1), 1, 0)
 				}
 			})
 		}
@@ -63,7 +63,7 @@ func TestBulkTxStress(t *testing.T) {
 								tree.Delete(tx, stm.Word(g*1000+i+1))
 							}
 							for i := stm.Word(0); i < perGroup; i++ {
-								tree.Insert(tx, fresh+i, 1)
+								tree.Insert(tx, fresh+i, 1, 0)
 							}
 							tx.WriteField(counter, 1, tx.ReadField(counter, 1)+1)
 						})

@@ -116,8 +116,12 @@ func (t *Tree) visit(tx stm.TxRO, n stm.Handle, fn func(k, v stm.Word)) {
 }
 
 // Insert adds key→val, returning false (and updating the value) when the
-// key already existed.
-func (t *Tree) Insert(tx stm.Tx, key, val stm.Word) bool {
+// key already existed. The entry is linked in node, or in a fresh node
+// when node is 0: a node that Delete unlinked earlier in the same
+// transaction can be linked again, because every one of its six fields is
+// written as a fresh node's would be. When Insert returns false, node is
+// left untouched and stays the caller's.
+func (t *Tree) Insert(tx stm.Tx, key, val stm.Word, node stm.Handle) bool {
 	parent := nilH
 	n := t.root(tx)
 	for n != nilH {
@@ -133,7 +137,12 @@ func (t *Tree) Insert(tx stm.Tx, key, val stm.Word) bool {
 			n = stm.ReadRef(tx, n, fRight)
 		}
 	}
-	node := tx.NewObject(nodeFields)
+	if node == nilH {
+		node = tx.NewObject(nodeFields)
+	} else {
+		stm.WriteRef(tx, node, fLeft, nilH)
+		stm.WriteRef(tx, node, fRight, nilH)
+	}
 	tx.WriteField(node, fKey, key)
 	tx.WriteField(node, fVal, val)
 	stm.WriteRef(tx, node, fParent, parent)
@@ -253,8 +262,14 @@ func (t *Tree) insertFixup(tx stm.Tx, z stm.Handle) {
 	setColor(tx, t.root(tx), black)
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
+// Delete removes key and returns the node it unlinked from the tree, or 0
+// when key was absent. When key's node has two children, its in-order
+// successor's entry moves into it and the successor is the node unlinked
+// and returned. The caller may link that node again with Insert in the
+// same transaction: every write to it is transactional, so a concurrent
+// reader still holding it sees the tree as it was before the commit, or
+// aborts.
+func (t *Tree) Delete(tx stm.Tx, key stm.Word) stm.Handle {
 	z := t.root(tx)
 	for z != nilH {
 		k := tx.ReadField(z, fKey)
@@ -268,7 +283,7 @@ func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
 		}
 	}
 	if z == nilH {
-		return false
+		return nilH
 	}
 
 	// y is the node physically removed; x its (possibly nil) child that
@@ -310,7 +325,7 @@ func (t *Tree) Delete(tx stm.Tx, key stm.Word) bool {
 	if colorOf(tx, y) == black {
 		t.deleteFixup(tx, x, xParent)
 	}
-	return true
+	return y
 }
 
 func (t *Tree) deleteFixup(tx stm.Tx, x, xParent stm.Handle) {

@@ -30,30 +30,30 @@ func TestBasicOps(t *testing.T) {
 			th := e.NewThread(0)
 			tree := New(th)
 			stm.AtomicVoid(th, func(tx stm.Tx) {
-				if !tree.Insert(tx, 5, 50) {
+				if !tree.Insert(tx, 5, 50, 0) {
 					t.Error("insert 5 reported existing")
 				}
-				tree.Insert(tx, 3, 30)
-				tree.Insert(tx, 8, 80)
+				tree.Insert(tx, 3, 30, 0)
+				tree.Insert(tx, 8, 80, 0)
 				if v, ok := tree.Lookup(tx, 3); !ok || v != 30 {
 					t.Errorf("lookup 3 = (%d,%v)", v, ok)
 				}
 				if _, ok := tree.Lookup(tx, 4); ok {
 					t.Error("lookup 4 should miss")
 				}
-				if tree.Insert(tx, 5, 55) {
+				if tree.Insert(tx, 5, 55, 0) {
 					t.Error("insert 5 again should report existing")
 				}
 				if v, _ := tree.Lookup(tx, 5); v != 55 {
 					t.Error("value not updated")
 				}
-				if !tree.Delete(tx, 3) {
+				if tree.Delete(tx, 3) == 0 {
 					t.Error("delete 3 failed")
 				}
 				if _, ok := tree.Lookup(tx, 3); ok {
 					t.Error("3 still present after delete")
 				}
-				if tree.Delete(tx, 3) {
+				if tree.Delete(tx, 3) != 0 {
 					t.Error("double delete succeeded")
 				}
 				tree.CheckInvariants(tx)
@@ -77,11 +77,11 @@ func TestModelSequential(t *testing.T) {
 				val := stm.Word(rng.Intn(1000))
 				switch rng.Intn(3) {
 				case 0:
-					stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, val) })
+					stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, val, 0) })
 					model[key] = val
 				case 1:
 					var got bool
-					stm.AtomicVoid(th, func(tx stm.Tx) { got = tree.Delete(tx, key) })
+					stm.AtomicVoid(th, func(tx stm.Tx) { got = tree.Delete(tx, key) != 0 })
 					_, want := model[key]
 					if got != want {
 						t.Fatalf("op %d: delete(%d) = %v, model %v", i, key, got, want)
@@ -131,7 +131,7 @@ func TestQuickInsertDelete(t *testing.T) {
 		for _, k := range keys {
 			key := stm.Word(k) + 1
 			var fresh bool
-			stm.AtomicVoid(th, func(tx stm.Tx) { fresh = tree.Insert(tx, key, key*2) })
+			stm.AtomicVoid(th, func(tx stm.Tx) { fresh = tree.Insert(tx, key, key*2, 0) })
 			if fresh == seen[key] {
 				return false
 			}
@@ -148,7 +148,7 @@ func TestQuickInsertDelete(t *testing.T) {
 		}
 		for k := range seen {
 			var deleted bool
-			stm.AtomicVoid(th, func(tx stm.Tx) { deleted = tree.Delete(tx, k) })
+			stm.AtomicVoid(th, func(tx stm.Tx) { deleted = tree.Delete(tx, k) != 0 })
 			if !deleted {
 				return false
 			}
@@ -175,7 +175,7 @@ func TestConcurrentMixed(t *testing.T) {
 			const keyRange = 512
 			stm.AtomicVoid(setup, func(tx stm.Tx) {
 				for k := stm.Word(1); k <= keyRange; k += 2 {
-					tree.Insert(tx, k, k)
+					tree.Insert(tx, k, k, 0)
 				}
 			})
 			var wg sync.WaitGroup
@@ -190,7 +190,7 @@ func TestConcurrentMixed(t *testing.T) {
 						key := stm.Word(rng.Intn(keyRange) + 1)
 						switch rng.Intn(10) {
 						case 0:
-							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, key) })
+							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, key, 0) })
 						case 1:
 							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Delete(tx, key) })
 						default:

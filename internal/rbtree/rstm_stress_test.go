@@ -33,7 +33,7 @@ func TestRSTMHighContention(t *testing.T) {
 						key := stm.Word(seed>>33)%keyRange + 1
 						switch (seed >> 13) % 4 {
 						case 0:
-							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, key) })
+							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, key, key, 0) })
 						case 1:
 							stm.AtomicVoid(th, func(tx stm.Tx) { tree.Delete(tx, key) })
 						default:

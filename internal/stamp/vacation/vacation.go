@@ -98,7 +98,7 @@ func (a *App) Setup(e stm.STM) error {
 				tx.WriteField(r, rsTotal, total)
 				tx.WriteField(r, rsAvail, total)
 				tx.WriteField(r, rsPrice, stm.Word(100+rng.Intn(400)))
-				a.tables[t].Insert(tx, stm.Word(id), stm.Word(r))
+				a.tables[t].Insert(tx, stm.Word(id), stm.Word(r), 0)
 			})
 		}
 	}
@@ -107,7 +107,7 @@ func (a *App) Setup(e stm.STM) error {
 		c := c
 		stm.AtomicVoid(th, func(tx stm.Tx) {
 			cu := tx.NewObject(cuSlot0 + maxResPerCustomer)
-			a.customers.Insert(tx, stm.Word(c), stm.Word(cu))
+			a.customers.Insert(tx, stm.Word(c), stm.Word(cu), 0)
 		})
 	}
 	return nil
