@@ -19,7 +19,7 @@ RACE_PKGS := $(ENGINE_PKGS) ./internal/mem ./internal/cm ./internal/txkv ./inter
 
 SMOKE_DIR ?= /tmp/swisstm-smoke
 
-.PHONY: build test bench-once race cross loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet benchmark benchmark-trace benchmark-ab hotpath ci
+.PHONY: build test bench-once race cross loc smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid fmt vet benchmark benchmark-trace benchmark-ab hotpath mutants ci
 
 build:
 	$(GO) build ./...
@@ -130,13 +130,20 @@ benchmark-ab:
 # hotpath compares the word engines' hot paths with REV's, from the
 # compiler's -S output (scripts/hotpath.sh): for SwissTM's, TL2's and
 # TinySTM's begin, beginRO, load, loadRO, store, commit, validate, extend
-# and releaseWLocks, the multiset of CALL targets (bounds-check panics
-# included) and the count of LOCK-prefixed and memory-operand XCHG
-# instructions, parent beside change. Exits non-zero on any difference.
+# and the abort paths' releaseWLocks, releaseOwned and releaseLocks, the
+# multiset of CALL targets (bounds-check panics included) and the count of
+# LOCK-prefixed and memory-operand XCHG instructions, parent beside change. Exits non-zero on any difference.
 # Not part of ci: it needs a REV.
 #   make hotpath REV=HEAD~1
 hotpath:
 	GO=$(GO) scripts/hotpath.sh $(REV)
+
+# mutants runs the catalogue in scripts/mutants.json (scripts/mutants.sh):
+# each mutant patch must make its named test fail, each widening patch
+# must leave its test passing, each in a copy of the tree outside it
+# (~15 s on 2 vCPUs).
+mutants:
+	GO=$(GO) scripts/mutants.sh
 
 # smoke regenerates every figure at quick scale, persists the records,
 # and fails if any result file is empty or any workload check failed.
@@ -263,4 +270,4 @@ smoke-examples:
 	@echo "smoke-examples OK: all examples ran and self-checked"
 
 ci: GRID_OPS = 150
-ci: fmt vet build cross test bench-once race smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid
+ci: fmt vet build cross test bench-once race mutants smoke smoke-txkv smoke-server smoke-obs smoke-examples smoke-recover smoke-chaos smoke-coalesce grid

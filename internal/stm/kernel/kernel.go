@@ -115,8 +115,10 @@ func (t *Thread) AbortedUser() {
 	t.Succ = 0
 }
 
-// MaxTableBits bounds WordConfig.TableBits: SwissTM's and TinySTM's lock
-// words carry a redo-log index in their low 24 bits (DESIGN.md §7.5).
+// MaxTableBits bounds WordConfig.TableBits: an owned lock word of SwissTM
+// (its 32-bit w-lock) or TinySTM (its 64-bit versioned lock, above the lock
+// bit) carries a redo-log index in 24 bits, under the owner's tag
+// (DESIGN.md §7.5).
 const MaxTableBits = 24
 
 // WordConfig is the configuration the three word engines share; TL2's and
@@ -276,9 +278,10 @@ type Entry struct {
 	base stm.Addr // first word of the primary stripe
 	mask uint64   // bit i set ⇒ vals[i] holds the new value of base+i
 	vals []stm.Word
-	// Saved is the engine's scratch while it commits the entry: SwissTM
-	// keeps the r-lock value it replaced here, to restore on a failed
-	// validation.
+	// Saved is the lock word the engine replaced to lock the stripe, to
+	// restore if the attempt aborts: SwissTM's r-lock, which its commit
+	// replaces by rLocked, and TinySTM's versioned lock word, which its
+	// store replaces by the owned word.
 	Saved uint64
 	// overflow holds writes to aliased stripes: distinct memory regions
 	// that map to the same lock-table entry (the table is a hash of the
@@ -347,8 +350,8 @@ type ReadSet struct {
 	Seen util.StripeSet
 }
 
-// Read is a read-log entry: a stripe and its version word as sampled —
-// SwissTM's r-lock (version<<1), TinySTM's version.
+// Read is a read-log entry: a stripe and its version as sampled —
+// SwissTM's r-lock word (version<<1), the version in TinySTM's lock word.
 type Read struct {
 	Idx uint32
 	Ver uint64

@@ -154,11 +154,16 @@ func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
 				if re.Ver > d.validTS {
 					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.Idx, re.Ver, d.validTS)
 				}
-				// Owner before version, as validate reads them.
-				if w := d.e.owners[re.Idx].Load(); w != 0 && w&^wIdxMask != d.tag {
+				// The lock word, as validate reads it; a foreign lock says
+				// nothing about the version.
+				w := d.e.locks[re.Idx].Load()
+				if w&^idxBits == d.own {
+					w = d.log.At(uint32(w>>1) & wIdxMask).Saved
+				}
+				if w&1 != 0 {
 					continue
 				}
-				if cur := d.e.vers[re.Idx].Load(); cur <= d.validTS && cur != re.Ver {
+				if cur := w >> 1; cur <= d.validTS && cur != re.Ver {
 					return fmt.Errorf("(II) stripe %d logged at version %d now reads %d, both within validTS %d", re.Idx, re.Ver, cur, d.validTS)
 				}
 			}

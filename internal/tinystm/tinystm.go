@@ -6,8 +6,9 @@
 //
 // TinySTM detects *both* conflict kinds eagerly:
 //
-//   - Writes acquire a per-stripe lock at encounter time (like SwissTM),
-//     buffering new values in a redo log.
+//   - Writes acquire a stripe's lock at encounter time (like SwissTM),
+//     buffering new values in a redo log. As in the original, the lock is
+//     one word per stripe: the version when free, the owner when locked.
 //   - A read of a stripe locked by another transaction aborts the reader
 //     immediately — the behaviour the paper's §1 (point 2) identifies as
 //     harmful for mixed workloads, and which Figure 8 demonstrates: one
@@ -30,26 +31,24 @@ import (
 // Config parameterizes a TinySTM engine.
 type Config = kernel.WordConfig
 
-// A stripe's owner word is 0 when free, otherwise ownerTag<<24 | write-log
-// index, where ownerTag is the owner's thread id + 1 — the encoding of
-// SwissTM's w-lock word, with the same two bounds (DESIGN.md §7).
+// A stripe's lock word is version<<1 when free. When owned it is
+// (ownerTag<<24 | write-log index)<<1 | 1, where ownerTag is the owner's
+// thread id + 1 — SwissTM's w-lock encoding with the same two bounds
+// (DESIGN.md §7.5), shifted over the lock bit.
 const (
 	wTagShift = kernel.MaxTableBits
 	wIdxMask  = uint32(1)<<wTagShift - 1
+	idxBits   = uint64(wIdxMask) << 1 // the write-log index in an owned word
 	_         = uint8(stm.MaxThreads + 1)
 )
 
-// Engine is a TinySTM instance. Each stripe has a version counter and an
-// owner word; a non-zero owner is the encounter-time write lock. The
-// global clock — the hottest write-shared word — is padded onto its own
-// cache line so committers bumping it do not invalidate the line holding
-// the read-mostly mapping state in every other core's cache.
+// Engine is a TinySTM instance: a lock word per stripe (above) and the
+// global clock, padded onto its own cache line so committers bumping it do
+// not invalidate the read-mostly mapping state every other core caches.
 type Engine struct {
 	cfg Config
 	kernel.Heap
-	// vers and owners are mem.NewTables: valid while the engine is reachable.
-	vers   []atomic.Uint64
-	owners []atomic.Uint32
+	locks []atomic.Uint64 // a mem.NewTable: valid while the engine is reachable
 
 	_     mem.CacheLinePad
 	clock mem.PaddedUint64
@@ -59,8 +58,7 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	h := kernel.NewHeap("tinystm", &cfg)
 	e := &Engine{cfg: cfg, Heap: h}
-	e.vers = mem.NewTable[atomic.Uint64](e, h.Entries())
-	e.owners = mem.NewTable[atomic.Uint32](e, h.Entries())
+	e.locks = mem.NewTable[atomic.Uint64](e, h.Entries())
 	return e
 }
 
@@ -70,24 +68,24 @@ func (e *Engine) Name() string { return "TinySTM" }
 // txn is a TinySTM transaction descriptor, one per thread.
 type txn struct {
 	e       *Engine
-	tag     uint32 // (id+1)<<24: the owner bits of every owner word this thread installs
+	own     uint64 // (id+1)<<24<<1 | 1: every lock word this thread installs, less its index
 	validTS uint64
 	rs      kernel.ReadSet
-	log     kernel.RedoLog // a stripe's owner word names its entry here
+	log     kernel.RedoLog // an owned lock word names its entry here
 	roV     roTx           // pre-allocated read-only view returned by BeginRO
 	kernel.Thread
 }
 
 // NewThread implements stm.STM. The id is the thread's identity in the
-// lock table (owner words carry it); see stm.STM.NewThread.
+// lock table (owned lock words carry it); see stm.STM.NewThread.
 func (e *Engine) NewThread(id int) stm.Thread {
 	t := &txn{
 		Thread: kernel.NewThread("tinystm", id, uint64(id)*0xabcd1234+3, e.cfg.Obs),
 		e:      e,
-		tag:    uint32(id+1) << wTagShift,
+		own:    uint64(id+1)<<wTagShift<<1 | 1,
 		log:    kernel.NewRedoLog(e.Width),
 	}
-	t.rs = kernel.NewReadSet(t, len(e.vers))
+	t.rs = kernel.NewReadSet(t, len(e.locks))
 	t.roV.t = t
 	return t
 }
@@ -148,13 +146,6 @@ func (t *txn) abort() {
 	t.Aborted(len(t.rs.Log))
 }
 
-// commitAbort delivers a commit-time abort as a checked return.
-func (t *txn) commitAbort() bool {
-	t.abort()
-	t.Stat.AbortsReturned++
-	return false
-}
-
 // Restart implements stm.Tx: a user-requested retry always unwinds.
 func (t *txn) Restart() {
 	t.abort()
@@ -162,10 +153,12 @@ func (t *txn) Restart() {
 	panic(stm.SignalRestart)
 }
 
+// releaseOwned hands every owned stripe back at the word it replaced: no
+// data word was written (redo log), so the old version still describes it.
 func (t *txn) releaseOwned() {
 	wlog := t.log.Entries()
 	for i := range wlog {
-		t.e.owners[wlog[i].Idx].Store(0)
+		t.e.locks[wlog[i].Idx].Store(wlog[i].Saved)
 	}
 	t.log.Reset()
 }
@@ -182,21 +175,20 @@ func (t *txn) Load(a stm.Addr) stm.Word {
 }
 
 // load implements the TinySTM read protocol: encounter-time lock check
-// (abort if locked by another), consistent version/value sample, timestamp
-// extension when the version is newer than the snapshot. ok=false means
-// the transaction aborted.
+// (abort if locked by another), a consistent word/value/word sample,
+// timestamp extension when the version is newer than the snapshot.
+// ok=false means the transaction aborted.
 func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 	// Local slice header + length mask: provably in-bounds (no check),
 	// one engine dereference.
-	vers := t.e.vers
-	i := int(a>>t.e.Shift) & (len(vers) - 1)
-	idx := uint32(i)
-	own := &t.e.owners[i]
-	ver := &vers[i]
+	locks := t.e.locks
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
+	l := &locks[i]
 	for {
-		if w := own.Load(); w != 0 {
-			if w&^wIdxMask == t.tag {
-				if v, ok := t.log.At(w & wIdxMask).Get(a); ok {
+		w := l.Load()
+		if w&1 != 0 {
+			if w&^idxBits == t.own {
+				if v, ok := t.log.At(uint32(w>>1) & wIdxMask).Get(a); ok {
 					return v, true
 				}
 				return t.e.Words[a].Load(), true
@@ -207,81 +199,74 @@ func (t *txn) load(a stm.Addr) (stm.Word, bool) {
 			t.abort()
 			return 0, false
 		}
-		v1 := ver.Load()
 		val := t.e.Words[a].Load()
-		v2 := ver.Load()
-		if v1 != v2 || own.Load() != 0 {
+		if l.Load() != w {
 			// A committer moved under us; resample.
 			runtime.Gosched()
 			continue
 		}
-		// Read-set dedup: log each stripe once. A re-read needs no look at
-		// the logged entry: every logged version is ≤ validTS, and a
-		// logged stripe found unowned at a version ≤ validTS has not
-		// changed since it was logged (DESIGN.md §7.1). So v1 within the
-		// snapshot is the logged version; v1 beyond it means the logged
-		// entry can never validate again, so abort now rather than at the
-		// next extension (the outcome the duplicate entry would force
-		// anyway; see dedup_test.go).
-		if t.rs.TestAndSet(idx) {
-			if v1 <= t.validTS {
-				t.Stat.ReadsDeduped++
-				return val, true
-			}
-		} else {
-			t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
-			if v1 <= t.validTS || t.extend() {
-				return val, true
-			}
+		if ver := w >> 1; ver <= t.validTS {
+			t.logRead(uint32(i), ver)
+			return val, true
 		}
-		t.Stat.AbortsValid++
-		t.Stat.AbortsValidRead++
-		t.abort()
-		return 0, false
+		return t.readNewer(uint32(i), w>>1, val)
 	}
 }
 
-// loadRO is the declared-read-only read protocol: the consistent
-// version/value sample plus dedup/extension of load, minus the own-lock
-// branch — a read-only transaction owns no encounter-time lock, so any
-// non-zero owner is foreign and aborts us at once. ok=false means the
-// transaction aborted.
+// loadRO is the declared-read-only read protocol: load minus the own-lock
+// branch — a read-only transaction owns no encounter-time lock, so any odd
+// word is foreign and aborts us at once. ok=false means the transaction
+// aborted.
 func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
-	vers := t.e.vers
-	i := int(a>>t.e.Shift) & (len(vers) - 1)
-	idx := uint32(i)
-	own := &t.e.owners[i]
-	ver := &vers[i]
+	locks := t.e.locks
+	i := int(a>>t.e.Shift) & (len(locks) - 1)
+	l := &locks[i]
 	for {
-		if own.Load() != 0 {
+		w := l.Load()
+		if w&1 != 0 {
 			t.Stat.AbortsLocked++
 			t.abort()
 			return 0, false
 		}
-		v1 := ver.Load()
 		val := t.e.Words[a].Load()
-		v2 := ver.Load()
-		if v1 != v2 || own.Load() != 0 {
+		if l.Load() != w {
 			runtime.Gosched()
 			continue
 		}
-		// Same read-set dedup discipline as load (DESIGN.md §7.1).
-		if t.rs.TestAndSet(idx) {
-			if v1 <= t.validTS {
-				t.Stat.ReadsDeduped++
-				return val, true
-			}
-		} else {
-			t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
-			if v1 <= t.validTS || t.extend() {
-				return val, true
-			}
+		if ver := w >> 1; ver <= t.validTS {
+			t.logRead(uint32(i), ver)
+			return val, true
 		}
-		t.Stat.AbortsValid++
-		t.Stat.AbortsValidRead++
-		t.abort()
-		return 0, false
+		return t.readNewer(uint32(i), w>>1, val)
 	}
+}
+
+// logRead logs a read of stripe idx at version ver ≤ validTS, once per
+// stripe (read-set dedup). A re-read needs no look at the logged entry:
+// every logged version is ≤ validTS, and a logged stripe found free at a
+// version ≤ validTS has not changed since it was logged (DESIGN.md §7.1).
+func (t *txn) logRead(idx uint32, ver uint64) {
+	if t.rs.TestAndSet(idx) {
+		t.Stat.ReadsDeduped++
+	} else {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
+	}
+}
+
+// readNewer admits val, read from stripe idx at version ver > validTS: a
+// first read extends the snapshot; a logged stripe that far on can never
+// validate again, so it aborts now rather than at the next extension.
+func (t *txn) readNewer(idx uint32, ver uint64, val stm.Word) (stm.Word, bool) {
+	if !t.rs.TestAndSet(idx) {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
+		if t.extend() {
+			return val, true
+		}
+	}
+	t.Stat.AbortsValid++
+	t.Stat.AbortsValidRead++
+	t.abort()
+	return 0, false
 }
 
 // Store implements stm.Tx; an eager write conflict interrupts the user
@@ -296,26 +281,31 @@ func (t *txn) Store(a stm.Addr, v stm.Word) {
 // ok=false means the transaction aborted.
 func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	idx := t.e.Stripe(a)
-	own := &t.e.owners[idx]
+	l := &t.e.locks[idx]
+	var w uint64
 	for {
-		w := own.Load()
-		if w&^wIdxMask == t.tag {
-			t.log.At(w&wIdxMask).Set(a, v)
+		w = l.Load()
+		if w&^idxBits == t.own {
+			t.log.At(uint32(w>>1)&wIdxMask).Set(a, v)
 			return true
 		}
-		if w != 0 {
+		if w&1 != 0 {
 			// Write/write conflict: timid — abort self.
 			t.Stat.AbortsWW++
 			t.abort()
 			return false
 		}
-		t.log.Next(idx, t.e.StripeBase(a)).Set(a, v)
-		if own.CompareAndSwap(0, t.tag|uint32(t.log.Len())) {
+		we := t.log.Next(idx, t.e.StripeBase(a))
+		we.Set(a, v)
+		we.Saved = w
+		if l.CompareAndSwap(w, t.own|uint64(t.log.Len())<<1) {
 			t.log.Push() // the entry joins the write log only once the lock is ours
 			break
 		}
 	}
-	if ver := t.e.vers[idx].Load(); ver > t.validTS && !t.extend() {
+	// The opacity guard, on the version the CAS replaced: the stripe's
+	// words are ours to read from memory now, so the snapshot must cover it.
+	if w>>1 > t.validTS && !t.extend() {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
@@ -324,16 +314,15 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	return true
 }
 
-// commitRO commits a declared read-only transaction: reads were
-// validated (and extended) incrementally and no lock is held, so there is
-// nothing left to check — the write side of commit (clock bump, redo
-// write-back, lock release) is skipped wholesale.
+// commitRO commits a declared read-only transaction: its reads were
+// validated as they were made and it holds no lock, so it only counts.
 func (t *txn) commitRO() bool {
 	t.CommittedRO(len(t.rs.Log))
 	return true
 }
 
-// commit writes back the redo log under the encounter-time locks. It
+// commit writes back the redo log under the encounter-time locks, then
+// publishes each stripe's new version and releases it in one store. It
 // reports false when the transaction aborted; commit-time validation
 // failures take the checked return path and never unwind.
 func (t *txn) commit() bool {
@@ -345,36 +334,34 @@ func (t *txn) commit() bool {
 	if ts > t.validTS+1 && !t.validate() {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidCommit++
-		return t.commitAbort()
+		t.Stat.AbortsReturned++ // a checked return, not an unwind
+		t.abort()
+		return false
 	}
 	wlog := t.log.Entries()
 	for i := range wlog {
 		we := &wlog[i]
 		we.WriteBack(t.e.Words)
-		t.e.vers[we.Idx].Store(ts)
-		t.e.owners[we.Idx].Store(0)
+		t.e.locks[we.Idx].Store(ts << 1)
 	}
 	t.log.Reset() // ownership transferred; nothing to release
 	t.Committed(len(t.rs.Log), len(wlog))
 	return true
 }
 
-// validate checks that every logged stripe is still at its logged
-// version and not locked by another transaction. The owner is read
-// BEFORE the version: commit publishes a stripe's new version and then
-// clears its owner, so the other order lets a committer overtake the two
-// loads — old version, then free owner — and a stale entry validates;
-// through extend that loses an update. Owner-then-version cannot miss
-// it: a free owner means no write-back was in progress at that instant,
-// and any commit since has moved the version.
+// validate checks that every logged stripe is still free at its logged
+// version: one load of its lock word, which no commit leaves at the old
+// version. A stripe this transaction owns is judged by the word its lock
+// replaced.
 func (t *txn) validate() bool {
 	t.Stat.Validations++
 	t.Stat.ValidationReads += uint64(len(t.rs.Log))
 	for _, re := range t.rs.Log {
-		if w := t.e.owners[re.Idx].Load(); w != 0 && w&^wIdxMask != t.tag {
-			return false
+		w := t.e.locks[re.Idx].Load()
+		if w&^idxBits == t.own {
+			w = t.log.At(uint32(w>>1) & wIdxMask).Saved
 		}
-		if t.e.vers[re.Idx].Load() != re.Ver {
+		if w != re.Ver<<1 {
 			return false
 		}
 	}

@@ -1,7 +1,11 @@
 package tinystm
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"swisstm/internal/stm"
 	"swisstm/internal/stm/stmtest"
@@ -33,15 +37,94 @@ func TestEagerAcquireLocksAtEncounter(t *testing.T) {
 	th := e.NewThread(0)
 	var base stm.Addr
 	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(1) })
+	l := &e.locks[e.Stripe(base)]
+	before := l.Load()
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		tx.Store(base, 5)
-		if e.owners[e.Stripe(base)].Load() == 0 {
+		if l.Load()&1 == 0 {
 			t.Fatal("eager engine did not lock the stripe at encounter time")
 		}
 	})
-	// And releases it at commit.
-	if e.owners[e.Stripe(base)].Load() != 0 {
-		t.Fatal("stripe lock leaked past commit")
+	// And releases it at commit, publishing a newer version.
+	if w := l.Load(); w&1 != 0 || w <= before {
+		t.Fatalf("lock word after commit = %#x, want free and newer than %#x", w, before)
+	}
+}
+
+// TestAbortRestoresWord: an attempt that locked a stripe and ended without
+// committing — its body returned an error, or a foreign panic unwound it —
+// hands the stripe back with the lock word it replaced, bit for bit.
+func TestAbortRestoresWord(t *testing.T) {
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
+	th := e.NewThread(0)
+	a := e.Arena().Alloc(1)
+	stm.AtomicVoid(th, func(tx stm.Tx) { tx.Store(a, 1) }) // a version above 0
+	l := &e.locks[e.Stripe(a)]
+	before := l.Load()
+	check := func(how string) {
+		t.Helper()
+		if w := l.Load(); w != before {
+			t.Errorf("%s: lock word = %#x, want %#x as before the store", how, w, before)
+		}
+		if v := e.Arena().Load(a); v != 1 {
+			t.Errorf("%s: word = %d, want 1", how, v)
+		}
+	}
+	stop := errors.New("stop")
+	if _, err := stm.AtomicErr(th, func(tx stm.Tx) (int, error) {
+		tx.Store(a, 2)
+		return 0, stop
+	}); err != stop {
+		t.Fatalf("AtomicErr = %v, want %v", err, stop)
+	}
+	check("AbortUser")
+	func() {
+		defer func() {
+			if r := recover(); r != "foreign" {
+				t.Fatalf("recovered %v, want the foreign panic", r)
+			}
+		}()
+		stm.AtomicVoid(th, func(tx stm.Tx) {
+			tx.Store(a, 3)
+			panic("foreign")
+		})
+	}()
+	check("Unwind")
+}
+
+// TestStoreGuard: the opacity guard of a store extends the snapshot only
+// when the stripe it locks has moved past it, judged by the version its
+// CAS replaced; an extension over a moved read is an abort.
+func TestStoreGuard(t *testing.T) {
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
+	th0, th1 := e.NewThread(0), e.NewThread(1)
+	x, y := e.Arena().Alloc(64), e.Arena().Alloc(64) // different stripes
+	bump := func(a stm.Addr) { stm.AtomicVoid(th1, func(tx stm.Tx) { tx.Store(a, tx.Load(a)+1) }) }
+	run := func(body func(tx stm.Tx)) (attempts int, s stm.Stats) {
+		before := th0.Stats()
+		stm.AtomicVoid(th0, func(tx stm.Tx) { attempts++; body(tx) })
+		after := th0.Stats()
+		return attempts, stm.Stats{Validations: after.Validations - before.Validations, AbortsValid: after.AbortsValid - before.AbortsValid}
+	}
+	// Unmoved: no extension.
+	if n, s := run(func(tx stm.Tx) { tx.Load(y); tx.Store(x, 1) }); n != 1 || s.Validations != 0 {
+		t.Errorf("store to an unmoved stripe: %d attempts, %d validations, want 1 and 0", n, s.Validations)
+	}
+	// Moved, reads intact: one extension, no abort.
+	if n, s := run(func(tx stm.Tx) { tx.Load(y); bump(x); tx.Store(x, 2) }); n != 1 || s.Validations != 1 {
+		t.Errorf("store to a moved stripe: %d attempts, %d validations, want 1 and 1", n, s.Validations)
+	}
+	// Moved, and it was read before: the extension fails.
+	first := true
+	if n, s := run(func(tx stm.Tx) {
+		tx.Load(x)
+		if first {
+			first = false
+			bump(x)
+		}
+		tx.Store(x, 3)
+	}); n != 2 || s.AbortsValid != 1 {
+		t.Errorf("store to a read stripe that moved: %d attempts, %d validation aborts, want 2 and 1", n, s.AbortsValid)
 	}
 }
 
@@ -56,7 +139,6 @@ func TestTimestampExtension(t *testing.T) {
 		a = tx.AllocWords(1)
 		b = tx.AllocWords(64) // separate stripe region
 	})
-	aborted := false
 	stm.AtomicVoid(th0, func(tx stm.Tx) {
 		_ = tx.Load(a)
 		// Another thread commits to an unrelated stripe, advancing the
@@ -66,9 +148,6 @@ func TestTimestampExtension(t *testing.T) {
 		// succeed since our read set (only a) is untouched.
 		_ = tx.Load(b + 32)
 	})
-	if aborted {
-		t.Fatal("extension should have succeeded")
-	}
 	if s := th0.Stats(); s.AbortsValid != 0 {
 		t.Fatalf("validation aborts = %d, want 0", s.AbortsValid)
 	}
@@ -77,3 +156,48 @@ func TestTimestampExtension(t *testing.T) {
 // TestTransferExtend: contended transfers whose snapshot is forced
 // forward mid-body must not lose an update.
 func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }
+
+// TestStripeReadWhole: a read-only transaction that reads the first and
+// the last word of a 64-word stripe, while a writer rewrites all 64, sees
+// both from one commit. Writing back a stripe this wide takes long enough
+// that a commit publishing the version before its write-back fails here
+// within a few hundred reads.
+func TestStripeReadWhole(t *testing.T) {
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8, StripeWords: 64})
+	base := e.StripeBase(e.Arena().Alloc(128) + 63) // a whole stripe
+	var writes atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		th := e.NewThread(1)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			stm.AtomicVoid(th, func(tx stm.Tx) {
+				v := tx.Load(base) + 1
+				for i := stm.Addr(0); i < 64; i++ {
+					tx.Store(base+i, v)
+				}
+			})
+			writes.Add(1)
+		}
+	}()
+	th := e.NewThread(0)
+	deadline := time.Now().Add(2 * time.Second)
+	reads := 0
+	for ; (reads < 5000 || writes.Load() < 5000) && time.Now().Before(deadline); reads++ {
+		v := stm.AtomicRO(th, func(tx stm.TxRO) [2]stm.Word { return [2]stm.Word{tx.Load(base), tx.Load(base + 63)} })
+		if v[0] != v[1] {
+			t.Errorf("read %d: first word %d, last word %d", reads, v[0], v[1])
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	t.Logf("%d read-only commits, %d writes", reads, writes.Load())
+}

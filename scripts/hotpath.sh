@@ -8,9 +8,10 @@
 # REV is exported with `git archive` into a `mktemp -d` outside the working
 # tree. On both sides internal/swisstm, internal/tl2 and internal/tinystm are
 # built with -gcflags=<pkg>=-S, and for each of begin, beginRO, load, loadRO,
-# store, commit, validate, extend and releaseWLocks that an engine defines
-# (every transaction runs a begin, so an atomic store added there is paid by
-# all of them), the script prints one row per CALL target (runtime
+# store, commit, validate, extend and the abort paths' releaseWLocks
+# (SwissTM), releaseOwned (TinySTM) and releaseLocks (TL2) that an engine
+# defines (every transaction runs a begin, so an atomic store added there is
+# paid by all of them), the script prints one row per CALL target (runtime
 # bounds-check panics included) with its count, and one "atomics" row: the
 # LOCK-prefixed instructions plus the XCHGs with a memory operand. On amd64 every sync/atomic store is such an
 # XCHG and every Add or CompareAndSwap a LOCK-prefixed instruction, so the
@@ -42,7 +43,7 @@ rows() {
 				awk -F'\t' -v eng="$eng" '
 					/^[^\t]/ && / STEXT / {
 						fn = $1; sub(/ .*/, "", fn); sub(/.*\(\*txn\)\./, "", fn)
-						hot = fn ~ /^(begin|beginRO|load|loadRO|store|commit|validate|extend|releaseWLocks)$/
+						hot = fn ~ /^(begin|beginRO|load|loadRO|store|commit|validate|extend|releaseWLocks|releaseOwned|releaseLocks)$/
 						if (hot) n[eng "|" fn "|atomics"] += 0
 						next
 					}
