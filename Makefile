@@ -127,12 +127,13 @@ CLAIM ?=
 benchmark-ab:
 	GO=$(GO) TRACE=$(TRACE) CLAIM=$(CLAIM) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
-# hotpath compares the word engines' hot paths with REV's, from the
-# compiler's -S output (scripts/hotpath.sh): for SwissTM's, TL2's and
-# TinySTM's begin, beginRO, load, loadRO, store, commit, validate, extend
-# and the abort paths' releaseWLocks, releaseOwned and releaseLocks, the
-# multiset of CALL targets (bounds-check panics included) and the count of
-# LOCK-prefixed and memory-operand XCHG instructions, parent beside change. Exits non-zero on any difference.
+# hotpath compares the word engines' code with REV's, from the compiler's
+# -S output (scripts/hotpath.sh): for every function SwissTM, TL2 and
+# TinySTM compile, the multiset of CALL targets (bounds-check panics
+# included) and the count of LOCK-prefixed and memory-operand XCHG
+# instructions, parent beside change, then each engine's total atomics and
+# total calls, which stay comparable when a body moves between functions.
+# Exits non-zero on any difference.
 # Not part of ci: it needs a REV.
 #   make hotpath REV=HEAD~1
 hotpath:

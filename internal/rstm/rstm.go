@@ -253,15 +253,12 @@ type txn struct {
 	// validation failure to the read phase or the commit phase
 	// (stm.Stats.AbortsValidRead vs AbortsValidCommit).
 	committing bool
-	roV        roTx // pre-allocated read-only view returned by BeginRO
 	kernel.Thread
 }
 
 // NewThread implements stm.STM.
 func (e *Engine) NewThread(id int) stm.Thread {
-	t := &txn{Thread: kernel.NewThread("rstm", id, uint64(id)*0x2545f491+11, e.cfg.Obs), e: e}
-	t.roV.t = t
-	return t
+	return &txn{Thread: kernel.NewThread("rstm", id, uint64(id)*0x2545f491+11, e.cfg.Obs), e: e}
 }
 
 // Begin implements stm.Thread.
@@ -279,7 +276,7 @@ func (t *txn) Begin(restart bool) stm.Tx {
 func (t *txn) BeginRO(restart bool) stm.TxRO {
 	t.RO = true
 	t.beginRO(restart)
-	return &t.roV
+	return (*roTx)(t)
 }
 
 // Commit implements stm.Thread: try to commit; a failure is delivered as
@@ -854,15 +851,16 @@ func (t *txn) Store(a stm.Addr, v stm.Word) { panic(stm.ErrWordAPI) }
 // AllocWords implements stm.Tx.
 func (t *txn) AllocWords(n uint32) stm.Addr { panic(stm.ErrWordAPI) }
 
-// roTx is the transaction view BeginRO returns: its read methods run the
-// openReadRO fast path with no mode branch, and it implements stm.TxRO and
-// nothing more (DESIGN.md §9.3); its Load panics ErrWordAPI like the
-// read-write view's.
-type roTx struct{ t *txn }
+// roTx is the transaction view BeginRO returns, the descriptor under a
+// second method set: its read methods run the openReadRO fast path with no
+// mode branch, and it implements stm.TxRO and no write method (DESIGN.md
+// §9.3); its Load panics ErrWordAPI like the read-write view's.
+type roTx txn
 
 // ReadField implements stm.TxRO.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
-	data, ok := r.t.openReadRO(r.t.e.object(h))
+	t := (*txn)(r)
+	data, ok := t.openReadRO(t.e.object(h))
 	if !ok {
 		panic(stm.SignalRollback)
 	}
@@ -870,7 +868,7 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 }
 
 // Restart implements stm.TxRO.
-func (r *roTx) Restart() { r.t.Restart() }
+func (r *roTx) Restart() { (*txn)(r).Restart() }
 
 // Load implements stm.TxRO; see txn.Load.
 func (r *roTx) Load(stm.Addr) stm.Word { panic(stm.ErrWordAPI) }

@@ -15,6 +15,12 @@
 // interface, no type parameter, no closure (DESIGN.md §9.2). Every method
 // an engine's read, write and validation paths call is small enough to
 // inline; Thread.Committed, one call per commit, is not.
+//
+// A descriptor is its engine's transaction handle: ReadField and WriteField
+// run the protocol, Load and Store delegate to them, and BeginRO returns
+// the descriptor as a defined type (type roTx txn) whose ReadField is the
+// read-only protocol. A read's fast path calls nothing (ReadSet.Push never
+// grows the log); what can call is the engine's out-of-line helpers.
 package kernel
 
 import (
@@ -351,7 +357,8 @@ type ReadSet struct {
 }
 
 // Read is a read-log entry: a stripe and its version as sampled —
-// SwissTM's r-lock word (version<<1), the version in TinySTM's lock word.
+// SwissTM's r-lock word (version<<1), the version in TinySTM's lock word,
+// TL2's whole lock word.
 type Read struct {
 	Idx uint32
 	Ver uint64
@@ -371,6 +378,17 @@ func NewReadSet[O any](owner *O, entries int) ReadSet {
 // package the caller does not import is not inlined there (go1.24), and
 // TinySTM imports no util.
 func (s *ReadSet) TestAndSet(idx uint32) bool { return s.Seen.TestAndSet(idx) }
+
+// Push appends a read of stripe idx at ver to the log if the log has room,
+// and reports whether it had. It never grows the log, so a read's fast
+// path makes no call; a full log is the caller's out-of-line append.
+func (s *ReadSet) Push(idx uint32, ver uint64) bool {
+	if len(s.Log) >= cap(s.Log) {
+		return false
+	}
+	s.Log = append(s.Log, Read{Idx: idx, Ver: ver}) // in place: the compiler drops the grow branch
+	return true
+}
 
 // Clear truncates the log and clears its stripes' bits in Seen. Engines
 // call it at the start of an attempt and nowhere else, so however the

@@ -77,3 +77,19 @@ func TestReadSetSmallTable(t *testing.T) {
 		t.Fatalf("a 4 096-entry read set: log len %d cap %d, %d bitmap words; want 0, 1 024, 64", len(rs.Log), cap(rs.Log), len(rs.Seen))
 	}
 }
+
+// TestReadSetPushNeverGrows: Push logs in place while the log has room and
+// refuses, leaving the log as it was, once it has none; the read paths
+// append to a full log out of line.
+func TestReadSetPushNeverGrows(t *testing.T) {
+	rs := NewReadSet(new(Thread), 4096)
+	base := &rs.Log[:1][0]
+	for i := range cap(rs.Log) {
+		if !rs.Push(uint32(i), uint64(i)<<1) {
+			t.Fatalf("Push %d refused with room for %d", i, cap(rs.Log))
+		}
+	}
+	if rs.Push(9999, 2) || len(rs.Log) != 1024 || &rs.Log[0] != base || rs.Log[1023] != (Read{Idx: 1023, Ver: 2046}) {
+		t.Fatalf("a full log: len %d, moved %v, last %v", len(rs.Log), &rs.Log[0] != base, rs.Log[len(rs.Log)-1])
+	}
+}

@@ -146,7 +146,13 @@ func (e *Engine) Name() string {
 // txn is a transaction descriptor. One descriptor per thread is reused
 // across that thread's transactions.
 type txn struct {
-	e       *Engine
+	e *Engine
+	// locks, words and shift are e.locks, e.Words and e.Shift, the three a
+	// read indexes, held here so a read reaches them in one hop; e keeps
+	// the engine, and so the mapped table, reachable.
+	locks   []lockEntry
+	words   []atomic.Uint64
+	shift   uint
 	tag     uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
 	validTS uint64
 	cmTS    atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
@@ -156,7 +162,6 @@ type txn struct {
 	// entry's position in the owner's log, which makes the lock table
 	// itself the write-set lookup structure (as in the C implementation).
 	log kernel.RedoLog
-	roV roTx // pre-allocated read-only view returned by BeginRO
 	kernel.Thread
 }
 
@@ -167,11 +172,13 @@ func (e *Engine) NewThread(id int) stm.Thread {
 	t := &txn{
 		Thread: kernel.NewThread("swisstm", id, uint64(id)*0x9e3779b9+1, e.cfg.Obs),
 		e:      e,
+		locks:  e.locks,
+		words:  e.Words,
+		shift:  e.Shift,
 		tag:    uint32(id+1) << wTagShift,
 		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.rs = kernel.NewReadSet(t, len(e.locks))
-	t.roV.t = t
 	t.cmTS.Store(infinity)
 	e.threads[id].Store(t)
 	return t
@@ -185,12 +192,12 @@ func (t *txn) Begin(restart bool) stm.Tx {
 }
 
 // BeginRO implements stm.Thread: a declared read-only attempt gets the
-// pre-allocated roTx view, whose method set runs the read-only protocol
-// with no mode branches on the read-write fast path.
+// descriptor as its roTx view, whose method set runs the read-only
+// protocol with no mode branches on the read-write fast path.
 func (t *txn) BeginRO(bool) stm.TxRO {
 	t.RO = true
 	t.beginRO()
-	return &t.roV
+	return (*roTx)(t)
 }
 
 // Commit implements stm.Thread: try to commit the current attempt.
@@ -267,165 +274,147 @@ func (t *txn) beginRO() {
 
 func (t *txn) killed() bool { return t.status.Load() != 0 }
 
-// Load implements stm.Tx. A read that cannot proceed must interrupt the
-// user closure, so this thin wrapper converts load's checked abort into
-// the single unwinding panic (the pre-allocated signal).
-func (t *txn) Load(a stm.Addr) stm.Word {
-	v, ok := t.load(a)
-	if !ok {
-		panic(stm.SignalRollback)
-	}
-	return v
-}
+// Load implements stm.Tx.
+func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
 
-// load implements Algorithm 1's read-word. ok=false means the
-// transaction aborted (bookkeeping already done by abort()).
-func (t *txn) load(a stm.Addr) (stm.Word, bool) {
+// ReadField implements stm.Tx: Algorithm 1's read-word. A read that cannot
+// proceed must interrupt the user closure, so an abort unwinds with the
+// pre-allocated signal. The fast path makes no call: waiting out a
+// committing owner, a log that must grow, extension and abort are the
+// out-of-line readSlow and readNewer, which the read-only view shares.
+func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	if t.killed() {
 		t.Stat.AbortsKilled++
 		t.abort()
-		return 0, false
+		panic(stm.SignalRollback)
 	}
+	a := stm.Addr(h) + field
 	// Index the lock table through a local slice header masked by its own
-	// length: the compiler proves the access in bounds (no check) and the
-	// engine pointer is dereferenced once.
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	idx := uint32(i)
+	// length: the compiler proves the access in bounds (no check).
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
 	// The w-lock lookup exists only for read-after-write; a transaction
 	// that has written nothing cannot own any w-lock, so read-only
 	// transactions skip the shared-table probe entirely.
 	if t.log.Len() != 0 {
-		if w := t.e.locks[idx].w.Load(); w&^wIdxMask == t.tag {
-			// Read-after-write: return the value from our own write log
-			// (line 6). Unwritten words of an owned stripe are stable in
-			// memory because we hold the w-lock.
-			if v, ok := t.log.At(w & wIdxMask).Get(a); ok {
-				return v, true
-			}
-			return t.e.Words[a].Load(), true
+		if w := locks[i].w.Load(); w&^wIdxMask == t.tag {
+			return t.readOwn(a, w)
 		}
 	}
 	// Consistent double-read of r-lock around the data word (lines 8-15).
 	rl := &locks[i].r
-	var v1 uint64
+	if v := rl.Load(); v != rLocked {
+		val := t.words[a].Load()
+		if rl.Load() == v {
+			if v>>1 <= t.validTS {
+				if t.rs.TestAndSet(uint32(i)) {
+					t.Stat.ReadsDeduped++
+					return val
+				}
+				if t.rs.Push(uint32(i), v) {
+					return val
+				}
+			}
+			return t.readNewer(uint32(i), v, val)
+		}
+	}
+	return t.readSlow(a)
+}
+
+// readOwn is read-after-write: the value from our own write log (line 6),
+// entry w names. Unwritten words of an owned stripe are stable in memory
+// because we hold the w-lock.
+func (t *txn) readOwn(a stm.Addr, w uint32) stm.Word {
+	if v, ok := t.log.At(w & wIdxMask).Get(a); ok {
+		return v
+	}
+	return t.words[a].Load()
+}
+
+// readSlow is the double read again, for a read whose first sample found
+// the stripe r-locked or moving: the owner is committing it and will
+// release momentarily, so wait. Only a read-write attempt checks for a
+// kill while it waits (no w-lock, no CM ever targets a read-only one).
+func (t *txn) readSlow(a stm.Addr) stm.Word {
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
+	rl := &locks[i].r
+	var v uint64
 	var val stm.Word
-	for spin := 0; ; spin++ {
-		v1 = rl.Load()
-		if v1 == rLocked {
-			// The owner is committing this stripe; it will release
-			// momentarily. Reading would be inconsistent, so wait.
+	for spin := 1; ; spin++ {
+		v = rl.Load()
+		if v == rLocked {
 			if spin&0x3f == 0x3f {
-				if t.killed() {
+				if !t.RO && t.killed() {
 					t.Stat.AbortsKilled++
 					t.abort()
-					return 0, false
+					panic(stm.SignalRollback)
 				}
 				runtime.Gosched()
 			}
 			continue
 		}
-		val = t.e.Words[a].Load()
-		if rl.Load() == v1 {
+		val = t.words[a].Load()
+		if rl.Load() == v {
 			break
 		}
 	}
-	// Read-set dedup: a stripe already in the read log needs no second
-	// entry, so validate()/extend() scale with *distinct* stripes, not
-	// total reads. Whether the re-read agrees with the logged entry needs
-	// no look at that entry: every logged version is ≤ validTS, and a
-	// logged stripe whose unlocked version is ≤ validTS has not changed
-	// since it was logged (DESIGN.md §7.1). So v1 within the snapshot is
-	// the logged value; v1 beyond it means the first read is stale, every
-	// future extension would fail on its entry, and the only difference
-	// from logging a duplicate is that we abort now instead of at the next
-	// validation (dedup_test.go).
-	if t.rs.TestAndSet(idx) {
-		if v1>>1 <= t.validTS {
-			t.Stat.ReadsDeduped++
-			return val, true
-		}
-	} else {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
-		if v1>>1 <= t.validTS || t.extend() {
-			return val, true
+	if v>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
+		t.Stat.ReadsDeduped++
+		return val
+	}
+	return t.readNewer(uint32(i), v, val)
+}
+
+// readNewer admits val, read from stripe idx at r-lock word v, where the
+// fast path could not. Within the snapshot it is a first read (the caller
+// set the stripe's bit), logged by an append that may grow the log.
+// Beyond it, read-set dedup decides (DESIGN.md §7.1). A stripe already
+// logged needs no look at its entry: every logged version is ≤ validTS,
+// and a logged stripe whose unlocked version is ≤ validTS has not changed
+// since it was logged. So a logged stripe read beyond the snapshot means
+// the first read is stale, every future extension would fail on its
+// entry, and the only difference from logging a duplicate is that we
+// abort now instead of at the next validation (dedup_test.go). A first
+// read beyond it extends the snapshot.
+func (t *txn) readNewer(idx uint32, v uint64, val stm.Word) stm.Word {
+	if v>>1 <= t.validTS {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v})
+		return val
+	}
+	if !t.rs.TestAndSet(idx) {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v})
+		if t.extend() {
+			return val
 		}
 	}
 	t.Stat.AbortsValid++
 	t.Stat.AbortsValidRead++
 	t.abort()
-	return 0, false
+	panic(stm.SignalRollback)
 }
 
-// loadRO is the declared-read-only read protocol: the consistent
-// double-read plus dedup/extension of load, minus the write-log probe (a
-// read-only transaction owns no w-lock) and minus the kill checks (no
-// w-lock means no CM ever targets us). ok=false means the transaction
-// aborted.
-func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	idx := uint32(i)
-	rl := &locks[i].r
-	var v1 uint64
-	var val stm.Word
-	for spin := 0; ; spin++ {
-		v1 = rl.Load()
-		if v1 == rLocked {
-			if spin&0x3f == 0x3f {
-				runtime.Gosched()
-			}
-			continue
-		}
-		val = t.e.Words[a].Load()
-		if rl.Load() == v1 {
-			break
-		}
-	}
-	// Same read-set dedup discipline as load (DESIGN.md §7.1).
-	if t.rs.TestAndSet(idx) {
-		if v1>>1 <= t.validTS {
-			t.Stat.ReadsDeduped++
-			return val, true
-		}
-	} else {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v1})
-		if v1>>1 <= t.validTS || t.extend() {
-			return val, true
-		}
-	}
-	t.Stat.AbortsValid++
-	t.Stat.AbortsValidRead++
-	t.abort()
-	return 0, false
-}
+// Store implements stm.Tx.
+func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
 
-// Store implements stm.Tx; like Load it converts store's checked abort
-// into the unwinding signal, since an eager write conflict interrupts
-// the user closure.
-func (t *txn) Store(a stm.Addr, v stm.Word) {
-	if !t.store(a, v) {
-		panic(stm.SignalRollback)
-	}
-}
-
-// store implements Algorithm 1's write-word: eager w-lock acquisition
-// (write/write conflicts surface immediately), redo-log buffering
-// (read/write conflicts stay invisible until commit). ok=false means the
-// transaction aborted.
-func (t *txn) store(a stm.Addr, v stm.Word) bool {
+// WriteField implements stm.Tx: Algorithm 1's write-word, eager w-lock
+// acquisition (write/write conflicts surface immediately) and redo-log
+// buffering (read/write conflicts stay invisible until commit). An eager
+// write conflict interrupts the user closure with the unwinding signal.
+func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	if t.killed() {
 		t.Stat.AbortsKilled++
 		t.abort()
-		return false
+		panic(stm.SignalRollback)
 	}
+	a := stm.Addr(h) + field
 	idx := t.e.Stripe(a)
-	wl := &t.e.locks[idx].w
+	wl := &t.locks[idx].w
 	for spin := 0; ; spin++ {
 		w := wl.Load()
 		if w&^wIdxMask == t.tag {
 			t.log.At(w&wIdxMask).Set(a, v)
-			return true
+			return
 		}
 		if w != 0 {
 			// Write/write conflict: ask the contention manager
@@ -433,13 +422,13 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 			if t.cmShouldAbort(w) {
 				t.Stat.AbortsWW++
 				t.abort()
-				return false
+				panic(stm.SignalRollback)
 			}
 			// CM said wait for the owner to finish.
 			if t.killed() {
 				t.Stat.AbortsKilled++
 				t.abort()
-				return false
+				panic(stm.SignalRollback)
 			}
 			if spin&0x3f == 0x3f {
 				runtime.Gosched()
@@ -454,14 +443,13 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 	}
 	// Opacity guard (lines 31-32): if the stripe moved past our snapshot
 	// we must revalidate before continuing.
-	if rv := t.e.locks[idx].r.Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
+	if rv := t.locks[idx].r.Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
-		return false
+		panic(stm.SignalRollback)
 	}
 	t.cmOnWrite()
-	return true
 }
 
 // commit implements Algorithm 1's commit. It reports false when the
@@ -623,44 +611,52 @@ func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
 
 // Object API: an object is a contiguous block of words (DESIGN.md §3.1).
 
-// ReadField implements stm.Tx.
-func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
-	return t.Load(stm.Addr(h) + field)
-}
-
-// WriteField implements stm.Tx.
-func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
-	t.Store(stm.Addr(h)+field, v)
-}
-
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
 
 // NewObjects implements stm.Tx.
 func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewObjects(dst, f, vals) }
 
-// roTx is the transaction view BeginRO returns: its read methods run the
-// loadRO fast path (no write-log probe, no kill checks) with zero mode
-// branches on either path. It implements stm.TxRO and nothing more, so a
-// read-only body cannot reach a write method even by type assertion.
-type roTx struct{ t *txn }
+// roTx is the transaction view BeginRO returns, the descriptor under a
+// second method set: its read runs the read-only protocol (no write-log
+// probe, no kill checks) with zero mode branches on either path. It
+// implements stm.TxRO and no write method, so a read-only body cannot reach a
+// write method even by type assertion.
+type roTx txn
 
 // Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word {
-	v, ok := r.t.loadRO(a)
-	if !ok {
-		panic(stm.SignalRollback)
-	}
-	return v
-}
+func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
-// ReadField implements stm.TxRO.
+// ReadField implements stm.TxRO: ReadField's double read, dedup and
+// extension, minus the write-log probe (a read-only transaction owns no
+// w-lock) and minus the kill checks (no w-lock means no CM ever targets
+// us).
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
-	return r.Load(stm.Addr(h) + field)
+	t := (*txn)(r)
+	a := stm.Addr(h) + field
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
+	rl := &locks[i].r
+	if v := rl.Load(); v != rLocked {
+		val := t.words[a].Load()
+		if rl.Load() == v {
+			if v>>1 <= t.validTS {
+				if t.rs.TestAndSet(uint32(i)) {
+					t.Stat.ReadsDeduped++
+					return val
+				}
+				if t.rs.Push(uint32(i), v) {
+					return val
+				}
+			}
+			return t.readNewer(uint32(i), v, val)
+		}
+	}
+	return t.readSlow(a)
 }
 
 // Restart implements stm.TxRO.
-func (r *roTx) Restart() { r.t.Restart() }
+func (r *roTx) Restart() { (*txn)(r).Restart() }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)

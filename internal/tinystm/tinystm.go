@@ -67,12 +67,17 @@ func (e *Engine) Name() string { return "TinySTM" }
 
 // txn is a TinySTM transaction descriptor, one per thread.
 type txn struct {
-	e       *Engine
+	e *Engine
+	// locks, words and shift are e.locks, e.Words and e.Shift, the three a
+	// read indexes, held here so a read reaches them in one hop; e keeps
+	// the engine, and so the mapped table, reachable.
+	locks   []atomic.Uint64
+	words   []atomic.Uint64
+	shift   uint
 	own     uint64 // (id+1)<<24<<1 | 1: every lock word this thread installs, less its index
 	validTS uint64
 	rs      kernel.ReadSet
 	log     kernel.RedoLog // an owned lock word names its entry here
-	roV     roTx           // pre-allocated read-only view returned by BeginRO
 	kernel.Thread
 }
 
@@ -82,11 +87,13 @@ func (e *Engine) NewThread(id int) stm.Thread {
 	t := &txn{
 		Thread: kernel.NewThread("tinystm", id, uint64(id)*0xabcd1234+3, e.cfg.Obs),
 		e:      e,
+		locks:  e.locks,
+		words:  e.Words,
+		shift:  e.Shift,
 		own:    uint64(id+1)<<wTagShift<<1 | 1,
 		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.rs = kernel.NewReadSet(t, len(e.locks))
-	t.roV.t = t
 	return t
 }
 
@@ -99,12 +106,13 @@ func (t *txn) Begin(bool) stm.Tx {
 
 // BeginRO implements stm.Thread. A declared read-only transaction skips
 // the write-set init entirely: the write log is invariantly empty between
-// transactions (commit and abort both truncate it; DESIGN.md §9.3).
+// transactions (commit and abort both truncate it; DESIGN.md §9.3). Its
+// view is the descriptor as a roTx.
 func (t *txn) BeginRO(bool) stm.TxRO {
 	t.RO = true
 	t.validTS = t.e.clock.Load()
 	t.rs.Clear()
-	return &t.roV
+	return (*roTx)(t)
 }
 
 // Commit implements stm.Thread.
@@ -163,137 +171,123 @@ func (t *txn) releaseOwned() {
 	t.log.Reset()
 }
 
-// Load implements stm.Tx: the thin wrapper that converts load's checked
-// abort into the single unwinding panic (a read conflict must interrupt
-// the user closure).
-func (t *txn) Load(a stm.Addr) stm.Word {
-	v, ok := t.load(a)
-	if !ok {
-		panic(stm.SignalRollback)
+// Load implements stm.Tx.
+func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
+
+// ReadField implements stm.Tx: the TinySTM read protocol, a consistent
+// word/value/word sample of a free stripe, then dedup or logging. A read
+// that cannot proceed interrupts the user closure with the unwinding
+// signal. The fast path makes no call: an owned or moving stripe, a log
+// that must grow, extension and abort are the out-of-line readSlow and
+// readNewer, which the read-only view shares.
+func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
+	a := stm.Addr(h) + field
+	// Local slice header + length mask: provably in-bounds (no check).
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
+	l := &locks[i]
+	w := l.Load()
+	if w&1 == 0 {
+		val := t.words[a].Load()
+		if l.Load() == w {
+			if ver := w >> 1; ver <= t.validTS {
+				if t.rs.TestAndSet(uint32(i)) {
+					t.Stat.ReadsDeduped++
+					return val
+				}
+				if t.rs.Push(uint32(i), ver) {
+					return val
+				}
+			}
+			return t.readNewer(uint32(i), w>>1, val)
+		}
 	}
-	return v
+	return t.readSlow(a, w)
 }
 
-// load implements the TinySTM read protocol: encounter-time lock check
-// (abort if locked by another), a consistent word/value/word sample,
-// timestamp extension when the version is newer than the snapshot.
-// ok=false means the transaction aborted.
-func (t *txn) load(a stm.Addr) (stm.Word, bool) {
-	// Local slice header + length mask: provably in-bounds (no check),
-	// one engine dereference.
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	l := &locks[i]
+// readSlow finishes a read whose first sample failed, w its first lock
+// word. An owned word is the reader's own lock (read-after-write: the
+// value from the write log, or memory, which the lock keeps stable) or a
+// foreign one, which aborts the reader at once (encounter-time locking,
+// timid CM); a read-only attempt owns nothing, so every owned word is
+// foreign to it. A free word means a committer moved the stripe between
+// the two samples: yield, then resample.
+func (t *txn) readSlow(a stm.Addr, w uint64) stm.Word {
+	i := int(a>>t.shift) & (len(t.locks) - 1)
+	l := &t.locks[i]
 	for {
-		w := l.Load()
 		if w&1 != 0 {
 			if w&^idxBits == t.own {
 				if v, ok := t.log.At(uint32(w>>1) & wIdxMask).Get(a); ok {
-					return v, true
+					return v
 				}
-				return t.e.Words[a].Load(), true
+				return t.words[a].Load()
 			}
-			// Encounter-time locking: a reader hitting a foreign lock
-			// aborts at once (timid CM).
 			t.Stat.AbortsLocked++
 			t.abort()
-			return 0, false
+			panic(stm.SignalRollback)
 		}
-		val := t.e.Words[a].Load()
-		if l.Load() != w {
-			// A committer moved under us; resample.
-			runtime.Gosched()
-			continue
+		runtime.Gosched()
+		if w = l.Load(); w&1 == 0 {
+			val := t.words[a].Load()
+			if l.Load() == w {
+				if w>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
+					t.Stat.ReadsDeduped++
+					return val
+				}
+				return t.readNewer(uint32(i), w>>1, val)
+			}
 		}
-		if ver := w >> 1; ver <= t.validTS {
-			t.logRead(uint32(i), ver)
-			return val, true
-		}
-		return t.readNewer(uint32(i), w>>1, val)
 	}
 }
 
-// loadRO is the declared-read-only read protocol: load minus the own-lock
-// branch — a read-only transaction owns no encounter-time lock, so any odd
-// word is foreign and aborts us at once. ok=false means the transaction
-// aborted.
-func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	l := &locks[i]
-	for {
-		w := l.Load()
-		if w&1 != 0 {
-			t.Stat.AbortsLocked++
-			t.abort()
-			return 0, false
-		}
-		val := t.e.Words[a].Load()
-		if l.Load() != w {
-			runtime.Gosched()
-			continue
-		}
-		if ver := w >> 1; ver <= t.validTS {
-			t.logRead(uint32(i), ver)
-			return val, true
-		}
-		return t.readNewer(uint32(i), w>>1, val)
-	}
-}
-
-// logRead logs a read of stripe idx at version ver ≤ validTS, once per
-// stripe (read-set dedup). A re-read needs no look at the logged entry:
-// every logged version is ≤ validTS, and a logged stripe found free at a
-// version ≤ validTS has not changed since it was logged (DESIGN.md §7.1).
-func (t *txn) logRead(idx uint32, ver uint64) {
-	if t.rs.TestAndSet(idx) {
-		t.Stat.ReadsDeduped++
-	} else {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
-	}
-}
-
-// readNewer admits val, read from stripe idx at version ver > validTS: a
-// first read extends the snapshot; a logged stripe that far on can never
+// readNewer admits val, read from stripe idx at version ver, where the
+// fast path could not. At a version ≤ validTS it is a first read (the
+// caller set the stripe's bit), logged by an append that may grow the log.
+// A re-read there needs no look at the logged entry: every logged version
+// is ≤ validTS, and a logged stripe found free at a version ≤ validTS has
+// not changed since it was logged (DESIGN.md §7.1). Past validTS, a first
+// read extends the snapshot; a logged stripe that far on can never
 // validate again, so it aborts now rather than at the next extension.
-func (t *txn) readNewer(idx uint32, ver uint64, val stm.Word) (stm.Word, bool) {
+func (t *txn) readNewer(idx uint32, ver uint64, val stm.Word) stm.Word {
+	if ver <= t.validTS {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
+		return val
+	}
 	if !t.rs.TestAndSet(idx) {
 		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
 		if t.extend() {
-			return val, true
+			return val
 		}
 	}
 	t.Stat.AbortsValid++
 	t.Stat.AbortsValidRead++
 	t.abort()
-	return 0, false
+	panic(stm.SignalRollback)
 }
 
-// Store implements stm.Tx; an eager write conflict interrupts the user
-// closure via the unwinding signal.
-func (t *txn) Store(a stm.Addr, v stm.Word) {
-	if !t.store(a, v) {
-		panic(stm.SignalRollback)
-	}
-}
+// Store implements stm.Tx.
+func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
 
-// store implements encounter-time lock acquisition with redo logging.
-// ok=false means the transaction aborted.
-func (t *txn) store(a stm.Addr, v stm.Word) bool {
+// WriteField implements stm.Tx: encounter-time lock acquisition with redo
+// logging. An eager write conflict interrupts the user closure via the
+// unwinding signal.
+func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
+	a := stm.Addr(h) + field
 	idx := t.e.Stripe(a)
-	l := &t.e.locks[idx]
+	l := &t.locks[idx]
 	var w uint64
 	for {
 		w = l.Load()
 		if w&^idxBits == t.own {
 			t.log.At(uint32(w>>1)&wIdxMask).Set(a, v)
-			return true
+			return
 		}
 		if w&1 != 0 {
 			// Write/write conflict: timid — abort self.
 			t.Stat.AbortsWW++
 			t.abort()
-			return false
+			panic(stm.SignalRollback)
 		}
 		we := t.log.Next(idx, t.e.StripeBase(a))
 		we.Set(a, v)
@@ -309,9 +303,8 @@ func (t *txn) store(a stm.Addr, v stm.Word) bool {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
-		return false
+		panic(stm.SignalRollback)
 	}
-	return true
 }
 
 // commitRO commits a declared read-only transaction: its reads were
@@ -380,43 +373,51 @@ func (t *txn) extend() bool {
 // AllocWords implements stm.Tx.
 func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
 
-// ReadField implements stm.Tx (object-over-words wrapper).
-func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
-	return t.Load(stm.Addr(h) + field)
-}
-
-// WriteField implements stm.Tx.
-func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
-	t.Store(stm.Addr(h)+field, v)
-}
-
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
 
 // NewObjects implements stm.Tx.
 func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewObjects(dst, f, vals) }
 
-// roTx is the transaction view BeginRO returns: its read method runs the
-// loadRO fast path with no mode branch, and it implements stm.TxRO and
-// nothing more (DESIGN.md §9.3).
-type roTx struct{ t *txn }
+// roTx is the transaction view BeginRO returns, the descriptor under a
+// second method set: its read runs the read-only protocol with no mode
+// branch, and it implements stm.TxRO and no write method (DESIGN.md §9.3).
+type roTx txn
 
 // Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word {
-	v, ok := r.t.loadRO(a)
-	if !ok {
-		panic(stm.SignalRollback)
-	}
-	return v
-}
+func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
-// ReadField implements stm.TxRO.
+// ReadField implements stm.TxRO with txn.ReadField's body: a read-only
+// transaction owns no encounter-time lock, so readSlow finds any owned word
+// foreign and aborts. The body is repeated, not called: the call is the
+// cost this method exists to save.
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
-	return r.Load(stm.Addr(h) + field)
+	t := (*txn)(r)
+	a := stm.Addr(h) + field
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
+	l := &locks[i]
+	w := l.Load()
+	if w&1 == 0 {
+		val := t.words[a].Load()
+		if l.Load() == w {
+			if ver := w >> 1; ver <= t.validTS {
+				if t.rs.TestAndSet(uint32(i)) {
+					t.Stat.ReadsDeduped++
+					return val
+				}
+				if t.rs.Push(uint32(i), ver) {
+					return val
+				}
+			}
+			return t.readNewer(uint32(i), w>>1, val)
+		}
+	}
+	return t.readSlow(a, w)
 }
 
 // Restart implements stm.TxRO.
-func (r *roTx) Restart() { r.t.Restart() }
+func (r *roTx) Restart() { (*txn)(r).Restart() }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)

@@ -71,16 +71,20 @@ type wsEntry struct {
 
 // txn is a TL2 transaction descriptor, one per thread.
 type txn struct {
-	e         *Engine
-	rv        uint64 // read version (clock snapshot at start)
-	readLog   []uint32
-	readVer   []uint64
+	e *Engine
+	// locks, words and shift are e.locks, e.Words and e.Shift, the three a
+	// read indexes, held here so a read reaches them in one hop; e keeps
+	// the engine, and so the mapped table, reachable.
+	locks     []atomic.Uint64
+	words     []atomic.Uint64
+	shift     uint
+	rv        uint64        // read version (clock snapshot at start)
+	readLog   []kernel.Read // stripe and lock word of each read
 	writes    []wsEntry
 	bloom     uint64 // write-set membership filter for read-after-write
 	lockSet   []uint32
 	lockBloom uint64      // stripe-membership filter over lockSet (commit only)
 	saved     []savedLock // pre-lock versions, for release on commit abort
-	roV       roTx        // pre-allocated read-only view returned by BeginRO
 	// Thread's Unwind is TL2's as it stands: TL2 holds no locks outside
 	// commit, so a foreign panic needs no cleanup before the caller
 	// propagates it.
@@ -92,13 +96,14 @@ func (e *Engine) NewThread(id int) stm.Thread {
 	t := &txn{
 		Thread:  kernel.NewThread("tl2", id, uint64(id)*0x51f15ee1+7, e.cfg.Obs),
 		e:       e,
-		readLog: make([]uint32, 0, 1024),
-		readVer: make([]uint64, 0, 1024),
+		locks:   e.locks,
+		words:   e.Words,
+		shift:   e.Shift,
+		readLog: make([]kernel.Read, 0, 1024),
 		writes:  make([]wsEntry, 0, 256),
 		lockSet: make([]uint32, 0, 256),
 		saved:   make([]savedLock, 0, 256),
 	}
-	t.roV.t = t
 	return t
 }
 
@@ -115,13 +120,12 @@ func (t *txn) Begin(bool) stm.Tx {
 // so the whole transaction is consistent at rv by construction and the
 // commit needs no validation (DESIGN.md §9.3). The logs are truncated so
 // a read-only abort never charges a previous transaction's entries to
-// the ReadsLogged counter.
+// the ReadsLogged counter. Its view is the descriptor as a roTx.
 func (t *txn) BeginRO(bool) stm.TxRO {
 	t.RO = true
 	t.rv = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
-	t.readVer = t.readVer[:0]
-	return &t.roV
+	return (*roTx)(t)
 }
 
 // Commit implements stm.Thread.
@@ -143,7 +147,6 @@ func (t *txn) AbortUser() {
 func (t *txn) begin() {
 	t.rv = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
-	t.readVer = t.readVer[:0]
 	t.writes = t.writes[:0]
 	t.saved = t.saved[:0]
 	t.bloom = 0
@@ -170,84 +173,69 @@ func (t *txn) Restart() {
 
 func bloomBit(a stm.Addr) uint64 { return 1 << ((uint64(a) * 0x9e3779b97f4a7c15) >> 58) }
 
-// Load implements stm.Tx: the thin wrapper that converts load's checked
-// abort into the single unwinding panic (a read conflict must interrupt
-// the user closure).
-func (t *txn) Load(a stm.Addr) stm.Word {
-	v, ok := t.load(a)
-	if !ok {
-		panic(stm.SignalRollback)
-	}
-	return v
-}
+// Load implements stm.Tx.
+func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
 
-// load implements the TL2 read protocol: write-set lookup for
-// read-after-write, then a consistent (lock, value, lock) sample that must
-// be unlocked and no newer than rv. ok=false means the transaction
-// aborted.
-func (t *txn) load(a stm.Addr) (stm.Word, bool) {
+// ReadField implements stm.Tx: the TL2 read protocol, a write-set lookup
+// for read-after-write, then a consistent (lock, value, lock) sample that
+// must be unlocked and no newer than rv. A read that cannot proceed
+// interrupts the user closure with the unwinding signal (readAbort); the
+// fast path makes no call, and a log that must grow is logGrow's.
+func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
+	a := stm.Addr(h) + field
 	if t.bloom&bloomBit(a) != 0 {
 		for i := len(t.writes) - 1; i >= 0; i-- {
 			if t.writes[i].addr == a {
-				return t.writes[i].val, true
+				return t.writes[i].val
 			}
 		}
 	}
-	// Local slice header + length mask: provably in-bounds (no check),
-	// one engine dereference.
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	idx := uint32(i)
+	// Local slice header + length mask: provably in-bounds (no check).
+	locks := t.locks
+	i := int(a>>t.shift) & (len(locks) - 1)
 	l := &locks[i]
 	v1 := l.Load()
-	val := t.e.Words[a].Load()
+	val := t.words[a].Load()
 	v2 := l.Load()
-	if v1 != v2 || v1&1 == 1 {
-		// Locked or changed under us: the timid policy aborts the reader.
-		t.Stat.AbortsLocked++
-		t.abort()
-		return 0, false
+	if v1 != v2 || v1&1 == 1 || v1>>1 > t.rv {
+		t.readAbort(v1, v2)
 	}
-	if v1>>1 > t.rv {
-		// Newer than our snapshot; TL2 has no extension mechanism.
-		t.Stat.AbortsValid++
-		t.Stat.AbortsValidRead++
-		t.abort()
-		return 0, false
+	if len(t.readLog) < cap(t.readLog) {
+		t.readLog = append(t.readLog, kernel.Read{Idx: uint32(i), Ver: v1})
+		return val
 	}
-	t.readLog = append(t.readLog, idx)
-	t.readVer = append(t.readVer, v1)
-	return val, true
+	return t.logGrow(uint32(i), v1, val)
 }
 
-// loadRO is the declared-read-only read protocol: a consistent
-// (lock, value, lock) sample that must be unlocked and no newer than rv —
-// and nothing else. No write-set bloom probe (writes are impossible), no
-// read logging (commit never validates; every read is already proven
-// consistent at rv). ok=false means the transaction aborted.
-func (t *txn) loadRO(a stm.Addr) (stm.Word, bool) {
-	locks := t.e.locks
-	i := int(a>>t.e.Shift) & (len(locks) - 1)
-	l := &locks[i]
-	v1 := l.Load()
-	val := t.e.Words[a].Load()
-	v2 := l.Load()
+// readAbort rolls back a read whose sample (v1, v2) is locked or changed
+// under us — the timid policy aborts the reader — or newer than the
+// snapshot: TL2 has no extension mechanism.
+func (t *txn) readAbort(v1, v2 uint64) {
 	if v1 != v2 || v1&1 == 1 {
 		t.Stat.AbortsLocked++
-		t.abort()
-		return 0, false
-	}
-	if v1>>1 > t.rv {
+	} else {
 		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
-		t.abort()
-		return 0, false
 	}
-	return val, true
+	t.abort()
+	panic(stm.SignalRollback)
 }
 
-// Store implements stm.Tx: lazy buffering, no locks taken.
-func (t *txn) Store(a stm.Addr, v stm.Word) {
+// logGrow appends to a full read log and returns val. It stays out of
+// line so that ReadField's fast path makes no call.
+//
+//go:noinline
+func (t *txn) logGrow(idx uint32, v uint64, val stm.Word) stm.Word {
+	t.readLog = append(t.readLog, kernel.Read{Idx: idx, Ver: v})
+	return val
+}
+
+// Store implements stm.Tx.
+func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
+
+// WriteField implements stm.Tx: lazy buffering, no locks taken.
+func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
+	a := stm.Addr(h) + field
 	b := bloomBit(a)
 	if t.bloom&b != 0 {
 		for i := len(t.writes) - 1; i >= 0; i-- {
@@ -339,10 +327,10 @@ func (t *txn) commit() bool {
 	if wv != t.rv+1 {
 		t.Stat.Validations++
 		t.Stat.ValidationReads += uint64(len(t.readLog))
-		for i, idx := range t.readLog {
-			v := t.e.locks[idx].Load()
+		for _, re := range t.readLog {
+			v := t.e.locks[re.Idx].Load()
 			if v&1 == 1 {
-				if v == lockedVal && t.ownsStripe(idx) {
+				if v == lockedVal && t.ownsStripe(re.Idx) {
 					continue
 				}
 				t.releaseLocks(acquired)
@@ -350,7 +338,7 @@ func (t *txn) commit() bool {
 				t.Stat.AbortsValidCommit++
 				return t.commitAbort()
 			}
-			if v != t.readVer[i] {
+			if v != re.Ver {
 				t.releaseLocks(acquired)
 				t.Stat.AbortsValid++
 				t.Stat.AbortsValidCommit++
@@ -433,43 +421,40 @@ func (t *txn) ownsStripe(idx uint32) bool {
 // AllocWords implements stm.Tx.
 func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
 
-// ReadField implements stm.Tx (object-over-words wrapper).
-func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
-	return t.Load(stm.Addr(h) + field)
-}
-
-// WriteField implements stm.Tx.
-func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
-	t.Store(stm.Addr(h)+field, v)
-}
-
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
 
 // NewObjects implements stm.Tx.
 func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewObjects(dst, f, vals) }
 
-// roTx is the transaction view BeginRO returns: its read method runs the
-// loadRO fast path with no mode branch, and it implements stm.TxRO and
-// nothing more (DESIGN.md §9.3).
-type roTx struct{ t *txn }
+// roTx is the transaction view BeginRO returns, the descriptor under a
+// second method set: its read runs the read-only protocol with no mode
+// branch, and it implements stm.TxRO and no write method (DESIGN.md §9.3).
+type roTx txn
 
 // Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word {
-	v, ok := r.t.loadRO(a)
-	if !ok {
-		panic(stm.SignalRollback)
-	}
-	return v
-}
+func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
-// ReadField implements stm.TxRO.
+// ReadField implements stm.TxRO: a consistent (lock, value, lock) sample
+// that must be unlocked and no newer than rv — and nothing else. No
+// write-set bloom probe (writes are impossible), no read logging (commit
+// never validates; every read is already proven consistent at rv).
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
-	return r.Load(stm.Addr(h) + field)
+	t := (*txn)(r)
+	a := stm.Addr(h) + field
+	locks := t.locks
+	l := &locks[int(a>>t.shift)&(len(locks)-1)]
+	v1 := l.Load()
+	val := t.words[a].Load()
+	v2 := l.Load()
+	if v1 != v2 || v1&1 == 1 || v1>>1 > t.rv {
+		t.readAbort(v1, v2)
+	}
+	return val
 }
 
 // Restart implements stm.TxRO.
-func (r *roTx) Restart() { r.t.Restart() }
+func (r *roTx) Restart() { (*txn)(r).Restart() }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)

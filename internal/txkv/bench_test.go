@@ -8,26 +8,36 @@ import (
 	"swisstm/internal/obs"
 	"swisstm/internal/stm"
 	"swisstm/internal/swisstm"
+	"swisstm/internal/tinystm"
+	"swisstm/internal/tl2"
 	"swisstm/internal/txkv"
 	"swisstm/internal/util"
 )
 
-// Hot-path micro-benchmarks for the KV operations on SwissTM, so
-// regressions in the store layout or the engine's object-API wrapper
-// show up in `go test -bench` history: parallel workers, each with its
-// own engine thread and RNG. The Obs twins of Get and Put run the same
-// body on an engine with per-transaction telemetry armed, which prices
-// the instrumentation (DESIGN.md §11) until a per-layer metric does:
+// Hot-path micro-benchmarks for the KV operations, so regressions in the
+// store layout or an engine's object-API read and write show up in
+// `go test -bench` history: parallel workers, each with its own engine
+// thread and RNG. Get, Put and Transfer run on SwissTM, TinySTM and TL2;
+// CAS and ScanShard on SwissTM. The Obs twins of Get and Put run the same
+// body on a SwissTM engine with per-transaction telemetry armed, which
+// prices the instrumentation (DESIGN.md §11) until a per-layer metric does:
 //
-//	go test -run '^$' -bench 'TxKV(Get|Put)' ./internal/txkv
+//	go test -run '^$' -bench 'TxKV(Get|Put|Transfer)' ./internal/txkv
 
 const benchKeys = 4096
 
-// benchStore pre-fills a store on a fresh SwissTM engine; a non-nil o
-// arms the engine's per-transaction telemetry.
-func benchStore(b *testing.B, o *obs.TxnObs) (stm.STM, *txkv.Store) {
+// swissTM is the benchmarks' SwissTM engine; a non-nil o arms its
+// per-transaction telemetry. tinySTM and tl2Engine are the other two word
+// engines at the same size.
+func swissTM(o *obs.TxnObs) stm.STM {
+	return swisstm.New(swisstm.Config{ArenaWords: 1 << 22, TableBits: 18, Obs: o})
+}
+func tinySTM() stm.STM   { return tinystm.New(tinystm.Config{ArenaWords: 1 << 22, TableBits: 18}) }
+func tl2Engine() stm.STM { return tl2.New(tl2.Config{ArenaWords: 1 << 22, TableBits: 18}) }
+
+// benchStore pre-fills a store on the fresh engine e.
+func benchStore(b *testing.B, e stm.STM) *txkv.Store {
 	b.Helper()
-	e := swisstm.New(swisstm.Config{ArenaWords: 1 << 22, TableBits: 18, Obs: o})
 	th := e.NewThread(0)
 	s := txkv.New(th, txkv.ConfigForKeys(benchKeys))
 	for base := 1; base <= benchKeys; base += 256 {
@@ -41,7 +51,7 @@ func benchStore(b *testing.B, o *obs.TxnObs) (stm.STM, *txkv.Store) {
 			}
 		})
 	}
-	return e, s
+	return s
 }
 
 // benchParallel runs op on all workers, each with its own engine thread
@@ -59,9 +69,9 @@ func benchParallel(b *testing.B, e stm.STM, op func(th stm.Thread, rng *util.Ran
 	})
 }
 
-func benchGet(b *testing.B, o *obs.TxnObs) {
+func benchGet(b *testing.B, e stm.STM) {
 	b.ReportAllocs()
-	e, s := benchStore(b, o)
+	s := benchStore(b, e)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -69,9 +79,9 @@ func benchGet(b *testing.B, o *obs.TxnObs) {
 	})
 }
 
-func benchPut(b *testing.B, o *obs.TxnObs) {
+func benchPut(b *testing.B, e stm.STM) {
 	b.ReportAllocs()
-	e, s := benchStore(b, o)
+	s := benchStore(b, e)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -79,13 +89,18 @@ func benchPut(b *testing.B, o *obs.TxnObs) {
 	})
 }
 
-func BenchmarkTxKVGetSwissTM(b *testing.B)    { benchGet(b, nil) }
-func BenchmarkTxKVGetSwissTMObs(b *testing.B) { benchGet(b, obs.NewTxnObs()) }
-func BenchmarkTxKVPutSwissTM(b *testing.B)    { benchPut(b, nil) }
-func BenchmarkTxKVPutSwissTMObs(b *testing.B) { benchPut(b, obs.NewTxnObs()) }
+func BenchmarkTxKVGetSwissTM(b *testing.B)    { benchGet(b, swissTM(nil)) }
+func BenchmarkTxKVGetSwissTMObs(b *testing.B) { benchGet(b, swissTM(obs.NewTxnObs())) }
+func BenchmarkTxKVGetTinySTM(b *testing.B)    { benchGet(b, tinySTM()) }
+func BenchmarkTxKVGetTL2(b *testing.B)        { benchGet(b, tl2Engine()) }
+func BenchmarkTxKVPutSwissTM(b *testing.B)    { benchPut(b, swissTM(nil)) }
+func BenchmarkTxKVPutSwissTMObs(b *testing.B) { benchPut(b, swissTM(obs.NewTxnObs())) }
+func BenchmarkTxKVPutTinySTM(b *testing.B)    { benchPut(b, tinySTM()) }
+func BenchmarkTxKVPutTL2(b *testing.B)        { benchPut(b, tl2Engine()) }
 
 func BenchmarkTxKVCASSwissTM(b *testing.B) {
-	e, s := benchStore(b, nil)
+	e := swissTM(nil)
+	s := benchStore(b, e)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		k := stm.Word(zipf.Next(rng) + 1)
@@ -98,8 +113,13 @@ func BenchmarkTxKVCASSwissTM(b *testing.B) {
 	})
 }
 
-func BenchmarkTxKVTransferSwissTM(b *testing.B) {
-	e, s := benchStore(b, nil)
+func BenchmarkTxKVTransferSwissTM(b *testing.B) { benchTransfer(b, swissTM(nil)) }
+func BenchmarkTxKVTransferTinySTM(b *testing.B) { benchTransfer(b, tinySTM()) }
+func BenchmarkTxKVTransferTL2(b *testing.B)     { benchTransfer(b, tl2Engine()) }
+
+// benchTransfer moves one unit among four distinct zipfian keys.
+func benchTransfer(b *testing.B, e stm.STM) {
+	s := benchStore(b, e)
 	zipf := util.NewZipf(benchKeys, 0.99)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		buf := [4]stm.Word{}
@@ -147,7 +167,8 @@ func BenchmarkNewInitialized(b *testing.B) {
 }
 
 func BenchmarkTxKVScanShardSwissTM(b *testing.B) {
-	e, s := benchStore(b, nil)
+	e := swissTM(nil)
+	s := benchStore(b, e)
 	benchParallel(b, e, func(th stm.Thread, rng *util.Rand) {
 		sh := rng.Intn(s.Shards())
 		stm.AtomicVoid(th, func(tx stm.Tx) { s.SumShard(tx, sh) })

@@ -17,11 +17,14 @@
 # environment each workload's timed pairs are followed by one `-trace 1`
 # pair on a further seed, and the per-layer metrics that are non-zero on
 # either side are printed parent beside change with the difference, so
-# "the claimed row moves and these counts do not" is the same command:
-# the block ends with one line per count metric (unit count or ratio: the
-# *_per_op, *_share and items_per_batch rows), "same" when the two sides
-# are within 1 % of the parent's value, else "moved" with both values. The
-# time-valued rows of a single traced pair stay advisory.
+# "the claimed row moves and these counts do not" is the same command.
+# The count metrics (unit count or ratio: the *_per_op, *_share and
+# items_per_batch rows) come first, each then judged on one line, "same"
+# when the two sides are within 1 % of the parent's value, else "moved"
+# with both values. The rate- and time-valued rows (<engine>.*_ops_per_s,
+# *_ns, *_us) follow apart, under "advisory: one pair, no verdict": one
+# pair cannot resolve a 10-20 % change in a rate, so a rate row needs
+# timed pairs of its own before it supports a claim.
 # Each block ends with one verdict line per end-to-end metric, judged
 # against the metric's bound in BENCHMARK.json: for the pairing named in
 # CLAIM=<metric>@<workload>, "claim met" when the change wins at least nine
@@ -104,16 +107,26 @@ traced() {
 		grep -q '"correct": true' <<<"$json" || bad=1
 		layers "$json" | LC_ALL=C sort >"$out.$side.layers"
 	done
-	printf '%-34s %14s %14s %9s  %s\n' metric parent change delta unit
 	LC_ALL=C join "$out.parent.layers" "$out.change.layers" | awk -v w="$w" '$2 != 0 || $4 != 0 {
 		delta = $2 != 0 ? sprintf("%+.1f %%", 100 * ($4 / $2 - 1)) : "new"
-		printf "%-34s %14.6g %14.6g %9s  %s\n", $1, $2, $4, delta, $3
-		if ($3 == "count" || $3 == "ratio") {
-			d = $4 - $2; if (d < 0) d = -d
-			fmt = d <= 0.01 * ($2 < 0 ? -$2 : $2) ? "same (%.6g, %.6g)" : "moved (%.6g -> %.6g)"
-			counts[++n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4)
+		row = sprintf("%-34s %14.6g %14.6g %9s  %s", $1, $2, $4, delta, $3)
+		if ($3 != "count" && $3 != "ratio") {
+			adv[++a] = row
+			next
 		}
-	} END { for (i = 1; i <= n; i++) print counts[i] }'
+		rows[++n] = row
+		d = $4 - $2; if (d < 0) d = -d
+		fmt = d <= 0.01 * ($2 < 0 ? -$2 : $2) ? "same (%.6g, %.6g)" : "moved (%.6g -> %.6g)"
+		counts[n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4)
+	} END {
+		head = sprintf("%-34s %14s %14s %9s  %s", "metric", "parent", "change", "delta", "unit")
+		print head
+		for (i = 1; i <= n; i++) print rows[i]
+		for (i = 1; i <= n; i++) print counts[i]
+		print "advisory: one pair, no verdict"
+		print head
+		for (i = 1; i <= a; i++) print adv[i]
+	}'
 	echo
 }
 
