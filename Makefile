@@ -108,10 +108,11 @@ benchmark-trace:
 # working tree, run on WORKLOAD in PAIRS interleaved pairs with fresh
 # seeds (scripts/benchmark-ab.sh prints every run, quartiles and wins).
 # WORKLOAD=all runs the four BENCHMARK.json workloads back to back, one
-# summary block each. TRACE=1 follows each workload's timed pairs with one
-# `-trace 1` pair and prints the per-layer metrics of both sides in two
-# columns with the difference, then one line per count metric (*_per_op,
-# *_share, items_per_batch): same within 1 %, or moved. Each block ends with a verdict per
+# summary block each. TRACE=1 follows each workload's timed pairs with
+# `-trace 1` runs, the parent on two seeds and the change on the first, and
+# prints the per-layer metrics of the three runs with the difference, then
+# one line per count metric (*_per_op, *_share, items_per_batch): same
+# within max(1 %, the parent's own run-to-run gap), or moved. Each block ends with a verdict per
 # end-to-end metric against its BENCHMARK.json bound (not worse / worse /
 # unresolved); CLAIM=<metric>@<workload> names the pairing judged as a
 # claimed gain instead (claim met / claim not met).
@@ -131,8 +132,10 @@ benchmark-ab:
 # -S output (scripts/hotpath.sh): for every function SwissTM, TL2 and
 # TinySTM compile, the multiset of CALL targets (bounds-check panics
 # included) and the count of LOCK-prefixed and memory-operand XCHG
-# instructions, parent beside change, then each engine's total atomics and
-# total calls, which stay comparable when a body moves between functions.
+# instructions, parent beside change, then each engine's total atomics,
+# total atomic sites (distinct source lines, so an inlined copy counts
+# once) and total calls, which stay comparable when a body moves between
+# functions.
 # Exits non-zero on any difference.
 # Not part of ci: it needs a REV.
 #   make hotpath REV=HEAD~1

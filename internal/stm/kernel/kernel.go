@@ -4,12 +4,15 @@
 // SwissTM and TinySTM (RedoLog, ReadSet), and the configuration and stripe
 // mapping of the three word engines (WordConfig, Heap).
 //
-// Nothing here loads, stores or swaps a lock, clock, owner or status word:
-// which shared word an engine touches, and in which order, stays in the
-// engine's own package (DESIGN.md §7.6). The shared stores made here are a
-// committing owner's write-back of the arena words it wrote under its locks
-// (Entry.WriteBack) and fresh objects' initial contents (Heap.NewObjects),
-// which no other thread can reach yet; the engine decides when either happens.
+// The kernel also owns the versioned lock word of the three word engines
+// (DESIGN.md §7.5): its one owned-word encoding (Tag, Owner, Owns) and its
+// one read sample (Sample). Sample is the only place the kernel loads a
+// lock word; every store, swap and ordering of a lock, clock, owner or
+// status word stays in the engine's own package (DESIGN.md §7.6). The shared
+// stores made here are a committing owner's write-back of the arena words it
+// wrote under its locks (Entry.WriteBack) and fresh objects' initial contents
+// (Heap.NewObjects), which no other thread can reach yet; the engine decides
+// when either happens.
 //
 // Engines embed these types by value and call their methods directly: no
 // interface, no type parameter, no closure (DESIGN.md §9.2). Every method
@@ -121,11 +124,56 @@ func (t *Thread) AbortedUser() {
 	t.Succ = 0
 }
 
-// MaxTableBits bounds WordConfig.TableBits: an owned lock word of SwissTM
-// (its 32-bit w-lock) or TinySTM (its 64-bit versioned lock, above the lock
-// bit) carries a redo-log index in 24 bits, under the owner's tag
-// (DESIGN.md §7.5).
+// MaxTableBits bounds WordConfig.TableBits: an owned lock word carries a
+// write-log index in 24 bits, under the owner's tag (DESIGN.md §7.5).
 const MaxTableBits = 24
+
+// The versioned lock word is version<<1 when free and (Tag(id) | idx)<<1 |
+// 1 when owned, idx naming the owner's log entry for the stripe (TL2's:
+// its lock set).
+// SwissTM's 32-bit w-lock is that word less its lock bit; its r-lock,
+// version<<1 or 1 while its owner commits, is one to Sample. A write log
+// holds at most one entry per lock-table entry, so MaxTableBits bounds idx;
+// the _ below fails to compile should MaxThreads outgrow the tag's 8 bits.
+const (
+	IdxMask = uint32(1)<<MaxTableBits - 1
+	_       = uint8(stm.MaxThreads + 1)
+)
+
+// Tag is thread id's owner bits in a 32-bit w-lock word.
+func Tag(id int) uint32 { return uint32(id+1) << MaxTableBits }
+
+// TagID is the thread id a held w-lock word names.
+func TagID(w uint32) int { return int(w>>MaxTableBits) - 1 }
+
+// TagOf is the owner bits of a w-lock word: its owner's Tag, 0 when free.
+func TagOf(w uint32) uint32 { return w &^ IdxMask }
+
+// OwnsTag is Owns for a 32-bit w-lock word and its owner's Tag.
+func OwnsTag(w, tag uint32) (uint32, bool) { return w & IdxMask, TagOf(w) == tag }
+
+// Owner is thread id's owned lock word less its index: an owner installs
+// Owner(id) | idx<<1.
+func Owner(id int) uint64 { return uint64(Tag(id))<<1 | 1 }
+
+// Owns reports whether lock word w was installed by the owner whose word
+// is own (Owner), and the write-log index it names.
+func Owns(w, own uint64) (uint32, bool) {
+	return uint32(w>>1) & IdxMask, w&^(uint64(IdxMask)<<1) == own
+}
+
+// Sample is the seqlock read of one arena word d under its stripe's lock
+// word l: lock word, data word, lock word. It returns the first lock word,
+// the data word, and whether the sample is consistent — the first lock word
+// free and the second equal to it — so that val is the stripe's value at
+// version w>>1. An owned first word is returned at once, d unloaded.
+func Sample(l, d *atomic.Uint64) (w uint64, val stm.Word, ok bool) {
+	if w = l.Load(); w&1 != 0 {
+		return w, 0, false
+	}
+	val = d.Load()
+	return w, val, l.Load() == w
+}
 
 // WordConfig is the configuration the three word engines share; TL2's and
 // TinySTM's Config is this type.
@@ -356,9 +404,9 @@ type ReadSet struct {
 	Seen util.StripeSet
 }
 
-// Read is a read-log entry: a stripe and its version as sampled —
-// SwissTM's r-lock word (version<<1), the version in TinySTM's lock word,
-// TL2's whole lock word.
+// Read is a read-log entry: a stripe and its free lock word as sampled,
+// version<<1 (SwissTM's r-lock, TinySTM's and TL2's lock word). TL2 logs the
+// stripes it locks at commit in the same form: the word its lock replaced.
 type Read struct {
 	Idx uint32
 	Ver uint64

@@ -2,7 +2,10 @@ package kernel
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"swisstm/internal/stm"
 )
@@ -92,4 +95,77 @@ func TestReadSetPushNeverGrows(t *testing.T) {
 	if rs.Push(9999, 2) || len(rs.Log) != 1024 || &rs.Log[0] != base || rs.Log[1023] != (Read{Idx: 1023, Ver: 2046}) {
 		t.Fatalf("a full log: len %d, moved %v, last %v", len(rs.Log), &rs.Log[0] != base, rs.Log[len(rs.Log)-1])
 	}
+}
+
+// TestLockWord pins the owned-word encoding: Owner and Owns, Tag, OwnsTag
+// and TagID round-trip at the first and last thread id and the first and
+// last write-log index, and an owner refuses a free word and another
+// thread's word.
+func TestLockWord(t *testing.T) {
+	if TagOf(0) != 0 {
+		t.Errorf("a free w-lock has owner bits %#x", TagOf(0))
+	}
+	for _, id := range []int{0, stm.MaxThreads - 1} {
+		other := stm.MaxThreads - 1 - id
+		for _, idx := range []uint32{0, IdxMask} {
+			w := Owner(id) | uint64(idx)<<1
+			if got, mine := Owns(w, Owner(id)); !mine || got != idx {
+				t.Errorf("Owns(Owner(%d) | %#x<<1) = %#x, %v; want %#x, true", id, idx, got, mine, idx)
+			}
+			if _, mine := Owns(w, Owner(other)); mine {
+				t.Errorf("thread %d owns thread %d's word %#x", other, id, w)
+			}
+			if w&1 == 0 || uint64(Tag(id)|idx)<<1|1 != w {
+				t.Errorf("owned word %#x is not (Tag(%d) | %#x)<<1 | 1", w, id, idx)
+			}
+			if got, mine := OwnsTag(Tag(id)|idx, Tag(id)); !mine || got != idx || TagID(Tag(id)|idx) != id || TagOf(Tag(id)|idx) != Tag(id) {
+				t.Errorf("w-lock Tag(%d) | %#x: OwnsTag %#x, %v; TagID %d", id, idx, got, mine, TagID(Tag(id)|idx))
+			}
+			if _, mine := OwnsTag(Tag(id)|idx, Tag(other)); mine {
+				t.Errorf("thread %d owns thread %d's w-lock", other, id)
+			}
+		}
+		for _, ver := range []uint64{0, 1, uint64(Tag(id)), 1 << 62} {
+			if _, mine := Owns(ver<<1, Owner(id)); mine {
+				t.Errorf("thread %d owns the free word of version %#x", id, ver)
+			}
+		}
+	}
+}
+
+// TestSample: a free, still word samples consistently; an owned word and a
+// word that moves between Sample's two loads do not.
+func TestSample(t *testing.T) {
+	var l, d atomic.Uint64
+	l.Store(7 << 1)
+	d.Store(42)
+	if w, val, ok := Sample(&l, &d); !ok || w != 7<<1 || val != 42 {
+		t.Fatalf("free word: Sample = %#x, %d, %v; want %#x, 42, true", w, val, ok, 7<<1)
+	}
+	l.Store(Owner(3) | 5<<1)
+	if w, _, ok := Sample(&l, &d); ok || w != Owner(3)|5<<1 {
+		t.Fatalf("owned word: Sample = %#x, _, %v; want %#x, false", w, ok, Owner(3)|5<<1)
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("a word moves between two loads only under a writer on another CPU")
+	}
+	l.Store(0)
+	var stop atomic.Bool
+	go func() {
+		for !stop.Load() {
+			l.Add(2) // a committer publishing version after version
+		}
+	}()
+	defer stop.Store(true)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		for range 1 << 12 {
+			if w, _, ok := Sample(&l, &d); !ok {
+				if w&1 != 0 {
+					t.Fatalf("Sample returned owned word %#x of a free stripe", w)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("Sample accepted every read of a word moving under it for 5 s")
 }

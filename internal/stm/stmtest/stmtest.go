@@ -37,10 +37,8 @@ func Run(t *testing.T, factory func() stm.STM, opts Options) {
 	t.Run("ObjectRoundTrip", func(t *testing.T) { testObjectRoundTrip(t, factory()) })
 	t.Run("CommitPublishes", func(t *testing.T) { testCommitPublishes(t, factory()) })
 	t.Run("CountersParallel", func(t *testing.T) { testCounters(t, factory(), opts.Threads) })
-	t.Run("BankConservation", func(t *testing.T) { testBank(t, factory(), opts.Threads) })
-	t.Run("OpacityPairs", func(t *testing.T) { testOpacity(t, factory(), opts.Threads) })
+	testHistory(t, factory, opts.Threads)
 	t.Run("DisjointScaling", func(t *testing.T) { testDisjoint(t, factory(), opts.Threads) })
-	t.Run("WriteSkewPrevented", func(t *testing.T) { testNoWriteSkew(t, factory(), opts.Threads) })
 	t.Run("QuickModelCheck", func(t *testing.T) { testQuickModel(t, factory) })
 	t.Run("ThreadReRegistration", func(t *testing.T) { testThreadReRegistration(t, factory()) })
 	t.Run("OwnWriteValidates", func(t *testing.T) { testOwnWriteValidates(t, factory()) })
@@ -232,121 +230,6 @@ func testCounters(t *testing.T, e stm.STM, threads int) {
 	}
 }
 
-// testBank moves money between random accounts; the total must be
-// conserved at every observation point.
-func testBank(t *testing.T, e stm.STM, threads int) {
-	const accounts = 32
-	const initial = 1000
-	th0 := e.NewThread(0)
-	h := alloc(th0, accounts)
-	stm.AtomicVoid(th0, func(tx stm.Tx) {
-		for i := uint32(0); i < accounts; i++ {
-			tx.WriteField(h, i, initial)
-		}
-	})
-	sumAll := func(th stm.Thread) stm.Word {
-		// The audit scan is a declared read-only transaction, so the
-		// conservation oracle also exercises the RO fast paths.
-		return stm.AtomicRO(th, func(tx stm.TxRO) stm.Word {
-			var sum stm.Word
-			for i := uint32(0); i < accounts; i++ {
-				sum += tx.ReadField(h, i)
-			}
-			return sum
-		})
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := e.NewThread(id + 1)
-			seed := uint64(id)*2654435761 + 12345
-			for n := 0; n < 3000; n++ {
-				seed = seed*6364136223846793005 + 1
-				from := uint32(seed>>33) % accounts
-				to := uint32(seed>>13) % accounts
-				stm.AtomicVoid(th, func(tx stm.Tx) {
-					bal := tx.ReadField(h, from)
-					if bal == 0 {
-						return
-					}
-					tx.WriteField(h, from, bal-1)
-					tx.WriteField(h, to, tx.ReadField(h, to)+1)
-				})
-			}
-		}(i)
-	}
-	// A concurrent auditor keeps summing; every snapshot must conserve the
-	// total (atomicity of transfers + opacity of the read-only scan).
-	auditor := e.NewThread(threads + 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if sum := sumAll(auditor); sum != accounts*initial {
-				t.Errorf("mid-run audit: sum = %d, want %d", sum, accounts*initial)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	if sum := sumAll(th0); sum != accounts*initial {
-		t.Fatalf("final sum = %d, want %d", sum, accounts*initial)
-	}
-}
-
-// testOpacity updates pairs of words together; a reader inside a
-// transaction must never see the two halves differ, even transiently —
-// the opacity guarantee of §3.1 (no stale values, no inconsistent reads).
-func testOpacity(t *testing.T, e stm.STM, threads int) {
-	const pairs = 8
-	th0 := e.NewThread(0)
-	hs := make([]stm.Handle, pairs)
-	for i := range hs {
-		hs[i] = alloc(th0, 2)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := e.NewThread(id + 1)
-			seed := uint64(id+1) * 40503
-			for n := 0; n < 2000; n++ {
-				seed = seed*6364136223846793005 + 1
-				p := hs[seed%pairs]
-				if seed&1 == 0 {
-					stm.AtomicVoid(th, func(tx stm.Tx) {
-						v := tx.ReadField(p, 0) + 1
-						tx.WriteField(p, 0, v)
-						tx.WriteField(p, 1, v)
-					})
-				} else {
-					a, b := pairRead(th, p)
-					if a != b {
-						t.Errorf("opacity violation: pair halves %d != %d", a, b)
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// pairRead reads both halves of a pair in one read-only transaction.
-func pairRead(th stm.Thread, p stm.Handle) (stm.Word, stm.Word) {
-	v := stm.AtomicRO(th, func(tx stm.TxRO) [2]stm.Word {
-		return [2]stm.Word{tx.ReadField(p, 0), tx.ReadField(p, 1)}
-	})
-	return v[0], v[1]
-}
-
 // testDisjoint runs threads on disjoint objects; nothing conflicts, so all
 // work must complete with a final per-thread value intact.
 func testDisjoint(t *testing.T, e stm.STM, threads int) {
@@ -373,42 +256,6 @@ func testDisjoint(t *testing.T, e stm.STM, threads int) {
 		if got := readField(th0, hs[i], 0); got != 5000 {
 			t.Fatalf("disjoint counter %d = %d, want 5000", i, got)
 		}
-	}
-}
-
-// testNoWriteSkew checks serializability on the classic write-skew shape:
-// two accounts, invariant a+b ≥ 0, each transaction checks the sum then
-// withdraws from one side. Under snapshot isolation the invariant breaks;
-// under the serializability/opacity all four engines provide, it must hold.
-func testNoWriteSkew(t *testing.T, e stm.STM, threads int) {
-	th0 := e.NewThread(0)
-	h := alloc(th0, 2)
-	stm.AtomicVoid(th0, func(tx stm.Tx) {
-		tx.WriteField(h, 0, 100)
-		tx.WriteField(h, 1, 100)
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := e.NewThread(id + 1)
-			side := uint32(id % 2)
-			for n := 0; n < 1000; n++ {
-				stm.AtomicVoid(th, func(tx stm.Tx) {
-					a := int64(tx.ReadField(h, 0))
-					b := int64(tx.ReadField(h, 1))
-					if a+b >= 10 {
-						tx.WriteField(h, side, stm.Word(int64(tx.ReadField(h, side))-10))
-					}
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	a, b := pairRead(th0, h)
-	if int64(a)+int64(b) < 0 {
-		t.Fatalf("write skew: a+b = %d < 0 (a=%d b=%d)", int64(a)+int64(b), int64(a), int64(b))
 	}
 }
 

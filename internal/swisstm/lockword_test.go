@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/kernel"
 )
 
 // TestLockWordAliasedReadAfterWrite: two regions that share a lock-table
@@ -31,7 +32,7 @@ func TestLockWordAliasedReadAfterWrite(t *testing.T) {
 		tx.Store(base, 1)  // write-log entry 0, another stripe
 		tx.Store(a, 10)    // entry 1, primary region
 		tx.Store(a+64, 20) // same lock entry: entry 1's overflow
-		if w, mine := e.locks[e.Stripe(a)].w.Load(), uint32(5+1)<<wTagShift|1; w != mine {
+		if w, mine := e.locks[e.Stripe(a)].w.Load(), kernel.Tag(5)|1; w != mine {
 			t.Fatalf("w-lock word = %#x, want %#x (tag 6, write-log index 1)", w, mine)
 		}
 		if e.Stripe(a) != e.Stripe(a+64) || th.log.Len() != 2 {

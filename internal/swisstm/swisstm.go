@@ -86,14 +86,6 @@ const (
 	// wn is the paper's Wn: the write count at which a two-phase
 	// transaction enters its second (Greedy) phase.
 	wn = 10
-	// A w-lock word is 0 when free, otherwise ownerTag<<24 | write-log
-	// index, where ownerTag is the owner's thread id + 1 (DESIGN.md §7).
-	// A write log holds one entry per lock-table entry, so
-	// kernel.MaxTableBits bounds the index; the constant below fails to
-	// compile should MaxThreads outgrow the tag's eight bits.
-	wTagShift = kernel.MaxTableBits
-	wIdxMask  = uint32(1)<<wTagShift - 1
-	_         = uint8(stm.MaxThreads + 1)
 )
 
 // lockEntry is one stripe's lock-table entry, the paper's Figure 1: the
@@ -101,7 +93,7 @@ const (
 // a 64-byte line and a stripe's two words are never on two lines.
 type lockEntry struct {
 	r atomic.Uint64 // version<<1 when unlocked; 1 when locked
-	w atomic.Uint32 // 0 when unlocked; else owner tag<<24 | write-log index
+	w atomic.Uint32 // 0 when unlocked; else kernel.Tag(owner) | write-log index
 }
 
 // Engine is a SwissTM instance: an arena plus its lock table and global
@@ -153,7 +145,7 @@ type txn struct {
 	locks   []lockEntry
 	words   []atomic.Uint64
 	shift   uint
-	tag     uint32 // (id+1)<<24: the owner bits of every w-lock word this thread installs
+	tag     uint32 // kernel.Tag(id): the owner bits of every w-lock word this thread installs
 	validTS uint64
 	cmTS    atomic.Uint64 // ∞ in phase one; Greedy timestamp in phase two
 	status  atomic.Uint32 // 0 active, 1 killed by another transaction's CM
@@ -175,7 +167,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		locks:  e.locks,
 		words:  e.Words,
 		shift:  e.Shift,
-		tag:    uint32(id+1) << wTagShift,
+		tag:    kernel.Tag(id),
 		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.rs = kernel.NewReadSet(t, len(e.locks))
@@ -297,35 +289,32 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	// that has written nothing cannot own any w-lock, so read-only
 	// transactions skip the shared-table probe entirely.
 	if t.log.Len() != 0 {
-		if w := locks[i].w.Load(); w&^wIdxMask == t.tag {
-			return t.readOwn(a, w)
+		if idx, mine := kernel.OwnsTag(locks[i].w.Load(), t.tag); mine {
+			return t.readOwn(a, idx)
 		}
 	}
 	// Consistent double-read of r-lock around the data word (lines 8-15).
-	rl := &locks[i].r
-	if v := rl.Load(); v != rLocked {
-		val := t.words[a].Load()
-		if rl.Load() == v {
-			if v>>1 <= t.validTS {
-				if t.rs.TestAndSet(uint32(i)) {
-					t.Stat.ReadsDeduped++
-					return val
-				}
-				if t.rs.Push(uint32(i), v) {
-					return val
-				}
+	w, val, ok := kernel.Sample(&locks[i].r, &t.words[a])
+	if ok {
+		if w>>1 <= t.validTS {
+			if t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
-			return t.readNewer(uint32(i), v, val)
+			if t.rs.Push(uint32(i), w) {
+				return val
+			}
 		}
+		return t.readNewer(uint32(i), w, val)
 	}
 	return t.readSlow(a)
 }
 
 // readOwn is read-after-write: the value from our own write log (line 6),
-// entry w names. Unwritten words of an owned stripe are stable in memory
+// entry idx. Unwritten words of an owned stripe are stable in memory
 // because we hold the w-lock.
-func (t *txn) readOwn(a stm.Addr, w uint32) stm.Word {
-	if v, ok := t.log.At(w & wIdxMask).Get(a); ok {
+func (t *txn) readOwn(a stm.Addr, idx uint32) stm.Word {
+	if v, ok := t.log.At(idx).Get(a); ok {
 		return v
 	}
 	return t.words[a].Load()
@@ -336,37 +325,27 @@ func (t *txn) readOwn(a stm.Addr, w uint32) stm.Word {
 // release momentarily, so wait. Only a read-write attempt checks for a
 // kill while it waits (no w-lock, no CM ever targets a read-only one).
 func (t *txn) readSlow(a stm.Addr) stm.Word {
-	locks := t.locks
-	i := int(a>>t.shift) & (len(locks) - 1)
-	rl := &locks[i].r
-	var v uint64
-	var val stm.Word
+	i := int(a>>t.shift) & (len(t.locks) - 1)
 	for spin := 1; ; spin++ {
-		v = rl.Load()
-		if v == rLocked {
-			if spin&0x3f == 0x3f {
-				if !t.RO && t.killed() {
-					t.Stat.AbortsKilled++
-					t.abort()
-					panic(stm.SignalRollback)
-				}
-				runtime.Gosched()
+		if w, val, ok := kernel.Sample(&t.locks[i].r, &t.words[a]); ok {
+			if w>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
-			continue
+			return t.readNewer(uint32(i), w, val)
 		}
-		val = t.words[a].Load()
-		if rl.Load() == v {
-			break
+		if spin&0x3f == 0x3f {
+			if !t.RO && t.killed() {
+				t.Stat.AbortsKilled++
+				t.abort()
+				panic(stm.SignalRollback)
+			}
+			runtime.Gosched()
 		}
 	}
-	if v>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
-		t.Stat.ReadsDeduped++
-		return val
-	}
-	return t.readNewer(uint32(i), v, val)
 }
 
-// readNewer admits val, read from stripe idx at r-lock word v, where the
+// readNewer admits val, read from stripe idx at r-lock word w, where the
 // fast path could not. Within the snapshot it is a first read (the caller
 // set the stripe's bit), logged by an append that may grow the log.
 // Beyond it, read-set dedup decides (DESIGN.md §7.1). A stripe already
@@ -377,13 +356,13 @@ func (t *txn) readSlow(a stm.Addr) stm.Word {
 // entry, and the only difference from logging a duplicate is that we
 // abort now instead of at the next validation (dedup_test.go). A first
 // read beyond it extends the snapshot.
-func (t *txn) readNewer(idx uint32, v uint64, val stm.Word) stm.Word {
-	if v>>1 <= t.validTS {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v})
+func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
+	if w>>1 <= t.validTS {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: w})
 		return val
 	}
 	if !t.rs.TestAndSet(idx) {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: v})
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: w})
 		if t.extend() {
 			return val
 		}
@@ -412,8 +391,8 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	wl := &t.locks[idx].w
 	for spin := 0; ; spin++ {
 		w := wl.Load()
-		if w&^wIdxMask == t.tag {
-			t.log.At(w&wIdxMask).Set(a, v)
+		if idx, mine := kernel.OwnsTag(w, t.tag); mine {
+			t.log.At(idx).Set(a, v)
 			return
 		}
 		if w != 0 {
@@ -516,11 +495,11 @@ func (t *txn) validate() bool {
 			continue
 		}
 		// Changed or locked: still fine if we are the one holding it
-		// (we locked our own written stripes at commit).
-		if cur == rLocked && t.e.locks[re.Idx].w.Load()&^wIdxMask == t.tag {
-			continue
+		// (we locked our own written stripes at commit). The single-result
+		// owner test keeps validate within the inlining budget.
+		if cur != rLocked || kernel.TagOf(t.e.locks[re.Idx].w.Load()) != t.tag {
+			return false
 		}
-		return false
 	}
 	return true
 }
@@ -581,7 +560,7 @@ func (t *txn) cmShouldAbort(w uint32) bool {
 		if myTS == infinity {
 			return true // phase one: abort self (line 6)
 		}
-		owner := t.e.threads[w>>wTagShift-1].Load()
+		owner := t.e.threads[kernel.TagID(w)].Load()
 		if owner.cmTS.Load() < myTS {
 			return true // older owner wins (line 8)
 		}
@@ -636,21 +615,18 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	a := stm.Addr(h) + field
 	locks := t.locks
 	i := int(a>>t.shift) & (len(locks) - 1)
-	rl := &locks[i].r
-	if v := rl.Load(); v != rLocked {
-		val := t.words[a].Load()
-		if rl.Load() == v {
-			if v>>1 <= t.validTS {
-				if t.rs.TestAndSet(uint32(i)) {
-					t.Stat.ReadsDeduped++
-					return val
-				}
-				if t.rs.Push(uint32(i), v) {
-					return val
-				}
+	w, val, ok := kernel.Sample(&locks[i].r, &t.words[a])
+	if ok {
+		if w>>1 <= t.validTS {
+			if t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
-			return t.readNewer(uint32(i), v, val)
+			if t.rs.Push(uint32(i), w) {
+				return val
+			}
 		}
+		return t.readNewer(uint32(i), w, val)
 	}
 	return t.readSlow(a)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/kernel"
 	"swisstm/internal/stm/stmtest"
 )
 
@@ -151,20 +152,20 @@ func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
 					return fmt.Errorf("stripe %d logged twice", re.Idx)
 				}
 				logged[re.Idx] = true
-				if re.Ver > d.validTS {
-					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.Idx, re.Ver, d.validTS)
+				if re.Ver>>1 > d.validTS {
+					return fmt.Errorf("(I) stripe %d logged at version %d > validTS %d", re.Idx, re.Ver>>1, d.validTS)
 				}
 				// The lock word, as validate reads it; a foreign lock says
 				// nothing about the version.
 				w := d.e.locks[re.Idx].Load()
-				if w&^idxBits == d.own {
-					w = d.log.At(uint32(w>>1) & wIdxMask).Saved
+				if idx, mine := kernel.Owns(w, d.own); mine {
+					w = d.log.At(idx).Saved
 				}
 				if w&1 != 0 {
 					continue
 				}
-				if cur := w >> 1; cur <= d.validTS && cur != re.Ver {
-					return fmt.Errorf("(II) stripe %d logged at version %d now reads %d, both within validTS %d", re.Idx, re.Ver, cur, d.validTS)
+				if cur := w >> 1; cur <= d.validTS && w != re.Ver {
+					return fmt.Errorf("(II) stripe %d logged at version %d now reads %d, both within validTS %d", re.Idx, re.Ver>>1, cur, d.validTS)
 				}
 			}
 			if n := setBits(); n != len(d.rs.Log) {

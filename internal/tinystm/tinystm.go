@@ -31,18 +31,8 @@ import (
 // Config parameterizes a TinySTM engine.
 type Config = kernel.WordConfig
 
-// A stripe's lock word is version<<1 when free. When owned it is
-// (ownerTag<<24 | write-log index)<<1 | 1, where ownerTag is the owner's
-// thread id + 1 — SwissTM's w-lock encoding with the same two bounds
-// (DESIGN.md §7.5), shifted over the lock bit.
-const (
-	wTagShift = kernel.MaxTableBits
-	wIdxMask  = uint32(1)<<wTagShift - 1
-	idxBits   = uint64(wIdxMask) << 1 // the write-log index in an owned word
-	_         = uint8(stm.MaxThreads + 1)
-)
-
-// Engine is a TinySTM instance: a lock word per stripe (above) and the
+// Engine is a TinySTM instance: a versioned lock word per stripe, which
+// names its owner's write-log entry when owned (DESIGN.md §7.5), and the
 // global clock, padded onto its own cache line so committers bumping it do
 // not invalidate the read-mostly mapping state every other core caches.
 type Engine struct {
@@ -74,7 +64,7 @@ type txn struct {
 	locks   []atomic.Uint64
 	words   []atomic.Uint64
 	shift   uint
-	own     uint64 // (id+1)<<24<<1 | 1: every lock word this thread installs, less its index
+	own     uint64 // kernel.Owner(id): every lock word this thread installs, less its index
 	validTS uint64
 	rs      kernel.ReadSet
 	log     kernel.RedoLog // an owned lock word names its entry here
@@ -90,7 +80,7 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		locks:  e.locks,
 		words:  e.Words,
 		shift:  e.Shift,
-		own:    uint64(id+1)<<wTagShift<<1 | 1,
+		own:    kernel.Owner(id),
 		log:    kernel.NewRedoLog(e.Width),
 	}
 	t.rs = kernel.NewReadSet(t, len(e.locks))
@@ -185,22 +175,18 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	// Local slice header + length mask: provably in-bounds (no check).
 	locks := t.locks
 	i := int(a>>t.shift) & (len(locks) - 1)
-	l := &locks[i]
-	w := l.Load()
-	if w&1 == 0 {
-		val := t.words[a].Load()
-		if l.Load() == w {
-			if ver := w >> 1; ver <= t.validTS {
-				if t.rs.TestAndSet(uint32(i)) {
-					t.Stat.ReadsDeduped++
-					return val
-				}
-				if t.rs.Push(uint32(i), ver) {
-					return val
-				}
+	w, val, ok := kernel.Sample(&locks[i], &t.words[a])
+	if ok {
+		if w>>1 <= t.validTS {
+			if t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
-			return t.readNewer(uint32(i), w>>1, val)
+			if t.rs.Push(uint32(i), w) {
+				return val
+			}
 		}
+		return t.readNewer(uint32(i), w, val)
 	}
 	return t.readSlow(a, w)
 }
@@ -214,11 +200,10 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 // the two samples: yield, then resample.
 func (t *txn) readSlow(a stm.Addr, w uint64) stm.Word {
 	i := int(a>>t.shift) & (len(t.locks) - 1)
-	l := &t.locks[i]
 	for {
 		if w&1 != 0 {
-			if w&^idxBits == t.own {
-				if v, ok := t.log.At(uint32(w>>1) & wIdxMask).Get(a); ok {
+			if idx, mine := kernel.Owns(w, t.own); mine {
+				if v, ok := t.log.At(idx).Get(a); ok {
 					return v
 				}
 				return t.words[a].Load()
@@ -228,34 +213,33 @@ func (t *txn) readSlow(a stm.Addr, w uint64) stm.Word {
 			panic(stm.SignalRollback)
 		}
 		runtime.Gosched()
-		if w = l.Load(); w&1 == 0 {
-			val := t.words[a].Load()
-			if l.Load() == w {
-				if w>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
-					t.Stat.ReadsDeduped++
-					return val
-				}
-				return t.readNewer(uint32(i), w>>1, val)
+		var val stm.Word
+		var ok bool
+		if w, val, ok = kernel.Sample(&t.locks[i], &t.words[a]); ok {
+			if w>>1 <= t.validTS && t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
+			return t.readNewer(uint32(i), w, val)
 		}
 	}
 }
 
-// readNewer admits val, read from stripe idx at version ver, where the
-// fast path could not. At a version ≤ validTS it is a first read (the
+// readNewer admits val, read from stripe idx at free lock word w, where
+// the fast path could not. At a version ≤ validTS it is a first read (the
 // caller set the stripe's bit), logged by an append that may grow the log.
 // A re-read there needs no look at the logged entry: every logged version
 // is ≤ validTS, and a logged stripe found free at a version ≤ validTS has
 // not changed since it was logged (DESIGN.md §7.1). Past validTS, a first
 // read extends the snapshot; a logged stripe that far on can never
 // validate again, so it aborts now rather than at the next extension.
-func (t *txn) readNewer(idx uint32, ver uint64, val stm.Word) stm.Word {
-	if ver <= t.validTS {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
+func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
+	if w>>1 <= t.validTS {
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: w})
 		return val
 	}
 	if !t.rs.TestAndSet(idx) {
-		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: ver})
+		t.rs.Log = append(t.rs.Log, kernel.Read{Idx: idx, Ver: w})
 		if t.extend() {
 			return val
 		}
@@ -279,8 +263,8 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	var w uint64
 	for {
 		w = l.Load()
-		if w&^idxBits == t.own {
-			t.log.At(uint32(w>>1)&wIdxMask).Set(a, v)
+		if idx, mine := kernel.Owns(w, t.own); mine {
+			t.log.At(idx).Set(a, v)
 			return
 		}
 		if w&1 != 0 {
@@ -342,20 +326,17 @@ func (t *txn) commit() bool {
 	return true
 }
 
-// validate checks that every logged stripe is still free at its logged
-// version: one load of its lock word, which no commit leaves at the old
-// version. A stripe this transaction owns is judged by the word its lock
-// replaced.
+// validate checks that every logged stripe still holds its logged word:
+// one load of its lock word, which no commit leaves at the old version. A
+// stripe this transaction owns is judged by the word its lock replaced.
 func (t *txn) validate() bool {
 	t.Stat.Validations++
 	t.Stat.ValidationReads += uint64(len(t.rs.Log))
 	for _, re := range t.rs.Log {
-		w := t.e.locks[re.Idx].Load()
-		if w&^idxBits == t.own {
-			w = t.log.At(uint32(w>>1) & wIdxMask).Saved
-		}
-		if w != re.Ver<<1 {
-			return false
+		if w := t.locks[re.Idx].Load(); w != re.Ver {
+			if idx, mine := kernel.Owns(w, t.own); !mine || t.log.At(idx).Saved != re.Ver {
+				return false
+			}
 		}
 	}
 	return true
@@ -396,22 +377,18 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	a := stm.Addr(h) + field
 	locks := t.locks
 	i := int(a>>t.shift) & (len(locks) - 1)
-	l := &locks[i]
-	w := l.Load()
-	if w&1 == 0 {
-		val := t.words[a].Load()
-		if l.Load() == w {
-			if ver := w >> 1; ver <= t.validTS {
-				if t.rs.TestAndSet(uint32(i)) {
-					t.Stat.ReadsDeduped++
-					return val
-				}
-				if t.rs.Push(uint32(i), ver) {
-					return val
-				}
+	w, val, ok := kernel.Sample(&locks[i], &t.words[a])
+	if ok {
+		if w>>1 <= t.validTS {
+			if t.rs.TestAndSet(uint32(i)) {
+				t.Stat.ReadsDeduped++
+				return val
 			}
-			return t.readNewer(uint32(i), w>>1, val)
+			if t.rs.Push(uint32(i), w) {
+				return val
+			}
 		}
+		return t.readNewer(uint32(i), w, val)
 	}
 	return t.readSlow(a, w)
 }

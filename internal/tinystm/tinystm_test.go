@@ -201,3 +201,23 @@ func TestStripeReadWhole(t *testing.T) {
 	wg.Wait()
 	t.Logf("%d read-only commits, %d writes", reads, writes.Load())
 }
+
+// TestValidateRejectsForeignOwner: a read stripe that another transaction
+// has locked since fails validation, whatever version the owner found
+// there: the owner may have validated already and be writing back.
+func TestValidateRejectsForeignOwner(t *testing.T) {
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
+	a, b, c := e.NewThread(0), e.NewThread(1), e.NewThread(2)
+	x, y, z := e.Arena().Alloc(64), e.Arena().Alloc(64), e.Arena().Alloc(64)
+	tx := a.Begin(false)
+	tx.Load(x)
+	b.Begin(false).Store(x, 1)                            // b owns x's stripe
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(z, 1) }) // a's commit must validate
+	tx.Store(y, 1)
+	if a.Commit() {
+		t.Fatal("a committed its read of a stripe b owns")
+	}
+	if !b.Commit() {
+		t.Fatal("b's commit failed")
+	}
+}

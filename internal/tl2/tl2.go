@@ -38,8 +38,8 @@ type Config = kernel.WordConfig
 // bounded spin reduces convoying on oversubscribed hosts).
 const commitSpin = 64
 
-// Engine is a TL2 instance. Each lock-table entry is a versioned lock:
-// version<<1 when free, owner-tagged odd value when locked. The global
+// Engine is a TL2 instance. Each lock-table entry is a versioned lock word
+// (DESIGN.md §7.5), owned only by a committer. The global
 // clock — bumped by every update commit — is padded onto its own cache
 // line so clock traffic does not invalidate the read-mostly mapping
 // state cached by every reader.
@@ -75,16 +75,17 @@ type txn struct {
 	// locks, words and shift are e.locks, e.Words and e.Shift, the three a
 	// read indexes, held here so a read reaches them in one hop; e keeps
 	// the engine, and so the mapped table, reachable.
-	locks     []atomic.Uint64
-	words     []atomic.Uint64
-	shift     uint
-	rv        uint64        // read version (clock snapshot at start)
-	readLog   []kernel.Read // stripe and lock word of each read
-	writes    []wsEntry
-	bloom     uint64 // write-set membership filter for read-after-write
-	lockSet   []uint32
-	lockBloom uint64      // stripe-membership filter over lockSet (commit only)
-	saved     []savedLock // pre-lock versions, for release on commit abort
+	locks   []atomic.Uint64
+	words   []atomic.Uint64
+	shift   uint
+	rv      uint64        // read version (clock snapshot at start)
+	readLog []kernel.Read // stripe and lock word of each read
+	writes  []wsEntry
+	bloom   uint64 // write-set membership filter for read-after-write
+	own     uint64 // kernel.Owner(id): every lock word this thread installs, less its index
+	// saved is the commit's lock set, stripes ascending, each with the word
+	// its lock replaced: an owned word names its entry here.
+	saved []kernel.Read
 	// Thread's Unwind is TL2's as it stands: TL2 holds no locks outside
 	// commit, so a foreign panic needs no cleanup before the caller
 	// propagates it.
@@ -99,10 +100,10 @@ func (e *Engine) NewThread(id int) stm.Thread {
 		locks:   e.locks,
 		words:   e.Words,
 		shift:   e.Shift,
+		own:     kernel.Owner(id),
 		readLog: make([]kernel.Read, 0, 1024),
 		writes:  make([]wsEntry, 0, 256),
-		lockSet: make([]uint32, 0, 256),
-		saved:   make([]savedLock, 0, 256),
+		saved:   make([]kernel.Read, 0, 256),
 	}
 	return t
 }
@@ -148,7 +149,6 @@ func (t *txn) begin() {
 	t.rv = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
 	t.writes = t.writes[:0]
-	t.saved = t.saved[:0]
 	t.bloom = 0
 }
 
@@ -177,8 +177,8 @@ func bloomBit(a stm.Addr) uint64 { return 1 << ((uint64(a) * 0x9e3779b97f4a7c15)
 func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
 
 // ReadField implements stm.Tx: the TL2 read protocol, a write-set lookup
-// for read-after-write, then a consistent (lock, value, lock) sample that
-// must be unlocked and no newer than rv. A read that cannot proceed
+// for read-after-write, then a consistent sample (kernel.Sample) that must
+// be unlocked and no newer than rv. A read that cannot proceed
 // interrupts the user closure with the unwinding signal (readAbort); the
 // fast path makes no call, and a log that must grow is logGrow's.
 func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
@@ -193,25 +193,22 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 	// Local slice header + length mask: provably in-bounds (no check).
 	locks := t.locks
 	i := int(a>>t.shift) & (len(locks) - 1)
-	l := &locks[i]
-	v1 := l.Load()
-	val := t.words[a].Load()
-	v2 := l.Load()
-	if v1 != v2 || v1&1 == 1 || v1>>1 > t.rv {
-		t.readAbort(v1, v2)
+	w, val, ok := kernel.Sample(&locks[i], &t.words[a])
+	if !ok || w>>1 > t.rv {
+		t.readAbort(ok)
 	}
 	if len(t.readLog) < cap(t.readLog) {
-		t.readLog = append(t.readLog, kernel.Read{Idx: uint32(i), Ver: v1})
+		t.readLog = append(t.readLog, kernel.Read{Idx: uint32(i), Ver: w})
 		return val
 	}
-	return t.logGrow(uint32(i), v1, val)
+	return t.logGrow(uint32(i), w, val)
 }
 
-// readAbort rolls back a read whose sample (v1, v2) is locked or changed
-// under us — the timid policy aborts the reader — or newer than the
-// snapshot: TL2 has no extension mechanism.
-func (t *txn) readAbort(v1, v2 uint64) {
-	if v1 != v2 || v1&1 == 1 {
+// readAbort rolls back a read whose sample was not consistent (!ok: locked
+// or changed under us — the timid policy aborts the reader) or newer than
+// the snapshot: TL2 has no extension mechanism.
+func (t *txn) readAbort(ok bool) {
+	if !ok {
 		t.Stat.AbortsLocked++
 	} else {
 		t.Stat.AbortsValid++
@@ -271,31 +268,25 @@ func (t *txn) commit() bool {
 	// Collect the distinct stripes of the write set, in a canonical order
 	// so concurrent committers cannot deadlock. sortLockSet is
 	// allocation-free, unlike the closure-based sort.Slice (which costs
-	// two heap allocations per commit and defeats inlining on the
-	// comparison), and the stripe bloom filter makes the ownsStripe
-	// check during read validation O(1) for the common miss.
-	t.lockSet = t.lockSet[:0]
-	t.lockBloom = 0
+	// two heap allocations per commit).
+	s := t.saved[:0]
 	for _, w := range t.writes {
-		idx := t.e.Stripe(w.addr)
-		t.lockSet = append(t.lockSet, idx)
-		t.lockBloom |= stripeBloomBit(idx)
+		s = append(s, kernel.Read{Idx: t.e.Stripe(w.addr)})
 	}
-	sortLockSet(t.lockSet)
+	sortLockSet(s)
 	n := 0
-	for i, idx := range t.lockSet {
-		if i == 0 || idx != t.lockSet[n-1] {
-			t.lockSet[n] = idx
+	for i := range s {
+		if i == 0 || s[i].Idx != s[n-1].Idx {
+			s[n] = s[i]
 			n++
 		}
 	}
-	t.lockSet = t.lockSet[:n]
+	t.saved = s[:n]
 
-	// Phase 1: acquire the versioned locks (CAS free→locked).
-	lockedVal := uint64(t.ID)<<1 | 1
-	acquired := 0
-	for _, idx := range t.lockSet {
-		l := &t.e.locks[idx]
+	// Phase 1: acquire the versioned locks (CAS free→owned, the owned word
+	// naming the stripe's entry in saved).
+	for i := range t.saved {
+		l := &t.e.locks[t.saved[i].Idx]
 		ok := false
 		for spin := 0; spin < commitSpin; spin++ {
 			v := l.Load()
@@ -308,41 +299,34 @@ func (t *txn) commit() bool {
 			if v>>1 > t.rv {
 				break // stripe moved past our snapshot: abort
 			}
-			if l.CompareAndSwap(v, lockedVal) {
-				t.saved = append(t.saved, savedLock{idx: idx, ver: v})
+			if l.CompareAndSwap(v, t.own|uint64(i)<<1) {
+				t.saved[i].Ver = v
 				ok = true
 				break
 			}
 		}
 		if !ok {
-			t.releaseLocks(acquired)
+			t.releaseLocks(i)
 			t.Stat.LockAcquireFail++
 			return t.commitAbort()
 		}
-		acquired++
 	}
 	// Phase 2: increment the global clock.
 	wv := t.e.clock.Add(1)
-	// Phase 3: validate the read set (GV4: skip when wv == rv+1).
+	// Phase 3: validate the read set (GV4: skip when wv == rv+1). A
+	// stripe passes if it still holds its logged word, or if this commit
+	// owns it and the word its lock replaced is the logged word.
 	if wv != t.rv+1 {
 		t.Stat.Validations++
 		t.Stat.ValidationReads += uint64(len(t.readLog))
 		for _, re := range t.readLog {
-			v := t.e.locks[re.Idx].Load()
-			if v&1 == 1 {
-				if v == lockedVal && t.ownsStripe(re.Idx) {
-					continue
+			if w := t.e.locks[re.Idx].Load(); w != re.Ver {
+				if i, mine := kernel.Owns(w, t.own); !mine || t.saved[i].Ver != re.Ver {
+					t.releaseLocks(len(t.saved))
+					t.Stat.AbortsValid++
+					t.Stat.AbortsValidCommit++
+					return t.commitAbort()
 				}
-				t.releaseLocks(acquired)
-				t.Stat.AbortsValid++
-				t.Stat.AbortsValidCommit++
-				return t.commitAbort()
-			}
-			if v != re.Ver {
-				t.releaseLocks(acquired)
-				t.Stat.AbortsValid++
-				t.Stat.AbortsValidCommit++
-				return t.commitAbort()
 			}
 		}
 	}
@@ -351,43 +335,30 @@ func (t *txn) commit() bool {
 		t.e.Words[w.addr].Store(w.val)
 	}
 	newVer := wv << 1
-	for _, idx := range t.lockSet {
-		t.e.locks[idx].Store(newVer)
+	for _, s := range t.saved {
+		t.e.locks[s.Idx].Store(newVer)
 	}
 	t.Committed(len(t.readLog), len(t.writes))
 	return true
 }
 
-// savedLock records a stripe's pre-lock version for restoration if the
-// commit aborts after acquiring some locks.
-type savedLock struct {
-	idx uint32
-	ver uint64
-}
-
+// releaseLocks restores the first acquired stripes of saved to the words
+// their locks replaced.
 func (t *txn) releaseLocks(acquired int) {
-	for i := 0; i < acquired; i++ {
-		s := t.saved[i]
-		t.e.locks[s.idx].Store(s.ver)
+	for _, s := range t.saved[:acquired] {
+		t.e.locks[s.Idx].Store(s.Ver)
 	}
-	t.saved = t.saved[:0]
-}
-
-// stripeBloomBit maps a stripe index onto the 64-bit lock-set filter.
-func stripeBloomBit(idx uint32) uint64 {
-	return 1 << ((uint64(idx) * 0x9e3779b97f4a7c15) >> 58)
 }
 
 // sortLockSet sorts stripes ascending without allocating: insertion sort
 // for the small write sets that dominate (rbtree updates touch a handful
-// of stripes), pdqsort via slices.Sort — also allocation-free for uint32
-// — beyond that.
-func sortLockSet(s []uint32) {
+// of stripes), pdqsort via slices.SortFunc beyond that.
+func sortLockSet(s []kernel.Read) {
 	if len(s) <= 32 {
 		for i := 1; i < len(s); i++ {
 			v := s[i]
 			j := i - 1
-			for j >= 0 && s[j] > v {
+			for j >= 0 && s[j].Idx > v.Idx {
 				s[j+1] = s[j]
 				j--
 			}
@@ -395,27 +366,7 @@ func sortLockSet(s []uint32) {
 		}
 		return
 	}
-	slices.Sort(s)
-}
-
-// ownsStripe reports whether idx is in this commit's lock set: a bloom
-// probe rejects almost every foreign stripe in one branch, and the rare
-// filter hits fall back to a closure-free binary search of the sorted
-// lock set.
-func (t *txn) ownsStripe(idx uint32) bool {
-	if t.lockBloom&stripeBloomBit(idx) == 0 {
-		return false
-	}
-	lo, hi := 0, len(t.lockSet)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.lockSet[mid] < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(t.lockSet) && t.lockSet[lo] == idx
+	slices.SortFunc(s, func(a, b kernel.Read) int { return int(a.Idx) - int(b.Idx) })
 }
 
 // AllocWords implements stm.Tx.
@@ -435,20 +386,17 @@ type roTx txn
 // Load implements stm.TxRO.
 func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
-// ReadField implements stm.TxRO: a consistent (lock, value, lock) sample
-// that must be unlocked and no newer than rv — and nothing else. No
+// ReadField implements stm.TxRO: a consistent sample (kernel.Sample) that
+// must be unlocked and no newer than rv — and nothing else. No
 // write-set bloom probe (writes are impossible), no read logging (commit
 // never validates; every read is already proven consistent at rv).
 func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 	t := (*txn)(r)
 	a := stm.Addr(h) + field
 	locks := t.locks
-	l := &locks[int(a>>t.shift)&(len(locks)-1)]
-	v1 := l.Load()
-	val := t.words[a].Load()
-	v2 := l.Load()
-	if v1 != v2 || v1&1 == 1 || v1>>1 > t.rv {
-		t.readAbort(v1, v2)
+	w, val, ok := kernel.Sample(&locks[int(a>>t.shift)&(len(locks)-1)], &t.words[a])
+	if !ok || w>>1 > t.rv {
+		t.readAbort(ok)
 	}
 	return val
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"swisstm/internal/stm"
+	"swisstm/internal/stm/kernel"
 	"swisstm/internal/stm/stmtest"
 )
 
@@ -151,3 +152,24 @@ func TestReadOnlyNoReadLogReplay(t *testing.T) {
 // TestTransferExtend: contended transfers whose snapshot is forced
 // forward mid-body must not lose an update.
 func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }
+
+// TestValidateRejectsForeignOwner: a read stripe another committer has
+// locked since fails validation, even when the word that committer's lock
+// names in this committer's saved list is the logged word.
+func TestValidateRejectsForeignOwner(t *testing.T) {
+	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
+	a, c := e.NewThread(0), e.NewThread(2)
+	x, y, z := e.Arena().Alloc(64), e.Arena().Alloc(64), e.Arena().Alloc(64)
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(x, 1); tx.Store(y, 1) }) // one version on both stripes
+	tx := a.Begin(false)
+	tx.Load(x)
+	l := &e.locks[e.Stripe(x)]
+	free := l.Load()
+	l.Store(kernel.Owner(1))                              // thread 1 commits x's stripe, its saved entry 0
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(z, 1) }) // no GV4 skip: a's commit must validate
+	tx.Store(y, 2)                                        // a's saved entry 0: y's stripe, at x's logged word
+	if a.Commit() {
+		t.Fatal("a committed its read of a stripe thread 1 holds")
+	}
+	l.Store(free)
+}

@@ -14,17 +14,21 @@
 # side's quartiles and median and the pairs the change won — with "all",
 # the workloads back to back, one such block each, so "the claimed row
 # moves and the other three do not" is one command. With TRACE=1 in the
-# environment each workload's timed pairs are followed by one `-trace 1`
-# pair on a further seed, and the per-layer metrics that are non-zero on
-# either side are printed parent beside change with the difference, so
-# "the claimed row moves and these counts do not" is the same command.
-# The count metrics (unit count or ratio: the *_per_op, *_share and
+# environment each workload's timed pairs are followed by `-trace 1` runs
+# on two further seeds: the parent on both, the change on the first. The
+# per-layer metrics that are non-zero on either side are printed, the
+# parent's two runs beside the change's with the difference, so "the
+# claimed row moves and these counts do not" is the same command. The
+# count metrics (unit count or ratio: the *_per_op, *_share and
 # items_per_batch rows) come first, each then judged on one line, "same"
-# when the two sides are within 1 % of the parent's value, else "moved"
-# with both values. The rate- and time-valued rows (<engine>.*_ops_per_s,
-# *_ns, *_us) follow apart, under "advisory: one pair, no verdict": one
-# pair cannot resolve a 10-20 % change in a rate, so a rate row needs
-# timed pairs of its own before it supports a claim.
+# when the change is within the row's floor of the parent's first run,
+# else "moved" with both values; the floor is max(1 %, the gap between
+# the parent's two runs), printed beside the row, since two-thread counts
+# move with the interleaving alone. The rate- and time-valued rows
+# (<engine>.*_ops_per_s, *_ns, *_us) follow apart, under "advisory: one
+# run per side, no verdict": one run cannot resolve a 10-20 % change in a
+# rate, so a rate row needs timed pairs of its own before it supports a
+# claim.
 # Each block ends with one verdict line per end-to-end metric, judged
 # against the metric's bound in BENCHMARK.json: for the pairing named in
 # CLAIM=<metric>@<workload>, "claim met" when the change wins at least nine
@@ -97,33 +101,39 @@ layers() {
 		sed -E 's/"([^"]+)": \{"value": ([^,]+), "unit": "([^"]*)"\}/\1 \2 \3/'
 }
 
-# traced WORKLOAD: one -trace 1 run per side on the seed after the timed
-# pairs', per-layer metrics side by side, then a verdict per count.
+# traced WORKLOAD: one -trace 1 run of the change and two of the parent,
+# on the two seeds after the timed pairs' (the change runs on the first),
+# per-layer metrics side by side, then a verdict per count. A count moves
+# when the change differs from the parent's first run by more than its
+# floor: max(1 %, the gap between the parent's two runs).
 traced() {
 	local w=$1 out=$ab/$1 seed=$((seed0 + pairs + 1))
-	echo "traced pair $w: -trace 1, -seconds $seconds, seed $seed"
-	for side in parent change; do
-		json=$("$ab/bench.$side" -workload "$w" -seed "$seed" -seconds "$seconds" -trace 1 | tail -n 1)
+	echo "traced runs $w: -trace 1, -seconds $seconds, parent on seeds $seed and $((seed + 1)), change on $seed"
+	for run in parent:$seed parent2:$((seed + 1)) change:$seed; do
+		json=$("$ab/bench.${run%%[2:]*}" -workload "$w" -seed "${run#*:}" -seconds "$seconds" -trace 1 | tail -n 1)
 		grep -q '"correct": true' <<<"$json" || bad=1
-		layers "$json" | LC_ALL=C sort >"$out.$side.layers"
+		layers "$json" | LC_ALL=C sort >"$out.${run%:*}.layers"
 	done
-	LC_ALL=C join "$out.parent.layers" "$out.change.layers" | awk -v w="$w" '$2 != 0 || $4 != 0 {
+	LC_ALL=C join "$out.parent.layers" "$out.parent2.layers" | LC_ALL=C join -o 0,1.2,1.4,2.2,2.3 - "$out.change.layers" |
+		awk -v w="$w" '$2 != 0 || $4 != 0 {
 		delta = $2 != 0 ? sprintf("%+.1f %%", 100 * ($4 / $2 - 1)) : "new"
-		row = sprintf("%-34s %14.6g %14.6g %9s  %s", $1, $2, $4, delta, $3)
-		if ($3 != "count" && $3 != "ratio") {
+		ref = $2 < 0 ? -$2 : $2; gap = $3 - $2; if (gap < 0) gap = -gap
+		floor = ref > 0 && gap / ref > 0.01 ? gap / ref : 0.01
+		row = sprintf("%-34s %14.6g %14.6g %14.6g %9s %7.1f %%  %s", $1, $2, $3, $4, delta, 100 * floor, $5)
+		if ($5 != "count" && $5 != "ratio") {
 			adv[++a] = row
 			next
 		}
 		rows[++n] = row
 		d = $4 - $2; if (d < 0) d = -d
-		fmt = d <= 0.01 * ($2 < 0 ? -$2 : $2) ? "same (%.6g, %.6g)" : "moved (%.6g -> %.6g)"
-		counts[n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4)
+		fmt = d <= floor * ref ? "same (%.6g, %.6g; floor %.1f %%)" : "moved (%.6g -> %.6g; floor %.1f %%)"
+		counts[n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4, 100 * floor)
 	} END {
-		head = sprintf("%-34s %14s %14s %9s  %s", "metric", "parent", "change", "delta", "unit")
+		head = sprintf("%-34s %14s %14s %14s %9s %9s  %s", "metric", "parent", "parent2", "change", "delta", "floor", "unit")
 		print head
 		for (i = 1; i <= n; i++) print rows[i]
 		for (i = 1; i <= n; i++) print counts[i]
-		print "advisory: one pair, no verdict"
+		print "advisory: one run per side, no verdict"
 		print head
 		for (i = 1; i <= a; i++) print adv[i]
 	}'

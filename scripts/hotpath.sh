@@ -17,12 +17,19 @@
 # function's fences; XCHGL AX, AX, the compiler's inline-mark no-op, is not
 # counted. A call that stops being inlined, a bounds check that appears or
 # goes, or an atomic operation added or removed shows up as a row whose two
-# counts differ. Each engine's block ends with two rows over all its
-# functions, "total atomics" and "total calls": a body that moves from one
+# counts differ. Each engine's block ends with three rows over all its
+# functions: "total atomics" and "total calls" — a body that moves from one
 # function to another changes the rows of both, and the totals say whether
-# anything was added or lost on the way. Rows print as "engine function
-# item parent change", a differing row marked "<>"; the exit status is
-# non-zero when any row differs. It needs amd64 for the instruction names.
+# anything was added or lost on the way — and "total atomic sites", the
+# distinct source positions of those instructions. An atomic inlined from
+# the Go tree (sync/atomic) carries the Go tree's position, so its site is
+# the position of the nearest instruction before it that is outside the Go
+# tree: the line of this tree that made the call. An abort path inlined
+# into several functions then counts once, and the row moves only when a
+# fence is added to or removed from the source. Rows print as "engine
+# function item parent change", a differing row marked "<>"; the exit
+# status is non-zero when any row differs. It needs amd64 for the
+# instruction names.
 set -euo pipefail
 
 rev=${1:?usage: hotpath.sh REV}
@@ -43,19 +50,28 @@ rows() {
 		for eng in swisstm tl2 tinystm; do
 			pkg=$($go list "./internal/$eng")
 			$go build -gcflags="$pkg=-S" "./internal/$eng" 2>&1 |
-				awk -F'\t' -v eng="$eng" -v pkg="$pkg." '
+				awk -F'\t' -v eng="$eng" -v pkg="$pkg." -v goroot="$($go env GOROOT)/" '
 					/^[^\t]/ {
-						fn = ""
+						fn = last = ""
 						if (!/ STEXT /) next
 						fn = $0; sub(/ STEXT .*/, "", fn); gsub(/ /, "", fn)
 						while ((p = index(fn, pkg)) > 0) fn = substr(fn, 1, p - 1) substr(fn, p + length(pkg))
 						n[eng "|" fn "|atomics"] += 0
 						next
 					}
-					fn == "" || NF < 4 { next }
+					fn == "" || NF < 3 { next }
+					{ pos = $2; sub(/^[^(]*\(/, "", pos); sub(/\)$/, "", pos) }
 					$3 == "CALL" { t = $4; sub(/\(SB\)$/, "", t); n[eng "|" fn "|call:" t]++ }
-					$3 == "LOCK" || ($3 ~ /^XCHG/ && $4 ~ /\(/) { n[eng "|" fn "|atomics"]++ }
-					END { for (k in n) print k, n[k] }'
+					$3 == "LOCK" || ($3 ~ /^XCHG/ && $4 ~ /\(/) {
+						n[eng "|" fn "|atomics"]++
+						sites[index(pos, goroot) == 1 ? last : pos]
+					}
+					index(pos, goroot) != 1 && pos !~ /^</ { last = pos }
+					END {
+						for (k in n) print k, n[k]
+						m = 0; for (s in sites) m++
+						print eng "|~total|sites", m
+					}'
 		done | LC_ALL=C sort
 	)
 }
@@ -70,11 +86,13 @@ LC_ALL=C join -a1 -a2 -e 0 -o 0,1.2,2.2 "$tmp/parent.rows" "$tmp/change.rows" |
 		}
 		function totals() {
 			if (eng == "") return
-			row(eng, "total", "atomics", ap, ac); row(eng, "total", "calls", cp, cc)
+			row(eng, "total", "atomics", ap, ac); row(eng, "total", "atomic sites", sp, sc)
+			row(eng, "total", "calls", cp, cc)
 			ap = ac = cp = cc = 0
 		}
 		{ split($1, k, "|") }
 		k[1] != eng { totals(); eng = k[1] }
+		k[2] == "~total" { sp = $2; sc = $3; next }
 		{ row(k[1], k[2], k[3], $2, $3) }
 		k[3] == "atomics" { ap += $2; ac += $3 }
 		k[3] ~ /^call:/ { cp += $2; cc += $3 }
