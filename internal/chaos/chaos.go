@@ -94,18 +94,6 @@ const (
 	faultBlackhole
 )
 
-func (k faultKind) String() string {
-	switch k {
-	case faultTruncate:
-		return "truncate"
-	case faultRST:
-		return "rst"
-	case faultBlackhole:
-		return "blackhole"
-	}
-	return "none"
-}
-
 // connPlan is one connection's resolved schedule.
 type connPlan struct {
 	kind      faultKind

@@ -119,20 +119,11 @@ func (a *Arena) Alloc(n uint32) Addr {
 	return Addr(base)
 }
 
-// Load reads the word at addr atomically (non-transactional access; used by
-// engine internals and single-threaded setup code).
-func (a *Arena) Load(addr Addr) Word { return a.words[addr].Load() }
-
-// Store writes the word at addr atomically (non-transactional access).
-func (a *Arena) Store(addr Addr, v Word) { a.words[addr].Store(v) }
-
-// Words exposes the backing word array so engines can index the heap
-// directly on their hot paths. Going through the slice header cached in
-// the engine struct saves one pointer dereference per transactional
-// access compared to calling a.Load/a.Store (arena pointer → slice
-// header → element), and the engine-side accesses inline fully. The
-// slice must only be accessed with atomic operations, and only while a
-// is reachable (package doc).
+// Words exposes the backing word array, the arena's one access path:
+// engines cache its slice header and index the heap directly on their hot
+// paths, and tests read and write raw words through it outside any
+// transaction. The slice must only be accessed with atomic operations,
+// and only while a is reachable (package doc).
 func (a *Arena) Words() []atomic.Uint64 { return a.words }
 
 // Cap returns the arena capacity in words.

@@ -44,16 +44,6 @@ func TestExhaustionPanics(t *testing.T) {
 	a.Alloc(100)
 }
 
-func TestLoadStore(t *testing.T) {
-	a := NewArena(32)
-	addr := a.Alloc(2)
-	a.Store(addr, 42)
-	a.Store(addr+1, 43)
-	if a.Load(addr) != 42 || a.Load(addr+1) != 43 {
-		t.Fatal("load/store round trip failed")
-	}
-}
-
 // TestQuickAllocNonOverlap: property — any sequence of allocation sizes
 // yields pairwise disjoint, in-bounds ranges.
 func TestQuickAllocNonOverlap(t *testing.T) {

@@ -113,7 +113,7 @@ func TestMappedTableZero(t *testing.T) {
 }
 
 // TestMappedArenaZeroAndShared: a mapped arena reads zero everywhere,
-// and Words, Load and Store see the same storage.
+// and its first and last words hold what is stored in them.
 func TestMappedArenaZeroAndShared(t *testing.T) {
 	a := NewArena(2*mapWords + 3)
 	if !mapped(t, a) {
@@ -126,10 +126,10 @@ func TestMappedArenaZeroAndShared(t *testing.T) {
 		}
 	}
 	last := Addr(a.Cap() - 1)
-	a.Store(last, 7)
+	w[last].Store(7)
 	w[1].Store(9)
-	if w[last].Load() != 7 || a.Load(1) != 9 {
-		t.Fatal("Words and Load/Store disagree")
+	if a.Words()[last].Load() != 7 || a.Words()[1].Load() != 9 {
+		t.Fatal("stores to the arena's first and last words were lost")
 	}
 }
 
@@ -143,9 +143,10 @@ func TestMapThreshold(t *testing.T) {
 		}
 		base := a.Alloc(uint32(n - 1))
 		end := Addr(n - 1)
-		a.Store(base, 1)
-		a.Store(end, 2)
-		if a.Load(base) != 1 || a.Load(end) != 2 {
+		w := a.Words()
+		w[base].Store(1)
+		w[end].Store(2)
+		if w[base].Load() != 1 || w[end].Load() != 2 {
 			t.Errorf("NewArena(%d): load/store round trip failed", n)
 		}
 	}
@@ -175,8 +176,9 @@ func vmRSS(t *testing.T) int64 {
 // resident set with it; the arena is unreachable once it returns.
 func touchArena(t *testing.T) int64 {
 	a := NewArena(64 << 20 / 8)
-	for i := 0; i < a.Cap(); i += 512 {
-		a.Store(Addr(i), 1)
+	w := a.Words()
+	for i := 0; i < len(w); i += 512 {
+		w[i].Store(1)
 	}
 	return vmRSS(t)
 }

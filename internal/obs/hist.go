@@ -146,11 +146,3 @@ func (h *Hist) Quantile(q float64) uint64 {
 	}
 	return BucketUpper(NumBuckets - 1)
 }
-
-// Mean returns the arithmetic mean of recorded values (0 if empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}

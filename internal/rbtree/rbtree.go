@@ -62,21 +62,6 @@ func (t *Tree) Lookup(tx stm.TxRO, key stm.Word) (stm.Word, bool) {
 	return 0, false
 }
 
-// Min returns the smallest key in the tree (ok=false when empty).
-func (t *Tree) Min(tx stm.TxRO) (stm.Word, bool) {
-	n := t.root(tx)
-	if n == nilH {
-		return 0, false
-	}
-	for {
-		l := stm.ReadRef(tx, n, fLeft)
-		if l == nilH {
-			return tx.ReadField(n, fKey), true
-		}
-		n = l
-	}
-}
-
 // RangeCount counts keys in [lo, hi] by in-order traversal — used by the
 // STMBench7-style index scans and by tests.
 func (t *Tree) RangeCount(tx stm.TxRO, lo, hi stm.Word) int {

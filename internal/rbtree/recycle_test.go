@@ -99,7 +99,7 @@ func TestRecycleModel(t *testing.T) {
 			th := e.NewThread(0)
 			r := newRecycler(t, th)
 			used := -1
-			if stm.SupportsWordAPI(e) {
+			if e.Arena() != nil {
 				used = e.Arena().Used()
 			}
 			for i := 0; i < 300; i++ {

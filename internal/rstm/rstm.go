@@ -840,21 +840,10 @@ func (t *txn) NewObjects(dst []stm.Handle, fields uint32, vals []stm.Word) {
 	}
 }
 
-// Load implements stm.Tx. RSTM has no word API (the paper cannot run
-// STAMP on RSTM for the same reason, §4 footnote 4); drivers gate on
-// stm.SupportsWordAPI, so reaching this panic is a driver bug.
-func (t *txn) Load(a stm.Addr) stm.Word { panic(stm.ErrWordAPI) }
-
-// Store implements stm.Tx.
-func (t *txn) Store(a stm.Addr, v stm.Word) { panic(stm.ErrWordAPI) }
-
-// AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { panic(stm.ErrWordAPI) }
-
 // roTx is the transaction view BeginRO returns, the descriptor under a
 // second method set: its read methods run the openReadRO fast path with no
 // mode branch, and it implements stm.TxRO and no write method (DESIGN.md
-// §9.3); its Load panics ErrWordAPI like the read-write view's.
+// §9.3).
 type roTx txn
 
 // ReadField implements stm.TxRO.
@@ -869,9 +858,6 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 
 // Restart implements stm.TxRO.
 func (r *roTx) Restart() { (*txn)(r).Restart() }
-
-// Load implements stm.TxRO; see txn.Load.
-func (r *roTx) Load(stm.Addr) stm.Word { panic(stm.ErrWordAPI) }
 
 var _ stm.STM = (*Engine)(nil)
 var _ stm.Thread = (*txn)(nil)

@@ -35,17 +35,6 @@ func TestConformanceVariants(t *testing.T) {
 	}
 }
 
-func TestWordAPIRejected(t *testing.T) {
-	e := New(Config{})
-	th := e.NewThread(0)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("word API should panic on RSTM")
-		}
-	}()
-	stm.AtomicVoid(th, func(tx stm.Tx) { tx.Load(1) })
-}
-
 func TestCloneIsolation(t *testing.T) {
 	// A writer's clone must be invisible to a concurrent reader until the
 	// status CAS; after abort, the old data must remain current.

@@ -13,7 +13,7 @@ import (
 )
 
 // engines is the paper's full line-up; labyrinth is written against the
-// object API, so unlike the word-API STAMP harness it also runs on RSTM.
+// object API, like every STAMP app, so it runs on RSTM too.
 func engines() map[string]func() stm.STM {
 	return map[string]func() stm.STM{
 		"swisstm": func() stm.STM { return swisstm.New(swisstm.Config{ArenaWords: 1 << 21, TableBits: 15}) },

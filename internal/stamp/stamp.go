@@ -40,8 +40,9 @@ type App interface {
 }
 
 // Run executes one workload on engine e with the given worker count and
-// returns the aggregated statistics. It is the fixed-work protocol every
-// experiment driver uses.
+// returns the aggregated statistics: Setup, Bind, Work on every worker,
+// Check. The STAMP apps' tests drive it; the experiments run the same
+// protocol through harness.RepeatWork, which adds repeats and records.
 func Run(app App, e stm.STM, threads int) (stm.Stats, error) {
 	return RunSeeded(app, e, threads, 0)
 }

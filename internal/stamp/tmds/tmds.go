@@ -65,44 +65,6 @@ func (m *Map) Put(tx stm.Tx, k, v stm.Word) bool {
 	return true
 }
 
-// PutIfAbsent inserts k→v only when k is missing; it reports whether the
-// insert happened.
-func (m *Map) PutIfAbsent(tx stm.Tx, k, v stm.Word) bool {
-	b := hashKey(k, m.n)
-	head := stm.Handle(tx.ReadField(m.buckets, b))
-	for e := head; e != 0; e = stm.Handle(tx.ReadField(e, meNext)) {
-		if tx.ReadField(e, meKey) == k {
-			return false
-		}
-	}
-	e := tx.NewObject(3)
-	tx.WriteField(e, meKey, k)
-	tx.WriteField(e, meVal, v)
-	tx.WriteField(e, meNext, stm.Word(head))
-	tx.WriteField(m.buckets, b, stm.Word(e))
-	return true
-}
-
-// Delete removes k, reporting whether it was present.
-func (m *Map) Delete(tx stm.Tx, k stm.Word) bool {
-	b := hashKey(k, m.n)
-	prev := stm.Handle(0)
-	e := stm.Handle(tx.ReadField(m.buckets, b))
-	for e != 0 {
-		next := stm.Handle(tx.ReadField(e, meNext))
-		if tx.ReadField(e, meKey) == k {
-			if prev == 0 {
-				tx.WriteField(m.buckets, b, stm.Word(next))
-			} else {
-				tx.WriteField(prev, meNext, stm.Word(next))
-			}
-			return true
-		}
-		prev, e = e, next
-	}
-	return false
-}
-
 // Visit calls fn for every key/value pair (iteration order unspecified).
 func (m *Map) Visit(tx stm.Tx, fn func(k, v stm.Word)) {
 	for b := uint32(0); b < m.n; b++ {
@@ -185,9 +147,6 @@ func (l *List) Push(tx stm.Tx, v stm.Word) {
 	tx.WriteField(l.anchor, 0, stm.Word(n))
 	tx.WriteField(l.anchor, 1, tx.ReadField(l.anchor, 1)+1)
 }
-
-// Len returns the list length.
-func (l *List) Len(tx stm.Tx) int { return int(tx.ReadField(l.anchor, 1)) }
 
 // Visit calls fn for each element, newest first.
 func (l *List) Visit(tx stm.Tx, fn func(v stm.Word)) {

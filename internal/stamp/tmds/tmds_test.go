@@ -32,7 +32,7 @@ func TestMapModel(t *testing.T) {
 					k := stm.Word(op % 61)
 					v := stm.Word(op)
 					ok := true
-					switch op % 3 {
+					switch op % 2 {
 					case 0:
 						fresh := stm.Atomic(th, func(tx stm.Tx) bool { return m.Put(tx, k, v) })
 						_, had := model[k]
@@ -50,11 +50,6 @@ func TestMapModel(t *testing.T) {
 						got, found := res[0], res[1] == 1
 						want, had := model[k]
 						ok = found == had && (!found || got == want)
-					case 2:
-						deleted := stm.Atomic(th, func(tx stm.Tx) bool { return m.Delete(tx, k) })
-						_, had := model[k]
-						ok = deleted == had
-						delete(model, k)
 					}
 					if !ok {
 						return false
@@ -72,23 +67,6 @@ func TestMapModel(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestMapPutIfAbsent(t *testing.T) {
-	e := engines()["swisstm"]()
-	th := e.NewThread(0)
-	m := stm.Atomic(th, func(tx stm.Tx) *Map { return NewMap(tx, 4) })
-	stm.AtomicVoid(th, func(tx stm.Tx) {
-		if !m.PutIfAbsent(tx, 1, 10) {
-			t.Error("first PutIfAbsent should succeed")
-		}
-		if m.PutIfAbsent(tx, 1, 20) {
-			t.Error("second PutIfAbsent should fail")
-		}
-		if v, _ := m.Get(tx, 1); v != 10 {
-			t.Errorf("value overwritten: %d", v)
-		}
-	})
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -179,12 +157,9 @@ func TestListPushVisit(t *testing.T) {
 		l.Push(tx, 3)
 	})
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		if l.Len(tx) != 3 {
-			t.Fatalf("len = %d", l.Len(tx))
-		}
 		var order []stm.Word
 		l.Visit(tx, func(v stm.Word) { order = append(order, v) })
-		if order[0] != 3 || order[1] != 2 || order[2] != 1 {
+		if len(order) != 3 || order[0] != 3 || order[1] != 2 || order[2] != 1 {
 			t.Fatalf("visit order %v, want [3 2 1]", order)
 		}
 	})

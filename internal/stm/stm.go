@@ -3,21 +3,14 @@
 // contribution) and the three baselines it is evaluated against (TL2,
 // TinySTM, RSTM).
 //
-// Two access styles are provided, mirroring the paper's setup:
-//
-//   - The word API (Load/Store on arena addresses) is the native interface
-//     of the word-based engines — SwissTM, TL2, TinySTM. STAMP uses it.
-//     Object-based RSTM does not implement it (it has no arena); consult
-//     SupportsWordAPI before running a word-API workload on an arbitrary
-//     engine.
-//   - The object API (ReadField/WriteField on opaque handles) is the native
-//     interface of object-based RSTM; the word-based engines implement it
-//     with a thin wrapper that lays an object out as a contiguous block of
-//     words (the approach of "Dividing Transactional Memories by Zero",
-//     which the paper uses to run STMBench7 on word-based STMs).
-//
-// STMBench7, Lee-TM and the red-black tree are written against the object
-// API so they run on all four engines, exactly as in the paper.
+// Transactions access memory through one style, the object API
+// (ReadField/WriteField on opaque handles). It is the native interface of
+// object-based RSTM; the word-based engines — SwissTM, TL2, TinySTM — lay
+// an object out as a contiguous block of arena words, so a handle is the
+// address of its first field (the approach of "Dividing Transactional
+// Memories by Zero", which the paper uses to run STMBench7 on word-based
+// STMs). Every workload — STMBench7, STAMP, Lee-TM, the red-black tree and
+// the txkv store — is written against it and runs on all four engines.
 //
 // # Transaction API v2 (DESIGN.md §9)
 //
@@ -52,10 +45,10 @@ import "swisstm/internal/mem"
 // Word is one 64-bit unit of transactional data.
 type Word = mem.Word
 
-// Addr is a word index into the shared arena (word API).
+// Addr is a word index into the shared arena of a word-based engine.
 type Addr = mem.Addr
 
-// Handle is an opaque object reference (object API). For word-based engines
+// Handle is an opaque object reference. For word-based engines
 // a handle is the arena address of the object's first field; for RSTM it
 // indexes an object table. Handle 0 is the nil reference.
 //
@@ -84,11 +77,7 @@ func WriteRef(tx Tx, h Handle, field uint32, ref Handle) {
 // internal signal that the retry loop recovers) when a conflict requires
 // it; user code never observes an inconsistent snapshot (opacity).
 type TxRO interface {
-	// Load reads one arena word (word API). RSTM does not support the
-	// word API and panics with ErrWordAPI; gate with SupportsWordAPI.
-	Load(a Addr) Word
-
-	// ReadField reads one field of an object (object API, all engines).
+	// ReadField reads one field of an object.
 	ReadField(h Handle, field uint32) Word
 
 	// Restart aborts and retries the transaction immediately (user-level
@@ -101,18 +90,13 @@ type TxRO interface {
 type Tx interface {
 	TxRO
 
-	// Store writes one arena word (word API; see TxRO.Load for RSTM).
-	Store(a Addr, v Word)
-	// AllocWords reserves n fresh arena words inside the transaction.
-	// Allocation is not undone on abort (the arena is a bump allocator);
-	// a retried transaction simply allocates fresh words, and the leaked
-	// ones are unreachable. This matches the C implementations, whose
-	// transactional allocators also leak on abort in the common case.
-	AllocWords(n uint32) Addr
-
-	// WriteField writes one field of an object (object API, all engines).
+	// WriteField writes one field of an object.
 	WriteField(h Handle, field uint32, v Word)
 	// NewObject allocates a fresh object with the given field count.
+	// Allocation is not undone on abort (a word arena is a bump
+	// allocator); a retried transaction simply allocates afresh, and the
+	// leaked object is unreachable. This matches the C implementations,
+	// whose transactional allocators also leak on abort in the common case.
 	NewObject(fields uint32) Handle
 	// NewObjects allocates len(dst) objects of fields fields each into dst;
 	// field f of object i starts as vals[i*fields+f], or zero for a nil
@@ -197,14 +181,6 @@ type STM interface {
 	// transactions; the new thread takes the id over.
 	NewThread(id int) Thread
 }
-
-// SupportsWordAPI reports whether e implements the word API (Load/Store/
-// AllocWords): whether it has a word arena. Word-based engines (SwissTM,
-// TL2, TinySTM) do; object-based RSTM does not — the paper cannot run
-// STAMP on RSTM for the same reason (§4 footnote 4). Drivers consult this
-// before starting a word-API workload so an unsupported engine fails fast
-// with a clear error instead of panicking with ErrWordAPI mid-run.
-func SupportsWordAPI(e STM) bool { return e.Arena() != nil }
 
 // MaxThreads bounds the number of concurrently registered threads. The
 // paper's testbed has 8 hardware threads; we leave headroom.
@@ -447,8 +423,8 @@ func (s *Stats) AbortRate() float64 {
 }
 
 // AbortCauses is the engine-agnostic abort-cause taxonomy (DESIGN.md
-// §11): every abort has exactly one cause, so Total() == Aborts holds
-// on every engine (the per-engine partition tests assert it). The six
+// §11): every abort has exactly one cause, so the six sum to Aborts on
+// every engine (the per-engine partition tests assert it). The six
 // causes fold the raw Stats counters as follows:
 //
 //	ReadValidation   = AbortsValidRead
@@ -478,13 +454,6 @@ func (s *Stats) Causes() AbortCauses {
 	}
 }
 
-// Total sums the six causes; equal to Stats.Aborts when the partition
-// invariant holds.
-func (c AbortCauses) Total() uint64 {
-	return c.ReadValidation + c.LockConflict + c.CommitValidation +
-		c.CMKill + c.UserError + c.ExplicitRestart
-}
-
 // RollbackSignal is the panic payload engines use to unwind an aborted
 // transaction to its retry loop. It is exported so that engine packages
 // share one signal type; user code should never see it.
@@ -509,8 +478,3 @@ var (
 	SignalRollback any = RollbackSignal{}
 	SignalRestart  any = RollbackSignal{Explicit: true}
 )
-
-// ErrWordAPI is the panic message RSTM raises when the word API is used
-// despite SupportsWordAPI reporting false (a driver bug; drivers must
-// gate word-API workloads on the capability check).
-const ErrWordAPI = "stm: engine is object-based; word API not supported (see DESIGN.md §3.1)"

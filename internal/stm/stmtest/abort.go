@@ -51,8 +51,7 @@ type ForcedAbort struct {
 	thA, thB stm.Thread
 	attempt  int
 	v        stm.Word
-	s, p     stm.Addr   // word shapes: shared and private stripes
-	obj      stm.Handle // object shape
+	s, p     stm.Handle // shared and private stripes (one-field objects)
 	body     func(stm.Tx)
 	bump     func(stm.Tx)
 }
@@ -68,48 +67,48 @@ func NewForcedAbort(e stm.STM, shape AbortShape) *ForcedAbort {
 	switch shape {
 	case ShapeReadValidation:
 		stm.AtomicVoid(fa.thA, func(tx stm.Tx) {
-			fa.s = tx.AllocWords(1)
-			_ = tx.AllocWords(64) // keep s and p on distinct stripes at any granularity ≤ 64
-			fa.p = tx.AllocWords(1)
-			tx.Store(fa.s, 1)
-			tx.Store(fa.p, 1)
+			fa.s = tx.NewObject(1)
+			_ = tx.NewObject(64) // keep s and p on distinct stripes at any granularity ≤ 64
+			fa.p = tx.NewObject(1)
+			tx.WriteField(fa.s, 0, 1)
+			tx.WriteField(fa.p, 0, 1)
 		})
-		fa.bump = func(tx stm.Tx) { fa.v++; tx.Store(fa.s, fa.v) }
+		fa.bump = func(tx stm.Tx) { fa.v++; tx.WriteField(fa.s, 0, fa.v) }
 		fa.body = func(tx stm.Tx) {
 			fa.attempt++
 			if fa.attempt > 1 {
 				return // clean retry: empty read-only commit
 			}
-			_ = tx.Load(fa.s)
+			_ = tx.ReadField(fa.s, 0)
 			stm.AtomicVoid(fa.thB, fa.bump) // S moves past the victim's snapshot
-			tx.Store(fa.p, fa.v)            // make the victim an updater so commit validates
+			tx.WriteField(fa.p, 0, fa.v)    // make the victim an updater so commit validates
 		}
 	case ShapeLockAcquire:
 		stm.AtomicVoid(fa.thA, func(tx stm.Tx) {
-			fa.s = tx.AllocWords(1)
-			tx.Store(fa.s, 1)
+			fa.s = tx.NewObject(1)
+			tx.WriteField(fa.s, 0, 1)
 		})
-		fa.bump = func(tx stm.Tx) { fa.v++; tx.Store(fa.s, fa.v) }
+		fa.bump = func(tx stm.Tx) { fa.v++; tx.WriteField(fa.s, 0, fa.v) }
 		fa.body = func(tx stm.Tx) {
 			fa.attempt++
 			if fa.attempt > 1 {
 				return
 			}
-			tx.Store(fa.s, 0)               // buffered lazily; no lock taken
+			tx.WriteField(fa.s, 0, 0)       // buffered lazily; no lock taken
 			stm.AtomicVoid(fa.thB, fa.bump) // S's versioned lock moves past the snapshot
 		}
 	case ShapeObjectValidation:
 		stm.AtomicVoid(fa.thA, func(tx stm.Tx) {
-			fa.obj = tx.NewObject(2)
-			tx.WriteField(fa.obj, 0, 1)
+			fa.s = tx.NewObject(2)
+			tx.WriteField(fa.s, 0, 1)
 		})
-		fa.bump = func(tx stm.Tx) { fa.v++; tx.WriteField(fa.obj, 0, fa.v) }
+		fa.bump = func(tx stm.Tx) { fa.v++; tx.WriteField(fa.s, 0, fa.v) }
 		fa.body = func(tx stm.Tx) {
 			fa.attempt++
 			if fa.attempt > 1 {
 				return
 			}
-			_ = tx.ReadField(fa.obj, 0)
+			_ = tx.ReadField(fa.s, 0)
 			stm.AtomicVoid(fa.thB, fa.bump) // O's committed version moves
 		}
 	default:

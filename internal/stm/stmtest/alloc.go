@@ -16,6 +16,10 @@ import (
 // design inherently allocates on writes (RSTM clones objects per
 // acquisition) pass updates=false and are only held to the read-only
 // bound.
+//
+// wordAPI selects, for the word-based engines, a 16-field object whose
+// update writes fields 1 and 9 — two stripes at the default granularity;
+// RSTM gets an 8-field object and a one-field update.
 func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 	t.Helper()
 	th := e.NewThread(0)
@@ -24,31 +28,31 @@ func ZeroAllocSteadyState(t *testing.T, e stm.STM, wordAPI, updates bool) {
 	var roBodyRO func(stm.TxRO) stm.Word
 	var upBody func(stm.Tx)
 	if wordAPI {
-		base := stm.Atomic(th, func(tx stm.Tx) stm.Addr {
-			b := tx.AllocWords(16)
-			for i := stm.Addr(0); i < 16; i++ {
-				tx.Store(b+i, stm.Word(i))
+		obj := stm.Atomic(th, func(tx stm.Tx) stm.Handle {
+			o := tx.NewObject(16)
+			for i := uint32(0); i < 16; i++ {
+				tx.WriteField(o, i, stm.Word(i))
 			}
-			return b
+			return o
 		})
 		roBody = func(tx stm.Tx) stm.Word {
 			var sum stm.Word
-			for i := stm.Addr(0); i < 8; i++ {
-				sum += tx.Load(base + i)
+			for i := uint32(0); i < 8; i++ {
+				sum += tx.ReadField(obj, i)
 			}
-			return sum + tx.Load(base) // re-read: dedup hit
+			return sum + tx.ReadField(obj, 0) // re-read: dedup hit
 		}
 		roBodyRO = func(tx stm.TxRO) stm.Word {
 			var sum stm.Word
-			for i := stm.Addr(0); i < 8; i++ {
-				sum += tx.Load(base + i)
+			for i := uint32(0); i < 8; i++ {
+				sum += tx.ReadField(obj, i)
 			}
-			return sum + tx.Load(base)
+			return sum + tx.ReadField(obj, 0)
 		}
 		upBody = func(tx stm.Tx) {
-			v := tx.Load(base)
-			tx.Store(base+1, v+1)
-			tx.Store(base+9, v+2)
+			v := tx.ReadField(obj, 0)
+			tx.WriteField(obj, 1, v+1)
+			tx.WriteField(obj, 9, v+2)
 		}
 	} else {
 		obj := stm.Atomic(th, func(tx stm.Tx) stm.Handle {
@@ -167,7 +171,7 @@ func ZeroAllocFirstLongRead(t *testing.T, e stm.STM, logCap func(stm.Thread) int
 	stripes := e.Arena().Cap() / 4
 	walk := func(tx stm.TxRO) (sum stm.Word) {
 		for a := 0; a < 8*stripes; a += 4 {
-			sum += tx.Load(stm.Addr(a % (4 * stripes)))
+			sum += tx.ReadField(stm.Handle(a%(4*stripes)), 0)
 		}
 		return sum
 	}

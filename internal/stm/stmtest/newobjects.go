@@ -104,7 +104,7 @@ func testNewObjects(t *testing.T, e stm.STM) {
 			}
 			return struct{}{}, nil
 		})
-		if stm.SupportsWordAPI(e) && fresh[0] != x+1 {
+		if e.Arena() != nil && fresh[0] != x+1 {
 			t.Fatalf("test premise: fresh objects at %v, want them right after x at %d", fresh, x)
 		}
 		if got, want := readField(b, x, 0), map[bool]stm.Word{false: 7, true: 0}[abort]; got != want || abort != (err != nil) {

@@ -19,9 +19,9 @@ import (
 
 // Options configures the conformance run for one engine.
 type Options struct {
-	// WordAPI is true for word-based engines (SwissTM, TL2, TinySTM);
-	// object-based RSTM skips word-API tests, as in the paper (STAMP
-	// cannot run on RSTM for the same reason).
+	// WordAPI is true for the engines that keep objects in a word arena
+	// (SwissTM, TL2, TinySTM); it runs the WordAPI case, which checks the
+	// words under the object API. Object-based RSTM has no arena.
 	WordAPI bool
 	// Threads caps the concurrency of the stress tests.
 	Threads int
@@ -43,13 +43,11 @@ func Run(t *testing.T, factory func() stm.STM, opts Options) {
 	t.Run("ThreadReRegistration", func(t *testing.T) { testThreadReRegistration(t, factory()) })
 	t.Run("OwnWriteValidates", func(t *testing.T) { testOwnWriteValidates(t, factory()) })
 	t.Run("NewObjects", func(t *testing.T) { testNewObjects(t, factory()) })
+	if arena := factory().Arena() != nil; opts.WordAPI != arena {
+		t.Fatalf("options claim WordAPI=%t, but the engine has a word arena: %t", opts.WordAPI, arena)
+	}
 	if opts.WordAPI {
-		if !stm.SupportsWordAPI(factory()) {
-			t.Fatal("options claim word-API support but the engine denies it")
-		}
 		t.Run("WordAPI", func(t *testing.T) { testWordAPI(t, factory()) })
-	} else if stm.SupportsWordAPI(factory()) {
-		t.Fatal("options claim no word-API support but the engine reports it")
 	}
 	t.Run("APIV2", func(t *testing.T) { APIV2Suite(t, factory, opts) })
 }
@@ -294,27 +292,35 @@ func testQuickModel(t *testing.T, factory func() stm.STM) {
 	}
 }
 
+// testWordAPI checks the words under the object API on a word arena: an
+// object's handle is the address of field 0 and its fields are the words
+// after it, so a committed write is the arena word at handle+field.
 func testWordAPI(t *testing.T, e stm.STM) {
 	th := e.NewThread(0)
-	base := stm.Atomic(th, func(tx stm.Tx) stm.Addr {
-		b := tx.AllocWords(8)
+	words := e.Arena().Words()
+	h := stm.Atomic(th, func(tx stm.Tx) stm.Handle {
+		o := tx.NewObject(8)
 		for i := uint32(0); i < 8; i++ {
-			tx.Store(b+i, stm.Word(100+i))
+			tx.WriteField(o, i, stm.Word(100+i))
 		}
-		return b
+		return o
 	})
+	for i := uint32(0); i < 8; i++ {
+		if got := words[stm.Addr(h)+i].Load(); got != stm.Word(100+i) {
+			t.Fatalf("word %d: got %d, want %d", i, got, 100+i)
+		}
+	}
+	words[stm.Addr(h)+3].Store(7) // a raw write outside any transaction
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		for i := uint32(0); i < 8; i++ {
-			if got := tx.Load(base + i); got != stm.Word(100+i) {
-				t.Fatalf("word %d: got %d, want %d", i, got, 100+i)
-			}
+		if got := tx.ReadField(h, 3); got != 7 {
+			t.Fatalf("field 3 after a raw write: got %d, want 7", got)
 		}
-		tx.Store(base, 999)
-		if got := tx.Load(base); got != 999 {
-			t.Fatalf("word read-after-write: got %d, want 999", got)
+		tx.WriteField(h, 0, 999)
+		if got := tx.ReadField(h, 0); got != 999 {
+			t.Fatalf("read-after-write: got %d, want 999", got)
 		}
 	})
-	if got := e.Arena().Load(base); got != 999 {
+	if got := words[h].Load(); got != 999 {
 		t.Fatalf("raw arena read: got %d, want 999", got)
 	}
 }

@@ -18,34 +18,34 @@ func TestLockWordAliasedReadAfterWrite(t *testing.T) {
 	// 16-entry table, 4-word stripes: addresses 64 apart alias.
 	e := New(Config{ArenaWords: 1 << 14, TableBits: 4, StripeWords: 4})
 	th := e.NewThread(5).(*txn)
-	var base stm.Addr
+	var base stm.Handle
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		base = tx.AllocWords(4096)
-		tx.Store(base+8+128, 7)
+		base = tx.NewObject(4096)
+		tx.WriteField(base, 8+128, 7)
 	})
 	a := base + 8
 	want := []struct {
-		addr stm.Addr
+		addr stm.Handle
 		val  stm.Word
 	}{{a, 10}, {a + 64, 20}, {a + 128, 7}, {base, 1}}
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		tx.Store(base, 1)  // write-log entry 0, another stripe
-		tx.Store(a, 10)    // entry 1, primary region
-		tx.Store(a+64, 20) // same lock entry: entry 1's overflow
-		if w, mine := e.locks[e.Stripe(a)].w.Load(), kernel.Tag(5)|1; w != mine {
+		tx.WriteField(base, 0, 1) // write-log entry 0, another stripe
+		tx.WriteField(a, 0, 10)   // entry 1, primary region
+		tx.WriteField(a, 64, 20)  // same lock entry: entry 1's overflow
+		if w, mine := e.locks[e.Stripe(stm.Addr(a))].w.Load(), kernel.Tag(5)|1; w != mine {
 			t.Fatalf("w-lock word = %#x, want %#x (tag 6, write-log index 1)", w, mine)
 		}
-		if e.Stripe(a) != e.Stripe(a+64) || th.log.Len() != 2 {
-			t.Fatalf("regions do not alias: stripes %d/%d, %d entries", e.Stripe(a), e.Stripe(a+64), th.log.Len())
+		if e.Stripe(stm.Addr(a)) != e.Stripe(stm.Addr(a+64)) || th.log.Len() != 2 {
+			t.Fatalf("regions do not alias: stripes %d/%d, %d entries", e.Stripe(stm.Addr(a)), e.Stripe(stm.Addr(a+64)), th.log.Len())
 		}
 		for _, c := range want {
-			if got := tx.Load(c.addr); got != c.val {
+			if got := tx.ReadField(c.addr, 0); got != c.val {
 				t.Fatalf("read-after-write of word %d = %d, want %d", c.addr, got, c.val)
 			}
 		}
 	})
 	for _, c := range want {
-		if got := e.Arena().Load(c.addr); got != c.val {
+		if got := e.Arena().Words()[c.addr].Load(); got != c.val {
 			t.Fatalf("after commit word %d = %d, want %d", c.addr, got, c.val)
 		}
 	}
@@ -58,8 +58,8 @@ func TestLockWordAliasedReadAfterWrite(t *testing.T) {
 func TestLockWordOwnerResolution(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	setup := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(setup, func(tx stm.Tx) { base = tx.AllocWords(4 * (wn + 1)) })
+	var base stm.Handle
+	stm.AtomicVoid(setup, func(tx stm.Tx) { base = tx.NewObject(4 * (wn + 1)) })
 	x, s := base, base+4*wn // x is the first of wn stripes; s follows them
 
 	victim := e.NewThread(7).(*txn)
@@ -70,13 +70,13 @@ func TestLockWordOwnerResolution(t *testing.T) {
 		attempt := 0
 		stm.AtomicVoid(victim, func(tx stm.Tx) {
 			attempt++
-			tx.Store(s, tx.Load(s)+1)
+			tx.WriteField(s, 0, tx.ReadField(s, 0)+1)
 			if attempt == 1 {
 				close(locked)
 				for !victim.killed() {
 					runtime.Gosched()
 				}
-				tx.Load(x) // notices the kill and rolls back
+				tx.ReadField(x, 0) // notices the kill and rolls back
 				t.Error("killed victim kept running")
 			}
 		})
@@ -86,9 +86,9 @@ func TestLockWordOwnerResolution(t *testing.T) {
 	attacker := e.NewThread(9)
 	stm.AtomicVoid(attacker, func(tx stm.Tx) {
 		for i := stm.Addr(0); i < wn; i++ {
-			tx.Store(x+4*i, 1) // the wn-th write enters phase two
+			tx.WriteField(x, 4*i, 1) // the wn-th write enters phase two
 		}
-		tx.Store(s, tx.Load(s)+1)
+		tx.WriteField(s, 0, tx.ReadField(s, 0)+1)
 	})
 	<-victimDone
 
@@ -99,10 +99,10 @@ func TestLockWordOwnerResolution(t *testing.T) {
 		t.Errorf("victim was never killed: %+v", vs)
 	}
 	for _, c := range []struct {
-		addr stm.Addr
+		addr stm.Handle
 		want stm.Word
 	}{{x, 1}, {x + 4*(wn-1), 1}, {s, 2}} {
-		if got := e.Arena().Load(c.addr); got != c.want {
+		if got := e.Arena().Words()[c.addr].Load(); got != c.want {
 			t.Errorf("word %d = %d, want %d", c.addr, got, c.want)
 		}
 	}
@@ -116,11 +116,11 @@ func TestLockWordOwnerResolution(t *testing.T) {
 func TestBeginResetsWhenDirty(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0).(*txn)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(64) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(64) })
 
 	th.status.Store(1) // a kill aimed at a transaction that already committed
-	stm.AtomicVoid(th, func(tx stm.Tx) { tx.Store(base, tx.Load(base)+1) })
+	stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(base, 0, tx.ReadField(base, 0)+1) })
 	if s := th.Stats(); s.Aborts != 0 {
 		t.Errorf("a kill delivered between transactions aborted %d attempts, want 0", s.Aborts)
 	}
@@ -130,7 +130,7 @@ func TestBeginResetsWhenDirty(t *testing.T) {
 		if attempt++; attempt == 1 {
 			th.status.Store(1) // the late kill lands on this attempt
 		}
-		tx.Store(base, tx.Load(base)+1)
+		tx.WriteField(base, 0, tx.ReadField(base, 0)+1)
 	})
 	if s := th.Stats(); s.Aborts != 1 || s.AbortsKilled != 1 || attempt != 2 {
 		t.Errorf("late kill: %d aborts (%d killed) over %d attempts, want 1 (1) over 2", s.Aborts, s.AbortsKilled, attempt)
@@ -139,7 +139,7 @@ func TestBeginResetsWhenDirty(t *testing.T) {
 		t.Error("status still set after the retry committed")
 	}
 
-	if got := e.Arena().Load(base); got != 2 {
+	if got := e.Arena().Words()[base].Load(); got != 2 {
 		t.Errorf("counter = %d, want 2", got)
 	}
 }

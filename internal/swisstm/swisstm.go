@@ -266,9 +266,6 @@ func (t *txn) beginRO() {
 
 func (t *txn) killed() bool { return t.status.Load() != 0 }
 
-// Load implements stm.Tx.
-func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
-
 // ReadField implements stm.Tx: Algorithm 1's read-word. A read that cannot
 // proceed must interrupt the user closure, so an abort unwinds with the
 // pre-allocated signal. The fast path makes no call: waiting out a
@@ -372,9 +369,6 @@ func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
 	t.abort()
 	panic(stm.SignalRollback)
 }
-
-// Store implements stm.Tx.
-func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
 
 // WriteField implements stm.Tx: Algorithm 1's write-word, eager w-lock
 // acquisition (write/write conflicts surface immediately) and redo-log
@@ -585,9 +579,6 @@ func (t *txn) cmOnWrite() {
 	}
 }
 
-// AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
-
 // Object API: an object is a contiguous block of words (DESIGN.md §3.1).
 
 // NewObject implements stm.Tx.
@@ -602,9 +593,6 @@ func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewO
 // implements stm.TxRO and no write method, so a read-only body cannot reach a
 // write method even by type assertion.
 type roTx txn
-
-// Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
 // ReadField implements stm.TxRO: ReadField's double read, dedup and
 // extension, minus the write-log probe (a read-only transaction owns no

@@ -69,8 +69,8 @@ func TestFalseConflictSameStripe(t *testing.T) {
 	// transactions must still execute correctly, one after the other.
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8, StripeWords: 4})
 	th0 := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th0, func(tx stm.Tx) { base = tx.AllocWords(4) })
+	var base stm.Handle
+	stm.AtomicVoid(th0, func(tx stm.Tx) { base = tx.NewObject(4) })
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -79,18 +79,18 @@ func TestFalseConflictSameStripe(t *testing.T) {
 			th := e.NewThread(id + 1)
 			for n := 0; n < 2000; n++ {
 				stm.AtomicVoid(th, func(tx stm.Tx) {
-					a := stm.Addr(uint32(base) + uint32(id)) // distinct words, same stripe
-					tx.Store(a, tx.Load(a)+1)
+					f := uint32(id) // distinct words, same stripe
+					tx.WriteField(base, f, tx.ReadField(base, f)+1)
 				})
 			}
 		}(i)
 	}
 	wg.Wait()
 	stm.AtomicVoid(th0, func(tx stm.Tx) {
-		if got := tx.Load(base); got != 2000 {
+		if got := tx.ReadField(base, 0); got != 2000 {
 			t.Errorf("word 0: got %d, want 2000", got)
 		}
-		if got := tx.Load(base + 1); got != 2000 {
+		if got := tx.ReadField(base, 1); got != 2000 {
 			t.Errorf("word 1: got %d, want 2000", got)
 		}
 	})
@@ -101,12 +101,12 @@ func TestTwoPhasePromotion(t *testing.T) {
 	// (acquire a finite Greedy timestamp); one with wn-1 writes must not.
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0).(*txn)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(8 * wn) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(8 * wn) })
 
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for i := uint32(0); i < wn-1; i++ {
-			tx.Store(base+i*8, 1) // distinct stripes at default granularity
+			tx.WriteField(base, i*8, 1) // distinct stripes at default granularity
 		}
 		if th.cmTS.Load() != infinity {
 			t.Errorf("phase-two entered after %d writes", wn-1)
@@ -114,7 +114,7 @@ func TestTwoPhasePromotion(t *testing.T) {
 	})
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for i := uint32(0); i < wn; i++ {
-			tx.Store(base+i*8, 1)
+			tx.WriteField(base, i*8, 1)
 		}
 		if th.cmTS.Load() == infinity {
 			t.Errorf("still phase-one after %d writes", wn)
@@ -135,8 +135,8 @@ func TestKilledVictimRetries(t *testing.T) {
 	// wn-th.
 	e := New(Config{ArenaWords: 1 << 14, TableBits: 10})
 	th0 := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th0, func(tx stm.Tx) { base = tx.AllocWords(256) })
+	var base stm.Handle
+	stm.AtomicVoid(th0, func(tx stm.Tx) { base = tx.NewObject(256) })
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -147,8 +147,8 @@ func TestKilledVictimRetries(t *testing.T) {
 				stm.AtomicVoid(th, func(tx stm.Tx) {
 					// Touch a window of stripes so transactions overlap.
 					for k := uint32(0); k < 16; k++ {
-						a := base + stm.Addr((uint32(n)+k*4)%256)
-						tx.Store(a, tx.Load(a)+1)
+						f := (uint32(n) + k*4) % 256
+						tx.WriteField(base, f, tx.ReadField(base, f)+1)
 					}
 				})
 			}
@@ -158,7 +158,7 @@ func TestKilledVictimRetries(t *testing.T) {
 	var sum stm.Word
 	stm.AtomicVoid(th0, func(tx stm.Tx) {
 		for i := uint32(0); i < 256; i++ {
-			sum += tx.Load(base + i)
+			sum += tx.ReadField(base, i)
 		}
 	})
 	if sum != 3*300*16 {
@@ -186,8 +186,8 @@ func TestStatsCounting(t *testing.T) {
 func TestForeignPanicReleasesLocks(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(256) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(256) })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -196,7 +196,7 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 		}()
 		stm.AtomicVoid(th, func(tx stm.Tx) {
 			for i := stm.Addr(0); i < 12; i++ {
-				tx.Store(base+i*16, 1)
+				tx.WriteField(base, i*16, 1)
 			}
 			panic("user bug")
 		})
@@ -211,11 +211,11 @@ func TestForeignPanicReleasesLocks(t *testing.T) {
 	th2 := e.NewThread(1)
 	done := make(chan struct{})
 	go func() {
-		stm.AtomicVoid(th2, func(tx stm.Tx) { tx.Store(base, 2) })
+		stm.AtomicVoid(th2, func(tx stm.Tx) { tx.WriteField(base, 0, 2) })
 		close(done)
 	}()
 	<-done
-	if got := e.Arena().Load(base); got != 2 {
+	if got := e.Arena().Words()[base].Load(); got != 2 {
 		t.Fatalf("arena value = %d, want 2", got)
 	}
 }

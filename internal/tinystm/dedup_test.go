@@ -21,12 +21,12 @@ func TestDedupLogsStripeOnce(t *testing.T) {
 	e := newDedupEngine()
 	th := e.NewThread(0)
 	tx0 := th.(*txn)
-	base := e.Arena().Alloc(8) // spans two 4-word stripes
+	base := stm.Handle(e.Arena().Alloc(8)) // spans two 4-word stripes
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for rep := 0; rep < 10; rep++ {
-			tx.Load(base)     // stripe A
-			tx.Load(base + 1) // stripe A again (sibling word)
-			tx.Load(base + 4) // stripe B
+			tx.ReadField(base, 0) // stripe A
+			tx.ReadField(base, 1) // stripe A again (sibling word)
+			tx.ReadField(base, 4) // stripe B
 		}
 		if got := len(tx0.rs.Log); got != 2 {
 			t.Errorf("read log has %d entries, want 2 (one per distinct stripe)", got)
@@ -50,18 +50,18 @@ func TestDedupDoesNotMaskConflict(t *testing.T) {
 	e := newDedupEngine()
 	thA := e.NewThread(0)
 	thB := e.NewThread(1)
-	addr := e.Arena().Alloc(1)
-	e.Arena().Store(addr, 1)
+	addr := stm.Handle(e.Arena().Alloc(1))
+	e.Arena().Words()[addr].Store(1)
 
 	attempts := 0
 	var first, second stm.Word
 	stm.AtomicVoid(thA, func(tx stm.Tx) {
 		attempts++
-		first = tx.Load(addr)
+		first = tx.ReadField(addr, 0)
 		if attempts == 1 {
-			stm.AtomicVoid(thB, func(txB stm.Tx) { txB.Store(addr, 2) })
+			stm.AtomicVoid(thB, func(txB stm.Tx) { txB.WriteField(addr, 0, 2) })
 		}
-		second = tx.Load(addr)
+		second = tx.ReadField(addr, 0)
 	})
 	if attempts != 2 {
 		t.Fatalf("transaction ran %d attempts, want 2 (abort + clean retry)", attempts)
@@ -80,11 +80,11 @@ func TestDedupDoesNotMaskConflict(t *testing.T) {
 func TestDedupOpacityUnderContention(t *testing.T) {
 	e := newDedupEngine()
 	setup := e.NewThread(0)
-	x := e.Arena().Alloc(1)
-	y := e.Arena().Alloc(5) // a different stripe than x
+	x := stm.Handle(e.Arena().Alloc(1))
+	y := stm.Handle(e.Arena().Alloc(5)) // a different stripe than x
 	stm.AtomicVoid(setup, func(tx stm.Tx) {
-		tx.Store(x, 0)
-		tx.Store(y, 0)
+		tx.WriteField(x, 0, 0)
+		tx.WriteField(y, 0, 0)
 	})
 
 	const workers = 4
@@ -99,17 +99,17 @@ func TestDedupOpacityUnderContention(t *testing.T) {
 			for i := 0; i < txns; i++ {
 				if id%2 == 0 {
 					stm.AtomicVoid(th, func(tx stm.Tx) {
-						v := tx.Load(x)
-						tx.Store(x, v+1)
-						tx.Store(y, v+1)
+						v := tx.ReadField(x, 0)
+						tx.WriteField(x, 0, v+1)
+						tx.WriteField(y, 0, v+1)
 					})
 					continue
 				}
 				var bad string
 				stm.AtomicVoid(th, func(tx stm.Tx) {
 					bad = ""
-					a1, b1 := tx.Load(x), tx.Load(y)
-					a2, b2 := tx.Load(x), tx.Load(y) // dedup hits
+					a1, b1 := tx.ReadField(x, 0), tx.ReadField(y, 0)
+					a2, b2 := tx.ReadField(x, 0), tx.ReadField(y, 0) // dedup hits
 					if a1 != a2 || b1 != b2 {
 						bad = "re-read disagreed with first read"
 					} else if a1 != b1 {

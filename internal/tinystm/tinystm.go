@@ -161,9 +161,6 @@ func (t *txn) releaseOwned() {
 	t.log.Reset()
 }
 
-// Load implements stm.Tx.
-func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
-
 // ReadField implements stm.Tx: the TinySTM read protocol, a consistent
 // word/value/word sample of a free stripe, then dedup or logging. A read
 // that cannot proceed interrupts the user closure with the unwinding
@@ -249,9 +246,6 @@ func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
 	t.abort()
 	panic(stm.SignalRollback)
 }
-
-// Store implements stm.Tx.
-func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
 
 // WriteField implements stm.Tx: encounter-time lock acquisition with redo
 // logging. An eager write conflict interrupts the user closure via the
@@ -351,9 +345,6 @@ func (t *txn) extend() bool {
 	return false
 }
 
-// AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
-
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
 
@@ -364,9 +355,6 @@ func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewO
 // second method set: its read runs the read-only protocol with no mode
 // branch, and it implements stm.TxRO and no write method (DESIGN.md §9.3).
 type roTx txn
-
-// Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
 // ReadField implements stm.TxRO with txn.ReadField's body: a read-only
 // transaction owns no encounter-time lock, so readSlow finds any owned word

@@ -35,12 +35,12 @@ func TestEagerAcquireLocksAtEncounter(t *testing.T) {
 	// immediately, in the middle of the transaction body.
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(1) })
-	l := &e.locks[e.Stripe(base)]
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(1) })
+	l := &e.locks[e.Stripe(stm.Addr(base))]
 	before := l.Load()
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		tx.Store(base, 5)
+		tx.WriteField(base, 0, 5)
 		if l.Load()&1 == 0 {
 			t.Fatal("eager engine did not lock the stripe at encounter time")
 		}
@@ -57,22 +57,22 @@ func TestEagerAcquireLocksAtEncounter(t *testing.T) {
 func TestAbortRestoresWord(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
-	a := e.Arena().Alloc(1)
-	stm.AtomicVoid(th, func(tx stm.Tx) { tx.Store(a, 1) }) // a version above 0
-	l := &e.locks[e.Stripe(a)]
+	a := stm.Handle(e.Arena().Alloc(1))
+	stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(a, 0, 1) }) // a version above 0
+	l := &e.locks[e.Stripe(stm.Addr(a))]
 	before := l.Load()
 	check := func(how string) {
 		t.Helper()
 		if w := l.Load(); w != before {
 			t.Errorf("%s: lock word = %#x, want %#x as before the store", how, w, before)
 		}
-		if v := e.Arena().Load(a); v != 1 {
+		if v := e.Arena().Words()[a].Load(); v != 1 {
 			t.Errorf("%s: word = %d, want 1", how, v)
 		}
 	}
 	stop := errors.New("stop")
 	if _, err := stm.AtomicErr(th, func(tx stm.Tx) (int, error) {
-		tx.Store(a, 2)
+		tx.WriteField(a, 0, 2)
 		return 0, stop
 	}); err != stop {
 		t.Fatalf("AtomicErr = %v, want %v", err, stop)
@@ -85,7 +85,7 @@ func TestAbortRestoresWord(t *testing.T) {
 			}
 		}()
 		stm.AtomicVoid(th, func(tx stm.Tx) {
-			tx.Store(a, 3)
+			tx.WriteField(a, 0, 3)
 			panic("foreign")
 		})
 	}()
@@ -98,8 +98,8 @@ func TestAbortRestoresWord(t *testing.T) {
 func TestStoreGuard(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th0, th1 := e.NewThread(0), e.NewThread(1)
-	x, y := e.Arena().Alloc(64), e.Arena().Alloc(64) // different stripes
-	bump := func(a stm.Addr) { stm.AtomicVoid(th1, func(tx stm.Tx) { tx.Store(a, tx.Load(a)+1) }) }
+	x, y := stm.Handle(e.Arena().Alloc(64)), stm.Handle(e.Arena().Alloc(64)) // different stripes
+	bump := func(a stm.Handle) { stm.AtomicVoid(th1, func(tx stm.Tx) { tx.WriteField(a, 0, tx.ReadField(a, 0)+1) }) }
 	run := func(body func(tx stm.Tx)) (attempts int, s stm.Stats) {
 		before := th0.Stats()
 		stm.AtomicVoid(th0, func(tx stm.Tx) { attempts++; body(tx) })
@@ -107,22 +107,22 @@ func TestStoreGuard(t *testing.T) {
 		return attempts, stm.Stats{Validations: after.Validations - before.Validations, AbortsValid: after.AbortsValid - before.AbortsValid}
 	}
 	// Unmoved: no extension.
-	if n, s := run(func(tx stm.Tx) { tx.Load(y); tx.Store(x, 1) }); n != 1 || s.Validations != 0 {
+	if n, s := run(func(tx stm.Tx) { tx.ReadField(y, 0); tx.WriteField(x, 0, 1) }); n != 1 || s.Validations != 0 {
 		t.Errorf("store to an unmoved stripe: %d attempts, %d validations, want 1 and 0", n, s.Validations)
 	}
 	// Moved, reads intact: one extension, no abort.
-	if n, s := run(func(tx stm.Tx) { tx.Load(y); bump(x); tx.Store(x, 2) }); n != 1 || s.Validations != 1 {
+	if n, s := run(func(tx stm.Tx) { tx.ReadField(y, 0); bump(x); tx.WriteField(x, 0, 2) }); n != 1 || s.Validations != 1 {
 		t.Errorf("store to a moved stripe: %d attempts, %d validations, want 1 and 1", n, s.Validations)
 	}
 	// Moved, and it was read before: the extension fails.
 	first := true
 	if n, s := run(func(tx stm.Tx) {
-		tx.Load(x)
+		tx.ReadField(x, 0)
 		if first {
 			first = false
 			bump(x)
 		}
-		tx.Store(x, 3)
+		tx.WriteField(x, 0, 3)
 	}); n != 2 || s.AbortsValid != 1 {
 		t.Errorf("store to a read stripe that moved: %d attempts, %d validation aborts, want 2 and 1", n, s.AbortsValid)
 	}
@@ -134,19 +134,19 @@ func TestTimestampExtension(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th0 := e.NewThread(0)
 	th1 := e.NewThread(1)
-	var a, b stm.Addr
+	var a, b stm.Handle
 	stm.AtomicVoid(th0, func(tx stm.Tx) {
-		a = tx.AllocWords(1)
-		b = tx.AllocWords(64) // separate stripe region
+		a = tx.NewObject(1)
+		b = tx.NewObject(64) // separate stripe region
 	})
 	stm.AtomicVoid(th0, func(tx stm.Tx) {
-		_ = tx.Load(a)
+		_ = tx.ReadField(a, 0)
 		// Another thread commits to an unrelated stripe, advancing the
 		// clock past our snapshot.
-		stm.AtomicVoid(th1, func(tx2 stm.Tx) { tx2.Store(b+32, 1) })
+		stm.AtomicVoid(th1, func(tx2 stm.Tx) { tx2.WriteField(b, 32, 1) })
 		// Reading the updated location forces an extension, which must
 		// succeed since our read set (only a) is untouched.
-		_ = tx.Load(b + 32)
+		_ = tx.ReadField(b, 32)
 	})
 	if s := th0.Stats(); s.AbortsValid != 0 {
 		t.Fatalf("validation aborts = %d, want 0", s.AbortsValid)
@@ -164,7 +164,7 @@ func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }
 // within a few hundred reads.
 func TestStripeReadWhole(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8, StripeWords: 64})
-	base := e.StripeBase(e.Arena().Alloc(128) + 63) // a whole stripe
+	base := stm.Handle(e.StripeBase(e.Arena().Alloc(128) + 63)) // a whole stripe
 	var writes atomic.Int64
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -179,9 +179,9 @@ func TestStripeReadWhole(t *testing.T) {
 			default:
 			}
 			stm.AtomicVoid(th, func(tx stm.Tx) {
-				v := tx.Load(base) + 1
+				v := tx.ReadField(base, 0) + 1
 				for i := stm.Addr(0); i < 64; i++ {
-					tx.Store(base+i, v)
+					tx.WriteField(base, i, v)
 				}
 			})
 			writes.Add(1)
@@ -191,7 +191,7 @@ func TestStripeReadWhole(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	reads := 0
 	for ; (reads < 5000 || writes.Load() < 5000) && time.Now().Before(deadline); reads++ {
-		v := stm.AtomicRO(th, func(tx stm.TxRO) [2]stm.Word { return [2]stm.Word{tx.Load(base), tx.Load(base + 63)} })
+		v := stm.AtomicRO(th, func(tx stm.TxRO) [2]stm.Word { return [2]stm.Word{tx.ReadField(base, 0), tx.ReadField(base, 63)} })
 		if v[0] != v[1] {
 			t.Errorf("read %d: first word %d, last word %d", reads, v[0], v[1])
 			break
@@ -208,12 +208,12 @@ func TestStripeReadWhole(t *testing.T) {
 func TestValidateRejectsForeignOwner(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	a, b, c := e.NewThread(0), e.NewThread(1), e.NewThread(2)
-	x, y, z := e.Arena().Alloc(64), e.Arena().Alloc(64), e.Arena().Alloc(64)
+	x, y, z := stm.Handle(e.Arena().Alloc(64)), stm.Handle(e.Arena().Alloc(64)), stm.Handle(e.Arena().Alloc(64))
 	tx := a.Begin(false)
-	tx.Load(x)
-	b.Begin(false).Store(x, 1)                            // b owns x's stripe
-	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(z, 1) }) // a's commit must validate
-	tx.Store(y, 1)
+	tx.ReadField(x, 0)
+	b.Begin(false).WriteField(x, 0, 1)                            // b owns x's stripe
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.WriteField(z, 0, 1) }) // a's commit must validate
+	tx.WriteField(y, 0, 1)
 	if a.Commit() {
 		t.Fatal("a committed its read of a stripe b owns")
 	}

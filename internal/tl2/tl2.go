@@ -173,9 +173,6 @@ func (t *txn) Restart() {
 
 func bloomBit(a stm.Addr) uint64 { return 1 << ((uint64(a) * 0x9e3779b97f4a7c15) >> 58) }
 
-// Load implements stm.Tx.
-func (t *txn) Load(a stm.Addr) stm.Word { return t.ReadField(stm.Handle(a), 0) }
-
 // ReadField implements stm.Tx: the TL2 read protocol, a write-set lookup
 // for read-after-write, then a consistent sample (kernel.Sample) that must
 // be unlocked and no newer than rv. A read that cannot proceed
@@ -226,9 +223,6 @@ func (t *txn) logGrow(idx uint32, v uint64, val stm.Word) stm.Word {
 	t.readLog = append(t.readLog, kernel.Read{Idx: idx, Ver: v})
 	return val
 }
-
-// Store implements stm.Tx.
-func (t *txn) Store(a stm.Addr, v stm.Word) { t.WriteField(stm.Handle(a), 0, v) }
 
 // WriteField implements stm.Tx: lazy buffering, no locks taken.
 func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
@@ -369,9 +363,6 @@ func sortLockSet(s []kernel.Read) {
 	slices.SortFunc(s, func(a, b kernel.Read) int { return int(a.Idx) - int(b.Idx) })
 }
 
-// AllocWords implements stm.Tx.
-func (t *txn) AllocWords(n uint32) stm.Addr { return t.e.Arena().Alloc(n) }
-
 // NewObject implements stm.Tx.
 func (t *txn) NewObject(fields uint32) stm.Handle { return stm.Handle(t.e.Arena().Alloc(fields)) }
 
@@ -382,9 +373,6 @@ func (t *txn) NewObjects(dst []stm.Handle, f uint32, vals []stm.Word) { t.e.NewO
 // second method set: its read runs the read-only protocol with no mode
 // branch, and it implements stm.TxRO and no write method (DESIGN.md §9.3).
 type roTx txn
-
-// Load implements stm.TxRO.
-func (r *roTx) Load(a stm.Addr) stm.Word { return r.ReadField(stm.Handle(a), 0) }
 
 // ReadField implements stm.TxRO: a consistent sample (kernel.Sample) that
 // must be unlocked and no newer than rv — and nothing else. No

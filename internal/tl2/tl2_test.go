@@ -32,20 +32,20 @@ func TestWriteSetLookup(t *testing.T) {
 	// with many writes hashing to colliding bits.
 	e := New(Config{ArenaWords: 1 << 14, TableBits: 10})
 	th := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(512) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(512) })
 	stm.AtomicVoid(th, func(tx stm.Tx) {
 		for i := uint32(0); i < 512; i++ {
-			tx.Store(base+i, stm.Word(i)*3)
+			tx.WriteField(base, i, stm.Word(i)*3)
 		}
 		for i := uint32(0); i < 512; i++ {
-			if got := tx.Load(base + i); got != stm.Word(i)*3 {
+			if got := tx.ReadField(base, i); got != stm.Word(i)*3 {
 				t.Fatalf("word %d: got %d, want %d", i, got, i*3)
 			}
 		}
 		// Overwrite and re-read.
-		tx.Store(base+100, 999)
-		if got := tx.Load(base + 100); got != 999 {
+		tx.WriteField(base, 100, 999)
+		if got := tx.ReadField(base, 100); got != 999 {
 			t.Fatalf("overwrite lookup failed: got %d", got)
 		}
 	})
@@ -56,12 +56,12 @@ func TestGV4SkipsValidation(t *testing.T) {
 	// no validation aborts may be counted.
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(64) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(64) })
 	for n := 0; n < 100; n++ {
 		stm.AtomicVoid(th, func(tx stm.Tx) {
 			for i := uint32(0); i < 16; i++ {
-				tx.Store(base+i, tx.Load(base+i)+1)
+				tx.WriteField(base, i, tx.ReadField(base, i)+1)
 			}
 		})
 	}
@@ -79,12 +79,12 @@ func TestLazyAcquireDefersConflict(t *testing.T) {
 	// still-distinctive property: a store takes no lock).
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	th := e.NewThread(0)
-	var base stm.Addr
-	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.AllocWords(1) })
+	var base stm.Handle
+	stm.AtomicVoid(th, func(tx stm.Tx) { base = tx.NewObject(1) })
 	stm.AtomicVoid(th, func(tx stm.Tx) {
-		tx.Store(base, 5)
+		tx.WriteField(base, 0, 5)
 		// The stripe's versioned lock must still be free mid-transaction.
-		if v := e.locks[e.Stripe(base)].Load(); v&1 == 1 {
+		if v := e.locks[e.Stripe(stm.Addr(base))].Load(); v&1 == 1 {
 			t.Fatal("lazy engine locked a stripe before commit")
 		}
 	})
@@ -101,30 +101,30 @@ func TestReadOnlyNoReadLogReplay(t *testing.T) {
 	e := newEngine()
 	thR := e.NewThread(0)
 	thW := e.NewThread(1)
-	addrs := stm.Atomic(thR, func(tx stm.Tx) [2]stm.Addr {
-		a := tx.AllocWords(1)
-		_ = tx.AllocWords(64) // distinct stripes at any granularity ≤ 64
-		b := tx.AllocWords(1)
-		tx.Store(a, 1)
-		tx.Store(b, 1)
-		return [2]stm.Addr{a, b}
+	addrs := stm.Atomic(thR, func(tx stm.Tx) [2]stm.Handle {
+		a := tx.NewObject(1)
+		_ = tx.NewObject(64) // distinct stripes at any granularity ≤ 64
+		b := tx.NewObject(1)
+		tx.WriteField(a, 0, 1)
+		tx.WriteField(b, 0, 1)
+		return [2]stm.Handle{a, b}
 	})
 	a, b := addrs[0], addrs[1]
-	bump := func(tx stm.Tx) { tx.Store(b, tx.Load(b)+1) }
+	bump := func(tx stm.Tx) { tx.WriteField(b, 0, tx.ReadField(b, 0)+1) }
 	const cycles = 50
 	attempt := 0
 	for i := 0; i < cycles; i++ {
 		attempt = 0
 		got := stm.AtomicRO(thR, func(tx stm.TxRO) stm.Word {
 			attempt++
-			v := tx.Load(a)
+			v := tx.ReadField(a, 0)
 			if attempt == 1 {
 				// The injected commit moves b past the reader's snapshot:
 				// the next Load must abort the attempt (TL2 has no
 				// extension), and the retry sees the new value.
 				stm.AtomicVoid(thW, bump)
 			}
-			return v + tx.Load(b)
+			return v + tx.ReadField(b, 0)
 		})
 		if got == 0 {
 			t.Fatal("read-only transaction returned nothing")
@@ -159,15 +159,15 @@ func TestTransferExtend(t *testing.T) { stmtest.TransferExtend(t, newEngine()) }
 func TestValidateRejectsForeignOwner(t *testing.T) {
 	e := New(Config{ArenaWords: 1 << 12, TableBits: 8})
 	a, c := e.NewThread(0), e.NewThread(2)
-	x, y, z := e.Arena().Alloc(64), e.Arena().Alloc(64), e.Arena().Alloc(64)
-	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(x, 1); tx.Store(y, 1) }) // one version on both stripes
+	x, y, z := stm.Handle(e.Arena().Alloc(64)), stm.Handle(e.Arena().Alloc(64)), stm.Handle(e.Arena().Alloc(64))
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.WriteField(x, 0, 1); tx.WriteField(y, 0, 1) }) // one version on both stripes
 	tx := a.Begin(false)
-	tx.Load(x)
-	l := &e.locks[e.Stripe(x)]
+	tx.ReadField(x, 0)
+	l := &e.locks[e.Stripe(stm.Addr(x))]
 	free := l.Load()
-	l.Store(kernel.Owner(1))                              // thread 1 commits x's stripe, its saved entry 0
-	stm.AtomicVoid(c, func(tx stm.Tx) { tx.Store(z, 1) }) // no GV4 skip: a's commit must validate
-	tx.Store(y, 2)                                        // a's saved entry 0: y's stripe, at x's logged word
+	l.Store(kernel.Owner(1))                                      // thread 1 commits x's stripe, its saved entry 0
+	stm.AtomicVoid(c, func(tx stm.Tx) { tx.WriteField(z, 0, 1) }) // no GV4 skip: a's commit must validate
+	tx.WriteField(y, 0, 2)                                        // a's saved entry 0: y's stripe, at x's logged word
 	if a.Commit() {
 		t.Fatal("a committed its read of a stripe thread 1 holds")
 	}

@@ -346,7 +346,7 @@ func TestTransferZeroAlloc(t *testing.T) {
 				t.Fatal("funded transfer failed")
 			}
 		}
-		if stm.SupportsWordAPI(e) {
+		if e.Arena() != nil {
 			stmtest.ZeroAllocLoop(t, e.Name()+" 4-key transfer", 100, transfer)
 			return
 		}

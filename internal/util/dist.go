@@ -2,7 +2,7 @@ package util
 
 import "math"
 
-// Dist draws item indices in [0, N()) — the key-choice distributions of
+// Dist draws item indices — the key-choice distributions of
 // the YCSB-style txkv workloads. Implementations are immutable after
 // construction and safe for concurrent use: all randomness comes from
 // the caller's per-worker Rand, so seeded runs reproduce exactly and
@@ -10,8 +10,6 @@ import "math"
 type Dist interface {
 	// Next draws one index using r as the randomness source.
 	Next(r *Rand) int
-	// N is the population size.
-	N() int
 }
 
 // Uniform draws uniformly from [0, n).
@@ -27,9 +25,6 @@ func NewUniform(n int) Uniform {
 
 // Next implements Dist.
 func (u Uniform) Next(r *Rand) int { return r.Intn(u.n) }
-
-// N implements Dist.
-func (u Uniform) N() int { return u.n }
 
 // Zipf draws rank indices from a zipfian distribution over [0, n): rank
 // 0 is the hottest item and rank frequencies fall off as 1/(i+1)^theta —
@@ -100,6 +95,3 @@ func (z *Zipf) Next(r *Rand) int {
 	}
 	return lo
 }
-
-// N implements Dist.
-func (z *Zipf) N() int { return z.n }

@@ -15,18 +15,19 @@
 # the workloads back to back, one such block each, so "the claimed row
 # moves and the other three do not" is one command. With TRACE=1 in the
 # environment each workload's timed pairs are followed by `-trace 1` runs
-# on two further seeds: the parent on both, the change on the first. The
-# per-layer metrics that are non-zero on either side are printed, the
-# parent's two runs beside the change's with the difference, so "the
-# claimed row moves and these counts do not" is the same command. The
-# count metrics (unit count or ratio: the *_per_op, *_share and
-# items_per_batch rows) come first, each then judged on one line, "same"
-# when the change is within the row's floor of the parent's first run,
-# else "moved" with both values; the floor is max(1 %, the gap between
-# the parent's two runs), printed beside the row, since two-thread counts
-# move with the interleaving alone. The rate- and time-valued rows
-# (<engine>.*_ops_per_s, *_ns, *_us) follow apart, under "advisory: one
-# run per side, no verdict": one run cannot resolve a 10-20 % change in a
+# on three further seeds: the parent on all three, the change on the
+# first two. The per-layer metrics that are non-zero on either side are
+# printed, the parent's three runs beside the change's two with the
+# change's median difference, so "the claimed row moves and these counts
+# do not" is the same command. The count metrics (unit count or ratio:
+# the *_per_op, *_share and items_per_batch rows) come first, each then
+# judged on one line: "moved" only when both change runs fall outside the
+# parent's min-max range widened by 1 %, on the same side, else "same";
+# the range is printed with the verdict, since two-thread counts move
+# with the interleaving alone and two parent runs did not bound that
+# spread. The rate- and time-valued rows
+# (<engine>.*_ops_per_s, *_ns, *_us) follow apart, under "advisory: rates
+# and times, no verdict": a few runs cannot resolve a 10-20 % change in a
 # rate, so a rate row needs timed pairs of its own before it supports a
 # claim.
 # Each block ends with one verdict line per end-to-end metric, judged
@@ -36,13 +37,18 @@
 # else "claim not met"; for every other pairing "not worse" (the change's
 # median is within the bound of the parent's), "worse", or "unresolved"
 # when either side's middle half is wider than the bound, unless every run
-# of the change beats every run of the parent. Verdicts do not change the
-# exit status. Exits non-zero if any run is not "correct".
+# of the change beats every run of the parent. A workload with an
+# "unresolved" row gets a second session of PAIRS pairs on fresh seeds,
+# printed below the first with its own verdicts; a noisy row (e.g.
+# kv-hot-transfer's sub-millisecond setup_s) then needs no manual rerun.
+# Verdicts do not change the exit status. Exits non-zero if any run is not
+# "correct".
 # The first line printed names the host: cores, go version, CPU model,
 # kernel and both revisions. The script ends by writing .bench_build/ab/
 # summary.tsv: that host line as a `#` comment, then one row per workload
 # and end-to-end metric with each side's q1, median and q3, the pairs the
-# change won, the verdict and the seeds, so a report cites the table, not
+# change won, the verdict and the seeds (a second session's rows follow
+# its first's, told apart by their seeds), so a report cites the table, not
 # the raw runs, which stay in the printed log. REV is exported
 # with `git archive` into .bench_build/ab/ (the ignored scratch directory
 # the benchmark itself uses), so nothing is registered in .git and a dirty
@@ -101,39 +107,43 @@ layers() {
 		sed -E 's/"([^"]+)": \{"value": ([^,]+), "unit": "([^"]*)"\}/\1 \2 \3/'
 }
 
-# traced WORKLOAD: one -trace 1 run of the change and two of the parent,
-# on the two seeds after the timed pairs' (the change runs on the first),
-# per-layer metrics side by side, then a verdict per count. A count moves
-# when the change differs from the parent's first run by more than its
-# floor: max(1 %, the gap between the parent's two runs).
+# traced WORKLOAD: -trace 1 runs of the parent on the three seeds after
+# the timed pairs' and of the change on the first two, per-layer metrics
+# side by side, then a verdict per count: moved when both change runs lie
+# outside the parent's min-max range widened by 1 %, on the same side.
 traced() {
 	local w=$1 out=$ab/$1 seed=$((seed0 + pairs + 1))
-	echo "traced runs $w: -trace 1, -seconds $seconds, parent on seeds $seed and $((seed + 1)), change on $seed"
-	for run in parent:$seed parent2:$((seed + 1)) change:$seed; do
-		json=$("$ab/bench.${run%%[2:]*}" -workload "$w" -seed "${run#*:}" -seconds "$seconds" -trace 1 | tail -n 1)
+	echo "traced runs $w: -trace 1, -seconds $seconds, parent on seeds $seed..$((seed + 2)), change on $seed and $((seed + 1))"
+	for run in parent:$seed parent2:$((seed + 1)) parent3:$((seed + 2)) change:$seed change2:$((seed + 1)); do
+		json=$("$ab/bench.${run%%[23:]*}" -workload "$w" -seed "${run#*:}" -seconds "$seconds" -trace 1 | tail -n 1)
 		grep -q '"correct": true' <<<"$json" || bad=1
 		layers "$json" | LC_ALL=C sort >"$out.${run%:*}.layers"
 	done
-	LC_ALL=C join "$out.parent.layers" "$out.parent2.layers" | LC_ALL=C join -o 0,1.2,1.4,2.2,2.3 - "$out.change.layers" |
-		awk -v w="$w" '$2 != 0 || $4 != 0 {
-		delta = $2 != 0 ? sprintf("%+.1f %%", 100 * ($4 / $2 - 1)) : "new"
-		ref = $2 < 0 ? -$2 : $2; gap = $3 - $2; if (gap < 0) gap = -gap
-		floor = ref > 0 && gap / ref > 0.01 ? gap / ref : 0.01
-		row = sprintf("%-34s %14.6g %14.6g %14.6g %9s %7.1f %%  %s", $1, $2, $3, $4, delta, 100 * floor, $5)
-		if ($5 != "count" && $5 != "ratio") {
+	LC_ALL=C join -o 0,1.2,2.2,1.3 "$out.parent.layers" "$out.parent2.layers" |
+		LC_ALL=C join -o 0,1.2,1.3,2.2,1.4 - "$out.parent3.layers" |
+		LC_ALL=C join -o 0,1.2,1.3,1.4,2.2,1.5 - "$out.change.layers" |
+		LC_ALL=C join -o 0,1.2,1.3,1.4,1.5,2.2,1.6 - "$out.change2.layers" |
+		awk -v w="$w" '$2 != 0 || $3 != 0 || $4 != 0 || $5 != 0 || $6 != 0 {
+		lo = $2; hi = $2
+		for (i = 3; i <= 4; i++) { if ($i < lo) lo = $i; if ($i > hi) hi = $i }
+		pmed = $2 + $3 + $4 - lo - hi; cmed = ($5 + $6) / 2
+		delta = pmed != 0 ? sprintf("%+.1f %%", 100 * (cmed / pmed - 1)) : "new"
+		row = sprintf("%-34s %12.6g %12.6g %12.6g %12.6g %12.6g %9s  %s", $1, $2, $3, $4, $5, $6, delta, $7)
+		if ($7 != "count" && $7 != "ratio") {
 			adv[++a] = row
 			next
 		}
 		rows[++n] = row
-		d = $4 - $2; if (d < 0) d = -d
-		fmt = d <= floor * ref ? "same (%.6g, %.6g; floor %.1f %%)" : "moved (%.6g -> %.6g; floor %.1f %%)"
-		counts[n] = sprintf("count      %s@%s: " fmt, $1, w, $2, $4, 100 * floor)
+		wlo = lo - 0.01 * (lo < 0 ? -lo : lo); whi = hi + 0.01 * (hi < 0 ? -hi : hi)
+		moved = ($5 < wlo && $6 < wlo) || ($5 > whi && $6 > whi)
+		fmt = moved ? "moved (%.6g, %.6g outside %.6g..%.6g)" : "same (%.6g, %.6g against %.6g..%.6g)"
+		counts[n] = sprintf("count      %s@%s: " fmt, $1, w, $5, $6, wlo, whi)
 	} END {
-		head = sprintf("%-34s %14s %14s %14s %9s %9s  %s", "metric", "parent", "parent2", "change", "delta", "floor", "unit")
+		head = sprintf("%-34s %12s %12s %12s %12s %12s %9s  %s", "metric", "parent", "parent2", "parent3", "change", "change2", "delta", "unit")
 		print head
 		for (i = 1; i <= n; i++) print rows[i]
 		for (i = 1; i <= n; i++) print counts[i]
-		print "advisory: one run per side, no verdict"
+		print "advisory: rates and times, no verdict"
 		print head
 		for (i = 1; i <= a; i++) print adv[i]
 	}'
@@ -143,10 +153,11 @@ traced() {
 seed0=$(( $(date +%s) % 100000 * 100 ))
 bad=0
 
-# verdict WORKLOAD METRIC BETTER WINS "PQ1 PMED PQ3" "CQ1 CMED CQ3": the
-# judgement of one pairing (BETTER is > or <).
+# verdict OUT WORKLOAD METRIC BETTER WINS "PQ1 PMED PQ3" "CQ1 CMED CQ3":
+# the judgement of one pairing (BETTER is > or <) from the runs under OUT.
 verdict() {
-	local out=$ab/$1.
+	local out=$1.
+	shift
 	# The change's worst run against the parent's best, in the metric's direction.
 	local worst=tail best=head
 	[ "$3" = '<' ] || { worst=head best=tail; }
@@ -169,16 +180,18 @@ verdict() {
 	}'
 }
 
-# ab WORKLOAD: the pairs and the summary block of one workload.
+# ab WORKLOAD BASE OUT: the pairs, on seeds BASE+1..BASE+PAIRS, and the
+# summary block of one workload, runs kept under OUT. It sets unresolved
+# when a verdict reads so.
 ab() {
-	local w=$1 out=$ab/$1
-	local seeds="$((seed0 + 1))..$((seed0 + pairs))"
+	local w=$1 base=$2 out=$3
+	local seeds="$((base + 1))..$((base + pairs))"
 	echo "A/B $w: parent $(git rev-parse --short "$rev") vs working tree, $pairs pairs, -seconds $seconds, seeds $seeds"
 	for ((i = 1; i <= pairs; i++)); do
 		order="parent change"
 		((i % 2 == 0)) && order="change parent"
 		for side in $order; do
-			json=$("$ab/bench.$side" -workload "$w" -seed $((seed0 + i)) -seconds "$seconds" -trace 0 | tail -n 1)
+			json=$("$ab/bench.$side" -workload "$w" -seed $((base + i)) -seconds "$seconds" -trace 0 | tail -n 1)
 			grep -q '"correct": true' <<<"$json" || bad=1
 			printf 'pair %2d %-6s %s\n' "$i" "$side" "$json"
 			for m in ops_per_s setup_s mem_mb failed; do
@@ -200,7 +213,8 @@ ab() {
 			printf "%-10s parent q1/med/q3 %s / %s / %s   change %s / %s / %s   median %+.1f %% (parent IQR %.1f %%)   change wins %d/%d\n",
 				m, pq1, pmed, pq3, cq1, cmed, cq3, 100 * (cmed / pmed - 1), 100 * (pq3 - pq1) / pmed, wins, pairs
 		}'
-		v=$(verdict "$w" "$m" "$better" "$wins" "$pq1 $pmed $pq3" "$cq1 $cmed $cq3")
+		v=$(verdict "$out" "$w" "$m" "$better" "$wins" "$pq1 $pmed $pq3" "$cq1 $cmed $cq3")
+		[[ $v == *": unresolved ("* ]] && unresolved=1
 		verdicts+=("$v")
 		printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%s\t%s\n' "$w" "$m" "$pq1" "$pmed" "$pq3" "$cq1" "$cmed" "$cq3" \
 			"$wins" "$pairs" "$(sed -E 's/^[^:]*: (.*) \(.*\)$/\1/' <<<"$v")" "$seeds" >>"$summary"
@@ -211,7 +225,12 @@ ab() {
 }
 
 for w in $workloads; do
-	ab "$w"
+	unresolved=0
+	ab "$w" "$seed0" "$ab/$w"
+	if ((unresolved)); then
+		echo "second session $w: a row read unresolved"
+		ab "$w" $((seed0 + pairs + 3)) "$ab/$w.2"
+	fi
 	if [ "$trace" = 1 ]; then
 		traced "$w"
 	fi
