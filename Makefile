@@ -86,13 +86,18 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# loc prints the non-test Go lines of each package and their total outside
-# benchmark/ — the unit ROADMAP.md states its size budgets in.
+# loc prints the non-test Go lines of each package, their total outside
+# benchmark/ and the subtotal of the four engines plus the kernel they
+# share — the units ROADMAP.md states its size budgets in.
+ENGINE_DIRS = internal/swisstm internal/tinystm internal/tl2 internal/rstm internal/stm/kernel
 loc:
 	@$(GO_FILES) ! -name '*_test.go' ! -path './benchmark/*' \
 		| sed 's|^\./||' | xargs wc -l \
-		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		| awk -v engines='$(ENGINE_DIRS)' \
+			'$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+				k = split(engines, e, " "); for (i = 1; i <= k; i++) s += n[e[i]]; \
+				printf "%7d engines+kernel (%s)\n", s, engines; printf "%7d total\n", t }'
 
 # deadcode builds every main package (./benchmark, cmd/*, examples/*) with
 # inlining off and fails on any function or method that a non-test Linux
@@ -159,7 +164,7 @@ hotpath:
 # mutants runs the catalogue in scripts/mutants.json (scripts/mutants.sh):
 # each mutant patch must make its named test fail, each widening patch
 # must leave its test passing, each in a copy of the tree outside it
-# (~40 s on 2 vCPUs).
+# (~90 s on 2 vCPUs).
 mutants:
 	GO=$(GO) scripts/mutants.sh
 

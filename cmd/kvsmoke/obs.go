@@ -22,8 +22,14 @@ var metricFamilies = []string{
 	`txkv_shard_conflicts_total{shard=`,
 	`stm_commits_total`,
 	`stm_ro_commits_total`,
-	`stm_aborts_total{cause="lock_conflict"}`,
+	`stm_aborts_total{cause="write_write"}`,
 	`stm_aborts_total{cause="read_validation"}`,
+	`stm_aborts_total{cause="commit_validation"}`,
+	`stm_aborts_total{cause="locked"}`,
+	`stm_aborts_total{cause="cm_kill"}`,
+	`stm_aborts_total{cause="explicit_restart"}`,
+	`stm_aborts_total{cause="user_error"}`,
+	`stm_aborts_total{cause="lock_acquire"}`,
 	`stm_txn_retries_bucket{le=`,
 	`stm_txn_read_set_entries_sum`,
 	`stm_txn_write_set_entries_count`,
@@ -38,8 +44,7 @@ var metricFamilies = []string{
 //     phase histograms, per-shard conflict counters, engine commit and
 //     abort-cause counters, per-transaction distributions), and
 //   - fetches /statz and fails when the abort-cause partition is
-//     violated (sum of the six causes must equal the abort total), when
-//     the validation split disagrees with its parent counter, or when
+//     violated (the eight causes must sum to the abort total) or when
 //     the server-side latency percentiles are missing or non-monotone.
 func obsGate(kind string) error {
 	srv, err := txkvserver.Start("127.0.0.1:0", txkvserver.Config{
@@ -85,14 +90,8 @@ func obsGate(kind string) error {
 	if st.Requests == 0 || st.Commits == 0 {
 		return fmt.Errorf("no traffic recorded: %+v", st)
 	}
-	causes := z.Causes.ReadValidation + z.Causes.LockConflict + z.Causes.CommitValidation +
-		z.Causes.CMKill + z.Causes.UserError + z.Causes.ExplicitRestart
-	if causes != st.Aborts {
-		return fmt.Errorf("abort partition violated: causes sum %d != aborts %d", causes, st.Aborts)
-	}
-	if st.AbortsValidRead+st.AbortsValidCommit != st.AbortsValid {
-		return fmt.Errorf("validation split violated: read %d + commit %d != valid %d",
-			st.AbortsValidRead, st.AbortsValidCommit, st.AbortsValid)
+	if causes := st.Sum(); causes != st.Aborts {
+		return fmt.Errorf("abort partition violated: causes sum %d != aborts %d (%+v)", causes, st.Aborts, st.AbortCauses)
 	}
 	if st.SrvP50Ns == 0 || st.SrvP99Ns < st.SrvP50Ns || st.SrvP999Ns < st.SrvP99Ns {
 		return fmt.Errorf("bad server percentiles p50=%d p99=%d p999=%d",

@@ -287,11 +287,10 @@ func (j *job) run(out io.Writer) ([]results.Record, error) {
 			return recs, fmt.Errorf("%s: %w", at, err)
 		}
 		recs = append(recs, r)
-		fmt.Fprintf(out, "[%d/%d] %s: ops=%d tput=%.0f/s p50=%.0fns p99=%.0fns p999=%.0fns srv_p50=%dns srv_p99=%dns srv_p999=%dns aborts=%d(vr=%d vc=%d lk=%d) offered=%.0f achieved=%.0f late=%d checked=%v\n",
+		fmt.Fprintf(out, "[%d/%d] %s: ops=%d tput=%.0f/s p50=%.0fns p99=%.0fns p999=%.0fns srv_p50=%dns srv_p99=%dns srv_p999=%dns aborts=%d(vr=%d vc=%d ww=%d lk=%d acq=%d) offered=%.0f achieved=%.0f late=%d checked=%v\n",
 			i+1, len(j.cells), at, r.Ops, r.Throughput, r.LatP50Ns, r.LatP99Ns, r.LatP999Ns,
 			r.SrvP50Ns, r.SrvP99Ns, r.SrvP999Ns,
-			r.Aborts, r.AbortsValidRead, r.AbortsValidCommit,
-			r.AbortsWW+r.AbortsLocked+r.LockAcquireFail,
+			r.Aborts, r.AbortsValidRead, r.AbortsValidCommit, r.AbortsWW, r.AbortsLocked, r.LockAcquireFail,
 			r.OfferedRate, r.AchievedRate, r.LateOps, r.CheckedOK)
 		if r.WalFrames > 0 || r.Retries > 0 || r.Reconnects > 0 {
 			fmt.Fprintf(out, "  wal: frames=%d bytes=%d mean_wal=%.0fns recovered=%d retries=%d reconnects=%d\n",

@@ -48,7 +48,7 @@ func TestDocReferences(t *testing.T) {
 // designMaxLines is DESIGN.md's length ceiling. It only ever goes down:
 // a change that shortens DESIGN.md lowers it to the new length, and a
 // change that needs more room makes it by cutting elsewhere in the file.
-const designMaxLines = 1894
+const designMaxLines = 1885
 
 // TestDesignLength: DESIGN.md has at most designMaxLines lines.
 func TestDesignLength(t *testing.T) {

@@ -168,7 +168,7 @@ func BenchmarkReadWriteMixAborts(b *testing.B) {
 				t[c].calls++
 				t[c].attempts += s1.Commits + s1.Aborts - s0.Commits - s0.Aborts
 				t[c].ww += s1.AbortsWW - s0.AbortsWW
-				t[c].valid += s1.AbortsValid - s0.AbortsValid
+				t[c].valid += s1.AbortsValidRead + s1.AbortsValidCommit - s0.AbortsValidRead - s0.AbortsValidCommit
 			}
 		}()
 	}

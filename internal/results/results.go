@@ -37,36 +37,9 @@ type Record struct {
 	Ops         uint64  `json:"ops"`          // committed operations
 	Throughput  float64 `json:"throughput"`   // ops per second
 
-	// Full stm.Stats breakdown, aggregated across worker threads.
-	Commits     uint64 `json:"commits"`
-	ROCommits   uint64 `json:"ro_commits"` // commits of declared read-only transactions (DESIGN.md §9)
-	Aborts      uint64 `json:"aborts"`
-	AbortsWW    uint64 `json:"aborts_ww"`
-	AbortsValid uint64 `json:"aborts_valid"`
-	// Validation-failure phase split (DESIGN.md §11):
-	// AbortsValidRead + AbortsValidCommit == AbortsValid.
-	AbortsValidRead   uint64 `json:"aborts_valid_read"`
-	AbortsValidCommit uint64 `json:"aborts_valid_commit"`
-	AbortsLocked      uint64 `json:"aborts_locked"`
-	AbortsKilled      uint64 `json:"aborts_killed"`
-	AbortsExplicit    uint64 `json:"aborts_explicit"`
-	AbortsUser        uint64 `json:"aborts_user"` // AtomicErr bodies returning errors (DESIGN.md §9)
-	WaitsCM           uint64 `json:"waits_cm"`
-	LockAcquireFail   uint64 `json:"lock_acquire_fail"`
-
-	// Abort delivery split (DESIGN.md §8): checked-return commit-path
-	// aborts vs panic/recover unwinds out of the user closure. Together
-	// they partition Aborts.
-	AbortsUnwound  uint64 `json:"aborts_unwound"`
-	AbortsReturned uint64 `json:"aborts_returned"`
-
-	// Hot-path instrumentation (DESIGN.md §7): read-log growth and
-	// validation extent, so read-set dedup wins are quantified in the
-	// results pipeline rather than only in benchstat.
-	ReadsLogged     uint64 `json:"reads_logged"`
-	ReadsDeduped    uint64 `json:"reads_deduped"`
-	Validations     uint64 `json:"validations"`
-	ValidationReads uint64 `json:"validation_reads"`
+	// Full stm.Stats breakdown, aggregated across worker threads; its
+	// columns are stm.Stats' json tags, the abort causes among them.
+	stm.Stats
 
 	// Network-service latency/load profile (DESIGN.md §10), populated
 	// by the txkv load harness; zero for in-process experiment runs.
@@ -142,42 +115,37 @@ type Record struct {
 	Cores int `json:"cores"`
 }
 
-// SetStats copies the full per-run statistics breakdown into r.
+// SetStats sets the per-run statistics breakdown and the abort rate.
 func (r *Record) SetStats(s stm.Stats) {
-	r.Commits = s.Commits
-	r.ROCommits = s.ROCommits
-	r.Aborts = s.Aborts
-	r.AbortsWW = s.AbortsWW
-	r.AbortsValid = s.AbortsValid
-	r.AbortsValidRead = s.AbortsValidRead
-	r.AbortsValidCommit = s.AbortsValidCommit
-	r.AbortsLocked = s.AbortsLocked
-	r.AbortsKilled = s.AbortsKilled
-	r.AbortsExplicit = s.AbortsExplicit
-	r.AbortsUser = s.AbortsUser
-	r.WaitsCM = s.WaitsCM
-	r.LockAcquireFail = s.LockAcquireFail
-	r.AbortsUnwound = s.AbortsUnwound
-	r.AbortsReturned = s.AbortsReturned
-	r.ReadsLogged = s.ReadsLogged
-	r.ReadsDeduped = s.ReadsDeduped
-	r.Validations = s.Validations
-	r.ValidationReads = s.ValidationReads
+	r.Stats = s
 	r.AbortRate = s.AbortRate()
 }
 
-// header is the CSV column order: Record's json tags, in field order.
-// Building it checks that every field is of a kind row converts.
-var header = func() []string {
-	t := reflect.TypeOf(Record{})
-	h := make([]string, t.NumField())
-	for i := range h {
-		f := t.Field(i)
+// columns are Record's CSV columns: its leaf fields in field order, the
+// fields of an embedded struct in its place — the order encoding/json
+// writes them in. Building it checks that every leaf is of a kind row
+// converts.
+var columns = func() []reflect.StructField {
+	var cols []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Record{})) {
 		switch f.Type.Kind() {
+		case reflect.Struct:
+			if !f.Anonymous {
+				panic("results: Record." + f.Name + " is a struct the CSV codec does not flatten")
+			}
 		case reflect.String, reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool:
+			cols = append(cols, f)
 		default:
 			panic("results: Record." + f.Name + " has a kind the CSV codec does not convert")
 		}
+	}
+	return cols
+}()
+
+// header is the CSV header row: the columns' json tags.
+var header = func() []string {
+	h := make([]string, len(columns))
+	for i, f := range columns {
 		h[i] = f.Tag.Get("json")
 	}
 	return h
@@ -185,9 +153,9 @@ var header = func() []string {
 
 func (r Record) row() []string {
 	v := reflect.ValueOf(r)
-	row := make([]string, v.NumField())
-	for i := range row {
-		switch f := v.Field(i); f.Kind() {
+	row := make([]string, len(columns))
+	for i, c := range columns {
+		switch f := v.FieldByIndex(c.Index); f.Kind() {
 		case reflect.String:
 			row[i] = f.String()
 		case reflect.Int:

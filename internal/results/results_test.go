@@ -40,7 +40,7 @@ func sample() []Record {
 
 func TestSetStats(t *testing.T) {
 	var r Record
-	r.SetStats(stm.Stats{Commits: 90, Aborts: 10, AbortsWW: 4, WaitsCM: 7})
+	r.SetStats(stm.Stats{Commits: 90, Aborts: 10, AbortCauses: stm.AbortCauses{AbortsWW: 4}, WaitsCM: 7})
 	if r.Commits != 90 || r.Aborts != 10 || r.AbortsWW != 4 || r.WaitsCM != 7 {
 		t.Fatalf("stats not copied: %+v", r)
 	}
@@ -97,6 +97,40 @@ func TestJSONLWellFormed(t *testing.T) {
 	}
 	if r.Engine != "SwissTM" || r.Throughput != 100 {
 		t.Fatalf("first line decoded wrong: %+v", r)
+	}
+}
+
+// TestJSONLKeysAreHeader: a JSONL record's keys are the CSV header, in
+// the same order, each once — embedded structs flatten alike in both
+// encoders.
+func TestJSONLKeysAreHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, []Record{full}); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&buf)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("record does not open an object: %v %v", tok, err)
+	}
+	var keys []string
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := tok.(string)
+		if seen[k] {
+			t.Errorf("key %q appears twice", k)
+		}
+		seen[k] = true
+		keys = append(keys, k)
+		if _, err := dec.Token(); err != nil { // the value: a scalar
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(keys, header) {
+		t.Errorf("JSONL keys differ from the CSV header:\n keys   %v\n header %v", keys, header)
 	}
 }
 
@@ -217,11 +251,15 @@ func TestWriteFiles(t *testing.T) {
 var full = Record{
 	Experiment: "txkv-server", Workload: "txkv/update-heavy, zipf", Engine: "RSTM(lazy/polka)", EngineKind: "rstm",
 	Threads: 8, Repeat: 3, Seed: 18446744073709551615, DurationSec: 0.5, Ops: 123456, Throughput: 246912.125,
-	Commits: 11, ROCommits: 12, Aborts: 13, AbortsWW: 14, AbortsValid: 15,
-	AbortsValidRead: 16, AbortsValidCommit: 17, AbortsLocked: 18, AbortsKilled: 19,
-	AbortsExplicit: 20, AbortsUser: 21, WaitsCM: 22, LockAcquireFail: 23,
-	AbortsUnwound: 24, AbortsReturned: 25,
-	ReadsLogged: 26, ReadsDeduped: 27, Validations: 28, ValidationReads: 29,
+	Stats: stm.Stats{
+		Commits: 11, ROCommits: 12, Aborts: 13,
+		AbortCauses: stm.AbortCauses{
+			AbortsWW: 14, AbortsValidRead: 16, AbortsValidCommit: 17, AbortsLocked: 18,
+			AbortsKilled: 19, AbortsExplicit: 20, AbortsUser: 21, LockAcquireFail: 23,
+		},
+		WaitsCM: 22, AbortsUnwound: 24, AbortsReturned: 25,
+		ReadsLogged: 26, ReadsDeduped: 27, Validations: 28, ValidationReads: 29,
+	},
 	LatP50Ns: 29000, LatP99Ns: 1.5e+06, LatP999Ns: 2.5e+21,
 	SrvP50Ns: 33, SrvP99Ns: 34, SrvP999Ns: 35,
 	PhaseParseNs: 36.25, PhaseQueueNs: 1e-07, PhaseTxnNs: 38, PhaseCommitNs: 39.5, PhaseReplyNs: 40,
@@ -255,8 +293,8 @@ func TestGoldenRow(t *testing.T) {
 
 // golden was written by the hand-kept header / row() pair the reflected
 // codec replaced; it changes only with a deliberate schema change.
-const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,waits_cm,lock_acquire_fail,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs,cores
-txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59,60
+const golden = `experiment,workload,engine,engine_kind,threads,repeat,seed,duration_sec,ops,throughput,commits,ro_commits,aborts,aborts_ww,aborts_valid_read,aborts_valid_commit,aborts_locked,aborts_killed,aborts_explicit,aborts_user,lock_acquire_fail,waits_cm,aborts_unwound,aborts_returned,reads_logged,reads_deduped,validations,validation_reads,lat_p50_ns,lat_p99_ns,lat_p999_ns,srv_p50_ns,srv_p99_ns,srv_p999_ns,phase_parse_ns,phase_queue_ns,phase_txn_ns,phase_commit_ns,phase_reply_ns,offered_rate,achieved_rate,late_ops,abort_rate,checked_ok,phase_wal_ns,wal_frames,wal_bytes,wal_recovered_frames,retries,reconnects,sheds,deadline_exceeded,pipeline,coalesce_batch,coalesce_batches,coalesce_items,feed_events,wal_fsyncs,cores
+txkv-server,"txkv/update-heavy, zipf",RSTM(lazy/polka),rstm,8,3,18446744073709551615,0.5,123456,246912.125,11,12,13,14,16,17,18,19,20,21,23,22,24,25,26,27,28,29,29000,1.5e+06,2.5e+21,33,34,35,36.25,1e-07,38,39.5,40,4000,3999.9,43,0.1,true,46.75,47,48,49,50,51,52,53,16,32,56,57,58,59,60
 `
 
 // readCSV parses a CSV written by WriteCSV, the round trip the tests
@@ -282,7 +320,7 @@ func readCSV(r io.Reader) ([]Record, error) {
 		var rec Record
 		v := reflect.ValueOf(&rec).Elem()
 		for c, cell := range row {
-			if err := setField(v.Field(c), cell); err != nil {
+			if err := setField(v.FieldByIndex(columns[c].Index), cell); err != nil {
 				return nil, fmt.Errorf("results: data row %d: %s: %w", i+1, header[c], err)
 			}
 		}

@@ -3,6 +3,7 @@ package rstm
 import (
 	"testing"
 
+	"swisstm/internal/cm"
 	"swisstm/internal/obs"
 	"swisstm/internal/stm/stmtest"
 )
@@ -17,13 +18,14 @@ func TestZeroAllocSteadyStateObs(t *testing.T) {
 	stmtest.ZeroAllocSteadyStateObs(t, e, o, false, false)
 }
 
-// TestAbortCausePartition asserts sum(causes) == Aborts plus the
-// validation and delivery splits under a contended multi-thread mix,
-// on both acquisition modes (their abort flavors differ: eager W/W
-// arbitration vs commit-time stale-clone detection).
+// TestAbortCausePartition asserts sum(causes) == Aborts and the delivery
+// split under a contended multi-thread mix, on every conformance variant
+// (their abort flavors differ: eager W/W arbitration vs commit-time
+// stale-clone detection, visible-reader kills, each manager's choices).
 func TestAbortCausePartition(t *testing.T) {
-	for _, acq := range []AcquireMode{Eager, Lazy} {
-		e := New(Config{Acquire: acq})
-		stmtest.AbortCausePartition(t, e)
+	for _, v := range variants {
+		c := v.cfg
+		c.Manager = cm.ByName(c.Manager.Name())
+		t.Run(v.name, func(t *testing.T) { stmtest.AbortCausePartition(t, New(c)) })
 	}
 }

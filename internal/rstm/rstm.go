@@ -445,7 +445,6 @@ func (t *txn) maybeValidate() bool {
 			continue
 		}
 		if !t.validate() {
-			t.Stat.AbortsValid++
 			if t.committing {
 				t.Stat.AbortsValidCommit++
 			} else {
@@ -463,7 +462,9 @@ func (t *txn) maybeValidate() bool {
 }
 
 // openRead returns a consistent snapshot of the object's data for
-// reading; ok=false means the transaction aborted.
+// reading; ok=false means the transaction aborted. It puts what only a
+// read-write attempt needs — the kill check, the lazy-set probe, the
+// own-object check — in front of openReadRO.
 func (t *txn) openRead(o *object) ([]stm.Word, bool) {
 	if t.killedAbort() {
 		return nil, false
@@ -474,32 +475,13 @@ func (t *txn) openRead(o *object) ([]stm.Word, bool) {
 			return t.lazySet[i].clone, true
 		}
 	}
-	loc := o.loc.Load()
-	if loc.owner == t.cur {
+	if loc := o.loc.Load(); loc.owner == t.cur {
 		return loc.new, true // our own acquired object
 	}
-	if t.e.cfg.Reads == Visible {
-		return t.openReadVisible(o, loc)
-	}
-	// Invisible read: resolve current data under a stable epoch; an
-	// active foreign owner does not conflict yet (its redo clone stays
-	// private until it commits).
-	for {
-		if !t.maybeValidate() {
-			return nil, false
-		}
-		cc := t.lastCC
-		loc = o.loc.Load()
-		data := current(loc)
-		if t.e.commits.Load() != cc {
-			continue // a commit raced with the read; resample
-		}
-		t.readSet = append(t.readSet, readEntry{obj: o, data: data})
-		return data, true
-	}
+	return t.openReadRO(o)
 }
 
-func (t *txn) openReadVisible(o *object, loc *locator) ([]stm.Word, bool) {
+func (t *txn) openReadVisible(o *object) ([]stm.Word, bool) {
 	// Register in the object's reader bitmap first so a racing writer
 	// sees us. Publication order matters: the attempt pointer must be in
 	// the engine's visible table before our bit can appear, or a writer
@@ -516,7 +498,7 @@ func (t *txn) openReadVisible(o *object, loc *locator) ([]stm.Word, bool) {
 		t.visSet = append(t.visSet, o)
 	}
 	for {
-		loc = o.loc.Load()
+		loc := o.loc.Load()
 		if loc.owner == nil || loc.owner == t.cur ||
 			loc.owner.status.Load() != statusActive {
 			if t.killedAbort() { // a writer may have aborted us while registering
@@ -663,10 +645,20 @@ func (t *txn) validate() bool {
 func (t *txn) commitRO() bool {
 	t.committing = true
 	rs := len(t.readSet) + len(t.visSet)
-	if t.e.cfg.Reads == Invisible && len(t.readSet) > 0 {
-		if !t.maybeValidate() {
-			return false
-		}
+	if !t.commitReads() {
+		return false
+	}
+	t.CommittedRO(rs)
+	return true
+}
+
+// commitReads commits an attempt that installs no write: invisible reads
+// validate under a stable epoch, the status CAS detects a kill, and the
+// visible-reader slots are dropped. It reports false (abort recorded)
+// when the attempt aborted.
+func (t *txn) commitReads() bool {
+	if t.e.cfg.Reads == Invisible && len(t.readSet) > 0 && !t.maybeValidate() {
+		return false
 	}
 	if !t.cur.status.CompareAndSwap(statusActive, statusCommitted) {
 		t.Stat.AbortsKilled++
@@ -674,7 +666,6 @@ func (t *txn) commitRO() bool {
 		return false
 	}
 	t.dropVisible()
-	t.CommittedRO(rs)
 	return true
 }
 
@@ -723,18 +714,9 @@ func (t *txn) commitInner() bool {
 	}
 	writer := len(t.lazySet) > 0 || len(t.writeSet) > 0
 	if !writer {
-		// Read-only: validate under a stable epoch and finish.
-		if t.e.cfg.Reads == Invisible && len(t.readSet) > 0 {
-			if !t.maybeValidate() {
-				return false
-			}
-		}
-		if !t.cur.status.CompareAndSwap(statusActive, statusCommitted) {
-			t.Stat.AbortsKilled++
-			t.abort(false)
+		if !t.commitReads() {
 			return false
 		}
-		t.dropVisible()
 		t.Committed(rs, ws)
 		return true
 	}
@@ -755,7 +737,6 @@ func (t *txn) commitInner() bool {
 	}
 	t.e.commits.Add(1) // leave the flip section (back to even)
 	if !ok {
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidCommit++
 		t.abort(false)
 		return false
@@ -789,8 +770,11 @@ func (t *txn) dropVisible() {
 // contention manager.
 func (t *txn) openReadRO(o *object) ([]stm.Word, bool) {
 	if t.e.cfg.Reads == Visible {
-		return t.openReadVisible(o, o.loc.Load())
+		return t.openReadVisible(o)
 	}
+	// Invisible read: resolve current data under a stable epoch; an
+	// active foreign owner does not conflict yet (its redo clone stays
+	// private until it commits).
 	for {
 		if !t.maybeValidate() {
 			return nil, false

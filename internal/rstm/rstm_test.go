@@ -8,20 +8,24 @@ import (
 	"swisstm/internal/stm/stmtest"
 )
 
+// variants are the RSTM configurations the conformance suite and the
+// abort-cause partition run: both acquisition modes, both read
+// visibilities, and each contention manager.
+var variants = []struct {
+	name string
+	cfg  Config
+}{
+	{"eager-invisible-polka", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewPolka()}},
+	{"eager-invisible-timid", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewTimid()}},
+	{"eager-invisible-greedy", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewGreedy()}},
+	{"eager-invisible-serializer", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewSerializer()}},
+	{"eager-visible-polka", Config{Acquire: Eager, Reads: Visible, Manager: cm.NewPolka()}},
+	{"lazy-invisible-polka", Config{Acquire: Lazy, Reads: Invisible, Manager: cm.NewPolka()}},
+	{"lazy-invisible-timid", Config{Acquire: Lazy, Reads: Invisible, Manager: cm.NewTimid()}},
+	{"lazy-visible-timid", Config{Acquire: Lazy, Reads: Visible, Manager: cm.NewTimid()}},
+}
+
 func TestConformanceVariants(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"eager-invisible-polka", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewPolka()}},
-		{"eager-invisible-timid", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewTimid()}},
-		{"eager-invisible-greedy", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewGreedy()}},
-		{"eager-invisible-serializer", Config{Acquire: Eager, Reads: Invisible, Manager: cm.NewSerializer()}},
-		{"eager-visible-polka", Config{Acquire: Eager, Reads: Visible, Manager: cm.NewPolka()}},
-		{"lazy-invisible-polka", Config{Acquire: Lazy, Reads: Invisible, Manager: cm.NewPolka()}},
-		{"lazy-invisible-timid", Config{Acquire: Lazy, Reads: Invisible, Manager: cm.NewTimid()}},
-		{"lazy-visible-timid", Config{Acquire: Lazy, Reads: Visible, Manager: cm.NewTimid()}},
-	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

@@ -20,10 +20,10 @@
 // inline; Thread.Committed, one call per commit, is not.
 //
 // A descriptor is its engine's transaction handle: ReadField and WriteField
-// run the protocol, Load and Store delegate to them, and BeginRO returns
-// the descriptor as a defined type (type roTx txn) whose ReadField is the
-// read-only protocol. A read's fast path calls nothing (ReadSet.Push never
-// grows the log); what can call is the engine's out-of-line helpers.
+// run the protocol, and BeginRO returns the descriptor as a defined type
+// (type roTx txn) whose ReadField is the read-only protocol. A read's fast
+// path calls nothing (ReadSet.Push never grows the log); what can call is
+// the engine's out-of-line helpers.
 package kernel
 
 import (

@@ -34,7 +34,7 @@ func TestAbortPath(t *testing.T) {
 	th.Committed(5, 1)
 	th.CommittedRO(6)
 	s := th.Stats()
-	want := stm.Stats{Commits: 2, ROCommits: 1, Aborts: 2, AbortsUser: 1, AbortsUnwound: 1, AbortsReturned: 1, ReadsLogged: 17}
+	want := stm.Stats{Commits: 2, ROCommits: 1, Aborts: 2, AbortCauses: stm.AbortCauses{AbortsUser: 1}, AbortsUnwound: 1, AbortsReturned: 1, ReadsLogged: 17}
 	if s != want || th.Succ != 0 {
 		t.Errorf("stats %+v, Succ %d;\nwant %+v, Succ 0", s, th.Succ, want)
 	}

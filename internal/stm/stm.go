@@ -345,19 +345,15 @@ func attemptVoid(th Thread, tx Tx, body func(Tx)) (ok bool) {
 
 // ---------------------------------------------------------------------------
 
-// Stats counts transaction outcomes for one thread.
+// Stats counts transaction outcomes for one thread. The json tags are
+// the column names of the results schema (DESIGN.md §5), which embeds
+// Stats.
 type Stats struct {
-	Commits         uint64 // successfully committed transactions
-	ROCommits       uint64 // committed transactions declared read-only (AtomicRO)
-	Aborts          uint64 // total rollbacks (all causes)
-	AbortsWW        uint64 // write/write conflicts (encounter-time)
-	AbortsValid     uint64 // read-set validation / extension failures
-	AbortsLocked    uint64 // read or commit hit a locked location (encounter-time)
-	AbortsKilled    uint64 // aborted by another transaction's CM decision
-	AbortsExplicit  uint64 // user-requested restarts (Tx.Restart)
-	AbortsUser      uint64 // rollbacks because an AtomicErr body returned an error
-	WaitsCM         uint64 // times the CM told the attacker to wait
-	LockAcquireFail uint64 // commit-time lock acquisition failures (lazy engines)
+	Commits   uint64 `json:"commits"`    // successfully committed transactions
+	ROCommits uint64 `json:"ro_commits"` // committed transactions declared read-only (AtomicRO)
+	Aborts    uint64 `json:"aborts"`     // total rollbacks (all causes)
+	AbortCauses
+	WaitsCM uint64 `json:"waits_cm"` // times the CM told the attacker to wait
 
 	// Abort delivery split (DESIGN.md §8): every abort reaches the retry
 	// loop either as a checked return (commit-path conflicts and user
@@ -365,28 +361,39 @@ type Stats struct {
 	// (~µs). The two counters partition Aborts exactly: Aborts ==
 	// AbortsUnwound + AbortsReturned, which the abort-path tests assert
 	// per engine.
-	AbortsUnwound  uint64 // aborts delivered by panic/recover (mid-body conflicts, Restart)
-	AbortsReturned uint64 // aborts delivered as checked returns (commit-path conflicts, user errors)
-
-	// Validation-failure phase split (DESIGN.md §11): AbortsValid ==
-	// AbortsValidRead + AbortsValidCommit, asserted by the abort-cause
-	// partition tests per engine. Read-time failures are mid-body —
-	// a transactional read (or an opacity guard before an eager write)
-	// saw a newer version and the snapshot could not be extended.
-	// Commit-time failures are the final validation pass after the
-	// body returned.
-	AbortsValidRead   uint64 // mid-body read validation / extension failures
-	AbortsValidCommit uint64 // commit-time validation failures
+	AbortsUnwound  uint64 `json:"aborts_unwound"`  // aborts delivered by panic/recover (mid-body conflicts, Restart)
+	AbortsReturned uint64 `json:"aborts_returned"` // aborts delivered as checked returns (commit-path conflicts, user errors)
 
 	// Hot-path instrumentation (DESIGN.md §7): how long read logs get and
 	// how much work validation does, so the read-set dedup win is visible
 	// in the structured results, not only in benchstat. Declared read-only
 	// transactions on TL2 log no reads at all (DESIGN.md §9.3), so their
 	// reads do not appear in ReadsLogged.
-	ReadsLogged     uint64 // read-log entries appended (distinct stripes when dedup is on)
-	ReadsDeduped    uint64 // transactional reads absorbed by read-set dedup (DESIGN.md §7.1)
-	Validations     uint64 // read-set validation passes (commit-time + extensions)
-	ValidationReads uint64 // read-log entries scanned across all validation passes
+	ReadsLogged     uint64 `json:"reads_logged"`     // read-log entries appended (distinct stripes when dedup is on)
+	ReadsDeduped    uint64 `json:"reads_deduped"`    // transactional reads absorbed by read-set dedup (DESIGN.md §7.1)
+	Validations     uint64 `json:"validations"`      // read-set validation passes (commit-time + extensions)
+	ValidationReads uint64 `json:"validation_reads"` // read-log entries scanned across all validation passes
+}
+
+// AbortCauses is the abort-cause taxonomy (DESIGN.md §11), as the
+// engines count it: every abort increments Aborts and exactly one of
+// these, so Sum() == Aborts on every engine (stmtest's partition case
+// asserts it). stm.Stats and the wire Stats both embed it.
+type AbortCauses struct {
+	AbortsWW          uint64 `json:"aborts_ww"`           // eager write/write conflict (encounter-time)
+	AbortsValidRead   uint64 `json:"aborts_valid_read"`   // mid-body read validation / snapshot extension failed
+	AbortsValidCommit uint64 `json:"aborts_valid_commit"` // final validation pass failed at commit
+	AbortsLocked      uint64 `json:"aborts_locked"`       // a read hit a location another transaction holds
+	AbortsKilled      uint64 `json:"aborts_killed"`       // killed by another transaction's contention-manager decision
+	AbortsExplicit    uint64 `json:"aborts_explicit"`     // user-requested Tx.Restart
+	AbortsUser        uint64 `json:"aborts_user"`         // an AtomicErr body returned an error
+	LockAcquireFail   uint64 `json:"lock_acquire_fail"`   // commit-time lock acquisition failed (lazy engines)
+}
+
+// Sum returns the aborts the causes account for.
+func (c AbortCauses) Sum() uint64 {
+	return c.AbortsWW + c.AbortsValidRead + c.AbortsValidCommit + c.AbortsLocked +
+		c.AbortsKilled + c.AbortsExplicit + c.AbortsUser + c.LockAcquireFail
 }
 
 // Add accumulates other into s.
@@ -395,17 +402,16 @@ func (s *Stats) Add(other Stats) {
 	s.ROCommits += other.ROCommits
 	s.Aborts += other.Aborts
 	s.AbortsWW += other.AbortsWW
-	s.AbortsValid += other.AbortsValid
+	s.AbortsValidRead += other.AbortsValidRead
+	s.AbortsValidCommit += other.AbortsValidCommit
 	s.AbortsLocked += other.AbortsLocked
 	s.AbortsKilled += other.AbortsKilled
 	s.AbortsExplicit += other.AbortsExplicit
 	s.AbortsUser += other.AbortsUser
-	s.WaitsCM += other.WaitsCM
 	s.LockAcquireFail += other.LockAcquireFail
+	s.WaitsCM += other.WaitsCM
 	s.AbortsUnwound += other.AbortsUnwound
 	s.AbortsReturned += other.AbortsReturned
-	s.AbortsValidRead += other.AbortsValidRead
-	s.AbortsValidCommit += other.AbortsValidCommit
 	s.ReadsLogged += other.ReadsLogged
 	s.ReadsDeduped += other.ReadsDeduped
 	s.Validations += other.Validations
@@ -420,38 +426,6 @@ func (s *Stats) AbortRate() float64 {
 		return 0
 	}
 	return float64(s.Aborts) / float64(total)
-}
-
-// AbortCauses is the engine-agnostic abort-cause taxonomy (DESIGN.md
-// §11): every abort has exactly one cause, so the six sum to Aborts on
-// every engine (the per-engine partition tests assert it). The six
-// causes fold the raw Stats counters as follows:
-//
-//	ReadValidation   = AbortsValidRead
-//	LockConflict     = AbortsWW + AbortsLocked + LockAcquireFail
-//	CommitValidation = AbortsValidCommit
-//	CMKill           = AbortsKilled
-//	UserError        = AbortsUser
-//	ExplicitRestart  = AbortsExplicit
-type AbortCauses struct {
-	ReadValidation   uint64 // mid-body read validation / snapshot extension failed
-	LockConflict     uint64 // couldn't acquire a location another txn holds (eager W/W, locked read, commit-time acquire)
-	CommitValidation uint64 // final validation pass failed at commit
-	CMKill           uint64 // killed by another transaction's contention-manager decision
-	UserError        uint64 // AtomicErr body returned an error
-	ExplicitRestart  uint64 // user-requested Tx.Restart
-}
-
-// Causes maps the raw counters onto the taxonomy.
-func (s *Stats) Causes() AbortCauses {
-	return AbortCauses{
-		ReadValidation:   s.AbortsValidRead,
-		LockConflict:     s.AbortsWW + s.AbortsLocked + s.LockAcquireFail,
-		CommitValidation: s.AbortsValidCommit,
-		CMKill:           s.AbortsKilled,
-		UserError:        s.AbortsUser,
-		ExplicitRestart:  s.AbortsExplicit,
-	}
 }
 
 // RollbackSignal is the panic payload engines use to unwind an aborted

@@ -30,8 +30,7 @@ func ZeroAllocSteadyStateObs(t *testing.T, e stm.STM, o *obs.TxnObs, wordAPI, up
 // and asserts the taxonomy partition invariants of DESIGN.md §11 on
 // the summed per-thread stats:
 //
-//	Aborts == the sum of Causes()
-//	AbortsValid == AbortsValidRead + AbortsValidCommit
+//	Aborts == AbortCauses.Sum()
 //	Aborts == AbortsUnwound + AbortsReturned
 //
 // The workload mixes contended cross-thread increments (forcing
@@ -102,14 +101,9 @@ func AbortCausePartition(t *testing.T, e stm.STM) {
 	if sum.AbortsExplicit == 0 || sum.AbortsUser == 0 {
 		t.Fatalf("%s: workload did not exercise explicit/user aborts: %+v", e.Name(), sum)
 	}
-	c := sum.Causes()
-	if got := c.ReadValidation + c.LockConflict + c.CommitValidation + c.CMKill + c.UserError + c.ExplicitRestart; got != sum.Aborts {
+	if got := sum.Sum(); got != sum.Aborts {
 		t.Errorf("%s: abort-cause partition violated: sum(causes)=%d, Aborts=%d (%+v)",
-			e.Name(), got, sum.Aborts, c)
-	}
-	if sum.AbortsValidRead+sum.AbortsValidCommit != sum.AbortsValid {
-		t.Errorf("%s: validation split violated: read=%d + commit=%d != valid=%d",
-			e.Name(), sum.AbortsValidRead, sum.AbortsValidCommit, sum.AbortsValid)
+			e.Name(), got, sum.Aborts, sum.AbortCauses)
 	}
 	if sum.AbortsUnwound+sum.AbortsReturned != sum.Aborts {
 		t.Errorf("%s: delivery split violated: unwound=%d + returned=%d != aborts=%d",

@@ -364,7 +364,6 @@ func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
 			return val
 		}
 	}
-	t.Stat.AbortsValid++
 	t.Stat.AbortsValidRead++
 	t.abort()
 	panic(stm.SignalRollback)
@@ -417,7 +416,6 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	// Opacity guard (lines 31-32): if the stripe moved past our snapshot
 	// we must revalidate before continuing.
 	if rv := t.locks[idx].r.Load(); rv != rLocked && rv>>1 > t.validTS && !t.extend() {
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
 		panic(stm.SignalRollback)
@@ -451,7 +449,6 @@ func (t *txn) commit() bool {
 		for i := range wlog {
 			t.e.locks[wlog[i].Idx].r.Store(wlog[i].Saved)
 		}
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidCommit++
 		return t.commitAbort()
 	}

@@ -69,8 +69,8 @@ func TestDedupDoesNotMaskConflict(t *testing.T) {
 	if first != second || first != 2 {
 		t.Fatalf("committed attempt saw %d then %d, want consistent 2", first, second)
 	}
-	if s := thA.Stats(); s.AbortsValid == 0 {
-		t.Errorf("expected the injected conflict to count as a validation abort, got %+v", s)
+	if s := thA.Stats(); s.AbortsValidRead != 1 {
+		t.Errorf("expected the injected conflict to count as one read-time validation abort, got %+v", s)
 	}
 }
 

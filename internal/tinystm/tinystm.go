@@ -241,7 +241,6 @@ func (t *txn) readNewer(idx uint32, w uint64, val stm.Word) stm.Word {
 			return val
 		}
 	}
-	t.Stat.AbortsValid++
 	t.Stat.AbortsValidRead++
 	t.abort()
 	panic(stm.SignalRollback)
@@ -278,7 +277,6 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	// The opacity guard, on the version the CAS replaced: the stripe's
 	// words are ours to read from memory now, so the snapshot must cover it.
 	if w>>1 > t.validTS && !t.extend() {
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 		t.abort()
 		panic(stm.SignalRollback)
@@ -303,7 +301,6 @@ func (t *txn) commit() bool {
 	}
 	ts := t.e.clock.Add(1)
 	if ts > t.validTS+1 && !t.validate() {
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidCommit++
 		t.Stat.AbortsReturned++ // a checked return, not an unwind
 		t.abort()

@@ -104,7 +104,8 @@ func TestStoreGuard(t *testing.T) {
 		before := th0.Stats()
 		stm.AtomicVoid(th0, func(tx stm.Tx) { attempts++; body(tx) })
 		after := th0.Stats()
-		return attempts, stm.Stats{Validations: after.Validations - before.Validations, AbortsValid: after.AbortsValid - before.AbortsValid}
+		return attempts, stm.Stats{Validations: after.Validations - before.Validations,
+			AbortCauses: stm.AbortCauses{AbortsValidRead: after.AbortsValidRead - before.AbortsValidRead}}
 	}
 	// Unmoved: no extension.
 	if n, s := run(func(tx stm.Tx) { tx.ReadField(y, 0); tx.WriteField(x, 0, 1) }); n != 1 || s.Validations != 0 {
@@ -123,8 +124,8 @@ func TestStoreGuard(t *testing.T) {
 			bump(x)
 		}
 		tx.WriteField(x, 0, 3)
-	}); n != 2 || s.AbortsValid != 1 {
-		t.Errorf("store to a read stripe that moved: %d attempts, %d validation aborts, want 2 and 1", n, s.AbortsValid)
+	}); n != 2 || s.AbortsValidRead != 1 {
+		t.Errorf("store to a read stripe that moved: %d attempts, %d read-time validation aborts, want 2 and 1", n, s.AbortsValidRead)
 	}
 }
 
@@ -148,8 +149,8 @@ func TestTimestampExtension(t *testing.T) {
 		// succeed since our read set (only a) is untouched.
 		_ = tx.ReadField(b, 32)
 	})
-	if s := th0.Stats(); s.AbortsValid != 0 {
-		t.Fatalf("validation aborts = %d, want 0", s.AbortsValid)
+	if s := th0.Stats(); s.AbortsValidRead+s.AbortsValidCommit != 0 {
+		t.Fatalf("validation aborts = %d read-time + %d commit-time, want 0", s.AbortsValidRead, s.AbortsValidCommit)
 	}
 }
 

@@ -208,7 +208,6 @@ func (t *txn) readAbort(ok bool) {
 	if !ok {
 		t.Stat.AbortsLocked++
 	} else {
-		t.Stat.AbortsValid++
 		t.Stat.AbortsValidRead++
 	}
 	t.abort()
@@ -317,7 +316,6 @@ func (t *txn) commit() bool {
 			if w := t.e.locks[re.Idx].Load(); w != re.Ver {
 				if i, mine := kernel.Owns(w, t.own); !mine || t.saved[i].Ver != re.Ver {
 					t.releaseLocks(len(t.saved))
-					t.Stat.AbortsValid++
 					t.Stat.AbortsValidCommit++
 					return t.commitAbort()
 				}

@@ -137,8 +137,8 @@ func TestReadOnlyNoReadLogReplay(t *testing.T) {
 	if s.ROCommits != cycles+0 {
 		t.Errorf("ROCommits = %d, want %d", s.ROCommits, cycles)
 	}
-	if s.AbortsValid != cycles {
-		t.Errorf("AbortsValid = %d, want %d (one injected conflict per cycle)", s.AbortsValid, cycles)
+	if s.AbortsValidRead != cycles {
+		t.Errorf("AbortsValidRead = %d, want %d (one injected read-time conflict per cycle)", s.AbortsValidRead, cycles)
 	}
 	if s.Validations != 0 || s.ValidationReads != 0 {
 		t.Errorf("read-only mode ran %d validations replaying %d entries, want 0/0 — TL2 RO keeps no read log",

@@ -7,7 +7,6 @@ package txkvclient
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -16,14 +15,8 @@ import (
 	"swisstm/internal/txkvwire"
 )
 
-// ErrCircuitOpen is returned by Do without touching the network while
-// the circuit breaker is open: the server answered Overloaded
-// BreakerThreshold times in a row, so the client fails fast for
-// BreakerCooldown instead of adding to the pile-up.
-var ErrCircuitOpen = errors.New("txkvclient: circuit breaker open (server overloaded)")
-
 // Options tunes a Client's resilience. The zero value is the strict
-// fail-fast client: no deadlines, no retries, no breaker.
+// fail-fast client: no deadlines, no retries.
 type Options struct {
 	// Timeout bounds each request round trip (connect + write + read).
 	// 0 = wait forever.
@@ -61,16 +54,6 @@ type Options struct {
 	// given up on. A request's own TTL, when set, overrides Budget.
 	// 0 = no deadline.
 	Budget time.Duration
-	// BreakerThreshold, when positive, opens the circuit breaker after
-	// that many consecutive Overloaded replies: Do then fails fast with
-	// ErrCircuitOpen (no network traffic) until BreakerCooldown has
-	// passed, after which one probe request is let through — success
-	// closes the breaker, another Overloaded re-opens it. 0 = no
-	// breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open (default
-	// 100ms).
-	BreakerCooldown time.Duration
 }
 
 func (o *Options) fill() {
@@ -79,9 +62,6 @@ func (o *Options) fill() {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 100 * time.Millisecond
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 100 * time.Millisecond
 	}
 }
 
@@ -96,21 +76,13 @@ type Client struct {
 	wbuf []byte
 	subs []txkvwire.Reply // the largest Batch reply's Sub decoded so far
 
-	// breaker state: consecutive Overloaded replies seen, and the time
-	// before which Do fails fast. Client is single-goroutine, so plain
-	// fields suffice.
-	breakerFails int
-	breakerUntil time.Time
-
 	// Retries counts re-issued request attempts (shed replies and
 	// transport failures alike); Reconnects counts successful re-dials;
 	// ShedRetries is the subset of Retries triggered by a typed
-	// retryable code; BreakerOpens counts open transitions. All zero
-	// for a fail-fast client.
-	Retries      uint64
-	Reconnects   uint64
-	ShedRetries  uint64
-	BreakerOpens uint64
+	// retryable code. All zero for a fail-fast client.
+	Retries     uint64
+	Reconnects  uint64
+	ShedRetries uint64
 }
 
 // Dial connects to a txkv server with fail-fast semantics.
@@ -154,16 +126,13 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Do sends one request and waits for its reply. An error reply from the
 // server is returned as the reply with Err set (and a typed Code), not
 // as a Go error — the Go error path is reserved for transport and
-// protocol failures, plus ErrCircuitOpen. With Options.MaxRetries set,
+// protocol failures. With Options.MaxRetries set,
 // retryable shed replies and (for reads, or with RetryMutations) lost
 // connections re-issue the request with full-jitter backoff; the
 // remaining deadline budget rides along as the wire TTL. A Batch reply's
 // Sub is valid until the next call on c: the next Batch reply is decoded
 // into the same array.
 func (c *Client) Do(req txkvwire.Req) (txkvwire.Reply, error) {
-	if c.opts.BreakerThreshold > 0 && time.Now().Before(c.breakerUntil) {
-		return txkvwire.Reply{}, ErrCircuitOpen
-	}
 	// The deadline covers the whole Do — every attempt plus the
 	// backoffs between them. A request-level TTL overrides the
 	// configured default budget.
@@ -185,14 +154,7 @@ func (c *Client) Do(req txkvwire.Req) (txkvwire.Reply, error) {
 		}
 		reply, err = c.roundTrip(deadline)
 		if err == nil {
-			c.breakerNote(reply.Code)
-			if !reply.Code.Retryable() {
-				return reply, nil
-			}
-			// Stop retrying when attempts are spent or this reply just
-			// tripped the breaker — hammering an overloaded server with
-			// the remaining attempts is what the breaker exists to stop.
-			if attempt >= c.opts.MaxRetries || c.breakerErr() != nil {
+			if !reply.Code.Retryable() || attempt >= c.opts.MaxRetries {
 				return reply, nil
 			}
 			c.ShedRetries++
@@ -218,34 +180,6 @@ func (c *Client) Do(req txkvwire.Req) (txkvwire.Reply, error) {
 				err = rerr
 			}
 		}
-	}
-}
-
-// breakerErr reports ErrCircuitOpen while the breaker is open, nil
-// otherwise.
-func (c *Client) breakerErr() error {
-	if c.opts.BreakerThreshold > 0 && time.Now().Before(c.breakerUntil) {
-		return ErrCircuitOpen
-	}
-	return nil
-}
-
-// breakerNote feeds one reply code into the breaker: consecutive
-// Overloaded replies trip it open for BreakerCooldown; anything else
-// closes it.
-func (c *Client) breakerNote(code txkvwire.Code) {
-	if c.opts.BreakerThreshold <= 0 {
-		return
-	}
-	if code != txkvwire.CodeOverloaded {
-		c.breakerFails = 0
-		return
-	}
-	c.breakerFails++
-	if c.breakerFails >= c.opts.BreakerThreshold {
-		c.breakerUntil = time.Now().Add(c.opts.BreakerCooldown)
-		c.breakerFails = 0
-		c.BreakerOpens++
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"swisstm/internal/harness"
 	"swisstm/internal/results"
+	"swisstm/internal/stm"
 	"swisstm/internal/txkv"
 	"swisstm/internal/txkvwire"
 	"swisstm/internal/util"
@@ -171,18 +172,6 @@ func (r Result) Record(experiment, workload, engine, engineKind string, conns, r
 		DurationSec: r.Duration.Seconds(),
 		Ops:         r.Ops,
 		Throughput:  r.Achieved,
-		Commits:     r.Server.Commits,
-		Aborts:      r.Server.Aborts,
-
-		AbortsWW:          r.Server.AbortsWW,
-		AbortsValid:       r.Server.AbortsValid,
-		AbortsValidRead:   r.Server.AbortsValidRead,
-		AbortsValidCommit: r.Server.AbortsValidCommit,
-		AbortsLocked:      r.Server.AbortsLocked,
-		AbortsKilled:      r.Server.AbortsKilled,
-		AbortsExplicit:    r.Server.AbortsExplicit,
-		AbortsUser:        r.Server.AbortsUser,
-		LockAcquireFail:   r.Server.LockAcquireFail,
 
 		LatP50Ns:  r.P50Ns,
 		LatP99Ns:  r.P99Ns,
@@ -216,9 +205,7 @@ func (r Result) Record(experiment, workload, engine, engineKind string, conns, r
 		WalFsyncs:       r.Server.WalFsyncs,
 		Cores:           runtime.GOMAXPROCS(0),
 	}
-	if total := r.Server.Commits + r.Server.Aborts; total > 0 {
-		rec.AbortRate = float64(r.Server.Aborts) / float64(total)
-	}
+	rec.SetStats(stm.Stats{Commits: r.Server.Commits, Aborts: r.Server.Aborts, AbortCauses: r.Server.AbortCauses})
 	return rec
 }
 

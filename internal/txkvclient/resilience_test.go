@@ -2,7 +2,6 @@ package txkvclient
 
 import (
 	"bufio"
-	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -192,41 +191,6 @@ func TestPermanentCodeNotRetried(t *testing.T) {
 	}
 	if n, _ := f.seen(); n != 1 {
 		t.Fatalf("server saw %d attempts of a permanent failure, want 1", n)
-	}
-}
-
-// TestCircuitBreaker: consecutive Overloaded replies open the breaker,
-// Do then fails fast without touching the network, and the cooldown
-// lets a probe through.
-func TestCircuitBreaker(t *testing.T) {
-	f := newFakeSrv(t, func(int, txkvwire.Req) (txkvwire.Reply, bool) {
-		return overloadedReply()
-	})
-	const cooldown = 50 * time.Millisecond
-	cl := dialFake(t, f, Options{BreakerThreshold: 2, BreakerCooldown: cooldown})
-
-	for i := 0; i < 2; i++ {
-		reply, err := cl.Do(txkvwire.Req{Op: txkvwire.OpGet, Key: 1})
-		if err != nil || reply.Code != txkvwire.CodeOverloaded {
-			t.Fatalf("attempt %d: %+v %v", i, reply, err)
-		}
-	}
-	if cl.BreakerOpens != 1 {
-		t.Fatalf("breaker opens = %d, want 1", cl.BreakerOpens)
-	}
-	if _, err := cl.Do(txkvwire.Req{Op: txkvwire.OpGet, Key: 1}); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("want ErrCircuitOpen while open, got %v", err)
-	}
-	if n, _ := f.seen(); n != 2 {
-		t.Fatalf("open breaker let a request through: server saw %d", n)
-	}
-
-	time.Sleep(cooldown + 20*time.Millisecond)
-	if _, err := cl.Do(txkvwire.Req{Op: txkvwire.OpGet, Key: 1}); err != nil {
-		t.Fatalf("post-cooldown probe: %v", err)
-	}
-	if n, _ := f.seen(); n != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (probe after cooldown)", n)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"swisstm/internal/obs"
-	"swisstm/internal/stm"
 	"swisstm/internal/txkvwire"
 )
 
@@ -19,8 +18,8 @@ import (
 //	                    histograms, per-op×phase histograms, per-shard
 //	                    conflict counters, engine commit/abort-cause
 //	                    counters and per-transaction distributions.
-//	GET /statz          the wire Stats snapshot plus the folded
-//	                    abort-cause taxonomy, as JSON.
+//	GET /statz          the wire Stats snapshot, abort causes
+//	                    included, as JSON.
 //	GET /debug/pprof/*  the standard Go profiles (CPU, heap, block,
 //	                    mutex, goroutine, trace).
 //
@@ -65,14 +64,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WritePrometheus(w, snap)
 }
 
-// Statz is the JSON shape of /statz: the same snapshot the wire Stats
-// op returns, plus the engine name and the six-cause fold so scripted
-// checks (the smoke-obs gate) can assert the abort partition without
-// re-deriving it.
+// Statz is the JSON shape of /statz: the engine name and the snapshot the
+// wire Stats op returns, whose abort causes scripted checks (the
+// smoke-obs gate) sum against its abort total.
 type Statz struct {
 	Engine string            `json:"engine"`
 	Stats  txkvwire.Stats    `json:"stats"`
-	Causes stm.AbortCauses   `json:"causes"`
 	Obs    map[string]uint64 `json:"txn_obs"` // committed-txn distribution counts/means
 	Wal    *WalStatz         `json:"wal,omitempty"`
 }
@@ -92,19 +89,10 @@ type WalStatz struct {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	st := s.statsSnapshot()
-	es := stm.Stats{
-		AbortsWW: st.AbortsWW, AbortsValid: st.AbortsValid,
-		AbortsLocked: st.AbortsLocked, AbortsKilled: st.AbortsKilled,
-		AbortsExplicit: st.AbortsExplicit, AbortsUser: st.AbortsUser,
-		LockAcquireFail: st.LockAcquireFail,
-		AbortsValidRead: st.AbortsValidRead, AbortsValidCommit: st.AbortsValidCommit,
-	}
 	sum := s.txnObs.Merged()
 	z := Statz{
 		Engine: s.eng.Name(),
-		Stats:  st,
-		Causes: es.Causes(),
+		Stats:  s.statsSnapshot(),
 		Obs: map[string]uint64{
 			"commits_observed": sum.Retries.Count,
 			"retries_p99":      sum.Retries.Quantile(0.99),
@@ -137,16 +125,18 @@ func (s *Server) collectEngine(snap *obs.Snapshot) {
 	es := s.drainStats()
 	snap.AddCounter("stm_commits_total", nil, es.Commits)
 	snap.AddCounter("stm_ro_commits_total", nil, es.ROCommits)
-	c := es.Causes()
 	cause := func(name string, v uint64) {
 		snap.AddCounter("stm_aborts_total", []obs.Label{{Key: "cause", Value: name}}, v)
 	}
-	cause("read_validation", c.ReadValidation)
-	cause("lock_conflict", c.LockConflict)
-	cause("commit_validation", c.CommitValidation)
-	cause("cm_kill", c.CMKill)
-	cause("user_error", c.UserError)
-	cause("explicit_restart", c.ExplicitRestart)
+	c := es.AbortCauses
+	cause("write_write", c.AbortsWW)
+	cause("read_validation", c.AbortsValidRead)
+	cause("commit_validation", c.AbortsValidCommit)
+	cause("locked", c.AbortsLocked)
+	cause("cm_kill", c.AbortsKilled)
+	cause("explicit_restart", c.AbortsExplicit)
+	cause("user_error", c.AbortsUser)
+	cause("lock_acquire", c.LockAcquireFail)
 
 	sum := s.txnObs.Merged()
 	snap.AddHist("stm_txn_retries", nil, sum.Retries)

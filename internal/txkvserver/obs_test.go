@@ -185,7 +185,14 @@ func TestAdminEndpoints(t *testing.T) {
 		"txkv_phase_ns_bucket{op=\"get\",phase=\"queue\",le=",
 		"txkv_shard_conflicts_total{shard=",
 		"stm_commits_total",
-		"stm_aborts_total{cause=\"lock_conflict\"}",
+		"stm_aborts_total{cause=\"write_write\"}",
+		"stm_aborts_total{cause=\"read_validation\"}",
+		"stm_aborts_total{cause=\"commit_validation\"}",
+		"stm_aborts_total{cause=\"locked\"}",
+		"stm_aborts_total{cause=\"cm_kill\"}",
+		"stm_aborts_total{cause=\"explicit_restart\"}",
+		"stm_aborts_total{cause=\"user_error\"}",
+		"stm_aborts_total{cause=\"lock_acquire\"}",
 		"stm_txn_retries_bucket{le=",
 		"stm_txn_read_set_entries_sum",
 		"stm_txn_write_set_entries_count",
@@ -202,10 +209,8 @@ func TestAdminEndpoints(t *testing.T) {
 	if z.Engine == "" || z.Stats.Requests == 0 {
 		t.Fatalf("empty /statz: %+v", z)
 	}
-	causeSum := z.Causes.ReadValidation + z.Causes.LockConflict + z.Causes.CommitValidation +
-		z.Causes.CMKill + z.Causes.UserError + z.Causes.ExplicitRestart
-	if causeSum != z.Stats.Aborts {
-		t.Fatalf("abort-cause partition violated: causes sum %d, aborts %d", causeSum, z.Stats.Aborts)
+	if causeSum := z.Stats.Sum(); causeSum != z.Stats.Aborts {
+		t.Fatalf("abort-cause partition violated: causes sum %d, aborts %d (%+v)", causeSum, z.Stats.Aborts, z.Stats.AbortCauses)
 	}
 	if z.Stats.SrvP50Ns == 0 || z.Stats.SrvP99Ns < z.Stats.SrvP50Ns {
 		t.Fatalf("bad server percentiles: %+v", z.Stats)

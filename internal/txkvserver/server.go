@@ -992,22 +992,14 @@ func (s *Server) drainStats() stm.Stats {
 }
 
 // statsSnapshot builds the full wire Stats: phase sums and latency
-// percentiles from the metrics registry, engine totals and the raw
-// abort-cause taxonomy from the drained thread pool.
+// percentiles from the metrics registry, engine totals and the abort
+// causes from the drained thread pool.
 func (s *Server) statsSnapshot() txkvwire.Stats {
 	st := s.m.snapshot()
 	es := s.drainStats()
 	st.Commits = es.Commits
 	st.Aborts = es.Aborts
-	st.AbortsWW = es.AbortsWW
-	st.AbortsValid = es.AbortsValid
-	st.AbortsLocked = es.AbortsLocked
-	st.AbortsKilled = es.AbortsKilled
-	st.AbortsExplicit = es.AbortsExplicit
-	st.AbortsUser = es.AbortsUser
-	st.LockAcquireFail = es.LockAcquireFail
-	st.AbortsValidRead = es.AbortsValidRead
-	st.AbortsValidCommit = es.AbortsValidCommit
+	st.AbortCauses = es.AbortCauses
 	if s.walM != nil {
 		st.WalFrames = s.walM.Frames.Load()
 		st.WalBytes = s.walM.Bytes.Load()

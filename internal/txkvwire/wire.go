@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"swisstm/internal/stm"
 )
 
 // Protocol limits. Encoders refuse to produce frames outside them and
@@ -259,17 +261,8 @@ type Stats struct {
 	WalBytes     uint64 // frame bytes appended
 	WalRecovered uint64 // frames replayed by recovery at server start
 
-	// Raw stm.Stats abort-cause counters (their sum equals Aborts).
-	AbortsWW        uint64 // eager write/write arbitration losses
-	AbortsValid     uint64 // validation failures (read- + commit-time)
-	AbortsLocked    uint64 // read of a locked location
-	AbortsKilled    uint64 // killed by another thread's contention manager
-	AbortsExplicit  uint64 // user-requested Restart
-	AbortsUser      uint64 // user-level errors delivered via AtomicErr
-	LockAcquireFail uint64 // commit-time lock acquisition conflicts
-	// Validation split: AbortsValidRead + AbortsValidCommit == AbortsValid.
-	AbortsValidRead   uint64 // failed mid-body (read-time extension/validation)
-	AbortsValidCommit uint64 // failed at commit-time validation
+	// The engine's abort causes (DESIGN.md §11); Sum() equals Aborts.
+	stm.AbortCauses
 
 	// Server-lifetime request latency percentiles (ns, histogram upper
 	// bounds, ≤12.5% relative error). Not cumulative: do not diff.
@@ -297,9 +290,8 @@ func (s *Stats) fields() []*uint64 {
 	return []*uint64{
 		&s.Requests, &s.ParseNs, &s.QueueNs, &s.TxnNs,
 		&s.CommitNs, &s.ReplyNs, &s.Commits, &s.Aborts,
-		&s.AbortsWW, &s.AbortsValid, &s.AbortsLocked,
-		&s.AbortsKilled, &s.AbortsExplicit, &s.AbortsUser,
-		&s.LockAcquireFail, &s.AbortsValidRead, &s.AbortsValidCommit,
+		&s.AbortsWW, &s.AbortsValidRead, &s.AbortsValidCommit, &s.AbortsLocked,
+		&s.AbortsKilled, &s.AbortsExplicit, &s.AbortsUser, &s.LockAcquireFail,
 		&s.SrvP50Ns, &s.SrvP99Ns, &s.SrvP999Ns,
 		&s.WalNs, &s.WalFrames, &s.WalBytes, &s.WalRecovered,
 		&s.Sheds, &s.DeadlineExceeded, &s.ConnsRejected,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The mutant catalogue: patches that break the engines on purpose and must
+# The mutant catalogue: patches that break the program on purpose and must
 # be caught, and widenings that stretch a race window and must be survived.
 #
 #   scripts/mutants.sh [CATALOGUE]
