@@ -148,13 +148,13 @@ benchmark-ab:
 	GO=$(GO) TRACE=$(TRACE) CLAIM=$(CLAIM) scripts/benchmark-ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # hotpath compares the word engines' code with REV's, from the compiler's
-# -S output (scripts/hotpath.sh): for every function SwissTM, TL2 and
-# TinySTM compile, the multiset of CALL targets (bounds-check panics
+# -S output (scripts/hotpath.sh): for every function SwissTM, TL2,
+# TinySTM and internal/stm/kernel compile, the multiset of CALL targets (bounds-check panics
 # included) and the count of LOCK-prefixed and memory-operand XCHG
 # instructions, parent beside change, then each engine's total atomics,
 # total atomic sites (distinct source lines, so an inlined copy counts
 # once) and total calls, which stay comparable when a body moves between
-# functions.
+# functions, and the distinct atomic sites of all four packages together.
 # Exits non-zero on any difference.
 # Not part of ci: it needs a REV.
 #   make hotpath REV=HEAD~1
@@ -164,7 +164,7 @@ hotpath:
 # mutants runs the catalogue in scripts/mutants.json (scripts/mutants.sh):
 # each mutant patch must make its named test fail, each widening patch
 # must leave its test passing, each in a copy of the tree outside it
-# (~90 s on 2 vCPUs).
+# (~100 s on 2 vCPUs).
 mutants:
 	GO=$(GO) scripts/mutants.sh
 

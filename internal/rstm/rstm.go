@@ -248,7 +248,7 @@ type txn struct {
 	lazySet  []lazyWrite // lazy mode: private clones
 	visSet   []*object   // objects where we occupy a visible-reader slot
 	lastCC   uint64      // commit counter at last validation
-	// committing marks the window between entering commitRO/commitInner
+	// committing marks the window between entering CommitRO/commitInner
 	// and the next begin, so the shared maybeValidate can attribute a
 	// validation failure to the read phase or the commit phase
 	// (stm.Stats.AbortsValidRead vs AbortsValidCommit).
@@ -263,7 +263,6 @@ func (e *Engine) NewThread(id int) stm.Thread {
 
 // Begin implements stm.Thread.
 func (t *txn) Begin(restart bool) stm.Tx {
-	t.RO = false
 	t.begin(restart)
 	return t
 }
@@ -274,7 +273,6 @@ func (t *txn) Begin(restart bool) stm.Tx {
 // an invisible read-only attempt is never published and so never
 // arbitrates against anyone (DESIGN.md §9.3).
 func (t *txn) BeginRO(restart bool) stm.TxRO {
-	t.RO = true
 	t.beginRO(restart)
 	return (*roTx)(t)
 }
@@ -282,16 +280,11 @@ func (t *txn) BeginRO(restart bool) stm.TxRO {
 // Commit implements stm.Thread: try to commit; a failure is delivered as
 // a checked return.
 func (t *txn) Commit() bool {
-	var ok bool
-	if t.RO {
-		ok = t.commitRO()
-	} else {
-		ok = t.commitInner()
-	}
-	if !ok {
+	if !t.commitInner() {
 		t.Stat.AbortsReturned++
+		return false
 	}
-	return ok
+	return true
 }
 
 // Unwind implements stm.Thread: triage a panic recovered mid-body; a
@@ -638,14 +631,16 @@ func (t *txn) validate() bool {
 	return true
 }
 
-// commitRO commits a declared read-only transaction: no lazy acquisition,
-// no writer detection, no flip section. Invisible reads validate under a
-// stable epoch; visible readers may have been killed by a writer, which
-// the status CAS detects.
-func (t *txn) commitRO() bool {
+// CommitRO implements stm.Thread: a declared read-only transaction
+// commits with no lazy acquisition, no writer detection, no flip section.
+// Invisible reads validate under a stable epoch; visible readers may have
+// been killed by a writer, which the status CAS detects. A failure is a
+// checked return, as in Commit.
+func (t *txn) CommitRO() bool {
 	t.committing = true
 	rs := len(t.readSet) + len(t.visSet)
 	if !t.commitReads() {
+		t.Stat.AbortsReturned++
 		return false
 	}
 	t.CommittedRO(rs)

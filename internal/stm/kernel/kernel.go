@@ -5,14 +5,17 @@
 // mapping of the three word engines (WordConfig, Heap).
 //
 // The kernel also owns the versioned lock word of the three word engines
-// (DESIGN.md §7.5): its one owned-word encoding (Tag, Owner, Owns) and its
-// one read sample (Sample). Sample is the only place the kernel loads a
-// lock word; every store, swap and ordering of a lock, clock, owner or
-// status word stays in the engine's own package (DESIGN.md §7.6). The shared
-// stores made here are a committing owner's write-back of the arena words it
-// wrote under its locks (Entry.WriteBack) and fresh objects' initial contents
-// (Heap.NewObjects), which no other thread can reach yet; the engine decides
-// when either happens.
+// (DESIGN.md §7.5): its one owned-word encoding (Tag, Owner, Owns), its one
+// read sample (Sample), and, for TL2 and TinySTM, which hold the same
+// one-word lock, the one validation of a read log against it
+// (Thread.Validate) and the one release of a lock set to the words its
+// locks replaced (Release). Every acquire, publish and clock operation, and
+// the order in which an engine calls these, stays in the engine's own
+// package (DESIGN.md §7.6). The other shared stores made here are a
+// committing owner's write-back of the arena words it wrote under its locks
+// (Entry.WriteBack) and fresh objects' initial contents (Heap.NewObjects),
+// which no other thread can reach yet; the engine decides when either
+// happens.
 //
 // Engines embed these types by value and call their methods directly: no
 // interface, no type parameter, no closure (DESIGN.md §9.2). Every method
@@ -21,9 +24,11 @@
 //
 // A descriptor is its engine's transaction handle: ReadField and WriteField
 // run the protocol, and BeginRO returns the descriptor as a defined type
-// (type roTx txn) whose ReadField is the read-only protocol. A read's fast
-// path calls nothing (ReadSet.Push never grows the log); what can call is
-// the engine's out-of-line helpers.
+// (type roTx txn) whose ReadField is the read-only protocol. Commit ends a
+// read-write attempt and CommitRO a read-only one, so no flag in the
+// descriptor records an attempt's mode. A read's fast path calls nothing
+// (ReadSet.Push never grows the log); what can call is the engine's
+// out-of-line helpers.
 package kernel
 
 import (
@@ -36,14 +41,13 @@ import (
 	"swisstm/internal/util"
 )
 
-// Thread is one engine thread's attempt bookkeeping: its id, the mode of
-// the attempt in progress, the retry count of the logical transaction, its
-// back-off generator, its telemetry shard and its counters. A descriptor
-// embeds it after its hot fields and gets Stats, Backoff and Unwind from it;
-// the engine's commit and abort paths record their outcomes through it.
+// Thread is one engine thread's attempt bookkeeping: its id, the retry
+// count of the logical transaction, its back-off generator, its telemetry
+// shard and its counters. A descriptor embeds it after its hot fields and
+// gets Stats, Backoff and Unwind from it; the engine's commit and abort
+// paths record their outcomes through it.
 type Thread struct {
 	ID   int           // the engine thread id (stm.STM.NewThread)
-	RO   bool          // the attempt in progress was begun by BeginRO
 	Succ int           // successive aborts of the current logical transaction
 	Rng  *util.Rand    // back-off randomness, private to the thread
 	Obs  *obs.TxnShard // per-thread telemetry shard (nil = obs off)
@@ -102,7 +106,8 @@ func (t *Thread) Committed(reads, writes int) {
 	t.Succ = 0
 }
 
-// CommittedRO is Committed for an attempt begun by BeginRO.
+// CommittedRO is Committed for an attempt begun by BeginRO, which its
+// engine's CommitRO records.
 func (t *Thread) CommittedRO(reads int) {
 	t.Stat.ROCommits++
 	t.Committed(reads, 0)
@@ -129,8 +134,9 @@ func (t *Thread) AbortedUser() {
 const MaxTableBits = 24
 
 // The versioned lock word is version<<1 when free and (Tag(id) | idx)<<1 |
-// 1 when owned, idx naming the owner's log entry for the stripe (TL2's:
-// its lock set).
+// 1 when owned, idx naming the owner's lock-set entry for the stripe,
+// which holds the word the lock replaced (TinySTM's lock set runs beside
+// its redo log, entry for entry).
 // SwissTM's 32-bit w-lock is that word less its lock bit; its r-lock,
 // version<<1 or 1 while its owner commits, is one to Sample. A write log
 // holds at most one entry per lock-table entry, so MaxTableBits bounds idx;
@@ -173,6 +179,34 @@ func Sample(l, d *atomic.Uint64) (w uint64, val stm.Word, ok bool) {
 	}
 	val = d.Load()
 	return w, val, l.Load() == w
+}
+
+// Validate is the one-load validation of TL2 and TinySTM (DESIGN.md §7.6),
+// counted as one validation of len(log) reads: a read in log holds if its
+// stripe's lock word in locks is still the logged word, or is owned by own
+// (Owner) and the lock-set entry the owned word names, set[idx], replaced
+// the logged word.
+func (t *Thread) Validate(log []Read, locks []atomic.Uint64, own uint64, set []Read) bool {
+	t.Stat.Validations++
+	t.Stat.ValidationReads += uint64(len(log))
+	for _, re := range log {
+		if w := locks[re.Idx].Load(); w != re.Ver {
+			if i, mine := Owns(w, own); !mine || set[i].Ver != re.Ver {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Release hands each stripe of lock set set back at the word its lock
+// replaced, in set's order: TL2's commit after a failed acquire or
+// validation, TinySTM's abort. No data word was written under those locks,
+// so the replaced words still describe the stripes.
+func Release(locks []atomic.Uint64, set []Read) {
+	for _, s := range set {
+		locks[s.Idx].Store(s.Ver)
+	}
 }
 
 // WordConfig is the configuration the three word engines share; TL2's and
@@ -332,10 +366,8 @@ type Entry struct {
 	base stm.Addr // first word of the primary stripe
 	mask uint64   // bit i set ⇒ vals[i] holds the new value of base+i
 	vals []stm.Word
-	// Saved is the lock word the engine replaced to lock the stripe, to
-	// restore if the attempt aborts: SwissTM's r-lock, which its commit
-	// replaces by rLocked, and TinySTM's versioned lock word, which its
-	// store replaces by the owned word.
+	// Saved is SwissTM's r-lock as its commit found it before replacing
+	// it by rLocked, to restore if the commit fails validation.
 	Saved uint64
 	// overflow holds writes to aliased stripes: distinct memory regions
 	// that map to the same lock-table entry (the table is a hash of the
@@ -405,8 +437,9 @@ type ReadSet struct {
 }
 
 // Read is a read-log entry: a stripe and its free lock word as sampled,
-// version<<1 (SwissTM's r-lock, TinySTM's and TL2's lock word). TL2 logs the
-// stripes it locks at commit in the same form: the word its lock replaced.
+// version<<1 (SwissTM's r-lock, TinySTM's and TL2's lock word). TL2's and
+// TinySTM's lock sets hold the stripes they own in the same form: the word
+// each lock replaced.
 type Read struct {
 	Idx uint32
 	Ver uint64

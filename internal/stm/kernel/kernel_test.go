@@ -169,3 +169,51 @@ func TestSample(t *testing.T) {
 	}
 	t.Fatal("Sample accepted every read of a word moving under it for 5 s")
 }
+
+// TestValidateAndRelease: a logged read passes Validate while its stripe
+// holds the logged word, or the caller's own lock whose lock-set entry
+// replaced it; a newer word, a foreign lock and an own lock that replaced
+// another word fail it. Validate counts one validation of len(log) reads,
+// and Release hands every stripe of a lock set back at its replaced word.
+func TestValidateAndRelease(t *testing.T) {
+	locks := make([]atomic.Uint64, 4)
+	for i := range locks {
+		locks[i].Store(uint64(i) << 1)
+	}
+	log := []Read{{Idx: 0, Ver: 0 << 1}, {Idx: 1, Ver: 1 << 1}, {Idx: 2, Ver: 2 << 1}}
+	own := Owner(5)
+	set := []Read{{Idx: 3, Ver: 3 << 1}, {Idx: 2, Ver: 2 << 1}} // this owner locks stripes 3, then 2
+	locks[3].Store(own | 0<<1)
+	locks[2].Store(own | 1<<1)
+	th := NewThread("kernel", 5, 1, nil)
+	if !th.Validate(log, locks, own, set) {
+		t.Fatal("Validate failed logged words and an own lock that replaced its logged word")
+	}
+	for _, c := range []struct {
+		name string
+		w    uint64
+	}{
+		{"a newer version", 9 << 1},
+		{"a foreign lock", Owner(6) | 1<<1},
+		{"an own lock that replaced another word", own | 0<<1},
+	} {
+		locks[1].Store(c.w)
+		if th.Validate(log, locks, own, set) {
+			t.Errorf("Validate passed stripe 1 logged at %#x under %s (%#x)", 1<<1, c.name, c.w)
+		}
+	}
+	locks[1].Store(1 << 1)
+	locks[2].Store(Owner(6) | 1<<1) // thread 6's word naming the index of this owner's entry for stripe 2
+	if th.Validate(log, locks, own, set) {
+		t.Error("Validate passed a foreign lock by this owner's lock-set entry")
+	}
+	if st := th.Stats(); st.Validations != 5 || st.ValidationReads != 5*uint64(len(log)) {
+		t.Errorf("Validations %d, ValidationReads %d; want 5, %d", st.Validations, st.ValidationReads, 5*len(log))
+	}
+	Release(locks, set)
+	for i := range locks[2:] {
+		if w := locks[2+i].Load(); w != uint64(2+i)<<1 {
+			t.Errorf("stripe %d released at %#x, want its replaced word %#x", 2+i, w, uint64(2+i)<<1)
+		}
+	}
+}

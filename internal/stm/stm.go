@@ -33,7 +33,7 @@
 // protocol (see DESIGN.md §9.3).
 //
 // The entry points drive the engine-facing attempt primitives of the
-// Thread interface (Begin/BeginRO/Commit/Unwind/AbortUser/Backoff).
+// Thread interface (Begin/BeginRO/Commit/CommitRO/Unwind/AbortUser/Backoff).
 // Keeping the retry loop in non-capturing package functions is what makes
 // the v2 API allocation-free in steady state: a closure-adapting wrapper
 // would heap-allocate per call (stmtest.ZeroAllocSteadyState holds every
@@ -127,7 +127,7 @@ func ObjectWords(n int, fields uint32, vals []Word) uint32 {
 // AtomicVoid) drive; application code should not call the primitives
 // directly. One transaction is one
 //
-//	Begin (or BeginRO) → body → Commit
+//	Begin → body → Commit, or BeginRO → body → CommitRO
 //
 // cycle per attempt, with Unwind triaging panics that interrupt the body,
 // Backoff pacing retries and AbortUser rolling back an attempt whose body
@@ -149,6 +149,9 @@ type Thread interface {
 	// when the attempt aborted (checked delivery; the caller retries).
 	// On success it also performs the engine's post-commit duties.
 	Commit() bool
+	// CommitRO is Commit for an attempt begun by BeginRO: each mode has its
+	// own commit entry, so an engine keeps no flag to tell them apart.
+	CommitRO() bool
 	// Unwind triages a panic value recovered while the body was running.
 	// It reports true for the engine's internal rollback signal (the
 	// attempt aborted mid-body; the caller retries) after recording the
@@ -280,7 +283,7 @@ func attemptRO[T any](th Thread, tx TxRO, body func(TxRO) T) (v T, ok bool) {
 		}
 	}()
 	v = body(tx)
-	return v, th.Commit()
+	return v, th.CommitRO()
 }
 
 // AtomicROErr is AtomicErr for declared read-only transactions.
@@ -314,7 +317,7 @@ func attemptROErr[T any](th Thread, tx TxRO, body func(TxRO) (T, error)) (v T, e
 	if err != nil {
 		return v, err, false
 	}
-	return v, nil, th.Commit()
+	return v, nil, th.CommitRO()
 }
 
 // AtomicVoid runs a body with no result as a read-write transaction,

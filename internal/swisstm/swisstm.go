@@ -178,7 +178,6 @@ func (e *Engine) NewThread(id int) stm.Thread {
 
 // Begin implements stm.Thread: start one read-write attempt.
 func (t *txn) Begin(restart bool) stm.Tx {
-	t.RO = false
 	t.begin(restart)
 	return t
 }
@@ -187,17 +186,8 @@ func (t *txn) Begin(restart bool) stm.Tx {
 // descriptor as its roTx view, whose method set runs the read-only
 // protocol with no mode branches on the read-write fast path.
 func (t *txn) BeginRO(bool) stm.TxRO {
-	t.RO = true
 	t.beginRO()
 	return (*roTx)(t)
-}
-
-// Commit implements stm.Thread: try to commit the current attempt.
-func (t *txn) Commit() bool {
-	if t.RO {
-		return t.commitRO()
-	}
-	return t.commit()
 }
 
 // Unwind implements stm.Thread: triage a panic recovered mid-body. The
@@ -304,7 +294,7 @@ func (t *txn) ReadField(h stm.Handle, field uint32) stm.Word {
 		}
 		return t.readNewer(uint32(i), w, val)
 	}
-	return t.readSlow(a)
+	return t.readSlow(a, true)
 }
 
 // readOwn is read-after-write: the value from our own write log (line 6),
@@ -319,9 +309,11 @@ func (t *txn) readOwn(a stm.Addr, idx uint32) stm.Word {
 
 // readSlow is the double read again, for a read whose first sample found
 // the stripe r-locked or moving: the owner is committing it and will
-// release momentarily, so wait. Only a read-write attempt checks for a
-// kill while it waits (no w-lock, no CM ever targets a read-only one).
-func (t *txn) readSlow(a stm.Addr) stm.Word {
+// release momentarily, so wait. Only a read-write attempt (rw, as its
+// caller knows) checks for a kill while it waits: a read-only one holds no
+// w-lock, so no CM ever targets it, and a kill aimed at the thread's
+// previous attempt is not its to act on.
+func (t *txn) readSlow(a stm.Addr, rw bool) stm.Word {
 	i := int(a>>t.shift) & (len(t.locks) - 1)
 	for spin := 1; ; spin++ {
 		if w, val, ok := kernel.Sample(&t.locks[i].r, &t.words[a]); ok {
@@ -332,7 +324,7 @@ func (t *txn) readSlow(a stm.Addr) stm.Word {
 			return t.readNewer(uint32(i), w, val)
 		}
 		if spin&0x3f == 0x3f {
-			if !t.RO && t.killed() {
+			if rw && t.killed() {
 				t.Stat.AbortsKilled++
 				t.abort()
 				panic(stm.SignalRollback)
@@ -423,10 +415,10 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	t.cmOnWrite()
 }
 
-// commit implements Algorithm 1's commit. It reports false when the
-// transaction aborted; commit-time conflicts take the checked return
-// path and never unwind (DESIGN.md §8).
-func (t *txn) commit() bool {
+// Commit implements stm.Thread: Algorithm 1's commit. It reports false
+// when the transaction aborted; commit-time conflicts take the checked
+// return path and never unwind (DESIGN.md §8).
+func (t *txn) Commit() bool {
 	if t.killed() {
 		t.Stat.AbortsKilled++
 		return t.commitAbort()
@@ -468,10 +460,10 @@ func (t *txn) commit() bool {
 	return true
 }
 
-// commitRO commits a declared read-only transaction: every read was
-// validated (and extended) incrementally, no lock is held and no CM can
-// have killed us, so there is nothing left to check or publish.
-func (t *txn) commitRO() bool {
+// CommitRO implements stm.Thread: a declared read-only transaction's
+// reads were validated (and extended) incrementally, no lock is held and
+// no CM can have killed it, so there is nothing left to check or publish.
+func (t *txn) CommitRO() bool {
 	t.CommittedRO(len(t.rs.Log))
 	return true
 }
@@ -613,7 +605,7 @@ func (r *roTx) ReadField(h stm.Handle, field uint32) stm.Word {
 		}
 		return t.readNewer(uint32(i), w, val)
 	}
-	return t.readSlow(a)
+	return t.readSlow(a, false)
 }
 
 // Restart implements stm.TxRO.

@@ -159,7 +159,7 @@ func readSetProbe(th stm.Thread) stmtest.ReadSetProbe {
 				// nothing about the version.
 				w := d.e.locks[re.Idx].Load()
 				if idx, mine := kernel.Owns(w, d.own); mine {
-					w = d.log.At(idx).Saved
+					w = d.set[idx].Ver
 				}
 				if w&1 != 0 {
 					continue

@@ -67,7 +67,10 @@ type txn struct {
 	own     uint64 // kernel.Owner(id): every lock word this thread installs, less its index
 	validTS uint64
 	rs      kernel.ReadSet
-	log     kernel.RedoLog // an owned lock word names its entry here
+	log     kernel.RedoLog // the buffered writes, one entry per owned stripe
+	// set is the lock set, entry for entry beside log: each owned stripe
+	// with the word its lock replaced. An owned word names its entry here.
+	set []kernel.Read
 	kernel.Thread
 }
 
@@ -89,28 +92,18 @@ func (e *Engine) NewThread(id int) stm.Thread {
 
 // Begin implements stm.Thread.
 func (t *txn) Begin(bool) stm.Tx {
-	t.RO = false
 	t.begin()
 	return t
 }
 
 // BeginRO implements stm.Thread. A declared read-only transaction skips
-// the write-set init entirely: the write log is invariantly empty between
-// transactions (commit and abort both truncate it; DESIGN.md §9.3). Its
-// view is the descriptor as a roTx.
+// the write-set init entirely: the write log and the lock set are
+// invariantly empty between transactions (commit and abort both truncate
+// them; DESIGN.md §9.3). Its view is the descriptor as a roTx.
 func (t *txn) BeginRO(bool) stm.TxRO {
-	t.RO = true
 	t.validTS = t.e.clock.Load()
 	t.rs.Clear()
 	return (*roTx)(t)
-}
-
-// Commit implements stm.Thread.
-func (t *txn) Commit() bool {
-	if t.RO {
-		return t.commitRO()
-	}
-	return t.commit()
 }
 
 // Unwind implements stm.Thread: triage a panic recovered mid-body; a
@@ -151,13 +144,11 @@ func (t *txn) Restart() {
 	panic(stm.SignalRestart)
 }
 
-// releaseOwned hands every owned stripe back at the word it replaced: no
-// data word was written (redo log), so the old version still describes it.
+// releaseOwned hands every owned stripe back at the word its lock
+// replaced (kernel.Release) and empties the write log and the lock set.
 func (t *txn) releaseOwned() {
-	wlog := t.log.Entries()
-	for i := range wlog {
-		t.e.locks[wlog[i].Idx].Store(wlog[i].Saved)
-	}
+	kernel.Release(t.locks, t.set)
+	t.set = t.set[:0]
 	t.log.Reset()
 }
 
@@ -266,11 +257,12 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 			t.abort()
 			panic(stm.SignalRollback)
 		}
-		we := t.log.Next(idx, t.e.StripeBase(a))
-		we.Set(a, v)
-		we.Saved = w
+		t.log.Next(idx, t.e.StripeBase(a)).Set(a, v)
 		if l.CompareAndSwap(w, t.own|uint64(t.log.Len())<<1) {
-			t.log.Push() // the entry joins the write log only once the lock is ours
+			// The entry joins the write log, and the stripe the lock set,
+			// only once the lock is ours.
+			t.log.Push()
+			t.set = append(t.set, kernel.Read{Idx: idx, Ver: w})
 			break
 		}
 	}
@@ -283,24 +275,25 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	}
 }
 
-// commitRO commits a declared read-only transaction: its reads were
-// validated as they were made and it holds no lock, so it only counts.
-func (t *txn) commitRO() bool {
+// CommitRO implements stm.Thread: a declared read-only transaction's reads
+// were validated as they were made and it holds no lock, so it only counts.
+func (t *txn) CommitRO() bool {
 	t.CommittedRO(len(t.rs.Log))
 	return true
 }
 
-// commit writes back the redo log under the encounter-time locks, then
-// publishes each stripe's new version and releases it in one store. It
-// reports false when the transaction aborted; commit-time validation
-// failures take the checked return path and never unwind.
-func (t *txn) commit() bool {
+// Commit implements stm.Thread: write back the redo log under the
+// encounter-time locks, publishing each stripe's new version and releasing
+// it in one store. It reports false when the transaction aborted;
+// commit-time validation failures take the checked return path and never
+// unwind.
+func (t *txn) Commit() bool {
 	if t.log.Len() == 0 {
 		t.Committed(len(t.rs.Log), 0)
 		return true
 	}
 	ts := t.e.clock.Add(1)
-	if ts > t.validTS+1 && !t.validate() {
+	if ts > t.validTS+1 && !t.Validate(t.rs.Log, t.locks, t.own, t.set) {
 		t.Stat.AbortsValidCommit++
 		t.Stat.AbortsReturned++ // a checked return, not an unwind
 		t.abort()
@@ -313,29 +306,17 @@ func (t *txn) commit() bool {
 		t.e.locks[we.Idx].Store(ts << 1)
 	}
 	t.log.Reset() // ownership transferred; nothing to release
+	t.set = t.set[:0]
 	t.Committed(len(t.rs.Log), len(wlog))
 	return true
 }
 
-// validate checks that every logged stripe still holds its logged word:
-// one load of its lock word, which no commit leaves at the old version. A
-// stripe this transaction owns is judged by the word its lock replaced.
-func (t *txn) validate() bool {
-	t.Stat.Validations++
-	t.Stat.ValidationReads += uint64(len(t.rs.Log))
-	for _, re := range t.rs.Log {
-		if w := t.locks[re.Idx].Load(); w != re.Ver {
-			if idx, mine := kernel.Owns(w, t.own); !mine || t.log.At(idx).Saved != re.Ver {
-				return false
-			}
-		}
-	}
-	return true
-}
-
+// extend revalidates the read log (kernel Thread.Validate: one load of
+// each logged stripe's lock word, an owned stripe judged by the word its
+// lock replaced), then advances validTS.
 func (t *txn) extend() bool {
 	ts := t.e.clock.Load()
-	if t.validate() {
+	if t.Validate(t.rs.Log, t.locks, t.own, t.set) {
 		t.validTS = ts
 		return true
 	}

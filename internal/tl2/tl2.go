@@ -110,7 +110,6 @@ func (e *Engine) NewThread(id int) stm.Thread {
 
 // Begin implements stm.Thread.
 func (t *txn) Begin(bool) stm.Tx {
-	t.RO = false
 	t.begin()
 	return t
 }
@@ -123,18 +122,9 @@ func (t *txn) Begin(bool) stm.Tx {
 // a read-only abort never charges a previous transaction's entries to
 // the ReadsLogged counter. Its view is the descriptor as a roTx.
 func (t *txn) BeginRO(bool) stm.TxRO {
-	t.RO = true
 	t.rv = t.e.clock.Load()
 	t.readLog = t.readLog[:0]
 	return (*roTx)(t)
-}
-
-// Commit implements stm.Thread.
-func (t *txn) Commit() bool {
-	if t.RO {
-		return t.commitRO()
-	}
-	return t.commit()
 }
 
 // AbortUser implements stm.Thread: the body returned an error. Writes
@@ -239,21 +229,22 @@ func (t *txn) WriteField(h stm.Handle, field uint32, v stm.Word) {
 	t.writes = append(t.writes, wsEntry{addr: a, val: v})
 }
 
-// commitRO commits a declared read-only transaction on nothing but the
-// clock sample taken at Begin: every read already proved itself ≤ rv and
-// unlocked, so there is no read log to replay and no lock to take. This
-// is the fast path the v2 API exists to expose — Stats.ValidationReads
-// stays untouched, which the API-v2 suite asserts.
-func (t *txn) commitRO() bool {
+// CommitRO implements stm.Thread: it commits a declared read-only
+// transaction on nothing but the clock sample taken at BeginRO: every read
+// already proved itself ≤ rv and unlocked, so there is no read log to
+// replay and no lock to take. This is the fast path the v2 API exists to
+// expose — Stats.ValidationReads stays untouched, which the API-v2 suite
+// asserts.
+func (t *txn) CommitRO() bool {
 	t.CommittedRO(0) // no read log, so the read-set size records 0
 	return true
 }
 
-// commit implements the TL2 commit protocol. It reports false when the
-// transaction aborted; every conflict TL2 detects here — lock-acquire
-// failures and read-set validation — takes the checked return path and
-// never unwinds.
-func (t *txn) commit() bool {
+// Commit implements stm.Thread: the TL2 commit protocol. It reports false
+// when the transaction aborted; every conflict TL2 detects here —
+// lock-acquire failures and read-set validation — takes the checked return
+// path and never unwinds.
+func (t *txn) Commit() bool {
 	if len(t.writes) == 0 { // read-only: already validated incrementally
 		t.Committed(len(t.readLog), 0)
 		return true
@@ -299,7 +290,7 @@ func (t *txn) commit() bool {
 			}
 		}
 		if !ok {
-			t.releaseLocks(i)
+			kernel.Release(t.e.locks, t.saved[:i])
 			t.Stat.LockAcquireFail++
 			return t.commitAbort()
 		}
@@ -309,18 +300,10 @@ func (t *txn) commit() bool {
 	// Phase 3: validate the read set (GV4: skip when wv == rv+1). A
 	// stripe passes if it still holds its logged word, or if this commit
 	// owns it and the word its lock replaced is the logged word.
-	if wv != t.rv+1 {
-		t.Stat.Validations++
-		t.Stat.ValidationReads += uint64(len(t.readLog))
-		for _, re := range t.readLog {
-			if w := t.e.locks[re.Idx].Load(); w != re.Ver {
-				if i, mine := kernel.Owns(w, t.own); !mine || t.saved[i].Ver != re.Ver {
-					t.releaseLocks(len(t.saved))
-					t.Stat.AbortsValidCommit++
-					return t.commitAbort()
-				}
-			}
-		}
+	if wv != t.rv+1 && !t.Validate(t.readLog, t.e.locks, t.own, t.saved) {
+		kernel.Release(t.e.locks, t.saved)
+		t.Stat.AbortsValidCommit++
+		return t.commitAbort()
 	}
 	// Phase 4: write back and release with the new version.
 	for _, w := range t.writes {
@@ -332,14 +315,6 @@ func (t *txn) commit() bool {
 	}
 	t.Committed(len(t.readLog), len(t.writes))
 	return true
-}
-
-// releaseLocks restores the first acquired stripes of saved to the words
-// their locks replaced.
-func (t *txn) releaseLocks(acquired int) {
-	for _, s := range t.saved[:acquired] {
-		t.e.locks[s.Idx].Store(s.Ver)
-	}
 }
 
 // sortLockSet sorts stripes ascending without allocating: insertion sort

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -218,6 +219,35 @@ func TestAdminEndpoints(t *testing.T) {
 
 	if pi := httpGet(t, base+"/debug/pprof/"); !strings.Contains(pi, "goroutine") {
 		t.Errorf("pprof index looks wrong: %.80s", pi)
+	}
+}
+
+// TestStatzKeysSnakeCase: every key of /statz's stats object is lower
+// snake_case, the wire fields' and the embedded abort causes' alike.
+func TestStatzKeysSnakeCase(t *testing.T) {
+	srv, err := Start("127.0.0.1:0", Config{
+		Engine: harness.EngineSpec{Kind: "swisstm"},
+		Keys:   16,
+		Admin:  "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatalf("start server with admin: %v", err)
+	}
+	defer srv.Close()
+	var z struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(httpGet(t, "http://"+srv.AdminAddr().String()+"/statz")), &z); err != nil {
+		t.Fatalf("/statz not JSON: %v", err)
+	}
+	if len(z.Stats) == 0 {
+		t.Fatal("/statz has no stats object")
+	}
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	for k := range z.Stats {
+		if !snake.MatchString(k) {
+			t.Errorf("/statz stats key %q is not lower snake_case", k)
+		}
 	}
 }
 

@@ -240,48 +240,50 @@ type FeedEvent struct {
 // commit/abort totals across the server's thread pool, the raw
 // abort-cause taxonomy counters (DESIGN.md §11; they partition Aborts,
 // so clients may diff them like every other cumulative field), and the
-// server-lifetime request-latency percentiles. The percentile fields
-// are point-in-time quantile reads of the server's whole-life latency
+// server-lifetime request-latency percentiles. The percentile fields are
+// point-in-time quantile reads of the server's whole-life latency
 // histogram — NOT cumulative, so Sub does not diff them; they are a load
-// run's own only when the server was started for that run.
+// run's own only when the server was started for that run. The json names
+// (/statz prints them) are lower snake_case, a results column's name where
+// one holds the same counter.
 type Stats struct {
-	Requests uint64 // requests fully served (reply flushed)
-	ParseNs  uint64 // frame decode
-	QueueNs  uint64 // wait for an engine thread
-	TxnNs    uint64 // transaction body (final attempt)
-	CommitNs uint64 // begin/commit/retry remainder of the atomic call
-	ReplyNs  uint64 // reply encode + write + flush
-	WalNs    uint64 // commit-log append (publish → durable; 0 with the WAL off)
-	Commits  uint64 // engine transactions committed
-	Aborts   uint64 // engine transactions aborted
+	Requests uint64 `json:"requests"`  // requests fully served (reply flushed)
+	ParseNs  uint64 `json:"parse_ns"`  // frame decode
+	QueueNs  uint64 `json:"queue_ns"`  // wait for an engine thread
+	TxnNs    uint64 `json:"txn_ns"`    // transaction body (final attempt)
+	CommitNs uint64 `json:"commit_ns"` // begin/commit/retry remainder of the atomic call
+	ReplyNs  uint64 `json:"reply_ns"`  // reply encode + write + flush
+	WalNs    uint64 `json:"wal_ns"`    // commit-log append (publish → durable; 0 with the WAL off)
+	Commits  uint64 `json:"commits"`   // engine transactions committed
+	Aborts   uint64 `json:"aborts"`    // engine transactions aborted
 
 	// Durable commit log counters (DESIGN.md §12; all zero with the WAL
 	// off). Cumulative like the phase sums.
-	WalFrames    uint64 // redo frames appended
-	WalBytes     uint64 // frame bytes appended
-	WalRecovered uint64 // frames replayed by recovery at server start
+	WalFrames    uint64 `json:"wal_frames"`           // redo frames appended
+	WalBytes     uint64 `json:"wal_bytes"`            // frame bytes appended
+	WalRecovered uint64 `json:"wal_recovered_frames"` // frames replayed by recovery at server start
 
 	// The engine's abort causes (DESIGN.md §11); Sum() equals Aborts.
 	stm.AbortCauses
 
 	// Server-lifetime request latency percentiles (ns, histogram upper
 	// bounds, ≤12.5% relative error). Not cumulative: do not diff.
-	SrvP50Ns  uint64
-	SrvP99Ns  uint64
-	SrvP999Ns uint64
+	SrvP50Ns  uint64 `json:"srv_p50_ns"`
+	SrvP99Ns  uint64 `json:"srv_p99_ns"`
+	SrvP999Ns uint64 `json:"srv_p999_ns"`
 
 	// Overload-protection counters (DESIGN.md §13). Cumulative.
-	Sheds            uint64 // requests shed by admission control (Overloaded + Draining replies)
-	DeadlineExceeded uint64 // requests dropped because their deadline expired pre-execution
-	ConnsRejected    uint64 // connections refused at the MaxConns limit
+	Sheds            uint64 `json:"sheds"`             // requests shed by admission control (Overloaded + Draining replies)
+	DeadlineExceeded uint64 `json:"deadline_exceeded"` // requests dropped because their deadline expired pre-execution
+	ConnsRejected    uint64 `json:"conns_rejected"`    // connections refused at the MaxConns limit
 
 	// Commit-coalescing and change-feed counters (DESIGN.md §14; zero
 	// with coalescing off, except FeedEvents which every mutating path
 	// publishes). Cumulative.
-	CoalesceBatches uint64 // batch flushes executed (one engine txn each)
-	CoalesceItems   uint64 // single-key ops executed inside flushes
-	FeedEvents      uint64 // change-feed events published across all shards
-	WalFsyncs       uint64 // commit-log fsync batches (group mode)
+	CoalesceBatches uint64 `json:"coalesce_batches"` // batch flushes executed (one engine txn each)
+	CoalesceItems   uint64 `json:"coalesce_items"`   // single-key ops executed inside flushes
+	FeedEvents      uint64 `json:"feed_events"`      // change-feed events published across all shards
+	WalFsyncs       uint64 `json:"wal_fsyncs"`       // commit-log fsync batches (group mode)
 }
 
 // fields lists every field in wire order, for the reply codec and Sub

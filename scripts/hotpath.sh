@@ -6,7 +6,8 @@
 #   make hotpath REV=HEAD~1
 #
 # REV is exported with `git archive` into a `mktemp -d` outside the working
-# tree. On both sides internal/swisstm, internal/tl2 and internal/tinystm are
+# tree. On both sides internal/swisstm, internal/tl2, internal/tinystm and
+# the kernel they share, internal/stm/kernel (its block is "kernel"), are
 # built with -gcflags=<pkg>=-S, and for every function each package compiles
 # (the methods of txn and roTx, their helpers, the Engine's methods and the
 # compiler's own wrappers), the script prints one row per CALL target
@@ -26,7 +27,11 @@
 # the position of the nearest instruction before it that is outside the Go
 # tree: the line of this tree that made the call. An abort path inlined
 # into several functions then counts once, and the row moves only when a
-# fence is added to or removed from the source. Rows print as "engine
+# fence is added to or removed from the source. A last block, "all",
+# counts the distinct sites of the four packages together: a fence that
+# moves from an engine into a kernel function the engine inlines is one
+# site there, though both the engine's block and the kernel's count it.
+# Rows print as "engine
 # function item parent change", a differing row marked "<>"; the exit
 # status is non-zero when any row differs. It needs amd64 for the
 # instruction names.
@@ -41,16 +46,19 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git archive "$rev" | tar -x -C "$tmp/parent"
 
-# rows DIR prints the sorted "engine|function|item count" rows of the tree
-# in DIR. A function's name drops its package path and its spaces (a
-# generic instance's shape type has them).
+# rows DIR SITES prints the sorted "engine|function|item count" rows of the
+# tree in DIR, then the "all" row: the distinct atomic sites of the four
+# packages together, each package's sites collected in the file SITES. A
+# function's name drops its package path and its spaces (a generic
+# instance's shape type has them).
 rows() {
 	(
 		cd "$1"
-		for eng in swisstm tl2 tinystm; do
-			pkg=$($go list "./internal/$eng")
-			$go build -gcflags="$pkg=-S" "./internal/$eng" 2>&1 |
-				awk -F'\t' -v eng="$eng" -v pkg="$pkg." -v goroot="$($go env GOROOT)/" '
+		for dir in swisstm tl2 tinystm stm/kernel; do
+			eng=${dir##*/}
+			pkg=$($go list "./internal/$dir")
+			$go build -gcflags="$pkg=-S" "./internal/$dir" 2>&1 |
+				awk -F'\t' -v eng="$eng" -v pkg="$pkg." -v goroot="$($go env GOROOT)/" -v sitesf="$2" '
 					/^[^\t]/ {
 						fn = last = ""
 						if (!/ STEXT /) next
@@ -69,15 +77,16 @@ rows() {
 					index(pos, goroot) != 1 && pos !~ /^</ { last = pos }
 					END {
 						for (k in n) print k, n[k]
-						m = 0; for (s in sites) m++
+						m = 0; for (s in sites) { m++; print s >>sitesf }
 						print eng "|~total|sites", m
 					}'
-		done | LC_ALL=C sort
-	)
+		done
+		echo "all|~total|sites $(sort -u "$2" | wc -l)"
+	) | LC_ALL=C sort
 }
 
-rows "$tmp/parent" >"$tmp/parent.rows"
-rows . >"$tmp/change.rows"
+rows "$tmp/parent" "$tmp/parent.sites" >"$tmp/parent.rows"
+rows . "$tmp/change.sites" >"$tmp/change.rows"
 
 LC_ALL=C join -a1 -a2 -e 0 -o 0,1.2,2.2 "$tmp/parent.rows" "$tmp/change.rows" |
 	awk 'function row(e, f, i, p, c) {
@@ -86,6 +95,7 @@ LC_ALL=C join -a1 -a2 -e 0 -o 0,1.2,2.2 "$tmp/parent.rows" "$tmp/change.rows" |
 		}
 		function totals() {
 			if (eng == "") return
+			if (eng == "all") { row(eng, "total", "atomic sites", sp, sc); return }
 			row(eng, "total", "atomics", ap, ac); row(eng, "total", "atomic sites", sp, sc)
 			row(eng, "total", "calls", cp, cc)
 			ap = ac = cp = cc = 0
