@@ -172,7 +172,7 @@ mutants:
 # and fails if any result file is empty or any workload check failed.
 smoke:
 	rm -rf $(SMOKE_DIR)
-	$(GO) run ./cmd/paperfigs -run all -quick -format csv -out $(SMOKE_DIR)
+	$(GO) run ./cmd/paperfigs -run all -quick -out $(SMOKE_DIR)
 	@for f in $(SMOKE_DIR)/*.csv; do \
 		lines=$$(wc -l < "$$f"); \
 		if [ "$$lines" -le 1 ]; then echo "empty result file: $$f"; exit 1; fi; \
@@ -188,7 +188,7 @@ smoke:
 # invariant checks.
 smoke-txkv:
 	rm -rf $(SMOKE_DIR)/txkv
-	$(GO) run ./cmd/paperfigs -run txkv -quick -threads 1,2 -repeats 2 -seed 1 -ops 200 -format csv -out $(SMOKE_DIR)/txkv
+	$(GO) run ./cmd/paperfigs -run txkv -quick -threads 1,2 -repeats 2 -seed 1 -ops 200 -out $(SMOKE_DIR)/txkv
 	@for f in $(SMOKE_DIR)/txkv/*.csv; do \
 		lines=$$(wc -l < "$$f"); \
 		if [ "$$lines" -le 1 ]; then echo "empty result file: $$f"; exit 1; fi; \
@@ -211,10 +211,10 @@ smoke-server:
 	$(GO) run ./cmd/txkvload -launch -engines swisstm,tl2,tinystm,rstm \
 		-mixes transfer -conns 2 -ops 400 -keys 512 -seed 1 \
 		-wal $(SMOKE_DIR)/server/wal \
-		-format csv -out $(SMOKE_DIR)/server -name closed
+		-out $(SMOKE_DIR)/server -name closed
 	$(GO) run ./cmd/txkvload -launch -engines swisstm,tl2,tinystm,rstm \
 		-mixes read-heavy -conns 2 -ops 400 -keys 512 -seed 2 -rate 4000 \
-		-format csv -out $(SMOKE_DIR)/server -name open
+		-out $(SMOKE_DIR)/server -name open
 	@for f in $(SMOKE_DIR)/server/closed.csv $(SMOKE_DIR)/server/open.csv; do \
 		lines=$$(wc -l < "$$f"); \
 		if [ "$$lines" -le 1 ]; then echo "empty result file: $$f"; exit 1; fi; \
@@ -277,7 +277,7 @@ smoke-coalesce:
 GRID_DIR ?= grid_runs
 GRID_OPS ?= 0
 grid:
-	$(GO) run ./cmd/txkvload -launch -config scripts/experiments.json -name grid -format csv -out $(GRID_DIR) -ops $(GRID_OPS)
+	$(GO) run ./cmd/txkvload -launch -config scripts/experiments.json -name grid -out $(GRID_DIR) -ops $(GRID_OPS)
 
 # smoke-examples builds and runs every examples/ program to completion.
 # The examples are the public face of the transaction API; running them

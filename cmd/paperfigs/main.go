@@ -2,17 +2,19 @@
 // Transactional Memory" (PLDI 2009), plus the repository's own txkv
 // key-value-store experiment family (DESIGN.md §6). Each experiment
 // prints the series the corresponding figure plots (see DESIGN.md §4
-// for the mapping) and can additionally persist the underlying
-// per-repeat measurement records as CSV or JSONL, one file pair per
-// experiment (DESIGN.md §5).
+// for the mapping); -out DIR also writes the underlying per-repeat
+// measurement records and their summary as a CSV pair per experiment,
+// <name>.csv and <name>.summary.csv (DESIGN.md §5). Every run is seeded
+// (-seed, default 0); -ops sets a fixed per-worker op quota for the
+// throughput points, which are otherwise timed over -dur.
 //
 // Usage:
 //
 //	paperfigs -list
 //	paperfigs -run fig2 -dur 2s -threads 1,2,4,8
 //	paperfigs -run all -quick
-//	paperfigs -run fig2 -quick -repeats 3 -format csv -out paper_runs/smoke
-//	paperfigs -run fig5 -quick -seed 42 -repeats 5 -out runs/seeded
+//	paperfigs -run fig2 -quick -repeats 3 -out paper_runs/smoke
+//	paperfigs -run fig5 -quick -seed 42 -ops 2000 -repeats 5 -out runs/seeded
 package main
 
 import (
@@ -35,10 +37,9 @@ func main() {
 		dur     = flag.Duration("dur", 0, "duration per throughput point (overrides preset)")
 		threads = flag.String("threads", "", "comma-separated thread sweep (overrides preset)")
 		repeats = flag.Int("repeats", 1, "measured repeats per point (text tables report medians)")
-		seed    = flag.Uint64("seed", 0, "deterministic mode: seed workload RNGs and measure fixed op counts (0 = off)")
-		ops     = flag.Uint64("ops", 0, "per-worker ops per throughput point (overrides the seeded-mode default)")
-		format  = flag.String("format", "text", "output format: text | csv | jsonl")
-		outDir  = flag.String("out", "", "directory for result files, one per experiment (required for csv/jsonl)")
+		seed    = flag.Uint64("seed", 0, "base seed of every run's workload RNGs")
+		ops     = flag.Uint64("ops", 0, "per-worker op quota per throughput point (0 = timed over -dur)")
+		outDir  = flag.String("out", "", "directory for the CSV pair of each experiment (none written when empty)")
 	)
 	flag.Parse()
 
@@ -50,14 +51,6 @@ func main() {
 	}
 	if *run == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if !results.KnownFormat(*format) {
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown format %q (want text, csv or jsonl)\n", *format)
-		os.Exit(2)
-	}
-	if *format != "text" && *outDir == "" {
-		fmt.Fprintf(os.Stderr, "paperfigs: -format %s requires -out <dir>\n", *format)
 		os.Exit(2)
 	}
 
@@ -94,7 +87,7 @@ func main() {
 		// Persist whatever was measured even when a check failed, so the
 		// run directory holds the evidence.
 		if *outDir != "" {
-			if werr := results.WriteDriverFiles(*outDir, name, *format, recs); werr != nil {
+			if werr := results.WriteFiles(*outDir, name, recs); werr != nil {
 				fmt.Fprintf(os.Stderr, "paperfigs: writing %s results: %v\n", name, werr)
 				os.Exit(1)
 			}

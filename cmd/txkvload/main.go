@@ -18,12 +18,14 @@
 //
 // Every run arms the over-the-wire correctness oracles (key population
 // intact; balance conserved for mixes without blind updates); a failed
-// oracle exits non-zero after persisting the evidence.
+// oracle exits non-zero after persisting the evidence. Stdout gets one
+// line per cell; -out DIR also writes the records and their summary as
+// <name>.csv and <name>.summary.csv (DESIGN.md §5).
 //
 //	txkvload -launch -engines swisstm,tl2 -mixes transfer -conns 1,4 -ops 4000 -seed 1
 //	txkvload -launch -engines swisstm -mixes read-heavy -conns 4 -rate 5000 -ops 2000
 //	txkvload -addr 127.0.0.1:7070 -engines swisstm -mixes update-heavy -conns 8 -ops 10000
-//	txkvload -launch -config scripts/experiments.json -name grid -format csv -out grid_runs -ops 300
+//	txkvload -launch -config scripts/experiments.json -name grid -out grid_runs -ops 300
 package main
 
 import (
@@ -95,7 +97,7 @@ type job struct {
 	sync   wal.SyncMode
 	client txkvclient.LoadConfig // Timeout, Retries, RetryMutations, Budget
 
-	addr, walDir, format, outDir, name string
+	addr, walDir, outDir, name string
 }
 
 func main() {
@@ -107,7 +109,7 @@ func main() {
 	recs, err := j.run(os.Stdout)
 	// Persist what was measured also after a failure: it is the evidence.
 	if j.outDir != "" {
-		err = errors.Join(err, results.WriteDriverFiles(j.outDir, j.name, j.format, recs))
+		err = errors.Join(err, results.WriteFiles(j.outDir, j.name, recs))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txkvload:", err)
@@ -126,8 +128,7 @@ func parseArgs(args []string) (*job, error) {
 	fs.IntVar(&j.client.Retries, "retries", 0, "per-request retry budget for retryable shed replies and transport failures (0 = fail fast)")
 	fs.BoolVar(&j.client.RetryMutations, "retry-mutations", false, "opt mutations into transport-failure retry (at-least-once)")
 	fs.DurationVar(&j.client.Budget, "budget", 0, "per-request deadline budget propagated to the server as the wire TTL (0 = none)")
-	fs.StringVar(&j.format, "format", "text", "output format: text | csv | jsonl")
-	fs.StringVar(&j.outDir, "out", "", "directory for result files (default txkvload_runs for csv/jsonl)")
+	fs.StringVar(&j.outDir, "out", "", "directory for the <name>.csv and <name>.summary.csv result files (none written when empty)")
 	fs.StringVar(&j.name, "name", "txkvload", "result file base name, and the name of the experiment the flags build")
 	var (
 		config   = fs.String("config", "", "JSON plan to run instead of the one the flags build (excludes every flag with a plan field but -ops)")
@@ -140,7 +141,7 @@ func parseArgs(args []string) (*job, error) {
 		rate     = fs.Float64("rate", 0, "open-loop arrival rate in ops/sec (0 = closed loop)")
 		keys     = fs.Int("keys", 1024, "key population (server pre-filled with keys 1..n)")
 		zipf     = fs.Float64("zipf", 0.99, "zipfian key-popularity skew θ in (0,1); 0 = uniform")
-		seed     = fs.Uint64("seed", 1, "base seed for the per-connection RNGs (0 = time-derived)")
+		seed     = fs.Uint64("seed", 1, "base seed of the per-connection RNGs")
 		late     = fs.Duration("late", time.Millisecond, "open-loop late-dispatch threshold")
 		repeats  = fs.Int("repeats", 1, "measured repeats per cell")
 		pipeline = fs.Int("pipeline", 0, "per-connection in-flight window; >1 switches the client to pipelined mode (sheds counted, not retried; excludes -timeout, -retries, -retry-mutations)")
@@ -192,9 +193,6 @@ func parseArgs(args []string) (*job, error) {
 	if j.sync, err = wal.ParseSyncMode(*fsync); err != nil {
 		return nil, err
 	}
-	if !results.KnownFormat(j.format) {
-		return nil, fmt.Errorf("unknown format %q (want text, csv or jsonl)", j.format)
-	}
 	if (j.addr == "") == !j.launch {
 		return nil, errors.New("give exactly one of -addr or -launch")
 	}
@@ -204,10 +202,6 @@ func parseArgs(args []string) (*job, error) {
 	pipelined := slices.ContainsFunc(j.cells, func(c cell) bool { return c.exp.Pipeline > 1 })
 	if pipelined && (j.client.Timeout > 0 || j.client.Retries > 0 || j.client.RetryMutations) {
 		return nil, txkvclient.ErrPipelineOptions
-	}
-	if j.format != "text" && j.outDir == "" {
-		j.outDir = "txkvload_runs"
-		fmt.Fprintf(os.Stderr, "txkvload: no -out given; writing %s files to %s/\n", j.format, j.outDir)
 	}
 	return j, nil
 }

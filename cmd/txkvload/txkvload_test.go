@@ -51,7 +51,6 @@ func TestRejections(t *testing.T) {
 		{"zipf flag out of range", "", []string{"-zipf", "-0.5"}, "out of range"},
 		{"zero -ops", "", []string{"-ops", "0"}, "ops"},
 		{"bad -fsync", "", []string{"-fsync", "sometimes"}, "sometimes"},
-		{"bad -format", "", []string{"-format", "xml"}, `unknown format "xml"`},
 		{"pipeline beside -retries", "", []string{"-pipeline", "4", "-retries", "2"}, "pipelin"},
 	} {
 		args := append([]string{"-launch"}, c.args...)
@@ -150,7 +149,7 @@ func TestShippedGridCells(t *testing.T) {
 // with the oracles green.
 func TestOneCellEndToEnd(t *testing.T) {
 	out := t.TempDir()
-	j, err := parseArgs([]string{"-launch", "-format", "csv", "-out", out, "-name", "twin", "-config", writePlan(t,
+	j, err := parseArgs([]string{"-launch", "-out", out, "-name", "twin", "-config", writePlan(t,
 		`{"keys": 128, "zipf": 0.99, "seed": 3, "engines": ["swisstm"], "experiments": [
 		   {"name": "twin", "mixes": ["update-heavy"], "conns": [2], "rates": [0], "ops": 60, "pipeline": 4, "coalesce_batch": [0, 8]}]}`)})
 	if err != nil {
@@ -168,7 +167,7 @@ func TestOneCellEndToEnd(t *testing.T) {
 			t.Errorf("bad record: %+v", r)
 		}
 	}
-	if err := results.WriteDriverFiles(j.outDir, j.name, j.format, recs); err != nil {
+	if err := results.WriteFiles(j.outDir, j.name, recs); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := os.ReadFile(filepath.Join(out, "twin.summary.csv"))

@@ -29,8 +29,7 @@ import (
 // relay.
 type Plan struct {
 	// Seed derives every per-connection RNG; two proxies with the same
-	// Seed and Plan inject identical fault schedules. A zero seed is
-	// replaced by 1 so "forgot to seed" is still deterministic.
+	// Seed and Plan inject identical fault schedules, 0 included.
 	Seed uint64
 
 	// Latency is added once per forwarded chunk in each direction —
@@ -65,9 +64,6 @@ type Plan struct {
 }
 
 func (p *Plan) fill() error {
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	sum := p.TruncateProb + p.RSTProb + p.BlackholeProb
 	if p.TruncateProb < 0 || p.RSTProb < 0 || p.BlackholeProb < 0 || sum > 1 {
 		return fmt.Errorf("chaos: fault probabilities out of range (sum %.3f)", sum)

@@ -11,17 +11,12 @@ import (
 
 	"swisstm/internal/obs"
 	"swisstm/internal/ticket"
+	"swisstm/internal/txkvwire"
 )
 
-// Event is one committed mutation in a shard's change feed: a write
-// (post-image value) or a delete. Seq is the shard-local commit
-// sequence number, contiguous from 1.
-type Event struct {
-	Seq uint64
-	Del bool
-	Key uint64
-	Val uint64
-}
+// Event is one committed mutation in a shard's change feed, the type a
+// subscriber receives on the wire.
+type Event = txkvwire.FeedEvent
 
 // Feed is one shard's change feed: a bounded ring of recent events
 // plus a ticket sequencer admitting publishers in commit order.

@@ -35,8 +35,8 @@ type Options struct {
 	RBRange  int           // red-black tree key range (paper: 16384)
 	KVKeys   int           // txkv key population (default 1024)
 	Repeats  int           // measured repeats per point (0 or 1 = single run)
-	Seed     uint64        // non-zero = deterministic mode: seeded RNGs + fixed-ops points
-	FixedOps uint64        // per-worker ops per throughput point (0 = harness.DefaultFixedOps when seeded)
+	Seed     uint64        // base seed of every run's derived seeds
+	FixedOps uint64        // per-worker ops per throughput point; 0 = timed over Duration
 }
 
 // Default returns full-shape options (minutes of runtime).
@@ -119,8 +119,8 @@ func (o Options) bench7Workload(mix int) harness.Workload {
 const rbUpdatePct = 20
 
 // rbWorkload is the Figure 5/10 microbenchmark: lookups/inserts/removals
-// over a pre-filled tree. seed feeds the pre-fill RNG so seeded runs
-// rebuild the identical tree (0 keeps the legacy fixed pre-fill).
+// over a pre-filled tree. seed feeds the pre-fill RNG so a run with the
+// same seed rebuilds the identical tree.
 func (o Options) rbWorkload(seed uint64) harness.Workload {
 	var tree *rbtree.Tree
 	keyRange := o.RBRange
@@ -165,30 +165,6 @@ func (o Options) rbWorkload(seed uint64) harness.Workload {
 				return nil
 			})
 		},
-	}
-}
-
-// stampWorkSpec adapts one STAMP workload to the fixed-work harness.
-func (o Options) stampWorkSpec(name string, threads int) func(seed uint64) harness.WorkSpec {
-	return func(seed uint64) harness.WorkSpec {
-		var app stamp.App
-		return harness.WorkSpec{
-			Setup: func(e stm.STM) error {
-				var err error
-				if app, err = stamp.New(name, o.Scale); err != nil {
-					return err
-				}
-				if err := app.Setup(e); err != nil {
-					return err
-				}
-				app.Bind(threads)
-				return nil
-			},
-			Work: func(e stm.STM, th stm.Thread, worker, t int, rng *util.Rand) {
-				app.Work(e, th, worker, t, rng)
-			},
-			Check: func(e stm.STM) error { return app.Check(e) },
-		}
 	}
 }
 
@@ -310,7 +286,7 @@ func (o Options) Fig3() ([]results.Record, error) {
 	for _, wl := range stamp.Workloads {
 		for _, spec := range specs {
 			for _, tc := range threads {
-				recs, err := harness.RepeatWork(spec, o.stampWorkSpec(wl, tc), o.runCfg("fig3", "stamp/"+wl, tc))
+				recs, err := harness.RepeatWork(spec, stamp.WorkSpec(wl, o.Scale, tc), o.runCfg("fig3", "stamp/"+wl, tc))
 				all = append(all, recs...)
 				if err != nil {
 					return all, err
@@ -471,7 +447,7 @@ func (o Options) Fig11() ([]results.Record, error) {
 		{Kind: "swisstm", Label: "Linear backoff"},
 	}
 	recs, err := o.workRecords("fig11", "stamp/intruder", specs,
-		func(threads int) func(uint64) harness.WorkSpec { return o.stampWorkSpec("intruder", threads) })
+		func(threads int) func(uint64) harness.WorkSpec { return stamp.WorkSpec("intruder", o.Scale, threads) })
 	if err != nil {
 		return recs, err
 	}
@@ -549,7 +525,7 @@ func (o Options) granBenchmarks(experiment string, threads int) []granBench {
 		wl := wl
 		benches = append(benches, granBench{name: wl, workload: "stamp/" + wl, fixedWork: true,
 			run: func(g uint) ([]results.Record, error) {
-				return harness.RepeatWork(mk(g), o.stampWorkSpec(wl, threads), o.runCfg(experiment, "stamp/"+wl, threads))
+				return harness.RepeatWork(mk(g), stamp.WorkSpec(wl, o.Scale, threads), o.runCfg(experiment, "stamp/"+wl, threads))
 			}})
 	}
 	benches = append(benches, granBench{name: "red-black tree", workload: "rbtree",

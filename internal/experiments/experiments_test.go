@@ -228,8 +228,8 @@ func TestSeededRunsReproduceOps(t *testing.T) {
 		if a[i].Ops != b[i].Ops {
 			t.Fatalf("record %d: Ops %d != %d (seeded runs must reproduce)", i, a[i].Ops, b[i].Ops)
 		}
-		if a[i].Seed == 0 {
-			t.Fatal("seeded run recorded seed 0")
+		if a[i].Seed != b[i].Seed {
+			t.Fatalf("record %d: seed %d != %d (derived seeds must reproduce)", i, a[i].Seed, b[i].Seed)
 		}
 	}
 }

@@ -205,12 +205,9 @@ func (r Result) ToRecord(experiment, workload string, repeat int, seed uint64) r
 
 // DeriveSeed mixes a base seed with a label and the run point's thread
 // count and repeat index, so every run gets a distinct but reproducible
-// RNG stream. A zero base yields zero: seed 0 means "nondeterministic
-// mode" throughout the pipeline and derived seeds must preserve that.
+// RNG stream. Every base is a seed, 0 included: a run is a function of
+// its seed.
 func DeriveSeed(base uint64, label string, threads, repeat int) uint64 {
-	if base == 0 {
-		return 0
-	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%d", label, threads, repeat)
 	x := base ^ h.Sum64()
@@ -218,21 +215,7 @@ func DeriveSeed(base uint64, label string, threads, repeat int) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	if x == 0 {
-		x = 1 // never collapse a seeded run into nondeterministic mode
-	}
-	return x
-}
-
-// workerSeed derives the RNG seed for one worker of one run. With base
-// seed 0 it reproduces the legacy per-worker constants, keeping
-// unseeded runs byte-identical to the pre-pipeline behavior.
-func workerSeed(base uint64, worker int) uint64 {
-	if base == 0 {
-		return uint64(worker)*0x9e3779b97f4a7c15 + 0xabcdef
-	}
-	return DeriveSeed(base, "worker", worker, 0)
+	return x ^ x>>31
 }
 
 // Workload binds a benchmark to an engine instance: Setup builds the
@@ -254,85 +237,6 @@ type Workload struct {
 	Check func(e stm.STM) error
 }
 
-// measureCfg parameterizes one measured run.
-type measureCfg struct {
-	threads  int
-	dur      time.Duration // fixed-time budget (ignored when fixedOps > 0)
-	fixedOps uint64        // per-worker op quota; > 0 selects fixed-ops mode
-	seed     uint64        // base RNG seed; 0 = legacy nondeterministic seeding
-}
-
-// measureThroughput runs w on a fresh engine with cfg.threads workers,
-// for about cfg.dur or, in fixed-ops mode, for exactly cfg.fixedOps
-// operations per worker: the op count is then part of the configuration
-// rather than a race against the clock, so seeded runs are reproducible
-// bit-for-bit (identical Ops on one thread; identical per-worker op
-// streams at any thread count).
-func measureThroughput(spec EngineSpec, w Workload, cfg measureCfg) (Result, error) {
-	e := spec.New()
-	if err := w.Setup(e); err != nil {
-		return Result{}, fmt.Errorf("setup: %w", err)
-	}
-	var (
-		threads = cfg.threads
-		wg      sync.WaitGroup
-		stop    = make(chan struct{})
-		counts  = make([]uint64, threads)
-		stats   = make([]stm.Stats, threads)
-	)
-	start := time.Now()
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			th := e.NewThread(worker + 1)
-			rng := util.NewRand(workerSeed(cfg.seed, worker))
-			op := func() { w.Op(th, worker, rng) }
-			if w.BindOp != nil {
-				op = w.BindOp(th, worker, rng)
-			}
-			var n uint64
-			for {
-				if cfg.fixedOps > 0 {
-					if n == cfg.fixedOps {
-						break
-					}
-				} else {
-					select {
-					case <-stop:
-						counts[worker] = n
-						stats[worker] = th.Stats()
-						return
-					default:
-					}
-				}
-				op()
-				n++
-			}
-			counts[worker] = n
-			stats[worker] = th.Stats()
-		}(i)
-	}
-	if cfg.fixedOps == 0 {
-		time.Sleep(cfg.dur)
-		close(stop)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	res := Result{Spec: spec, Threads: threads, Duration: elapsed, CheckedOK: true}
-	for i := 0; i < threads; i++ {
-		res.Ops += counts[i]
-		res.Stats.Add(stats[i])
-	}
-	if w.Check != nil {
-		if err := w.Check(e); err != nil {
-			res.CheckedOK = false
-			return res, fmt.Errorf("post-run check: %w", err)
-		}
-	}
-	return res, nil
-}
-
 // WorkFn performs a fixed unit of work, partitioned internally among
 // workers (e.g. a shared work queue); it must return when the work is
 // exhausted.
@@ -348,42 +252,55 @@ type WorkSpec struct {
 	Check func(e stm.STM) error
 }
 
-// measureWork runs a fixed-work benchmark (Lee-TM, STAMP): all routes /
-// tasks are processed exactly once and the wall time is reported.
-func measureWork(spec EngineSpec, ws WorkSpec, cfg measureCfg) (Result, error) {
+// measureCfg parameterizes one measured run.
+type measureCfg struct {
+	threads  int
+	seed     uint64        // base of every worker's RNG
+	fixedOps uint64        // throughput: per-worker op quota; 0 = timed over dur
+	dur      time.Duration // throughput: length of a timed run
+}
+
+// setUp builds a fresh engine for spec and runs the benchmark's Setup on it.
+func setUp(spec EngineSpec, setup func(stm.STM) error) (stm.STM, error) {
 	e := spec.New()
-	threads := cfg.threads
-	if ws.Setup != nil {
-		if err := ws.Setup(e); err != nil {
-			return Result{}, fmt.Errorf("setup: %w", err)
+	if setup != nil {
+		if err := setup(e); err != nil {
+			return nil, fmt.Errorf("setup: %w", err)
 		}
 	}
-	var wg sync.WaitGroup
-	stats := make([]stm.Stats, threads)
+	return e, nil
+}
+
+// fanOut is the run protocol both measurement modes share: cfg.threads
+// workers on e, worker i on thread i+1 with the RNG DeriveSeed(cfg.seed,
+// label, i, 0), each running body to its end; then the fold of their
+// operation counts and stats, and check. body returns the operations its
+// worker completed.
+func fanOut(spec EngineSpec, e stm.STM, cfg measureCfg, label string, check func(stm.STM) error,
+	body func(th stm.Thread, worker int, rng *util.Rand) uint64) (Result, error) {
+	var (
+		wg    sync.WaitGroup
+		ops   = make([]uint64, cfg.threads)
+		stats = make([]stm.Stats, cfg.threads)
+	)
 	start := time.Now()
-	for i := 0; i < threads; i++ {
+	for i := 0; i < cfg.threads; i++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			th := e.NewThread(worker + 1)
-			var rng *util.Rand
-			if cfg.seed == 0 {
-				rng = util.NewRand(uint64(worker)*0x2545f4914f6cdd1d + 99)
-			} else {
-				rng = util.NewRand(DeriveSeed(cfg.seed, "work", worker, 0))
-			}
-			ws.Work(e, th, worker, threads, rng)
+			ops[worker] = body(th, worker, util.NewRand(DeriveSeed(cfg.seed, label, worker, 0)))
 			stats[worker] = th.Stats()
 		}(i)
 	}
 	wg.Wait()
-	res := Result{Spec: spec, Threads: threads, Duration: time.Since(start), CheckedOK: true}
-	for i := 0; i < threads; i++ {
+	res := Result{Spec: spec, Threads: cfg.threads, Duration: time.Since(start), CheckedOK: true}
+	for i := 0; i < cfg.threads; i++ {
+		res.Ops += ops[i]
 		res.Stats.Add(stats[i])
-		res.Ops += stats[i].Commits
 	}
-	if ws.Check != nil {
-		if err := ws.Check(e); err != nil {
+	if check != nil {
+		if err := check(e); err != nil {
 			res.CheckedOK = false
 			return res, fmt.Errorf("post-run check: %w", err)
 		}
@@ -391,11 +308,58 @@ func measureWork(spec EngineSpec, ws WorkSpec, cfg measureCfg) (Result, error) {
 	return res, nil
 }
 
-// DefaultFixedOps is the per-worker op quota a seeded throughput run
-// uses when the caller did not pick one: deterministic runs must count
-// ops, not time, so RepeatThroughput applies this default whenever
-// Seed is set but FixedOps is not.
-const DefaultFixedOps = 2000
+// measureThroughput runs w on a fresh engine with cfg.threads workers,
+// for exactly cfg.fixedOps operations per worker or, when that is 0, for
+// about cfg.dur. A fixed quota makes the op count part of the
+// configuration rather than a race against the clock, so seeded runs
+// are reproducible bit-for-bit (identical Ops on one thread; identical
+// per-worker op streams at any thread count).
+func measureThroughput(spec EngineSpec, w Workload, cfg measureCfg) (Result, error) {
+	e, err := setUp(spec, w.Setup)
+	if err != nil {
+		return Result{}, err
+	}
+	stop := make(chan struct{})
+	if cfg.fixedOps == 0 {
+		time.AfterFunc(cfg.dur, func() { close(stop) })
+	}
+	return fanOut(spec, e, cfg, "worker", w.Check, func(th stm.Thread, worker int, rng *util.Rand) uint64 {
+		op := func() { w.Op(th, worker, rng) }
+		if w.BindOp != nil {
+			op = w.BindOp(th, worker, rng)
+		}
+		var n uint64
+		for {
+			if cfg.fixedOps > 0 {
+				if n == cfg.fixedOps {
+					return n
+				}
+			} else {
+				select {
+				case <-stop:
+					return n
+				default:
+				}
+			}
+			op()
+			n++
+		}
+	})
+}
+
+// measureWork runs a fixed-work benchmark (Lee-TM, STAMP): all routes /
+// tasks are processed exactly once and the wall time is reported; a
+// worker's operations are its commits.
+func measureWork(spec EngineSpec, ws WorkSpec, cfg measureCfg) (Result, error) {
+	e, err := setUp(spec, ws.Setup)
+	if err != nil {
+		return Result{}, err
+	}
+	return fanOut(spec, e, cfg, "work", ws.Check, func(th stm.Thread, worker int, rng *util.Rand) uint64 {
+		ws.Work(e, th, worker, cfg.threads, rng)
+		return th.Stats().Commits
+	})
+}
 
 // RunConfig describes one experiment point for the repeat-aware
 // entry points: which (experiment, workload) the records are tagged
@@ -404,39 +368,24 @@ type RunConfig struct {
 	Experiment string
 	Workload   string
 	Threads    int
-	Duration   time.Duration // per-repeat time budget (fixed-time mode)
-	FixedOps   uint64        // per-worker op quota; > 0 selects fixed-ops mode
+	Duration   time.Duration // per-repeat time budget of a timed throughput run
+	FixedOps   uint64        // per-worker op quota of a throughput run; 0 = timed over Duration
 	Repeats    int           // number of measured repeats (min 1)
-	Seed       uint64        // base seed; 0 = nondeterministic mode
+	Seed       uint64        // base seed of every repeat's derived seed
 }
 
-// pointSeed derives the per-repeat seed for one run of cfg on spec.
-func (cfg RunConfig) pointSeed(spec EngineSpec, repeat int) uint64 {
+// repeat takes cfg.Repeats measurements of spec, each with its repeat's
+// seed (derived from cfg.Seed, the point and the repeat index), and
+// returns one Record per repeat. On error the records measured so far
+// are returned alongside it, so a failing check still leaves an audit
+// trail in the output files.
+func repeat(spec EngineSpec, cfg RunConfig, measure func(seed uint64) (Result, error)) ([]results.Record, error) {
 	label := cfg.Experiment + "|" + cfg.Workload + "|" + spec.DisplayName()
-	return DeriveSeed(cfg.Seed, label, cfg.Threads, repeat)
-}
-
-// RepeatThroughput measures cfg.Repeats runs of the workload built by
-// mk (called once per repeat with that repeat's derived seed, so
-// workload-internal RNGs — e.g. the red-black tree pre-fill — follow
-// the seed too) and returns one Record per repeat. On error the records
-// measured so far are returned alongside it, so a failing check still
-// leaves an audit trail in the output files.
-func RepeatThroughput(spec EngineSpec, mk func(seed uint64) Workload, cfg RunConfig) ([]results.Record, error) {
-	repeats := cfg.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	fixedOps := cfg.FixedOps
-	if fixedOps == 0 && cfg.Seed != 0 {
-		fixedOps = DefaultFixedOps
-	}
+	repeats := max(cfg.Repeats, 1)
 	recs := make([]results.Record, 0, repeats)
 	for rep := 0; rep < repeats; rep++ {
-		seed := cfg.pointSeed(spec, rep)
-		res, err := measureThroughput(spec, mk(seed), measureCfg{
-			threads: cfg.Threads, dur: cfg.Duration, fixedOps: fixedOps, seed: seed,
-		})
+		seed := DeriveSeed(cfg.Seed, label, cfg.Threads, rep)
+		res, err := measure(seed)
 		if res.Threads != 0 || err == nil { // setup failures have no measurement to record
 			recs = append(recs, res.ToRecord(cfg.Experiment, cfg.Workload, rep, seed))
 		}
@@ -447,25 +396,24 @@ func RepeatThroughput(spec EngineSpec, mk func(seed uint64) Workload, cfg RunCon
 	return recs, nil
 }
 
+// RepeatThroughput measures cfg.Repeats runs of the workload built by
+// mk (called once per repeat with that repeat's derived seed, so
+// workload-internal RNGs — e.g. the red-black tree pre-fill — follow
+// the seed too) and returns one Record per repeat.
+func RepeatThroughput(spec EngineSpec, mk func(seed uint64) Workload, cfg RunConfig) ([]results.Record, error) {
+	return repeat(spec, cfg, func(seed uint64) (Result, error) {
+		return measureThroughput(spec, mk(seed), measureCfg{
+			threads: cfg.Threads, seed: seed, fixedOps: cfg.FixedOps, dur: cfg.Duration,
+		})
+	})
+}
+
 // RepeatWork is RepeatThroughput for fixed-work benchmarks: mk builds a
 // fresh WorkSpec per repeat from that repeat's derived seed.
 func RepeatWork(spec EngineSpec, mk func(seed uint64) WorkSpec, cfg RunConfig) ([]results.Record, error) {
-	repeats := cfg.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	recs := make([]results.Record, 0, repeats)
-	for rep := 0; rep < repeats; rep++ {
-		seed := cfg.pointSeed(spec, rep)
-		res, err := measureWork(spec, mk(seed), measureCfg{threads: cfg.Threads, seed: seed})
-		if res.Threads != 0 || err == nil {
-			recs = append(recs, res.ToRecord(cfg.Experiment, cfg.Workload, rep, seed))
-		}
-		if err != nil {
-			return recs, fmt.Errorf("%s @%d threads repeat %d: %w", spec.DisplayName(), cfg.Threads, rep, err)
-		}
-	}
-	return recs, nil
+	return repeat(spec, cfg, func(seed uint64) (Result, error) {
+		return measureWork(spec, mk(seed), measureCfg{threads: cfg.Threads, seed: seed})
+	})
 }
 
 // Series is one line of a figure: a metric per thread count.

@@ -1,15 +1,13 @@
 // Package results is the machine-readable measurement layer of the
 // experiment pipeline. Every experiment run produces one Record per
 // (engine, workload, threads, repeat) point; records are written as CSV
-// or JSONL (one file per experiment, see DESIGN.md §5 for the schema)
+// (one file pair per experiment, see DESIGN.md §5 for the schema)
 // and aggregated across repeats into summary rows (median/mean/stddev/
 // min/max) that the paper-style text tables and the CI smoke gate read.
 package results
 
 import (
 	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -22,7 +20,7 @@ import (
 )
 
 // Record is one measured run: a single repeat of one engine on one
-// workload at one thread count. The struct is the CSV/JSONL schema
+// workload at one thread count. The struct is the CSV schema
 // (DESIGN.md §5): a column is a field, named by its json tag, in field
 // order.
 type Record struct {
@@ -32,7 +30,7 @@ type Record struct {
 	EngineKind  string  `json:"engine_kind"`  // "swisstm" | "tl2" | "tinystm" | "rstm"
 	Threads     int     `json:"threads"`      // worker count
 	Repeat      int     `json:"repeat"`       // 0-based repeat index
-	Seed        uint64  `json:"seed"`         // per-run derived seed (0 = nondeterministic mode)
+	Seed        uint64  `json:"seed"`         // per-run derived seed
 	DurationSec float64 `json:"duration_sec"` // wall time of the measured phase
 	Ops         uint64  `json:"ops"`          // committed operations
 	Throughput  float64 `json:"throughput"`   // ops per second
@@ -186,24 +184,13 @@ func WriteCSV(w io.Writer, recs []Record) error {
 	return cw.Error()
 }
 
-// WriteJSONL writes recs as JSON Lines: one object per line.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary is a distribution over the repeats of one metric.
 type Summary struct {
-	Median float64 `json:"median"`
-	Mean   float64 `json:"mean"`
-	Stddev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
+	Median float64
+	Mean   float64
+	Stddev float64
+	Min    float64
+	Max    float64
 }
 
 // Summarize computes the five-number summary of vals (sample stddev).
@@ -240,21 +227,21 @@ func Summarize(vals []float64) Summary {
 // (offered rate, pipeline window, coalesce batch; zero for in-process
 // runs) — folded into distribution summaries.
 type Agg struct {
-	Experiment    string  `json:"experiment"`
-	Workload      string  `json:"workload"`
-	Engine        string  `json:"engine"`
-	EngineKind    string  `json:"engine_kind"`
-	Threads       int     `json:"threads"`
-	OfferedRate   float64 `json:"offered_rate"`
-	Pipeline      int     `json:"pipeline"`
-	CoalesceBatch int     `json:"coalesce_batch"`
-	Cores         int     `json:"cores"`
-	Repeats       int     `json:"repeats"`
-	Throughput    Summary `json:"throughput"`
-	Duration      Summary `json:"duration_sec"`
-	Ops           Summary `json:"ops"`
-	AbortRate     Summary `json:"abort_rate"`
-	AllChecked    bool    `json:"all_checked"` // every repeat passed its post-run check
+	Experiment    string
+	Workload      string
+	Engine        string
+	EngineKind    string
+	Threads       int
+	OfferedRate   float64
+	Pipeline      int
+	CoalesceBatch int
+	Cores         int
+	Repeats       int
+	Throughput    Summary
+	Duration      Summary
+	Ops           Summary
+	AbortRate     Summary
+	AllChecked    bool // every repeat passed its post-run check
 }
 
 // Aggregate groups recs by configuration (Agg's columns up to Threads plus
@@ -343,45 +330,11 @@ func WriteAggCSV(w io.Writer, aggs []Agg) error {
 	return cw.Error()
 }
 
-// WriteAggJSONL writes aggregated rows as JSON Lines.
-func WriteAggJSONL(w io.Writer, aggs []Agg) error {
-	enc := json.NewEncoder(w)
-	for _, a := range aggs {
-		if err := enc.Encode(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// KnownFormat reports whether format is a recognized -format value, so
-// drivers can reject typos before running a long measurement.
-func KnownFormat(format string) bool {
-	switch format {
-	case "text", "csv", "jsonl":
-		return true
-	}
-	return false
-}
-
-// WriteDriverFiles persists a driver run for its -format flag: "text"
-// (whose human-readable output already went to stdout) writes CSV
-// files, otherwise the format itself.
-func WriteDriverFiles(dir, name, format string, recs []Record) error {
-	if format == "text" {
-		format = "csv"
-	}
-	return WriteFiles(dir, name, format, recs)
-}
-
-// WriteFiles writes one experiment's records under dir in the given
-// format ("csv" or "jsonl"): <name>.<ext> holds the per-repeat records
-// and <name>.summary.<ext> the aggregated rows — the paper_runs-style
-// layout one directory per invocation, one file pair per experiment.
-func WriteFiles(dir, name, format string, recs []Record) error {
-	if format != "csv" && format != "jsonl" {
-		return fmt.Errorf("results: unknown format %q (want csv or jsonl)", format)
-	}
+// WriteFiles writes one experiment's records under dir as a CSV pair:
+// <name>.csv holds the per-repeat records and <name>.summary.csv the
+// aggregated rows — one directory per invocation, one file pair per
+// experiment.
+func WriteFiles(dir, name string, recs []Record) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -396,23 +349,12 @@ func WriteFiles(dir, name, format string, recs []Record) error {
 		}
 		return f.Close()
 	}
-	aggs := Aggregate(recs)
-	if format == "csv" {
-		if err := write(filepath.Join(dir, name+".csv"), func(w io.Writer) error {
-			return WriteCSV(w, recs)
-		}); err != nil {
-			return err
-		}
-		return write(filepath.Join(dir, name+".summary.csv"), func(w io.Writer) error {
-			return WriteAggCSV(w, aggs)
-		})
-	}
-	if err := write(filepath.Join(dir, name+".jsonl"), func(w io.Writer) error {
-		return WriteJSONL(w, recs)
+	if err := write(filepath.Join(dir, name+".csv"), func(w io.Writer) error {
+		return WriteCSV(w, recs)
 	}); err != nil {
 		return err
 	}
-	return write(filepath.Join(dir, name+".summary.jsonl"), func(w io.Writer) error {
-		return WriteAggJSONL(w, aggs)
+	return write(filepath.Join(dir, name+".summary.csv"), func(w io.Writer) error {
+		return WriteAggCSV(w, Aggregate(recs))
 	})
 }

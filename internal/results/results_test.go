@@ -3,7 +3,6 @@ package results
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -66,71 +65,6 @@ func TestCSVRoundTrip(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Errorf("record %d changed:\n got %+v\nwant %+v", i, got[i], recs[i])
 		}
-	}
-}
-
-func TestKnownFormat(t *testing.T) {
-	for _, f := range []string{"text", "csv", "jsonl"} {
-		if !KnownFormat(f) {
-			t.Errorf("%q should be known", f)
-		}
-	}
-	for _, f := range []string{"", "xml", "json", "CSV"} {
-		if KnownFormat(f) {
-			t.Errorf("%q should be rejected", f)
-		}
-	}
-}
-
-func TestJSONLWellFormed(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(sample()) {
-		t.Fatalf("want one line per record, got %d lines", len(lines))
-	}
-	var r Record
-	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Engine != "SwissTM" || r.Throughput != 100 {
-		t.Fatalf("first line decoded wrong: %+v", r)
-	}
-}
-
-// TestJSONLKeysAreHeader: a JSONL record's keys are the CSV header, in
-// the same order, each once — embedded structs flatten alike in both
-// encoders.
-func TestJSONLKeysAreHeader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, []Record{full}); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(&buf)
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		t.Fatalf("record does not open an object: %v %v", tok, err)
-	}
-	var keys []string
-	seen := map[string]bool{}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := tok.(string)
-		if seen[k] {
-			t.Errorf("key %q appears twice", k)
-		}
-		seen[k] = true
-		keys = append(keys, k)
-		if _, err := dec.Token(); err != nil { // the value: a scalar
-			t.Fatal(err)
-		}
-	}
-	if !slices.Equal(keys, header) {
-		t.Errorf("JSONL keys differ from the CSV header:\n keys   %v\n header %v", keys, header)
 	}
 }
 
@@ -208,7 +142,7 @@ func TestAggregateKeepsCellsApart(t *testing.T) {
 
 func TestWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteFiles(dir, "fig2", "csv", sample()); err != nil {
+	if err := WriteFiles(dir, "fig2", sample()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "fig2.csv"))
@@ -234,17 +168,6 @@ func TestWriteFiles(t *testing.T) {
 		t.Fatalf("summary header missing required columns: %s", lines[0])
 	}
 
-	if err := WriteFiles(dir, "fig2", "jsonl", sample()); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"fig2.jsonl", "fig2.summary.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("missing %s: %v", name, err)
-		}
-	}
-	if err := WriteFiles(dir, "x", "xml", nil); err == nil {
-		t.Error("unknown format should fail")
-	}
 }
 
 // full is a Record with every field set to a distinct non-zero value.

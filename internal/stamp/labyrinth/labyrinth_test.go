@@ -3,24 +3,24 @@ package labyrinth_test
 import (
 	"testing"
 
-	"swisstm/internal/cm"
-	"swisstm/internal/rstm"
+	"swisstm/internal/harness"
+	"swisstm/internal/results"
 	"swisstm/internal/stamp"
-	"swisstm/internal/stm"
-	"swisstm/internal/swisstm"
-	"swisstm/internal/tinystm"
-	"swisstm/internal/tl2"
 )
 
-// engines is the paper's full line-up; labyrinth is written against the
-// object API, like every STAMP app, so it runs on RSTM too.
-func engines() map[string]func() stm.STM {
-	return map[string]func() stm.STM{
-		"swisstm": func() stm.STM { return swisstm.New(swisstm.Config{ArenaWords: 1 << 21, TableBits: 15}) },
-		"tl2":     func() stm.STM { return tl2.New(tl2.Config{ArenaWords: 1 << 21, TableBits: 15}) },
-		"tinystm": func() stm.STM { return tinystm.New(tinystm.Config{ArenaWords: 1 << 21, TableBits: 15}) },
-		"rstm":    func() stm.STM { return rstm.New(rstm.Config{Manager: cm.ByName("polka")}) },
+// run runs the STAMP workload name once at Test scale through the
+// harness the experiments use: a fresh engine of kind (harness.Kinds is
+// the paper's line-up; labyrinth is written against the object API, like every
+// STAMP app, so it runs on RSTM too), threads workers, the given base
+// seed, and the app's oracle as the run's check.
+func run(t *testing.T, name, kind string, threads int, seed uint64) results.Record {
+	t.Helper()
+	recs, err := harness.RepeatWork(harness.EngineSpec{Kind: kind, ArenaWords: 1 << 21},
+		stamp.WorkSpec(name, stamp.Test, threads), harness.RunConfig{Threads: threads, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return recs[0]
 }
 
 // TestCorrectness runs labyrinth (3-D maze routing with long, big-
@@ -28,18 +28,10 @@ func engines() map[string]func() stm.STM {
 // and with 4 workers; Check verifies every routed path is connected,
 // in-bounds and non-overlapping.
 func TestCorrectness(t *testing.T) {
-	for ename, factory := range engines() {
+	for _, kind := range harness.Kinds {
 		for _, threads := range []int{1, 4} {
-			t.Run(ename+"/"+map[int]string{1: "seq", 4: "par"}[threads], func(t *testing.T) {
-				app, err := stamp.New("labyrinth", stamp.Test)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats, err := stamp.Run(app, factory(), threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Commits == 0 {
+			t.Run(kind+"/"+map[int]string{1: "seq", 4: "par"}[threads], func(t *testing.T) {
+				if run(t, "labyrinth", kind, threads, 1).Commits == 0 {
 					t.Fatal("no transactions committed")
 				}
 			})
@@ -51,15 +43,7 @@ func TestCorrectness(t *testing.T) {
 // on the eager engine: long routing transactions over a shared grid must
 // still produce a valid maze when aborts occur.
 func TestParallelContentionRetries(t *testing.T) {
-	app, err := stamp.New("labyrinth", stamp.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := stamp.Run(app, engines()["tinystm"](), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Commits == 0 {
+	if run(t, "labyrinth", "tinystm", 8, 1).Commits == 0 {
 		t.Fatal("no transactions committed")
 	}
 }

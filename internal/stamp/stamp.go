@@ -12,8 +12,8 @@ package stamp
 
 import (
 	"fmt"
-	"sync"
 
+	"swisstm/internal/harness"
 	"swisstm/internal/stamp/bayes"
 	"swisstm/internal/stamp/genome"
 	"swisstm/internal/stamp/intruder"
@@ -39,42 +39,31 @@ type App interface {
 	Check(e stm.STM) error
 }
 
-// Run executes one workload on engine e with the given worker count and
-// returns the aggregated statistics: Setup, Bind, Work on every worker,
-// Check. The STAMP apps' tests drive it; the experiments run the same
-// protocol through harness.RepeatWork, which adds repeats and records.
-func Run(app App, e stm.STM, threads int) (stm.Stats, error) {
-	return RunSeeded(app, e, threads, 0)
-}
-
-// RunSeeded is Run with the per-worker RNG streams derived from seed,
-// so a seeded run replays the same operation sequences (seed 0 keeps
-// the legacy fixed per-worker constants).
-func RunSeeded(app App, e stm.STM, threads int, seed uint64) (stm.Stats, error) {
-	if err := app.Setup(e); err != nil {
-		return stm.Stats{}, fmt.Errorf("%s setup: %w", app.Name(), err)
+// WorkSpec adapts workload name at the given scale to the fixed-work
+// harness for runs of threads workers: each repeat builds a fresh App,
+// and the run is Setup, Bind, Work on every worker, then the app's own
+// Check. The experiments and the apps' tests both run STAMP through it.
+func WorkSpec(name string, scale Scale, threads int) func(seed uint64) harness.WorkSpec {
+	return func(seed uint64) harness.WorkSpec {
+		var app App
+		return harness.WorkSpec{
+			Setup: func(e stm.STM) error {
+				var err error
+				if app, err = New(name, scale); err != nil {
+					return err
+				}
+				if err := app.Setup(e); err != nil {
+					return fmt.Errorf("%s: %w", app.Name(), err)
+				}
+				app.Bind(threads)
+				return nil
+			},
+			Work: func(e stm.STM, th stm.Thread, worker, t int, rng *util.Rand) {
+				app.Work(e, th, worker, t, rng)
+			},
+			Check: func(e stm.STM) error { return app.Check(e) },
+		}
 	}
-	app.Bind(threads)
-	var wg sync.WaitGroup
-	stats := make([]stm.Stats, threads)
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			th := e.NewThread(worker + 1)
-			app.Work(e, th, worker, threads, util.NewRand(seed^(uint64(worker)*0x9e3779b9+13)))
-			stats[worker] = th.Stats()
-		}(i)
-	}
-	wg.Wait()
-	var total stm.Stats
-	for _, s := range stats {
-		total.Add(s)
-	}
-	if err := app.Check(e); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
 // Scale selects input sizes: Test keeps unit tests fast; Bench is the

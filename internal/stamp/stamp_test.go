@@ -3,37 +3,33 @@ package stamp
 import (
 	"testing"
 
-	"swisstm/internal/stm"
-	"swisstm/internal/swisstm"
-	"swisstm/internal/tinystm"
-	"swisstm/internal/tl2"
+	"swisstm/internal/harness"
 )
 
-func engines() map[string]func() stm.STM {
-	// STAMP runs only on the word-based engines, as in the paper (§4,
-	// footnote 4: RSTM's object API is incompatible).
-	return map[string]func() stm.STM{
-		"swisstm": func() stm.STM { return swisstm.New(swisstm.Config{ArenaWords: 1 << 21, TableBits: 15}) },
-		"tl2":     func() stm.STM { return tl2.New(tl2.Config{ArenaWords: 1 << 21, TableBits: 15}) },
-		"tinystm": func() stm.STM { return tinystm.New(tinystm.Config{ArenaWords: 1 << 21, TableBits: 15}) },
+// wordEngines are the engines the STAMP figures run on, as in the paper
+// (§4, footnote 4: RSTM's object API is incompatible).
+var wordEngines = []string{"swisstm", "tl2", "tinystm"}
+
+// run runs workload name at Test scale once through the harness the
+// experiments use, with threads workers on a fresh engine of kind, and
+// returns the run's commits; the app's oracle is the run's check.
+func run(t *testing.T, name, kind string, threads int) uint64 {
+	t.Helper()
+	recs, err := harness.RepeatWork(harness.EngineSpec{Kind: kind, ArenaWords: 1 << 21},
+		WorkSpec(name, Test, threads), harness.RunConfig{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return recs[0].Commits
 }
 
 // TestAllWorkloadsSequential runs every workload at Test scale with one
 // worker on every engine and validates its oracle.
 func TestAllWorkloadsSequential(t *testing.T) {
 	for _, name := range Workloads {
-		for ename, factory := range engines() {
-			t.Run(name+"/"+ename, func(t *testing.T) {
-				app, err := New(name, Test)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats, err := Run(app, factory(), 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Commits == 0 {
+		for _, kind := range wordEngines {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				if run(t, name, kind, 1) == 0 {
 					t.Fatal("no transactions committed")
 				}
 			})
@@ -45,15 +41,9 @@ func TestAllWorkloadsSequential(t *testing.T) {
 // and TinySTM (the eager engines exercise the kill/retry paths hardest).
 func TestAllWorkloadsParallel(t *testing.T) {
 	for _, name := range Workloads {
-		for _, ename := range []string{"swisstm", "tinystm", "tl2"} {
-			t.Run(name+"/"+ename, func(t *testing.T) {
-				app, err := New(name, Test)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := Run(app, engines()[ename](), 4); err != nil {
-					t.Fatal(err)
-				}
+		for _, kind := range wordEngines {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				run(t, name, kind, 4)
 			})
 		}
 	}

@@ -140,8 +140,8 @@ func (e *Engine) Name() string {
 type txn struct {
 	e *Engine
 	// locks, words and shift are e.locks, e.Words and e.Shift, the three a
-	// read indexes, held here so a read reaches them in one hop; e keeps
-	// the engine, and so the mapped table, reachable.
+	// read (and the commit) indexes, held here so they are one hop away; e
+	// keeps the engine, and so the mapped table, reachable.
 	locks   []lockEntry
 	words   []atomic.Uint64
 	shift   uint
@@ -429,17 +429,15 @@ func (t *txn) Commit() bool {
 	}
 	// Lock the r-locks of all written stripes so readers cannot observe a
 	// partially written state.
-	wlog := t.log.Entries()
+	wlog, locks := t.log.Entries(), t.locks
 	for i := range wlog {
 		we := &wlog[i]
-		rl := &t.e.locks[we.Idx].r
-		we.Saved = rl.Load() // unlocked: only the w-lock owner locks it
-		rl.Store(rLocked)
+		we.Saved = locks[we.Idx].r.Swap(rLocked) // only the w-lock owner writes it
 	}
 	ts := t.e.commitTS.Add(1)
 	if ts > t.validTS+1 && !t.validate() {
 		for i := range wlog {
-			t.e.locks[wlog[i].Idx].r.Store(wlog[i].Saved)
+			locks[wlog[i].Idx].r.Store(wlog[i].Saved)
 		}
 		t.Stat.AbortsValidCommit++
 		return t.commitAbort()
@@ -447,9 +445,9 @@ func (t *txn) Commit() bool {
 	newRLock := ts << 1
 	for i := range wlog {
 		we := &wlog[i]
-		we.WriteBack(t.e.Words)
-		t.e.locks[we.Idx].r.Store(newRLock)
-		t.e.locks[we.Idx].w.Store(0)
+		we.WriteBack(t.words)
+		locks[we.Idx].r.Store(newRLock)
+		locks[we.Idx].w.Store(0)
 	}
 	// Truncate the write log here rather than at the next begin: the log
 	// is then invariantly empty between transactions, which is what lets
@@ -472,15 +470,16 @@ func (t *txn) CommitRO() bool {
 func (t *txn) validate() bool {
 	t.Stat.Validations++
 	t.Stat.ValidationReads += uint64(len(t.rs.Log))
+	locks := t.locks
 	for _, re := range t.rs.Log {
-		cur := t.e.locks[re.Idx].r.Load()
+		cur := locks[re.Idx].r.Load()
 		if cur == re.Ver {
 			continue
 		}
 		// Changed or locked: still fine if we are the one holding it
 		// (we locked our own written stripes at commit). The single-result
 		// owner test keeps validate within the inlining budget.
-		if cur != rLocked || kernel.TagOf(t.e.locks[re.Idx].w.Load()) != t.tag {
+		if cur != rLocked || kernel.TagOf(locks[re.Idx].w.Load()) != t.tag {
 			return false
 		}
 	}
@@ -514,9 +513,9 @@ func (t *txn) commitAbort() bool {
 }
 
 func (t *txn) releaseWLocks() {
-	wlog := t.log.Entries()
+	wlog, locks := t.log.Entries(), t.locks
 	for i := range wlog {
-		t.e.locks[wlog[i].Idx].w.Store(0)
+		locks[wlog[i].Idx].w.Store(0)
 	}
 	t.log.Reset()
 }

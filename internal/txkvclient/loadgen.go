@@ -32,8 +32,8 @@ type LoadConfig struct {
 	Keys int
 	// Zipf is the zipfian skew θ in (0,1); 0 selects uniform keys.
 	Zipf float64
-	// Seed derives the per-connection RNG seeds (0 picks a
-	// time-derived seed, i.e. a non-reproducible run).
+	// Seed derives the per-connection RNG seeds; every value, 0
+	// included, is a seed, so a run replays its key and op streams.
 	Seed uint64
 	// Ops is the total operation count across all connections (required).
 	Ops uint64
@@ -81,9 +81,6 @@ func (c *LoadConfig) fill() error {
 	}
 	if c.LateThreshold == 0 {
 		c.LateThreshold = time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = uint64(time.Now().UnixNano()) | 1
 	}
 	if err := c.Mix.Valid(); err != nil {
 		return err

@@ -54,12 +54,11 @@ func (c *conn) subscribe(req txkvwire.Req, parseNs uint64) {
 func (c *conn) streamFeed(shard int, from uint64) {
 	f := c.s.feeds[shard]
 	cursor := from
-	evbuf := make([]coalesce.Event, 0, txkvwire.MaxFeedEvents)
-	wire := make([]txkvwire.FeedEvent, 0, txkvwire.MaxFeedEvents)
+	buf := make([]txkvwire.FeedEvent, 0, txkvwire.MaxFeedEvents)
 	hb := time.NewTimer(feedHeartbeat)
 	defer hb.Stop()
 	for {
-		batch, next, wait, done, err := f.Next(cursor, evbuf, txkvwire.MaxFeedEvents)
+		batch, next, wait, done, err := f.Next(cursor, buf, txkvwire.MaxFeedEvents)
 		cursor = next
 		if err != nil {
 			c.writeReply(txkvwire.Reply{
@@ -67,11 +66,7 @@ func (c *conn) streamFeed(shard int, from uint64) {
 			return
 		}
 		if len(batch) > 0 {
-			wire = wire[:0]
-			for _, e := range batch {
-				wire = append(wire, txkvwire.FeedEvent{Seq: e.Seq, Del: e.Del, Key: e.Key, Val: e.Val})
-			}
-			if !c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe, Events: wire}, true) {
+			if !c.writeReply(txkvwire.Reply{Op: txkvwire.OpSubscribe, Events: batch}, true) {
 				return
 			}
 			continue
