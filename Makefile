@@ -150,8 +150,10 @@ benchmark-ab:
 # hotpath compares the word engines' code with REV's, from the compiler's
 # -S output (scripts/hotpath.sh): for every function SwissTM, TL2,
 # TinySTM and internal/stm/kernel compile, the multiset of CALL targets (bounds-check panics
-# included) and the count of LOCK-prefixed and memory-operand XCHG
-# instructions, parent beside change, then each engine's total atomics,
+# included), the count of LOCK-prefixed and memory-operand XCHG
+# instructions and the count of each sync/atomic method's memory
+# instructions by kind (Load, Store, Swap, CompareAndSwap, Add, And/Or),
+# parent beside change, then each engine's total atomics,
 # total atomic sites (distinct source lines, so an inlined copy counts
 # once) and total calls, which stay comparable when a body moves between
 # functions, and the distinct atomic sites of all four packages together.

@@ -1,16 +1,19 @@
 // Package experiments reproduces every figure and table of the paper's
 // evaluation (§4 and §5), plus the repository's own txkv key-value
-// store family (DESIGN.md §6). Each experiment is a function that runs
-// the relevant workloads across engines and thread counts, returns the
-// structured per-repeat measurement records, and renders the same
-// rows/series the paper plots from those records; cmd/paperfigs and the
-// repository-root benchmarks drive them. The experiment ↔ module map
-// lives in DESIGN.md §4; the record schema in DESIGN.md §5.
+// store family (DESIGN.md §6). The experiments are the rows of one
+// table: each row names its engines, its points (a workload and the
+// figure it is drawn in) and its thread rule, and Run measures every
+// point × engine × thread count through the harness, returns the
+// per-repeat measurement records and renders the rows/series the paper
+// plots from those records; cmd/paperfigs drives it. The experiment ↔
+// module map lives in DESIGN.md §4; the record schema in DESIGN.md §5.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,6 +24,7 @@ import (
 	"swisstm/internal/results"
 	"swisstm/internal/stamp"
 	"swisstm/internal/stm"
+	"swisstm/internal/txkv"
 	"swisstm/internal/util"
 )
 
@@ -66,25 +70,211 @@ func Quick(out io.Writer) Options {
 	}
 }
 
-// runCfg assembles the harness run configuration for one experiment point.
-func (o Options) runCfg(experiment, workload string, threads int) harness.RunConfig {
-	return harness.RunConfig{
-		Experiment: experiment,
-		Workload:   workload,
-		Threads:    threads,
-		Duration:   o.Duration,
-		FixedOps:   o.FixedOps,
-		Repeats:    o.Repeats,
-		Seed:       o.Seed,
-	}
+// experiment is one row of the table: a figure or table of the paper, or
+// the txkv family.
+type experiment struct {
+	name    string
+	engines []harness.EngineSpec
+	points  func(o Options) []point
+	threads func(o Options) []int // nil: the sweep
+	render  func(r run)           // nil: one figure of medians per title
 }
 
-// emit renders one text block to Out (a no-op when records-only).
-func (o Options) emit(block string) {
-	if o.Out != nil {
-		fmt.Fprintln(o.Out, block)
-	}
+// point is one workload of an experiment. Exactly one of tput and work is
+// set.
+type point struct {
+	workload string             // record tag
+	title    string             // the figure it is drawn in, or its row in a renderer of its own
+	engine   harness.EngineSpec // Figure 8: the point's own engine; zero: the experiment's
+	tput     func(seed uint64) harness.Workload
+	work     func(threads int, seed uint64) harness.WorkSpec
 }
+
+// run is one experiment as measured: what a renderer draws from.
+type run struct {
+	out     io.Writer
+	pts     []point
+	threads []int
+	recs    []results.Record
+}
+
+// table is the evaluation, in the order `paperfigs -list` prints it.
+var table = []experiment{
+	{name: "fig2", engines: fourEngines("serializer"), points: func(o Options) []point {
+		return o.bench7Points([3]string{"read-dominated", "read-write", "write-dominated"},
+			func(mix string) string { return "Figure 2: STMBench7 " + mix + " workload" })
+	}},
+	// Figure 3: SwissTM's speedup over TL2 and over TinySTM; each engine
+	// is measured once per point and both tables are rendered from it.
+	{name: "fig3", engines: []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "tl2"}, {Kind: "tinystm"}},
+		points: func(o Options) []point {
+			var pts []point
+			for _, app := range stamp.Workloads {
+				pts = append(pts, o.stampPoint(app, app))
+			}
+			return pts
+		}, threads: fig3Threads, render: renderFig3},
+	// The paper could not run TL2 on Lee-TM; the line-up mirrors it.
+	{name: "fig4", engines: []harness.EngineSpec{{Kind: "rstm", Manager: "polka", Label: "RSTM"}, {Kind: "tinystm"}, {Kind: "swisstm"}},
+		points: func(o Options) []point {
+			var pts []point
+			for _, board := range []leetm.Board{leetm.MemoryBoard(), leetm.MainBoard()} {
+				pts = append(pts, leePoint("leetm/"+board.Name, "Figure 4: Lee-TM "+board.Name+" board", board))
+			}
+			return pts
+		}},
+	{name: "fig5", engines: fourEngines("polka"), points: func(o Options) []point {
+		return []point{o.rbPoint(fmt.Sprintf("Figure 5: red-black tree (range %d, %d%% updates)", o.RBRange, rbUpdatePct))}
+	}},
+	{name: "fig7", engines: []harness.EngineSpec{
+		{Kind: "tinystm", Label: "TinySTM (eager)"},
+		{Kind: "rstm", Acquire: "eager", Manager: "polka", Label: "RSTM eager"},
+		{Kind: "rstm", Acquire: "lazy", Manager: "polka", Label: "RSTM lazy"},
+		{Kind: "tl2", Label: "TL2 (lazy)"},
+	}, points: func(o Options) []point {
+		return []point{o.bench7Point("stmbench7/read-dominated", "Figure 7: eager vs lazy conflict detection, read-dominated STMBench7", 90)}
+	}},
+	// Figure 8: R ∈ {0, 5, 20} % of routing transactions update the
+	// shared object Oc; each (engine, R) is a series of its own.
+	{name: "fig8", points: func(o Options) []point {
+		var pts []point
+		for _, base := range []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "tinystm"}} {
+			for _, r := range []int{0, 5, 20} {
+				board := leetm.MemoryBoard()
+				board.IrregularPct = r
+				p := leePoint("leetm/memory-irregular", "Figure 8: irregular Lee-TM (memory board), SwissTM vs TinySTM", board)
+				p.engine = base
+				p.engine.Label = fmt.Sprintf("%s %d%%", base.DisplayName(), r)
+				pts = append(pts, p)
+			}
+		}
+		return pts
+	}},
+	{name: "fig9", engines: []harness.EngineSpec{
+		{Kind: "rstm", Manager: "greedy", Label: "RSTM Greedy"},
+		{Kind: "rstm", Manager: "polka", Label: "RSTM Polka"},
+	}, points: func(o Options) []point {
+		return []point{o.bench7Point("stmbench7/read-dominated", "Figure 9: Polka vs Greedy (RSTM), read-dominated STMBench7", 90)}
+	}},
+	// Figure 10: Greedy's shared startup counter costs short transactions
+	// dearly.
+	{name: "fig10", engines: []harness.EngineSpec{
+		{Kind: "swisstm", Label: "Two-phase"},
+		{Kind: "swisstm", Policy: "greedy", Label: "Greedy"},
+	}, points: func(o Options) []point {
+		return []point{o.rbPoint("Figure 10: two-phase vs Greedy CM (SwissTM), red-black tree")}
+	}},
+	{name: "fig11", engines: []harness.EngineSpec{
+		{Kind: "swisstm", NoBackoff: true, Label: "No backoff"},
+		{Kind: "swisstm", Label: "Linear backoff"},
+	}, points: func(o Options) []point {
+		return []point{o.stampPoint("intruder", "Figure 11: back-off vs no back-off (SwissTM), STAMP intruder")}
+	}},
+	{name: "fig12", engines: []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "swisstm", Policy: "timid"}},
+		points: func(o Options) []point {
+			return o.bench7Points([3]string{"read", "read/write", "write"}, func(mix string) string { return mix })
+		}, render: renderFig12},
+	{name: "fig13", engines: granSpecs(granularities), points: granPoints, threads: top, render: renderFig13},
+	// Table 1: the paper's qualitative ranking of design-choice
+	// combinations, quantified as throughput at the sweep's top count.
+	{name: "table1", engines: []harness.EngineSpec{
+		{Kind: "rstm", Acquire: "lazy", Manager: "polka", Label: "lazy/invisible/any (TL2-like)"},
+		{Kind: "rstm", Acquire: "eager", Reads: "visible", Manager: "polka", Label: "eager/visible/any"},
+		{Kind: "rstm", Acquire: "eager", Manager: "polka", Label: "eager/invisible/Polka"},
+		{Kind: "rstm", Acquire: "eager", Manager: "timid", Label: "eager/invisible/timid"},
+		{Kind: "swisstm", Policy: "timid", Label: "mixed/invisible/timid"},
+		{Kind: "swisstm", Label: "mixed/invisible/2-phase (SwissTM)"},
+	}, points: func(o Options) []point {
+		return []point{o.bench7Point("stmbench7/read-write", "", 60)}
+	}, threads: top, render: renderTable1},
+	{name: "table2", engines: granSpecs(table2Grans), points: granPoints, threads: top, render: renderTable2},
+	// txkv: the store under the three headline mixes plus read-only, all
+	// zipfian, and one uniform point for the skew axis; the balance and
+	// last-write oracles are armed on every run. RSTM is named as an
+	// -engines list names it, so these rows and txkvload's wire rows agree
+	// ("RSTM(polka)").
+	{name: "txkv", engines: []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "tinystm"}, {Kind: "rstm", Manager: "polka"}, {Kind: "tl2"}},
+		points: func(o Options) []point {
+			keys := o.KVKeys
+			if keys == 0 {
+				keys = 1024
+			}
+			var pts []point
+			for _, mix := range txkv.Mixes {
+				pts = append(pts, kvPoint(txkv.GenConfig{Mix: mix, Keys: keys, Zipf: kvZipf}, "zipf"))
+			}
+			return append(pts, kvPoint(txkv.GenConfig{Mix: txkv.ReadHeavy, Keys: keys}, "uniform"))
+		}},
+}
+
+// Names lists the runnable experiments.
+var Names = func() []string {
+	var names []string
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	return names
+}()
+
+// Run measures one experiment by name and renders it to Out, returning
+// its per-repeat records (also on error: whatever was measured before
+// the failure).
+func (o Options) Run(name string) ([]results.Record, error) {
+	i := slices.IndexFunc(table, func(e experiment) bool { return e.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
+	}
+	e := table[i]
+	r := run{out: o.Out, pts: e.points(o), threads: o.Threads}
+	if e.threads != nil {
+		r.threads = e.threads(o)
+	}
+	for _, p := range r.pts {
+		engines := e.engines
+		if p.engine.Kind != "" {
+			engines = []harness.EngineSpec{p.engine}
+		}
+		for _, spec := range engines {
+			for _, tc := range r.threads {
+				cfg := harness.RunConfig{
+					Experiment: name, Workload: p.workload, Threads: tc,
+					Duration: o.Duration, FixedOps: o.FixedOps, Repeats: o.Repeats, Seed: o.Seed,
+				}
+				var recs []results.Record
+				var err error
+				if p.work != nil {
+					recs, err = harness.RepeatWork(spec, func(seed uint64) harness.WorkSpec { return p.work(tc, seed) }, cfg)
+				} else {
+					recs, err = harness.RepeatThroughput(spec, p.tput, cfg)
+				}
+				r.recs = append(r.recs, recs...)
+				if err != nil {
+					return r.recs, fmt.Errorf("%s %s: %w", name, p.workload, err)
+				}
+			}
+		}
+	}
+	if o.Out != nil {
+		if e.render == nil {
+			renderFigures(r)
+		} else {
+			e.render(r)
+		}
+	}
+	return r.recs, nil
+}
+
+// fig3Threads is the paper's STAMP sweep; shrunk to the configured sweep
+// when it is narrower (quick mode).
+func fig3Threads(o Options) []int {
+	if len(o.Threads) < 4 {
+		return o.Threads
+	}
+	return []int{1, 2, 4, 8}
+}
+
+// top is the sweep's top thread count (8 in the paper).
+func top(o Options) []int { return o.Threads[len(o.Threads)-1:] }
 
 // fourEngines is the paper's headline engine line-up. RSTM uses the
 // Serializer CM for STMBench7 ("as this gave the best performing RSTM
@@ -98,79 +288,103 @@ func fourEngines(rstmManager string) []harness.EngineSpec {
 	}
 }
 
-// bench7Workload adapts a bench7 mix to the throughput harness.
-func (o Options) bench7Workload(mix int) harness.Workload {
+// bench7Point is one STMBench7 mix with ro % read-only operations.
+func (o Options) bench7Point(workload, title string, ro int) point {
 	cfg := o.Bench7
-	cfg.ReadOnlyPct = mix
-	var b *bench7.Bench
-	return harness.Workload{
-		Setup: func(e stm.STM) error {
-			b = bench7.Setup(e, cfg)
-			return nil
-		},
-		BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
-			return b.NewOps(th, rng).Op
-		},
-		Check: func(e stm.STM) error { return b.Check() },
+	cfg.ReadOnlyPct = ro
+	return point{workload: workload, title: title, tput: func(uint64) harness.Workload {
+		var b *bench7.Bench
+		return harness.Workload{
+			Setup: func(e stm.STM) error {
+				b = bench7.Setup(e, cfg)
+				return nil
+			},
+			BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
+				return b.NewOps(th, rng).Op
+			},
+			Check: func(e stm.STM) error { return b.Check() },
+		}
+	}}
+}
+
+// bench7Points are STMBench7's three mixes (90, 60 and 10 % read-only),
+// under the names an experiment gives them, each titled by title.
+func (o Options) bench7Points(mixes [3]string, title func(mix string) string) []point {
+	var pts []point
+	for i, ro := range [3]int{90, 60, 10} {
+		pts = append(pts, o.bench7Point("stmbench7/"+mixes[i], title(mixes[i]), ro))
 	}
+	return pts
 }
 
 // rbUpdatePct is the red-black tree's update percentage (paper: 20).
 const rbUpdatePct = 20
 
-// rbWorkload is the Figure 5/10 microbenchmark: lookups/inserts/removals
-// over a pre-filled tree. seed feeds the pre-fill RNG so a run with the
-// same seed rebuilds the identical tree.
-func (o Options) rbWorkload(seed uint64) harness.Workload {
-	var tree *rbtree.Tree
+// rbPoint is the Figure 5/10 microbenchmark: lookups/inserts/removals
+// over a pre-filled tree. The run's seed feeds the pre-fill RNG, so a run
+// with the same seed rebuilds the identical tree.
+func (o Options) rbPoint(title string) point {
 	keyRange := o.RBRange
-	return harness.Workload{
-		Setup: func(e stm.STM) error {
-			th := e.NewThread(0)
-			tree = rbtree.New(th)
-			rng := util.NewRand(seed ^ 0x5eed)
-			// Pre-fill to half occupancy, as customary for this bench.
-			for i := 0; i < keyRange/2; i++ {
-				k := stm.Word(rng.Intn(keyRange) + 1)
-				stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, k, k, 0) })
-			}
-			return nil
-		},
-		Op: func(th stm.Thread, worker int, rng *util.Rand) {
-			k := stm.Word(rng.Intn(keyRange) + 1)
-			r := rng.Intn(100)
-			switch {
-			case r < rbUpdatePct/2:
-				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Insert(tx, k, k, 0) })
-			case r < rbUpdatePct:
-				stm.Atomic(th, func(tx stm.Tx) bool { return tree.Delete(tx, k) != 0 })
-			default:
-				// Lookups are declared read-only: the microbenchmark's 80%
-				// read share rides each engine's RO fast path.
-				stm.AtomicRO(th, func(tx stm.TxRO) stm.Word { v, _ := tree.Lookup(tx, k); return v })
-			}
-		},
-		Check: func(e stm.STM) error {
-			th := e.NewThread(0)
-			return stm.AtomicRO(th, func(tx stm.TxRO) (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, rb := r.(stm.RollbackSignal); rb {
-							panic(r) // engine retry signal, not an invariant failure
-						}
-						err = fmt.Errorf("rbtree invariant: %v", r)
-					}
-				}()
-				tree.CheckInvariants(tx)
+	return point{workload: "rbtree", title: title, tput: func(seed uint64) harness.Workload {
+		var tree *rbtree.Tree
+		return harness.Workload{
+			Setup: func(e stm.STM) error {
+				th := e.NewThread(0)
+				tree = rbtree.New(th)
+				rng := util.NewRand(seed ^ 0x5eed)
+				// Pre-fill to half occupancy, as customary for this bench.
+				for i := 0; i < keyRange/2; i++ {
+					k := stm.Word(rng.Intn(keyRange) + 1)
+					stm.AtomicVoid(th, func(tx stm.Tx) { tree.Insert(tx, k, k, 0) })
+				}
 				return nil
-			})
-		},
-	}
+			},
+			BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
+				return func() {
+					k := stm.Word(rng.Intn(keyRange) + 1)
+					r := rng.Intn(100)
+					switch {
+					case r < rbUpdatePct/2:
+						stm.Atomic(th, func(tx stm.Tx) bool { return tree.Insert(tx, k, k, 0) })
+					case r < rbUpdatePct:
+						stm.Atomic(th, func(tx stm.Tx) bool { return tree.Delete(tx, k) != 0 })
+					default:
+						// Lookups are declared read-only: the microbenchmark's 80%
+						// read share rides each engine's RO fast path.
+						stm.AtomicRO(th, func(tx stm.TxRO) stm.Word { v, _ := tree.Lookup(tx, k); return v })
+					}
+				}
+			},
+			Check: func(e stm.STM) error {
+				th := e.NewThread(0)
+				return stm.AtomicRO(th, func(tx stm.TxRO) (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, rb := r.(stm.RollbackSignal); rb {
+								panic(r) // engine retry signal, not an invariant failure
+							}
+							err = fmt.Errorf("rbtree invariant: %v", r)
+						}
+					}()
+					tree.CheckInvariants(tx)
+					return nil
+				})
+			},
+		}
+	}}
 }
 
-// leeWorkSpec adapts a Lee-TM board to the fixed-work harness.
-func leeWorkSpec(board leetm.Board) func(seed uint64) harness.WorkSpec {
-	return func(seed uint64) harness.WorkSpec {
+// stampPoint is one STAMP application, fixed work sized for the run's
+// thread count.
+func (o Options) stampPoint(app, title string) point {
+	return point{workload: "stamp/" + app, title: title, work: func(threads int, seed uint64) harness.WorkSpec {
+		return stamp.WorkSpec(app, o.Scale, threads)(seed)
+	}}
+}
+
+// leePoint is one Lee-TM board, fixed work: every net routed once.
+func leePoint(workload, title string, board leetm.Board) point {
+	return point{workload: workload, title: title, work: func(int, uint64) harness.WorkSpec {
 		var r *leetm.Router
 		return harness.WorkSpec{
 			Setup: func(e stm.STM) error { r = leetm.Setup(e, board); return nil },
@@ -179,61 +393,58 @@ func leeWorkSpec(board leetm.Board) func(seed uint64) harness.WorkSpec {
 			},
 			Check: func(e stm.STM) error { return r.Check() },
 		}
-	}
+	}}
 }
 
-// throughputRecords sweeps threads for each spec on the workload built
-// by mk and returns every per-repeat record.
-func (o Options) throughputRecords(experiment, workload string, specs []harness.EngineSpec, mk func(seed uint64) harness.Workload) ([]results.Record, error) {
-	var recs []results.Record
-	for _, spec := range specs {
-		for _, tc := range o.Threads {
-			r, err := harness.RepeatThroughput(spec, mk, o.runCfg(experiment, workload, tc))
-			recs = append(recs, r...)
-			if err != nil {
-				return recs, fmt.Errorf("%s %s: %w", experiment, workload, err)
-			}
-		}
+// kvZipf is the txkv zipfian skew θ of every zipfian point.
+const kvZipf = 0.99
+
+// kvPoint is one txkv mix over the popularity cfg sets (dist names it in
+// the workload tag).
+func kvPoint(cfg txkv.GenConfig, dist string) point {
+	title := fmt.Sprintf("TxKV %s (uniform, %d keys)", cfg.Mix.Name, cfg.Keys)
+	if cfg.Zipf > 0 {
+		title = fmt.Sprintf("TxKV %s (zipfian θ=%.2f, %d keys)", cfg.Mix.Name, cfg.Zipf, cfg.Keys)
 	}
-	return recs, nil
+	return point{workload: "txkv/" + cfg.Mix.Name + "-" + dist, title: title,
+		tput: func(uint64) harness.Workload { return txkv.NewGen(cfg).Workload() }}
 }
 
-// workRecords sweeps threads for each spec on the fixed-work benchmark
-// built by mk (re-invoked per (threads, repeat) so state is fresh).
-func (o Options) workRecords(experiment, workload string, specs []harness.EngineSpec, mk func(threads int) func(seed uint64) harness.WorkSpec) ([]results.Record, error) {
-	var recs []results.Record
-	for _, spec := range specs {
-		for _, tc := range o.Threads {
-			r, err := harness.RepeatWork(spec, mk(tc), o.runCfg(experiment, workload, tc))
-			recs = append(recs, r...)
-			if err != nil {
-				return recs, fmt.Errorf("%s %s: %w", experiment, workload, err)
-			}
-		}
+// granularities lists the sweep of Figure 13 in words per stripe. The
+// paper sweeps 2^2..2^8 *bytes* with 32-bit words, i.e. 1..64 words;
+// with this repository's 64-bit words the same word counts are
+// 2^0..2^6 words ≡ 2^3..2^9 bytes.
+var granularities = []uint{0, 1, 2, 3, 4, 5, 6}
+
+// table2Grans are Table 2's three granularities: 1, 4 and 16 words per
+// stripe (the paper's 2^2, 2^4 and 2^6 bytes with 32-bit words).
+var table2Grans = []uint{0, 2, 4}
+
+// granLabel names one granularity's SwissTM configuration in records.
+func granLabel(g uint) string { return fmt.Sprintf("SwissTM %dw/stripe", 1<<g) }
+
+// granSpecs is SwissTM at each granularity of grans.
+func granSpecs(grans []uint) []harness.EngineSpec {
+	var specs []harness.EngineSpec
+	for _, g := range grans {
+		specs = append(specs, harness.EngineSpec{Kind: "swisstm", StripeWords: 1 << g, Label: granLabel(g)})
 	}
-	return recs, nil
+	return specs
 }
 
-// metricThroughput and metricDuration pick the figure value out of one
-// aggregated point (medians, so repeats are outlier-robust).
-func metricThroughput(a results.Agg) float64 { return a.Throughput.Median }
-func metricDuration(a results.Agg) float64   { return a.Duration.Median }
-
-// medianSeries folds records into one figure series per engine label,
-// in first-appearance order, with one point per thread count.
-func medianSeries(recs []results.Record, metric func(results.Agg) float64) []harness.Series {
-	idx := map[string]int{}
-	series := []harness.Series{}
-	for _, a := range results.Aggregate(recs) {
-		i, ok := idx[a.Engine]
-		if !ok {
-			i = len(series)
-			idx[a.Engine] = i
-			series = append(series, harness.Series{Name: a.Engine, Points: map[int]float64{}})
-		}
-		series[i].Points[a.Threads] = metric(a)
+// granPoints are the benchmarks of Figure 13 and Table 2, each titled
+// by its row in their tables.
+func granPoints(o Options) []point {
+	var pts []point
+	for _, app := range stamp.Workloads {
+		pts = append(pts, o.stampPoint(app, app))
 	}
-	return series
+	pts = append(pts, o.rbPoint("red-black tree"))
+	for _, board := range []leetm.Board{leetm.MemoryBoard(), leetm.MainBoard()} {
+		pts = append(pts, leePoint("leetm/"+board.Name, "Lee-TM "+board.Name, board))
+	}
+	return append(pts, o.bench7Points([3]string{"read", "read-write", "write"},
+		func(mix string) string { return "STMBench7 " + mix })...)
 }
 
 // aggIndex maps (workload, engine, threads) → aggregated point, for the
@@ -246,453 +457,162 @@ func aggIndex(recs []results.Record) map[string]results.Agg {
 	return m
 }
 
-// Fig2 — STMBench7 throughput: 4 STMs × 3 workload mixes × thread sweep.
-func (o Options) Fig2() ([]results.Record, error) {
-	var all []results.Record
-	for _, mix := range []struct {
-		name string
-		ro   int
-	}{{"read-dominated", 90}, {"read-write", 60}, {"write-dominated", 10}} {
-		recs, err := o.throughputRecords("fig2", "stmbench7/"+mix.name, fourEngines("serializer"),
-			func(seed uint64) harness.Workload { return o.bench7Workload(mix.ro) })
-		all = append(all, recs...)
-		if err != nil {
-			return all, err
+// renderFigures is the default renderer: one figure per distinct title,
+// each engine a series of medians per thread count — throughput, or
+// duration for fixed work.
+func renderFigures(r run) {
+	titleOf := map[string]string{}
+	for _, p := range r.pts {
+		titleOf[p.workload] = p.title
+	}
+	for i, p := range r.pts {
+		if i > 0 && r.pts[i-1].title == p.title {
+			continue // drawn with the point before it
 		}
-		o.emit(harness.FormatFigure(
-			"Figure 2: STMBench7 "+mix.name+" workload", "throughput [tx/s]",
-			o.Threads, medianSeries(recs, metricThroughput)))
-	}
-	return all, nil
-}
-
-// fig3Threads is the paper's STAMP sweep; shrunk to the configured sweep
-// when it is narrower (quick mode).
-func (o Options) fig3Threads() []int {
-	threads := []int{1, 2, 4, 8}
-	if len(o.Threads) < 4 {
-		threads = o.Threads
-	}
-	return threads
-}
-
-// Fig3 — STAMP: speedup of SwissTM over TL2 and TinySTM (speedup − 1),
-// per workload, for 1, 2, 4, 8 threads. Each engine is measured once
-// per point; both baseline tables are rendered from the same records.
-func (o Options) Fig3() ([]results.Record, error) {
-	threads := o.fig3Threads()
-	specs := []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "tl2"}, {Kind: "tinystm"}}
-	var all []results.Record
-	for _, wl := range stamp.Workloads {
-		for _, spec := range specs {
-			for _, tc := range threads {
-				recs, err := harness.RepeatWork(spec, stamp.WorkSpec(wl, o.Scale, tc), o.runCfg("fig3", "stamp/"+wl, tc))
-				all = append(all, recs...)
-				if err != nil {
-					return all, err
-				}
+		metric, value := "throughput [tx/s]", func(a results.Agg) float64 { return a.Throughput.Median }
+		if p.work != nil {
+			metric, value = "duration [s]", func(a results.Agg) float64 { return a.Duration.Median }
+		}
+		var recs []results.Record
+		for _, rec := range r.recs {
+			if titleOf[rec.Workload] == p.title {
+				recs = append(recs, rec)
 			}
 		}
+		idx := map[string]int{}
+		lines := []series{}
+		for _, a := range results.Aggregate(recs) {
+			j, ok := idx[a.Engine]
+			if !ok {
+				j = len(lines)
+				idx[a.Engine] = j
+				lines = append(lines, series{name: a.Engine, points: map[int]float64{}})
+			}
+			lines[j].points[a.Threads] = value(a)
+		}
+		fmt.Fprintln(r.out, formatFigure(p.title, metric, r.threads, lines))
 	}
-	o.renderFig3(all, threads)
-	return all, nil
 }
 
-func (o Options) renderFig3(recs []results.Record, threads []int) {
-	if o.Out == nil {
-		return
-	}
-	agg := aggIndex(recs)
+// renderFig3 prints SwissTM's speedup − 1 over TL2 and over TinySTM per
+// STAMP application and thread count.
+func renderFig3(r run) {
+	agg := aggIndex(r.recs)
 	for _, baseline := range []struct{ kind, engine string }{{"tl2", "TL2"}, {"tinystm", "TinySTM"}} {
-		fmt.Fprintf(o.Out, "# Figure 3: SwissTM vs %s on STAMP (speedup - 1; positive = SwissTM faster)\n", baseline.kind)
-		fmt.Fprintf(o.Out, "%-16s", "workload")
-		for _, tc := range threads {
-			fmt.Fprintf(o.Out, "%10dthr", tc)
+		fmt.Fprintf(r.out, "# Figure 3: SwissTM vs %s on STAMP (speedup - 1; positive = SwissTM faster)\n", baseline.kind)
+		fmt.Fprintf(r.out, "%-16s", "workload")
+		for _, tc := range r.threads {
+			fmt.Fprintf(r.out, "%10dthr", tc)
 		}
-		fmt.Fprintln(o.Out)
-		for _, wl := range stamp.Workloads {
-			fmt.Fprintf(o.Out, "%-16s", wl)
-			for _, tc := range threads {
-				swiss := agg[fmt.Sprintf("stamp/%s|SwissTM|%d", wl, tc)]
-				base := agg[fmt.Sprintf("stamp/%s|%s|%d", wl, baseline.engine, tc)]
+		fmt.Fprintln(r.out)
+		for _, p := range r.pts {
+			fmt.Fprintf(r.out, "%-16s", p.title)
+			for _, tc := range r.threads {
+				swiss := agg[fmt.Sprintf("%s|SwissTM|%d", p.workload, tc)]
+				base := agg[fmt.Sprintf("%s|%s|%d", p.workload, baseline.engine, tc)]
 				if swiss.Duration.Median <= 0 || tc > swiss.Cores {
-					fmt.Fprintf(o.Out, "%13s", "-")
+					fmt.Fprintf(r.out, "%13s", "-")
 					continue
 				}
-				fmt.Fprintf(o.Out, "%13.2f", base.Duration.Median/swiss.Duration.Median-1)
+				fmt.Fprintf(r.out, "%13.2f", base.Duration.Median/swiss.Duration.Median-1)
 			}
-			fmt.Fprintln(o.Out)
+			fmt.Fprintln(r.out)
 		}
-		fmt.Fprintln(o.Out)
+		fmt.Fprintln(r.out)
 	}
 }
 
-// Fig4 — Lee-TM execution time: SwissTM, TinySTM, RSTM on the memory and
-// main boards (the paper could not run TL2 on Lee-TM; we mirror the
-// line-up).
-func (o Options) Fig4() ([]results.Record, error) {
-	specs := []harness.EngineSpec{{Kind: "rstm", Manager: "polka", Label: "RSTM"}, {Kind: "tinystm"}, {Kind: "swisstm"}}
-	var all []results.Record
-	for _, board := range []leetm.Board{leetm.MemoryBoard(), leetm.MainBoard()} {
-		board := board
-		recs, err := o.workRecords("fig4", "leetm/"+board.Name, specs,
-			func(threads int) func(uint64) harness.WorkSpec { return leeWorkSpec(board) })
-		all = append(all, recs...)
-		if err != nil {
-			return all, err
-		}
-		o.emit(harness.FormatFigure(
-			"Figure 4: Lee-TM "+board.Name+" board", "duration [s]",
-			o.Threads, medianSeries(recs, metricDuration)))
-	}
-	return all, nil
-}
-
-// Fig5 — red-black tree throughput, 4 STMs, range 16384, 20% updates.
-func (o Options) Fig5() ([]results.Record, error) {
-	recs, err := o.throughputRecords("fig5", "rbtree", fourEngines("polka"), o.rbWorkload)
-	if err != nil {
-		return recs, err
-	}
-	o.emit(harness.FormatFigure(
-		fmt.Sprintf("Figure 5: red-black tree (range %d, %d%% updates)", o.RBRange, rbUpdatePct),
-		"throughput [tx/s]", o.Threads, medianSeries(recs, metricThroughput)))
-	return recs, nil
-}
-
-// Fig7 — eager vs lazy conflict detection in read-dominated STMBench7:
-// TinySTM (eager), RSTM eager, RSTM lazy, TL2 (lazy).
-func (o Options) Fig7() ([]results.Record, error) {
-	specs := []harness.EngineSpec{
-		{Kind: "tinystm", Label: "TinySTM (eager)"},
-		{Kind: "rstm", Acquire: "eager", Manager: "polka", Label: "RSTM eager"},
-		{Kind: "rstm", Acquire: "lazy", Manager: "polka", Label: "RSTM lazy"},
-		{Kind: "tl2", Label: "TL2 (lazy)"},
-	}
-	recs, err := o.throughputRecords("fig7", "stmbench7/read-dominated", specs,
-		func(seed uint64) harness.Workload { return o.bench7Workload(90) })
-	if err != nil {
-		return recs, err
-	}
-	o.emit(harness.FormatFigure(
-		"Figure 7: eager vs lazy conflict detection, read-dominated STMBench7",
-		"throughput [tx/s]", o.Threads, medianSeries(recs, metricThroughput)))
-	return recs, nil
-}
-
-// Fig8 — "irregular" Lee-TM: SwissTM vs TinySTM with R ∈ {0, 5, 20}% of
-// transactions updating the shared object Oc.
-func (o Options) Fig8() ([]results.Record, error) {
-	board := leetm.MemoryBoard()
-	var all []results.Record
-	for _, base := range []harness.EngineSpec{{Kind: "swisstm"}, {Kind: "tinystm"}} {
-		for _, r := range []int{0, 5, 20} {
-			b := board
-			b.IrregularPct = r
-			spec := base
-			spec.Label = fmt.Sprintf("%s %d%%", base.DisplayName(), r)
-			recs, err := o.workRecords("fig8", "leetm/memory-irregular", []harness.EngineSpec{spec},
-				func(threads int) func(uint64) harness.WorkSpec { return leeWorkSpec(b) })
-			all = append(all, recs...)
-			if err != nil {
-				return all, err
+// renderFig12 prints the speedup − 1 of SwissTM's two-phase CM over
+// timid, one series per STMBench7 mix.
+func renderFig12(r run) {
+	agg := aggIndex(r.recs)
+	lines := []series{}
+	for _, p := range r.pts {
+		s := series{name: p.title, points: map[int]float64{}}
+		for _, tc := range r.threads {
+			two := agg[fmt.Sprintf("%s|SwissTM|%d", p.workload, tc)]
+			timid := agg[fmt.Sprintf("%s|SwissTM(timid)|%d", p.workload, tc)]
+			if timid.Throughput.Median > 0 && tc <= two.Cores {
+				s.points[tc] = two.Throughput.Median/timid.Throughput.Median - 1
 			}
 		}
+		lines = append(lines, s)
 	}
-	o.emit(harness.FormatFigure(
-		"Figure 8: irregular Lee-TM (memory board), SwissTM vs TinySTM",
-		"duration [s]", o.Threads, medianSeries(all, metricDuration)))
-	return all, nil
+	fmt.Fprintln(r.out, formatFigure("Figure 12: two-phase vs timid CM speedup-1 (SwissTM), STMBench7",
+		"speedup - 1", r.threads, lines))
 }
 
-// Fig9 — Polka vs Greedy contention managers in RSTM on read-dominated
-// STMBench7.
-func (o Options) Fig9() ([]results.Record, error) {
-	specs := []harness.EngineSpec{
-		{Kind: "rstm", Manager: "greedy", Label: "RSTM Greedy"},
-		{Kind: "rstm", Manager: "polka", Label: "RSTM Polka"},
+// merit is granularity g's figure of merit on p (higher = better):
+// throughput, or 1/duration for fixed work.
+func merit(agg map[string]results.Agg, p point, g uint, threads int) float64 {
+	a := agg[fmt.Sprintf("%s|%s|%d", p.workload, granLabel(g), threads)]
+	if p.work == nil {
+		return a.Throughput.Median
 	}
-	recs, err := o.throughputRecords("fig9", "stmbench7/read-dominated", specs,
-		func(seed uint64) harness.Workload { return o.bench7Workload(90) })
-	if err != nil {
-		return recs, err
-	}
-	o.emit(harness.FormatFigure(
-		"Figure 9: Polka vs Greedy (RSTM), read-dominated STMBench7",
-		"throughput [tx/s]", o.Threads, medianSeries(recs, metricThroughput)))
-	return recs, nil
-}
-
-// Fig10 — SwissTM's two-phase CM vs plain Greedy on the red-black tree:
-// Greedy's shared startup counter costs short transactions dearly.
-func (o Options) Fig10() ([]results.Record, error) {
-	specs := []harness.EngineSpec{
-		{Kind: "swisstm", Label: "Two-phase"},
-		{Kind: "swisstm", Policy: "greedy", Label: "Greedy"},
-	}
-	recs, err := o.throughputRecords("fig10", "rbtree", specs, o.rbWorkload)
-	if err != nil {
-		return recs, err
-	}
-	o.emit(harness.FormatFigure(
-		"Figure 10: two-phase vs Greedy CM (SwissTM), red-black tree",
-		"throughput [tx/s]", o.Threads, medianSeries(recs, metricThroughput)))
-	return recs, nil
-}
-
-// Fig11 — back-off vs no back-off (SwissTM) on STAMP intruder.
-func (o Options) Fig11() ([]results.Record, error) {
-	specs := []harness.EngineSpec{
-		{Kind: "swisstm", NoBackoff: true, Label: "No backoff"},
-		{Kind: "swisstm", Label: "Linear backoff"},
-	}
-	recs, err := o.workRecords("fig11", "stamp/intruder", specs,
-		func(threads int) func(uint64) harness.WorkSpec { return stamp.WorkSpec("intruder", o.Scale, threads) })
-	if err != nil {
-		return recs, err
-	}
-	o.emit(harness.FormatFigure(
-		"Figure 11: back-off vs no back-off (SwissTM), STAMP intruder",
-		"duration [s]", o.Threads, medianSeries(recs, metricDuration)))
-	return recs, nil
-}
-
-// Fig12 — speedup (−1) of the two-phase CM over timid in SwissTM on the
-// three STMBench7 mixes.
-func (o Options) Fig12() ([]results.Record, error) {
-	specs := []harness.EngineSpec{
-		{Kind: "swisstm"},
-		{Kind: "swisstm", Policy: "timid"},
-	}
-	var all []results.Record
-	mixes := []struct {
-		name string
-		ro   int
-	}{{"read", 90}, {"read/write", 60}, {"write", 10}}
-	for _, mix := range mixes {
-		recs, err := o.throughputRecords("fig12", "stmbench7/"+mix.name, specs,
-			func(seed uint64) harness.Workload { return o.bench7Workload(mix.ro) })
-		all = append(all, recs...)
-		if err != nil {
-			return all, err
-		}
-	}
-	if o.Out != nil {
-		agg := aggIndex(all)
-		series := []harness.Series{}
-		for _, mix := range mixes {
-			s := harness.Series{Name: mix.name, Points: map[int]float64{}}
-			for _, tc := range o.Threads {
-				two := agg[fmt.Sprintf("stmbench7/%s|SwissTM|%d", mix.name, tc)]
-				timid := agg[fmt.Sprintf("stmbench7/%s|SwissTM(timid)|%d", mix.name, tc)]
-				if timid.Throughput.Median > 0 && tc <= two.Cores {
-					s.Points[tc] = two.Throughput.Median/timid.Throughput.Median - 1
-				}
-			}
-			series = append(series, s)
-		}
-		o.emit(harness.FormatFigure(
-			"Figure 12: two-phase vs timid CM speedup-1 (SwissTM), STMBench7",
-			"speedup - 1", o.Threads, series))
-	}
-	return all, nil
-}
-
-// granularities lists the sweep of Figure 13 in words per stripe. The
-// paper sweeps 2^2..2^8 *bytes* with 32-bit words, i.e. 1..64 words;
-// with this repository's 64-bit words the same word counts are
-// 2^0..2^6 words ≡ 2^3..2^9 bytes.
-var granularities = []uint{0, 1, 2, 3, 4, 5, 6}
-
-// granLabel names one granularity's SwissTM configuration in records.
-func granLabel(g uint) string { return fmt.Sprintf("SwissTM %dw/stripe", 1<<g) }
-
-// granBench is one benchmark of the Figure 13 / Table 2 granularity
-// sweep: run measures it under one granularity and returns the records.
-type granBench struct {
-	name      string // display name in tables
-	workload  string // record workload tag
-	fixedWork bool   // merit = 1/duration (else throughput)
-	run       func(g uint) ([]results.Record, error)
-}
-
-func (o Options) granBenchmarks(experiment string, threads int) []granBench {
-	mk := func(g uint) harness.EngineSpec {
-		return harness.EngineSpec{Kind: "swisstm", StripeWords: 1 << g, Label: granLabel(g)}
-	}
-	benches := []granBench{}
-	for _, wl := range stamp.Workloads {
-		wl := wl
-		benches = append(benches, granBench{name: wl, workload: "stamp/" + wl, fixedWork: true,
-			run: func(g uint) ([]results.Record, error) {
-				return harness.RepeatWork(mk(g), stamp.WorkSpec(wl, o.Scale, threads), o.runCfg(experiment, "stamp/"+wl, threads))
-			}})
-	}
-	benches = append(benches, granBench{name: "red-black tree", workload: "rbtree",
-		run: func(g uint) ([]results.Record, error) {
-			return harness.RepeatThroughput(mk(g), o.rbWorkload, o.runCfg(experiment, "rbtree", threads))
-		}})
-	for _, board := range []leetm.Board{leetm.MemoryBoard(), leetm.MainBoard()} {
-		board := board
-		benches = append(benches, granBench{name: "Lee-TM " + board.Name, workload: "leetm/" + board.Name, fixedWork: true,
-			run: func(g uint) ([]results.Record, error) {
-				return harness.RepeatWork(mk(g), leeWorkSpec(board), o.runCfg(experiment, "leetm/"+board.Name, threads))
-			}})
-	}
-	for _, mix := range []struct {
-		name string
-		ro   int
-	}{{"STMBench7 read", 90}, {"STMBench7 read-write", 60}, {"STMBench7 write", 10}} {
-		mix := mix
-		wl := "stmbench7/" + strings.ReplaceAll(strings.TrimPrefix(mix.name, "STMBench7 "), " ", "-")
-		benches = append(benches, granBench{name: mix.name, workload: wl,
-			run: func(g uint) ([]results.Record, error) {
-				return harness.RepeatThroughput(mk(g),
-					func(seed uint64) harness.Workload { return o.bench7Workload(mix.ro) },
-					o.runCfg(experiment, wl, threads))
-			}})
-	}
-	return benches
-}
-
-// merit extracts one benchmark's figure of merit (higher = better) for
-// one granularity from that run's records.
-func (b granBench) merit(recs []results.Record) float64 {
-	aggs := results.Aggregate(recs)
-	if len(aggs) == 0 {
+	if a.Duration.Median <= 0 {
 		return 0
 	}
-	a := aggs[0]
-	if b.fixedWork {
-		if a.Duration.Median <= 0 {
-			return 0
-		}
-		return 1 / a.Duration.Median
-	}
-	return a.Throughput.Median
+	return 1 / a.Duration.Median
 }
 
-// granSweep measures every benchmark under every granularity in grans,
-// returning all records plus merit[granularity][benchmark index].
-func (o Options) granSweep(experiment string, grans []uint, threads int) ([]results.Record, map[uint][]float64, error) {
-	benches := o.granBenchmarks(experiment, threads)
-	var all []results.Record
-	score := make(map[uint][]float64, len(grans))
-	for _, g := range grans {
-		for _, b := range benches {
-			recs, err := b.run(g)
-			all = append(all, recs...)
-			if err != nil {
-				return all, score, fmt.Errorf("%s %s gran 2^%d: %w", experiment, b.name, g, err)
-			}
-			score[g] = append(score[g], b.merit(recs))
-		}
-	}
-	return all, score, nil
-}
-
-// Fig13 — average speedup (−1) of each lock granularity against all the
-// others, across all benchmarks, at 8 threads (or the sweep's maximum).
-func (o Options) Fig13() ([]results.Record, error) {
-	threads := o.Threads[len(o.Threads)-1]
-	all, score, err := o.granSweep("fig13", granularities, threads)
-	if err != nil {
-		return all, err
-	}
-	if o.Out != nil {
-		nBench := len(score[granularities[0]])
-		fmt.Fprintf(o.Out, "# Figure 13: average speedup-1 per lock granularity vs all others (%d threads, %d cores)\n", threads, all[0].Cores)
-		fmt.Fprintf(o.Out, "# granularity axis: words/stripe (paper: 2^2..2^8 bytes at 4B words; here 64-bit words)\n")
-		fmt.Fprintf(o.Out, "%-18s%14s\n", "words/stripe", "avg speedup-1")
-		for _, g := range granularities {
-			sum := 0.0
-			for bi := 0; bi < nBench; bi++ {
-				others := []float64{}
-				for _, g2 := range granularities {
-					if g2 != g {
-						others = append(others, score[g2][bi])
-					}
+// renderFig13 prints each lock granularity's average speedup − 1 against
+// all the others, across all benchmarks.
+func renderFig13(r run) {
+	agg, threads := aggIndex(r.recs), r.threads[0]
+	fmt.Fprintf(r.out, "# Figure 13: average speedup-1 per lock granularity vs all others (%d threads, %d cores)\n", threads, r.recs[0].Cores)
+	fmt.Fprintf(r.out, "# granularity axis: words/stripe (paper: 2^2..2^8 bytes at 4B words; here 64-bit words)\n")
+	fmt.Fprintf(r.out, "%-18s%14s\n", "words/stripe", "avg speedup-1")
+	for _, g := range granularities {
+		sum := 0.0
+		for _, p := range r.pts {
+			others := []float64{}
+			for _, g2 := range granularities {
+				if g2 != g {
+					others = append(others, merit(agg, p, g2, threads))
 				}
-				sum += harness.GeoMeanSpeedup(score[g][bi], others)
 			}
-			fmt.Fprintf(o.Out, "%-18d%14s\n", 1<<g, speedupCell(sum/float64(nBench), 3, all[0]))
+			sum += meanSpeedup(merit(agg, p, g, threads), others)
 		}
-		fmt.Fprintln(o.Out)
+		fmt.Fprintf(r.out, "%-18d%14s\n", 1<<g, speedupCell(sum/float64(len(r.pts)), 3, r.recs[0]))
 	}
-	return all, nil
+	fmt.Fprintln(r.out)
 }
 
-// Table1 — effectiveness of STM design-choice combinations on the mixed
-// (read-write) STMBench7 workload: the paper's qualitative ranking,
-// quantified as throughput at the sweep's top thread count.
-func (o Options) Table1() ([]results.Record, error) {
-	threads := o.Threads[len(o.Threads)-1]
-	specs := []harness.EngineSpec{
-		{Kind: "rstm", Acquire: "lazy", Manager: "polka", Label: "lazy/invisible/any (TL2-like)"},
-		{Kind: "rstm", Acquire: "eager", Reads: "visible", Manager: "polka", Label: "eager/visible/any"},
-		{Kind: "rstm", Acquire: "eager", Manager: "polka", Label: "eager/invisible/Polka"},
-		{Kind: "rstm", Acquire: "eager", Manager: "timid", Label: "eager/invisible/timid"},
-		{Kind: "swisstm", Policy: "timid", Label: "mixed/invisible/timid"},
-		{Kind: "swisstm", Label: "mixed/invisible/2-phase (SwissTM)"},
+// renderTable1 prints each design-choice combination's throughput.
+func renderTable1(r run) {
+	fmt.Fprintf(r.out, "# Table 1: design-choice combinations on read-write STMBench7 (%d threads)\n", r.threads[0])
+	fmt.Fprintf(r.out, "%-36s%16s\n", "acquire/reads/CM", "throughput tx/s")
+	for _, a := range results.Aggregate(r.recs) {
+		fmt.Fprintf(r.out, "%-36s%16.1f\n", a.Engine, a.Throughput.Median)
 	}
-	var all []results.Record
-	for _, spec := range specs {
-		recs, err := harness.RepeatThroughput(spec,
-			func(seed uint64) harness.Workload { return o.bench7Workload(60) },
-			o.runCfg("table1", "stmbench7/read-write", threads))
-		all = append(all, recs...)
-		if err != nil {
-			return all, fmt.Errorf("table1 %s: %w", spec.DisplayName(), err)
-		}
-	}
-	if o.Out != nil {
-		fmt.Fprintf(o.Out, "# Table 1: design-choice combinations on read-write STMBench7 (%d threads)\n", threads)
-		fmt.Fprintf(o.Out, "%-36s%16s\n", "acquire/reads/CM", "throughput tx/s")
-		for _, a := range results.Aggregate(all) {
-			fmt.Fprintf(o.Out, "%-36s%16.1f\n", a.Engine, a.Throughput.Median)
-		}
-		fmt.Fprintln(o.Out)
-	}
-	return all, nil
+	fmt.Fprintln(r.out)
 }
 
-// table2Grans are Table 2's three granularities: 1, 4 and 16 words per
-// stripe (the paper's 2^2, 2^4 and 2^6 bytes with 32-bit words).
-var table2Grans = []uint{0, 2, 4}
-
-// Table2 — per-benchmark relative speedups (−1) between three lock
-// granularities: 4 words vs 1 word vs 16 words per stripe.
-func (o Options) Table2() ([]results.Record, error) {
-	threads := o.Threads[len(o.Threads)-1]
-	all, score, err := o.granSweep("table2", table2Grans, threads)
-	if err != nil {
-		return all, err
-	}
-	if o.Out != nil {
-		benches := o.granBenchmarks("table2", threads)
-		fmt.Fprintf(o.Out, "# Table 2: lock granularity comparison (%d threads, %d cores; speedup-1)\n", threads, all[0].Cores)
-		fmt.Fprintf(o.Out, "%-22s%12s%12s%12s\n", "benchmark", "4w vs 1w", "4w vs 16w", "1w vs 16w")
-		row := func(name string, c [3]float64) {
-			fmt.Fprintf(o.Out, "%-22s", name)
-			for _, v := range c {
-				fmt.Fprintf(o.Out, "%12s", speedupCell(v, 2, all[0]))
-			}
-			fmt.Fprintln(o.Out)
+// renderTable2 prints the per-benchmark speedups − 1 between 4, 1 and 16
+// words per stripe, and their average.
+func renderTable2(r run) {
+	agg, threads := aggIndex(r.recs), r.threads[0]
+	fmt.Fprintf(r.out, "# Table 2: lock granularity comparison (%d threads, %d cores; speedup-1)\n", threads, r.recs[0].Cores)
+	fmt.Fprintf(r.out, "%-22s%12s%12s%12s\n", "benchmark", "4w vs 1w", "4w vs 16w", "1w vs 16w")
+	row := func(name string, c [3]float64) {
+		fmt.Fprintf(r.out, "%-22s", name)
+		for _, v := range c {
+			fmt.Fprintf(r.out, "%12s", speedupCell(v, 2, r.recs[0]))
 		}
-		means := [3]float64{}
-		for bi, b := range benches {
-			v1, v4, v16 := score[0][bi], score[2][bi], score[4][bi]
-			ratio := func(a, b float64) float64 { return harness.GeoMeanSpeedup(a, []float64{b}) }
-			c := [3]float64{ratio(v4, v1), ratio(v4, v16), ratio(v1, v16)}
-			for i := range means {
-				means[i] += c[i] / float64(len(benches))
-			}
-			row(b.name, c)
-		}
-		row("Average", means)
-		fmt.Fprintln(o.Out)
+		fmt.Fprintln(r.out)
 	}
-	return all, nil
+	ratio := func(a, b float64) float64 { return meanSpeedup(a, []float64{b}) }
+	means := [3]float64{}
+	for _, p := range r.pts {
+		v1, v4, v16 := merit(agg, p, 0, threads), merit(agg, p, 2, threads), merit(agg, p, 4, threads)
+		c := [3]float64{ratio(v4, v1), ratio(v4, v16), ratio(v1, v16)}
+		for i := range means {
+			means[i] += c[i] / float64(len(r.pts))
+		}
+		row(p.title, c)
+	}
+	row("Average", means)
+	fmt.Fprintln(r.out)
 }
 
 // speedupCell renders a ratio between two configurations measured like
@@ -705,45 +625,56 @@ func speedupCell(v float64, prec int, rec results.Record) string {
 	return fmt.Sprintf("%.*f", prec, v)
 }
 
-// Names lists the runnable experiments.
-var Names = []string{
-	"fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "table1", "table2",
-	"txkv",
+// meanSpeedup is the arithmetic mean of mine's speedups − 1 over each
+// positive merit in others (Figure 13's average of one configuration
+// against the others); 0 when there is none.
+func meanSpeedup(mine float64, others []float64) float64 {
+	sum, n := 0.0, 0
+	for _, o := range others {
+		if o > 0 && mine > 0 {
+			sum += mine/o - 1
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
-// Run dispatches one experiment by name, returning its per-repeat
-// records (also on error: whatever was measured before the failure).
-func (o Options) Run(name string) ([]results.Record, error) {
-	switch name {
-	case "fig2":
-		return o.Fig2()
-	case "fig3":
-		return o.Fig3()
-	case "fig4":
-		return o.Fig4()
-	case "fig5":
-		return o.Fig5()
-	case "fig7":
-		return o.Fig7()
-	case "fig8":
-		return o.Fig8()
-	case "fig9":
-		return o.Fig9()
-	case "fig10":
-		return o.Fig10()
-	case "fig11":
-		return o.Fig11()
-	case "fig12":
-		return o.Fig12()
-	case "fig13":
-		return o.Fig13()
-	case "table1":
-		return o.Table1()
-	case "table2":
-		return o.Table2()
-	case "txkv":
-		return o.TxKV()
+// series is one line of a figure: a metric per thread count.
+type series struct {
+	name   string
+	points map[int]float64
+}
+
+// formatFigure renders lines as the paper's figures' data: one row per
+// thread count (marked * above this host's cores), one column per series.
+func formatFigure(title, metric string, threadCounts []int, lines []series) string {
+	var b strings.Builder
+	cores, note := runtime.GOMAXPROCS(0), ""
+	fmt.Fprintf(&b, "# %s\n# metric: %s\n", title, metric)
+	fmt.Fprintf(&b, "%-8s", "threads")
+	for _, s := range lines {
+		fmt.Fprintf(&b, "%22s", s.name)
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
+	b.WriteByte('\n')
+	for _, tc := range threadCounts {
+		label := fmt.Sprint(tc)
+		if tc > cores {
+			label += "*"
+			note = fmt.Sprintf("# * more threads than this host's %d cores: oversubscribed, not a scaling point\n", cores)
+		}
+		fmt.Fprintf(&b, "%-8s", label)
+		for _, s := range lines {
+			v, ok := s.points[tc]
+			if !ok {
+				fmt.Fprintf(&b, "%22s", "-")
+				continue
+			}
+			fmt.Fprintf(&b, "%22.2f", v)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String() + note
 }

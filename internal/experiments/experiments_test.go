@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestSmokeTxKV(t *testing.T) {
 func TestTxKVCoversTheOldSmoke(t *testing.T) {
 	o := Quick(nil)
 	o.Threads, o.Repeats, o.Seed, o.FixedOps = []int{1, 2}, 2, 1, 200
-	recs, err := o.TxKV()
+	recs, err := o.Run("txkv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestOversubscribedPointsGetNoSpeedup(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	Options{Out: &buf}.renderFig3(recs, []int{1, 2})
+	renderFig3(run{out: &buf, pts: []point{{workload: "stamp/intruder", title: "intruder"}}, threads: []int{1, 2}, recs: recs})
 	var fields []string
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if strings.HasPrefix(line, "intruder") {
@@ -231,6 +232,46 @@ func TestSeededRunsReproduceOps(t *testing.T) {
 		if a[i].Seed != b[i].Seed {
 			t.Fatalf("record %d: seed %d != %d (derived seeds must reproduce)", i, a[i].Seed, b[i].Seed)
 		}
+	}
+}
+
+func TestFormatFigure(t *testing.T) {
+	out := formatFigure("Test", "tx/s", []int{1, 2},
+		[]series{{name: "A", points: map[int]float64{1: 10, 2: 20}},
+			{name: "B", points: map[int]float64{1: 5}}})
+	for _, want := range []string{"# Test", "tx/s", "A", "B", "10.00", "20.00", "5.00", "-"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("figure output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFormatFigureMarksOversubscribedRows: a row with more threads than
+// the host has cores is marked and footnoted with the core count; a
+// figure without such a row carries no footnote.
+func TestFormatFigureMarksOversubscribedRows(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	lines := []series{{name: "A", points: map[int]float64{cores: 1, cores + 1: 2}}}
+	out := formatFigure("T", "m", []int{cores, cores + 1}, lines)
+	if !strings.Contains(out, fmt.Sprintf("\n%-8d", cores)) || !strings.Contains(out, fmt.Sprintf("\n%d*", cores+1)) ||
+		!strings.Contains(out, fmt.Sprintf("# * more threads than this host's %d cores", cores)) {
+		t.Errorf("rows %d (plain) and %d* (marked) and a footnote wanted:\n%s", cores, cores+1, out)
+	}
+	if out := formatFigure("T", "m", []int{cores}, lines); strings.Contains(out, "*") {
+		t.Errorf("no row is oversubscribed, yet:\n%s", out)
+	}
+}
+
+func TestMeanSpeedup(t *testing.T) {
+	// 2× faster than one peer, equal to another: mean of (1.0, 0.0) = 0.5.
+	if got := meanSpeedup(2, []float64{1, 2}); got != 0.5 {
+		t.Fatalf("meanSpeedup = %v, want 0.5", got)
+	}
+	if got := meanSpeedup(0, []float64{1}); got != 0 {
+		t.Fatalf("zero merit should give 0, got %v", got)
+	}
+	if got := meanSpeedup(1, nil); got != 0 {
+		t.Fatalf("no peers should give 0, got %v", got)
 	}
 }
 

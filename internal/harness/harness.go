@@ -1,7 +1,8 @@
-// Package harness runs the paper's experiments: it constructs engines
-// from declarative specs, drives fixed-time (throughput) and fixed-work
-// (makespan) workloads across thread sweeps, aggregates commit/abort
-// statistics, and formats the series the paper's figures and tables plot.
+// Package harness measures: it constructs engines from declarative
+// specs, runs one fixed-time or fixed-ops (throughput) or fixed-work
+// (makespan) point with its seeded repeats, folds the workers' commit and
+// abort statistics, and bridges each run into a results.Record. What the
+// points are and how they are drawn is internal/experiments'.
 package harness
 
 import (
@@ -219,19 +220,17 @@ func DeriveSeed(base uint64, label string, threads, repeat int) uint64 {
 }
 
 // Workload binds a benchmark to an engine instance: Setup builds the
-// shared data (single-threaded), Op executes one operation on the worker's
-// thread, and Check optionally validates post-conditions.
+// shared data (single-threaded), BindOp binds each worker's operation,
+// and Check optionally validates post-conditions.
 type Workload struct {
 	// Setup builds the benchmark state on e, using thread id 0.
 	Setup func(e stm.STM) error
-	// Op runs a single operation; worker is the worker index (≥ 1 because
-	// id 0 belongs to setup), rng is worker-private.
-	Op func(th stm.Thread, worker int, rng *util.Rand)
-	// BindOp, when non-nil, takes precedence over Op: it is called once
-	// per worker at start and returns that worker's operation closure.
-	// Workloads whose operations need per-thread pre-bound state (e.g.
-	// bench7's op tables, which exist so the steady-state loop allocates
-	// nothing) bind it here instead of rebuilding it every call.
+	// BindOp is called once per worker at start, on the worker's thread
+	// with its index (0-based; the thread's id is worker+1, as id 0
+	// belongs to setup) and its private rng, and returns the closure that
+	// runs one operation. Per-thread state an operation needs (e.g.
+	// bench7's op tables, which keep the steady-state loop allocation-free)
+	// is bound here once.
 	BindOp func(th stm.Thread, worker int, rng *util.Rand) func()
 	// Check, if non-nil, validates invariants after the run.
 	Check func(e stm.STM) error
@@ -324,10 +323,7 @@ func measureThroughput(spec EngineSpec, w Workload, cfg measureCfg) (Result, err
 		time.AfterFunc(cfg.dur, func() { close(stop) })
 	}
 	return fanOut(spec, e, cfg, "worker", w.Check, func(th stm.Thread, worker int, rng *util.Rand) uint64 {
-		op := func() { w.Op(th, worker, rng) }
-		if w.BindOp != nil {
-			op = w.BindOp(th, worker, rng)
-		}
+		op := w.BindOp(th, worker, rng)
 		var n uint64
 		for {
 			if cfg.fixedOps > 0 {
@@ -414,61 +410,4 @@ func RepeatWork(spec EngineSpec, mk func(seed uint64) WorkSpec, cfg RunConfig) (
 	return repeat(spec, cfg, func(seed uint64) (Result, error) {
 		return measureWork(spec, mk(seed), measureCfg{threads: cfg.Threads, seed: seed})
 	})
-}
-
-// Series is one line of a figure: a metric per thread count.
-type Series struct {
-	Name   string
-	Points map[int]float64
-}
-
-// FormatFigure renders series as the paper's figures' data: one row per
-// thread count (marked * above this host's cores), one column per series.
-func FormatFigure(title, metric string, threadCounts []int, series []Series) string {
-	var b strings.Builder
-	cores, note := runtime.GOMAXPROCS(0), ""
-	fmt.Fprintf(&b, "# %s\n# metric: %s\n", title, metric)
-	fmt.Fprintf(&b, "%-8s", "threads")
-	for _, s := range series {
-		fmt.Fprintf(&b, "%22s", s.Name)
-	}
-	b.WriteByte('\n')
-	for _, tc := range threadCounts {
-		label := fmt.Sprint(tc)
-		if tc > cores {
-			label += "*"
-			note = fmt.Sprintf("# * more threads than this host's %d cores: oversubscribed, not a scaling point\n", cores)
-		}
-		fmt.Fprintf(&b, "%-8s", label)
-		for _, s := range series {
-			v, ok := s.Points[tc]
-			if !ok {
-				fmt.Fprintf(&b, "%22s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%22.2f", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String() + note
-}
-
-// GeoMeanSpeedup returns the average of pairwise speedups-minus-one used
-// by Figure 13 (average speedup of one configuration against the others).
-func GeoMeanSpeedup(mine float64, others []float64) float64 {
-	if len(others) == 0 || mine <= 0 {
-		return 0
-	}
-	sum := 0.0
-	n := 0
-	for _, o := range others {
-		if o > 0 {
-			sum += mine/o - 1
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

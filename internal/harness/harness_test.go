@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -87,8 +86,8 @@ func TestMeasureThroughputCountsOps(t *testing.T) {
 			stm.AtomicVoid(th, func(tx stm.Tx) { h = tx.NewObject(1) })
 			return nil
 		},
-		Op: func(th stm.Thread, worker int, rng *util.Rand) {
-			stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) })
+		BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
+			return func() { stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) }) }
 		},
 	}
 	res, err := measureThroughput(EngineSpec{Kind: "swisstm"}, w, measureCfg{threads: 2, dur: 50 * time.Millisecond})
@@ -141,36 +140,6 @@ func TestMeasureWorkConservation(t *testing.T) {
 	}
 }
 
-func TestFormatFigure(t *testing.T) {
-	out := FormatFigure("Test", "tx/s", []int{1, 2},
-		[]Series{{Name: "A", Points: map[int]float64{1: 10, 2: 20}},
-			{Name: "B", Points: map[int]float64{1: 5}}})
-	for _, want := range []string{"# Test", "tx/s", "A", "B", "10.00", "20.00", "5.00", "-"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestFormatFigureMarksOversubscribedRows: a row with more threads than
-// the host has cores is marked and footnoted with the core count; a
-// figure without such a row carries no footnote.
-func TestFormatFigureMarksOversubscribedRows(t *testing.T) {
-	cores := runtime.GOMAXPROCS(0)
-	series := []Series{{Name: "A", Points: map[int]float64{cores: 1, cores + 1: 2}}}
-	out := FormatFigure("T", "m", []int{cores, cores + 1}, series)
-	if !strings.Contains(out, fmt.Sprintf("\n%-8d", cores)) || !strings.Contains(out, fmt.Sprintf("\n%d*", cores+1)) ||
-		!strings.Contains(out, fmt.Sprintf("# * more threads than this host's %d cores", cores)) {
-		t.Errorf("rows %d (plain) and %d* (marked) and a footnote wanted:\n%s", cores, cores+1, out)
-	}
-	if out := FormatFigure("T", "m", []int{cores}, series); strings.Contains(out, "*") {
-		t.Errorf("no row is oversubscribed, yet:\n%s", out)
-	}
-	if rec := (Result{Threads: 1}).ToRecord("e", "w", 0, 0); rec.Cores != cores {
-		t.Errorf("ToRecord stamped cores = %d, want %d", rec.Cores, cores)
-	}
-}
-
 func TestDeriveSeed(t *testing.T) {
 	a := DeriveSeed(42, "fig2|stmbench7|SwissTM", 1, 0)
 	if a != DeriveSeed(42, "fig2|stmbench7|SwissTM", 1, 0) {
@@ -198,8 +167,8 @@ func counterWorkload() Workload {
 			stm.AtomicVoid(th, func(tx stm.Tx) { h = tx.NewObject(1) })
 			return nil
 		},
-		Op: func(th stm.Thread, worker int, rng *util.Rand) {
-			stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) })
+		BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
+			return func() { stm.AtomicVoid(th, func(tx stm.Tx) { tx.WriteField(h, 0, tx.ReadField(h, 0)+1) }) }
 		},
 	}
 }
@@ -235,6 +204,9 @@ func TestToRecord(t *testing.T) {
 	}
 	if rec.Throughput == 0 || rec.DurationSec == 0 {
 		t.Fatalf("derived metrics missing: %+v", rec)
+	}
+	if cores := runtime.GOMAXPROCS(0); rec.Cores != cores {
+		t.Errorf("ToRecord stamped cores = %d, want %d", rec.Cores, cores)
 	}
 }
 
@@ -305,18 +277,5 @@ func TestRepeatWorkRecords(t *testing.T) {
 		if r.Repeat != i {
 			t.Fatalf("repeat index %d recorded as %d", i, r.Repeat)
 		}
-	}
-}
-
-func TestGeoMeanSpeedup(t *testing.T) {
-	// 2× faster than one peer, equal to another: mean of (1.0, 0.0) = 0.5.
-	if got := GeoMeanSpeedup(2, []float64{1, 2}); got != 0.5 {
-		t.Fatalf("GeoMeanSpeedup = %v, want 0.5", got)
-	}
-	if got := GeoMeanSpeedup(0, []float64{1}); got != 0 {
-		t.Fatalf("zero merit should give 0, got %v", got)
-	}
-	if got := GeoMeanSpeedup(1, nil); got != 0 {
-		t.Fatalf("no peers should give 0, got %v", got)
 	}
 }

@@ -95,9 +95,12 @@ func TestParallelRouting(t *testing.T) {
 	}
 }
 
+// TestIrregularVariant: at IrregularPct 100 every routing transaction
+// writes Oc, and each net's one committed routing transaction — routed or
+// failed, Atomic commits either way — adds exactly one to it.
 func TestIrregularVariant(t *testing.T) {
 	b := testBoard()
-	b.IrregularPct = 20
+	b.IrregularPct = 100
 	r := Setup(engines()["swisstm"](), b)
 	done := make(chan struct{})
 	for i := 0; i < 2; i++ {
@@ -112,13 +115,10 @@ func TestIrregularVariant(t *testing.T) {
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
 	}
-	// Oc must have been incremented by roughly IrregularPct of committed
-	// routing transactions (exact count varies with retries; just require
-	// that updates happened).
 	th := r.E.NewThread(0)
 	oc := stm.AtomicRO(th, func(tx stm.TxRO) stm.Word { return tx.ReadField(r.Oc, 0) })
-	if oc == 0 {
-		t.Fatal("irregular variant never updated Oc")
+	if want := r.Routed.Load() + r.Failed.Load(); uint64(oc) != want {
+		t.Fatalf("Oc = %d, want one per net: %d routed + %d failed", oc, r.Routed.Load(), r.Failed.Load())
 	}
 }
 

@@ -195,7 +195,13 @@ func (g *Gen) Store() *Store { return g.store }
 
 // Workload adapts the generator to the harness contract.
 func (g *Gen) Workload() harness.Workload {
-	return harness.Workload{Setup: g.Setup, Op: g.Op, Check: g.Check}
+	return harness.Workload{
+		Setup: g.Setup,
+		BindOp: func(th stm.Thread, worker int, rng *util.Rand) func() {
+			return func() { g.Op(th, worker, rng) }
+		},
+		Check: g.Check,
+	}
 }
 
 // Setup builds the store on e and pre-fills keys 1..Keys with the

@@ -18,10 +18,18 @@
 # function's fences; XCHGL AX, AX, the compiler's inline-mark no-op, is not
 # counted. A call that stops being inlined, a bounds check that appears or
 # goes, or an atomic operation added or removed shows up as a row whose two
-# counts differ. Each engine's block ends with three rows over all its
-# functions: "total atomics" and "total calls" — a body that moves from one
-# function to another changes the rows of both, and the totals say whether
-# anything was added or lost on the way — and "total atomic sites", the
+# counts differ. A plain load is no fence and an XCHG is either a Store or a
+# Swap, so the function also gets one "atomic:KIND" row per sync/atomic
+# method it inlines (Load, Store, Swap, CompareAndSwap, Add, And/Or): the
+# compiler positions an inlined method's memory instruction at the
+# method's line in $GOROOT/src/sync/atomic/type.go, and the row counts the
+# instructions there with a memory operand (address arithmetic, nil checks
+# and stack slots aside). A removed Load, or a Store that became a Swap,
+# moves these rows though "atomics" holds. Each engine's block ends with
+# three rows over all its functions: "total atomics" and "total calls" — a
+# body that moves from one function to another changes the rows of both,
+# and the totals say whether anything was added or lost on the way — and
+# "total atomic sites", the
 # distinct source positions of those instructions. An atomic inlined from
 # the Go tree (sync/atomic) carries the Go tree's position, so its site is
 # the position of the nearest instruction before it that is outside the Go
@@ -59,6 +67,17 @@ rows() {
 			pkg=$($go list "./internal/$dir")
 			$go build -gcflags="$pkg=-S" "./internal/$dir" 2>&1 |
 				awk -F'\t' -v eng="$eng" -v pkg="$pkg." -v goroot="$($go env GOROOT)/" -v sitesf="$2" '
+					BEGIN {
+						# kind[line]: the sync/atomic method whose body holds type.go line.
+						typego = goroot "src/sync/atomic/type.go"
+						while ((getline l <typego) > 0) {
+							ln++
+							if (l ~ /^func \(/) { m = l; sub(/^func \([^)]*\) /, "", m); sub(/\(.*/, "", m); if (m ~ /^(And|Or)$/) m = "And/Or" }
+							kind[ln] = m
+							if (l ~ /}$/) m = ""
+						}
+						typego = typego ":"
+					}
 					/^[^\t]/ {
 						fn = last = ""
 						if (!/ STEXT /) next
@@ -70,6 +89,10 @@ rows() {
 					fn == "" || NF < 3 { next }
 					{ pos = $2; sub(/^[^(]*\(/, "", pos); sub(/\)$/, "", pos) }
 					$3 == "CALL" { t = $4; sub(/\(SB\)$/, "", t); n[eng "|" fn "|call:" t]++ }
+					index(pos, typego) == 1 && $3 !~ /^(LEAQ|TESTB|NOP|PCDATA|FUNCDATA|CALL|LOCK)$/ && $4 ~ /\(/ && $4 !~ /\((SP|SB)\)/ {
+						k = kind[substr(pos, length(typego) + 1)]
+						if (k != "") n[eng "|" fn "|atomic:" k]++
+					}
 					$3 == "LOCK" || ($3 ~ /^XCHG/ && $4 ~ /\(/) {
 						n[eng "|" fn "|atomics"]++
 						sites[index(pos, goroot) == 1 ? last : pos]
